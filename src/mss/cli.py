@@ -44,22 +44,21 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config) if args.config else {}
         output = args.handler(args, config)
+        if output.already_written:
+            return 0
+        fmt = _opt(args, config, "format", "pretty")
+        if fmt == "json":
+            rendered = _json_text(output.payload)
+        elif fmt == "csv":
+            rendered = output.csv if output.csv is not None else _flatten_csv(output.payload)
+        else:
+            rendered = output.pretty if output.pretty is not None else _flatten_pretty(output.payload)
     except ValueError as exc:
         print(f"mss: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"mss: internal invariant violation: {exc}", file=sys.stderr)
         return 1
-    if output.already_written:
-        return 0
-
-    fmt = _opt(args, config, "format", "pretty")
-    if fmt == "json":
-        rendered = json.dumps(output.payload, indent=2) + "\n"
-    elif fmt == "csv":
-        rendered = output.csv if output.csv is not None else _flatten_csv(output.payload)
-    else:
-        rendered = output.pretty if output.pretty is not None else _flatten_pretty(output.payload)
 
     out = _opt(args, config, "out", None)
     if out:
@@ -233,6 +232,14 @@ def _flatten_pretty(payload) -> str:
     pairs = [(path, _scalar(value, precision=6)) for path, value in _flatten(payload)]
     width = max(len(p) for p, _ in pairs)
     return "\n".join(f"{p.ljust(width)}  {v}" for p, v in pairs) + "\n"
+
+
+def _json_text(payload) -> str:
+    """JSON rendering; a NaN or infinity in the payload is an invariant violation."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise RuntimeError(f"non-finite number in JSON output ({exc})") from None
 
 
 def _dm_to_json(dm) -> dict:
@@ -421,9 +428,10 @@ def cmd_experiment(args, config):
 
     out = _opt(args, config, "out", None)
     if out:
+        json_text = _json_text(payload)  # before any file is written
         base = Path(out)
         base.with_suffix(".csv").write_text(csv_text)
-        base.with_suffix(".json").write_text(json.dumps(payload, indent=2) + "\n")
+        base.with_suffix(".json").write_text(json_text)
         Path(str(base) + "_curve.csv").write_text(report.plot_data_csv())
         sys.stdout.write(pretty)
         return CommandOutput(payload, already_written=True)

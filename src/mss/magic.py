@@ -117,12 +117,19 @@ def optimal_mixture(phi: float) -> WignerVector:
     return WignerVector(a * w_plus + (1.0 - a) * w_plus_i)
 
 
-def octahedron_distance(bloch_vec) -> float:
+def octahedron_distance(bloch_vec) -> float | np.ndarray:
     """Independent 1-qubit oracle: max(0, (|x| + |y| + |z| - 1)/2).
 
-    Equals wigner_distance on single-qubit states (the polytope is the
-    octahedron |x|+|y|+|z| <= 1 in Bloch coordinates); the equivalence is
-    verified against the LP on randomised states in the test suite.
+    Takes one Bloch vector and returns a float, or an array of them along the
+    last axis and returns an array.  Values below CLAMP_TOL are reported as
+    exactly zero, as in wigner_distance.  Equals wigner_distance on
+    single-qubit states (the polytope is the octahedron |x|+|y|+|z| <= 1 in
+    Bloch coordinates); the equivalence is verified against the LP on
+    randomised states in the test suite.
     """
-    b = np.asarray(bloch_vec, dtype=float).reshape(3)
-    return max(0.0, (np.abs(b).sum() - 1.0) / 2.0)
+    b = np.asarray(bloch_vec, dtype=float)
+    if b.shape[-1:] != (3,):
+        raise ValueError("Bloch vectors need 3 components along the last axis")
+    c = (np.abs(b).sum(axis=-1) - 1.0) / 2.0
+    c = np.where(c < CLAMP_TOL, 0.0, c)
+    return float(c) if c.ndim == 0 else c

@@ -186,34 +186,6 @@ def apply_1q(state: PureState, gate: np.ndarray, target: int) -> PureState:
     return PureState(psi.reshape(-1))
 
 
-def apply_1q_dm(rho: DensityMatrix, gate: np.ndarray, target: int) -> DensityMatrix:
-    """Conjugate a density matrix by a single-qubit unitary on ``target``."""
-    n = rho.n_qubits
-    if not 0 <= target < n:
-        raise ValueError(f"target {target} out of range for {n} qubits")
-    g = require_unitary(gate)
-    full = _embed_1q(g, n, target)
-    return DensityMatrix(full @ rho.mat @ full.conj().T)
-
-
-def _embed_1q(g: np.ndarray, n: int, target: int) -> np.ndarray:
-    ops = [I2] * n
-    ops[target] = g
-    full = ops[0]
-    for op in ops[1:]:
-        full = np.kron(full, op)
-    return full
-
-
-def _cx_matrix(n: int, control: int, target: int) -> np.ndarray:
-    dim = 2 ** n
-    m = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        j = i ^ (1 << (n - 1 - target)) if (i >> (n - 1 - control)) & 1 else i
-        m[j, i] = 1.0
-    return m
-
-
 def apply_cx(state: PureState, control: int, target: int) -> PureState:
     """Controlled-X on a pure register."""
     n = state.n_qubits
@@ -225,17 +197,6 @@ def apply_cx(state: PureState, control: int, target: int) -> PureState:
     view = np.moveaxis(psi, (control, target), (0, 1))
     view[1] = view[1, ::-1]
     return PureState(psi.reshape(-1))
-
-
-def apply_cx_dm(rho: DensityMatrix, control: int, target: int) -> DensityMatrix:
-    """Controlled-X conjugation on a density matrix."""
-    n = rho.n_qubits
-    if control == target:
-        raise ValueError("control and target must differ")
-    if not (0 <= control < n and 0 <= target < n):
-        raise ValueError("qubit index out of range")
-    m = _cx_matrix(n, control, target)
-    return DensityMatrix(m @ rho.mat @ m.conj().T)
 
 
 def project_measure(state: PureState, target: int, basis: str, outcome: int):

@@ -175,9 +175,10 @@ def sampled_certification(phi: float, shots: int, noise, seed: int,
 
     The dealer's Y-setting outcome 0 is the -1 eigenstate, which the
     hardware-style rotation maps to measured bit 1, hence the keep-bit flip.
-    The witness is re-solved at the reconstructed sigma_{0|X} of every
-    bootstrap replica, so sigma_gap includes the witness's own sampling
-    wobble.
+    The point estimate solves the witness LP at the reconstructed
+    sigma_{0|X}.  Every bootstrap replica re-derives the witness at its own
+    reconstructed sigma_{0|X}, in the closed form of :func:`_sign_witness_gaps`,
+    so sigma_gap includes the witness's own sampling wobble.
     """
     from . import tomo
 
@@ -190,14 +191,9 @@ def sampled_certification(phi: float, shots: int, noise, seed: int,
             base[setting][basis] = tomo.post_select_and_correct(
                 table, alice_keep_bit=keep_bit)
 
-    def evaluate(counts):
-        sig = {s: tomo.reconstruct(counts[s]["X"], counts[s]["Y"], counts[s]["Z"])
-               for s in ("X", "Y")}
-        w = wigner_distance(sig["X"].rho)
-        f = _functional_value(sig["X"].rho, sig["Y"].rho, w)
-        return f, w, sig
-
-    f_value, witness, recon = evaluate(base)
+    recon = {s: tomo.reconstruct(base[s]["X"], base[s]["Y"], base[s]["Z"]) for s in SETTINGS}
+    witness = wigner_distance(recon["X"].rho)
+    f_value = _functional_value(recon["X"].rho, recon["Y"].rho, witness)
     record = CertificationRecord(
         f_value=f_value,
         f_lhs=witness.f_lhs,
@@ -206,24 +202,38 @@ def sampled_certification(phi: float, shots: int, noise, seed: int,
     )
 
     rng = tomo.stream_rng(seed, f"certify-boot/{phi:.17g}")
-
-    def resample(cc):
-        n = int(round(cc.n_eff))
-        k = int(rng.binomial(n, cc.n0 / cc.n_eff))
-        return tomo.CorrectedCounts(basis_label=cc.basis_label,
-                                    n0=float(k), n1=float(n - k))
-
-    gaps = np.empty(n_boot)
-    for i in range(n_boot):
-        redrawn = {s: {b: resample(cc) for b, cc in per.items()}
-                   for s, per in base.items()}
-        f, w, _ = evaluate(redrawn)
-        gaps[i] = f - w.f_lhs
+    raw = tomo.resample_expectations(
+        [base[s][b] for s in SETTINGS for b in ("X", "Y", "Z")], n_boot, rng)
+    gaps = _sign_witness_gaps(tomo.scale_onto_ball(raw[:, :3]),
+                              tomo.scale_onto_ball(raw[:, 3:]))
     return SampledCertification(
         record=record,
         sigma_gap=float(np.std(gaps, ddof=1)),
         n_eff=min(recon["X"].n_eff, recon["Y"].n_eff),
     )
+
+
+def _sign_witness_gaps(b_x: np.ndarray, b_y: np.ndarray) -> np.ndarray:
+    """Certification gap per row of Bloch vectors b_x of sigma_{0|X} and b_y
+    of sigma_{0|Y}, with the witness solved at sigma_{0|X}: the LP's result
+    in closed form.
+
+    For one qubit the free polytope is the octahedron |b|_1 <= 1.  Outside
+    it, the LP's dual witness is H* = (s . sigma)/2 plus a multiple of the
+    identity, with s = sign(b_x) (0 on a zero coordinate); over the six
+    vertices +-e_i it peaks at F_LHS = 1/2 plus that multiple.  The identity
+    part adds equally to F and F_LHS, so it cancels in the gap.  S
+    conjugation maps s . sigma to s' . sigma with s' = (-s_y, s_x, s_z), so
+    the gap is (s . b_x + s' . b_y)/4 - 1/2, which is C(b_x) when b_y is the
+    S-conjugate of b_x.  Strictly inside the octahedron the LP returns the
+    zero witness and the gap is 0.  On its surface C is 0 and every witness
+    that attains its bound at b_x is optimal; the zero witness is taken
+    there too, so the gap is 0 exactly when C is.
+    """
+    s = np.sign(b_x)
+    s_y = np.stack([-s[..., 1], s[..., 0], s[..., 2]], axis=-1)
+    gap = ((s * b_x).sum(axis=-1) + (s_y * b_y).sum(axis=-1)) / 4.0 - 0.5
+    return np.where(np.abs(b_x).sum(axis=-1) > 1.0, gap, 0.0)
 
 
 def random_lhs_assemblage(rng: np.random.Generator) -> Assemblage:

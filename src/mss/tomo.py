@@ -26,12 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .magic import c_closed_form, wigner_distance
+from .magic import c_closed_form, octahedron_distance, wigner_distance
 from .qcore import H, I2, S, X, Y, Z, DensityMatrix, dm_from_bloch, fidelity, ket, phase_gate, phase_plus
 
 DISTILLATION_THRESHOLD = 0.856  # 15-to-1 magic state distillation entry fidelity
 DEFAULT_SHOTS = 4096
 DEFAULT_N_BOOT = 2000
+MIN_N_BOOT = 100
 
 _N_QUBITS = 3
 _DIM = 8
@@ -283,14 +284,19 @@ class ReconstructionResult:
     sigma_f: float = 0.0
 
 
-def reconstruct(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
-                z_counts: CorrectedCounts, phi: float | None = None) -> ReconstructionResult:
-    """Linear-inversion single-qubit tomography with radial physicality projection."""
+def _require_bases(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
+                   z_counts: CorrectedCounts) -> None:
     for c, want in ((x_counts, "X"), (y_counts, "Y"), (z_counts, "Z")):
         if c.basis_label != want:
             raise ValueError(f"expected {want} counts, got {c.basis_label}")
         if c.n_eff < 1:
             raise ValueError("empty post-selected sample")
+
+
+def reconstruct(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
+                z_counts: CorrectedCounts, phi: float | None = None) -> ReconstructionResult:
+    """Linear-inversion single-qubit tomography with radial physicality projection."""
+    _require_bases(x_counts, y_counts, z_counts)
     raw = np.array([x_counts.expectation, y_counts.expectation, z_counts.expectation])
     b = raw / max(1.0, float(np.linalg.norm(raw)))  # scale onto the Bloch ball
     rho = dm_from_bloch(b)
@@ -304,31 +310,53 @@ def reconstruct(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
     )
 
 
+def resample_expectations(counts: Sequence[CorrectedCounts], n_boot: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Parametric bootstrap draw: ``n_boot`` replicas of every sample's
+    expectation, each count redrawn binomially at its empirical rate.
+
+    Returns an (n_boot, len(counts)) array.  All draws come from one
+    ``rng.binomial`` call, replica by replica and, within a replica, in the
+    order of ``counts``.
+    """
+    if n_boot < MIN_N_BOOT:
+        raise ValueError(f"n_boot must be at least {MIN_N_BOOT}")
+    trials = np.array([int(round(c.n_eff)) for c in counts])
+    if trials.min() < 1:
+        raise ValueError("empty post-selected sample")
+    rates = np.array([c.n0 / c.n_eff for c in counts])
+    k = rng.binomial(trials, rates, size=(n_boot, len(counts)))
+    return (2 * k - trials) / trials
+
+
+def scale_onto_ball(raw: np.ndarray) -> np.ndarray:
+    """Bloch vectors along the last axis, those longer than 1 scaled onto the
+    unit sphere: the projection :func:`reconstruct` applies, for arrays."""
+    b = raw / np.maximum(1.0, np.linalg.norm(raw, axis=-1, keepdims=True))
+    if not np.all(np.einsum("...i,...i->...", b, b) <= 1.0 + 1e-9):
+        raise RuntimeError("scaled Bloch vector left the unit ball")
+    return b
+
+
 def bootstrap(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
               z_counts: CorrectedCounts, n_boot: int, seed: int,
               phi: float | None = None) -> tuple[float, float]:
-    """Parametric bootstrap: binomial resampling of each basis at its
-    empirical rate, returning sample standard deviations (sigma_C, sigma_F)."""
-    if n_boot < 100:
-        raise ValueError("n_boot must be at least 100")
+    """Parametric bootstrap of the recipient's (sigma_C, sigma_F): sample
+    standard deviations over ``n_boot`` replicas of :func:`resample_expectations`.
+
+    Each replica is reconstructed as :func:`reconstruct` does, in closed form:
+    C is the octahedron distance, which equals the Wigner-distance LP for one
+    qubit, and the fidelity with P(phi)|+> is (1 + x cos phi + y sin phi)/2.
+    sigma_F is NaN when no reference angle is given.
+    """
+    _require_bases(x_counts, y_counts, z_counts)
     rng = stream_rng(seed, f"bootstrap/{phi if phi is not None else 'none'}")
-    cs = np.empty(n_boot)
-    fs = np.empty(n_boot)
-    bases = (x_counts, y_counts, z_counts)
-    trials = [int(round(c.n_eff)) for c in bases]
-    rates = [c.n0 / c.n_eff for c in bases]
-    draws = rng.binomial(n=np.array(trials), p=np.array(rates), size=(n_boot, 3))
-    for i in range(n_boot):
-        resampled = [
-            CorrectedCounts(basis_label=c.basis_label, n0=float(k), n1=float(t - k))
-            for c, k, t in zip(bases, draws[i], trials)
-        ]
-        res = reconstruct(*resampled, phi=phi)
-        cs[i] = res.c_value
-        fs[i] = res.fidelity
-    sigma_c = float(np.std(cs, ddof=1))
-    sigma_f = float(np.std(fs, ddof=1)) if phi is not None else math.nan
-    return sigma_c, sigma_f
+    b = scale_onto_ball(resample_expectations((x_counts, y_counts, z_counts), n_boot, rng))
+    sigma_c = float(np.std(octahedron_distance(b), ddof=1))
+    if phi is None:
+        return sigma_c, math.nan
+    fs = (1.0 + b[:, 0] * math.cos(phi) + b[:, 1] * math.sin(phi)) / 2.0
+    return sigma_c, float(np.std(fs, ddof=1))
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,12 @@ class TestCertify:
         code, _, err = run_cli(capsys, "certify", "--phi", PI_8, "--shots", "512")
         assert code == 2 and "--seed" in err
 
+    def test_too_few_replicas_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "certify", "--phi", "0.5", "--shots", "50",
+                                 "--seed", "1", "--boot", "1", "--format", "json")
+        assert code == 2 and out == ""
+        assert "at least 100" in err
+
 
 class TestExperiment:
     def test_files_written(self, capsys, tmp_path):
@@ -233,3 +239,24 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "magic-eval", "--phi", PI_4)
         assert code == 1
         assert "invariant" in err and "LP postcondition" in err
+
+    def test_non_finite_json_value_exits_1(self, capsys, monkeypatch):
+        import mss.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.magic, "c_closed_form", lambda phi: math.nan)
+        code, out, err = run_cli(capsys, "run", "--phi", PI_4, "--outcomes", "+-",
+                                 "--format", "json")
+        assert code == 1 and out == ""
+        assert "internal invariant violation" in err and "non-finite" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_experiment_writes_no_file(self, capsys, monkeypatch, tmp_path):
+        import mss.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.tomo, "c_closed_form", lambda phi: math.inf)
+        out = tmp_path / "exp"
+        code, _, err = run_cli(capsys, "experiment", "--phis", PI_8, "--shots", "256",
+                               "--seed", "5", "--boot", "100", "--out", str(out))
+        assert code == 1
+        assert "internal invariant violation" in err and "non-finite" in err
+        assert list(tmp_path.iterdir()) == []

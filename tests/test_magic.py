@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mss.magic import (
+    CLAMP_TOL,
     c_closed_form,
     octahedron_distance,
     optimal_mixture,
@@ -20,7 +23,7 @@ from mss.qcore import (
 from mss.stabilizer import enumerate_stabilizer_states, single_qubit_cliffords
 from mss.wigner import wigner_of
 
-from conftest import random_density
+from conftest import PROPERTY, bloch_vectors, random_density
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -192,3 +195,23 @@ class TestOctahedronDistance:
                 assert c > 0.0
             hits += 1
         assert hits == 200
+
+    @PROPERTY
+    @given(st.lists(bloch_vectors(), min_size=1, max_size=8))
+    def test_batch_matches_scalar_calls_and_lp(self, vectors):
+        batch = octahedron_distance(np.array(vectors))
+        assert batch.shape == (len(vectors),)
+        for b, got in zip(vectors, batch):
+            assert got == octahedron_distance(b)
+            assert got == pytest.approx(wigner_distance(dm_from_bloch(b)).c_value, abs=1e-9)
+
+    def test_batch_keeps_leading_shape(self, rng):
+        b = rng.uniform(-0.5, 0.5, size=(4, 5, 3))
+        assert octahedron_distance(b).shape == (4, 5)
+
+    def test_clamps_round_off_to_zero(self):
+        assert octahedron_distance((0.5, 0.5, CLAMP_TOL / 4)) == 0.0
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="3 components"):
+            octahedron_distance((0.1, 0.2))

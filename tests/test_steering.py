@@ -2,21 +2,82 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
 
+from mss import tomo
 from mss.magic import c_closed_form, wigner_distance
-from mss.qcore import bloch, ket
+from mss.qcore import X, Y, Z, bloch, dm_from_bloch, ket
 from mss.steering import (
     Assemblage,
+    _functional_value,
+    _sign_witness_gaps,
     build_assemblage,
     certify_exact,
     evaluate_functional,
     lhs_bound_check,
     random_lhs_assemblage,
+    sampled_certification,
     solve_witness,
     z_setting_probe,
 )
 
+from conftest import PROPERTY, bloch_vectors
+
 SQRT2 = np.sqrt(2.0)
+ACCEPTANCE_NOISE = tomo.NoiseModel.symmetric(0.003, 0.015, 0.01)
+
+
+def lp_gap(b_x, b_y):
+    """Gap of the LP witness solved at b_x, with the Y term S-conjugated."""
+    sigma_x, sigma_y = dm_from_bloch(b_x), dm_from_bloch(b_y)
+    w = wigner_distance(sigma_x)
+    return _functional_value(sigma_x, sigma_y, w) - w.f_lhs
+
+
+def lp_witness_paulis(b):
+    """(tr H* X, tr H* Y, tr H* Z) of the LP witness solved at Bloch vector b."""
+    h = wigner_distance(dm_from_bloch(b)).dual_witness
+    return np.array([np.trace(h @ p).real for p in (X, Y, Z)])
+
+
+def s_conjugate(b):
+    """Bloch vector of S rho S^dagger."""
+    return np.array([-b[1], b[0], b[2]])
+
+
+def reference_sampled_certification(phi, shots, noise, seed, n_boot):
+    """Slow oracle for :func:`sampled_certification`: scalar draws, and one
+    reconstruction and one witness LP per replica."""
+    base = {}
+    for setting, keep_bit in (("X", 0), ("Y", 1)):
+        base[setting] = {
+            basis: tomo.post_select_and_correct(
+                tomo.sample_run(phi, basis, shots, noise, seed,
+                                party="charlie", alice_setting=setting),
+                alice_keep_bit=keep_bit)
+            for basis in ("X", "Y", "Z")}
+
+    def evaluate(counts):
+        sig = {s: tomo.reconstruct(counts[s]["X"], counts[s]["Y"], counts[s]["Z"])
+               for s in ("X", "Y")}
+        w = wigner_distance(sig["X"].rho)
+        return _functional_value(sig["X"].rho, sig["Y"].rho, w), w, sig
+
+    f_value, witness, recon = evaluate(base)
+    rng = tomo.stream_rng(seed, f"certify-boot/{phi:.17g}")
+
+    def resample(cc):
+        n = int(round(cc.n_eff))
+        k = int(rng.binomial(n, cc.n0 / cc.n_eff))
+        return tomo.CorrectedCounts(cc.basis_label, n0=float(k), n1=float(n - k))
+
+    gaps = np.empty(n_boot)
+    for i in range(n_boot):
+        f, w, _ = evaluate({s: {b: resample(cc) for b, cc in per.items()}
+                            for s, per in base.items()})
+        gaps[i] = f - w.f_lhs
+    return (f_value, witness.f_lhs, float(np.std(gaps, ddof=1)),
+            min(recon["X"].n_eff, recon["Y"].n_eff))
 
 
 class TestBuildAssemblage:
@@ -128,22 +189,87 @@ class TestCertification:
 
 class TestSampledCertification:
     def test_finite_shot_gap_near_theory(self):
-        from mss.steering import sampled_certification
-        from mss.tomo import NoiseModel
-
         phi = np.pi / 8
-        sc = sampled_certification(phi, shots=2 ** 14, noise=NoiseModel.none(),
+        sc = sampled_certification(phi, shots=2 ** 14, noise=tomo.NoiseModel.none(),
                                    seed=17, n_boot=200)
         assert sc.record.gap == pytest.approx(c_closed_form(phi), abs=4 * sc.sigma_gap)
         assert sc.sigma_gap > 0
         assert sc.n_eff > 2 ** 12
 
     def test_deterministic_for_fixed_seed(self):
-        from mss.steering import sampled_certification
-        from mss.tomo import NoiseModel
-
-        kwargs = dict(shots=1024, noise=NoiseModel.symmetric(0.003, 0.015, 0.01),
-                      seed=4, n_boot=150)
+        kwargs = dict(shots=1024, noise=ACCEPTANCE_NOISE, seed=4, n_boot=150)
         a = sampled_certification(0.7, **kwargs)
         b = sampled_certification(0.7, **kwargs)
         assert a == b
+
+    def test_replica_minimum(self):
+        with pytest.raises(ValueError, match="at least 100"):
+            sampled_certification(0.5, shots=50, noise=tomo.NoiseModel.none(), seed=1, n_boot=1)
+
+    # With acceptance noise, phi = 0.009 and phi = 3.14159 put the point
+    # estimate of sigma_{0|X} inside the octahedron: zero witness, gap 0.  At
+    # phi = 3.14159 every replica stays inside as well, so sigma_gap is 0.
+    @pytest.mark.parametrize("phi,noise,seed", [
+        (0.3927, tomo.NoiseModel.none(), 3),
+        (1.0472, ACCEPTANCE_NOISE, 7),
+        (2.3562, ACCEPTANCE_NOISE, 3),
+        (4.0, tomo.NoiseModel.none(), 7),
+        (0.009, ACCEPTANCE_NOISE, 3),
+        (np.pi / 2 - 0.0001, tomo.NoiseModel.none(), 3),
+        (3.14159, ACCEPTANCE_NOISE, 3),
+    ])
+    def test_matches_per_replica_lp(self, phi, noise, seed):
+        sc = sampled_certification(phi, shots=4096, noise=noise, seed=seed, n_boot=150)
+        f, f_lhs, sigma_gap, n_eff = reference_sampled_certification(
+            phi, 4096, noise, seed, n_boot=150)
+        assert (sc.record.f_value, sc.record.f_lhs, sc.n_eff) == (f, f_lhs, n_eff)
+        assert sc.sigma_gap == pytest.approx(sigma_gap, rel=0, abs=1e-12)
+
+    def test_zero_gap_when_inside_the_octahedron(self):
+        sc = sampled_certification(3.14159, shots=4096, noise=ACCEPTANCE_NOISE,
+                                   seed=3, n_boot=150)
+        assert sc.record.gap == 0.0 and sc.sigma_gap == 0.0
+
+    @pytest.mark.parametrize("phi", [np.pi / 8, 2.2, np.pi / 2 + 0.02])
+    def test_replica_gaps_match_lp_on_exact_counts(self, phi):
+        # sigma_{0|X} has Bloch vector (cos, sin, 0), sigma_{0|Y} (-sin, cos, 0).
+        counts = [tomo.exact_corrected_counts(phi, b, 2048) for b in ("X", "Y", "Z")]
+        counts += [tomo.exact_corrected_counts(phi + np.pi / 2, b, 2048) for b in ("X", "Y", "Z")]
+        raw = tomo.resample_expectations(counts, 100, tomo.stream_rng(2, "exact"))
+        b_x, b_y = tomo.scale_onto_ball(raw[:, :3]), tomo.scale_onto_ball(raw[:, 3:])
+        want = [lp_gap(x, y) for x, y in zip(b_x, b_y)]
+        np.testing.assert_allclose(_sign_witness_gaps(b_x, b_y), want, rtol=0, atol=1e-12)
+
+
+class TestSignWitnessProperties:
+    """The closed-form witness of sampled certification against the LP."""
+
+    @PROPERTY
+    @given(bloch_vectors())
+    def test_sign_vector_is_the_lp_witness(self, b):
+        l1 = np.abs(b).sum()
+        paulis = lp_witness_paulis(b)
+        if l1 > 1.0:
+            np.testing.assert_allclose(paulis, np.sign(b), rtol=0, atol=1e-9)
+        elif l1 < 1.0:
+            np.testing.assert_allclose(paulis, 0.0, rtol=0, atol=1e-9)
+        else:
+            # On the surface the LP may return any witness that attains its
+            # stabilizer bound at b (the zero witness among them).
+            assert paulis @ b == pytest.approx(np.abs(paulis).max(), abs=1e-9)
+
+    @PROPERTY
+    @given(bloch_vectors())
+    def test_gap_at_the_solved_state_is_c(self, b):
+        # The ideal assemblage has sigma_{0|Y} = S sigma_{0|X} S^dagger.
+        gap = float(_sign_witness_gaps(b, s_conjugate(b)))
+        assert gap == pytest.approx(wigner_distance(dm_from_bloch(b)).c_value, abs=1e-9)
+        assert gap == pytest.approx(lp_gap(b, s_conjugate(b)), abs=1e-9)
+
+    @PROPERTY
+    @given(bloch_vectors(), bloch_vectors())
+    def test_gap_matches_lp_for_any_second_member(self, b_x, b_y):
+        if np.abs(b_x).sum() == 1.0:
+            return  # degenerate witness; covered by test_sign_vector_is_the_lp_witness
+        gap = float(_sign_witness_gaps(b_x, b_y))
+        assert gap == pytest.approx(lp_gap(b_x, b_y), abs=1e-9)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mss.magic import c_closed_form
+from mss.magic import c_closed_form, wigner_distance
 from mss.qcore import fidelity, phase_plus
 from mss.tomo import (
     DISTILLATION_THRESHOLD,
@@ -19,11 +19,32 @@ from mss.tomo import (
     experiment_table,
     post_select_and_correct,
     reconstruct,
+    resample_expectations,
     sample_run,
+    scale_onto_ball,
     stream_rng,
 )
 
 ZERO_NOISE = NoiseModel.none()
+ACCEPTANCE_NOISE = NoiseModel.symmetric(0.003, 0.015, 0.01)
+
+
+def reference_bootstrap(x_counts, y_counts, z_counts, n_boot, seed, phi=None):
+    """Slow oracle for :func:`bootstrap`: every replica is rebuilt as counts,
+    reconstructed as a DensityMatrix and measured with the Wigner-distance LP."""
+    rng = stream_rng(seed, f"bootstrap/{phi if phi is not None else 'none'}")
+    bases = (x_counts, y_counts, z_counts)
+    trials = [int(round(c.n_eff)) for c in bases]
+    rates = [c.n0 / c.n_eff for c in bases]
+    draws = rng.binomial(n=np.array(trials), p=np.array(rates), size=(n_boot, 3))
+    cs, fs = np.empty(n_boot), np.empty(n_boot)
+    for i in range(n_boot):
+        res = reconstruct(*[CorrectedCounts(c.basis_label, n0=float(k), n1=float(t - k))
+                            for c, k, t in zip(bases, draws[i], trials)], phi=phi)
+        cs[i] = wigner_distance(res.rho).c_value
+        fs[i] = res.fidelity
+    sigma_f = float(np.std(fs, ddof=1)) if phi is not None else math.nan
+    return float(np.std(cs, ddof=1)), sigma_f
 
 
 def pipeline_c(phi, shots, noise, seed, party="charlie"):
@@ -227,6 +248,11 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="at least 100"):
             bootstrap(*counts, n_boot=50, seed=9, phi=0.6)
 
+    def test_basis_order_enforced(self):
+        counts = [exact_corrected_counts(0.6, b, 1024) for b in ("Y", "X", "Z")]
+        with pytest.raises(ValueError, match="expected X counts"):
+            bootstrap(*counts, n_boot=100, seed=9, phi=0.6)
+
     def test_matches_run_to_run_scatter(self):
         # sigma_C from one bootstrap should sit within a factor of two of the
         # spread of C across independent seeded pipelines.
@@ -242,6 +268,60 @@ class TestBootstrap:
         sigma_c, _ = bootstrap(corrected["X"], corrected["Y"], corrected["Z"],
                                n_boot=800, seed=100, phi=phi)
         assert scatter / 2 < sigma_c < scatter * 2
+
+
+class TestBootstrapOracle:
+    """The closed-form bootstrap against the per-replica LP path it replaced."""
+
+    @pytest.mark.parametrize("phi", [0.3927, 1.0472, 2.3562, 4.0, 0.009, np.pi / 2 - 0.004])
+    @pytest.mark.parametrize("noise", [ZERO_NOISE, ACCEPTANCE_NOISE], ids=["none", "acceptance"])
+    def test_sampled_counts(self, phi, noise):
+        counts = [post_select_and_correct(sample_run(phi, b, 4096, noise, seed=5))
+                  for b in ("X", "Y", "Z")]
+        got = bootstrap(*counts, n_boot=300, seed=5, phi=phi)
+        want = reference_bootstrap(*counts, n_boot=300, seed=5, phi=phi)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("phi", [np.pi / 8, np.pi / 4, np.pi, 3 * np.pi / 2 + 0.01])
+    def test_exact_counts(self, phi):
+        counts = [exact_corrected_counts(phi, b, 2048) for b in ("X", "Y", "Z")]
+        for angle in (phi, None):
+            got = bootstrap(*counts, n_boot=300, seed=11, phi=angle)
+            want = reference_bootstrap(*counts, n_boot=300, seed=11, phi=angle)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestResampling:
+    def test_replica_minimum(self):
+        counts = [exact_corrected_counts(0.6, b, 1024) for b in ("X", "Y", "Z")]
+        with pytest.raises(ValueError, match="at least 100"):
+            resample_expectations(counts, 99, stream_rng(1, "r"))
+
+    def test_empty_sample_rejected(self):
+        counts = [CorrectedCounts("X", n0=0.2, n1=0.2)]
+        with pytest.raises(ValueError, match="empty"):
+            resample_expectations(counts, 100, stream_rng(1, "r"))
+
+    def test_one_array_draw_equals_scalar_draws_in_order(self):
+        # Replica by replica, and within a replica in the order of the counts.
+        counts = [CorrectedCounts("X", n0=1700, n1=348), CorrectedCounts("Y", n0=900, n1=1171),
+                  CorrectedCounts("Z", n0=1020, n1=1011), CorrectedCounts("X", n0=3, n1=2040)]
+        got = resample_expectations(counts, 150, stream_rng(3, "order"))
+        rng = stream_rng(3, "order")
+        want = np.empty_like(got)
+        for i in range(150):
+            for j, c in enumerate(counts):
+                n = int(round(c.n_eff))
+                k = int(rng.binomial(n, c.n0 / c.n_eff))
+                want[i, j] = CorrectedCounts(c.basis_label, float(k), float(n - k)).expectation
+        np.testing.assert_array_equal(got, want)
+
+    def test_scale_onto_ball_matches_reconstruct(self, rng):
+        raw = rng.uniform(-1, 1, size=(200, 3))
+        got = scale_onto_ball(raw)
+        for row, b in zip(raw, got):
+            np.testing.assert_allclose(b, row / max(1.0, np.linalg.norm(row)), rtol=0, atol=1e-15)
+        assert np.all(np.linalg.norm(got, axis=1) <= 1 + 1e-12)
 
 
 class TestExperimentTable:
