@@ -20,13 +20,14 @@ bound exposed by :meth:`MagicResult.witness_value`, not an equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .qcore import DensityMatrix, phase_plus
 from .simplex import solve_lp
 from .stabilizer import enumerate_stabilizer_states
-from .wigner import WignerVector, phase_points, phase_point_operator, wigner_of
+from .wigner import WignerVector, _operator_stack, wigner_of
 
 CLAMP_TOL = 1e-10  # report exactly zero instead of leaking negative round-off
 
@@ -46,21 +47,17 @@ class MagicResult:
         return float(np.trace(self.dual_witness @ rho.mat).real) - self.f_lhs
 
 
-def wigner_distance(rho: DensityMatrix) -> MagicResult:
-    """Wigner distance of a 1- or 2-qubit state with primal and dual certificates."""
-    n = rho.n_qubits
-    if n not in (1, 2):
-        raise ValueError("wigner_distance supports n in {1, 2}")
-    w = wigner_of(rho).values
-    k = w.size
-    sset = enumerate_stabilizer_states(n)
-    F = sset.vertex_matrix
-    nv = F.shape[1]
+@lru_cache(maxsize=None)
+def _lp_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-qubit vertex matrix F, constraint matrix A and cost c, read-only.
 
-    # Variables [lambda (nv), t (k), s1 (k), s2 (k)]:
-    #   F lam + t - s1 = w      (W - F lam <= t)
-    #   F lam - t + s2 = w      (F lam - W <= t)
-    #   sum lam        = 1
+    Variables [lambda (nv), t (k), s1 (k), s2 (k)]:
+      F lam + t - s1 = w      (W - F lam <= t)
+      F lam - t + s2 = w      (F lam - W <= t)
+      sum lam        = 1
+    """
+    F = enumerate_stabilizer_states(n).vertex_matrix
+    k, nv = F.shape
     A = np.zeros((2 * k + 1, nv + 3 * k))
     A[:k, :nv] = F
     A[:k, nv:nv + k] = np.eye(k)
@@ -69,27 +66,46 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
     A[k:2 * k, nv:nv + k] = -np.eye(k)
     A[k:2 * k, nv + 2 * k:] = np.eye(k)
     A[2 * k, :nv] = 1.0
-    b = np.concatenate([w, w, [1.0]])
     c = np.zeros(nv + 3 * k)
     c[nv:nv + k] = 1.0
+    A.setflags(write=False)
+    c.setflags(write=False)
+    return F, A, c
+
+
+def wigner_distance(rho: DensityMatrix) -> MagicResult:
+    """Wigner distance of a 1- or 2-qubit state with primal and dual certificates.
+
+    When C is clamped to zero the state is free, and the zero witness (with
+    F_LHS = 0) is reported: it is dual-optimal there, and unlike the LP's own
+    dual it does not depend on the pivot path.
+    """
+    n = rho.n_qubits
+    if n not in (1, 2):
+        raise ValueError("wigner_distance supports n in {1, 2}")
+    w = wigner_of(rho).values
+    F, A, c = _lp_constants(n)
+    k, nv = F.shape
+    b = np.concatenate([w, w, [1.0]])
 
     sol = solve_lp(c, A, b)
     lam = np.clip(sol.x[:nv], 0.0, None)
     lam /= lam.sum()
     f_star = WignerVector(F @ lam)
-    c_value = 0.0 if sol.fun < CLAMP_TOL else float(sol.fun)
 
     yvec = sol.duals[:k] + sol.duals[k:2 * k]
-    ops = [phase_point_operator(pt) for pt in phase_points(n)]
-    witness = sum(y * op for y, op in zip(yvec, ops)) / 2 ** n
-    witness = (witness + witness.conj().T) / 2
     f_lhs = float(np.max(yvec @ F))
-
     gap = float(yvec @ w) - f_lhs
     if abs(np.abs(w - f_star.values).sum() - sol.fun) > 1e-8 or abs(gap - sol.fun) > 1e-7:
         raise RuntimeError(
             "LP postcondition violated: primal/dual certificates disagree with the optimum")
-    return MagicResult(c_value=c_value, f_star=f_star, mixture_weights=lam,
+
+    if sol.fun < CLAMP_TOL:
+        return MagicResult(c_value=0.0, f_star=f_star, mixture_weights=lam,
+                           dual_witness=np.zeros((2 ** n, 2 ** n), dtype=complex), f_lhs=0.0)
+    witness = sum(y * op for y, op in zip(yvec, _operator_stack(n))) / 2 ** n
+    witness = (witness + witness.conj().T) / 2
+    return MagicResult(c_value=float(sol.fun), f_star=f_star, mixture_weights=lam,
                        dual_witness=witness, f_lhs=f_lhs)
 
 

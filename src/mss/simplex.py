@@ -8,7 +8,12 @@ several polytope vertices are equidistant from the target.
 
 Built for problems with tens of rows and at most a few hundred columns;
 everything is dense numpy and a fresh tableau is allocated per call, so
-concurrent solves are independent.
+concurrent solves are independent.  Each pivot picks the entering column
+from a boolean mask of the non-basic columns, runs the tie-breaking ratio
+test in Python over the rows with a positive coefficient only, and
+eliminates with one rank-1 update of the rows whose factor is nonzero.  The
+arithmetic per element is that of a row-by-row loop, so pivots, basis and
+results match it bit for bit.
 """
 
 from __future__ import annotations
@@ -106,36 +111,49 @@ def _reduce_cost_row(cost: np.ndarray, work: np.ndarray, basis: list[int]) -> No
 
 
 def _pivot_loop(work, cost, basis, allowed: int, tol: float, max_iter: int, start: int) -> int:
-    m = work.shape[0]
     iterations = start
+    rhs = work[:, -1]
+    nonbasic = np.ones(allowed, dtype=bool)
+    for col in basis:
+        if col < allowed:
+            nonbasic[col] = False
     while True:
-        entering = -1
-        for j in range(allowed):  # Bland: smallest eligible index
-            if j not in basis and cost[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+        # Bland: the smallest non-basic index with negative reduced cost enters.
+        eligible = nonbasic & (cost[:allowed] < -tol)
+        entering = int(eligible.argmax())
+        if not eligible[entering]:
             return iterations
 
+        # Sequential ratio test over the rows with a positive coefficient.
+        # Not an argmin: ratios within tol of the running best tie, and a
+        # chain of ties can drift further than tol from the minimum.
+        column = work[:, entering]
+        rows = (column > tol).nonzero()[0]
         leaving_row, best_ratio = -1, np.inf
-        for i in range(m):
-            coef = work[i, entering]
-            if coef > tol:
-                ratio = work[i, -1] / coef
-                if ratio < best_ratio - tol or (
-                        abs(ratio - best_ratio) <= tol
-                        and (leaving_row < 0 or basis[i] < basis[leaving_row])):
-                    leaving_row, best_ratio = i, ratio
+        for i, coef, value in zip(rows.tolist(), column[rows].tolist(), rhs[rows].tolist()):
+            ratio = value / coef
+            if ratio < best_ratio - tol or (
+                    abs(ratio - best_ratio) <= tol
+                    and (leaving_row < 0 or basis[i] < basis[leaving_row])):
+                leaving_row, best_ratio = i, ratio
         if leaving_row < 0:
             raise SimplexError("unbounded: no leaving variable")
 
-        pivot = work[leaving_row, entering]
-        work[leaving_row] /= pivot
-        for i in range(m):
-            if i != leaving_row and work[i, entering] != 0.0:
-                work[i] -= work[i, entering] * work[leaving_row]
+        # Rank-1 elimination: each updated row gets the same multiply and
+        # subtract as a row-by-row loop would give it.  Rows with a zero
+        # factor are left alone so that signed zeros in them survive.
+        work[leaving_row] /= work[leaving_row, entering]
+        factors = column.copy()
+        factors[leaving_row] = 0.0
+        touched = factors.nonzero()[0]
+        work[touched] -= factors[touched, None] * work[leaving_row]
         cost -= cost[entering] * work[leaving_row]
+
+        leaving = basis[leaving_row]
         basis[leaving_row] = entering
+        nonbasic[entering] = False
+        if leaving < allowed:
+            nonbasic[leaving] = True
 
         iterations += 1
         if iterations - start > max_iter:

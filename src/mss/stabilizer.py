@@ -13,7 +13,7 @@ search is exact and instant; no tableau machinery is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -38,10 +38,12 @@ class StabilizerSet:
     states: tuple[PureState, ...]
     wigner_vertices: tuple[WignerVector, ...]
 
-    @property
+    @cached_property
     def vertex_matrix(self) -> np.ndarray:
-        """Column-stacked vertex coordinates, shape (4**n, n_states)."""
-        return np.column_stack([w.values for w in self.wigner_vertices])
+        """Column-stacked vertex coordinates, shape (4**n, n_states), read-only."""
+        F = np.column_stack([w.values for w in self.wigner_vertices])
+        F.setflags(write=False)
+        return F
 
 
 def _pauli_strings(n: int):

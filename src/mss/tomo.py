@@ -132,6 +132,26 @@ def _cx(control: int, target: int) -> np.ndarray:
     return m
 
 
+def _pauli_pairs(qa: int, qb: int) -> list[np.ndarray]:
+    """The 15 non-identity products Pa @ Pb of {I, X, Y, Z} on qubits qa and qb."""
+    singles_a = [np.eye(_DIM)] + _PAULI_FULL[qa]
+    singles_b = [np.eye(_DIM)] + _PAULI_FULL[qb]
+    return [Pa @ Pb
+            for i, Pa in enumerate(singles_a)
+            for j, Pb in enumerate(singles_b)
+            if (i, j) != (0, 0)]
+
+
+# The circuit's fixed gates, built once: the two CX gates with the
+# depolarizing terms that follow them, and H and the basis rotations on each
+# qubit (H is the X-basis rotation).
+_CX = {pair: _cx(*pair) for pair in ((0, 1), (0, 2))}
+_PAULI_PAIRS = {pair: _pauli_pairs(*pair) for pair in _CX}
+_ROTATION_FULL = {(basis, q): _embed(gate, q)
+                  for basis, gate in _BASIS_ROTATION.items() if gate is not None
+                  for q in range(_N_QUBITS)}
+
+
 def _conj(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u @ rho @ u.conj().T
 
@@ -146,17 +166,13 @@ def _depolarize1(rho: np.ndarray, p: float, qubit: int) -> np.ndarray:
 def _depolarize2(rho: np.ndarray, p: float, qa: int, qb: int) -> np.ndarray:
     if p == 0.0:
         return rho
-    singles_a = [np.eye(_DIM)] + _PAULI_FULL[qa]
-    singles_b = [np.eye(_DIM)] + _PAULI_FULL[qb]
-    mix = sum(_conj(rho, Pa @ Pb)
-              for i, Pa in enumerate(singles_a)
-              for j, Pb in enumerate(singles_b)
-              if (i, j) != (0, 0))
+    mix = sum(_conj(rho, P) for P in _PAULI_PAIRS[qa, qb])
     return (1 - p) * rho + (p / 15.0) * mix
 
 
-def _gate1(rho: np.ndarray, gate: np.ndarray, qubit: int, noise: NoiseModel) -> np.ndarray:
-    return _depolarize1(_conj(rho, _embed(gate, qubit)), noise.p1, qubit)
+def _gate1(rho: np.ndarray, gate_full: np.ndarray, qubit: int, noise: NoiseModel) -> np.ndarray:
+    """Apply a gate already embedded on ``qubit``, then its depolarizing noise."""
+    return _depolarize1(_conj(rho, gate_full), noise.p1, qubit)
 
 
 def circuit_probabilities(phi: float, basis: str, noise: NoiseModel,
@@ -176,21 +192,18 @@ def circuit_probabilities(phi: float, basis: str, noise: NoiseModel,
         raise ValueError("alice_setting must be X or Y")
 
     rho = ket("000").density().mat
-    rho = _gate1(rho, H, 0, noise)
-    rho = _depolarize2(_conj(rho, _cx(0, 1)), noise.p2, 0, 1)
-    rho = _depolarize2(_conj(rho, _cx(0, 2)), noise.p2, 0, 2)
-    rho = _gate1(rho, phase_gate(phi), 0, noise)
-    rho = _gate1(rho, _BASIS_ROTATION[alice_setting], 0, noise)
+    rho = _gate1(rho, _ROTATION_FULL["X", 0], 0, noise)
+    rho = _depolarize2(_conj(rho, _CX[0, 1]), noise.p2, 0, 1)
+    rho = _depolarize2(_conj(rho, _CX[0, 2]), noise.p2, 0, 2)
+    rho = _gate1(rho, _embed(phase_gate(phi), 0), 0, noise)
+    rho = _gate1(rho, _ROTATION_FULL[alice_setting, 0], 0, noise)
 
     if party == "charlie":
-        rho = _gate1(rho, H, 1, noise)
-        rot = _BASIS_ROTATION[basis]
-        if rot is not None:
-            rho = _gate1(rho, rot, 2, noise)
-    else:
-        rot = _BASIS_ROTATION[basis]
-        if rot is not None:
-            rho = _gate1(rho, rot, 1, noise)
+        rho = _gate1(rho, _ROTATION_FULL["X", 1], 1, noise)
+        if basis != "Z":
+            rho = _gate1(rho, _ROTATION_FULL[basis, 2], 2, noise)
+    elif basis != "Z":
+        rho = _gate1(rho, _ROTATION_FULL[basis, 1], 1, noise)
 
     probs = np.clip(np.diag(rho).real, 0.0, None)
     confusion = np.kron(np.kron(noise.readout[0], noise.readout[1]), noise.readout[2])

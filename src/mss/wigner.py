@@ -8,6 +8,7 @@ register convention in :mod:`mss.qcore`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -72,8 +73,12 @@ def _n_from_size(size: int) -> int:
     return n
 
 
+@lru_cache(maxsize=None)
 def _operator_stack(n_qubits: int) -> np.ndarray:
-    return np.stack([phase_point_operator(pt) for pt in phase_points(n_qubits)])
+    """All 4**n phase-point operators in flat-index order, built once per n, read-only."""
+    ops = np.stack([phase_point_operator(pt) for pt in phase_points(n_qubits)])
+    ops.setflags(write=False)
+    return ops
 
 
 def wigner_of(rho: DensityMatrix) -> WignerVector:

@@ -110,6 +110,11 @@ class TestMagicEval:
         payload = run_json(capsys, "magic-eval", "--state", "mixed")
         assert payload["c"] == 0.0
 
+    @pytest.mark.parametrize("bloch", ["1,0,0", "-1,0,0", "0,1,0", "0,-1,0", "0,0,1", "0,0,-1"])
+    def test_stabilizer_states_report_the_zero_witness(self, capsys, bloch):
+        payload = run_json(capsys, "magic-eval", f"--bloch={bloch}")
+        assert payload["c"] == payload["f_lhs"] == payload["witness_trace"] == 0.0
+
     def test_bloch_vector(self, capsys):
         payload = run_json(capsys, "magic-eval", "--bloch", "0.5,0.5,0.5")
         assert payload["c"] == pytest.approx(0.25, abs=1e-7)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mss.magic import (
     CLAMP_TOL,
+    _lp_constants,
     c_closed_form,
     octahedron_distance,
     optimal_mixture,
@@ -21,9 +22,9 @@ from mss.qcore import (
     phase_plus,
 )
 from mss.stabilizer import enumerate_stabilizer_states, single_qubit_cliffords
-from mss.wigner import wigner_of
+from mss.wigner import phase_point_operator, phase_points, wigner_of
 
-from conftest import PROPERTY, bloch_vectors, random_density
+from conftest import PROPERTY, bloch_vectors, random_density, random_pure_state
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -60,7 +61,9 @@ class TestWignerDistance:
     def test_stabilizer_states_are_free(self):
         for n in (1, 2):
             for s in enumerate_stabilizer_states(n).states:
-                assert wigner_distance(s.density()).c_value <= 1e-9
+                res = wigner_distance(s.density())
+                assert res.c_value == 0.0 and res.f_lhs == 0.0
+                assert not res.dual_witness.any()
 
     def test_agrees_with_closed_form_on_dense_grid(self):
         for phi in np.linspace(1e-4, np.pi / 2 - 1e-4, 100):
@@ -131,6 +134,52 @@ class TestWignerDistance:
     def test_three_qubits_rejected(self):
         with pytest.raises(ValueError, match="n in {1, 2}"):
             wigner_distance(maximally_mixed(3))
+
+    def test_repeat_calls_are_byte_identical(self, rng):
+        for rho in (random_density(1, rng), random_density(2, rng), maximally_mixed(2)):
+            first, second = wigner_distance(rho), wigner_distance(rho)
+            for a, b in ((first.f_star.values, second.f_star.values),
+                         (first.mixture_weights, second.mixture_weights),
+                         (first.dual_witness, second.dual_witness),
+                         (np.float64(first.c_value), np.float64(second.c_value)),
+                         (np.float64(first.f_lhs), np.float64(second.f_lhs))):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_lp_constants_are_read_only(self, n):
+        for arr in _lp_constants(n):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        F, A, c = _lp_constants(n)
+        assert A.shape == (2 * 4 ** n + 1, F.shape[1] + 3 * 4 ** n) and c.sum() == 4 ** n
+
+
+@st.composite
+def random_states(draw):
+    """A Haar-pure or Ginibre-mixed 1- or 2-qubit state from a drawn seed."""
+    n = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        return random_pure_state(n, rng).density()
+    return random_density(n, rng, rank=draw(st.integers(1, 2 ** n)))
+
+
+class TestPrimalDualAgreement:
+    @PROPERTY
+    @given(random_states())
+    def test_primal_and_dual_values_equal_c(self, rho):
+        n = rho.n_qubits
+        res = wigner_distance(rho)
+        w = wigner_of(rho).values
+        F = enumerate_stabilizer_states(n).vertex_matrix
+        lam = res.mixture_weights
+        # The dual vector, recovered from the witness: tr(A_a A_b) = 2**n delta_ab.
+        y = np.array([np.trace(res.dual_witness @ phase_point_operator(pt)).real
+                      for pt in phase_points(n)])
+        assert np.abs(w - F @ lam).sum() == pytest.approx(res.c_value, abs=1e-9)
+        assert y @ w - np.max(y @ F) == pytest.approx(res.c_value, abs=1e-9)
+        assert np.abs(y).max() <= 1.0 + 1e-9
+        assert lam.min() >= 0.0 and lam.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOptimalMixture:

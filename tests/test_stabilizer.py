@@ -88,6 +88,14 @@ class TestVertexGeometry:
         assert enumerate_stabilizer_states(1).vertex_matrix.shape == (4, 6)
         assert enumerate_stabilizer_states(2).vertex_matrix.shape == (16, 60)
 
+    def test_vertex_matrix_is_built_once_and_read_only(self):
+        sset = enumerate_stabilizer_states(2)
+        F = sset.vertex_matrix
+        assert F is sset.vertex_matrix
+        np.testing.assert_array_equal(F[:, 7], sset.wigner_vertices[7].values)
+        with pytest.raises(ValueError):
+            F[0, 0] = 1.0
+
 
 class TestMembership:
     def test_axis_states_are_members(self):

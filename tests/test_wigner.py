@@ -11,6 +11,7 @@ import pytest
 from mss.qcore import PureState, apply_1q, dm_from_bloch, maximally_mixed, phase_gate
 from mss.wigner import (
     WignerVector,
+    _operator_stack,
     phase_point_operator,
     phase_points,
     point_index,
@@ -55,6 +56,15 @@ class TestPhasePointOperators:
             for j, b in enumerate(pts):
                 got = np.trace(phase_point_operator(a) @ phase_point_operator(b)).real
                 assert got == pytest.approx(2.0 if i == j else 0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cached_stack_matches_operators_and_is_read_only(self, n):
+        ops = _operator_stack(n)
+        assert ops is _operator_stack(n)
+        for op, pt in zip(ops, phase_points(n)):
+            assert op.tobytes() == phase_point_operator(pt).tobytes()
+        with pytest.raises(ValueError):
+            ops[0, 0, 0] = 0.0
 
     def test_point_index_layout(self):
         assert [point_index(pt) for pt in phase_points(2)] == list(range(16))
