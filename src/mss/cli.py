@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,6 +47,7 @@ def main(argv=None) -> int:
         output = args.handler(args, config)
         if output.already_written:
             return 0
+        _require_finite(output.payload)  # the CSV and pretty renderings carry the same values
         fmt = _opt(args, config, "format", "pretty")
         if fmt == "json":
             rendered = _json_text(output.payload)
@@ -234,12 +236,16 @@ def _flatten_pretty(payload) -> str:
     return "\n".join(f"{p.ljust(width)}  {v}" for p, v in pairs) + "\n"
 
 
+def _require_finite(payload) -> None:
+    """A NaN or infinity anywhere in the payload is an invariant violation."""
+    for path, value in _flatten(payload):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise RuntimeError(f"non-finite number in output ({path} = {value!r})")
+
+
 def _json_text(payload) -> str:
-    """JSON rendering; a NaN or infinity in the payload is an invariant violation."""
-    try:
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise RuntimeError(f"non-finite number in JSON output ({exc})") from None
+    """JSON rendering; allow_nan=False backs up :func:`_require_finite`."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _dm_to_json(dm) -> dict:
@@ -252,7 +258,7 @@ def cmd_run(args, config):
     phi = _angle(args, config, args.phi)
     transcript = protocol.run_exact(phi, args.n, outcomes=args.outcomes, seed=args.seed)
     report = protocol.security_report(transcript)
-    final_c = magic.wigner_distance(transcript.final_state).c_value
+    final_c = magic.octahedron_distance(bloch(transcript.final_state))
     from .qcore import fidelity
 
     payload = {
@@ -428,7 +434,8 @@ def cmd_experiment(args, config):
 
     out = _opt(args, config, "out", None)
     if out:
-        json_text = _json_text(payload)  # before any file is written
+        _require_finite(payload)  # before any file is written
+        json_text = _json_text(payload)
         base = Path(out)
         base.with_suffix(".csv").write_text(csv_text)
         base.with_suffix(".json").write_text(json_text)

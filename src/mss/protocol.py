@@ -4,32 +4,35 @@ admissibility, and security reporting.
 One run walks the five steps on an exact statevector register: GHZ
 preparation, phase injection by the dealer (party 0), sequential X
 measurements with broadcast by parties 0..n-2, and a final Z correction by
-the recipient (party n-1).  Parties are thin state machines -- role plus a
-classical inbox -- while the register itself lives in the runner, which
-plays the role of the shared physics.  Messages are delivered synchronously
-in step order.
+the recipient (party n-1).  The broadcasts are the transcript's messages, in
+step order; every party hears all of them, so the recipient's correction is
+a function of the transcript alone.
 
 Correction bookkeeping: every X measurement flips the sign of the e^{i phi}
 branch when it lands on "minus", the dealer's included.  The recipient
 therefore applies Z raised to the parity of *all* minus outcomes it heard,
 which makes every one of the 2^{n-1} branches deliver exactly P(phi)|+>.
 The transcript keeps the raw broadcasts so either convention can be audited.
+
+Single-party magic is read in closed form, as the octahedron distance of the
+Bloch vector, which equals the Wigner-distance LP for one qubit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .magic import c_closed_form, wigner_distance
+from .magic import c_closed_form, octahedron_distance
 from .qcore import (
     DensityMatrix,
     PureState,
     Z,
     apply_1q,
+    bloch,
     ghz,
     maximally_mixed,
     partial_trace,
@@ -52,19 +55,6 @@ class BroadcastMessage:
     step: int
 
 
-@dataclass
-class Party:
-    """Role, classical inbox, and nothing else; the register is shared physics."""
-
-    index: int
-    role: str  # "dealer" | "intermediate" | "recipient"
-    inbox: list[BroadcastMessage] = field(default_factory=list)
-
-    def correction_parity(self) -> int:
-        """Parity of minus outcomes heard on the channel (recipient's action)."""
-        return sum(1 for m in self.inbox if m.outcome == MINUS) % 2
-
-
 @dataclass(frozen=True)
 class ProtocolTranscript:
     """Everything one protocol run produced, for auditing and security checks."""
@@ -82,17 +72,6 @@ class ProtocolTranscript:
     @property
     def recipient(self) -> int:
         return self.n_parties - 1
-
-
-def _make_parties(n: int) -> list[Party]:
-    roles = ["dealer"] + ["intermediate"] * (n - 2) + ["recipient"]
-    return [Party(index=i, role=r) for i, r in enumerate(roles)]
-
-
-def _broadcast(parties: list[Party], message: BroadcastMessage) -> None:
-    for p in parties:
-        if p.index != message.sender:
-            p.inbox.append(message)
 
 
 def _party_marginals(state: PureState, remaining: Sequence[int], n: int):
@@ -126,7 +105,6 @@ def run_exact(phi: float, n: int = 3,
             raise ValueError("sampled mode requires a seed")
         rng = np.random.default_rng(seed)
 
-    parties = _make_parties(n)
     state = ghz(n)
     state = apply_1q(state, phase_gate(phi), 0)
 
@@ -145,13 +123,10 @@ def run_exact(phi: float, n: int = 3,
         branch_probability *= prob
         remaining.pop(0)
 
-        message = BroadcastMessage(sender=measurer, outcome=outcome, step=step)
-        messages.append(message)
-        _broadcast(parties, message)
+        messages.append(BroadcastMessage(sender=measurer, outcome=outcome, step=step))
         history.append(_party_marginals(state, remaining, n))
 
-    recipient = parties[-1]
-    parity = recipient.correction_parity()
+    parity = sum(m.outcome == MINUS for m in messages) % 2  # the recipient heard them all
     final = apply_1q(state, Z, 0) if parity else state
 
     return ProtocolTranscript(
@@ -201,7 +176,7 @@ def security_report(transcript: ProtocolTranscript) -> dict[int, PartySecurity]:
         report[party] = PartySecurity(
             party=party,
             marginal=worst,
-            c_value=wigner_distance(worst).c_value,
+            c_value=octahedron_distance(bloch(worst)),
             trace_distance_to_i2=worst_dist,
         )
     return report
@@ -292,7 +267,7 @@ def check_gate_admissibility(gate, probe_phis: Sequence[float]) -> GateAdmissibi
         delivered, bob = _deliver_with_gate(g)
         col0.append(s0)
         col1.append(s1)
-        c_vals.append(wigner_distance(delivered).c_value)
+        c_vals.append(octahedron_distance(bloch(delivered)))
         bob_dists.append(trace_distance(bob, half))
 
     secure = all(abs(s - 1.0) <= 1e-10 for s in col0 + col1)
@@ -329,5 +304,5 @@ def magic_scan(phi_grid: Sequence[float], n: int = 3) -> list[tuple[float, float
     for phi in grid:
         t = run_exact(phi, n, outcomes=[PLUS] * (n - 1))
         rows.append((float(phi), c_closed_form(phi),
-                     wigner_distance(t.final_state).c_value))
+                     octahedron_distance(bloch(t.final_state))))
     return rows

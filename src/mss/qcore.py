@@ -175,14 +175,29 @@ def tensor(a, b):
     raise TypeError("tensor requires two PureStates or two DensityMatrices")
 
 
+def apply_on_axes(t: np.ndarray, axes: tuple[int, ...], op: np.ndarray | None = None) -> np.ndarray:
+    """Apply an operator to the qubit axes of a tensor of shape (2,)*m.
+
+    With one axis, the 2x2 ``op`` (unitary or not) contracts with that axis.
+    With two axes and no ``op``, the operator is CX with control ``axes[0]``
+    and target ``axes[1]``: the target index flips where the control is 1.
+    Returns a new array; ``t`` is left unchanged.
+    """
+    if op is not None:
+        (axis,) = axes
+        return np.moveaxis(np.tensordot(op, t, axes=([1], [axis])), 0, axis)
+    out = t.copy()
+    view = np.moveaxis(out, axes, (0, 1))
+    view[1] = view[1, ::-1]
+    return out
+
+
 def apply_1q(state: PureState, gate: np.ndarray, target: int) -> PureState:
     """Apply a single-qubit unitary to ``target`` of a pure register."""
     n = state.n_qubits
     if not 0 <= target < n:
         raise ValueError(f"target {target} out of range for {n} qubits")
-    g = require_unitary(gate)
-    psi = state.amps.reshape((2,) * n)
-    psi = np.moveaxis(np.tensordot(g, psi, axes=([1], [target])), 0, target)
+    psi = apply_on_axes(state.amps.reshape((2,) * n), (target,), require_unitary(gate))
     return PureState(psi.reshape(-1))
 
 
@@ -193,9 +208,7 @@ def apply_cx(state: PureState, control: int, target: int) -> PureState:
         raise ValueError("control and target must differ")
     if not (0 <= control < n and 0 <= target < n):
         raise ValueError("qubit index out of range")
-    psi = state.amps.reshape((2,) * n).copy()
-    view = np.moveaxis(psi, (control, target), (0, 1))
-    view[1] = view[1, ::-1]
+    psi = apply_on_axes(state.amps.reshape((2,) * n), (control, target))
     return PureState(psi.reshape(-1))
 
 

@@ -11,6 +11,15 @@ conjugating Z through the tomography rotation flips the X- and Y-basis
 outcome bit when the middle party reported minus (Z X Z = -X, Z Y Z = -Y)
 and leaves the Z basis alone.
 
+Simulation.  :func:`circuit_probabilities` evolves the 3-qubit density matrix
+as a tensor of shape (2,)*6 -- axes 0-2 are the ket of q0-q2, axes 3-5 the
+bra -- with the same axis primitive as the statevector code: a gate U on
+qubit q acts with U on axis q and with U* on axis q+3.  The depolarizing
+channels need no Pauli sum: over the 4^k Paulis P on k qubits Q,
+sum_P P rho P = 2^k I_Q x Tr_Q rho (Nielsen & Chuang, Sec. 8.3.4), so a
+channel applying each non-identity Pauli with probability p/(4^k - 1) is
+(1 - lam) rho + lam (I/2^k x Tr_Q rho) with lam = 4^k p/(4^k - 1).
+
 Randomness.  All sampling uses counter-based Philox generators keyed as
 (seed, fnv1a64(label)) where the label spells out phi, party, basis,
 setting, and replica role.  Streams for different circuits or bootstrap
@@ -26,8 +35,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .magic import c_closed_form, octahedron_distance, wigner_distance
-from .qcore import H, I2, S, X, Y, Z, DensityMatrix, dm_from_bloch, fidelity, ket, phase_gate, phase_plus
+# wigner_distance is not called here; bench/test_bench.py reads it as mss.tomo.wigner_distance.
+from .magic import c_closed_form, octahedron_distance, wigner_distance  # noqa: F401
+from .qcore import H, I2, S, DensityMatrix, apply_on_axes, dm_from_bloch, fidelity, phase_gate, phase_plus
 
 DISTILLATION_THRESHOLD = 0.856  # 15-to-1 magic state distillation entry fidelity
 DEFAULT_SHOTS = 4096
@@ -35,7 +45,6 @@ DEFAULT_N_BOOT = 2000
 MIN_N_BOOT = 100
 
 _N_QUBITS = 3
-_DIM = 8
 
 # Measurement-basis change: apply the gate, then read out in Z.
 _BASIS_ROTATION = {"Z": None, "X": H, "Y": H @ S.conj().T}
@@ -89,11 +98,6 @@ class NoiseModel:
                       [readout_error, 1 - readout_error]])
         return cls(p1=float(p1), p2=float(p2), readout=np.stack([m] * _N_QUBITS))
 
-    @property
-    def is_trivial(self) -> bool:
-        ident = np.stack([np.eye(2)] * _N_QUBITS)
-        return self.p1 == 0.0 and self.p2 == 0.0 and np.array_equal(self.readout, ident)
-
 
 @dataclass(frozen=True)
 class CountsTable:
@@ -112,67 +116,31 @@ class CountsTable:
             raise ValueError("count keys must be 3-bit strings")
 
 
-def _embed(op: np.ndarray, qubit: int) -> np.ndarray:
-    mats = [I2] * _N_QUBITS
-    mats[qubit] = op
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+def _gate1(t: np.ndarray, gate: np.ndarray, qubit: int, noise: NoiseModel) -> np.ndarray:
+    """U rho U^dagger on ``qubit`` (U on its ket axis, U* on its bra axis),
+    then the gate's depolarizing noise."""
+    t = apply_on_axes(apply_on_axes(t, (qubit,), gate), (qubit + _N_QUBITS,), gate.conj())
+    return _depolarize(t, noise.p1, (qubit,))
 
 
-_PAULI_FULL = {q: [_embed(P, q) for P in (X, Y, Z)] for q in range(_N_QUBITS)}
+def _cx_gate(t: np.ndarray, control: int, target: int, noise: NoiseModel) -> np.ndarray:
+    """CX rho CX on the ket and the bra axes, then its two-qubit depolarizing noise."""
+    t = apply_on_axes(t, (control, target))
+    t = apply_on_axes(t, (control + _N_QUBITS, target + _N_QUBITS))
+    return _depolarize(t, noise.p2, (control, target))
 
 
-def _cx(control: int, target: int) -> np.ndarray:
-    m = np.zeros((_DIM, _DIM))
-    for i in range(_DIM):
-        j = i ^ (1 << (_N_QUBITS - 1 - target)) if (i >> (_N_QUBITS - 1 - control)) & 1 else i
-        m[j, i] = 1.0
-    return m
-
-
-def _pauli_pairs(qa: int, qb: int) -> list[np.ndarray]:
-    """The 15 non-identity products Pa @ Pb of {I, X, Y, Z} on qubits qa and qb."""
-    singles_a = [np.eye(_DIM)] + _PAULI_FULL[qa]
-    singles_b = [np.eye(_DIM)] + _PAULI_FULL[qb]
-    return [Pa @ Pb
-            for i, Pa in enumerate(singles_a)
-            for j, Pb in enumerate(singles_b)
-            if (i, j) != (0, 0)]
-
-
-# The circuit's fixed gates, built once: the two CX gates with the
-# depolarizing terms that follow them, and H and the basis rotations on each
-# qubit (H is the X-basis rotation).
-_CX = {pair: _cx(*pair) for pair in ((0, 1), (0, 2))}
-_PAULI_PAIRS = {pair: _pauli_pairs(*pair) for pair in _CX}
-_ROTATION_FULL = {(basis, q): _embed(gate, q)
-                  for basis, gate in _BASIS_ROTATION.items() if gate is not None
-                  for q in range(_N_QUBITS)}
-
-
-def _conj(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return u @ rho @ u.conj().T
-
-
-def _depolarize1(rho: np.ndarray, p: float, qubit: int) -> np.ndarray:
+def _depolarize(t: np.ndarray, p: float, qubits: tuple[int, ...]) -> np.ndarray:
+    """k-qubit depolarizing channel on ``qubits`` with error probability ``p``:
+    (1 - lam) rho + lam (I/2^k x Tr_Q rho), lam = 4^k p / (4^k - 1)."""
     if p == 0.0:
-        return rho
-    mix = sum(_conj(rho, P) for P in _PAULI_FULL[qubit])
-    return (1 - p) * rho + (p / 3.0) * mix
-
-
-def _depolarize2(rho: np.ndarray, p: float, qa: int, qb: int) -> np.ndarray:
-    if p == 0.0:
-        return rho
-    mix = sum(_conj(rho, P) for P in _PAULI_PAIRS[qa, qb])
-    return (1 - p) * rho + (p / 15.0) * mix
-
-
-def _gate1(rho: np.ndarray, gate_full: np.ndarray, qubit: int, noise: NoiseModel) -> np.ndarray:
-    """Apply a gate already embedded on ``qubit``, then its depolarizing noise."""
-    return _depolarize1(_conj(rho, gate_full), noise.p1, qubit)
+        return t
+    mixed = t
+    for q in qubits:
+        reduced = np.trace(mixed, axis1=q, axis2=q + _N_QUBITS)
+        mixed = np.moveaxis(reduced[..., None, None] * (I2 / 2), (-2, -1), (q, q + _N_QUBITS))
+    lam = 4 ** len(qubits) * p / (4 ** len(qubits) - 1)
+    return (1 - lam) * t + lam * mixed
 
 
 def circuit_probabilities(phi: float, basis: str, noise: NoiseModel,
@@ -191,23 +159,26 @@ def circuit_probabilities(phi: float, basis: str, noise: NoiseModel,
     if alice_setting not in ("X", "Y"):
         raise ValueError("alice_setting must be X or Y")
 
-    rho = ket("000").density().mat
-    rho = _gate1(rho, _ROTATION_FULL["X", 0], 0, noise)
-    rho = _depolarize2(_conj(rho, _CX[0, 1]), noise.p2, 0, 1)
-    rho = _depolarize2(_conj(rho, _CX[0, 2]), noise.p2, 0, 2)
-    rho = _gate1(rho, _embed(phase_gate(phi), 0), 0, noise)
-    rho = _gate1(rho, _ROTATION_FULL[alice_setting, 0], 0, noise)
+    t = np.zeros((2,) * (2 * _N_QUBITS), dtype=complex)  # |000><000|
+    t[(0,) * (2 * _N_QUBITS)] = 1.0
+    t = _gate1(t, H, 0, noise)
+    t = _cx_gate(t, 0, 1, noise)
+    t = _cx_gate(t, 0, 2, noise)
+    t = _gate1(t, phase_gate(phi), 0, noise)
+    t = _gate1(t, _BASIS_ROTATION[alice_setting], 0, noise)
 
     if party == "charlie":
-        rho = _gate1(rho, _ROTATION_FULL["X", 1], 1, noise)
+        t = _gate1(t, H, 1, noise)
         if basis != "Z":
-            rho = _gate1(rho, _ROTATION_FULL[basis, 2], 2, noise)
+            t = _gate1(t, _BASIS_ROTATION[basis], 2, noise)
     elif basis != "Z":
-        rho = _gate1(rho, _ROTATION_FULL[basis, 1], 1, noise)
+        t = _gate1(t, _BASIS_ROTATION[basis], 1, noise)
 
-    probs = np.clip(np.diag(rho).real, 0.0, None)
-    confusion = np.kron(np.kron(noise.readout[0], noise.readout[1]), noise.readout[2])
-    probs = confusion @ probs
+    diagonal = t.reshape(2 ** _N_QUBITS, -1).diagonal().real
+    probs = np.clip(diagonal, 0.0, None).reshape((2,) * _N_QUBITS)
+    for q in range(_N_QUBITS):
+        probs = apply_on_axes(probs, (q,), noise.readout[q])
+    probs = probs.reshape(-1)
     return probs / probs.sum()
 
 
@@ -293,8 +264,6 @@ class ReconstructionResult:
     n_eff: int                # smallest post-selected sample across bases
     c_value: float
     fidelity: float           # NaN when no reference angle was supplied
-    sigma_c: float = 0.0
-    sigma_f: float = 0.0
 
 
 def _require_bases(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
@@ -308,7 +277,11 @@ def _require_bases(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
 
 def reconstruct(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
                 z_counts: CorrectedCounts, phi: float | None = None) -> ReconstructionResult:
-    """Linear-inversion single-qubit tomography with radial physicality projection."""
+    """Linear-inversion single-qubit tomography with radial physicality projection.
+
+    C is the octahedron distance of the projected Bloch vector, which equals
+    the Wigner-distance LP for one qubit.
+    """
     _require_bases(x_counts, y_counts, z_counts)
     raw = np.array([x_counts.expectation, y_counts.expectation, z_counts.expectation])
     b = raw / max(1.0, float(np.linalg.norm(raw)))  # scale onto the Bloch ball
@@ -318,7 +291,7 @@ def reconstruct(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
         rho=rho,
         bloch_raw=raw,
         n_eff=int(round(min(x_counts.n_eff, y_counts.n_eff, z_counts.n_eff))),
-        c_value=wigner_distance(rho).c_value,
+        c_value=octahedron_distance(b),
         fidelity=fid,
     )
 

@@ -255,6 +255,19 @@ class TestExitCodes:
         assert "internal invariant violation" in err and "non-finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "pretty"])
+    @pytest.mark.parametrize("command", ["run", "experiment"])
+    def test_non_finite_value_exits_1_in_every_format(self, capsys, monkeypatch, command, fmt):
+        import mss.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.magic, "c_closed_form", lambda phi: math.nan)
+        monkeypatch.setattr(cli_mod.tomo, "c_closed_form", lambda phi: math.inf)
+        argv = (["run", "--phi", PI_4, "--outcomes", "+-"] if command == "run" else
+                ["experiment", "--phis", PI_8, "--shots", "256", "--seed", "5", "--boot", "100"])
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 1 and out == ""
+        assert "internal invariant violation" in err and "non-finite" in err
+
     def test_non_finite_experiment_writes_no_file(self, capsys, monkeypatch, tmp_path):
         import mss.cli as cli_mod
 

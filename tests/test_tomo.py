@@ -2,12 +2,15 @@
 bootstrap calibration, and the experiment table."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mss.magic import c_closed_form, wigner_distance
-from mss.qcore import fidelity, phase_plus
+from mss.qcore import H, I2, S, X, Y, Z, fidelity, ket, phase_gate, phase_plus
 from mss.tomo import (
     DISTILLATION_THRESHOLD,
     CorrectedCounts,
@@ -24,6 +27,8 @@ from mss.tomo import (
     scale_onto_ball,
     stream_rng,
 )
+
+from conftest import PROPERTY
 
 ZERO_NOISE = NoiseModel.none()
 ACCEPTANCE_NOISE = NoiseModel.symmetric(0.003, 0.015, 0.01)
@@ -45,6 +50,113 @@ def reference_bootstrap(x_counts, y_counts, z_counts, n_boot, seed, phi=None):
         fs[i] = res.fidelity
     sigma_f = float(np.std(fs, ddof=1)) if phi is not None else math.nan
     return float(np.std(cs, ddof=1)), sigma_f
+
+
+# The embedded-matrix simulator that circuit_probabilities replaced, kept as
+# its oracle.
+_N_QUBITS = 3
+_DIM = 8
+_BASIS_ROTATION = {"Z": None, "X": H, "Y": H @ S.conj().T}
+
+
+def _embed(op: np.ndarray, qubit: int) -> np.ndarray:
+    mats = [I2] * _N_QUBITS
+    mats[qubit] = op
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
+
+_PAULI_FULL = {q: [_embed(P, q) for P in (X, Y, Z)] for q in range(_N_QUBITS)}
+
+
+def _cx(control: int, target: int) -> np.ndarray:
+    m = np.zeros((_DIM, _DIM))
+    for i in range(_DIM):
+        j = i ^ (1 << (_N_QUBITS - 1 - target)) if (i >> (_N_QUBITS - 1 - control)) & 1 else i
+        m[j, i] = 1.0
+    return m
+
+
+def _pauli_pairs(qa: int, qb: int) -> list[np.ndarray]:
+    """The 15 non-identity products Pa @ Pb of {I, X, Y, Z} on qubits qa and qb."""
+    singles_a = [np.eye(_DIM)] + _PAULI_FULL[qa]
+    singles_b = [np.eye(_DIM)] + _PAULI_FULL[qb]
+    return [Pa @ Pb
+            for i, Pa in enumerate(singles_a)
+            for j, Pb in enumerate(singles_b)
+            if (i, j) != (0, 0)]
+
+
+# The circuit's fixed gates, built once: the two CX gates with the
+# depolarizing terms that follow them, and H and the basis rotations on each
+# qubit (H is the X-basis rotation).
+_CX = {pair: _cx(*pair) for pair in ((0, 1), (0, 2))}
+_PAULI_PAIRS = {pair: _pauli_pairs(*pair) for pair in _CX}
+_ROTATION_FULL = {(basis, q): _embed(gate, q)
+                  for basis, gate in _BASIS_ROTATION.items() if gate is not None
+                  for q in range(_N_QUBITS)}
+
+
+def _conj(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return u @ rho @ u.conj().T
+
+
+def _depolarize1(rho: np.ndarray, p: float, qubit: int) -> np.ndarray:
+    if p == 0.0:
+        return rho
+    mix = sum(_conj(rho, P) for P in _PAULI_FULL[qubit])
+    return (1 - p) * rho + (p / 3.0) * mix
+
+
+def _depolarize2(rho: np.ndarray, p: float, qa: int, qb: int) -> np.ndarray:
+    if p == 0.0:
+        return rho
+    mix = sum(_conj(rho, P) for P in _PAULI_PAIRS[qa, qb])
+    return (1 - p) * rho + (p / 15.0) * mix
+
+
+def _gate1(rho: np.ndarray, gate_full: np.ndarray, qubit: int, noise: NoiseModel) -> np.ndarray:
+    """Apply a gate already embedded on ``qubit``, then its depolarizing noise."""
+    return _depolarize1(_conj(rho, gate_full), noise.p1, qubit)
+
+
+def reference_circuit_probabilities(phi: float, basis: str, noise: NoiseModel,
+                          party: str = "charlie", alice_setting: str = "X") -> np.ndarray:
+    """The noisy (2,3) circuit as Kronecker-embedded 8x8 gates and Pauli-sum
+    depolarizing channels: the oracle for :func:`circuit_probabilities`.
+
+    Party "charlie" rotates q2 into ``basis`` with the middle party measured
+    in X; party "bob" rotates q1 into ``basis`` and leaves q2 in Z, which the
+    analysis then marginalises.  ``alice_setting`` chooses the dealer's
+    steering measurement (X for the standard protocol).
+    """
+    if basis not in _BASIS_ROTATION:
+        raise ValueError("basis must be one of X, Y, Z")
+    if party not in ("charlie", "bob"):
+        raise ValueError("party must be 'charlie' or 'bob'")
+    if alice_setting not in ("X", "Y"):
+        raise ValueError("alice_setting must be X or Y")
+
+    rho = ket("000").density().mat
+    rho = _gate1(rho, _ROTATION_FULL["X", 0], 0, noise)
+    rho = _depolarize2(_conj(rho, _CX[0, 1]), noise.p2, 0, 1)
+    rho = _depolarize2(_conj(rho, _CX[0, 2]), noise.p2, 0, 2)
+    rho = _gate1(rho, _embed(phase_gate(phi), 0), 0, noise)
+    rho = _gate1(rho, _ROTATION_FULL[alice_setting, 0], 0, noise)
+
+    if party == "charlie":
+        rho = _gate1(rho, _ROTATION_FULL["X", 1], 1, noise)
+        if basis != "Z":
+            rho = _gate1(rho, _ROTATION_FULL[basis, 2], 2, noise)
+    elif basis != "Z":
+        rho = _gate1(rho, _ROTATION_FULL[basis, 1], 1, noise)
+
+    probs = np.clip(np.diag(rho).real, 0.0, None)
+    confusion = np.kron(np.kron(noise.readout[0], noise.readout[1]), noise.readout[2])
+    probs = confusion @ probs
+    return probs / probs.sum()
 
 
 def pipeline_c(phi, shots, noise, seed, party="charlie"):
@@ -115,6 +227,28 @@ class TestCircuitProbabilities:
         clean = circuit_probabilities(np.pi / 4, "X", ZERO_NOISE)
         noisy = circuit_probabilities(np.pi / 4, "X", NoiseModel.symmetric(0.05, 0.05, 0.0))
         assert np.max(np.abs(noisy - 1 / 8)) < np.max(np.abs(clean - 1 / 8))
+
+
+class TestCircuitProbabilitiesOracle:
+    """The density-tensor simulator against the embedded-matrix one it replaced."""
+
+    ANGLES = [0.0, np.pi / 4, np.pi / 2, np.pi] + list(
+        np.random.default_rng(4).uniform(0.0, 2 * np.pi, size=15))
+    ASYMMETRIC = NoiseModel(p1=0.01, p2=0.03, readout=np.array([
+        [[0.97, 0.05], [0.03, 0.95]],
+        [[0.90, 0.20], [0.10, 0.80]],
+        [[1.00, 0.01], [0.00, 0.99]],
+    ]))
+
+    @pytest.mark.parametrize("noise", [
+        ZERO_NOISE, ACCEPTANCE_NOISE, NoiseModel.symmetric(0.05, 0.2, 0.1), ASYMMETRIC,
+    ], ids=["none", "acceptance", "strong", "asymmetric-readout"])
+    def test_matches_reference_on_the_grid(self, noise):
+        for phi, party, basis, setting in product(self.ANGLES, ("charlie", "bob"), "XYZ", "XY"):
+            got = circuit_probabilities(phi, basis, noise, party, setting)
+            want = reference_circuit_probabilities(phi, basis, noise, party, setting)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14,
+                                       err_msg=f"{phi} {party} {basis} {setting}")
 
 
 class TestPostSelection:
@@ -209,6 +343,16 @@ class TestReconstruct:
                 CorrectedCounts("Y", n0=1, n1=0),
                 CorrectedCounts("Z", n0=1, n1=0),
             )
+
+    @PROPERTY
+    @given(st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6))
+                    .filter(lambda n: n[0] + n[1] >= 1.0), min_size=3, max_size=3))
+    def test_physical_state_and_lp_c_for_any_counts(self, pairs):
+        res = reconstruct(*[CorrectedCounts(b, n0=n0, n1=n1)
+                            for b, (n0, n1) in zip("XYZ", pairs)])
+        assert abs(np.trace(res.rho.mat) - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(res.rho.mat).min() >= -1e-10
+        assert res.c_value == pytest.approx(wigner_distance(res.rho).c_value, abs=1e-9)
 
     def test_zero_noise_consistency_large_shots(self):
         shots = 2 ** 17
