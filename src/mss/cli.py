@@ -6,6 +6,9 @@ is JSON, CSV, or a human summary (--format pretty); JSON and CSV carry full
 double precision, pretty mode rounds to 6 significant digits.  Sampling
 commands require an explicit seed; nothing is ever seeded from the clock.
 
+A ``--config`` file's ``key = value`` entries that name flags of the subcommand
+are parsed as flags placed before the command line's own, which win.
+
 Exit codes: 0 success, 2 usage error (bad flags or domain preconditions),
 1 internal invariant violation, with the violated invariant named on stderr.
 """
@@ -13,6 +16,7 @@ Exit codes: 0 success, 2 usage error (bad flags or domain preconditions),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import magic, protocol, steering, tomo
-from .qcore import bloch, dm_from_bloch, ket, maximally_mixed, phase_plus
+from .qcore import bloch, dm_from_bloch, fidelity, ket, maximally_mixed, phase_plus, require_unitary
 from .stabilizer import enumerate_stabilizer_states
 from .wigner import wigner_of
 
@@ -36,22 +40,21 @@ NAMED_STATES = {
     "mixed": lambda: maximally_mixed(1),
 }
 
-DEFAULT_GATE_PROBES = (0.39269908169872414, 0.7853981633974483, 1.0471975511965976, 1.3)
-
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config) if args.config else {}
-        output = args.handler(args, config)
+        if args.config:
+            args = parser.parse_args(_with_config(args, argv))
+        output = args.handler(args)
         if output.already_written:
             return 0
         _require_finite(output.payload)  # the CSV and pretty renderings carry the same values
-        fmt = _opt(args, config, "format", "pretty")
-        if fmt == "json":
+        if args.format == "json":
             rendered = _json_text(output.payload)
-        elif fmt == "csv":
+        elif args.format == "csv":
             rendered = output.csv if output.csv is not None else _flatten_csv(output.payload)
         else:
             rendered = output.pretty if output.pretty is not None else _flatten_pretty(output.payload)
@@ -62,9 +65,8 @@ def main(argv=None) -> int:
         print(f"mss: internal invariant violation: {exc}", file=sys.stderr)
         return 1
 
-    out = _opt(args, config, "out", None)
-    if out:
-        Path(out).write_text(rendered)
+    if args.out:
+        Path(args.out).write_text(rendered)
     else:
         sys.stdout.write(rendered)
     return 0
@@ -80,6 +82,14 @@ class CommandOutput:
         self.already_written = already_written
 
 
+class _Outcomes(argparse.Action):
+    """Stores the value as given; argparse (Python 3.11) hands over [] for a lone "--"."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, "--" if values == [] else values)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mss",
@@ -88,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--format", choices=["json", "csv", "pretty"], default=None,
-                       help="output format (default pretty)")
+        p.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty",
+                       help="output format (default %(default)s)")
         p.add_argument("--out", default=None, help="write output to this path")
         p.add_argument("--config", default=None,
                        help="key = value file supplying defaults for optional flags")
@@ -99,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one protocol instance and report security")
     p.add_argument("--phi", type=float, required=True, help="secret angle")
     p.add_argument("--n", type=int, default=3, help="number of parties (3..6)")
-    p.add_argument("--outcomes", default=None,
+    p.add_argument("--outcomes", action=_Outcomes,
                    help="force measurement outcomes, e.g. '++-' (omit to sample)")
     p.add_argument("--seed", type=int, default=None, help="seed for sampled outcomes")
     common(p)
@@ -114,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gate-check", help="column-sum security check of an injected gate")
     p.add_argument("--matrix", required=True,
                    help="8 comma-separated reals: re,im for G00,G01,G10,G11")
-    p.add_argument("--probes", default=None,
+    p.add_argument("--probes",
+                   default="0.39269908169872414,0.7853981633974483,1.0471975511965976,1.3",
                    help="comma-separated probe angles (default pi/8,pi/4,pi/3,1.3)")
     common(p)
     p.set_defaults(handler=cmd_gate_check)
@@ -132,17 +143,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=None,
                    help="finite-shot mode with tomographic reconstruction")
     p.add_argument("--seed", type=int, default=None, help="required with --shots")
-    p.add_argument("--noise", default=None, help="p1,p2,readout (finite-shot mode)")
-    p.add_argument("--boot", type=int, default=None, help="bootstrap replicas (default 500)")
+    p.add_argument("--noise", default="0,0,0", help="p1,p2,readout (finite-shot mode)")
+    p.add_argument("--boot", type=int, default=500,
+                   help="bootstrap replicas (default %(default)s)")
     common(p)
     p.set_defaults(handler=cmd_certify)
 
     p = sub.add_parser("experiment", help="shot-sampled pipeline over a list of angles")
     p.add_argument("--phis", required=True, help="comma-separated secret angles")
-    p.add_argument("--shots", type=int, default=None, help="shots per circuit (default 4096)")
-    p.add_argument("--noise", default=None, help="p1,p2,readout (default 0,0,0)")
+    p.add_argument("--shots", type=int, default=tomo.DEFAULT_SHOTS,
+                   help="shots per circuit (default %(default)s)")
+    p.add_argument("--noise", default="0,0,0", help="p1,p2,readout (default %(default)s)")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--boot", type=int, default=None, help="bootstrap replicas (default 2000)")
+    p.add_argument("--boot", type=int, default=tomo.DEFAULT_N_BOOT,
+                   help="bootstrap replicas (default %(default)s)")
     common(p)
     p.set_defaults(handler=cmd_experiment)
 
@@ -153,38 +167,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# --- option resolution and rendering -------------------------------------
+# --- config files and rendering ------------------------------------------
 
-def _load_config(path: str) -> dict:
-    config = {}
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+def _with_config(args, argv: list[str]) -> list[str]:
+    """``argv`` with each config entry that names a flag of the parsed
+    subcommand put right after the subcommand as that flag."""
+    flags = []
+    for line_no, line in enumerate(Path(args.config).read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        config[key.strip().replace("-", "_")] = value.strip()
-    return config
+            raise ValueError(f"{args.config}:{line_no}: expected 'key = value'")
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        dest = key.replace("-", "_")
+        if dest in ("command", "handler") or not hasattr(args, dest):
+            continue  # names no flag of this subcommand
+        flag = "--" + dest.replace("_", "-")
+        if not isinstance(getattr(args, dest), bool):
+            flags.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes"):  # a switch
+            flags.append(flag)
+    at = argv.index(args.command) + 1
+    return argv[:at] + flags + argv[at:]
 
 
-def _opt(args, config, key, default):
-    """Flag value if given, else config value, else the hard default."""
-    value = getattr(args, key, None)
-    if value is not None and value is not False:
-        return value
-    if key in config:
-        raw = config[key]
-        if default is None or isinstance(default, str):
-            return raw
-        if isinstance(default, bool):
-            return raw.lower() in ("1", "true", "yes")
-        return type(default)(raw)
-    return default
-
-
-def _angle(args, config, value: float) -> float:
-    if _opt(args, config, "degrees", False):
+def _angle(args, value: float) -> float:
+    if args.degrees:
         return float(np.radians(value))
     return float(value)
 
@@ -196,9 +205,8 @@ def _floats(text: str) -> list[float]:
         raise ValueError(f"could not parse float list {text!r}: {exc}") from None
 
 
-def _noise_from(args, config) -> tomo.NoiseModel:
-    text = _opt(args, config, "noise", "0,0,0")
-    vals = _floats(text)
+def _noise_from(args) -> tomo.NoiseModel:
+    vals = _floats(args.noise)
     if len(vals) != 3:
         raise ValueError("--noise expects p1,p2,readout")
     return tomo.NoiseModel.symmetric(*vals)
@@ -207,7 +215,7 @@ def _noise_from(args, config) -> tomo.NoiseModel:
 def _flatten(obj, prefix=""):
     if isinstance(obj, dict):
         for k, v in obj.items():
-            yield from _flatten(v, f"{prefix}{k}." if not prefix else f"{prefix}{k}.")
+            yield from _flatten(v, f"{prefix}{k}.")
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             yield from _flatten(v, f"{prefix}{i}.")
@@ -254,13 +262,11 @@ def _dm_to_json(dm) -> dict:
 
 # --- subcommand handlers ---------------------------------------------------
 
-def cmd_run(args, config):
-    phi = _angle(args, config, args.phi)
+def cmd_run(args):
+    phi = _angle(args, args.phi)
     transcript = protocol.run_exact(phi, args.n, outcomes=args.outcomes, seed=args.seed)
     report = protocol.security_report(transcript)
     final_c = magic.octahedron_distance(bloch(transcript.final_state))
-    from .qcore import fidelity
-
     payload = {
         "phi": transcript.phi,
         "n_parties": transcript.n_parties,
@@ -286,11 +292,11 @@ def cmd_run(args, config):
     return CommandOutput(payload)
 
 
-def cmd_scan(args, config):
+def cmd_scan(args):
     parts = args.grid.split(":")
     if len(parts) != 3:
         raise ValueError("--grid expects start:stop:steps")
-    start, stop = (_angle(args, config, float(p)) for p in parts[:2])
+    start, stop = (_angle(args, float(p)) for p in parts[:2])
     steps = int(parts[2])
     if steps < 1:
         raise ValueError("--grid steps must be positive")
@@ -308,21 +314,19 @@ def cmd_scan(args, config):
                          pretty="\n".join(pretty) + "\n")
 
 
-def cmd_gate_check(args, config):
+def cmd_gate_check(args):
     vals = _floats(args.matrix)
     if len(vals) != 8:
         raise ValueError("--matrix expects 8 reals (re,im for G00,G01,G10,G11)")
     g = np.array([[complex(vals[0], vals[1]), complex(vals[2], vals[3])],
                   [complex(vals[4], vals[5]), complex(vals[6], vals[7])]])
-    probes_text = _opt(args, config, "probes", None)
-    probes = (_floats(probes_text) if probes_text else list(DEFAULT_GATE_PROBES))
-    probes = [_angle(args, config, p) for p in probes]
+    probes = [_angle(args, p) for p in _floats(args.probes)]
     payload = {
         "matrix": [[vals[0], vals[1]], [vals[2], vals[3]],
                    [vals[4], vals[5]], [vals[6], vals[7]]],
     }
     try:
-        record = protocol.check_gate_admissibility(g, probes)
+        require_unitary(g, atol=1e-10)
     except ValueError:
         # Non-unitary input: the protocol runner rejects it, but the
         # column-sum predicate is still well defined and worth reporting.
@@ -336,6 +340,7 @@ def cmd_gate_check(args, config):
             "probes": [],
         })
         return CommandOutput(payload)
+    record = protocol.check_gate_admissibility(g, probes)
     payload.update({
         "unitary": True,
         "col0_sum_abs": record.col0_sum_abs,
@@ -352,12 +357,12 @@ def cmd_gate_check(args, config):
     return CommandOutput(payload)
 
 
-def cmd_magic_eval(args, config):
+def cmd_magic_eval(args):
     chosen = [x for x in (args.phi, args.bloch, args.state) if x is not None]
     if len(chosen) != 1:
         raise ValueError("magic-eval needs exactly one of --phi, --bloch, --state")
     if args.phi is not None:
-        phi = _angle(args, config, args.phi)
+        phi = _angle(args, args.phi)
         rho = phase_plus(phi).density()
         label = f"phase:{phi!r}"
     elif args.bloch is not None:
@@ -382,10 +387,9 @@ def cmd_magic_eval(args, config):
     return CommandOutput(payload)
 
 
-def cmd_certify(args, config):
-    phi = _angle(args, config, args.phi)
-    shots = _opt(args, config, "shots", None)
-    if shots is None:
+def cmd_certify(args):
+    phi = _angle(args, args.phi)
+    if args.shots is None:
         record = steering.certify_exact(phi)
         payload = {
             "mode": "exact",
@@ -395,12 +399,10 @@ def cmd_certify(args, config):
             "certified_c": record.certified_c,
         }
         return CommandOutput(payload)
-    seed = _opt(args, config, "seed", None)
-    if seed is None:
+    if args.seed is None:
         raise ValueError("--shots mode requires --seed")
     sc = steering.sampled_certification(
-        phi, shots=int(shots), noise=_noise_from(args, config), seed=int(seed),
-        n_boot=int(_opt(args, config, "boot", 500)))
+        phi, shots=args.shots, noise=_noise_from(args), seed=args.seed, n_boot=args.boot)
     payload = {
         "mode": "sampled",
         "f": sc.record.f_value,
@@ -413,14 +415,14 @@ def cmd_certify(args, config):
     return CommandOutput(payload)
 
 
-def cmd_experiment(args, config):
-    phis = [_angle(args, config, p) for p in _floats(args.phis)]
+def cmd_experiment(args):
+    phis = [_angle(args, p) for p in _floats(args.phis)]
     report = tomo.experiment_table(
         phis,
-        shots=int(_opt(args, config, "shots", tomo.DEFAULT_SHOTS)),
-        noise=_noise_from(args, config),
+        shots=args.shots,
+        noise=_noise_from(args),
         seed=args.seed,
-        n_boot=int(_opt(args, config, "boot", tomo.DEFAULT_N_BOOT)),
+        n_boot=args.boot,
     )
     payload = report.to_json_obj()
     csv_text = report.to_csv()
@@ -432,11 +434,10 @@ def cmd_experiment(args, config):
             f"{str(r.exceeds_distillation_threshold).lower()}")
     pretty = "\n".join(pretty_lines) + "\n"
 
-    out = _opt(args, config, "out", None)
-    if out:
+    if args.out:
         _require_finite(payload)  # before any file is written
         json_text = _json_text(payload)
-        base = Path(out)
+        base = Path(args.out)
         base.with_suffix(".csv").write_text(csv_text)
         base.with_suffix(".json").write_text(json_text)
         Path(str(base) + "_curve.csv").write_text(report.plot_data_csv())
@@ -445,7 +446,7 @@ def cmd_experiment(args, config):
     return CommandOutput(payload, csv=csv_text, pretty=pretty)
 
 
-def cmd_dump_stabilizers(args, config):
+def cmd_dump_stabilizers(args):
     sset = enumerate_stabilizer_states(args.n)
     dim = 2 ** args.n
     rows = []

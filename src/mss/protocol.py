@@ -35,7 +35,6 @@ from .qcore import (
     bloch,
     ghz,
     maximally_mixed,
-    partial_trace,
     phase_gate,
     project_measure,
     require_unitary,
@@ -63,8 +62,7 @@ class ProtocolTranscript:
     n_parties: int
     messages: tuple[BroadcastMessage, ...]
     branch_probability: float
-    final_state: DensityMatrix                      # recipient's 1-qubit state
-    intermediate_marginals: tuple[DensityMatrix, ...]  # per party, after injection
+    final_state: DensityMatrix  # recipient's 1-qubit state
     marginal_history: tuple[tuple[DensityMatrix | None, ...], ...]
     # row j: per-party marginals after j measurements; None once measured out
     correction_parity: int
@@ -74,13 +72,17 @@ class ProtocolTranscript:
         return self.n_parties - 1
 
 
-def _party_marginals(state: PureState, remaining: Sequence[int], n: int):
-    """Per-party 1-qubit marginals; None for already-measured parties."""
-    rho = state.density()
-    out: list[DensityMatrix | None] = [None] * n
-    for pos, party in enumerate(remaining):
-        out[party] = partial_trace(rho, keep={pos})
-    return tuple(out)
+def _marginal(state: PureState, pos: int) -> DensityMatrix:
+    """1-qubit reduced state of qubit ``pos``, read straight from the amplitudes."""
+    v = np.moveaxis(state.amps.reshape((2,) * state.n_qubits), pos, 0).reshape(2, -1)
+    return DensityMatrix(v @ v.conj().T)
+
+
+def _party_marginals(state: PureState, n: int):
+    """Per-party 1-qubit marginals; None for the parties already measured out,
+    which are always the first ``n - state.n_qubits``."""
+    k = state.n_qubits
+    return (None,) * (n - k) + tuple(_marginal(state, pos) for pos in range(k))
 
 
 def run_exact(phi: float, n: int = 3,
@@ -108,8 +110,7 @@ def run_exact(phi: float, n: int = 3,
     state = ghz(n)
     state = apply_1q(state, phase_gate(phi), 0)
 
-    remaining = list(range(n))
-    history = [_party_marginals(state, remaining, n)]
+    history = [_party_marginals(state, n)]
     messages: list[BroadcastMessage] = []
     branch_probability = 1.0
 
@@ -121,10 +122,9 @@ def run_exact(phi: float, n: int = 3,
             outcome = outcomes[step]
         prob, state = project_measure(state, 0, "X", 0 if outcome == PLUS else 1)
         branch_probability *= prob
-        remaining.pop(0)
 
         messages.append(BroadcastMessage(sender=measurer, outcome=outcome, step=step))
-        history.append(_party_marginals(state, remaining, n))
+        history.append(_party_marginals(state, n))
 
     parity = sum(m.outcome == MINUS for m in messages) % 2  # the recipient heard them all
     final = apply_1q(state, Z, 0) if parity else state
@@ -135,7 +135,6 @@ def run_exact(phi: float, n: int = 3,
         messages=tuple(messages),
         branch_probability=float(branch_probability),
         final_state=final.density(),
-        intermediate_marginals=tuple(history[0]),
         marginal_history=tuple(history),
         correction_parity=parity,
     )
@@ -235,7 +234,7 @@ def _deliver_with_gate(gate: np.ndarray) -> tuple[DensityMatrix, DensityMatrix]:
     """
     state = apply_1q(ghz(3), gate, 0)
     _, after_dealer = project_measure(state, 0, "X", 0)
-    bob_marginal = partial_trace(after_dealer.density(), keep={0})
+    bob_marginal = _marginal(after_dealer, 0)
     _, delivered = project_measure(after_dealer, 0, "X", 0)
     return delivered.density(), bob_marginal
 
@@ -255,8 +254,8 @@ def check_gate_admissibility(gate, probe_phis: Sequence[float]) -> GateAdmissibi
     varies with phi and is somewhere above 1e-6.
     """
     probes = [float(p) for p in probe_phis]
-    if not probes:
-        raise ValueError("probe_phis must be nonempty")
+    if not probes or not np.all(np.isfinite(probes)):
+        raise ValueError("probe_phis must be nonempty and finite")
     family: GateFamily = gate if callable(gate) else (lambda _phi, _g=np.asarray(gate, dtype=complex): _g)
 
     col0, col1, c_vals, bob_dists = [], [], [], []

@@ -1,12 +1,20 @@
 """End-to-end CLI tests: exit codes, formats, schema validation, determinism."""
 
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mss.cli as cli_mod
 from mss.cli import main
+
+from conftest import PROPERTY
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "src" / "mss" / "schemas"
 
@@ -48,6 +56,17 @@ class TestRun:
     def test_degrees_flag(self, capsys):
         payload = run_json(capsys, "run", "--phi", "45", "--outcomes", "++", "--degrees")
         assert payload["phi"] == pytest.approx(math.pi / 4, abs=1e-12)
+
+    def test_double_dash_outcomes(self, capsys):
+        payload = run_json(capsys, "run", "--phi", PI_4, "--n", "3", "--outcomes=--")
+        validate("run", payload)
+        assert payload["outcomes"] == "--" and payload["correction_parity"] == 0
+        assert payload["final_fidelity_to_ideal"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_empty_outcomes_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--phi", PI_4, "--outcomes=")
+        assert code == 2 and out == ""
+        assert "symbols" in err
 
     def test_bad_n_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--phi", PI_4, "--n", "9",
@@ -92,6 +111,13 @@ class TestGateCheck:
         validate("gate-check", payload)
         assert payload == {**payload, "unitary": False, "secure": False}
         assert payload["col1_sum_abs"] == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("probes", ["--probes=,", "--probes=nan"])
+    def test_empty_or_non_finite_probes_are_usage_errors(self, capsys, probes):
+        code, out, err = run_cli(capsys, "gate-check", "--matrix", "1,0,0,0,0,0,1,0", probes,
+                                 "--format", "json")
+        assert code == 2 and out == ""
+        assert "nonempty and finite" in err
 
     def test_malformed_matrix(self, capsys):
         code, _, err = run_cli(capsys, "gate-check", "--matrix", "1,0,0")
@@ -211,6 +237,37 @@ class TestConfigFile:
         payload = json.loads(out)  # format came from config
         assert payload["n_eff"] < 128  # flag value overrode config shots
 
+    def test_flag_overrides_config_n(self, capsys, tmp_path):
+        cfg = tmp_path / "mss.conf"
+        cfg.write_text("n = 4\nformat = json\n")
+        code, out, _ = run_cli(capsys, "run", "--phi", PI_4, "--outcomes", "+++",
+                               "--config", str(cfg))
+        assert code == 0 and json.loads(out)["n_parties"] == 4
+        code, out, _ = run_cli(capsys, "run", "--phi", PI_4, "--outcomes", "++", "--n", "3",
+                               "--config", str(cfg))
+        assert code == 0 and json.loads(out)["n_parties"] == 3
+
+    def test_config_double_dash_outcomes(self, capsys, tmp_path):
+        cfg = tmp_path / "mss.conf"
+        cfg.write_text("outcomes = --\n")
+        payload = run_json(capsys, "run", "--phi", PI_4, "--config", str(cfg))
+        assert payload["outcomes"] == "--"
+
+    def test_invalid_config_value_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "mss.conf"
+        cfg.write_text("format = xml\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["magic-eval", "--phi", PI_4, "--config", str(cfg)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice: 'xml'" in captured.err
+
+    def test_keys_naming_no_flag_are_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "mss.conf"
+        cfg.write_text("phis = 0.1\nshots = 7\ncommand = scan\n")
+        assert (run_json(capsys, "run", "--phi", PI_4, "--outcomes", "+-", "--config", str(cfg))
+                == run_json(capsys, "run", "--phi", PI_4, "--outcomes", "+-"))
+
     def test_bad_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "mss.conf"
         cfg.write_text("shots\n")
@@ -278,3 +335,78 @@ class TestExitCodes:
         assert code == 1
         assert "internal invariant violation" in err and "non-finite" in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestParser:
+    def test_two_calls_build_the_parser_once(self, capsys):
+        cli_mod.build_parser.cache_clear()
+        for _ in range(2):
+            assert run_cli(capsys, "magic-eval", "--state", "T")[0] == 0
+        info = cli_mod.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
+# Per subcommand: the required argv and a strategy per optional flag (a switch
+# draws True).  --out and --config are left out: stdout is what is compared.
+_ANGLES = st.sampled_from([PI_8, "0.3", "-0.7", "22.5"])
+_NOISE = st.sampled_from(["0,0,0", "0.003,0.015,0.01"])
+_COMMON = {"format": st.sampled_from(["json", "csv", "pretty"]), "degrees": st.just(True)}
+_COMMANDS = {
+    "run": (["--phi", PI_4], {"n": st.sampled_from(["3", "4", "6"]),
+                              "outcomes": st.sampled_from(["++", "+-", "--", "-+-", "+"]),
+                              "seed": st.sampled_from(["1", "7"])}),
+    "scan": (["--grid", "0.1:1.2:3"], {"n": st.sampled_from(["3", "5"])}),
+    "gate-check": (["--matrix", "1,0,0,0,0,0,0.7071067811865476,0.7071067811865476"],
+                   {"probes": st.sampled_from(["0.3,1.1", PI_8, "-0.5,2"])}),
+    "magic-eval": ([], {"phi": _ANGLES, "bloch": st.sampled_from(["0.5,0.5,0.5", "0,0,1"]),
+                        "state": st.sampled_from(["T", "mixed", "plus_i"])}),
+    "certify": (["--phi", PI_8], {"shots": st.sampled_from(["128", "256"]),
+                                  "seed": st.sampled_from(["1", "2"]), "noise": _NOISE,
+                                  "boot": st.sampled_from(["100", "130"])}),
+    "experiment": (["--phis", PI_8, "--seed", "5"], {"shots": st.sampled_from(["128", "256"]),
+                                                     "noise": _NOISE,
+                                                     "boot": st.sampled_from(["100", "120"])}),
+}
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _as_flags(flags: dict) -> list[str]:
+    return [f"--{k}" if v is True else f"--{k}={v}" for k, v in flags.items()]
+
+
+def _argv_with_config_file(argv: list[str], flags: dict, path: Path) -> list[str]:
+    path.write_text("".join(f"{k} = {'true' if v is True else v}\n" for k, v in flags.items()))
+    return argv + ["--config", str(path)]
+
+
+class TestConfigEquivalence:
+    @settings(PROPERTY, max_examples=50)
+    @given(st.data())
+    def test_config_entries_act_as_flags(self, data):
+        command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+        required, optional = _COMMANDS[command]
+        optional = {**optional, **_COMMON}
+        keys = data.draw(st.lists(st.sampled_from(sorted(optional)), unique=True))
+        flags = {k: data.draw(optional[k]) for k in keys}
+        decoys = {k: data.draw(optional[k]) for k in keys}
+        argv = [command, *required]
+        with tempfile.TemporaryDirectory() as directory:
+            by_flags = _call(argv + _as_flags(flags))
+            by_config = _call(_argv_with_config_file(argv, flags, Path(directory) / "a.conf"))
+            overridden = _call(_argv_with_config_file(argv + _as_flags(flags), decoys,
+                                                      Path(directory) / "b.conf"))
+        assert by_config == by_flags
+        assert overridden == by_flags  # command-line flags win over config entries
+        if by_flags[0] == 0:  # the same run rendered as JSON matches its schema
+            code, out = _call(argv + _as_flags(flags) + ["--format=json"])
+            assert code == 0
+            validate(command, json.loads(out))

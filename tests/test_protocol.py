@@ -21,8 +21,12 @@ from mss.protocol import (
 from mss.qcore import (
     apply_1q,
     fidelity,
+    ghz,
     maximally_mixed,
+    partial_trace,
+    phase_gate,
     phase_plus,
+    project_measure,
     trace_distance,
 )
 
@@ -129,6 +133,22 @@ class TestThresholdInduction:
                 for marginal in present:
                     assert trace_distance(marginal, half) <= 1e-12
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_marginal_history_matches_partial_trace(self, n):
+        # Oracle: replay the branch on the statevector and trace the full
+        # density matrix down to each remaining party's qubit.
+        phi = 0.83
+        for branch in run_all_branches(phi, n):
+            state = apply_1q(ghz(n), phase_gate(phi), 0)
+            for j, row in enumerate(branch.marginal_history):
+                if j:
+                    outcome = branch.messages[j - 1].outcome
+                    _, state = project_measure(state, 0, "X", 0 if outcome == "+" else 1)
+                assert row[:j] == (None,) * j
+                for pos, marginal in enumerate(row[j:]):
+                    want = partial_trace(state.density(), keep={pos})
+                    assert np.max(np.abs(marginal.mat - want.mat)) <= 1e-15
+
     def test_remaining_register_is_ghz_ladder(self):
         # After j measurements, the remaining parties share the (n-j)-party
         # ladder (|0..0> + e^{i phi}|1..1>)/sqrt(2) up to the pending parity.
@@ -164,8 +184,8 @@ class TestSecurityReport:
             phi1, phi2 = rng.uniform(0, 2 * np.pi, size=2)
             t1 = run_exact(phi1, 3, outcomes="++")
             t2 = run_exact(phi2, 3, outcomes="++")
-            b1 = t1.intermediate_marginals[1]
-            b2 = t2.intermediate_marginals[1]
+            b1 = t1.marginal_history[0][1]
+            b2 = t2.marginal_history[0][1]
             assert trace_distance(b1, b2) <= 1e-12
 
     def test_five_party_report(self):
@@ -198,6 +218,11 @@ class TestGateAdmissibility:
             check_gate_admissibility(bad, self.PROBES)
         assert not satisfies_column_sum(bad)
         assert column_sums(bad) == (1.0, 0.9)
+
+    @pytest.mark.parametrize("probes", [(), (0.3, float("nan")), (float("inf"),)])
+    def test_empty_or_non_finite_probes_rejected(self, probes):
+        with pytest.raises(ValueError, match="nonempty and finite"):
+            check_gate_admissibility(phase_gate_family, probes)
 
     def test_fixed_matrix_treated_as_constant_family(self):
         rec = check_gate_admissibility(np.diag([1.0, np.exp(0.25j)]), self.PROBES)
