@@ -172,8 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _with_config(args, argv: list[str]) -> list[str]:
     """``argv`` with each config entry that names a flag of the parsed
     subcommand put right after the subcommand as that flag."""
+    try:
+        text = Path(args.config).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {args.config!r}: {exc.strerror or exc}") from None
     flags = []
-    for line_no, line in enumerate(Path(args.config).read_text().splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -198,15 +202,18 @@ def _angle(args, value: float) -> float:
     return float(value)
 
 
-def _floats(text: str) -> list[float]:
+def _floats(text: str, flag: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise ValueError(f"could not parse float list {text!r}: {exc}") from None
+        raise ValueError(f"{flag}: could not parse float list {text!r}: {exc}") from None
+    if not vals or not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"{flag} must be nonempty and finite, got {text!r}")
+    return vals
 
 
 def _noise_from(args) -> tomo.NoiseModel:
-    vals = _floats(args.noise)
+    vals = _floats(args.noise, "--noise")
     if len(vals) != 3:
         raise ValueError("--noise expects p1,p2,readout")
     return tomo.NoiseModel.symmetric(*vals)
@@ -315,12 +322,12 @@ def cmd_scan(args):
 
 
 def cmd_gate_check(args):
-    vals = _floats(args.matrix)
+    vals = _floats(args.matrix, "--matrix")
     if len(vals) != 8:
         raise ValueError("--matrix expects 8 reals (re,im for G00,G01,G10,G11)")
     g = np.array([[complex(vals[0], vals[1]), complex(vals[2], vals[3])],
                   [complex(vals[4], vals[5]), complex(vals[6], vals[7])]])
-    probes = [_angle(args, p) for p in _floats(args.probes)]
+    probes = [_angle(args, p) for p in _floats(args.probes, "--probes")]
     payload = {
         "matrix": [[vals[0], vals[1]], [vals[2], vals[3]],
                    [vals[4], vals[5]], [vals[6], vals[7]]],
@@ -366,7 +373,7 @@ def cmd_magic_eval(args):
         rho = phase_plus(phi).density()
         label = f"phase:{phi!r}"
     elif args.bloch is not None:
-        vec = _floats(args.bloch)
+        vec = _floats(args.bloch, "--bloch")
         if len(vec) != 3:
             raise ValueError("--bloch expects x,y,z")
         rho = dm_from_bloch(vec)
@@ -416,7 +423,7 @@ def cmd_certify(args):
 
 
 def cmd_experiment(args):
-    phis = [_angle(args, p) for p in _floats(args.phis)]
+    phis = [_angle(args, p) for p in _floats(args.phis, "--phis")]
     report = tomo.experiment_table(
         phis,
         shots=args.shots,

@@ -1,12 +1,20 @@
 """The magic secret sharing protocol: (2,3) and (n-1,n) runners, gate
 admissibility, and security reporting.
 
-One run walks the five steps on an exact statevector register: GHZ
-preparation, phase injection by the dealer (party 0), sequential X
-measurements with broadcast by parties 0..n-2, and a final Z correction by
-the recipient (party n-1).  The broadcasts are the transcript's messages, in
-step order; every party hears all of them, so the recipient's correction is
-a function of the transcript alone.
+A run has five steps: GHZ preparation, phase injection by the dealer
+(party 0), X measurements with broadcast by parties 0..n-2 in turn, and a
+final Z correction by the recipient (party n-1).  The broadcasts are the
+transcript's messages, in step order; every party hears all of them, so the
+recipient's correction is a function of the transcript alone.
+
+The X measurements act on distinct qubits, so by deferred measurement
+(Nielsen & Chuang section 4.4) H is applied once on the axes of parties
+0..n-2 of the phased GHZ tensor and each branch is a slice of it: the slice
+at (o_0, ..., o_{n-2}) is the recipient's unnormalised state, its squared
+norm the branch probability, and a prefix slice the register after that many
+broadcasts.  A party's marginal is the Gram matrix of its axis in a prefix
+slice, kept as a Bloch vector and mapped back by (x, y, z) -> (z, -y, x)
+where H is still applied on that axis.
 
 Correction bookkeeping: every X measurement flips the sign of the e^{i phi}
 branch when it lands on "minus", the dealer's included.  The recipient
@@ -14,13 +22,15 @@ therefore applies Z raised to the parity of *all* minus outcomes it heard,
 which makes every one of the 2^{n-1} branches deliver exactly P(phi)|+>.
 The transcript keeps the raw broadcasts so either convention can be audited.
 
-Single-party magic is read in closed form, as the octahedron distance of the
-Bloch vector, which equals the Wigner-distance LP for one qubit.
+Security is read from Bloch vectors b alone: a party's magic is the
+octahedron distance of b, which equals the Wigner-distance LP for one qubit,
+and its trace distance to I/2 is |b|/2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable, Sequence
 
@@ -29,10 +39,11 @@ import numpy as np
 from .magic import c_closed_form, octahedron_distance
 from .qcore import (
     DensityMatrix,
-    PureState,
-    Z,
+    H,
     apply_1q,
+    apply_on_axes,
     bloch,
+    dm_from_bloch,
     ghz,
     maximally_mixed,
     phase_gate,
@@ -63,26 +74,62 @@ class ProtocolTranscript:
     messages: tuple[BroadcastMessage, ...]
     branch_probability: float
     final_state: DensityMatrix  # recipient's 1-qubit state
-    marginal_history: tuple[tuple[DensityMatrix | None, ...], ...]
-    # row j: per-party marginals after j measurements; None once measured out
+    bloch_history: np.ndarray  # [j, k]: party k's Bloch vector after j measurements, k >= j
     correction_parity: int
 
     @property
     def recipient(self) -> int:
         return self.n_parties - 1
 
+    @cached_property
+    def marginal_history(self) -> tuple[tuple[DensityMatrix | None, ...], ...]:
+        """Row j: per-party marginals after j measurements; None once measured out."""
+        n = self.n_parties
+        return tuple(tuple(None if k < j else dm_from_bloch(self.bloch_history[j, k])
+                           for k in range(n)) for j in range(n))
 
-def _marginal(state: PureState, pos: int) -> DensityMatrix:
-    """1-qubit reduced state of qubit ``pos``, read straight from the amplitudes."""
-    v = np.moveaxis(state.amps.reshape((2,) * state.n_qubits), pos, 0).reshape(2, -1)
-    return DensityMatrix(v @ v.conj().T)
+
+def _bloch_of(block: np.ndarray) -> np.ndarray:
+    """Bloch vector of the middle axis of an unnormalised (2^a, 2, 2^b) amplitude block."""
+    g = np.einsum("aib,ajb->ij", block, block.conj())
+    return np.array([2 * g[0, 1].real, -2 * g[0, 1].imag,
+                     (g[0, 0] - g[1, 1]).real]) / (g[0, 0] + g[1, 1]).real
 
 
-def _party_marginals(state: PureState, n: int):
-    """Per-party 1-qubit marginals; None for the parties already measured out,
-    which are always the first ``n - state.n_qubits``."""
-    k = state.n_qubits
-    return (None,) * (n - k) + tuple(_marginal(state, pos) for pos in range(k))
+def _branch_tensor(phi: float, n: int) -> np.ndarray:
+    """H on the axes of parties 0..n-2 of P(phi)_0 |GHZ_n>, shape (2,)*n."""
+    if not MIN_PARTIES <= n <= MAX_PARTIES:
+        raise ValueError(f"n must be in [{MIN_PARTIES}, {MAX_PARTIES}]")
+    t = apply_1q(ghz(n), phase_gate(phi), 0).amps.reshape((2,) * n)
+    for axis in range(n - 1):
+        t = apply_on_axes(t, (axis,), H)
+    return t
+
+
+def _run(t: np.ndarray, phi: float, bits: Sequence[int]) -> ProtocolTranscript:
+    """The branch with outcomes ``bits`` (0 for "+") read from the branch tensor."""
+    n = t.ndim
+    history = np.zeros((n, n, 3))
+    for step in range(n):
+        s = t[tuple(bits[:step])]
+        for k in range(step, n):
+            b = _bloch_of(s.reshape(2 ** (k - step), 2, -1))
+            history[step, k] = b if k == n - 1 else (b[2], -b[1], b[0])
+    history.setflags(write=False)
+
+    probability = float(np.vdot(s, s).real)
+    parity = sum(bits) % 2  # the recipient heard every broadcast
+    final = s / np.sqrt(probability) * (1, -1 if parity else 1)
+    return ProtocolTranscript(
+        phi=float(phi),
+        n_parties=n,
+        messages=tuple(BroadcastMessage(sender=k, outcome=MINUS if o else PLUS, step=k)
+                       for k, o in enumerate(bits)),
+        branch_probability=probability,
+        final_state=DensityMatrix(np.outer(final, final.conj())),
+        bloch_history=history,
+        correction_parity=parity,
+    )
 
 
 def run_exact(phi: float, n: int = 3,
@@ -95,55 +142,25 @@ def run_exact(phi: float, n: int = 3,
     seeded generator.  Works at every phi: the excluded secret values
     {0, pi/2, pi, 3pi/2} simply deliver a stabilizer state with C = 0.
     """
-    if not MIN_PARTIES <= n <= MAX_PARTIES:
-        raise ValueError(f"n must be in [{MIN_PARTIES}, {MAX_PARTIES}]")
+    t = _branch_tensor(phi, n)
     if outcomes is not None:
-        outcomes = list(outcomes)
         if len(outcomes) != n - 1 or any(o not in (PLUS, MINUS) for o in outcomes):
             raise ValueError(f"outcomes must be {n - 1} symbols drawn from '+-'")
-        rng = None
-    else:
-        if seed is None:
-            raise ValueError("sampled mode requires a seed")
-        rng = np.random.default_rng(seed)
-
-    state = ghz(n)
-    state = apply_1q(state, phase_gate(phi), 0)
-
-    history = [_party_marginals(state, n)]
-    messages: list[BroadcastMessage] = []
-    branch_probability = 1.0
-
-    for step, measurer in enumerate(range(n - 1)):
-        if rng is not None:
-            p_plus, _ = project_measure(state, 0, "X", 0)
-            outcome = PLUS if rng.random() < p_plus else MINUS
-        else:
-            outcome = outcomes[step]
-        prob, state = project_measure(state, 0, "X", 0 if outcome == PLUS else 1)
-        branch_probability *= prob
-
-        messages.append(BroadcastMessage(sender=measurer, outcome=outcome, step=step))
-        history.append(_party_marginals(state, n))
-
-    parity = sum(m.outcome == MINUS for m in messages) % 2  # the recipient heard them all
-    final = apply_1q(state, Z, 0) if parity else state
-
-    return ProtocolTranscript(
-        phi=float(phi),
-        n_parties=n,
-        messages=tuple(messages),
-        branch_probability=float(branch_probability),
-        final_state=final.density(),
-        marginal_history=tuple(history),
-        correction_parity=parity,
-    )
+        return _run(t, phi, [int(o == MINUS) for o in outcomes])
+    if seed is None:
+        raise ValueError("sampled mode requires a seed")
+    rng = np.random.default_rng(seed)
+    bits: list[int] = []
+    for _ in range(n - 1):  # one draw per step, from the prefix probabilities
+        s = t[tuple(bits)]
+        bits.append(0 if rng.random() < np.vdot(s[0], s[0]).real / np.vdot(s, s).real else 1)
+    return _run(t, phi, bits)
 
 
 def run_all_branches(phi: float, n: int = 3) -> list[ProtocolTranscript]:
     """All 2^{n-1} forced-outcome branches of one protocol instance."""
-    return [run_exact(phi, n, outcomes=branch)
-            for branch in product((PLUS, MINUS), repeat=n - 1)]
+    t = _branch_tensor(phi, n)
+    return [_run(t, phi, bits) for bits in product((0, 1), repeat=n - 1)]
 
 
 @dataclass(frozen=True)
@@ -161,22 +178,15 @@ def security_report(transcript: ProtocolTranscript) -> dict[int, PartySecurity]:
     across every step the party was still holding its qubit, so the report
     covers the whole run rather than one snapshot.
     """
-    half = maximally_mixed(1)
     report = {}
     for party in range(transcript.n_parties - 1):
-        worst, worst_dist = None, -1.0
-        for row in transcript.marginal_history:
-            marginal = row[party]
-            if marginal is None:
-                continue
-            dist = trace_distance(marginal, half)
-            if dist > worst_dist:
-                worst, worst_dist = marginal, dist
+        held = transcript.bloch_history[:party + 1, party]  # steps before its own measurement
+        b = held[np.argmax(np.linalg.norm(held, axis=1))]
         report[party] = PartySecurity(
             party=party,
-            marginal=worst,
-            c_value=octahedron_distance(bloch(worst)),
-            trace_distance_to_i2=worst_dist,
+            marginal=dm_from_bloch(b),
+            c_value=octahedron_distance(b),
+            trace_distance_to_i2=float(np.linalg.norm(b)) / 2,
         )
     return report
 
@@ -234,7 +244,7 @@ def _deliver_with_gate(gate: np.ndarray) -> tuple[DensityMatrix, DensityMatrix]:
     """
     state = apply_1q(ghz(3), gate, 0)
     _, after_dealer = project_measure(state, 0, "X", 0)
-    bob_marginal = _marginal(after_dealer, 0)
+    bob_marginal = dm_from_bloch(_bloch_of(after_dealer.amps.reshape(1, 2, -1)))
     _, delivered = project_measure(after_dealer, 0, "X", 0)
     return delivered.density(), bob_marginal
 
@@ -301,7 +311,7 @@ def magic_scan(phi_grid: Sequence[float], n: int = 3) -> list[tuple[float, float
         raise ValueError("phi grid must be nonempty")
     rows = []
     for phi in grid:
-        t = run_exact(phi, n, outcomes=[PLUS] * (n - 1))
-        rows.append((float(phi), c_closed_form(phi),
-                     octahedron_distance(bloch(t.final_state))))
+        delivered = _branch_tensor(phi, n)[(0,) * (n - 1)]  # all-plus: no correction
+        rows.append((phi, c_closed_form(phi),
+                     octahedron_distance(_bloch_of(delivered.reshape(1, 2, 1)))))
     return rows

@@ -239,23 +239,6 @@ def project_measure(state: PureState, target: int, basis: str, outcome: int):
     return prob, PureState(proj.reshape(-1) / np.sqrt(prob))
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every qubit not listed in ``keep`` (indices kept in order)."""
-    n = rho.n_qubits
-    keep_sorted = sorted(set(int(q) for q in keep))
-    if not keep_sorted:
-        raise ValueError("keep set must be nonempty")
-    if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
-        raise ValueError("keep set contains an out-of-range qubit")
-    t = rho.mat.reshape((2,) * (2 * n))
-    cur = n
-    for q in sorted(set(range(n)) - set(keep_sorted), reverse=True):
-        t = np.trace(t, axis1=q, axis2=q + cur)
-        cur -= 1
-    dim = 2 ** cur
-    return DensityMatrix(t.reshape(dim, dim))
-
-
 def fidelity(rho: DensityMatrix, psi: PureState) -> float:
     """<psi| rho |psi> for a mixed state against a pure reference."""
     if rho.n_qubits != psi.n_qubits:

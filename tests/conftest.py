@@ -9,6 +9,26 @@ from mss.qcore import DensityMatrix, PureState
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Trace out every qubit not listed in ``keep`` (indices kept in order).
+
+    The independent oracle for single-party marginals: it works on the full
+    density matrix, not on amplitudes."""
+    n = rho.n_qubits
+    keep_sorted = sorted(set(int(q) for q in keep))
+    if not keep_sorted:
+        raise ValueError("keep set must be nonempty")
+    if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
+        raise ValueError("keep set contains an out-of-range qubit")
+    t = rho.mat.reshape((2,) * (2 * n))
+    cur = n
+    for q in sorted(set(range(n)) - set(keep_sorted), reverse=True):
+        t = np.trace(t, axis1=q, axis2=q + cur)
+        cur -= 1
+    dim = 2 ** cur
+    return DensityMatrix(t.reshape(dim, dim))
+
+
 def random_pure_state(n: int, rng: np.random.Generator) -> PureState:
     """Haar-random pure state via normalised complex Gaussian amplitudes."""
     a = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)

@@ -68,6 +68,12 @@ class TestRun:
         assert code == 2 and out == ""
         assert "symbols" in err
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in exp:RuntimeWarning")
+    def test_non_finite_phi_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--phi", "inf", "--outcomes", "++")
+        assert code == 2 and out == ""
+        assert "non-finite" in err
+
     def test_bad_n_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--phi", PI_4, "--n", "9",
                                "--outcomes", "++++++++")
@@ -97,6 +103,11 @@ class TestScan:
                                          json_row["c_protocol"])):
                 assert float(text) == pytest.approx(value, rel=1e-12, abs=1e-300)
 
+    def test_non_finite_grid_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--grid", "0:nan:3")
+        assert code == 2 and out == ""
+        assert "non-finite" in err
+
 
 class TestGateCheck:
     def test_phase_gate_matrix(self, capsys):
@@ -118,6 +129,12 @@ class TestGateCheck:
                                  "--format", "json")
         assert code == 2 and out == ""
         assert "nonempty and finite" in err
+
+    @pytest.mark.parametrize("matrix", ["nan,0,0,0,0,0,1,0", "1,0,0,0,0,0,1,-inf"])
+    def test_non_finite_matrix_is_usage_error(self, capsys, matrix):
+        code, out, err = run_cli(capsys, "gate-check", "--matrix", matrix, "--format", "json")
+        assert code == 2 and out == ""
+        assert err == f"mss: --matrix must be nonempty and finite, got {matrix!r}\n"
 
     def test_malformed_matrix(self, capsys):
         code, _, err = run_cli(capsys, "gate-check", "--matrix", "1,0,0")
@@ -267,6 +284,13 @@ class TestConfigFile:
         cfg.write_text("phis = 0.1\nshots = 7\ncommand = scan\n")
         assert (run_json(capsys, "run", "--phi", PI_4, "--outcomes", "+-", "--config", str(cfg))
                 == run_json(capsys, "run", "--phi", PI_4, "--outcomes", "+-"))
+
+    def test_missing_config_file_is_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "nope.conf"
+        code, out, err = run_cli(capsys, "magic-eval", "--state", "T", "--config", str(missing))
+        assert code == 2 and out == ""
+        assert err.startswith(f"mss: cannot read config file {str(missing)!r}: ")
+        assert "Traceback" not in err
 
     def test_bad_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "mss.conf"

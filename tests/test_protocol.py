@@ -4,6 +4,7 @@ column-sum gate characterisation."""
 import numpy as np
 import pytest
 
+from mss import protocol
 from mss.magic import c_closed_form, wigner_distance
 from mss.protocol import (
     MAX_PARTIES,
@@ -19,18 +20,69 @@ from mss.protocol import (
     x_rotation_family,
 )
 from mss.qcore import (
+    H,
+    Z,
     apply_1q,
+    apply_on_axes,
     fidelity,
     ghz,
     maximally_mixed,
-    partial_trace,
     phase_gate,
     phase_plus,
     project_measure,
     trace_distance,
 )
 
-from conftest import random_unitary
+from conftest import partial_trace, random_pure_state, random_unitary
+
+
+def reference_run_exact(phi, n, outcomes=None, seed=None, state=None):
+    """The step-by-step runner the branch tensor replaces: project each
+    broadcaster out of the statevector in turn, and trace the whole register's
+    density matrix down to every remaining party after each step.  ``state``
+    replaces the phased GHZ register.
+
+    Returns (outcome string, branch probability, corrected final density
+    matrix, parity, marginal history).
+    """
+    rng = None if outcomes is not None else np.random.default_rng(seed)
+    if state is None:
+        state = apply_1q(ghz(n), phase_gate(phi), 0)
+
+    def marginals(state):
+        k = state.n_qubits
+        return (None,) * (n - k) + tuple(partial_trace(state.density(), keep={pos})
+                                         for pos in range(k))
+
+    history, sent, probability = [marginals(state)], "", 1.0
+    for step in range(n - 1):
+        if rng is not None:
+            p_plus, _ = project_measure(state, 0, "X", 0)
+            outcome = "+" if rng.random() < p_plus else "-"
+        else:
+            outcome = outcomes[step]
+        prob, state = project_measure(state, 0, "X", 0 if outcome == "+" else 1)
+        probability *= prob
+        sent += outcome
+        history.append(marginals(state))
+    parity = sent.count("-") % 2
+    final = apply_1q(state, Z, 0) if parity else state
+    return sent, probability, final.density(), parity, tuple(history)
+
+
+def assert_matches_reference(t, ref, tol=1e-15):
+    sent, probability, final, parity, history = ref
+    assert "".join(m.outcome for m in t.messages) == sent
+    assert [(m.sender, m.step) for m in t.messages] == [(k, k) for k in range(len(sent))]
+    assert t.correction_parity == parity
+    assert abs(t.branch_probability - probability) <= tol
+    assert np.max(np.abs(t.final_state.mat - final.mat)) <= tol
+    assert len(t.marginal_history) == len(history)
+    for row, want_row in zip(t.marginal_history, history):
+        assert [m is None for m in row] == [m is None for m in want_row]
+        for m, want in zip(row, want_row):
+            if m is not None:
+                assert np.max(np.abs(m.mat - want.mat)) <= tol
 
 
 class TestRunExact:
@@ -134,20 +186,42 @@ class TestThresholdInduction:
                     assert trace_distance(marginal, half) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_marginal_history_matches_partial_trace(self, n):
-        # Oracle: replay the branch on the statevector and trace the full
-        # density matrix down to each remaining party's qubit.
-        phi = 0.83
-        for branch in run_all_branches(phi, n):
-            state = apply_1q(ghz(n), phase_gate(phi), 0)
-            for j, row in enumerate(branch.marginal_history):
-                if j:
-                    outcome = branch.messages[j - 1].outcome
-                    _, state = project_measure(state, 0, "X", 0 if outcome == "+" else 1)
-                assert row[:j] == (None,) * j
-                for pos, marginal in enumerate(row[j:]):
-                    want = partial_trace(state.density(), keep={pos})
-                    assert np.max(np.abs(marginal.mat - want.mat)) <= 1e-15
+    def test_every_branch_delivers_for_random_phi(self, n, rng):
+        for phi in rng.uniform(0, 2 * np.pi, size=8):
+            ref = phase_plus(phi)
+            for t in run_all_branches(phi, n):
+                assert fidelity(t.final_state, ref) >= 1 - 1e-12
+                assert t.branch_probability == pytest.approx(2.0 ** -(n - 1), abs=1e-15)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_marginal_history_matches_partial_trace(self, n, rng):
+        # Every branch, every transcript field, against the stepwise runner.
+        for phi in [0.83, *rng.uniform(0, 2 * np.pi, size=3)]:
+            for t in run_all_branches(phi, n):
+                outcomes = "".join(m.outcome for m in t.messages)
+                ref = reference_run_exact(phi, n, outcomes=outcomes)
+                assert_matches_reference(t, ref)
+                assert_matches_reference(run_exact(phi, n, outcomes=outcomes), ref)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_sampled_runs_match_reference(self, n, rng):
+        # One draw per step in the same order: a seed gives the same outcome string.
+        for seed, phi in enumerate(rng.uniform(0, 2 * np.pi, size=12)):
+            assert_matches_reference(run_exact(phi, n, seed=seed),
+                                     reference_run_exact(phi, n, seed=seed))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_any_register_matches_reference(self, n, rng):
+        # GHZ marginals are I/2 wherever H is still applied, so only a generic
+        # register shows whether the Bloch vectors are mapped back from that frame.
+        for bits in ([0] * (n - 1), [k % 2 for k in range(1, n)]):
+            psi = random_pure_state(n, rng)
+            t = psi.amps.reshape((2,) * n)
+            for axis in range(n - 1):
+                t = apply_on_axes(t, (axis,), H)
+            outcomes = "".join("-" if b else "+" for b in bits)
+            assert_matches_reference(protocol._run(t, 0.0, bits),
+                                     reference_run_exact(0.0, n, outcomes, state=psi))
 
     def test_remaining_register_is_ghz_ladder(self):
         # After j measurements, the remaining parties share the (n-j)-party
@@ -229,12 +303,19 @@ class TestGateAdmissibility:
         assert rec.secure and not rec.faithful
 
     def test_column_sum_predicate_matches_marginal(self, rng):
+        # Haar unitaries almost surely break the condition, so the secure side
+        # is drawn from the admissible class e^{i alpha} P(phi) and e^{i (theta/2) X}.
         half = maximally_mixed(1)
+        seen = set()
         for _ in range(100):
-            u = random_unitary(1, rng)
-            predicted = satisfies_column_sum(u)
-            actual = trace_distance(bob_marginal_after_projection(u), half) <= 1e-10
-            assert predicted == actual
+            alpha, phi, theta = rng.uniform(0, 2 * np.pi, size=3)
+            for u in (random_unitary(1, rng), np.exp(1j * alpha) * phase_gate(phi),
+                      np.exp(1j * alpha) * x_rotation_family(theta)):
+                predicted = satisfies_column_sum(u)
+                actual = trace_distance(bob_marginal_after_projection(u), half) <= 1e-10
+                assert predicted == actual
+                seen.add(predicted)
+        assert seen == {True, False}
 
 
 class TestMagicScan:

@@ -16,14 +16,13 @@ from mss.qcore import (
     ghz,
     ket,
     maximally_mixed,
-    partial_trace,
     phase_gate,
     project_measure,
     tensor,
     trace_distance,
 )
 
-from conftest import random_density, random_pure_state, random_unitary
+from conftest import partial_trace, random_density, random_pure_state, random_unitary
 
 
 PLUS = PureState(np.array([1, 1]) / np.sqrt(2))
