@@ -212,6 +212,20 @@ def _floats(text: str, flag: str) -> list[float]:
     return vals
 
 
+def _grid(text: str) -> tuple[float, float, int]:
+    usage = ValueError(f"--grid expects start:stop:steps (integer steps ≥ 1), got {text!r}")
+    try:
+        start, stop, steps = text.split(":")
+        start, stop, steps = float(start), float(stop), int(steps)
+    except ValueError:
+        raise usage from None
+    if steps < 1:
+        raise usage
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"--grid start and stop must be finite, got non-finite {text!r}")
+    return start, stop, steps
+
+
 def _noise_from(args) -> tomo.NoiseModel:
     vals = _floats(args.noise, "--noise")
     if len(vals) != 3:
@@ -300,14 +314,8 @@ def cmd_run(args):
 
 
 def cmd_scan(args):
-    parts = args.grid.split(":")
-    if len(parts) != 3:
-        raise ValueError("--grid expects start:stop:steps")
-    start, stop = (_angle(args, float(p)) for p in parts[:2])
-    steps = int(parts[2])
-    if steps < 1:
-        raise ValueError("--grid steps must be positive")
-    grid = np.linspace(start, stop, steps)
+    start, stop, steps = _grid(args.grid)
+    grid = np.linspace(_angle(args, start), _angle(args, stop), steps)
     rows = protocol.magic_scan(grid, n=args.n)
     payload = {"rows": [
         {"phi": phi, "c_theory": c_th, "c_protocol": c_pr} for phi, c_th, c_pr in rows

@@ -166,9 +166,14 @@ def run_all_branches(phi: float, n: int = 3) -> list[ProtocolTranscript]:
 @dataclass(frozen=True)
 class PartySecurity:
     party: int
-    marginal: DensityMatrix
+    bloch: np.ndarray  # the worst-case marginal's Bloch vector, read-only
     c_value: float
     trace_distance_to_i2: float
+
+    @cached_property
+    def marginal(self) -> DensityMatrix:
+        """The worst-case marginal as a density matrix, built on first read."""
+        return dm_from_bloch(self.bloch)
 
 
 def security_report(transcript: ProtocolTranscript) -> dict[int, PartySecurity]:
@@ -184,7 +189,7 @@ def security_report(transcript: ProtocolTranscript) -> dict[int, PartySecurity]:
         b = held[np.argmax(np.linalg.norm(held, axis=1))]
         report[party] = PartySecurity(
             party=party,
-            marginal=dm_from_bloch(b),
+            bloch=b,
             c_value=octahedron_distance(b),
             trace_distance_to_i2=float(np.linalg.norm(b)) / 2,
         )

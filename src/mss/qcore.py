@@ -28,8 +28,6 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 S = np.array([[1, 0], [0, 1j]], dtype=complex)
 
-PAULIS_1Q = {"I": I2, "X": X, "Y": Y, "Z": Z}
-
 # +1 / -1 eigenvectors of each measurement basis; outcome 0 is the +1 branch.
 _BASIS_VECTORS = {
     "Z": (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),

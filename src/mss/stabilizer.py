@@ -1,28 +1,29 @@
-"""Enumeration of pure stabilizer states for 1 and 2 qubits.
+"""Pure stabilizer states for 1 and 2 qubits, built in closed form.
 
 The Wigner vectors of these states are the vertex set of the free polytope
-used by the magic linear program.  Counts follow 2**n * prod_{k=1..n}(2**k + 1):
-6 states for one qubit, 60 for two.
+used by the magic linear program.  Counts follow 2**n * prod_{k=1..n}(2**k + 1)
+(Aaronson & Gottesman, PRA 70, 052328, 2004): 6 states for one qubit, 60 for
+two.
 
-Enumeration is brute force over maximal abelian Pauli subgroups: every pure
-stabilizer state is the rank-1 projector (1/2**n) * prod_g (I + g) for an
-independent set of commuting signed Pauli generators.  At these sizes the
-search is exact and instant; no tableau machinery is needed.
+One qubit: the six Pauli eigenstates.  Two qubits: the 36 products of those,
+plus the 24 maximally entangled states (I (x) C)|Phi+>, one per single-qubit
+Clifford C.  Every Wigner entry is a multiple of 1/2 (n = 1) or 1/8 (n = 2),
+so the vectors are snapped to that grid and the vertex matrix is exact.  The
+build fails if an entry moved by more than 1e-12 in the snap, or if the
+distinct vectors do not number exactly the count above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
-from .qcore import DensityMatrix, H, I2, PAULIS_1Q, PureState, S
-from .wigner import WignerVector, wigner_of
+from .qcore import _BASIS_VECTORS, H, I2, PureState, S
+from .wigner import WignerVector, _operator_stack
 
-_PAULI_LABELS_1Q = ("I", "X", "Y", "Z")
-_PAULI_MATS_1Q = tuple(PAULIS_1Q[l] for l in _PAULI_LABELS_1Q)
+_PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,8 @@ class StabilizerSet:
     """All pure n-qubit stabilizer states with their Wigner vectors.
 
     States carry a canonical phase (first nonzero amplitude real positive)
-    and are sorted lexicographically by their Wigner vector rounded to 12
-    decimals, so vertex order is reproducible across runs.
+    and are sorted lexicographically by their Wigner vector, so vertex order
+    is reproducible across runs.
     """
 
     n_qubits: int
@@ -46,68 +47,39 @@ class StabilizerSet:
         return F
 
 
-def _pauli_strings(n: int):
-    """Non-identity n-qubit Paulis as (label, matrix) pairs."""
-    out = []
-    for labels in product(range(4), repeat=n):
-        if all(l == 0 for l in labels):
-            continue
-        mat = _PAULI_MATS_1Q[labels[0]]
-        for l in labels[1:]:
-            mat = np.kron(mat, _PAULI_MATS_1Q[l])
-        out.append(("".join(_PAULI_LABELS_1Q[l] for l in labels), mat))
-    return out
-
-
-def _canonical_state(projector: np.ndarray) -> PureState:
-    evals, evecs = np.linalg.eigh(projector)
-    vec = evecs[:, int(np.argmax(evals))]
-    k = int(np.flatnonzero(np.abs(vec) > 1e-8)[0])
-    vec = vec * (abs(vec[k]) / vec[k])
-    return PureState(vec / np.linalg.norm(vec))
-
-
 @lru_cache(maxsize=None)
 def enumerate_stabilizer_states(n: int) -> StabilizerSet:
     """Complete duplicate-free stabilizer set for n in {1, 2}."""
     if n not in (1, 2):
         raise ValueError("stabilizer enumeration is implemented for n in {1, 2}")
-    paulis = _pauli_strings(n)
-    dim = 2 ** n
-    projectors: dict[bytes, np.ndarray] = {}
-    def key(m: np.ndarray) -> bytes:
-        return (np.round(m, 10) + 0.0).tobytes()  # +0.0 kills -0.0 bytes
+    vecs = [v for pair in _BASIS_VECTORS.values() for v in pair]
+    if n == 2:
+        vecs = ([np.kron(a, b) for a in vecs for b in vecs]
+                + [np.kron(I2, c) @ _PHI_PLUS for c in single_qubit_cliffords()])
+    amps = np.array(vecs)
+    lead = amps[np.arange(len(amps)), np.argmax(np.abs(amps) > 1e-8, axis=1)]
+    amps *= (np.abs(lead) / lead)[:, None]  # first nonzero amplitude real positive
 
-    if n == 1:
-        for _, p in paulis:
-            for sign in (1, -1):
-                proj = (np.eye(2) + sign * p) / 2
-                projectors.setdefault(key(proj), proj)
-    else:
-        for (_, p1), (_, p2) in product(paulis, repeat=2):
-            if not np.allclose(p1 @ p2, p2 @ p1, atol=1e-12):
-                continue
-            for s1, s2 in product((1, -1), repeat=2):
-                proj = (np.eye(4) + s1 * p1) @ (np.eye(4) + s2 * p2) / 4
-                if abs(np.trace(proj).real - 1.0) > 1e-9:
-                    continue  # generators not independent (p2 = +-p1 branch)
-                projectors.setdefault(key(proj), proj)
+    w = np.einsum("si,aij,sj->sa", amps.conj(), _operator_stack(n), amps) / 2 ** n
+    if np.max(np.abs(w.imag)) > 1e-12:
+        raise RuntimeError("stabilizer Wigner values have imaginary parts above 1e-12")
+    step = 2.0 ** (1 - 2 * n)  # the grid: 1/2 at n = 1, 1/8 at n = 2
+    snapped = np.round(w.real / step) * step + 0.0  # +0.0 kills -0.0 bytes
+    moved = float(np.max(np.abs(snapped - w.real)))
+    if moved > 1e-12:
+        raise RuntimeError(f"stabilizer Wigner entry is {moved:.3g} off the 1/{1 / step:g} grid")
 
     expected = 2 ** n * int(np.prod([2 ** k + 1 for k in range(1, n + 1)]))
-    if len(projectors) != expected:
-        raise RuntimeError(
-            f"stabilizer enumeration found {len(projectors)} states, expected {expected}")
+    distinct = len({row.tobytes() for row in snapped})
+    if len(snapped) != expected or distinct != expected:
+        raise RuntimeError(f"stabilizer construction gave {len(snapped)} states, "
+                           f"{distinct} distinct, expected {expected}")
 
-    entries = []
-    for proj in projectors.values():
-        state = _canonical_state(proj)
-        w = wigner_of(DensityMatrix((proj + proj.conj().T) / 2))
-        entries.append((tuple(np.round(w.values, 12)), state, w))
-    entries.sort(key=lambda e: e[0])
+    order = sorted(range(expected), key=lambda s: tuple(snapped[s]))
     return StabilizerSet(
         n_qubits=n,
-        states=tuple(e[1] for e in entries),
-        wigner_vertices=tuple(e[2] for e in entries),
+        states=tuple(PureState(amps[s]) for s in order),
+        wigner_vertices=tuple(WignerVector(snapped[s]) for s in order),
     )
 
 

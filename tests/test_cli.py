@@ -108,6 +108,12 @@ class TestScan:
         assert code == 2 and out == ""
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("grid", ["0:1:x", "0:1:2.5", "a:1:3", "0:b:3", "0:1:0", "0:1", "0:1:2:3"])
+    def test_malformed_grid_names_the_flag(self, capsys, grid):
+        code, out, err = run_cli(capsys, "scan", "--grid", grid)
+        assert code == 2 and out == ""
+        assert err == f"mss: --grid expects start:stop:steps (integer steps ≥ 1), got {grid!r}\n"
+
 
 class TestGateCheck:
     def test_phase_gate_matrix(self, capsys):

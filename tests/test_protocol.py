@@ -269,6 +269,19 @@ class TestSecurityReport:
         for entry in report.values():
             assert entry.trace_distance_to_i2 <= 1e-12
 
+    def test_marginal_is_built_on_first_read(self, monkeypatch):
+        built, real = [], protocol.dm_from_bloch
+        monkeypatch.setattr(protocol, "dm_from_bloch", lambda b: built.append(b) or real(b))
+        t = run_exact(0.44, 5, outcomes="++-+")
+        report = security_report(t)
+        assert built == []
+        for party, entry in report.items():
+            assert not entry.bloch.flags.writeable
+            assert any(np.array_equal(entry.bloch, row) for row in t.bloch_history[:party + 1, party])
+            first = entry.marginal
+            assert entry.marginal is first and len(built) == party + 1
+            np.testing.assert_allclose(first.mat, maximally_mixed(1).mat, atol=1e-12)
+
 
 class TestGateAdmissibility:
     PROBES = (0.3, np.pi / 8, np.pi / 4, 1.1, np.pi / 3)

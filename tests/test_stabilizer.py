@@ -1,15 +1,92 @@
 """Tests for stabilizer-state enumeration and the polytope vertex set."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
-from mss.qcore import PureState, apply_1q, bloch, phase_gate
+from mss import stabilizer
+from mss.qcore import DensityMatrix, I2, PureState, X, Y, Z, apply_1q, bloch, phase_gate
 from mss.stabilizer import (
+    StabilizerSet,
     enumerate_stabilizer_states,
     is_stabilizer,
     single_qubit_cliffords,
     vertices_nonnegative,
 )
+from mss.wigner import wigner_of
+
+_PAULI_LABELS_1Q = ("I", "X", "Y", "Z")
+_PAULI_MATS_1Q = (I2, X, Y, Z)
+
+
+def _pauli_strings(n: int):
+    """Non-identity n-qubit Paulis as (label, matrix) pairs."""
+    out = []
+    for labels in product(range(4), repeat=n):
+        if all(l == 0 for l in labels):
+            continue
+        mat = _PAULI_MATS_1Q[labels[0]]
+        for l in labels[1:]:
+            mat = np.kron(mat, _PAULI_MATS_1Q[l])
+        out.append(("".join(_PAULI_LABELS_1Q[l] for l in labels), mat))
+    return out
+
+
+def _canonical_state(projector: np.ndarray) -> PureState:
+    evals, evecs = np.linalg.eigh(projector)
+    vec = evecs[:, int(np.argmax(evals))]
+    k = int(np.flatnonzero(np.abs(vec) > 1e-8)[0])
+    vec = vec * (abs(vec[k]) / vec[k])
+    return PureState(vec / np.linalg.norm(vec))
+
+
+def reference_enumerate(n: int) -> StabilizerSet:
+    """Oracle: brute force over maximal abelian Pauli subgroups.
+
+    Every pure stabilizer state is the rank-1 projector (1/2**n) prod_g (I + g)
+    for an independent set of commuting signed Pauli generators; the search
+    tries every pair and deduplicates the projectors.
+    """
+    if n not in (1, 2):
+        raise ValueError("stabilizer enumeration is implemented for n in {1, 2}")
+    paulis = _pauli_strings(n)
+    projectors: dict[bytes, np.ndarray] = {}
+    def key(m: np.ndarray) -> bytes:
+        return (np.round(m, 10) + 0.0).tobytes()  # +0.0 kills -0.0 bytes
+
+    if n == 1:
+        for _, p in paulis:
+            for sign in (1, -1):
+                proj = (np.eye(2) + sign * p) / 2
+                projectors.setdefault(key(proj), proj)
+    else:
+        for (_, p1), (_, p2) in product(paulis, repeat=2):
+            if not np.allclose(p1 @ p2, p2 @ p1, atol=1e-12):
+                continue
+            for s1, s2 in product((1, -1), repeat=2):
+                proj = (np.eye(4) + s1 * p1) @ (np.eye(4) + s2 * p2) / 4
+                if abs(np.trace(proj).real - 1.0) > 1e-9:
+                    continue  # generators not independent (p2 = +-p1 branch)
+                projectors.setdefault(key(proj), proj)
+
+    expected = 2 ** n * int(np.prod([2 ** k + 1 for k in range(1, n + 1)]))
+    if len(projectors) != expected:
+        raise RuntimeError(
+            f"stabilizer enumeration found {len(projectors)} states, expected {expected}")
+
+    entries = []
+    for proj in projectors.values():
+        state = _canonical_state(proj)
+        w = wigner_of(DensityMatrix((proj + proj.conj().T) / 2))
+        entries.append((tuple(np.round(w.values, 12)), state, w))
+    entries.sort(key=lambda e: e[0])
+    return StabilizerSet(
+        n_qubits=n,
+        states=tuple(e[1] for e in entries),
+        wigner_vertices=tuple(e[2] for e in entries),
+    )
+
 
 PLUS = PureState(np.array([1, 1]) / np.sqrt(2))
 
@@ -59,6 +136,21 @@ class TestEnumeration:
         b = enumerate_stabilizer_states.__wrapped__(2)
         for wa, wb in zip(a.wigner_vertices, b.wigner_vertices):
             np.testing.assert_array_equal(wa.values, wb.values)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_construction_matches_the_pauli_pair_search(self, n):
+        built, ref = enumerate_stabilizer_states(n), reference_enumerate(n)
+        assert built.vertex_matrix.tobytes() == ref.vertex_matrix.tobytes()
+        assert len(built.states) == len(ref.states)
+        for got, want in zip(built.states, ref.states):  # same order, both canonical
+            assert np.max(np.abs(got.amps - want.amps)) <= 1e-15
+
+    def test_repeated_clifford_fails_the_distinct_count(self, monkeypatch):
+        cliffords = single_qubit_cliffords()
+        monkeypatch.setattr(stabilizer, "single_qubit_cliffords",
+                            lambda: cliffords[:-1] + cliffords[:1])
+        with pytest.raises(RuntimeError, match="59 distinct, expected 60"):
+            enumerate_stabilizer_states.__wrapped__(2)
 
     def test_unsupported_n(self):
         with pytest.raises(ValueError, match="n in {1, 2}"):
