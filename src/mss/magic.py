@@ -5,8 +5,9 @@ stabilizer polytope,
 
     C(rho) = min_{f in conv(vertices)} || W_rho - f ||_1,
 
-linearised with one slack pair per phase-space coordinate and solved by the
-in-house dense simplex.  The dual solution yields a Hermitian witness
+written as the L1-fitting linear program of Barrodale and Roberts (SIAM J.
+Numer. Anal. 10, 839, 1973) and solved by the in-house dense simplex from
+the nearest vertex.  The dual solution yields a Hermitian witness
 H* = sum_alpha y_alpha A_alpha / 2**n with
 
     tr(H* rho) - F_LHS = C(rho)        (exact at the solved state)
@@ -24,12 +25,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import DensityMatrix, phase_plus
+from .qcore import DensityMatrix, X, Y, Z, bloch, phase_plus
 from .simplex import solve_lp
 from .stabilizer import enumerate_stabilizer_states
 from .wigner import WignerVector, _operator_stack, wigner_of
 
 CLAMP_TOL = 1e-10  # report exactly zero instead of leaking negative round-off
+SIGN_TOL = 1e-12   # Bloch coordinates this small count as 0 in witness_signs
 
 
 @dataclass(frozen=True)
@@ -51,34 +53,48 @@ class MagicResult:
 def _lp_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n-qubit vertex matrix F, constraint matrix A and cost c, read-only.
 
-    Variables [lambda (nv), t (k), s1 (k), s2 (k)]:
-      F lam + t - s1 = w      (W - F lam <= t)
-      F lam - t + s2 = w      (F lam - W <= t)
-      sum lam        = 1
+    Variables [lambda (nv), u (k), v (k)], all nonnegative, minimising
+    sum u + sum v:
+      F lam + u - v = w       (u - v is the residual w - F lam)
+      sum lam       = 1
+    In the dual, the u and v columns box the first k entries, the witness
+    coordinates y, in [-1, 1].
     """
     F = enumerate_stabilizer_states(n).vertex_matrix
     k, nv = F.shape
-    A = np.zeros((2 * k + 1, nv + 3 * k))
+    A = np.zeros((k + 1, nv + 2 * k))
     A[:k, :nv] = F
     A[:k, nv:nv + k] = np.eye(k)
-    A[:k, nv + k:nv + 2 * k] = -np.eye(k)
-    A[k:2 * k, :nv] = F
-    A[k:2 * k, nv:nv + k] = -np.eye(k)
-    A[k:2 * k, nv + 2 * k:] = np.eye(k)
-    A[2 * k, :nv] = 1.0
-    c = np.zeros(nv + 3 * k)
-    c[nv:nv + k] = 1.0
+    A[:k, nv + k:] = -np.eye(k)
+    A[k, :nv] = 1.0
+    c = np.zeros(nv + 2 * k)
+    c[nv:] = 1.0
     A.setflags(write=False)
     c.setflags(write=False)
     return F, A, c
 
 
+def witness_signs(b) -> np.ndarray:
+    """sign(b) with 0 where |b_i| <= SIGN_TOL: the Pauli coefficients s of the
+    1-qubit witness (s . sigma)/2 + t I that :func:`wigner_distance` reports."""
+    b = np.asarray(b, dtype=float)
+    return np.where(np.abs(b) <= SIGN_TOL, 0.0, np.sign(b))
+
+
 def wigner_distance(rho: DensityMatrix) -> MagicResult:
     """Wigner distance of a 1- or 2-qubit state with primal and dual certificates.
 
+    The simplex starts at the vertex F_j nearest to w in L1: lambda_j = 1
+    and, per row i, u_i = (w - F_j)_i if that is nonnegative, else
+    v_i = -(w - F_j)_i.
+
     When C is clamped to zero the state is free, and the zero witness (with
     F_LHS = 0) is reported: it is dual-optimal there, and unlike the LP's own
-    dual it does not depend on the pivot path.
+    dual it does not depend on the pivot path.  For one qubit with C > 0 the
+    dual optimum is not unique where a Bloch coordinate is 0, so the witness
+    with s = witness_signs(bloch(rho)) is reported, its identity part t the
+    one that keeps |y|_inf <= 1.  Both replace the LP's dual only after it
+    has passed the postcondition check.
     """
     n = rho.n_qubits
     if n not in (1, 2):
@@ -86,14 +102,17 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
     w = wigner_of(rho).values
     F, A, c = _lp_constants(n)
     k, nv = F.shape
-    b = np.concatenate([w, w, [1.0]])
+    residual = w[:, None] - F
+    j = int(np.abs(residual).sum(axis=0).argmin())
+    rows = np.arange(k)
+    basis = [*np.where(residual[:, j] >= 0, nv + rows, nv + k + rows).tolist(), j]
 
-    sol = solve_lp(c, A, b)
+    sol = solve_lp(c, A, np.append(w, 1.0), basis)
     lam = np.clip(sol.x[:nv], 0.0, None)
     lam /= lam.sum()
     f_star = WignerVector(F @ lam)
 
-    yvec = sol.duals[:k] + sol.duals[k:2 * k]
+    yvec = sol.duals[:k]
     f_lhs = float(np.max(yvec @ F))
     gap = float(yvec @ w) - f_lhs
     if abs(np.abs(w - f_star.values).sum() - sol.fun) > 1e-8 or abs(gap - sol.fun) > 1e-7:
@@ -103,7 +122,13 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
     if sol.fun < CLAMP_TOL:
         return MagicResult(c_value=0.0, f_star=f_star, mixture_weights=lam,
                            dual_witness=np.zeros((2 ** n, 2 ** n), dtype=complex), f_lhs=0.0)
-    witness = sum(y * op for y, op in zip(yvec, _operator_stack(n))) / 2 ** n
+    ops = _operator_stack(n)
+    if n == 1:
+        s = witness_signs(bloch(rho))
+        y0 = np.einsum("aij,ji->a", ops, s[0] * X + s[1] * Y + s[2] * Z).real / 2
+        yvec = y0 - (y0.max() + y0.min()) / 2
+        f_lhs = float(np.max(yvec @ F))
+    witness = sum(y * op for y, op in zip(yvec, ops)) / 2 ** n
     witness = (witness + witness.conj().T) / 2
     return MagicResult(c_value=float(sol.fun), f_star=f_star, mixture_weights=lam,
                        dual_witness=witness, f_lhs=f_lhs)

@@ -1,10 +1,14 @@
-"""Dense two-phase simplex for small equality-form linear programs.
+"""Dense simplex for small equality-form linear programs, started from a
+feasible basis the caller supplies.
 
 Solves  min c.x  subject to  A x = b,  x >= 0,  and returns both the primal
-optimum and the dual vector for the equality constraints.  Bland's rule
-(smallest eligible index enters, ties in the ratio test broken by smallest
-basic variable) prevents cycling on the degenerate bases that show up when
-several polytope vertices are equidistant from the target.
+optimum and the dual vector for the equality constraints.  There is no
+phase 1: the caller names m columns whose basic solution B^-1 b is
+nonnegative, as the L1-fitting LP of :mod:`mss.magic` can write one down
+directly.  Bland's rule (smallest eligible index enters, ties in the ratio
+test broken by smallest basic variable) prevents cycling on the degenerate
+bases that show up when several polytope vertices are equidistant from the
+target.
 
 Built for problems with tens of rows and at most a few hundred columns;
 everything is dense numpy and a fresh tableau is allocated per call, so
@@ -27,7 +31,7 @@ DEFAULT_MAX_ITER = 10_000
 
 
 class SimplexError(RuntimeError):
-    """Infeasible input or iteration cap exceeded."""
+    """Infeasible starting basis, unbounded objective or iteration cap exceeded."""
 
 
 @dataclass(frozen=True)
@@ -38,70 +42,42 @@ class LPSolution:
     iterations: int
 
 
-def solve_lp(c, A, b, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> LPSolution:
-    """Two-phase simplex on min c.x, A x = b, x >= 0.
+def solve_lp(c, A, b, basis, tol: float = DEFAULT_TOL,
+             max_iter: int = DEFAULT_MAX_ITER) -> LPSolution:
+    """Simplex on min c.x, A x = b, x >= 0 from the starting ``basis``.
 
-    Raises SimplexError if the constraints are infeasible or the pivot
-    count exceeds ``max_iter``.  Unboundedness cannot occur for feasible
-    bounded formulations like the L1-distance program but is detected and
-    reported as a SimplexError too.
+    ``basis`` lists one column index per row.  Raises SimplexError if those
+    columns are singular or their basic solution has an entry below
+    ``-tol``, if the objective is unbounded, or if the pivot count exceeds
+    ``max_iter``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)
     m, n = A.shape
-    if b.size != m or c.size != n:
+    basis = [int(j) for j in basis]
+    if b.size != m or c.size != n or len(basis) != m:
         raise ValueError("inconsistent LP dimensions")
 
-    # Flip rows so the right-hand side is nonnegative; remember the signs so
-    # dual values can be reported in the caller's row convention.
-    flip = np.where(b < 0, -1.0, 1.0)
-    work = np.empty((m, n + m + 1))
-    work[:, :n] = A * flip[:, None]
-    work[:, n:n + m] = np.eye(m)
-    work[:, -1] = b * flip
+    # The tableau B^-1 [A | b]: row i holds basic variable basis[i].
+    try:
+        work = np.linalg.solve(A[:, basis], np.column_stack([A, b]))
+    except np.linalg.LinAlgError:
+        raise SimplexError("infeasible starting basis: singular basis matrix") from None
+    if work[:, -1].min() < -tol:
+        raise SimplexError(
+            f"infeasible starting basis: basic value {work[:, -1].min():.3e}")
 
-    basis = list(range(n, n + m))
-    iterations = 0
-
-    # Phase 1: minimise the sum of artificials.
-    cost1 = np.zeros(n + m + 1)
-    cost1[n:n + m] = 1.0
-    _reduce_cost_row(cost1, work, basis)
-    iterations = _pivot_loop(work, cost1, basis, allowed=n + m, tol=tol,
-                             max_iter=max_iter, start=iterations)
-    if -cost1[-1] > np.sqrt(tol) * max(1.0, np.abs(b).max()):
-        raise SimplexError(f"infeasible: phase-1 objective {-cost1[-1]:.3e}")
-
-    # Phase 2: original objective; artificial columns may stay basic at
-    # zero on redundant rows but are never allowed to enter.
-    cost2 = np.zeros(n + m + 1)
-    cost2[:n] = c
-    _reduce_cost_row(cost2, work, basis)
-    iterations = _pivot_loop(work, cost2, basis, allowed=n, tol=tol,
-                             max_iter=max_iter, start=iterations)
+    cost = np.zeros(n + 1)
+    cost[:n] = c
+    _reduce_cost_row(cost, work, basis)
+    iterations = _pivot_loop(work, cost, basis, tol=tol, max_iter=max_iter)
 
     x = np.zeros(n)
-    for row, col in enumerate(basis):
-        if col < n:
-            x[col] = work[row, -1]
-
-    # Duals from the optimal basis: solve B^T y = c_B against the working
-    # (sign-flipped) matrix, then restore the caller's row signs.
-    c_ext = np.concatenate([c, np.zeros(m)])
-    basis_cols = np.column_stack(
-        [_work_col(A, flip, j, n, m) for j in basis])
-    y = np.linalg.solve(basis_cols.T, c_ext[list(basis)])
-    return LPSolution(x=x, fun=float(c @ x), duals=y * flip, iterations=iterations)
-
-
-def _work_col(A: np.ndarray, flip: np.ndarray, j: int, n: int, m: int) -> np.ndarray:
-    """Column j of the sign-flipped [A | I] matrix, rebuilt from the input."""
-    if j < n:
-        return A[:, j] * flip
-    e = np.zeros(m)
-    e[j - n] = 1.0
-    return e
+    x[basis] = work[:, -1]
+    # Duals from the optimal basis: B^T y = c_B.
+    y = np.linalg.solve(A[:, basis].T, c[basis])
+    return LPSolution(x=x, fun=float(c @ x), duals=y, iterations=iterations)
 
 
 def _reduce_cost_row(cost: np.ndarray, work: np.ndarray, basis: list[int]) -> None:
@@ -110,16 +86,14 @@ def _reduce_cost_row(cost: np.ndarray, work: np.ndarray, basis: list[int]) -> No
             cost -= cost[col] * work[row]
 
 
-def _pivot_loop(work, cost, basis, allowed: int, tol: float, max_iter: int, start: int) -> int:
-    iterations = start
+def _pivot_loop(work, cost, basis, tol: float, max_iter: int) -> int:
+    iterations = 0
     rhs = work[:, -1]
-    nonbasic = np.ones(allowed, dtype=bool)
-    for col in basis:
-        if col < allowed:
-            nonbasic[col] = False
+    nonbasic = np.ones(work.shape[1] - 1, dtype=bool)
+    nonbasic[basis] = False
     while True:
         # Bland: the smallest non-basic index with negative reduced cost enters.
-        eligible = nonbasic & (cost[:allowed] < -tol)
+        eligible = nonbasic & (cost[:-1] < -tol)
         entering = int(eligible.argmax())
         if not eligible[entering]:
             return iterations
@@ -149,12 +123,10 @@ def _pivot_loop(work, cost, basis, allowed: int, tol: float, max_iter: int, star
         work[touched] -= factors[touched, None] * work[leaving_row]
         cost -= cost[entering] * work[leaving_row]
 
-        leaving = basis[leaving_row]
+        nonbasic[basis[leaving_row]] = True
         basis[leaving_row] = entering
         nonbasic[entering] = False
-        if leaving < allowed:
-            nonbasic[leaving] = True
 
         iterations += 1
-        if iterations - start > max_iter:
+        if iterations > max_iter:
             raise SimplexError(f"iteration cap {max_iter} exceeded")

@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .magic import MagicResult, wigner_distance
+from .magic import MagicResult, wigner_distance, witness_signs
 from .qcore import (
     DensityMatrix,
     PureState,
@@ -219,8 +219,8 @@ def _sign_witness_gaps(b_x: np.ndarray, b_y: np.ndarray) -> np.ndarray:
     in closed form.
 
     For one qubit the free polytope is the octahedron |b|_1 <= 1.  Outside
-    it, the LP's dual witness is H* = (s . sigma)/2 plus a multiple of the
-    identity, with s = sign(b_x) (0 on a zero coordinate); over the six
+    it, wigner_distance reports the witness H* = (s . sigma)/2 plus a
+    multiple of the identity, with s = witness_signs(b_x); over the six
     vertices +-e_i it peaks at F_LHS = 1/2 plus that multiple.  The identity
     part adds equally to F and F_LHS, so it cancels in the gap.  S
     conjugation maps s . sigma to s' . sigma with s' = (-s_y, s_x, s_z), so
@@ -230,7 +230,7 @@ def _sign_witness_gaps(b_x: np.ndarray, b_y: np.ndarray) -> np.ndarray:
     that attains its bound at b_x is optimal; the zero witness is taken
     there too, so the gap is 0 exactly when C is.
     """
-    s = np.sign(b_x)
+    s = witness_signs(b_x)
     s_y = np.stack([-s[..., 1], s[..., 0], s[..., 2]], axis=-1)
     gap = ((s * b_x).sum(axis=-1) + (s_y * b_y).sum(axis=-1)) / 4.0 - 0.5
     return np.where(np.abs(b_x).sum(axis=-1) > 1.0, gap, 0.0)

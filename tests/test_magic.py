@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mss.magic
 from mss.magic import (
     CLAMP_TOL,
     _lp_constants,
@@ -20,11 +21,14 @@ from mss.qcore import (
     dm_from_bloch,
     maximally_mixed,
     phase_plus,
+    tensor,
 )
+from mss.simplex import SimplexError, solve_lp
 from mss.stabilizer import enumerate_stabilizer_states, single_qubit_cliffords
 from mss.wigner import phase_point_operator, phase_points, wigner_of
 
 from conftest import PROPERTY, bloch_vectors, random_density, random_pure_state
+from test_simplex import reference_solve_lp
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -151,7 +155,105 @@ class TestWignerDistance:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         F, A, c = _lp_constants(n)
-        assert A.shape == (2 * 4 ** n + 1, F.shape[1] + 3 * 4 ** n) and c.sum() == 4 ** n
+        assert A.shape == (4 ** n + 1, F.shape[1] + 2 * 4 ** n) and c.sum() == 2 * 4 ** n
+
+
+def reference_wigner_lp(rho):
+    """C(rho) from the 2k+1-row LP, solved two-phase by the scalar reference.
+
+    Variables [lambda (nv), t (k), s1 (k), s2 (k)], minimising sum t:
+      F lam + t - s1 = w      (w - F lam <= t)
+      F lam - t + s2 = w      (F lam - w <= t)
+      sum lam        = 1
+    """
+    w = wigner_of(rho).values
+    F = enumerate_stabilizer_states(rho.n_qubits).vertex_matrix
+    k, nv = F.shape
+    eye = np.eye(k)
+    A = np.block([[F, eye, -eye, np.zeros((k, k))],
+                  [F, -eye, np.zeros((k, k)), eye],
+                  [np.ones((1, nv)), np.zeros((1, 3 * k))]])
+    c = np.concatenate([np.zeros(nv), np.ones(k), np.zeros(2 * k)])
+    sol, _ = reference_solve_lp(c, A, np.concatenate([w, w, [1.0]]))
+    return sol.fun
+
+
+def scipy_wigner_lp(rho):
+    """C(rho) from scipy's HiGHS on min ||w - F lam||_1 over the simplex."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    w = wigner_of(rho).values
+    F = enumerate_stabilizer_states(rho.n_qubits).vertex_matrix
+    k, nv = F.shape
+    eye = np.eye(k)
+    res = linprog(np.concatenate([np.zeros(nv), np.ones(k)]),
+                  A_ub=np.block([[F, -eye], [-F, -eye]]), b_ub=np.concatenate([w, -w]),
+                  A_eq=np.concatenate([np.ones(nv), np.zeros(k)])[None], b_eq=[1.0],
+                  bounds=[(0, None)] * (nv + k), method="highs")
+    assert res.success
+    return res.fun
+
+
+def oracle_states(n, rng, per_class):
+    """Haar, Ginibre, P(a)|+> products (the T state or T x T first) and
+    stabilizer mixtures, ``per_class`` of each."""
+    stab = [s.density().mat for s in enumerate_stabilizer_states(n).states]
+    for i in range(per_class):
+        yield random_pure_state(n, rng).density()
+        yield random_density(n, rng)
+        angles = [np.pi / 4] * n if i == 0 else rng.uniform(0, 2 * np.pi, n)
+        psi = phase_plus(angles[0])
+        for a in angles[1:]:
+            psi = tensor(psi, phase_plus(a))
+        yield psi.density()
+        chosen = rng.choice(len(stab), size=int(rng.integers(2, 5)), replace=False)
+        yield DensityMatrix(sum(p * stab[j] for p, j in zip(rng.dirichlet(np.ones(len(chosen))),
+                                                             chosen)))
+
+
+class TestAgainstTheTwoPhaseLP:
+    """The warm-started k+1-row LP against the 2k+1-row two-phase LP and HiGHS."""
+
+    @pytest.mark.parametrize("n,per_class", [(1, 25), (2, 10)])
+    def test_c_matches_both_oracles(self, n, per_class, rng):
+        for rho in oracle_states(n, rng, per_class):
+            c = wigner_distance(rho).c_value
+            assert c == pytest.approx(reference_wigner_lp(rho), abs=1e-12)
+            assert c == pytest.approx(scipy_wigner_lp(rho), abs=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nearest_vertex_basis_is_feasible(self, n, rng, monkeypatch):
+        lps = []
+
+        def record(c, A, b, basis, *args, **kwargs):
+            lps.append((A, b, list(basis)))
+            return solve_lp(c, A, b, basis, *args, **kwargs)
+
+        monkeypatch.setattr(mss.magic, "solve_lp", record)
+        results = [wigner_distance(rho) for rho in oracle_states(n, rng, 6)]
+        monkeypatch.undo()
+        F = enumerate_stabilizer_states(n).vertex_matrix
+        for (A, b, basis), res in zip(lps, results):
+            w, j = b[:-1], basis[-1]
+            dist = np.abs(w[:, None] - F).sum(axis=0)
+            assert dist[j] == dist.min() >= res.c_value - 1e-12
+            x_start = np.linalg.solve(A[:, basis], b)
+            assert x_start.min() >= -1e-12
+            assert x_start[-1] == pytest.approx(1.0, abs=1e-12)
+            assert res.mixture_weights.min() >= 0.0
+            assert res.mixture_weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_infeasible_starting_basis_is_refused(self):
+        rho = phase_plus(np.pi / 4).density()
+        w = wigner_of(rho).values
+        F, A, c = _lp_constants(1)
+        k, nv = F.shape
+        j = int(np.abs(w[:, None] - F).sum(axis=0).argmin())
+        rows = np.arange(k)
+        # u_i where w - F_j is negative and v_i where it is positive: every
+        # nonzero residual row gets a negative basic value.
+        basis = [*np.where(w - F[:, j] < 0, nv + rows, nv + k + rows).tolist(), j]
+        with pytest.raises(SimplexError, match="infeasible starting basis"):
+            solve_lp(c, A, np.append(w, 1.0), basis)
 
 
 @st.composite
