@@ -196,10 +196,12 @@ def _with_config(args, argv: list[str]) -> list[str]:
     return argv[:at] + flags + argv[at:]
 
 
-def _angle(args, value: float) -> float:
-    if args.degrees:
-        return float(np.radians(value))
-    return float(value)
+def _angle(args, value: float, flag: str) -> float:
+    """``value`` in radians, converted if --degrees is given; must be finite."""
+    phi = float(np.radians(value)) if args.degrees else float(value)
+    if not math.isfinite(phi):
+        raise ValueError(f"{flag} must be finite, got {value!r}")
+    return phi
 
 
 def _floats(text: str, flag: str) -> list[float]:
@@ -266,9 +268,20 @@ def _flatten_pretty(payload) -> str:
 
 
 def _require_finite(payload) -> None:
-    """A NaN or infinity anywhere in the payload is an invariant violation."""
-    for path, value in _flatten(payload):
-        if isinstance(value, float) and not math.isfinite(value):
+    """A NaN or infinity anywhere in the payload is an invariant violation.
+
+    The walk builds no key paths; they are built only to name the culprit.
+    """
+    pending = [payload]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, dict):
+            pending.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            pending.extend(value)
+        elif isinstance(value, float) and not math.isfinite(value):
+            path, value = next((path, v) for path, v in _flatten(payload)
+                               if isinstance(v, float) and not math.isfinite(v))
             raise RuntimeError(f"non-finite number in output ({path} = {value!r})")
 
 
@@ -284,7 +297,7 @@ def _dm_to_json(dm) -> dict:
 # --- subcommand handlers ---------------------------------------------------
 
 def cmd_run(args):
-    phi = _angle(args, args.phi)
+    phi = _angle(args, args.phi, "--phi")
     transcript = protocol.run_exact(phi, args.n, outcomes=args.outcomes, seed=args.seed)
     report = protocol.security_report(transcript)
     final_c = magic.octahedron_distance(bloch(transcript.final_state))
@@ -315,7 +328,10 @@ def cmd_run(args):
 
 def cmd_scan(args):
     start, stop, steps = _grid(args.grid)
-    grid = np.linspace(_angle(args, start), _angle(args, stop), steps)
+    start, stop = _angle(args, start, "--grid"), _angle(args, stop, "--grid")
+    if not math.isfinite(stop - start):
+        raise ValueError(f"--grid span from {start!r} to {stop!r} overflows a float")
+    grid = np.linspace(start, stop, steps)
     rows = protocol.magic_scan(grid, n=args.n)
     payload = {"rows": [
         {"phi": phi, "c_theory": c_th, "c_protocol": c_pr} for phi, c_th, c_pr in rows
@@ -335,7 +351,7 @@ def cmd_gate_check(args):
         raise ValueError("--matrix expects 8 reals (re,im for G00,G01,G10,G11)")
     g = np.array([[complex(vals[0], vals[1]), complex(vals[2], vals[3])],
                   [complex(vals[4], vals[5]), complex(vals[6], vals[7])]])
-    probes = [_angle(args, p) for p in _floats(args.probes, "--probes")]
+    probes = [_angle(args, p, "--probes") for p in _floats(args.probes, "--probes")]
     payload = {
         "matrix": [[vals[0], vals[1]], [vals[2], vals[3]],
                    [vals[4], vals[5]], [vals[6], vals[7]]],
@@ -377,7 +393,7 @@ def cmd_magic_eval(args):
     if len(chosen) != 1:
         raise ValueError("magic-eval needs exactly one of --phi, --bloch, --state")
     if args.phi is not None:
-        phi = _angle(args, args.phi)
+        phi = _angle(args, args.phi, "--phi")
         rho = phase_plus(phi).density()
         label = f"phase:{phi!r}"
     elif args.bloch is not None:
@@ -403,7 +419,7 @@ def cmd_magic_eval(args):
 
 
 def cmd_certify(args):
-    phi = _angle(args, args.phi)
+    phi = _angle(args, args.phi, "--phi")
     if args.shots is None:
         record = steering.certify_exact(phi)
         payload = {
@@ -431,7 +447,7 @@ def cmd_certify(args):
 
 
 def cmd_experiment(args):
-    phis = [_angle(args, p) for p in _floats(args.phis, "--phis")]
+    phis = [_angle(args, p, "--phis") for p in _floats(args.phis, "--phis")]
     report = tomo.experiment_table(
         phis,
         shots=args.shots,

@@ -8,13 +8,14 @@ transcript's messages, in step order; every party hears all of them, so the
 recipient's correction is a function of the transcript alone.
 
 The X measurements act on distinct qubits, so by deferred measurement
-(Nielsen & Chuang section 4.4) H is applied once on the axes of parties
-0..n-2 of the phased GHZ tensor and each branch is a slice of it: the slice
-at (o_0, ..., o_{n-2}) is the recipient's unnormalised state, its squared
-norm the branch probability, and a prefix slice the register after that many
-broadcasts.  A party's marginal is the Gram matrix of its axis in a prefix
-slice, kept as a Bloch vector and mapped back by (x, y, z) -> (z, -y, x)
-where H is still applied on that axis.
+(Nielsen & Chuang section 4.4) H^{(x)(n-1)} on parties 0..n-2, one cached
+2^{n-1} x 2^{n-1} matrix, multiplies the phased GHZ amplitudes once, and
+each branch is a slice of the result: the slice at (o_0, ..., o_{n-2}) is
+the recipient's unnormalised state, its squared norm the branch probability,
+and a prefix slice the register after that many broadcasts.  A party's
+marginal is the Gram matrix of its axis in a prefix slice, read for every
+axis of the slice at once, kept as a Bloch vector and mapped back by
+(x, y, z) -> (z, -y, x) where H is still applied on that axis.
 
 Correction bookkeeping: every X measurement flips the sign of the e^{i phi}
 branch when it lands on "minus", the dealer's included.  The recipient
@@ -30,7 +31,7 @@ and its trace distance to I/2 is |b|/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Sequence
 
@@ -41,7 +42,6 @@ from .qcore import (
     DensityMatrix,
     H,
     apply_1q,
-    apply_on_axes,
     bloch,
     dm_from_bloch,
     ghz,
@@ -89,21 +89,48 @@ class ProtocolTranscript:
                            for k in range(n)) for j in range(n))
 
 
-def _bloch_of(block: np.ndarray) -> np.ndarray:
-    """Bloch vector of the middle axis of an unnormalised (2^a, 2, 2^b) amplitude block."""
-    g = np.einsum("aib,ajb->ij", block, block.conj())
-    return np.array([2 * g[0, 1].real, -2 * g[0, 1].imag,
-                     (g[0, 0] - g[1, 1]).real]) / (g[0, 0] + g[1, 1]).real
+# Bloch vector from the Gram entries (g00, g01, g10, g11) of a qubit:
+# x = 2 Re g01, y = -2 Im g01 = Re(2i g01), z = g00 - g11, before normalising.
+_GRAM_TO_BLOCH = np.array([[0, 0, 1], [2, 2j, 0], [0, 0, 0], [0, 0, -1]])
+
+
+def _blochs(pairs: np.ndarray) -> np.ndarray:
+    """Bloch vectors of unnormalised qubits: ``pairs[..., i, h]`` is the amplitude
+    of the qubit's |i> next to basis state h of the rest; returns shape (..., 3)."""
+    g = (pairs @ pairs.conj().swapaxes(-1, -2)).reshape(pairs.shape[:-2] + (4,))
+    return (g @ _GRAM_TO_BLOCH).real / (g[..., 0] + g[..., 3]).real[..., None]
+
+
+@lru_cache(maxsize=None)
+def _hadamard_power(m: int) -> np.ndarray:
+    """H^{(x)m} as a read-only 2^m x 2^m matrix, party 0 most significant."""
+    h = np.ones((1, 1), dtype=complex)
+    for _ in range(m):
+        h = np.kron(h, H)
+    h.setflags(write=False)
+    return h
+
+
+@lru_cache(maxsize=None)
+def _axis_pairs(m: int) -> np.ndarray:
+    """Read-only (m, 2, 2^{m-1}) flat indices of a (2,)*m tensor: row [a, i]
+    lists the entries with axis a equal to i, the other axes in order."""
+    flat = np.arange(2 ** m).reshape((2,) * m)
+    idx = np.stack([np.moveaxis(flat, a, 0).reshape(2, -1) for a in range(m)])
+    idx.setflags(write=False)
+    return idx
+
+
+def _require_parties(n: int) -> None:
+    if not MIN_PARTIES <= n <= MAX_PARTIES:
+        raise ValueError(f"n must be in [{MIN_PARTIES}, {MAX_PARTIES}]")
 
 
 def _branch_tensor(phi: float, n: int) -> np.ndarray:
     """H on the axes of parties 0..n-2 of P(phi)_0 |GHZ_n>, shape (2,)*n."""
-    if not MIN_PARTIES <= n <= MAX_PARTIES:
-        raise ValueError(f"n must be in [{MIN_PARTIES}, {MAX_PARTIES}]")
-    t = apply_1q(ghz(n), phase_gate(phi), 0).amps.reshape((2,) * n)
-    for axis in range(n - 1):
-        t = apply_on_axes(t, (axis,), H)
-    return t
+    _require_parties(n)
+    psi = apply_1q(ghz(n), phase_gate(phi), 0).amps.reshape(2 ** (n - 1), 2)
+    return (_hadamard_power(n - 1) @ psi).reshape((2,) * n)
 
 
 def _run(t: np.ndarray, phi: float, bits: Sequence[int]) -> ProtocolTranscript:
@@ -112,9 +139,9 @@ def _run(t: np.ndarray, phi: float, bits: Sequence[int]) -> ProtocolTranscript:
     history = np.zeros((n, n, 3))
     for step in range(n):
         s = t[tuple(bits[:step])]
-        for k in range(step, n):
-            b = _bloch_of(s.reshape(2 ** (k - step), 2, -1))
-            history[step, k] = b if k == n - 1 else (b[2], -b[1], b[0])
+        b = _blochs(s.reshape(-1)[_axis_pairs(n - step)])  # one row per remaining axis
+        b[:-1] = b[:-1, ::-1] * (1, -1, 1)  # H is still applied on all but the recipient
+        history[step, step:] = b
     history.setflags(write=False)
 
     probability = float(np.vdot(s, s).real)
@@ -249,7 +276,7 @@ def _deliver_with_gate(gate: np.ndarray) -> tuple[DensityMatrix, DensityMatrix]:
     """
     state = apply_1q(ghz(3), gate, 0)
     _, after_dealer = project_measure(state, 0, "X", 0)
-    bob_marginal = dm_from_bloch(_bloch_of(after_dealer.amps.reshape(1, 2, -1)))
+    bob_marginal = dm_from_bloch(_blochs(after_dealer.amps.reshape(2, -1)))
     _, delivered = project_measure(after_dealer, 0, "X", 0)
     return delivered.density(), bob_marginal
 
@@ -310,13 +337,19 @@ def x_rotation_family(phi: float) -> np.ndarray:
 
 
 def magic_scan(phi_grid: Sequence[float], n: int = 3) -> list[tuple[float, float, float]]:
-    """(phi, C from the closed form, C of the exact protocol output) per grid point."""
-    grid = [float(p) for p in phi_grid]
-    if not grid:
-        raise ValueError("phi grid must be nonempty")
-    rows = []
-    for phi in grid:
-        delivered = _branch_tensor(phi, n)[(0,) * (n - 1)]  # all-plus: no correction
-        rows.append((phi, c_closed_form(phi),
-                     octahedron_distance(_bloch_of(delivered.reshape(1, 2, 1)))))
-    return rows
+    """(phi, C from the closed form, C of the exact protocol output) per grid point.
+
+    Every point reads the all-plus branch, which needs no correction.  Parties
+    1..n-2 enter it only through <+|, so they are contracted out of |GHZ_n>
+    once, leaving a 2x2 matrix M over (dealer, recipient); the dealer's
+    <+| P(phi) is the row (1, e^{i phi})/sqrt(2), so the whole grid's
+    delivered states are one (grid, 2) row stack times M.
+    """
+    grid = np.array(phi_grid, dtype=float).reshape(-1)
+    if grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise ValueError("phi grid must be nonempty and finite")
+    _require_parties(n)
+    m = _hadamard_power(n - 2)[0] @ ghz(n).amps.reshape(2, 2 ** (n - 2), 2)
+    dealer = np.stack([np.ones(grid.size), np.exp(1j * grid)], axis=-1) / np.sqrt(2)
+    c_protocol = octahedron_distance(_blochs((dealer @ m)[..., None]))
+    return [(phi, c_closed_form(phi), c) for phi, c in zip(grid.tolist(), c_protocol.tolist())]

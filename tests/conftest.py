@@ -3,7 +3,9 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from mss.qcore import DensityMatrix, PureState
+from mss.magic import c_closed_form, octahedron_distance
+from mss.qcore import (DensityMatrix, H, PureState, apply_1q, apply_on_axes, bloch, ghz,
+                       phase_gate)
 
 # Property tests draw the same examples on every run and keep no example database.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -27,6 +29,27 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         cur -= 1
     dim = 2 ** cur
     return DensityMatrix(t.reshape(dim, dim))
+
+
+def reference_branch_tensor(phi: float, n: int) -> np.ndarray:
+    """The deferred-measurement branch tensor built one party at a time: H
+    contracted with each of the axes of parties 0..n-2 of P(phi)_0 |GHZ_n> in
+    turn, shape (2,)*n."""
+    t = apply_1q(ghz(n), phase_gate(phi), 0).amps.reshape((2,) * n)
+    for axis in range(n - 1):
+        t = apply_on_axes(t, (axis,), H)
+    return t
+
+
+def reference_magic_scan(phi_grid, n: int) -> list[tuple[float, float, float]]:
+    """magic_scan point by point: the all-plus slice of a freshly built branch
+    tensor, normalised into a density matrix whose Bloch vector gives C."""
+    rows = []
+    for phi in phi_grid:
+        delivered = reference_branch_tensor(float(phi), n)[(0,) * (n - 1)]
+        rho = DensityMatrix(np.outer(delivered, delivered.conj()) / np.vdot(delivered, delivered).real)
+        rows.append((float(phi), c_closed_form(float(phi)), octahedron_distance(bloch(rho))))
+    return rows
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> PureState:

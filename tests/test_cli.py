@@ -70,9 +70,14 @@ class TestRun:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in exp:RuntimeWarning")
     def test_non_finite_phi_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "run", "--phi", "inf", "--outcomes", "++")
-        assert code == 2 and out == ""
-        assert "non-finite" in err
+        # Rejected at the flag, before any numpy call could warn or a gate check fire.
+        for argv, value in [(("run", "--outcomes", "++"), "inf"), (("run", "--seed", "3"), "-inf"),
+                            (("run", "--outcomes", "++", "--degrees"), "inf"),
+                            (("certify",), "nan"), (("certify", "--degrees"), "nan"),
+                            (("magic-eval",), "inf"), (("magic-eval",), "nan")]:
+            code, out, err = run_cli(capsys, *argv, f"--phi={value}")
+            assert code == 2 and out == ""
+            assert err == f"mss: --phi must be finite, got {value}\n"
 
     def test_bad_n_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--phi", PI_4, "--n", "9",
@@ -107,6 +112,20 @@ class TestScan:
         code, out, err = run_cli(capsys, "scan", "--grid", "0:nan:3")
         assert code == 2 and out == ""
         assert "non-finite" in err
+
+    @pytest.mark.parametrize("grid", ["-1e308:1e308:3", "1.7e308:-1.7e308:1"])
+    def test_overflowing_grid_span_is_usage_error(self, capsys, grid):
+        # Both ends are finite, but np.linspace would overflow on stop - start.
+        code, out, err = run_cli(capsys, "scan", f"--grid={grid}")
+        start, stop, _ = (float(v) for v in grid.split(":"))
+        assert code == 2 and out == ""
+        assert err == f"mss: --grid span from {start!r} to {stop!r} overflows a float\n"
+
+    def test_wide_grid_in_degrees_runs(self, capsys):
+        rows = run_json(capsys, "scan", "--grid=-1e308:1e308:3", "--degrees")["rows"]
+        assert [row["phi"] for row in rows] == [math.radians(-1e308), 0.0, math.radians(1e308)]
+        for row in rows:
+            assert row["c_protocol"] == pytest.approx(row["c_theory"], abs=1e-7)
 
     @pytest.mark.parametrize("grid", ["0:1:x", "0:1:2.5", "a:1:3", "0:b:3", "0:1:0", "0:1", "0:1:2:3"])
     def test_malformed_grid_names_the_flag(self, capsys, grid):

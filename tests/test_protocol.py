@@ -1,6 +1,8 @@
 """Protocol tests: faithfulness, security, the threshold induction, and the
 column-sum gate characterisation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,8 @@ from mss.qcore import (
     trace_distance,
 )
 
-from conftest import partial_trace, random_pure_state, random_unitary
+from conftest import (partial_trace, random_pure_state, random_unitary, reference_branch_tensor,
+                      reference_magic_scan)
 
 
 def reference_run_exact(phi, n, outcomes=None, seed=None, state=None):
@@ -343,3 +346,74 @@ class TestMagicScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             magic_scan([])
+
+    @pytest.mark.parametrize("grid", [[0.1, float("nan")], [float("inf")], [0.2, -float("inf"), 0.3]])
+    def test_non_finite_grid_point_rejected(self, grid):
+        with pytest.raises(ValueError, match="finite"):
+            magic_scan(grid)
+
+    def test_party_count_bounds(self):
+        for n in (2, MAX_PARTIES + 1):
+            with pytest.raises(ValueError, match="n must be"):
+                magic_scan([0.3], n)
+
+
+def _oracle_phis(rng):
+    """Random angles plus the four stabilizer secrets."""
+    return [*rng.uniform(0, 2 * np.pi, size=8), 0.0, np.pi / 2, np.pi, 3 * np.pi / 2]
+
+
+class TestOneContraction:
+    """The cached H^{(x)(n-1)} product and the batched scan against the
+    per-axis contractions and per-point slices they replace."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_branch_tensor_matches_reference(self, n, rng):
+        for phi in _oracle_phis(rng):
+            t = protocol._branch_tensor(phi, n)
+            assert t.shape == (2,) * n
+            assert np.max(np.abs(t - reference_branch_tensor(phi, n))) <= 1e-15
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_magic_scan_matches_reference(self, n, rng):
+        phis = _oracle_phis(rng)
+        for got, want in zip(magic_scan(phis, n), reference_magic_scan(phis, n), strict=True):
+            assert got[:2] == want[:2]
+            assert abs(got[2] - want[2]) <= 1e-15
+
+    def test_large_scan_matches_closed_form(self):
+        grid = np.linspace(-2 * np.pi, 4 * np.pi, 10_000)
+        n = 6
+        magic_scan(grid[:2], n)  # fill the caches first
+        tracemalloc.start()
+        try:
+            rows = magic_scan(grid, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [row[0] for row in rows] == grid.tolist()
+        assert max(abs(c_th - c_pr) for _, c_th, c_pr in rows) <= 1e-7
+        assert peak < grid.size * 2 ** n * 16 // 2  # no (grid, 2^n) complex array
+
+    def test_scan_reads_no_branch_tensor(self, monkeypatch):
+        def refuse(phi, n):
+            raise AssertionError("magic_scan built a branch tensor")
+        monkeypatch.setattr(protocol, "_branch_tensor", refuse)
+        assert len(magic_scan([0.1, 0.2, 0.3], 5)) == 3
+
+    def test_cached_tables_are_read_only(self):
+        for m in range(1, MAX_PARTIES):
+            h = protocol._hadamard_power(m)
+            assert h is protocol._hadamard_power(m) and not h.flags.writeable
+            want = np.ones((1, 1))
+            for _ in range(m):
+                want = np.kron(want, H)
+            assert np.array_equal(h, want)
+    def test_axis_pairs_gather_each_axis(self, rng):
+        for m in range(1, MAX_PARTIES + 1):
+            idx = protocol._axis_pairs(m)
+            assert idx is protocol._axis_pairs(m) and not idx.flags.writeable
+            t = rng.normal(size=(2,) * m)
+            for a in range(m):
+                for i in (0, 1):
+                    assert np.array_equal(t.reshape(-1)[idx[a, i]], np.take(t, i, axis=a).reshape(-1))
