@@ -9,8 +9,9 @@ commands require an explicit seed; nothing is ever seeded from the clock.
 A ``--config`` file's ``key = value`` entries that name flags of the subcommand
 are parsed as flags placed before the command line's own, which win.
 
-Exit codes: 0 success, 2 usage error (bad flags or domain preconditions),
-1 internal invariant violation, with the violated invariant named on stderr.
+Exit codes: 0 success, 2 usage error (bad flags, domain preconditions or an
+unwritable --out path), 1 internal invariant violation, with the violated
+invariant named on stderr.
 """
 
 from __future__ import annotations
@@ -58,17 +59,16 @@ def main(argv=None) -> int:
             rendered = output.csv if output.csv is not None else _flatten_csv(output.payload)
         else:
             rendered = output.pretty if output.pretty is not None else _flatten_pretty(output.payload)
+        if args.out:
+            _write_out(Path(args.out), rendered)
+            return 0
     except ValueError as exc:
         print(f"mss: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"mss: internal invariant violation: {exc}", file=sys.stderr)
         return 1
-
-    if args.out:
-        Path(args.out).write_text(rendered)
-    else:
-        sys.stdout.write(rendered)
+    sys.stdout.write(rendered)
     return 0
 
 
@@ -196,6 +196,14 @@ def _with_config(args, argv: list[str]) -> list[str]:
     return argv[:at] + flags + argv[at:]
 
 
+def _write_out(path: Path, text: str) -> None:
+    """Write one output file; an unwritable --out path is a usage error."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out file {str(path)!r}: {exc.strerror or exc}") from None
+
+
 def _angle(args, value: float, flag: str) -> float:
     """``value`` in radians, converted if --degrees is given; must be finite."""
     phi = float(np.radians(value)) if args.degrees else float(value)
@@ -298,6 +306,8 @@ def _dm_to_json(dm) -> dict:
 
 def cmd_run(args):
     phi = _angle(args, args.phi, "--phi")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     transcript = protocol.run_exact(phi, args.n, outcomes=args.outcomes, seed=args.seed)
     report = protocol.security_report(transcript)
     final_c = magic.octahedron_distance(bloch(transcript.final_state))
@@ -469,9 +479,9 @@ def cmd_experiment(args):
         _require_finite(payload)  # before any file is written
         json_text = _json_text(payload)
         base = Path(args.out)
-        base.with_suffix(".csv").write_text(csv_text)
-        base.with_suffix(".json").write_text(json_text)
-        Path(str(base) + "_curve.csv").write_text(report.plot_data_csv())
+        _write_out(base.with_suffix(".csv"), csv_text)
+        _write_out(base.with_suffix(".json"), json_text)
+        _write_out(Path(str(base) + "_curve.csv"), report.plot_data_csv())
         sys.stdout.write(pretty)
         return CommandOutput(payload, already_written=True)
     return CommandOutput(payload, csv=csv_text, pretty=pretty)

@@ -25,7 +25,9 @@ The transcript keeps the raw broadcasts so either convention can be audited.
 
 Security is read from Bloch vectors b alone: a party's magic is the
 octahedron distance of b, which equals the Wigner-distance LP for one qubit,
-and its trace distance to I/2 is |b|/2.
+and its trace distance to I/2 is |b|/2.  Gate admissibility reads the same
+tensor with an arbitrary gate in place of P(phi), and so does the steering
+assemblage, with the dealer's setting rotation folded into that gate.
 """
 
 from __future__ import annotations
@@ -42,14 +44,10 @@ from .qcore import (
     DensityMatrix,
     H,
     apply_1q,
-    bloch,
     dm_from_bloch,
     ghz,
-    maximally_mixed,
     phase_gate,
-    project_measure,
     require_unitary,
-    trace_distance,
 )
 
 MIN_PARTIES = 3
@@ -101,6 +99,12 @@ def _blochs(pairs: np.ndarray) -> np.ndarray:
     return (g @ _GRAM_TO_BLOCH).real / (g[..., 0] + g[..., 3]).real[..., None]
 
 
+def _from_h_frame(b: np.ndarray) -> np.ndarray:
+    """Bloch vectors read on an axis that H is still applied on, mapped back
+    by (x, y, z) -> (z, -y, x); the last axis of ``b`` holds (x, y, z)."""
+    return b[..., ::-1] * (1, -1, 1)
+
+
 @lru_cache(maxsize=None)
 def _hadamard_power(m: int) -> np.ndarray:
     """H^{(x)m} as a read-only 2^m x 2^m matrix, party 0 most significant."""
@@ -126,10 +130,11 @@ def _require_parties(n: int) -> None:
         raise ValueError(f"n must be in [{MIN_PARTIES}, {MAX_PARTIES}]")
 
 
-def _branch_tensor(phi: float, n: int) -> np.ndarray:
-    """H on the axes of parties 0..n-2 of P(phi)_0 |GHZ_n>, shape (2,)*n."""
+def _branch_tensor(gate: np.ndarray, n: int) -> np.ndarray:
+    """H on the axes of parties 0..n-2 of gate_0 |GHZ_n>, shape (2,)*n; the
+    protocol injects gate = P(phi)."""
     _require_parties(n)
-    psi = apply_1q(ghz(n), phase_gate(phi), 0).amps.reshape(2 ** (n - 1), 2)
+    psi = apply_1q(ghz(n), gate, 0).amps.reshape(2 ** (n - 1), 2)
     return (_hadamard_power(n - 1) @ psi).reshape((2,) * n)
 
 
@@ -140,7 +145,7 @@ def _run(t: np.ndarray, phi: float, bits: Sequence[int]) -> ProtocolTranscript:
     for step in range(n):
         s = t[tuple(bits[:step])]
         b = _blochs(s.reshape(-1)[_axis_pairs(n - step)])  # one row per remaining axis
-        b[:-1] = b[:-1, ::-1] * (1, -1, 1)  # H is still applied on all but the recipient
+        b[:-1] = _from_h_frame(b[:-1])  # H is still applied on all but the recipient
         history[step, step:] = b
     history.setflags(write=False)
 
@@ -169,7 +174,7 @@ def run_exact(phi: float, n: int = 3,
     seeded generator.  Works at every phi: the excluded secret values
     {0, pi/2, pi, 3pi/2} simply deliver a stabilizer state with C = 0.
     """
-    t = _branch_tensor(phi, n)
+    t = _branch_tensor(phase_gate(phi), n)
     if outcomes is not None:
         if len(outcomes) != n - 1 or any(o not in (PLUS, MINUS) for o in outcomes):
             raise ValueError(f"outcomes must be {n - 1} symbols drawn from '+-'")
@@ -186,7 +191,7 @@ def run_exact(phi: float, n: int = 3,
 
 def run_all_branches(phi: float, n: int = 3) -> list[ProtocolTranscript]:
     """All 2^{n-1} forced-outcome branches of one protocol instance."""
-    t = _branch_tensor(phi, n)
+    t = _branch_tensor(phase_gate(phi), n)
     return [_run(t, phi, bits) for bits in product((0, 1), repeat=n - 1)]
 
 
@@ -264,27 +269,24 @@ def satisfies_column_sum(gate: np.ndarray, atol: float = 1e-10) -> bool:
     return abs(s0 - 1.0) <= atol and abs(s1 - 1.0) <= atol
 
 
-def _deliver_with_gate(gate: np.ndarray) -> tuple[DensityMatrix, DensityMatrix]:
+def _deliver_with_gate(gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(2,3) run with an arbitrary injected gate on the dealer qubit.
 
     Post-selects the dealer's |+> outcome (probability exactly 1/2 for any
     unitary) and uses the plus branch of the other coalition member, whose
-    minus branch differs only by the Z correction.  Returns the recipient's
-    delivered state and the remaining coalition member's marginal right
-    after the dealer's projection, which is the moment the column-sum
-    condition speaks about.
+    minus branch differs only by the Z correction.  Returns the Bloch vectors
+    of the recipient's delivered state and of the remaining coalition
+    member's marginal right after the dealer's projection, which is the
+    moment the column-sum condition speaks about.
     """
-    state = apply_1q(ghz(3), gate, 0)
-    _, after_dealer = project_measure(state, 0, "X", 0)
-    bob_marginal = dm_from_bloch(_blochs(after_dealer.amps.reshape(2, -1)))
-    _, delivered = project_measure(after_dealer, 0, "X", 0)
-    return delivered.density(), bob_marginal
+    t = _branch_tensor(gate, 3)
+    return _blochs(t[0, 0][:, None]), _from_h_frame(_blochs(t[0]))
 
 
 def bob_marginal_after_projection(gate: np.ndarray) -> DensityMatrix:
     """Coalition-member marginal after the dealer's |+> projection."""
-    _, marginal = _deliver_with_gate(require_unitary(gate, atol=1e-10))
-    return marginal
+    _, bob = _deliver_with_gate(require_unitary(gate, atol=1e-10))
+    return dm_from_bloch(bob)
 
 
 def check_gate_admissibility(gate, probe_phis: Sequence[float]) -> GateAdmissibility:
@@ -300,25 +302,19 @@ def check_gate_admissibility(gate, probe_phis: Sequence[float]) -> GateAdmissibi
         raise ValueError("probe_phis must be nonempty and finite")
     family: GateFamily = gate if callable(gate) else (lambda _phi, _g=np.asarray(gate, dtype=complex): _g)
 
-    col0, col1, c_vals, bob_dists = [], [], [], []
-    half = maximally_mixed(1)
-    for phi in probes:
-        g = require_unitary(family(phi), atol=1e-10)
-        s0, s1 = column_sums(g)
-        delivered, bob = _deliver_with_gate(g)
-        col0.append(s0)
-        col1.append(s1)
-        c_vals.append(octahedron_distance(bloch(delivered)))
-        bob_dists.append(trace_distance(bob, half))
+    gates = [require_unitary(family(phi), atol=1e-10) for phi in probes]
+    col0, col1 = zip(*map(column_sums, gates))
+    blochs = np.array([_deliver_with_gate(g) for g in gates])  # [probe, (delivered, bob), xyz]
+    c_vals = tuple(octahedron_distance(blochs[:, 0]).tolist())
 
     secure = all(abs(s - 1.0) <= 1e-10 for s in col0 + col1)
     faithful = max(c_vals) > 1e-6 and (max(c_vals) - min(c_vals)) > 1e-7
     return GateAdmissibility(
         probe_phis=tuple(probes),
-        col0_sums=tuple(col0),
-        col1_sums=tuple(col1),
-        c_values=tuple(c_vals),
-        bob_i2_distances=tuple(bob_dists),
+        col0_sums=col0,
+        col1_sums=col1,
+        c_values=c_vals,
+        bob_i2_distances=tuple((np.linalg.norm(blochs[:, 1], axis=-1) / 2).tolist()),
         secure=secure,
         faithful=faithful,
     )

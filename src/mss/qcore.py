@@ -28,20 +28,6 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 S = np.array([[1, 0], [0, 1j]], dtype=complex)
 
-# +1 / -1 eigenvectors of each measurement basis; outcome 0 is the +1 branch.
-_BASIS_VECTORS = {
-    "Z": (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
-    "X": (np.array([1, 1], dtype=complex) / np.sqrt(2),
-          np.array([1, -1], dtype=complex) / np.sqrt(2)),
-    "Y": (np.array([1, 1j], dtype=complex) / np.sqrt(2),
-          np.array([1, -1j], dtype=complex) / np.sqrt(2)),
-}
-
-
-class ImpossibleBranchError(ValueError):
-    """Requested a measurement outcome whose probability is below 1e-14."""
-
-
 def phase_gate(phi: float) -> np.ndarray:
     """P(phi) = diag(1, e^{i phi}); phi = pi/4 is the T gate."""
     return np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=complex)
@@ -199,44 +185,6 @@ def apply_1q(state: PureState, gate: np.ndarray, target: int) -> PureState:
     return PureState(psi.reshape(-1))
 
 
-def apply_cx(state: PureState, control: int, target: int) -> PureState:
-    """Controlled-X on a pure register."""
-    n = state.n_qubits
-    if control == target:
-        raise ValueError("control and target must differ")
-    if not (0 <= control < n and 0 <= target < n):
-        raise ValueError("qubit index out of range")
-    psi = apply_on_axes(state.amps.reshape((2,) * n), (control, target))
-    return PureState(psi.reshape(-1))
-
-
-def project_measure(state: PureState, target: int, basis: str, outcome: int):
-    """Projectively measure ``target`` in a Pauli basis and drop the qubit.
-
-    ``outcome`` 0 is the +1 eigenvalue branch, 1 the -1 branch.  Returns
-    ``(probability, post_state)`` where the post state is renormalised and
-    the measured qubit is removed from the register (the register shrinks
-    by one qubit, preserving the order of the others).
-    """
-    n = state.n_qubits
-    if not 0 <= target < n:
-        raise ValueError(f"target {target} out of range for {n} qubits")
-    if n < 2:
-        raise ValueError("cannot remove the last qubit of a register")
-    if basis not in _BASIS_VECTORS:
-        raise ValueError(f"basis must be one of X, Y, Z, got {basis!r}")
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
-    v = _BASIS_VECTORS[basis][outcome]
-    psi = state.amps.reshape((2,) * n)
-    proj = np.tensordot(v.conj(), psi, axes=([0], [target]))
-    prob = float(np.vdot(proj, proj).real)
-    if prob < 1e-14:
-        raise ImpossibleBranchError(
-            f"outcome {outcome} in basis {basis} has probability {prob:.3e}")
-    return prob, PureState(proj.reshape(-1) / np.sqrt(prob))
-
-
 def fidelity(rho: DensityMatrix, psi: PureState) -> float:
     """<psi| rho |psi> for a mixed state against a pure reference."""
     if rho.n_qubits != psi.n_qubits:
@@ -245,13 +193,6 @@ def fidelity(rho: DensityMatrix, psi: PureState) -> float:
     if abs(val.imag) > ATOL_CONSTRUCT:
         raise ValueError("fidelity has imaginary part above 1e-12")
     return float(val.real)
-
-
-def overlap2(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2, the global-phase-insensitive pure-state fidelity."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("qubit counts differ")
-    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

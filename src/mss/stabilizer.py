@@ -20,10 +20,19 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .qcore import _BASIS_VECTORS, H, I2, PureState, S
+from .qcore import H, I2, PureState, S
 from .wigner import WignerVector, _operator_stack
 
 _PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+
+# +1 / -1 eigenvectors of Z, X and Y: the six 1-qubit stabilizer states.
+_BASIS_VECTORS = {
+    "Z": (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
+    "X": (np.array([1, 1], dtype=complex) / np.sqrt(2),
+          np.array([1, -1], dtype=complex) / np.sqrt(2)),
+    "Y": (np.array([1, 1j], dtype=complex) / np.sqrt(2),
+          np.array([1, -1j], dtype=complex) / np.sqrt(2)),
+}
 
 
 @dataclass(frozen=True)

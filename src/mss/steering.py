@@ -8,14 +8,19 @@ then steer the recipient into conditional states whose magic equals the
 secret's C(phi), and the LP dual witness turns that into a linear
 functional a stabilizer local-hidden-state model can never satisfy.
 
+Each sigma_{b|x} is a slice of the protocol's branch tensor with R_x P(phi)
+injected, where H R_x is setting x's readout rotation: the recipient's state
+at the dealer's readout bit b and the middle party's "+".
+
 Outcome convention: outcome 0 of the X setting projects the dealer onto
 |+>; outcome 0 of the Y setting projects onto (|0> - i|1>)/sqrt(2), the -1
-eigenstate, so that sigma_{0|Y} = S sigma_{0|X} S^dagger.  That covariance
-is what lets one witness serve both settings: the functional evaluates the
-Y term against the S-conjugated witness (same stabilizer bound, because
-Clifford conjugation permutes the polytope vertices), and a single LP solve
-at sigma_{0|X} certifies the gap exactly.  No angle ever enters the
-certification path except through the assemblage states themselves.
+eigenstate and readout bit 1, so that sigma_{0|Y} = S sigma_{0|X} S^dagger.
+That covariance is what lets one witness serve both settings: the
+functional evaluates the Y term against the S-conjugated witness (same
+stabilizer bound, because Clifford conjugation permutes the polytope
+vertices), and a single LP solve at sigma_{0|X} certifies the gap exactly.
+No angle ever enters the certification path except through the assemblage
+states themselves.
 """
 
 from __future__ import annotations
@@ -26,17 +31,8 @@ from typing import Mapping
 import numpy as np
 
 from .magic import MagicResult, wigner_distance, witness_signs
-from .qcore import (
-    DensityMatrix,
-    PureState,
-    S,
-    Z,
-    apply_1q,
-    ghz,
-    phase_gate,
-    project_measure,
-    trace_distance,
-)
+from .protocol import _branch_tensor
+from .qcore import H, I2, DensityMatrix, S, phase_gate
 from .stabilizer import enumerate_stabilizer_states
 
 SETTINGS = ("X", "Y")
@@ -78,32 +74,32 @@ class CertificationRecord:
     phi_hidden: bool = True  # structural: the evaluation path never sees phi
 
 
-def _dealer_recipient_state(phi: float) -> PureState:
-    """rho_AC after the middle party's measurement and the Z correction.
+# R_x per dealer setting: H R_x is the setting's readout rotation.
+_SETTING_ROTATION = {"X": I2, "Y": S.conj().T, "Z": H}
 
-    Both branches are computed and compared so every call re-verifies the
-    branch independence the correction is supposed to provide.
+
+def _conditional_states(setting: str, phi: float) -> list[tuple[float, DensityMatrix]]:
+    """(p(b|x), sigma_{b|x}) for the dealer's readout bits b = 0, 1.
+
+    The middle party's "-" slice, Z-corrected, is compared against its "+"
+    slice on every call, which re-verifies the branch independence the
+    correction is supposed to provide.
     """
-    state = apply_1q(ghz(3), phase_gate(phi), 0)
-    # middle party is register position 1 (dealer 0, recipient 2)
-    _, plus_branch = project_measure(state, 1, "X", 0)
-    _, minus_branch = project_measure(state, 1, "X", 1)
-    corrected = apply_1q(minus_branch, Z, 1)
-    if trace_distance(plus_branch.density(), corrected.density()) > 1e-10:
+    t = _branch_tensor(_SETTING_ROTATION[setting] @ phase_gate(phi), 3)
+    if np.max(np.abs(t[:, 0] - t[:, 1] * (1, -1))) > 1e-10:
         raise RuntimeError("branch independence violated in assemblage construction")
-    return plus_branch
+    half_p = [float(np.vdot(s, s).real) for s in t[:, 0]]  # the middle party's "+" has p = 1/2
+    return [(2 * h, DensityMatrix(np.outer(s, s.conj()) / h)) for s, h in zip(t[:, 0], half_p)]
 
 
 def build_assemblage(phi: float) -> Assemblage:
     """The ideal protocol assemblage for secret angle phi."""
-    psi = _dealer_recipient_state(phi)
     members = {}
     for setting in SETTINGS:
+        states = _conditional_states(setting, phi)
         for outcome in (0, 1):
-            # Y outcome 0 is the -1 eigenstate (see module docstring).
-            branch = outcome if setting == "X" else 1 - outcome
-            prob, cond = project_measure(psi, 0, setting, branch)
-            members[(setting, outcome)] = (prob, cond.density())
+            # Y outcome 0 is the -1 eigenstate, readout bit 1 (see module docstring).
+            members[(setting, outcome)] = states[outcome if setting == "X" else 1 - outcome]
     return Assemblage(members=members)
 
 
@@ -113,9 +109,7 @@ def z_setting_probe(phi: float) -> DensityMatrix:
     Always |0><0| regardless of phi: the computational-basis setting leaks
     no magic, which is why the functional uses X and Y only.
     """
-    psi = _dealer_recipient_state(phi)
-    _, cond = project_measure(psi, 0, "Z", 0)
-    return cond.density()
+    return _conditional_states("Z", phi)[0][1]
 
 
 def solve_witness(assemblage: Assemblage) -> MagicResult:

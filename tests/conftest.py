@@ -4,8 +4,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from mss.magic import c_closed_form, octahedron_distance
-from mss.qcore import (DensityMatrix, H, PureState, apply_1q, apply_on_axes, bloch, ghz,
-                       phase_gate)
+from mss.qcore import (DensityMatrix, H, PureState, Z, apply_1q, apply_on_axes, bloch, ghz,
+                       phase_gate, trace_distance)
 
 # Property tests draw the same examples on every run and keep no example database.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -29,6 +29,83 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         cur -= 1
     dim = 2 ** cur
     return DensityMatrix(t.reshape(dim, dim))
+
+
+# +1 / -1 eigenvectors of each measurement basis; outcome 0 is the +1 branch.
+_BASIS_VECTORS = {
+    "Z": (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
+    "X": (np.array([1, 1], dtype=complex) / np.sqrt(2),
+          np.array([1, -1], dtype=complex) / np.sqrt(2)),
+    "Y": (np.array([1, 1j], dtype=complex) / np.sqrt(2),
+          np.array([1, -1j], dtype=complex) / np.sqrt(2)),
+}
+
+
+class ImpossibleBranchError(ValueError):
+    """Requested a measurement outcome whose probability is below 1e-14."""
+
+
+def project_measure(state: PureState, target: int, basis: str, outcome: int):
+    """Projectively measure ``target`` in a Pauli basis and drop the qubit.
+
+    The stepwise oracle for every read of a measurement branch: ``outcome`` 0
+    is the +1 eigenvalue branch, 1 the -1 branch.  Returns ``(probability,
+    post_state)`` where the post state is renormalised and the measured qubit
+    is removed from the register (the register shrinks by one qubit,
+    preserving the order of the others).
+    """
+    n = state.n_qubits
+    if not 0 <= target < n:
+        raise ValueError(f"target {target} out of range for {n} qubits")
+    if n < 2:
+        raise ValueError("cannot remove the last qubit of a register")
+    if basis not in _BASIS_VECTORS:
+        raise ValueError(f"basis must be one of X, Y, Z, got {basis!r}")
+    if outcome not in (0, 1):
+        raise ValueError("outcome must be 0 or 1")
+    v = _BASIS_VECTORS[basis][outcome]
+    psi = state.amps.reshape((2,) * n)
+    proj = np.tensordot(v.conj(), psi, axes=([0], [target]))
+    prob = float(np.vdot(proj, proj).real)
+    if prob < 1e-14:
+        raise ImpossibleBranchError(
+            f"outcome {outcome} in basis {basis} has probability {prob:.3e}")
+    return prob, PureState(proj.reshape(-1) / np.sqrt(prob))
+
+
+def overlap2(a: PureState, b: PureState) -> float:
+    """|<a|b>|^2, the global-phase-insensitive pure-state fidelity."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError("qubit counts differ")
+    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
+
+
+def reference_deliver_with_gate(gate) -> tuple[DensityMatrix, DensityMatrix]:
+    """(2,3) run with ``gate`` on the dealer, measured one party at a time:
+    (recipient's state after the dealer's and the middle party's "+",
+    middle party's marginal right after the dealer's "+")."""
+    _, after_dealer = project_measure(apply_1q(ghz(3), gate, 0), 0, "X", 0)
+    _, delivered = project_measure(after_dealer, 0, "X", 0)
+    return delivered.density(), partial_trace(after_dealer.density(), keep={0})
+
+
+def reference_build_assemblage(phi: float) -> dict:
+    """{(setting, outcome): (p, sigma)} for the dealer's X, Y and Z settings,
+    measured one party at a time: the middle party's "+" first, checked
+    against its Z-corrected "-", then the dealer.  Y outcome 0 is the -1
+    eigenstate."""
+    state = apply_1q(ghz(3), phase_gate(phi), 0)
+    _, plus_branch = project_measure(state, 1, "X", 0)
+    _, minus_branch = project_measure(state, 1, "X", 1)
+    corrected = apply_1q(minus_branch, Z, 1)
+    assert trace_distance(plus_branch.density(), corrected.density()) <= 1e-10
+    members = {}
+    for setting in ("X", "Y", "Z"):
+        for outcome in (0, 1):
+            prob, cond = project_measure(plus_branch, 0, setting,
+                                         1 - outcome if setting == "Y" else outcome)
+            members[(setting, outcome)] = (prob, cond.density())
+    return members
 
 
 def reference_branch_tensor(phi: float, n: int) -> np.ndarray:

@@ -53,6 +53,11 @@ class TestRun:
         assert code == 2
         assert "seed" in err
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--phi", PI_4, "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "mss: --seed must be non-negative, got -1\n"
+
     def test_degrees_flag(self, capsys):
         payload = run_json(capsys, "run", "--phi", "45", "--outcomes", "++", "--degrees")
         assert payload["phi"] == pytest.approx(math.pi / 4, abs=1e-12)
@@ -332,6 +337,18 @@ class TestOutputFile:
         assert code == 0 and out == ""
         payload = json.loads(target.read_text())
         assert payload["c"] == pytest.approx(0.20710678118654752, abs=1e-7)
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--phi", PI_4, "--outcomes", "++", "--format", "json"),
+        ("experiment", "--phis", PI_8, "--shots", "256", "--seed", "5", "--boot", "100"),
+    ])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("mss: cannot write --out file ")
+        assert "No such file or directory" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExitCodes:

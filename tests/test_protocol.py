@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mss import protocol
-from mss.magic import c_closed_form, wigner_distance
+from mss.magic import c_closed_form, octahedron_distance, wigner_distance
 from mss.protocol import (
     MAX_PARTIES,
     check_gate_admissibility,
@@ -26,17 +26,17 @@ from mss.qcore import (
     Z,
     apply_1q,
     apply_on_axes,
+    bloch,
     fidelity,
     ghz,
     maximally_mixed,
     phase_gate,
     phase_plus,
-    project_measure,
     trace_distance,
 )
 
-from conftest import (partial_trace, random_pure_state, random_unitary, reference_branch_tensor,
-                      reference_magic_scan)
+from conftest import (partial_trace, project_measure, random_pure_state, random_unitary,
+                      reference_branch_tensor, reference_deliver_with_gate, reference_magic_scan)
 
 
 def reference_run_exact(phi, n, outcomes=None, seed=None, state=None):
@@ -229,7 +229,7 @@ class TestThresholdInduction:
     def test_remaining_register_is_ghz_ladder(self):
         # After j measurements, the remaining parties share the (n-j)-party
         # ladder (|0..0> + e^{i phi}|1..1>)/sqrt(2) up to the pending parity.
-        from mss.qcore import PureState, Z, apply_1q, ghz, phase_gate, project_measure
+        from mss.qcore import PureState, Z, apply_1q, ghz, phase_gate
 
         phi, n = 0.73, 5
         state = apply_1q(ghz(n), phase_gate(phi), 0)
@@ -334,6 +334,28 @@ class TestGateAdmissibility:
         assert seen == {True, False}
 
 
+class TestGateCheckMatchesStepwiseOracle:
+    """Gate admissibility reads two slices of the branch tensor; the oracle
+    projects the dealer and the middle party out of the statevector in turn."""
+
+    def gates(self, rng):
+        phis = [*rng.uniform(0, 2 * np.pi, size=20), 0.0, np.pi / 2, np.pi, 3 * np.pi / 2]
+        return [random_unitary(1, rng) for _ in range(100)] + [phase_gate(phi) for phi in phis]
+
+    def test_check_gate_admissibility(self, rng):
+        half = maximally_mixed(1)
+        for u in self.gates(rng):
+            rec = check_gate_admissibility(u, [0.0])
+            delivered, bob = reference_deliver_with_gate(u)
+            assert abs(rec.c_values[0] - octahedron_distance(bloch(delivered))) <= 1e-12
+            assert abs(rec.bob_i2_distances[0] - trace_distance(bob, half)) <= 1e-12
+
+    def test_bob_marginal_after_projection(self, rng):
+        for u in self.gates(rng):
+            _, bob = reference_deliver_with_gate(u)
+            assert np.max(np.abs(bob_marginal_after_projection(u).mat - bob.mat)) <= 1e-12
+
+
 class TestMagicScan:
     def test_table_values(self):
         rows = magic_scan([np.pi / 8, 3 * np.pi / 4, np.pi], n=3)
@@ -370,7 +392,7 @@ class TestOneContraction:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_branch_tensor_matches_reference(self, n, rng):
         for phi in _oracle_phis(rng):
-            t = protocol._branch_tensor(phi, n)
+            t = protocol._branch_tensor(phase_gate(phi), n)
             assert t.shape == (2,) * n
             assert np.max(np.abs(t - reference_branch_tensor(phi, n))) <= 1e-15
 
@@ -396,7 +418,7 @@ class TestOneContraction:
         assert peak < grid.size * 2 ** n * 16 // 2  # no (grid, 2^n) complex array
 
     def test_scan_reads_no_branch_tensor(self, monkeypatch):
-        def refuse(phi, n):
+        def refuse(gate, n):
             raise AssertionError("magic_scan built a branch tensor")
         monkeypatch.setattr(protocol, "_branch_tensor", refuse)
         assert len(magic_scan([0.1, 0.2, 0.3], 5)) == 3

@@ -6,10 +6,8 @@ import pytest
 from mss import qcore
 from mss.qcore import (
     DensityMatrix,
-    ImpossibleBranchError,
     PureState,
     apply_1q,
-    apply_cx,
     bloch,
     dm_from_bloch,
     fidelity,
@@ -17,12 +15,12 @@ from mss.qcore import (
     ket,
     maximally_mixed,
     phase_gate,
-    project_measure,
     tensor,
     trace_distance,
 )
 
-from conftest import partial_trace, random_density, random_pure_state, random_unitary
+from conftest import (ImpossibleBranchError, overlap2, partial_trace, project_measure, random_density,
+                      random_pure_state, random_unitary)
 
 
 PLUS = PureState(np.array([1, 1]) / np.sqrt(2))
@@ -79,7 +77,7 @@ class TestApply1Q:
 
     def test_z_on_minus_gives_plus(self):
         got = apply_1q(MINUS, qcore.Z, 0)
-        assert qcore.overlap2(got, PLUS) == pytest.approx(1.0, abs=1e-15)
+        assert overlap2(got, PLUS) == pytest.approx(1.0, abs=1e-15)
 
     def test_phase_gate_on_ghz_dealer_qubit(self):
         phi = 0.71
@@ -101,36 +99,12 @@ class TestApply1Q:
             assert abs(np.linalg.norm(out.amps) - 1) < 1e-12
 
 
-class TestApplyCX:
-    def test_flips_target_when_control_set(self):
-        got = apply_cx(ket("10"), 0, 1)
-        np.testing.assert_allclose(got.amps, ket("11").amps, atol=1e-15)
-
-    def test_identity_on_zero_control(self):
-        got = apply_cx(ket("00"), 0, 1)
-        np.testing.assert_allclose(got.amps, ket("00").amps, atol=1e-15)
-
-    def test_ghz_circuit(self):
-        psi = apply_1q(ket("000"), qcore.H, 0)
-        psi = apply_cx(psi, 0, 1)
-        psi = apply_cx(psi, 0, 2)
-        assert qcore.overlap2(psi, ghz(3)) == pytest.approx(1.0, abs=1e-15)
-
-    def test_equal_indices_rejected(self):
-        with pytest.raises(ValueError, match="differ"):
-            apply_cx(ket("00"), 1, 1)
-
-    def test_reverse_direction(self):
-        got = apply_cx(ket("01"), 1, 0)
-        np.testing.assert_allclose(got.amps, ket("11").amps, atol=1e-15)
-
-
 class TestProjectMeasure:
     def test_x_measure_ghz_plus_branch(self):
         prob, post = project_measure(ghz(3), 0, "X", 0)
         assert prob == pytest.approx(0.5, abs=1e-12)
         want = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        assert qcore.overlap2(post, want) == pytest.approx(1.0, abs=1e-12)
+        assert overlap2(post, want) == pytest.approx(1.0, abs=1e-12)
 
     def test_x_measure_injected_ghz(self):
         phi = 0.9
@@ -138,7 +112,7 @@ class TestProjectMeasure:
         prob, post = project_measure(psi, 0, "X", 0)
         want = np.array([1, 0, 0, np.exp(1j * phi)]) / np.sqrt(2)
         assert prob == pytest.approx(0.5, abs=1e-12)
-        assert qcore.overlap2(post, PureState(want)) == pytest.approx(1.0, abs=1e-12)
+        assert overlap2(post, PureState(want)) == pytest.approx(1.0, abs=1e-12)
 
     def test_z_measure_deterministic(self):
         prob, post = project_measure(ket("10"), 0, "Z", 1)

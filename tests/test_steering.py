@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from mss import tomo
+from mss import steering, tomo
 from mss.magic import c_closed_form, wigner_distance
 from mss.qcore import X, Y, Z, bloch, dm_from_bloch, ket
 from mss.steering import (
@@ -21,7 +21,7 @@ from mss.steering import (
     z_setting_probe,
 )
 
-from conftest import PROPERTY, bloch_vectors
+from conftest import PROPERTY, bloch_vectors, reference_build_assemblage
 
 SQRT2 = np.sqrt(2.0)
 ACCEPTANCE_NOISE = tomo.NoiseModel.symmetric(0.003, 0.015, 0.01)
@@ -123,6 +123,36 @@ class TestZProbe:
             sigma = z_setting_probe(phi)
             np.testing.assert_allclose(sigma.mat, ket("0").density().mat, atol=1e-12)
             assert wigner_distance(sigma).c_value == 0.0
+
+
+class TestStepwiseOracle:
+    """The assemblage and the Z probe are slices of the protocol's branch
+    tensor; the oracle projects the middle party, then the dealer, out of the
+    statevector."""
+
+    def phis(self, rng):
+        return [*rng.uniform(0, 2 * np.pi, size=40), 0.0, np.pi / 2, np.pi, 3 * np.pi / 2]
+
+    def test_assemblage_and_z_probe(self, rng):
+        for phi in self.phis(rng):
+            want = reference_build_assemblage(phi)
+            got = build_assemblage(phi)
+            for key, (p, sigma) in got.members.items():
+                assert abs(p - want[key][0]) <= 1e-12
+                assert np.max(np.abs(sigma.mat - want[key][1].mat)) <= 1e-12
+            assert np.max(np.abs(z_setting_probe(phi).mat - want[("Z", 0)][1].mat)) <= 1e-12
+
+    def test_branch_independence_is_checked(self, monkeypatch):
+        def corrupted(gate, n):
+            t = branch_tensor(gate, n).copy()
+            t[1, 1, 0] += 1e-6  # the middle party's "-" slice no longer matches its "+"
+            return t
+
+        branch_tensor = steering._branch_tensor
+        monkeypatch.setattr(steering, "_branch_tensor", corrupted)
+        for call in (build_assemblage, z_setting_probe, certify_exact):
+            with pytest.raises(RuntimeError, match="branch independence"):
+                call(0.3)
 
 
 class TestCertification:
