@@ -7,7 +7,8 @@ stabilizer polytope,
 
 written as the L1-fitting linear program of Barrodale and Roberts (SIAM J.
 Numer. Anal. 10, 839, 1973) and solved by the in-house dense simplex from
-the nearest vertex.  The dual solution yields a Hermitian witness
+the nearest vertex, taking their long step across each residual's u/v pair.
+The dual solution yields a Hermitian witness
 H* = sum_alpha y_alpha A_alpha / 2**n with
 
     tr(H* rho) - F_LHS = C(rho)        (exact at the solved state)
@@ -128,7 +129,7 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
         y0 = np.einsum("aij,ji->a", ops, s[0] * X + s[1] * Y + s[2] * Z).real / 2
         yvec = y0 - (y0.max() + y0.min()) / 2
         f_lhs = float(np.max(yvec @ F))
-    witness = sum(y * op for y, op in zip(yvec, ops)) / 2 ** n
+    witness = np.tensordot(yvec, ops, 1) / 2 ** n
     witness = (witness + witness.conj().T) / 2
     return MagicResult(c_value=float(sol.fun), f_star=f_star, mixture_weights=lam,
                        dual_witness=witness, f_lhs=f_lhs)

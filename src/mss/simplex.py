@@ -5,29 +5,55 @@ Solves  min c.x  subject to  A x = b,  x >= 0,  and returns both the primal
 optimum and the dual vector for the equality constraints.  There is no
 phase 1: the caller names m columns whose basic solution B^-1 b is
 nonnegative, as the L1-fitting LP of :mod:`mss.magic` can write one down
-directly.  Bland's rule (smallest eligible index enters, ties in the ratio
-test broken by smallest basic variable) prevents cycling on the degenerate
-bases that show up when several polytope vertices are equidistant from the
-target.
+directly.
+
+Each pivot prices by Dantzig's rule (the most negative reduced cost enters)
+and takes the long step of Barrodale and Roberts (SIAM J. Numer. Anal. 10,
+839, 1973).  Columns j, j' with a_j' = -a_j are mirrors, such as the u_i and
+v_i halves of a residual; the solver finds them in A itself.  The ratio test
+walks the breakpoints in ratio order.  At a breakpoint whose basic variable
+has a mirror, the variable can cross zero and live on as its mirror instead
+of leaving: the slope of the objective rises by (c_j + c_j') alpha_r, and
+while it is still below -tol the row flips (it is negated, the cost row
+gains (c_j + c_j') times it, and the mirror takes the basis entry) and the
+step goes on.  The first breakpoint without a mirror, or the one where the
+slope would turn non-negative, leaves by the usual rank-1 pivot.
+
+Termination: a step of length t > tol lowers the objective by more than
+tol * t, since the slope stays below -tol all along it, so a basis can recur
+only across degenerate steps (t <= tol).  After a degenerate step the next
+pivot follows Bland's rule (smallest eligible index enters, the first
+breakpoint leaves with ties broken by smallest basic variable, no flips).
+A cycle would consist of degenerate steps alone, hence of Bland pivots alone,
+and Bland's rule does not cycle.  ``max_iter`` guards against round-off.
+
+When every cost is nonnegative, a basis whose objective is at most
+ZERO_OBJECTIVE is optimal to within that, and y = 0 is a dual for it: the
+loop stops there without the degenerate pivots that would otherwise prove
+it.  ZERO_OBJECTIVE sits far below tol, so a solve that stops there reports
+an objective no caller reads as nonzero (:mod:`mss.magic` reports C = 0
+below 1e-10).
 
 Built for problems with tens of rows and at most a few hundred columns;
 everything is dense numpy and a fresh tableau is allocated per call, so
-concurrent solves are independent.  Each pivot picks the entering column
-from a boolean mask of the non-basic columns, runs the tie-breaking ratio
-test in Python over the rows with a positive coefficient only, and
-eliminates with one rank-1 update of the rows whose factor is nonzero.  The
-arithmetic per element is that of a row-by-row loop, so pivots, basis and
-results match it bit for bit.
+concurrent solves are independent.  The tableau carries B^-1 as an extra
+block, so the duals are read off the cost row with no second solve.  Each
+pivot is a few array operations: pricing over a non-basic mask, the ratios
+of the rows with a positive coefficient, and one rank-1 update of the whole
+tableau, cost row included.  ``tests/test_simplex.py`` keeps a scalar
+version of this rule, which must follow the same pivot path byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10_000
+ZERO_OBJECTIVE = 1e-12  # with c >= 0, an objective this small ends the solve
 
 
 class SimplexError(RuntimeError):
@@ -39,7 +65,8 @@ class LPSolution:
     x: np.ndarray          # primal optimum, length n
     fun: float             # optimal objective value
     duals: np.ndarray      # dual vector y for the equality rows, length m
-    iterations: int
+    iterations: int        # entering pivots
+    flips: int             # rows that swapped a variable for its mirror mid-step
 
 
 def solve_lp(c, A, b, basis, tol: float = DEFAULT_TOL,
@@ -58,74 +85,121 @@ def solve_lp(c, A, b, basis, tol: float = DEFAULT_TOL,
     basis = [int(j) for j in basis]
     if b.size != m or c.size != n or len(basis) != m:
         raise ValueError("inconsistent LP dimensions")
+    mirror = _mirror_columns(A.tobytes(), m, n)
 
-    # The tableau B^-1 [A | b]: row i holds basic variable basis[i].
+    # The tableau: rows B^-1 [A | I | b], row i holding basic variable
+    # basis[i], over the cost row [c | 0 | 0] - c_B B^-1 [A | I | b], which
+    # carries the reduced costs, -y and -c.x.
     try:
-        work = np.linalg.solve(A[:, basis], np.column_stack([A, b]))
+        binv = np.linalg.inv(A[:, basis])
     except np.linalg.LinAlgError:
         raise SimplexError("infeasible starting basis: singular basis matrix") from None
-    if work[:, -1].min() < -tol:
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = binv @ A
+    tab[:m, n:n + m] = binv
+    tab[:m, -1] = binv @ b
+    if tab[:m, -1].min() < -tol:
         raise SimplexError(
-            f"infeasible starting basis: basic value {work[:, -1].min():.3e}")
+            f"infeasible starting basis: basic value {tab[:m, -1].min():.3e}")
+    tab[m, :n] = c
+    tab[m] -= c[basis] @ tab[:m]
 
-    cost = np.zeros(n + 1)
-    cost[:n] = c
-    _reduce_cost_row(cost, work, basis)
-    iterations = _pivot_loop(work, cost, basis, tol=tol, max_iter=max_iter)
+    iterations, flips, at_zero = _pivot_loop(
+        tab, basis, mirror, c.tolist(), stop_at_zero=bool(c.min() >= 0.0),
+        tol=tol, max_iter=max_iter)
 
     x = np.zeros(n)
-    x[basis] = work[:, -1]
-    # Duals from the optimal basis: B^T y = c_B.
-    y = np.linalg.solve(A[:, basis].T, c[basis])
-    return LPSolution(x=x, fun=float(c @ x), duals=y, iterations=iterations)
+    x[basis] = tab[:m, -1]
+    # At an objective of at most ZERO_OBJECTIVE with c >= 0, y = 0 is dual
+    # optimal to within that.
+    y = np.zeros(m) if at_zero else -tab[m, n:n + m]
+    return LPSolution(x=x, fun=float(c @ x), duals=y, iterations=iterations, flips=flips)
 
 
-def _reduce_cost_row(cost: np.ndarray, work: np.ndarray, basis: list[int]) -> None:
-    for row, col in enumerate(basis):
-        if cost[col] != 0.0:
-            cost -= cost[col] * work[row]
+@lru_cache(maxsize=16)
+def _mirror_columns(matrix: bytes, m: int, n: int) -> tuple[int, ...]:
+    """For each column j of the m x n matrix A, given as its bytes, the first
+    column j' with A[:, j'] == -A[:, j], or -1 where there is none.  Cached
+    by content: a caller solves many LPs over one A."""
+    # -0.0 + 0.0 is 0.0, so signed zeros compare equal as bytes.
+    cols = np.frombuffer(matrix).reshape(m, n).T + 0.0
+    first: dict[bytes, int] = {}
+    for j, col in enumerate(cols):
+        first.setdefault(col.tobytes(), j)
+    return tuple(first.get((0.0 - col).tobytes(), -1) for col in cols)
 
 
-def _pivot_loop(work, cost, basis, tol: float, max_iter: int) -> int:
-    iterations = 0
-    rhs = work[:, -1]
-    nonbasic = np.ones(work.shape[1] - 1, dtype=bool)
+def _pivot_loop(tab, basis, mirror, costs, stop_at_zero: bool,
+                tol: float, max_iter: int) -> tuple[int, int, bool]:
+    """Pivot ``tab`` and ``basis`` to optimality in place; returns (pivots,
+    flips, whether it stopped at an objective of at most ZERO_OBJECTIVE)."""
+    iterations = flips = 0
+    m, n = len(basis), len(mirror)
+    work, cost = tab[:m], tab[m]
+    rhs, reduced = work[:, -1], cost[:n]
+    nonbasic = np.ones(n, dtype=bool)
     nonbasic[basis] = False
+    bland = False
     while True:
-        # Bland: the smallest non-basic index with negative reduced cost enters.
-        eligible = nonbasic & (cost[:-1] < -tol)
-        entering = int(eligible.argmax())
-        if not eligible[entering]:
-            return iterations
+        if stop_at_zero and -cost[-1] <= ZERO_OBJECTIVE:
+            return iterations, flips, True
+        if bland:
+            eligible = nonbasic & (reduced < -tol)
+            entering = int(eligible.argmax())
+            if not eligible[entering]:
+                return iterations, flips, False
+        else:
+            priced = np.where(nonbasic, reduced, 0.0)
+            entering = int(priced.argmin())
+            if not priced[entering] < -tol:
+                return iterations, flips, False
 
-        # Sequential ratio test over the rows with a positive coefficient.
-        # Not an argmin: ratios within tol of the running best tie, and a
-        # chain of ties can drift further than tol from the minimum.
-        column = work[:, entering]
-        rows = (column > tol).nonzero()[0]
-        leaving_row, best_ratio = -1, np.inf
-        for i, coef, value in zip(rows.tolist(), column[rows].tolist(), rhs[rows].tolist()):
-            ratio = value / coef
-            if ratio < best_ratio - tol or (
-                    abs(ratio - best_ratio) <= tol
-                    and (leaving_row < 0 or basis[i] < basis[leaving_row])):
-                leaving_row, best_ratio = i, ratio
+        column = tab[:, entering]
+        rows = (column[:m] > tol).nonzero()[0]
+        leaving_row = -1
+        if bland:
+            # Sequential ratio test.  Not an argmin: ratios within tol of the
+            # running best tie, and a chain of ties can drift further than
+            # tol from the minimum.
+            step = np.inf
+            for i, coef, value in zip(rows.tolist(), column[rows].tolist(),
+                                      rhs[rows].tolist()):
+                ratio = value / coef
+                if ratio < step - tol or (
+                        abs(ratio - step) <= tol
+                        and (leaving_row < 0 or basis[i] < basis[leaving_row])):
+                    leaving_row, step = i, ratio
+        else:
+            # Long step: breakpoints in ratio order, ties in row order.
+            ratios = rhs[rows] / column[rows]
+            order = ratios.argsort(kind="stable")
+            for i, ratio in zip(rows[order].tolist(), ratios[order].tolist()):
+                j = basis[i]
+                partner = mirror[j]
+                if partner >= 0:
+                    pair_cost = costs[j] + costs[partner]
+                    if cost[entering] + pair_cost * column[i] < -tol:
+                        cost += pair_cost * work[i]
+                        work[i] *= -1.0
+                        nonbasic[j] = True
+                        nonbasic[partner] = False
+                        basis[i] = partner
+                        flips += 1
+                        continue
+                leaving_row, step = i, ratio
+                break
         if leaving_row < 0:
             raise SimplexError("unbounded: no leaving variable")
 
-        # Rank-1 elimination: each updated row gets the same multiply and
-        # subtract as a row-by-row loop would give it.  Rows with a zero
-        # factor are left alone so that signed zeros in them survive.
-        work[leaving_row] /= work[leaving_row, entering]
-        factors = column.copy()
-        factors[leaving_row] = 0.0
-        touched = factors.nonzero()[0]
-        work[touched] -= factors[touched, None] * work[leaving_row]
-        cost -= cost[entering] * work[leaving_row]
+        # One rank-1 update of every row, the cost row included.
+        pivot = work[leaving_row] / column[leaving_row]
+        tab -= np.multiply.outer(column, pivot)
+        tab[leaving_row] = pivot
 
         nonbasic[basis[leaving_row]] = True
         basis[leaving_row] = entering
         nonbasic[entering] = False
+        bland = step <= tol
 
         iterations += 1
         if iterations > max_iter:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mss.magic
+import mss.simplex
 from mss.magic import (
     CLAMP_TOL,
     _lp_constants,
@@ -25,7 +26,7 @@ from mss.qcore import (
 )
 from mss.simplex import SimplexError, solve_lp
 from mss.stabilizer import enumerate_stabilizer_states, single_qubit_cliffords
-from mss.wigner import phase_point_operator, phase_points, wigner_of
+from mss.wigner import _operator_stack, phase_point_operator, phase_points, wigner_of
 
 from conftest import PROPERTY, bloch_vectors, random_density, random_pure_state
 from test_simplex import reference_solve_lp
@@ -62,12 +63,47 @@ class TestWignerDistance:
         res = wigner_distance(phase_plus(np.pi / 8).density())
         assert res.c_value == pytest.approx(0.15328148243818825, abs=1e-9)
 
-    def test_stabilizer_states_are_free(self):
-        for n in (1, 2):
-            for s in enumerate_stabilizer_states(n).states:
+    def test_stabilizer_states_are_free(self, monkeypatch):
+        sols = []
+
+        def record(*args, **kwargs):
+            sols.append(solve_lp(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(mss.magic, "solve_lp", record)
+        for n, count in ((1, 6), (2, 60)):
+            states = enumerate_stabilizer_states(n).states
+            assert len(states) == count
+            for s in states:
                 res = wigner_distance(s.density())
                 assert res.c_value == 0.0 and res.f_lhs == 0.0
                 assert not res.dual_witness.any()
+                # The start is the state's own vertex: the zero-objective
+                # stop ends the solve before any pivot.
+                assert sols[-1].iterations == 0 and not sols[-1].duals.any()
+
+    def test_near_free_mixtures_are_free(self):
+        # (1-p)|00><00| + p|01><01| mixes two stabilizer states, so C = 0.
+        # Its start vertex |00> is 2p away, under the simplex tol for these
+        # p: the solve must still reach the mixture, not stop at the start.
+        assert mss.simplex.ZERO_OBJECTIVE < CLAMP_TOL
+        for p in np.linspace(1e-10, 5e-10, 9):
+            res = wigner_distance(DensityMatrix(np.diag([1.0 - p, p, 0.0, 0.0]).astype(complex)))
+            assert res.c_value == 0.0 and res.f_lhs == 0.0
+            assert not res.dual_witness.any()
+
+    def test_tiny_magic_matches_the_closed_form(self):
+        # C of |+_phi> is about phi / 2 here, from under CLAMP_TOL (reported
+        # as 0) to a few times it, all under the simplex tol.
+        for phi in np.linspace(1e-10, 1e-9, 10):
+            closed = c_closed_form(phi)
+            res = wigner_distance(phase_plus(phi).density())
+            if closed < CLAMP_TOL:
+                assert res.c_value == 0.0
+            else:
+                assert res.c_value == pytest.approx(closed, abs=1e-15)
+                assert res.witness_value(phase_plus(phi).density()) == pytest.approx(
+                    res.c_value, abs=1e-15)
 
     def test_agrees_with_closed_form_on_dense_grid(self):
         for phi in np.linspace(1e-4, np.pi / 2 - 1e-4, 100):
@@ -157,6 +193,20 @@ class TestWignerDistance:
         F, A, c = _lp_constants(n)
         assert A.shape == (4 ** n + 1, F.shape[1] + 2 * 4 ** n) and c.sum() == 2 * 4 ** n
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_witness_contraction_matches_the_generator_sum(self, n, rng):
+        ops = _operator_stack(n)
+        for i in range(20):
+            y = rng.uniform(-1.0, 1.0, 4 ** n)
+            old = sum(coef * op for coef, op in zip(y, ops))
+            np.testing.assert_allclose(np.tensordot(y, ops, 1), old, rtol=0, atol=1e-15)
+            rho = random_density(n, rng) if i % 2 else random_pure_state(n, rng).density()
+            res = wigner_distance(rho)
+            y = np.array([np.trace(res.dual_witness @ op).real for op in ops])
+            old = sum(coef * op for coef, op in zip(y, ops)) / 2 ** n
+            np.testing.assert_allclose(res.dual_witness, (old + old.conj().T) / 2,
+                                       rtol=0, atol=1e-15)
+
 
 def reference_wigner_lp(rho):
     """C(rho) from the 2k+1-row LP, solved two-phase by the scalar reference.
@@ -174,7 +224,7 @@ def reference_wigner_lp(rho):
                   [F, -eye, np.zeros((k, k)), eye],
                   [np.ones((1, nv)), np.zeros((1, 3 * k))]])
     c = np.concatenate([np.zeros(nv), np.ones(k), np.zeros(2 * k)])
-    sol, _ = reference_solve_lp(c, A, np.concatenate([w, w, [1.0]]))
+    sol, _ = reference_solve_lp(c, A, np.concatenate([w, w, [1.0]]), bland=True)
     return sol.fun
 
 
@@ -254,6 +304,58 @@ class TestAgainstTheTwoPhaseLP:
         basis = [*np.where(w - F[:, j] < 0, nv + rows, nv + k + rows).tolist(), j]
         with pytest.raises(SimplexError, match="infeasible starting basis"):
             solve_lp(c, A, np.append(w, 1.0), basis)
+
+
+class TestAgainstTheBlandPath:
+    """The long step against Bland's rule from the same start (the scalar
+    reference with ``bland=True``, the rule solve_lp used before)."""
+
+    @staticmethod
+    def solve_both(n, states, monkeypatch):
+        lps = []
+
+        def record(c, A, b, basis, *args, **kwargs):
+            lps.append((c, A, b, list(basis)))
+            return solve_lp(c, A, b, basis, *args, **kwargs)
+
+        monkeypatch.setattr(mss.magic, "solve_lp", record)
+        results = [wigner_distance(rho) for rho in states]
+        monkeypatch.undo()
+        nv = _lp_constants(n)[0].shape[1]
+        for res, lp in zip(results, lps):
+            ref, _ = reference_solve_lp(*lp, bland=True)
+            lam = np.clip(ref.x[:nv], 0.0, None)
+            yield res, ref, lam / lam.sum(), lp[2][:-1]
+
+    def test_two_qubit_optima_both_certified_where_the_mixture_moves(self, rng, monkeypatch):
+        # The L1-nearest polytope point is not unique for most 2-qubit states
+        # with C > 0, so the mixture may differ from Bland's; both are optimal.
+        F = _lp_constants(2)[0]
+        states = [random_density(2, rng) if i % 2 else random_pure_state(2, rng).density()
+                  for i in range(40)]
+        moved = 0
+        for res, ref, lam, w in self.solve_both(2, states, monkeypatch):
+            assert res.c_value > 0.0
+            assert res.c_value == pytest.approx(ref.fun, abs=1e-12)
+            for weights in (res.mixture_weights, lam):
+                assert weights.min() >= 0.0 and weights.sum() == pytest.approx(1.0, abs=1e-12)
+                assert np.abs(w - F @ weights).sum() == pytest.approx(res.c_value, abs=1e-12)
+            moved += not np.allclose(res.mixture_weights, lam, rtol=0, atol=1e-12)
+        assert moved > 0
+
+    def test_one_qubit_results_are_pinned(self, rng, monkeypatch):
+        # For one qubit with C > 0 the long step ends where Bland's rule
+        # does: the same C and mixture, byte for byte.
+        states = [random_density(1, rng) if i % 2 else random_pure_state(1, rng).density()
+                  for i in range(200)]
+        solved = 0
+        for res, ref, lam, _ in self.solve_both(1, states, monkeypatch):
+            if res.c_value == 0.0:
+                continue
+            solved += 1
+            assert np.float64(res.c_value).tobytes() == np.float64(ref.fun).tobytes()
+            assert res.mixture_weights.tobytes() == lam.tobytes()
+        assert solved > 100
 
 
 @st.composite

@@ -6,97 +6,147 @@ import pytest
 
 import mss.magic
 import mss.simplex
-from mss.simplex import DEFAULT_MAX_ITER, DEFAULT_TOL, LPSolution, SimplexError, solve_lp
+from mss.simplex import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    ZERO_OBJECTIVE,
+    LPSolution,
+    SimplexError,
+    _mirror_columns,
+    solve_lp,
+)
 
 from conftest import random_density, random_pure_state
 
 
-def reference_solve_lp(c, A, b, basis=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Slow oracle for :func:`solve_lp`: the same Bland simplex with a scalar
-    pivot loop (column scan for the entering index, row-by-row elimination).
+def reference_solve_lp(c, A, b, basis=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, *,
+                       bland=False):
+    """Slow oracle for :func:`solve_lp`: the same pivot rule with scalar loops.
+
+    A column scan prices Dantzig's rule, a sorted list of breakpoints drives
+    the long step across mirror columns (each column's first exact negation,
+    found by comparing entries), and flips and elimination go row by row;
+    after a degenerate step the next pivot follows Bland's rule, and with
+    nonnegative costs the loop stops at an objective of at most
+    ``ZERO_OBJECTIVE``.  The tableau carries an identity block that becomes
+    B^-1, and the duals are read off the cost row.  With ``bland=True``
+    every pivot follows Bland's rule, with no flips and no early stop: the
+    textbook simplex that ``solve_lp`` ran before the long step.
 
     Started from ``basis`` it runs the one phase :func:`solve_lp` runs.
-    Without one it is the two-phase method: artificial columns on sign-flipped
-    rows, phase 1 minimising their sum, then phase 2.  Returns the solution
-    and the final basis."""
+    Without one it is the textbook two-phase method, always with Bland's
+    rule: artificial columns on sign-flipped rows, phase 1 minimising their
+    sum, then phase 2.  Returns the solution and the final basis."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)
     m, n = A.shape
     two_phase = basis is None
     if two_phase:
+        bland = True
         flip = np.where(b < 0, -1.0, 1.0)
         full = np.hstack([A * flip[:, None], np.eye(m)])
-        work = np.column_stack([full, b * flip])
+        work = np.hstack([full, np.eye(m), (b * flip)[:, None]])
         basis = list(range(n, n + m))
     else:
         flip = np.ones(m)
         full = A
         basis = list(basis)
         try:
-            work = np.linalg.solve(A[:, basis], np.column_stack([A, b]))
+            binv = np.linalg.inv(A[:, basis])
+            work = np.hstack([binv @ A, binv, (binv @ b)[:, None]])
         except np.linalg.LinAlgError:
             raise SimplexError("infeasible starting basis: singular basis matrix") from None
         if work[:, -1].min() < -tol:
             raise SimplexError(
                 f"infeasible starting basis: basic value {work[:, -1].min():.3e}")
+    ncols = full.shape[1]
+    mirror = [next((jj for jj in range(ncols)
+                    if all(full[i, jj] == -full[i, j] for i in range(m))), -1)
+              for j in range(ncols)]
+    flips = 0
 
     def reduce_cost_row(cost):
-        for row, col in enumerate(basis):
-            if cost[col] != 0.0:
-                cost -= cost[col] * work[row]
+        cost -= cost[basis] @ work
 
-    def pivot_loop(cost, allowed, start):
-        iterations = start
+    def pivot_loop(cost, costs, allowed, start):
+        """Pivot to optimality; ``costs`` are the phase's column costs."""
+        nonlocal flips
+        stop_at_zero = not bland and min(costs) >= 0.0
+        iterations, degenerate = start, bland
         while True:
-            entering = -1
+            if stop_at_zero and -cost[-1] <= ZERO_OBJECTIVE:
+                return iterations, True
+            entering, best = -1, -tol
             for j in range(allowed):
-                if j not in basis and cost[j] < -tol:
+                if j not in basis and cost[j] < best:
                     entering = j
-                    break
+                    if degenerate:
+                        break
+                    best = cost[j]
             if entering < 0:
-                return iterations
-            leaving_row, best_ratio = -1, np.inf
-            for i in range(m):
-                coef = work[i, entering]
-                if coef > tol:
-                    ratio = work[i, -1] / coef
-                    if ratio < best_ratio - tol or (
-                            abs(ratio - best_ratio) <= tol
-                            and (leaving_row < 0 or basis[i] < basis[leaving_row])):
-                        leaving_row, best_ratio = i, ratio
+                return iterations, False
+            leaving_row, step = -1, np.inf
+            if degenerate:
+                for i in range(m):
+                    coef = work[i, entering]
+                    if coef > tol:
+                        ratio = work[i, -1] / coef
+                        if ratio < step - tol or (
+                                abs(ratio - step) <= tol
+                                and (leaving_row < 0 or basis[i] < basis[leaving_row])):
+                            leaving_row, step = i, ratio
+            else:
+                breakpoints = sorted((work[i, -1] / work[i, entering], i)
+                                     for i in range(m) if work[i, entering] > tol)
+                for ratio, i in breakpoints:
+                    j = basis[i]
+                    partner = mirror[j]
+                    if partner >= 0:
+                        pair = costs[j] + costs[partner]
+                        if cost[entering] + pair * work[i, entering] < -tol:
+                            for col in range(work.shape[1]):
+                                cost[col] += pair * work[i, col]
+                                work[i, col] = -work[i, col]
+                            basis[i] = partner
+                            flips += 1
+                            continue
+                    leaving_row, step = i, ratio
+                    break
             if leaving_row < 0:
                 raise SimplexError("unbounded: no leaving variable")
-            work[leaving_row] /= work[leaving_row, entering]
+            pivot = work[leaving_row] / work[leaving_row, entering]
             for i in range(m):
-                if i != leaving_row and work[i, entering] != 0.0:
-                    work[i] -= work[i, entering] * work[leaving_row]
-            cost -= cost[entering] * work[leaving_row]
+                if i != leaving_row:
+                    work[i] -= work[i, entering] * pivot
+            cost -= cost[entering] * pivot
+            work[leaving_row] = pivot
             basis[leaving_row] = entering
+            degenerate = bland or step <= tol
             iterations += 1
             if iterations - start > max_iter:
                 raise SimplexError(f"iteration cap {max_iter} exceeded")
 
     iterations = 0
     if two_phase:
-        cost1 = np.zeros(n + m + 1)
-        cost1[n:n + m] = 1.0
+        costs1 = np.concatenate([np.zeros(n), np.ones(m)])
+        cost1 = np.concatenate([costs1, np.zeros(m + 1)])
         reduce_cost_row(cost1)
-        iterations = pivot_loop(cost1, n + m, 0)
+        iterations, _ = pivot_loop(cost1, costs1, n + m, 0)
         if -cost1[-1] > np.sqrt(tol) * max(1.0, np.abs(b).max()):
             raise SimplexError(f"infeasible: phase-1 objective {-cost1[-1]:.3e}")
-    cost2 = np.zeros(work.shape[1])
-    cost2[:n] = c
+    c_full = np.concatenate([c, np.zeros(ncols - n)])
+    cost2 = np.concatenate([c_full, np.zeros(m + 1)])
     reduce_cost_row(cost2)
-    iterations = pivot_loop(cost2, n, iterations)
+    iterations, at_zero = pivot_loop(cost2, c_full, n, iterations)
 
     x = np.zeros(n)
     for row, col in enumerate(basis):
         if col < n:
             x[col] = work[row, -1]
-    c_full = np.concatenate([c, np.zeros(full.shape[1] - n)])
-    y = np.linalg.solve(full[:, basis].T, c_full[basis])
-    return LPSolution(x=x, fun=float(c @ x), duals=y * flip, iterations=iterations), basis
+    y = np.zeros(m) if at_zero else -cost2[ncols:ncols + m]
+    return LPSolution(x=x, fun=float(c @ x), duals=y * flip, iterations=iterations,
+                      flips=flips), basis
 
 
 def slack_form(A, b, c):
@@ -106,14 +156,37 @@ def slack_form(A, b, c):
     return np.concatenate([c, np.zeros(m)]), np.hstack([A, np.eye(m)]), b, list(range(n, n + m))
 
 
+def mirrored_form(A, b, c, c_slack, c_surplus):
+    """A x + s - t = b, x, s, t >= 0 with b >= 0: the slack form plus a
+    mirror column -e_i for each slack.  Returns (c, A, b, basis) with the
+    slack basis."""
+    m, n = A.shape
+    return (np.concatenate([c, c_slack, c_surplus]), np.hstack([A, np.eye(m), -np.eye(m)]),
+            b, list(range(n, n + m)))
+
+
+def l1_fit_form(F, w):
+    """min ||w - F lam||_1 over the simplex in the LP form of mss.magic,
+    started, as there, at the column nearest to w in L1.  Returns
+    (c, A, b, basis)."""
+    k, nv = F.shape
+    A = np.block([[F, np.eye(k), -np.eye(k)], [np.ones((1, nv)), np.zeros((1, 2 * k))]])
+    c = np.concatenate([np.zeros(nv), np.ones(2 * k)])
+    residual = w[:, None] - F
+    j = int(np.abs(residual).sum(axis=0).argmin())
+    rows = np.arange(k)
+    basis = [*np.where(residual[:, j] >= 0, nv + rows, nv + k + rows).tolist(), j]
+    return c, A, np.append(w, 1.0), basis
+
+
 def solve_with_final_basis(c, A, b, basis):
     """solve_lp plus the final basis, read off the pivot loop's basis list."""
     seen = []
     pivot_loop = mss.simplex._pivot_loop
 
-    def spy(work, cost, basis, **kwargs):
+    def spy(tab, basis, *args, **kwargs):
         seen.append(basis)
-        return pivot_loop(work, cost, basis, **kwargs)
+        return pivot_loop(tab, basis, *args, **kwargs)
 
     mss.simplex._pivot_loop = spy
     try:
@@ -125,8 +198,8 @@ def solve_with_final_basis(c, A, b, basis):
 
 def assert_same_pivot_path(c, A, b, basis):
     """Same outcome as the reference from the same basis: the same error, or
-    the same pivot count, final basis and byte-identical x, duals and
-    objective."""
+    the same pivot and flip counts, final basis and byte-identical x, duals
+    and objective."""
     try:
         want, want_basis = reference_solve_lp(c, A, b, basis)
     except SimplexError as exc:
@@ -134,7 +207,7 @@ def assert_same_pivot_path(c, A, b, basis):
             solve_lp(c, A, b, basis)
         return
     got, got_basis = solve_with_final_basis(c, A, b, basis)
-    assert got.iterations == want.iterations
+    assert (got.iterations, got.flips) == (want.iterations, want.flips)
     assert got_basis == want_basis
     assert got.x.tobytes() == want.x.tobytes()
     assert got.duals.tobytes() == want.duals.tobytes()
@@ -180,8 +253,8 @@ def test_infeasible_detected():
 
 
 def test_degenerate_problem_terminates():
-    # A redundant constraint makes the optimal vertex degenerate; Bland must
-    # terminate.
+    # A redundant constraint makes the optimal vertex degenerate; the solver
+    # must terminate.
     A = np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]])
     sol = solve_lp(*slack_form(A, np.array([2.0, 4.0, 1.0]), np.array([-1.0, -1.0])))
     assert sol.fun == pytest.approx(-2.0, abs=1e-9)
@@ -238,12 +311,54 @@ class TestSamePivotPathAsReference:
             c = rng.normal(size=n) if kind != 3 else rng.integers(-2, 3, n).astype(float)
             assert_same_pivot_path(*slack_form(A, b, c))
 
+    def test_random_lps_with_mirror_pairs(self, rng):
+        flips = 0
+        for trial in range(400):
+            m = int(rng.integers(2, 8))
+            n = int(rng.integers(1, m + 6))
+            kind = trial % 4
+            A = rng.normal(size=(m, n)) if kind == 0 else rng.integers(-2, 3, (m, n)).astype(float)
+            b = rng.random(m)
+            if kind != 0:
+                b[rng.random(m) < 0.5] = 0.0
+            if kind == 2:
+                A[-1], b[-1] = 2.0 * A[0], 2.0 * b[0]
+            c = rng.normal(size=n) if kind != 3 else rng.integers(-2, 3, n).astype(float)
+            # Pair costs mostly positive (a bounded L1 term), sometimes zero
+            # or negative (unbounded unless another row stops the step).
+            c_slack = rng.integers(0, 3, m).astype(float) if kind != 1 else rng.normal(size=m)
+            c_surplus = rng.integers(0, 3, m).astype(float)
+            lp = mirrored_form(A, b, c, c_slack, c_surplus)
+            assert_same_pivot_path(*lp)
+            try:
+                flips += solve_lp(*lp).flips
+            except SimplexError:
+                pass
+        assert flips > 0
+
+    def test_random_l1_fits(self, rng):
+        flips = 0
+        for trial in range(200):
+            k = int(rng.integers(2, 9))
+            nv = int(rng.integers(2, 3 * k))
+            # Integer vertices and a grid target make ties and degeneracy.
+            F = rng.integers(-2, 3, (k, nv)).astype(float)
+            w = rng.integers(-4, 5, k) / 2.0 if trial % 2 else rng.normal(size=k)
+            lp = l1_fit_form(F, w)
+            assert_same_pivot_path(*lp)
+            flips += solve_lp(*lp).flips
+        assert flips > 0
+
     def test_infeasible_and_unbounded(self):
         A, b = np.array([[1.0, -1.0]]), np.array([1.0])
         assert_same_pivot_path(np.zeros(2), A, b, [1])
         assert_same_pivot_path(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]),
                                np.array([1.0, 1.0]), [0, 1])
         assert_same_pivot_path(np.array([-1.0, 0.0]), A, b, [0])
+        # Every breakpoint flips: the pair cost never lifts the slope to 0.
+        assert_same_pivot_path(*mirrored_form(np.array([[1.0]]), np.array([1.0]),
+                                              np.array([-2.0]), np.array([0.5]),
+                                              np.array([0.5])))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_wigner_distance_lps(self, n, rng, monkeypatch):
@@ -259,5 +374,71 @@ class TestSamePivotPathAsReference:
             mss.magic.wigner_distance(rho)
         monkeypatch.undo()
         assert len(lps) == 30 and len(lps[0][1]) == 4 ** n + 1  # 5 or 17 rows
-        for c, A, b, basis in lps:
-            assert_same_pivot_path(c, A, b, basis)
+        for lp in lps:
+            assert_same_pivot_path(*lp)
+
+
+class TestTermination:
+    def test_beale_cycling_example(self):
+        # Beale (1955): from the slack basis, Dantzig's rule with the lowest
+        # index breaking ties cycles through six degenerate bases.  The
+        # Bland fallback after a degenerate step breaks the cycle.
+        A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+        lp = slack_form(A, np.array([0.0, 0.0, 1.0]), np.array([-0.75, 20.0, -0.5, 6.0]))
+        sol = solve_lp(*lp)
+        assert sol.fun == pytest.approx(-1.25, abs=1e-12)
+        np.testing.assert_allclose(sol.x[:4], [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+        assert (sol.iterations, sol.flips) == (6, 0)
+        assert_same_pivot_path(*lp)
+
+    def test_iteration_cap(self):
+        c, A, b, basis = slack_form(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]]),
+                                    np.array([4.0, 12.0, 18.0]), np.array([-3.0, -5.0]))
+        assert solve_lp(c, A, b, basis).iterations == 2
+        with pytest.raises(SimplexError, match="iteration cap 1 exceeded"):
+            solve_lp(c, A, b, basis, max_iter=1)
+        assert solve_lp(c, A, b, basis, max_iter=2).fun == pytest.approx(-36.0, abs=1e-9)
+
+    def test_zero_objective_stop_reports_the_zero_dual(self):
+        # min x1 + x2, x0 + x1 - x2 = 0 from the basis {x1}: the objective is
+        # already 0 and x0 has reduced cost -1.  Bland pivots x0 in, for
+        # nothing; the stop ends the solve first, with y = 0.
+        lp = np.array([0.0, 1.0, 1.0]), np.array([[1.0, 1.0, -1.0]]), np.array([0.0]), [1]
+        sol = solve_lp(*lp)
+        assert (sol.iterations, sol.fun) == (0, 0.0) and not sol.duals.any()
+        bland, _ = reference_solve_lp(*lp, bland=True)
+        assert (bland.iterations, bland.fun) == (1, 0.0)
+
+    def test_small_nonzero_objective_is_solved_out(self):
+        # The same LP with b = 5e-10, under tol but over ZERO_OBJECTIVE: the
+        # start x1 = 5e-10 is not optimal, and x0 must still pivot in.
+        lp = np.array([0.0, 1.0, 1.0]), np.array([[1.0, 1.0, -1.0]]), np.array([5e-10]), [1]
+        assert ZERO_OBJECTIVE < 5e-10 < DEFAULT_TOL
+        sol = solve_lp(*lp)
+        assert (sol.iterations, sol.fun) == (1, 0.0) and not sol.duals.any()
+        np.testing.assert_array_equal(sol.x, [5e-10, 0.0, 0.0])
+        assert_same_pivot_path(*lp)
+
+
+class TestMirror:
+    def test_mirror_columns_are_found_in_A(self):
+        # Columns 1 and 4 negate column 0 (4 by a signed zero), column 2 has
+        # no negation, and the zero column 3 is its own.
+        A = np.array([[1.0, -1.0, 2.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0, -0.0]])
+        assert _mirror_columns(A.tobytes(), 2, 5) == (1, 0, -1, 3, 0)
+        A, n = mss.magic._lp_constants(2)[1], 60
+        mirror = _mirror_columns(A.tobytes(), *A.shape)
+        assert mirror == (*[-1] * n, *range(n + 16, n + 32), *range(n, n + 16))
+
+    def test_flip_walks_past_a_residual_sign_change(self):
+        # min |2 - x| + |3 - x| + |4 - x|  as  x + s_i - t_i = b_i from x = 0.
+        # The slope starts at -3 and each residual's zero raises it by 2: one
+        # long step flips s_1 for t_1 and stops at the median, x = 3.
+        c, A, b, basis = mirrored_form(np.ones((3, 1)), np.array([2.0, 3.0, 4.0]),
+                                       np.zeros(1), np.ones(3), np.ones(3))
+        sol = solve_lp(c, A, b, basis)
+        assert (sol.iterations, sol.flips) == (1, 1)
+        assert sol.fun == pytest.approx(2.0, abs=1e-12)
+        assert sol.x[0] == pytest.approx(3.0, abs=1e-12)
+        bland, _ = reference_solve_lp(c, A, b, basis, bland=True)
+        assert bland.fun == pytest.approx(2.0, abs=1e-12) and bland.iterations > 1
