@@ -5,30 +5,37 @@ Simulates the GHZ-based protocol that distributes non-stabilizer
 Wigner-distance magic monotone by linear programming, certifies delivery
 through steering correlations, and reproduces the shot-sampled tomography
 analysis pipeline at desk scale.
+
+``__all__`` is the public API.
 """
 
-from .magic import MagicResult, c_closed_form, octahedron_distance, optimal_mixture, wigner_distance
+from .magic import MagicResult, c_closed_form, octahedron_distance, wigner_distance
 from .protocol import (
     GateAdmissibility,
     ProtocolTranscript,
+    bob_marginal_after_projection,
     check_gate_admissibility,
     magic_scan,
+    phase_gate_family,
     run_all_branches,
     run_exact,
     security_report,
+    x_rotation_family,
 )
-from .qcore import DensityMatrix, PureState, ghz, phase_gate, phase_plus
-from .stabilizer import enumerate_stabilizer_states, is_stabilizer
+from .qcore import DensityMatrix, PureState, ghz, phase_gate, phase_plus, tensor, trace_distance
+from .stabilizer import enumerate_stabilizer_states
 from .steering import (
     Assemblage,
     CertificationRecord,
     build_assemblage,
     certify_exact,
     evaluate_functional,
+    random_lhs_assemblage,
     sampled_certification,
+    z_setting_probe,
 )
 from .tomo import NoiseModel, experiment_table, reconstruct, sample_run
-from .wigner import WignerVector, phase_point_operator, state_from_wigner, wigner_of
+from .wigner import phase_point_operator, wigner_of
 
 __version__ = "0.1.0"
 
@@ -41,7 +48,7 @@ __all__ = [
     "NoiseModel",
     "ProtocolTranscript",
     "PureState",
-    "WignerVector",
+    "bob_marginal_after_projection",
     "build_assemblage",
     "c_closed_form",
     "certify_exact",
@@ -50,20 +57,23 @@ __all__ = [
     "evaluate_functional",
     "experiment_table",
     "ghz",
-    "is_stabilizer",
     "magic_scan",
     "octahedron_distance",
-    "optimal_mixture",
     "phase_gate",
+    "phase_gate_family",
     "phase_plus",
     "phase_point_operator",
+    "random_lhs_assemblage",
     "reconstruct",
     "run_all_branches",
     "run_exact",
     "sample_run",
     "sampled_certification",
     "security_report",
-    "state_from_wigner",
+    "tensor",
+    "trace_distance",
     "wigner_distance",
     "wigner_of",
+    "x_rotation_family",
+    "z_setting_probe",
 ]

@@ -236,6 +236,16 @@ def _grid(text: str) -> tuple[float, float, int]:
     return start, stop, steps
 
 
+def _seed(args) -> int | None:
+    """``--seed`` if given, after the range check that keeps distinct seeds
+    distinct: the sampling generators take it as a 64-bit key."""
+    seed = args.seed
+    if seed is not None and not 0 <= seed < 2 ** 64:
+        bound = "non-negative" if seed < 0 else "below 2**64"
+        raise ValueError(f"--seed must be {bound}, got {seed}")
+    return seed
+
+
 def _noise_from(args) -> tomo.NoiseModel:
     vals = _floats(args.noise, "--noise")
     if len(vals) != 3:
@@ -306,20 +316,18 @@ def _dm_to_json(dm) -> dict:
 
 def cmd_run(args):
     phi = _angle(args, args.phi, "--phi")
-    if args.seed is not None and args.seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    transcript = protocol.run_exact(phi, args.n, outcomes=args.outcomes, seed=args.seed)
+    transcript = protocol.run_exact(phi, args.n, outcomes=args.outcomes, seed=_seed(args))
     report = protocol.security_report(transcript)
     final_c = magic.octahedron_distance(bloch(transcript.final_state))
     payload = {
         "phi": transcript.phi,
         "n_parties": transcript.n_parties,
-        "outcomes": "".join(m.outcome for m in transcript.messages),
+        "outcomes": transcript.outcomes,
         "branch_probability": transcript.branch_probability,
         "correction_parity": transcript.correction_parity,
-        "messages": [
-            {"sender": m.sender, "outcome": m.outcome, "step": m.step}
-            for m in transcript.messages
+        "messages": [  # party k broadcasts at step k
+            {"sender": k, "outcome": outcome, "step": k}
+            for k, outcome in enumerate(transcript.outcomes)
         ],
         "final_c": final_c,
         "c_theory": magic.c_closed_form(transcript.phi),
@@ -422,7 +430,7 @@ def cmd_magic_eval(args):
         "f_lhs": result.f_lhs,
         "witness_trace": float(np.trace(result.dual_witness @ rho.mat).real),
         "bloch": [float(v) for v in bloch(rho)],
-        "wigner": [float(v) for v in wigner_of(rho).values],
+        "wigner": [float(v) for v in wigner_of(rho)],
         "mixture": [float(v) for v in result.mixture_weights],
     }
     return CommandOutput(payload)
@@ -430,6 +438,7 @@ def cmd_magic_eval(args):
 
 def cmd_certify(args):
     phi = _angle(args, args.phi, "--phi")
+    seed = _seed(args)
     if args.shots is None:
         record = steering.certify_exact(phi)
         payload = {
@@ -440,10 +449,10 @@ def cmd_certify(args):
             "certified_c": record.certified_c,
         }
         return CommandOutput(payload)
-    if args.seed is None:
+    if seed is None:
         raise ValueError("--shots mode requires --seed")
     sc = steering.sampled_certification(
-        phi, shots=args.shots, noise=_noise_from(args), seed=args.seed, n_boot=args.boot)
+        phi, shots=args.shots, noise=_noise_from(args), seed=seed, n_boot=args.boot)
     payload = {
         "mode": "sampled",
         "f": sc.record.f_value,
@@ -462,7 +471,7 @@ def cmd_experiment(args):
         phis,
         shots=args.shots,
         noise=_noise_from(args),
-        seed=args.seed,
+        seed=_seed(args),
         n_boot=args.boot,
     )
     payload = report.to_json_obj()
@@ -491,11 +500,11 @@ def cmd_dump_stabilizers(args):
     sset = enumerate_stabilizer_states(args.n)
     dim = 2 ** args.n
     rows = []
-    for i, (state, wv) in enumerate(zip(sset.states, sset.wigner_vertices)):
+    for i, (state, w) in enumerate(zip(sset.states, sset.vertex_matrix.T)):
         rows.append({
             "label": f"S{args.n}_{i:02d}",
             "amplitudes": [[float(a.real), float(a.imag)] for a in state.amps],
-            "wigner": [float(v) for v in wv.values],
+            "wigner": [float(v) for v in w],
         })
     payload = {"n_qubits": args.n, "count": len(rows), "states": rows}
 

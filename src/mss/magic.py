@@ -26,21 +26,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import DensityMatrix, X, Y, Z, bloch, phase_plus
+from .qcore import DensityMatrix, X, Y, Z, bloch
 from .simplex import solve_lp
 from .stabilizer import enumerate_stabilizer_states
-from .wigner import WignerVector, _operator_stack, wigner_of
+from .wigner import _operator_stack, as_wigner_vector, wigner_of
 
 CLAMP_TOL = 1e-10  # report exactly zero instead of leaking negative round-off
 SIGN_TOL = 1e-12   # Bloch coordinates this small count as 0 in witness_signs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MagicResult:
-    """Optimal value and certificates of one Wigner-distance solve."""
+    """Optimal value and certificates of one Wigner-distance solve; arrays read-only."""
 
     c_value: float
-    f_star: WignerVector          # nearest polytope point
+    f_star: np.ndarray            # nearest polytope point, F @ mixture_weights
     mixture_weights: np.ndarray   # convex weights over the sorted vertex list
     dual_witness: np.ndarray      # Hermitian H*
     f_lhs: float                  # max_sigma tr(H* sigma) over stabilizer states
@@ -100,7 +100,7 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
     n = rho.n_qubits
     if n not in (1, 2):
         raise ValueError("wigner_distance supports n in {1, 2}")
-    w = wigner_of(rho).values
+    w = wigner_of(rho)
     F, A, c = _lp_constants(n)
     k, nv = F.shape
     residual = w[:, None] - F
@@ -111,18 +111,21 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
     sol = solve_lp(c, A, np.append(w, 1.0), basis)
     lam = np.clip(sol.x[:nv], 0.0, None)
     lam /= lam.sum()
-    f_star = WignerVector(F @ lam)
+    lam.setflags(write=False)
+    f_star = as_wigner_vector(F @ lam)
 
     yvec = sol.duals[:k]
     f_lhs = float(np.max(yvec @ F))
     gap = float(yvec @ w) - f_lhs
-    if abs(np.abs(w - f_star.values).sum() - sol.fun) > 1e-8 or abs(gap - sol.fun) > 1e-7:
+    if abs(np.abs(w - f_star).sum() - sol.fun) > 1e-8 or abs(gap - sol.fun) > 1e-7:
         raise RuntimeError(
             "LP postcondition violated: primal/dual certificates disagree with the optimum")
 
     if sol.fun < CLAMP_TOL:
+        zero = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        zero.setflags(write=False)
         return MagicResult(c_value=0.0, f_star=f_star, mixture_weights=lam,
-                           dual_witness=np.zeros((2 ** n, 2 ** n), dtype=complex), f_lhs=0.0)
+                           dual_witness=zero, f_lhs=0.0)
     ops = _operator_stack(n)
     if n == 1:
         s = witness_signs(bloch(rho))
@@ -131,6 +134,7 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
         f_lhs = float(np.max(yvec @ F))
     witness = np.tensordot(yvec, ops, 1) / 2 ** n
     witness = (witness + witness.conj().T) / 2
+    witness.setflags(write=False)
     return MagicResult(c_value=float(sol.fun), f_star=f_star, mixture_weights=lam,
                        dual_witness=witness, f_lhs=f_lhs)
 
@@ -138,25 +142,6 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
 def c_closed_form(phi: float) -> float:
     """C of P(phi)|+>: (|sin phi| + |cos phi| - 1)/2, pi/2-periodic."""
     return float(abs(np.sin(phi)) + abs(np.cos(phi)) - 1.0) / 2.0
-
-
-def optimal_mixture(phi: float) -> WignerVector:
-    """The nearest polytope point for P(phi)|+> with phi strictly in (0, pi/2).
-
-    Mixes the Wigner vectors of |+> and |+i>.  Writing c = cos(phi) and
-    s = sin(phi), the L1-optimal mixture is the equal-deviation point with
-    weights (1 + c - s)/2 on |+> and (1 + s - c)/2 on |+i>: its Bloch vector
-    sits on the octahedron facet at distance c_closed_form(phi) along both
-    in-plane axes simultaneously, which is what minimises the max-deviation
-    form the Wigner L1 norm takes in the equatorial plane.
-    """
-    if not 0.0 < phi < np.pi / 2:
-        raise ValueError("optimal_mixture requires phi strictly inside (0, pi/2)")
-    w_plus = wigner_of(phase_plus(0.0).density()).values
-    w_plus_i = wigner_of(phase_plus(np.pi / 2).density()).values
-    c, s = np.cos(phi), np.sin(phi)
-    a = (1.0 + c - s) / 2.0
-    return WignerVector(a * w_plus + (1.0 - a) * w_plus_i)
 
 
 def octahedron_distance(bloch_vec) -> float | np.ndarray:

@@ -3,9 +3,10 @@ admissibility, and security reporting.
 
 A run has five steps: GHZ preparation, phase injection by the dealer
 (party 0), X measurements with broadcast by parties 0..n-2 in turn, and a
-final Z correction by the recipient (party n-1).  The broadcasts are the
-transcript's messages, in step order; every party hears all of them, so the
-recipient's correction is a function of the transcript alone.
+final Z correction by the recipient (party n-1).  Party k broadcasts at step
+k, so the transcript keeps the broadcasts as one "+"/"-" string in step
+order; every party hears all of them, so the recipient's correction is a
+function of the transcript alone.
 
 The X measurements act on distinct qubits, so by deferred measurement
 (Nielsen & Chuang section 4.4) H^{(x)(n-1)} on parties 0..n-2, one cached
@@ -56,28 +57,17 @@ MAX_PARTIES = 6  # 2^6 amplitudes; enough to exercise the induction fully
 PLUS, MINUS = "+", "-"
 
 
-@dataclass(frozen=True)
-class BroadcastMessage:
-    sender: int
-    outcome: str   # "+" or "-"
-    step: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolTranscript:
     """Everything one protocol run produced, for auditing and security checks."""
 
     phi: float
     n_parties: int
-    messages: tuple[BroadcastMessage, ...]
+    outcomes: str  # the n-1 broadcasts, "+" or "-", party k's at index k
     branch_probability: float
     final_state: DensityMatrix  # recipient's 1-qubit state
     bloch_history: np.ndarray  # [j, k]: party k's Bloch vector after j measurements, k >= j
     correction_parity: int
-
-    @property
-    def recipient(self) -> int:
-        return self.n_parties - 1
 
     @cached_property
     def marginal_history(self) -> tuple[tuple[DensityMatrix | None, ...], ...]:
@@ -155,8 +145,7 @@ def _run(t: np.ndarray, phi: float, bits: Sequence[int]) -> ProtocolTranscript:
     return ProtocolTranscript(
         phi=float(phi),
         n_parties=n,
-        messages=tuple(BroadcastMessage(sender=k, outcome=MINUS if o else PLUS, step=k)
-                       for k, o in enumerate(bits)),
+        outcomes="".join(MINUS if o else PLUS for o in bits),
         branch_probability=probability,
         final_state=DensityMatrix(np.outer(final, final.conj())),
         bloch_history=history,
@@ -195,9 +184,8 @@ def run_all_branches(phi: float, n: int = 3) -> list[ProtocolTranscript]:
     return [_run(t, phi, bits) for bits in product((0, 1), repeat=n - 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartySecurity:
-    party: int
     bloch: np.ndarray  # the worst-case marginal's Bloch vector, read-only
     c_value: float
     trace_distance_to_i2: float
@@ -220,7 +208,6 @@ def security_report(transcript: ProtocolTranscript) -> dict[int, PartySecurity]:
         held = transcript.bloch_history[:party + 1, party]  # steps before its own measurement
         b = held[np.argmax(np.linalg.norm(held, axis=1))]
         report[party] = PartySecurity(
-            party=party,
             bloch=b,
             c_value=octahedron_distance(b),
             trace_distance_to_i2=float(np.linalg.norm(b)) / 2,

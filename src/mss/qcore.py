@@ -51,7 +51,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalised amplitude vector over 2**n_qubits basis states."""
 
@@ -76,7 +76,7 @@ class PureState:
         return DensityMatrix(np.outer(self.amps, self.amps.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, trace-1, positive-semidefinite matrix on 2**n_qubits dims."""
 

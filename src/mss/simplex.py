@@ -60,11 +60,11 @@ class SimplexError(RuntimeError):
     """Infeasible starting basis, unbounded objective or iteration cap exceeded."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LPSolution:
-    x: np.ndarray          # primal optimum, length n
+    x: np.ndarray          # primal optimum, length n, read-only
     fun: float             # optimal objective value
-    duals: np.ndarray      # dual vector y for the equality rows, length m
+    duals: np.ndarray      # dual vector y for the equality rows, length m, read-only
     iterations: int        # entering pivots
     flips: int             # rows that swapped a variable for its mirror mid-step
 
@@ -113,6 +113,8 @@ def solve_lp(c, A, b, basis, tol: float = DEFAULT_TOL,
     # At an objective of at most ZERO_OBJECTIVE with c >= 0, y = 0 is dual
     # optimal to within that.
     y = np.zeros(m) if at_zero else -tab[m, n:n + m]
+    x.setflags(write=False)
+    y.setflags(write=False)
     return LPSolution(x=x, fun=float(c @ x), duals=y, iterations=iterations, flips=flips)
 
 

@@ -16,12 +16,12 @@ distinct vectors do not number exactly the count above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .qcore import H, I2, PureState, S
-from .wigner import WignerVector, _operator_stack
+from .wigner import _operator_stack
 
 _PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -35,7 +35,7 @@ _BASIS_VECTORS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilizerSet:
     """All pure n-qubit stabilizer states with their Wigner vectors.
 
@@ -44,16 +44,8 @@ class StabilizerSet:
     is reproducible across runs.
     """
 
-    n_qubits: int
     states: tuple[PureState, ...]
-    wigner_vertices: tuple[WignerVector, ...]
-
-    @cached_property
-    def vertex_matrix(self) -> np.ndarray:
-        """Column-stacked vertex coordinates, shape (4**n, n_states), read-only."""
-        F = np.column_stack([w.values for w in self.wigner_vertices])
-        F.setflags(write=False)
-        return F
+    vertex_matrix: np.ndarray  # (4**n, n_states), read-only: column s is states[s]'s Wigner vector
 
 
 @lru_cache(maxsize=None)
@@ -85,31 +77,9 @@ def enumerate_stabilizer_states(n: int) -> StabilizerSet:
                            f"{distinct} distinct, expected {expected}")
 
     order = sorted(range(expected), key=lambda s: tuple(snapped[s]))
-    return StabilizerSet(
-        n_qubits=n,
-        states=tuple(PureState(amps[s]) for s in order),
-        wigner_vertices=tuple(WignerVector(snapped[s]) for s in order),
-    )
-
-
-def is_stabilizer(psi: PureState) -> bool:
-    """Membership test: overlap above 1 - 1e-10 with some enumerated state."""
-    if psi.n_qubits not in (1, 2):
-        raise ValueError("membership test is implemented for n in {1, 2}")
-    sset = enumerate_stabilizer_states(psi.n_qubits)
-    amps = np.column_stack([s.amps for s in sset.states])
-    overlaps = np.abs(amps.conj().T @ psi.amps) ** 2
-    return bool(np.max(overlaps) > 1 - 1e-10)
-
-
-def vertices_nonnegative(n: int) -> bool:
-    """Whether every Wigner vertex is entrywise >= 0.
-
-    True for n=1 (the octahedron sits in the positive orthant of phase
-    space); false for n=2, where Bell-type vertices carry -1/4 entries.
-    """
-    sset = enumerate_stabilizer_states(n)
-    return bool(min(w.values.min() for w in sset.wigner_vertices) >= -1e-12)
+    vertices = np.ascontiguousarray(snapped[order].T)
+    vertices.setflags(write=False)
+    return StabilizerSet(states=tuple(PureState(amps[s]) for s in order), vertex_matrix=vertices)
 
 
 @lru_cache(maxsize=None)

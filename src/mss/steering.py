@@ -26,6 +26,7 @@ states themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -42,9 +43,10 @@ SETTINGS = ("X", "Y")
 class Assemblage:
     """Conditional recipient states sigma_{a|x} with their outcome probabilities."""
 
-    members: Mapping[tuple[str, int], tuple[float, DensityMatrix]]
+    members: Mapping[tuple[str, int], tuple[float, DensityMatrix]]  # a read-only view of a copy
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "members", MappingProxyType(dict(self.members)))
         for x in SETTINGS:
             if (x, 0) not in self.members or (x, 1) not in self.members:
                 raise ValueError(f"assemblage is missing outcomes for setting {x}")
@@ -67,11 +69,17 @@ class Assemblage:
 
 @dataclass(frozen=True)
 class CertificationRecord:
-    f_value: float
-    f_lhs: float
-    gap: float
-    certified_c: float
-    phi_hidden: bool = True  # structural: the evaluation path never sees phi
+    f_value: float  # the functional F on the assemblage
+    f_lhs: float    # its bound over stabilizer local-hidden-state assemblages
+
+    @property
+    def gap(self) -> float:
+        return self.f_value - self.f_lhs
+
+    @property
+    def certified_c(self) -> float:
+        """The certified lower bound on C: the gap, floored at 0."""
+        return max(0.0, self.gap)
 
 
 # R_x per dealer setting: H R_x is the setting's readout rotation.
@@ -134,25 +142,13 @@ def evaluate_functional(assemblage: Assemblage, witness: MagicResult) -> Certifi
     stabilizer local-hidden-state assemblage stays at or below zero gap.
     """
     f_value = _functional_value(assemblage.state("X", 0), assemblage.state("Y", 0), witness)
-    gap = f_value - witness.f_lhs
-    return CertificationRecord(
-        f_value=f_value,
-        f_lhs=witness.f_lhs,
-        gap=gap,
-        certified_c=max(0.0, gap),
-    )
+    return CertificationRecord(f_value=f_value, f_lhs=witness.f_lhs)
 
 
 def certify_exact(phi: float) -> CertificationRecord:
     """Build the ideal assemblage at phi, solve its witness, and evaluate."""
     assemblage = build_assemblage(phi)
     return evaluate_functional(assemblage, solve_witness(assemblage))
-
-
-def lhs_bound_check(witness: MagicResult) -> float:
-    """max over the six stabilizer states of tr(H* sigma); equals f_lhs."""
-    states = enumerate_stabilizer_states(1).states
-    return max(float(np.trace(witness.dual_witness @ s.density().mat).real) for s in states)
 
 
 @dataclass(frozen=True)
@@ -187,13 +183,9 @@ def sampled_certification(phi: float, shots: int, noise, seed: int,
 
     recon = {s: tomo.reconstruct(base[s]["X"], base[s]["Y"], base[s]["Z"]) for s in SETTINGS}
     witness = wigner_distance(recon["X"].rho)
-    f_value = _functional_value(recon["X"].rho, recon["Y"].rho, witness)
     record = CertificationRecord(
-        f_value=f_value,
-        f_lhs=witness.f_lhs,
-        gap=f_value - witness.f_lhs,
-        certified_c=max(0.0, f_value - witness.f_lhs),
-    )
+        f_value=_functional_value(recon["X"].rho, recon["Y"].rho, witness),
+        f_lhs=witness.f_lhs)
 
     rng = tomo.stream_rng(seed, f"certify-boot/{phi:.17g}")
     raw = tomo.resample_expectations(

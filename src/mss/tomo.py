@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -58,12 +59,15 @@ def _fnv1a64(text: str) -> int:
 
 
 def stream_rng(seed: int, label: str) -> np.random.Generator:
-    """Philox generator on the (seed, label) stream; disjoint across labels."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, _fnv1a64(label)], dtype=np.uint64)
+    """Philox generator on the (seed, label) stream; disjoint across labels.
+
+    ``seed`` is one 64-bit key word: one outside [0, 2**64) raises
+    OverflowError rather than aliasing a seed inside it."""
+    key = np.array([seed, _fnv1a64(label)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Depolarizing-plus-readout device model.
 
@@ -104,12 +108,13 @@ class CountsTable:
     """Raw shot counts for one circuit, keyed by LSb-0 bitstrings."""
 
     basis_label: str
-    counts: dict[str, int]
+    counts: Mapping[str, int]  # a read-only view of a private copy
     shots: int
     party: str = "charlie"
     alice_setting: str = "X"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
         if sum(self.counts.values()) != self.shots:
             raise ValueError("counts do not sum to shots")
         if any(len(k) != _N_QUBITS or set(k) - {"0", "1"} for k in self.counts):
@@ -247,17 +252,7 @@ def post_select_and_correct(table: CountsTable, alice_keep_bit: int = 0) -> Corr
     return CorrectedCounts(basis_label=table.basis_label, n0=float(n[0]), n1=float(n[1]))
 
 
-def exact_corrected_counts(phi: float, basis: str, n_eff: float,
-                           party: str = "charlie") -> CorrectedCounts:
-    """Noise-free analytic expectations as pseudo-counts (infinite-shot limit)."""
-    if party == "charlie":
-        e = {"X": math.cos(phi), "Y": math.sin(phi), "Z": 0.0}[basis]
-    else:
-        e = 0.0
-    return CorrectedCounts(basis_label=basis, n0=(1 + e) / 2 * n_eff, n1=(1 - e) / 2 * n_eff)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionResult:
     rho: DensityMatrix
     bloch_raw: np.ndarray     # linear-inversion vector before any projection
@@ -287,6 +282,7 @@ def reconstruct(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
     b = raw / max(1.0, float(np.linalg.norm(raw)))  # scale onto the Bloch ball
     rho = dm_from_bloch(b)
     fid = fidelity(rho, phase_plus(phi)) if phi is not None else math.nan
+    raw.setflags(write=False)
     return ReconstructionResult(
         rho=rho,
         bloch_raw=raw,
@@ -438,7 +434,7 @@ def experiment_table(phis: Sequence[float], shots: int, noise: NoiseModel,
     rows = []
     raw = []
     for phi in phis:
-        per_phi: dict[str, dict[str, dict[str, int]]] = {}
+        per_phi: dict[str, dict[str, Mapping[str, int]]] = {}
         corrected: dict[str, dict[str, CorrectedCounts]] = {}
         for party in ("charlie", "bob"):
             tables = {b: sample_run(phi, b, shots, noise, seed, party=party)

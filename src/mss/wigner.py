@@ -7,7 +7,6 @@ register convention in :mod:`mss.qcore`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -28,11 +27,6 @@ def phase_points(n_qubits: int) -> list[PhasePoint]:
     return [pt for pt in product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=n_qubits)]
 
 
-def point_index(point: PhasePoint) -> int:
-    n = len(point)
-    return sum(4 ** (n - 1 - i) * (2 * q + p) for i, (q, p) in enumerate(point))
-
-
 def phase_point_operator(point: PhasePoint) -> np.ndarray:
     """Hermitian trace-1 operator A_point (not PSD: 1-qubit eigenvalues (1 +- sqrt(3))/2)."""
     point = tuple((int(q), int(p)) for q, p in point)
@@ -44,33 +38,16 @@ def phase_point_operator(point: PhasePoint) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class WignerVector:
-    """Real quasi-probability vector of a trace-1 state over 4**n points."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float).reshape(-1)
-        n = _n_from_size(v.size)
-        if abs(v.sum() - 1.0) > 1e-9:
-            raise ValueError("Wigner vector does not sum to 1 within 1e-9")
-        if np.max(np.abs(v)) > 1.0:
-            raise ValueError("Wigner vector has an entry with |value| > 1")
-        frozen = np.array(v, order="C")
-        frozen.setflags(write=False)
-        object.__setattr__(self, "values", frozen)
-
-    @property
-    def n_qubits(self) -> int:
-        return _n_from_size(self.values.size)
-
-
-def _n_from_size(size: int) -> int:
-    n = max((int(size).bit_length() - 1) // 2, 0)
-    if size != 4 ** n or n < 1:
-        raise ValueError(f"length {size} is not 4**n for n >= 1")
-    return n
+def as_wigner_vector(values) -> np.ndarray:
+    """A quasi-probability vector as a read-only float array, after its two
+    checks: the entries sum to 1 within 1e-9 and none exceeds 1 in magnitude."""
+    v = np.array(values, dtype=float).reshape(-1)
+    if abs(v.sum() - 1.0) > 1e-9:
+        raise ValueError("Wigner vector does not sum to 1 within 1e-9")
+    if np.max(np.abs(v)) > 1.0:
+        raise ValueError("Wigner vector has an entry with |value| > 1")
+    v.setflags(write=False)
+    return v
 
 
 @lru_cache(maxsize=None)
@@ -81,8 +58,9 @@ def _operator_stack(n_qubits: int) -> np.ndarray:
     return ops
 
 
-def wigner_of(rho: DensityMatrix) -> WignerVector:
-    """W(alpha) = tr(rho A_alpha) / 2**n; entries sum to 1 for a trace-1 state."""
+def wigner_of(rho: DensityMatrix) -> np.ndarray:
+    """W(alpha) = tr(rho A_alpha) / 2**n over the 4**n points in flat-index
+    order, read-only; the entries sum to 1 for a trace-1 state."""
     n = rho.n_qubits
     if n > 2:
         raise ValueError("Wigner vectors are only supported for n <= 2 qubits")
@@ -90,13 +68,4 @@ def wigner_of(rho: DensityMatrix) -> WignerVector:
     vals = np.einsum("aij,ji->a", ops, rho.mat) / 2 ** n
     if np.max(np.abs(vals.imag)) > 1e-12:
         raise ValueError("Wigner values have imaginary parts above 1e-12")
-    return WignerVector(vals.real)
-
-
-def state_from_wigner(w: WignerVector) -> DensityMatrix:
-    """Inverse map rho = sum_alpha w(alpha) A_alpha (round-trip partner of wigner_of)."""
-    n = w.n_qubits
-    if n > 2:
-        raise ValueError("Wigner vectors are only supported for n <= 2 qubits")
-    ops = _operator_stack(n)
-    return DensityMatrix(np.tensordot(w.values, ops, axes=([0], [0])))
+    return as_wigner_vector(vals.real)

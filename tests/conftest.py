@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -6,9 +8,17 @@ from hypothesis import strategies as st
 from mss.magic import c_closed_form, octahedron_distance
 from mss.qcore import (DensityMatrix, H, PureState, Z, apply_1q, apply_on_axes, bloch, ghz,
                        phase_gate, trace_distance)
+from mss.tomo import CorrectedCounts
 
 # Property tests draw the same examples on every run and keep no example database.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def exact_corrected_counts(phi: float, basis: str, n_eff: float) -> CorrectedCounts:
+    """The recipient's noise-free expectations in ``basis`` as pseudo-counts
+    (the infinite-shot limit)."""
+    e = {"X": math.cos(phi), "Y": math.sin(phi), "Z": 0.0}[basis]
+    return CorrectedCounts(basis_label=basis, n0=(1 + e) / 2 * n_eff, n1=(1 - e) / 2 * n_eff)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

@@ -1,0 +1,148 @@
+"""Guards on the package surface.
+
+Every public module-level function and class in ``src/mss`` is either used
+inside ``src/`` or named in ``mss.__all__``: a public name that nothing in
+the package calls and that the public API does not list is a test-only
+helper or dead code, and oracles the tests need live under ``tests/``.
+
+Every record type is frozen and holds only read-only data.
+"""
+
+import ast
+import dataclasses
+import math
+from collections.abc import Mapping
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mss
+from mss import magic, protocol, qcore, simplex, stabilizer, steering, tomo
+
+SRC = Path(mss.__file__).resolve().parent
+
+
+def _used_names(node: ast.AST) -> set[str]:
+    """Names a subtree reads, as bare names or as attributes."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+    return used
+
+
+def _definitions_and_uses():
+    """(module, name, names used everywhere else in src/) per public top-level def."""
+    statements = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        statements += [(path.stem, stmt) for stmt in tree.body]
+    uses = [_used_names(stmt) for _, stmt in statements]
+    for i, (module, stmt) in enumerate(statements):
+        if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                and not stmt.name.startswith("_")):
+            elsewhere = set().union(*(u for j, u in enumerate(uses) if j != i))
+            yield module, stmt.name, elsewhere
+
+
+def test_every_public_definition_is_used_or_exported():
+    exported = set(mss.__all__)
+    unused = [f"{module}.{name}" for module, name, elsewhere in _definitions_and_uses()
+              if name not in elsewhere and name not in exported]
+    assert unused == [], f"public but neither used in src/ nor in mss.__all__: {unused}"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in mss.__all__ if not hasattr(mss, name)]
+    assert missing == []
+    assert len(set(mss.__all__)) == len(mss.__all__)
+
+
+def _records():
+    """One instance of every record type, each from the code that makes it."""
+    noise = tomo.NoiseModel.symmetric(0.003, 0.015, 0.01)
+    table = tomo.sample_run(0.3, "X", 256, noise, seed=1)
+    corrected = [tomo.post_select_and_correct(tomo.sample_run(0.3, b, 256, noise, seed=1))
+                 for b in ("X", "Y", "Z")]
+    transcript = protocol.run_exact(0.7, 4, outcomes="+-+")
+    report = tomo.experiment_table([0.3], shots=256, noise=noise, seed=1, n_boot=100)
+    return [
+        magic.wigner_distance(qcore.phase_plus(math.pi / 4).density()),
+        magic.wigner_distance(qcore.maximally_mixed(2)),  # the clamped, zero-witness result
+        transcript,
+        protocol.security_report(transcript)[0],
+        protocol.check_gate_admissibility(protocol.phase_gate_family, [0.3, 0.7]),
+        qcore.phase_plus(0.3),
+        qcore.phase_plus(0.3).density(),
+        simplex.solve_lp([1.0, 1.0], [[1.0, 1.0]], [1.0], [0]),
+        stabilizer.enumerate_stabilizer_states(2),
+        steering.build_assemblage(0.3),
+        steering.certify_exact(0.3),
+        steering.sampled_certification(0.3, shots=256, noise=noise, seed=1, n_boot=100),
+        noise,
+        table,
+        corrected[0],
+        tomo.reconstruct(*corrected, phi=0.3),
+        report.rows[0],
+        report,
+    ]
+
+
+RECORDS = _records()
+
+
+def _held(value):
+    """Every value reachable from a record through fields, sequences and mappings."""
+    yield value
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _held(getattr(value, f.name))
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _held(v)
+    elif isinstance(value, Mapping):
+        for v in value.values():
+            yield from _held(v)
+
+
+def test_every_record_type_is_covered():
+    modules = (magic, protocol, qcore, simplex, stabilizer, steering, tomo)
+    record_types = {value for module in modules for value in vars(module).values()
+                    if isinstance(value, type) and dataclasses.is_dataclass(value)}
+    assert {type(r) for r in RECORDS} == record_types
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_frozen_and_hold_read_only_arrays(record):
+    for f in dataclasses.fields(record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, f.name, getattr(record, f.name))
+    for value in _held(record):
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                value.flat[0] = value.flat[0]
+
+
+@pytest.mark.parametrize("record_type, name", [(tomo.CountsTable, "counts"),
+                                               (steering.Assemblage, "members")],
+                         ids=["CountsTable", "Assemblage"])
+def test_record_mappings_are_read_only_copies(record_type, name):
+    record = next(r for r in RECORDS if isinstance(r, record_type))
+    mapping = getattr(record, name)
+    key = next(iter(mapping))
+    with pytest.raises(TypeError):
+        mapping[key] = mapping[key]
+    copy = dict(mapping)
+    rebuilt = dataclasses.replace(record, **{name: copy})
+    copy[key] = None
+    assert getattr(rebuilt, name)[key] == mapping[key]
+
+
+def test_records_with_arrays_compare_by_identity():
+    m = qcore.maximally_mixed(1).mat
+    a, b = qcore.DensityMatrix(m), qcore.DensityMatrix(m.copy())
+    assert a == a and a != b

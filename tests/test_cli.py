@@ -352,6 +352,21 @@ class TestOutputFile:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    @pytest.mark.parametrize("argv", [
+        ("run", "--phi", PI_4),
+        ("certify", "--phi", PI_8, "--shots", "256", "--boot", "100"),
+        ("experiment", "--phis", PI_8, "--shots", "256", "--boot", "100"),
+    ], ids=["run", "certify", "experiment"])
+    def test_seed_outside_64_bits_is_usage_error(self, capsys, argv, seed):
+        code, out, err = run_cli(capsys, *argv, "--seed", seed)
+        assert code == 2 and out == ""
+        assert err.startswith("mss: --seed must be ") and err.endswith(f", got {seed}\n")
+
+    def test_largest_seed_is_accepted(self, capsys):
+        code, _, err = run_cli(capsys, "run", "--phi", PI_4, "--seed", str(2 ** 64 - 1))
+        assert code == 0, err
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

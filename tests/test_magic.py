@@ -12,7 +12,6 @@ from mss.magic import (
     _lp_constants,
     c_closed_form,
     octahedron_distance,
-    optimal_mixture,
     wigner_distance,
 )
 from mss.qcore import (
@@ -26,13 +25,38 @@ from mss.qcore import (
 )
 from mss.simplex import SimplexError, solve_lp
 from mss.stabilizer import enumerate_stabilizer_states, single_qubit_cliffords
-from mss.wigner import _operator_stack, phase_point_operator, phase_points, wigner_of
+from mss.wigner import (
+    _operator_stack,
+    as_wigner_vector,
+    phase_point_operator,
+    phase_points,
+    wigner_of,
+)
 
 from conftest import PROPERTY, bloch_vectors, random_density, random_pure_state
 from test_simplex import reference_solve_lp
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
+
+
+def optimal_mixture(phi: float) -> np.ndarray:
+    """The nearest polytope point for P(phi)|+> with phi strictly in (0, pi/2).
+
+    Mixes the Wigner vectors of |+> and |+i>.  Writing c = cos(phi) and
+    s = sin(phi), the L1-optimal mixture is the equal-deviation point with
+    weights (1 + c - s)/2 on |+> and (1 + s - c)/2 on |+i>: its Bloch vector
+    sits on the octahedron facet at distance c_closed_form(phi) along both
+    in-plane axes simultaneously, which is what minimises the max-deviation
+    form the Wigner L1 norm takes in the equatorial plane.
+    """
+    if not 0.0 < phi < np.pi / 2:
+        raise ValueError("optimal_mixture requires phi strictly inside (0, pi/2)")
+    w_plus = wigner_of(phase_plus(0.0).density())
+    w_plus_i = wigner_of(phase_plus(np.pi / 2).density())
+    c, s = np.cos(phi), np.sin(phi)
+    a = (1.0 + c - s) / 2.0
+    return as_wigner_vector(a * w_plus + (1.0 - a) * w_plus_i)
 
 
 class TestClosedForm:
@@ -114,8 +138,8 @@ class TestWignerDistance:
         for _ in range(20):
             rho = random_density(1, rng)
             res = wigner_distance(rho)
-            w = wigner_of(rho).values
-            assert np.abs(w - res.f_star.values).sum() == pytest.approx(res.c_value, abs=1e-8)
+            w = wigner_of(rho)
+            assert np.abs(w - res.f_star).sum() == pytest.approx(res.c_value, abs=1e-8)
             assert res.mixture_weights.min() >= 0
             assert res.mixture_weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -178,7 +202,7 @@ class TestWignerDistance:
     def test_repeat_calls_are_byte_identical(self, rng):
         for rho in (random_density(1, rng), random_density(2, rng), maximally_mixed(2)):
             first, second = wigner_distance(rho), wigner_distance(rho)
-            for a, b in ((first.f_star.values, second.f_star.values),
+            for a, b in ((first.f_star, second.f_star),
                          (first.mixture_weights, second.mixture_weights),
                          (first.dual_witness, second.dual_witness),
                          (np.float64(first.c_value), np.float64(second.c_value)),
@@ -216,7 +240,7 @@ def reference_wigner_lp(rho):
       F lam - t + s2 = w      (F lam - w <= t)
       sum lam        = 1
     """
-    w = wigner_of(rho).values
+    w = wigner_of(rho)
     F = enumerate_stabilizer_states(rho.n_qubits).vertex_matrix
     k, nv = F.shape
     eye = np.eye(k)
@@ -231,7 +255,7 @@ def reference_wigner_lp(rho):
 def scipy_wigner_lp(rho):
     """C(rho) from scipy's HiGHS on min ||w - F lam||_1 over the simplex."""
     linprog = pytest.importorskip("scipy.optimize").linprog
-    w = wigner_of(rho).values
+    w = wigner_of(rho)
     F = enumerate_stabilizer_states(rho.n_qubits).vertex_matrix
     k, nv = F.shape
     eye = np.eye(k)
@@ -294,7 +318,7 @@ class TestAgainstTheTwoPhaseLP:
 
     def test_infeasible_starting_basis_is_refused(self):
         rho = phase_plus(np.pi / 4).density()
-        w = wigner_of(rho).values
+        w = wigner_of(rho)
         F, A, c = _lp_constants(1)
         k, nv = F.shape
         j = int(np.abs(w[:, None] - F).sum(axis=0).argmin())
@@ -374,7 +398,7 @@ class TestPrimalDualAgreement:
     def test_primal_and_dual_values_equal_c(self, rho):
         n = rho.n_qubits
         res = wigner_distance(rho)
-        w = wigner_of(rho).values
+        w = wigner_of(rho)
         F = enumerate_stabilizer_states(n).vertex_matrix
         lam = res.mixture_weights
         # The dual vector, recovered from the witness: tr(A_a A_b) = 2**n delta_ab.
@@ -388,19 +412,19 @@ class TestPrimalDualAgreement:
 
 class TestOptimalMixture:
     def test_symmetric_at_t_angle(self):
-        w_plus = wigner_of(phase_plus(0.0).density()).values
-        w_plus_i = wigner_of(phase_plus(np.pi / 2).density()).values
-        got = optimal_mixture(np.pi / 4).values
+        w_plus = wigner_of(phase_plus(0.0).density())
+        w_plus_i = wigner_of(phase_plus(np.pi / 2).density())
+        got = optimal_mixture(np.pi / 4)
         np.testing.assert_allclose(got, (w_plus + w_plus_i) / 2, atol=1e-12)
 
     def test_limit_toward_zero(self):
-        w_plus = wigner_of(phase_plus(0.0).density()).values
-        np.testing.assert_allclose(optimal_mixture(1e-9).values, w_plus, atol=1e-8)
+        w_plus = wigner_of(phase_plus(0.0).density())
+        np.testing.assert_allclose(optimal_mixture(1e-9), w_plus, atol=1e-8)
 
     def test_achieves_closed_form_distance(self, rng):
         for phi in rng.uniform(1e-3, np.pi / 2 - 1e-3, size=40):
-            w = wigner_of(phase_plus(phi).density()).values
-            dist = np.abs(w - optimal_mixture(phi).values).sum()
+            w = wigner_of(phase_plus(phi).density())
+            dist = np.abs(w - optimal_mixture(phi)).sum()
             assert dist == pytest.approx(c_closed_form(phi), abs=1e-12)
 
     def test_domain_enforced(self):

@@ -75,8 +75,7 @@ def reference_run_exact(phi, n, outcomes=None, seed=None, state=None):
 
 def assert_matches_reference(t, ref, tol=1e-15):
     sent, probability, final, parity, history = ref
-    assert "".join(m.outcome for m in t.messages) == sent
-    assert [(m.sender, m.step) for m in t.messages] == [(k, k) for k in range(len(sent))]
+    assert t.outcomes == sent
     assert t.correction_parity == parity
     assert abs(t.branch_probability - probability) <= tol
     assert np.max(np.abs(t.final_state.mat - final.mat)) <= tol
@@ -111,13 +110,12 @@ class TestRunExact:
 
     def test_messages_recorded_in_order(self):
         t = run_exact(0.5, 4, outcomes="+-+")
-        assert [m.sender for m in t.messages] == [0, 1, 2]
-        assert [m.outcome for m in t.messages] == ["+", "-", "+"]
+        assert t.outcomes == "+-+"
 
     def test_sampled_mode_is_seeded(self):
         a = run_exact(0.7, 3, seed=11)
         b = run_exact(0.7, 3, seed=11)
-        assert [m.outcome for m in a.messages] == [m.outcome for m in b.messages]
+        assert a.outcomes == b.outcomes
         assert fidelity(a.final_state, phase_plus(0.7)) == pytest.approx(1.0, abs=1e-12)
 
     def test_sampled_mode_requires_seed(self):
@@ -201,10 +199,9 @@ class TestThresholdInduction:
         # Every branch, every transcript field, against the stepwise runner.
         for phi in [0.83, *rng.uniform(0, 2 * np.pi, size=3)]:
             for t in run_all_branches(phi, n):
-                outcomes = "".join(m.outcome for m in t.messages)
-                ref = reference_run_exact(phi, n, outcomes=outcomes)
+                ref = reference_run_exact(phi, n, outcomes=t.outcomes)
                 assert_matches_reference(t, ref)
-                assert_matches_reference(run_exact(phi, n, outcomes=outcomes), ref)
+                assert_matches_reference(run_exact(phi, n, outcomes=t.outcomes), ref)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_sampled_runs_match_reference(self, n, rng):

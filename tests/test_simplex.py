@@ -139,6 +139,11 @@ def reference_solve_lp(c, A, b, basis=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MA
     cost2 = np.concatenate([c_full, np.zeros(m + 1)])
     reduce_cost_row(cost2)
     iterations, at_zero = pivot_loop(cost2, c_full, n, iterations)
+    # Phase 1 can leave artificial columns basic at zero, and phase 2 pivots
+    # may lift them; the point is then infeasible for the original rows.
+    lifted = max((work[row, -1] for row, col in enumerate(basis) if col >= n), default=0.0)
+    if lifted > tol:
+        raise SimplexError(f"artificial column basic at {lifted:.3e} after phase 2")
 
     x = np.zeros(n)
     for row, col in enumerate(basis):
@@ -283,6 +288,18 @@ def test_random_problems_against_scipy(rng):
         # duals: strong duality and feasibility
         assert sol.duals @ b == pytest.approx(sol.fun, abs=1e-7)
         assert np.all(A.T @ sol.duals <= c + 1e-7)
+
+
+def test_reference_two_phase_raises_on_a_lifted_artificial():
+    # x0 + x1 + x2 = 1 and x0 + x1 = 1 force x2 = 0.  Phase 1 ends with x0
+    # basic and the second row's artificial basic at zero, its x2 entry -1;
+    # minimising -x2 then enters x2 and lifts that artificial to 1, which
+    # without the check would report the infeasible x = (0, 0, 1), C = -1.
+    A = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(SimplexError, match="artificial column basic at 1"):
+        reference_solve_lp(np.array([0.0, 0.0, -1.0]), A, np.array([1.0, 1.0]))
+    sol, _ = reference_solve_lp(np.array([0.0, 0.0, 1.0]), A, np.array([1.0, 1.0]))
+    assert sol.fun == 0.0
 
 
 def test_solution_is_dataclass():

@@ -7,13 +7,7 @@ import pytest
 
 from mss import stabilizer
 from mss.qcore import DensityMatrix, I2, PureState, X, Y, Z, apply_1q, bloch, phase_gate
-from mss.stabilizer import (
-    StabilizerSet,
-    enumerate_stabilizer_states,
-    is_stabilizer,
-    single_qubit_cliffords,
-    vertices_nonnegative,
-)
+from mss.stabilizer import StabilizerSet, enumerate_stabilizer_states, single_qubit_cliffords
 from mss.wigner import wigner_of
 
 _PAULI_LABELS_1Q = ("I", "X", "Y", "Z")
@@ -79,13 +73,27 @@ def reference_enumerate(n: int) -> StabilizerSet:
     for proj in projectors.values():
         state = _canonical_state(proj)
         w = wigner_of(DensityMatrix((proj + proj.conj().T) / 2))
-        entries.append((tuple(np.round(w.values, 12)), state, w))
+        entries.append((tuple(np.round(w, 12)), state, w))
     entries.sort(key=lambda e: e[0])
-    return StabilizerSet(
-        n_qubits=n,
-        states=tuple(e[1] for e in entries),
-        wigner_vertices=tuple(e[2] for e in entries),
-    )
+    return StabilizerSet(states=tuple(e[1] for e in entries),
+                         vertex_matrix=np.column_stack([e[2] for e in entries]))
+
+
+def is_stabilizer(psi: PureState) -> bool:
+    """Membership test: overlap above 1 - 1e-10 with some enumerated state."""
+    sset = enumerate_stabilizer_states(psi.n_qubits)
+    amps = np.column_stack([s.amps for s in sset.states])
+    overlaps = np.abs(amps.conj().T @ psi.amps) ** 2
+    return bool(np.max(overlaps) > 1 - 1e-10)
+
+
+def vertices_nonnegative(n: int) -> bool:
+    """Whether every Wigner vertex is entrywise >= 0.
+
+    True for n=1 (the octahedron sits in the positive orthant of phase
+    space); false for n=2, where Bell-type vertices carry -1/4 entries.
+    """
+    return bool(enumerate_stabilizer_states(n).vertex_matrix.min() >= -1e-12)
 
 
 PLUS = PureState(np.array([1, 1]) / np.sqrt(2))
@@ -122,8 +130,8 @@ class TestEnumeration:
 
     def test_vertices_normalised(self):
         for n in (1, 2):
-            for w in enumerate_stabilizer_states(n).wigner_vertices:
-                assert w.values.sum() == pytest.approx(1.0, abs=1e-12)
+            for w in enumerate_stabilizer_states(n).vertex_matrix.T:
+                assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_canonical_phase(self):
         for n in (1, 2):
@@ -134,8 +142,7 @@ class TestEnumeration:
     def test_order_is_deterministic(self):
         a = enumerate_stabilizer_states.__wrapped__(2)
         b = enumerate_stabilizer_states.__wrapped__(2)
-        for wa, wb in zip(a.wigner_vertices, b.wigner_vertices):
-            np.testing.assert_array_equal(wa.values, wb.values)
+        assert a.vertex_matrix.tobytes() == b.vertex_matrix.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_construction_matches_the_pauli_pair_search(self, n):
@@ -165,15 +172,14 @@ class TestVertexGeometry:
 
     def test_single_qubit_vertices_nonnegative(self):
         assert vertices_nonnegative(1)
-        for w in enumerate_stabilizer_states(1).wigner_vertices:
-            assert w.values.min() >= -1e-15
+        assert enumerate_stabilizer_states(1).vertex_matrix.min() >= -1e-15
 
     def test_two_qubit_vertices_carry_negative_entries(self):
         # Bell-type stabilizer states have Wigner entries of -1/8 (twelve
         # +1/8 entries and four -1/8 entries sum to 1), so the nonnegativity
         # property is a 1-qubit statement only.
         assert not vertices_nonnegative(2)
-        worst = min(w.values.min() for w in enumerate_stabilizer_states(2).wigner_vertices)
+        worst = enumerate_stabilizer_states(2).vertex_matrix.min()
         assert worst == pytest.approx(-0.125, abs=1e-12)
 
     def test_vertex_matrix_shape(self):
@@ -181,12 +187,15 @@ class TestVertexGeometry:
         assert enumerate_stabilizer_states(2).vertex_matrix.shape == (16, 60)
 
     def test_vertex_matrix_is_built_once_and_read_only(self):
-        sset = enumerate_stabilizer_states(2)
-        F = sset.vertex_matrix
-        assert F is sset.vertex_matrix
-        np.testing.assert_array_equal(F[:, 7], sset.wigner_vertices[7].values)
-        with pytest.raises(ValueError):
-            F[0, 0] = 1.0
+        for n in (1, 2):
+            sset = enumerate_stabilizer_states(n)
+            assert sset is enumerate_stabilizer_states(n)
+            F = sset.vertex_matrix
+            assert F.flags.c_contiguous
+            for column, state in zip(F.T, sset.states):  # column s is states[s]'s vector
+                np.testing.assert_allclose(column, wigner_of(state.density()), rtol=0, atol=1e-12)
+            with pytest.raises(ValueError):
+                F[0, 0] = 1.0
 
 
 class TestMembership:

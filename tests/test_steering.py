@@ -7,6 +7,7 @@ from hypothesis import given
 from mss import steering, tomo
 from mss.magic import c_closed_form, wigner_distance
 from mss.qcore import X, Y, Z, bloch, dm_from_bloch, ket
+from mss.stabilizer import enumerate_stabilizer_states
 from mss.steering import (
     Assemblage,
     _functional_value,
@@ -14,17 +15,22 @@ from mss.steering import (
     build_assemblage,
     certify_exact,
     evaluate_functional,
-    lhs_bound_check,
     random_lhs_assemblage,
     sampled_certification,
     solve_witness,
     z_setting_probe,
 )
 
-from conftest import PROPERTY, bloch_vectors, reference_build_assemblage
+from conftest import PROPERTY, bloch_vectors, exact_corrected_counts, reference_build_assemblage
 
 SQRT2 = np.sqrt(2.0)
 ACCEPTANCE_NOISE = tomo.NoiseModel.symmetric(0.003, 0.015, 0.01)
+
+
+def lhs_bound_check(witness) -> float:
+    """max over the six stabilizer states of tr(H* sigma); equals f_lhs."""
+    states = enumerate_stabilizer_states(1).states
+    return max(float(np.trace(witness.dual_witness @ s.density().mat).real) for s in states)
 
 
 def lp_gap(b_x, b_y):
@@ -160,7 +166,6 @@ class TestCertification:
         rec = certify_exact(np.pi / 4)
         assert rec.gap == pytest.approx(0.20710678118654752, abs=1e-7)
         assert rec.certified_c == pytest.approx(rec.gap, abs=1e-12)
-        assert rec.phi_hidden
 
     def test_pi_eighth_gap(self):
         rec = certify_exact(np.pi / 8)
@@ -192,7 +197,6 @@ class TestCertification:
         # For phi in (0, pi/2) the witness presses against the polytope at
         # |+> or |+i>, the two vertices flanking the secret's Bloch vector.
         from mss.qcore import phase_plus
-        from mss.stabilizer import enumerate_stabilizer_states
 
         a = build_assemblage(np.pi / 8)
         w = solve_witness(a)
@@ -205,7 +209,6 @@ class TestCertification:
         assert np.argmax(np.abs(best_bloch)) in (0, 1)  # an equatorial vertex
 
     def test_vertex_mixtures_respect_bound(self, rng):
-        from mss.stabilizer import enumerate_stabilizer_states
         from mss.qcore import DensityMatrix
 
         a = build_assemblage(0.77)
@@ -263,8 +266,8 @@ class TestSampledCertification:
     @pytest.mark.parametrize("phi", [np.pi / 8, 2.2, np.pi / 2 + 0.02])
     def test_replica_gaps_match_lp_on_exact_counts(self, phi):
         # sigma_{0|X} has Bloch vector (cos, sin, 0), sigma_{0|Y} (-sin, cos, 0).
-        counts = [tomo.exact_corrected_counts(phi, b, 2048) for b in ("X", "Y", "Z")]
-        counts += [tomo.exact_corrected_counts(phi + np.pi / 2, b, 2048) for b in ("X", "Y", "Z")]
+        counts = [exact_corrected_counts(phi, b, 2048) for b in ("X", "Y", "Z")]
+        counts += [exact_corrected_counts(phi + np.pi / 2, b, 2048) for b in ("X", "Y", "Z")]
         raw = tomo.resample_expectations(counts, 100, tomo.stream_rng(2, "exact"))
         b_x, b_y = tomo.scale_onto_ball(raw[:, :3]), tomo.scale_onto_ball(raw[:, 3:])
         want = [lp_gap(x, y) for x, y in zip(b_x, b_y)]

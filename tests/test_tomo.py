@@ -18,7 +18,6 @@ from mss.tomo import (
     NoiseModel,
     bootstrap,
     circuit_probabilities,
-    exact_corrected_counts,
     experiment_table,
     post_select_and_correct,
     reconstruct,
@@ -28,7 +27,7 @@ from mss.tomo import (
     stream_rng,
 )
 
-from conftest import PROPERTY
+from conftest import PROPERTY, exact_corrected_counts
 
 ZERO_NOISE = NoiseModel.none()
 ACCEPTANCE_NOISE = NoiseModel.symmetric(0.003, 0.015, 0.01)
@@ -528,3 +527,10 @@ def test_stream_rng_labels_are_disjoint():
     c = stream_rng(5, "alpha").integers(0, 2 ** 32, size=4)
     assert not np.array_equal(a, b)
     np.testing.assert_array_equal(a, c)
+
+
+def test_stream_rng_takes_seeds_as_64_bit_keys_without_wrapping():
+    stream_rng(2 ** 64 - 1, "alpha")
+    for seed in (-1, 2 ** 64):  # would alias 2**64 - 1 and 0 if reduced mod 2**64
+        with pytest.raises(OverflowError):
+            stream_rng(seed, "alpha")

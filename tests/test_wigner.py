@@ -8,20 +8,30 @@ of the implementation's einsum path.
 import numpy as np
 import pytest
 
-from mss.qcore import PureState, apply_1q, dm_from_bloch, maximally_mixed, phase_gate
+from mss.qcore import DensityMatrix, PureState, apply_1q, dm_from_bloch, maximally_mixed, phase_gate
 from mss.wigner import (
-    WignerVector,
     _operator_stack,
+    as_wigner_vector,
     phase_point_operator,
     phase_points,
-    point_index,
-    state_from_wigner,
     wigner_of,
 )
 
 from conftest import random_density
 
 PLUS = PureState(np.array([1, 1]) / np.sqrt(2))
+
+
+def point_index(point) -> int:
+    """Flat index of a phase point: sum_i 4**(n-1-i) * (2*q_i + p_i)."""
+    n = len(point)
+    return sum(4 ** (n - 1 - i) * (2 * q + p) for i, (q, p) in enumerate(point))
+
+
+def state_from_wigner(w: np.ndarray) -> DensityMatrix:
+    """Inverse map rho = sum_alpha w(alpha) A_alpha (round-trip partner of wigner_of)."""
+    n = (len(w).bit_length() - 1) // 2
+    return DensityMatrix(np.tensordot(w, _operator_stack(n), axes=([0], [0])))
 
 
 def brute_force_wigner(rho_mat: np.ndarray) -> np.ndarray:
@@ -73,16 +83,16 @@ class TestPhasePointOperators:
 class TestWignerOf:
     def test_ground_state(self):
         got = wigner_of(PureState(np.array([1, 0])).density())
-        np.testing.assert_allclose(got.values, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(got, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
 
     def test_maximally_mixed(self):
         got = wigner_of(maximally_mixed(1))
-        np.testing.assert_allclose(got.values, np.full(4, 0.25), atol=1e-15)
+        np.testing.assert_allclose(got, np.full(4, 0.25), atol=1e-15)
 
     def test_phase_state_entries(self):
         for phi in (0.3, np.pi / 4, 1.2):
             rho = apply_1q(PLUS, phase_gate(phi), 0).density()
-            got = wigner_of(rho).values
+            got = wigner_of(rho)
             for q in (0, 1):
                 for p in (0, 1):
                     want = (1 + (-1) ** p * np.cos(phi) + (-1) ** (q + p) * np.sin(phi)) / 4
@@ -90,7 +100,7 @@ class TestWignerOf:
 
     def test_unique_negative_entry_of_phase_states(self, rng):
         for phi in rng.uniform(1e-3, np.pi / 2 - 1e-3, size=25):
-            got = wigner_of(apply_1q(PLUS, phase_gate(phi), 0).density()).values
+            got = wigner_of(apply_1q(PLUS, phase_gate(phi), 0).density())
             neg = np.where(got < 0)[0]
             assert list(neg) == [point_index(((0, 1),))]
             assert got[neg[0]] == pytest.approx((1 - np.cos(phi) - np.sin(phi)) / 4, abs=1e-12)
@@ -100,26 +110,31 @@ class TestWignerOf:
             for _ in range(50):
                 rho = random_density(n, rng)
                 np.testing.assert_allclose(
-                    wigner_of(rho).values, brute_force_wigner(rho.mat), atol=1e-12)
+                    wigner_of(rho), brute_force_wigner(rho.mat), atol=1e-12)
 
     def test_normalisation_on_random_states(self, rng):
         for n in (1, 2):
             for _ in range(50):
-                assert wigner_of(random_density(n, rng)).values.sum() == pytest.approx(1.0, abs=1e-10)
+                assert wigner_of(random_density(n, rng)).sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_linearity(self, rng):
-        from mss.qcore import DensityMatrix
-
         for _ in range(20):
             a, b = random_density(2, rng), random_density(2, rng)
             lam = float(rng.random())
-            got = wigner_of(DensityMatrix(lam * a.mat + (1 - lam) * b.mat)).values
-            want = lam * wigner_of(a).values + (1 - lam) * wigner_of(b).values
+            got = wigner_of(DensityMatrix(lam * a.mat + (1 - lam) * b.mat))
+            want = lam * wigner_of(a) + (1 - lam) * wigner_of(b)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_three_qubits_rejected(self):
         with pytest.raises(ValueError, match="n <= 2"):
             wigner_of(maximally_mixed(3))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_result_is_a_read_only_float_array(self, n):
+        w = wigner_of(maximally_mixed(n))
+        assert w.dtype == float and w.shape == (4 ** n,) and w.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
 
 
 class TestRoundTrip:
@@ -129,7 +144,7 @@ class TestRoundTrip:
         np.testing.assert_allclose(back.mat, rho.mat, atol=1e-12)
 
     def test_uniform_vector_is_mixed(self):
-        got = state_from_wigner(WignerVector(np.full(4, 0.25)))
+        got = state_from_wigner(np.full(4, 0.25))
         np.testing.assert_allclose(got.mat, np.eye(2) / 2, atol=1e-15)
 
     def test_t_state_round_trip(self):
@@ -143,8 +158,12 @@ class TestRoundTrip:
                 rho = random_density(n, rng)
                 w = wigner_of(rho)
                 np.testing.assert_allclose(
-                    wigner_of(state_from_wigner(w)).values, w.values, atol=1e-10)
+                    wigner_of(state_from_wigner(w)), w, atol=1e-10)
 
     def test_non_normalised_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            WignerVector(np.array([0.5, 0.5, 0.5, 0.5]))
+            as_wigner_vector(np.array([0.5, 0.5, 0.5, 0.5]))
+
+    def test_entry_above_one_rejected(self):
+        with pytest.raises(ValueError, match=r"\|value\| > 1"):
+            as_wigner_vector(np.array([1.5, -0.5, 0.0, 0.0]))
