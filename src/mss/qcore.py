@@ -160,16 +160,22 @@ def tensor(a, b):
 
 
 def apply_on_axes(t: np.ndarray, axes: tuple[int, ...], op: np.ndarray | None = None) -> np.ndarray:
-    """Apply an operator to the qubit axes of a tensor of shape (2,)*m.
+    """Apply an operator to the qubit axes (0..m-1) of a tensor of shape (2,)*m.
 
-    With one axis, the 2x2 ``op`` (unitary or not) contracts with that axis.
+    With one axis, the 2x2 ``op`` (unitary or not) contracts with that axis
+    as one ``np.dot`` of ``op`` with the tensor viewed as (2, rest), the
+    target axis first: the call, and the operand layout, that
+    ``np.tensordot(op, t, ([1], [axis]))`` makes internally, so the result
+    is bit-identical to it without its axis bookkeeping.
     With two axes and no ``op``, the operator is CX with control ``axes[0]``
     and target ``axes[1]``: the target index flips where the control is 1.
     Returns a new array; ``t`` is left unchanged.
     """
     if op is not None:
         (axis,) = axes
-        return np.moveaxis(np.tensordot(op, t, axes=([1], [axis])), 0, axis)
+        lead = t.reshape(2 ** axis, 2, -1).swapaxes(0, 1)
+        out = np.dot(op, lead.reshape(2, -1)).reshape(lead.shape)
+        return out.swapaxes(0, 1).reshape(t.shape)
     out = t.copy()
     view = np.moveaxis(out, axes, (0, 1))
     view[1] = view[1, ::-1]

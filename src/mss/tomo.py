@@ -19,6 +19,10 @@ channels need no Pauli sum: over the 4^k Paulis P on k qubits Q,
 sum_P P rho P = 2^k I_Q x Tr_Q rho (Nielsen & Chuang, Sec. 8.3.4), so a
 channel applying each non-identity Pauli with probability p/(4^k - 1) is
 (1 - lam) rho + lam (I/2^k x Tr_Q rho) with lam = 4^k p/(4^k - 1).
+The circuits of one angle and dealer setting differ only after the dealer's
+rotation, so that dealt state is simulated once per (phi, setting) and
+shared (:func:`_dealt_state` keeps the last one); each circuit runs only its
+tail, the measured party's rotations and the readout.
 
 Randomness.  All sampling uses counter-based Philox generators keyed as
 (seed, fnv1a64(label)) where the label spells out phi, party, basis,
@@ -29,6 +33,7 @@ function of the seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -38,7 +43,7 @@ import numpy as np
 
 # wigner_distance is not called here; bench/test_bench.py reads it as mss.tomo.wigner_distance.
 from .magic import c_closed_form, octahedron_distance, wigner_distance  # noqa: F401
-from .qcore import H, I2, S, DensityMatrix, apply_on_axes, dm_from_bloch, fidelity, phase_gate, phase_plus
+from .qcore import H, S, DensityMatrix, apply_on_axes, dm_from_bloch, fidelity, phase_gate, phase_plus
 
 DISTILLATION_THRESHOLD = 0.856  # 15-to-1 magic state distillation entry fidelity
 DEFAULT_SHOTS = 4096
@@ -142,10 +147,36 @@ def _depolarize(t: np.ndarray, p: float, qubits: tuple[int, ...]) -> np.ndarray:
         return t
     mixed = t
     for q in qubits:
-        reduced = np.trace(mixed, axis1=q, axis2=q + _N_QUBITS)
-        mixed = np.moveaxis(reduced[..., None, None] * (I2 / 2), (-2, -1), (q, q + _N_QUBITS))
+        # axes: ket qubits before q, ket q, the two axes between, bra q, bra qubits after q
+        v = mixed.reshape(2 ** q, 2, 4, 2, 2 ** (_N_QUBITS - 1 - q))
+        half = (v[:, 0, :, 0] + v[:, 1, :, 1]) * 0.5  # Tr_q, times I/2
+        mixed = np.zeros_like(v)
+        mixed[:, 0, :, 0] = half
+        mixed[:, 1, :, 1] = half
+        mixed = mixed.reshape(t.shape)
     lam = 4 ** len(qubits) * p / (4 ** len(qubits) - 1)
     return (1 - lam) * t + lam * mixed
+
+
+@functools.lru_cache(maxsize=1)
+def _dealt_state(phi: float, noise: NoiseModel, alice_setting: str) -> np.ndarray:
+    """The noisy state every tomography circuit of one (phi, dealer setting)
+    shares: GHZ preparation, P(phi) and the dealer's basis rotation on q0, as
+    a read-only (2,)*6 density tensor.
+
+    Only the last call is kept, so the circuits of one angle and setting,
+    run back to back, simulate these five gates once.  ``noise`` is keyed by
+    identity; it is frozen and the cache holds a reference to it.
+    """
+    t = np.zeros((2,) * (2 * _N_QUBITS), dtype=complex)  # |000><000|
+    t[(0,) * (2 * _N_QUBITS)] = 1.0
+    t = _gate1(t, H, 0, noise)
+    t = _cx_gate(t, 0, 1, noise)
+    t = _cx_gate(t, 0, 2, noise)
+    t = _gate1(t, phase_gate(phi), 0, noise)
+    t = _gate1(t, _BASIS_ROTATION[alice_setting], 0, noise)
+    t.setflags(write=False)
+    return t
 
 
 def circuit_probabilities(phi: float, basis: str, noise: NoiseModel,
@@ -164,14 +195,7 @@ def circuit_probabilities(phi: float, basis: str, noise: NoiseModel,
     if alice_setting not in ("X", "Y"):
         raise ValueError("alice_setting must be X or Y")
 
-    t = np.zeros((2,) * (2 * _N_QUBITS), dtype=complex)  # |000><000|
-    t[(0,) * (2 * _N_QUBITS)] = 1.0
-    t = _gate1(t, H, 0, noise)
-    t = _cx_gate(t, 0, 1, noise)
-    t = _cx_gate(t, 0, 2, noise)
-    t = _gate1(t, phase_gate(phi), 0, noise)
-    t = _gate1(t, _BASIS_ROTATION[alice_setting], 0, noise)
-
+    t = _dealt_state(phi, noise, alice_setting)
     if party == "charlie":
         t = _gate1(t, H, 1, noise)
         if basis != "Z":
@@ -361,7 +385,16 @@ class ExperimentReport:
     n_boot: int
     seed: int
     noise: NoiseModel
-    raw_counts: tuple[dict, ...]  # one entry per phi: party -> basis -> counts
+    # One entry per phi: party -> basis -> counts, read-only views of private copies.
+    raw_counts: tuple[Mapping[str, Mapping[str, Mapping[str, int]]], ...]
+
+    def __post_init__(self) -> None:
+        frozen = tuple(
+            MappingProxyType({party: MappingProxyType({basis: MappingProxyType(dict(counts))
+                                                       for basis, counts in by_basis.items()})
+                              for party, by_basis in per_phi.items()})
+            for per_phi in self.raw_counts)
+        object.__setattr__(self, "raw_counts", frozen)
 
     CSV_HEADER = ("phi,c_theory,c_charlie,sigma_c,fidelity,sigma_f,c_bob,"
                   "n_eff,exceeds_distillation_threshold")

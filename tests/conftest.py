@@ -6,7 +6,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from mss.magic import c_closed_form, octahedron_distance
-from mss.qcore import (DensityMatrix, H, PureState, Z, apply_1q, apply_on_axes, bloch, ghz,
+from mss.qcore import (DensityMatrix, H, I2, PureState, Z, apply_1q, apply_on_axes, bloch, ghz,
                        phase_gate, trace_distance)
 from mss.tomo import CorrectedCounts
 
@@ -137,6 +137,27 @@ def reference_magic_scan(phi_grid, n: int) -> list[tuple[float, float, float]]:
         rho = DensityMatrix(np.outer(delivered, delivered.conj()) / np.vdot(delivered, delivered).real)
         rows.append((float(phi), c_closed_form(float(phi)), octahedron_distance(bloch(rho))))
     return rows
+
+
+def reference_apply_on_axis(t: np.ndarray, axis: int, op: np.ndarray) -> np.ndarray:
+    """A 2x2 operator on one axis of a (2,)*m tensor through ``np.tensordot``
+    and ``np.moveaxis``: the single-axis kernel ``apply_on_axes`` replaced,
+    kept as its bit-for-bit oracle."""
+    return np.moveaxis(np.tensordot(op, t, axes=([1], [axis])), 0, axis)
+
+
+def reference_depolarize(t: np.ndarray, p: float, qubits: tuple[int, ...]) -> np.ndarray:
+    """The depolarizing channel on a (2,)*6 density tensor through ``np.trace``,
+    a broadcast against I/2 and ``np.moveaxis``: the form ``tomo._depolarize``
+    replaced, kept as its bit-for-bit oracle."""
+    if p == 0.0:
+        return t
+    mixed = t
+    for q in qubits:
+        reduced = np.trace(mixed, axis1=q, axis2=q + 3)
+        mixed = np.moveaxis(reduced[..., None, None] * (I2 / 2), (-2, -1), (q, q + 3))
+    lam = 4 ** len(qubits) * p / (4 ** len(qubits) - 1)
+    return (1 - lam) * t + lam * mixed
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> PureState:

@@ -1,5 +1,7 @@
 """Unit tests for the statevector / density-matrix kernel."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from mss.qcore import (
     DensityMatrix,
     PureState,
     apply_1q,
+    apply_on_axes,
     bloch,
     dm_from_bloch,
     fidelity,
@@ -20,7 +23,7 @@ from mss.qcore import (
 )
 
 from conftest import (ImpossibleBranchError, overlap2, partial_trace, project_measure, random_density,
-                      random_pure_state, random_unitary)
+                      random_pure_state, random_unitary, reference_apply_on_axis)
 
 
 PLUS = PureState(np.array([1, 1]) / np.sqrt(2))
@@ -97,6 +100,30 @@ class TestApply1Q:
             psi = random_pure_state(n, rng)
             out = apply_1q(psi, random_unitary(1, rng), int(rng.integers(n)))
             assert abs(np.linalg.norm(out.amps) - 1) < 1e-12
+
+
+class TestApplyOnAxesOracle:
+    """The one-dot single-axis kernel is bit-identical to tensordot + moveaxis."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_every_axis_matches_tensordot_bytes(self, m, rng):
+        shape = (2,) * m
+        tensors = {"complex": rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                   "real": rng.normal(size=shape)}
+        ops = {"complex": rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+               "real": rng.normal(size=(2, 2))}
+        for (t_kind, t), (op_kind, op) in product(tensors.items(), ops.items()):
+            for axis in range(m):
+                got = apply_on_axes(t, (axis,), op)
+                want = reference_apply_on_axis(t, axis, op)
+                assert (got.shape, got.dtype) == (want.shape, want.dtype)
+                assert got.tobytes() == want.tobytes(), (t_kind, op_kind, axis)
+
+    def test_input_is_left_unchanged(self, rng):
+        t = rng.normal(size=(2,) * 4)
+        before = t.copy()
+        apply_on_axes(t, (2,), rng.normal(size=(2, 2)))
+        assert t.tobytes() == before.tobytes()
 
 
 class TestProjectMeasure:

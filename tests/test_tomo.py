@@ -2,15 +2,17 @@
 bootstrap calibration, and the experiment table."""
 
 import math
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mss import tomo
 from mss.magic import c_closed_form, wigner_distance
 from mss.qcore import H, I2, S, X, Y, Z, fidelity, ket, phase_gate, phase_plus
+from mss.steering import sampled_certification
 from mss.tomo import (
     DISTILLATION_THRESHOLD,
     CorrectedCounts,
@@ -27,7 +29,7 @@ from mss.tomo import (
     stream_rng,
 )
 
-from conftest import PROPERTY, exact_corrected_counts
+from conftest import PROPERTY, exact_corrected_counts, reference_depolarize
 
 ZERO_NOISE = NoiseModel.none()
 ACCEPTANCE_NOISE = NoiseModel.symmetric(0.003, 0.015, 0.01)
@@ -248,6 +250,60 @@ class TestCircuitProbabilitiesOracle:
             want = reference_circuit_probabilities(phi, basis, noise, party, setting)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14,
                                        err_msg=f"{phi} {party} {basis} {setting}")
+
+
+class TestDepolarizeOracle:
+    """The sliced partial trace is bit-identical to np.trace + moveaxis."""
+
+    @pytest.mark.parametrize("qubits", [(0,), (1,), (2,)] + list(permutations(range(3), 2)))
+    def test_matches_trace_and_moveaxis_bytes(self, qubits, rng):
+        for p in (0.0, 0.003, 0.2, 0.5):
+            t = rng.normal(size=(2,) * 6) + 1j * rng.normal(size=(2,) * 6)
+            got = tomo._depolarize(t, p, qubits)
+            want = reference_depolarize(t, p, qubits)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes(), p
+
+
+class TestDealtStateMemo:
+    """Circuits of one (phi, dealer setting) share one simulated dealt state."""
+
+    def test_cached_state_is_read_only(self):
+        t = tomo._dealt_state(0.3, ACCEPTANCE_NOISE, "X")
+        assert t.shape == (2,) * 6 and not t.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            t[(0,) * 6] = 0.0
+
+    def test_any_call_order_gives_the_uncached_bytes(self):
+        twin = NoiseModel.symmetric(0.003, 0.015, 0.01)  # equal to ACCEPTANCE_NOISE, not the same
+        cases = list(product((0.0, -0.0, 0.7, np.pi / 4), (ACCEPTANCE_NOISE, twin, ZERO_NOISE),
+                             "XY", ("charlie", "bob"), "XYZ"))
+        fresh = []
+        for phi, noise, setting, party, basis in cases:
+            tomo._dealt_state.cache_clear()
+            fresh.append(circuit_probabilities(phi, basis, noise, party, setting).tobytes())
+        tomo._dealt_state.cache_clear()
+        order = np.random.default_rng(13).permutation(len(cases))
+        assert tomo._dealt_state.cache_info().hits == 0
+        for i in order:
+            phi, noise, setting, party, basis = cases[i]
+            assert circuit_probabilities(phi, basis, noise, party, setting).tobytes() == fresh[i]
+        assert tomo._dealt_state.cache_info().hits > 0
+
+    def test_hits_per_experiment_angle_and_certification(self):
+        tomo._dealt_state.cache_clear()
+        experiment_table([0.3], shots=64, noise=ACCEPTANCE_NOISE, seed=1, n_boot=100)
+        info = tomo._dealt_state.cache_info()
+        assert (info.hits, info.misses) == (5, 1)  # six circuits, one dealer setting
+
+        tomo._dealt_state.cache_clear()
+        sampled_certification(0.3, shots=64, noise=ACCEPTANCE_NOISE, seed=1, n_boot=100)
+        info = tomo._dealt_state.cache_info()
+        assert (info.hits, info.misses) == (4, 2)  # three circuits per dealer setting
+
+        circuit_probabilities(0.4, "X", ACCEPTANCE_NOISE, "charlie", "Y")
+        info = tomo._dealt_state.cache_info()
+        assert (info.hits, info.misses) == (4, 3)
 
 
 class TestPostSelection:
@@ -486,6 +542,16 @@ class TestExperimentTable:
         assert a.to_csv() == b.to_csv()
         assert a.to_json_obj() == b.to_json_obj()
         assert a.plot_data_csv() == b.plot_data_csv()
+
+    def test_raw_counts_are_read_only(self):
+        report = experiment_table([np.pi / 8], shots=64, noise=ACCEPTANCE_NOISE, seed=7,
+                                  n_boot=100)
+        before = report.to_json_obj()
+        with pytest.raises(TypeError):
+            report.raw_counts[0]["charlie"]["X"] = {"000": 10 ** 6}
+        with pytest.raises(TypeError):
+            report.raw_counts[0]["charlie"]["X"]["000"] = 10 ** 6
+        assert report.to_json_obj() == before
 
     def test_noisy_fidelity_band(self):
         report = experiment_table([np.pi / 4], shots=4096,
