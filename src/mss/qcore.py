@@ -4,8 +4,8 @@ Conventions used throughout the package:
 
 * Qubit 0 is the *most significant* bit of a computational-basis index
   (big-endian), so ``|q0 q1 q2>`` reads left to right exactly like the
-  basis label.  Hardware-style LSb-0 bitstrings are converted at the
-  tomography boundary, nowhere else.
+  basis label.  Hardware-style LSb-0 bitstrings are made only when the
+  experiment report is rendered as JSON, nowhere else.
 * States are compared up to global phase only, via :func:`fidelity` or
   :func:`trace_distance`, never amplitude-wise.
 * All values are immutable after construction; every operation returns a

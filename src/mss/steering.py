@@ -31,6 +31,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import tomo
 from .magic import MagicResult, wigner_distance, witness_signs
 from .protocol import _branch_tensor
 from .qcore import H, I2, DensityMatrix, S, phase_gate
@@ -170,32 +171,23 @@ def sampled_certification(phi: float, shots: int, noise, seed: int,
     reconstructed sigma_{0|X}, in the closed form of :func:`_sign_witness_gaps`,
     so sigma_gap includes the witness's own sampling wobble.
     """
-    from . import tomo
-
-    base = {}
-    for setting, keep_bit in (("X", 0), ("Y", 1)):
-        base[setting] = {}
-        for basis in ("X", "Y", "Z"):
-            table = tomo.sample_run(phi, basis, shots, noise, seed,
-                                    party="charlie", alice_setting=setting)
-            base[setting][basis] = tomo.post_select_and_correct(
-                table, alice_keep_bit=keep_bit)
-
-    recon = {s: tomo.reconstruct(base[s]["X"], base[s]["Y"], base[s]["Z"]) for s in SETTINGS}
-    witness = wigner_distance(recon["X"].rho)
+    # sigma_{0|X}'s X, Y, Z counts, then sigma_{0|Y}'s
+    base = [tomo.post_select_and_correct(tomo.sample_run(phi, basis, shots, noise, seed,
+                                                         alice_setting=setting), keep_bit)
+            for setting, keep_bit in (("X", 0), ("Y", 1)) for basis in ("X", "Y", "Z")]
+    recon_x, recon_y = tomo.reconstruct(*base[:3]), tomo.reconstruct(*base[3:])
+    witness = wigner_distance(recon_x.rho)
     record = CertificationRecord(
-        f_value=_functional_value(recon["X"].rho, recon["Y"].rho, witness),
-        f_lhs=witness.f_lhs)
+        f_value=_functional_value(recon_x.rho, recon_y.rho, witness), f_lhs=witness.f_lhs)
 
     rng = tomo.stream_rng(seed, f"certify-boot/{phi:.17g}")
-    raw = tomo.resample_expectations(
-        [base[s][b] for s in SETTINGS for b in ("X", "Y", "Z")], n_boot, rng)
+    raw = tomo.resample_expectations(base, n_boot, rng)
     gaps = _sign_witness_gaps(tomo.scale_onto_ball(raw[:, :3]),
                               tomo.scale_onto_ball(raw[:, 3:]))
     return SampledCertification(
         record=record,
         sigma_gap=float(np.std(gaps, ddof=1)),
-        n_eff=min(recon["X"].n_eff, recon["Y"].n_eff),
+        n_eff=min(recon_x.n_eff, recon_y.n_eff),
     )
 
 

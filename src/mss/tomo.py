@@ -1,10 +1,11 @@
 """Shot-sampled experiment pipeline: noisy circuit sampling, post-selection,
 linear-inversion reconstruction, and parametric bootstrap error bars.
 
-Bit conventions.  The sampler emits hardware-style LSb-0 bitstrings: the
-string reads "q2 q1 q0", so Alice (q0, the dealer) is the *last* character
-and Charlie (q2, the recipient) the first.  Everything downstream of
-:func:`post_select_and_correct` is back in the package's big-endian world.
+Bit conventions.  Counts are indexed big-endian like every other array in
+the package: ``counts[4*q0 + 2*q1 + q2]``, the index the sampler's multinomial
+draw already has, with Alice (q0, the dealer) the most significant bit and
+Charlie (q2, the recipient) the least.  Hardware-style LSb-0 bitstrings
+("q2 q1 q0", the dealer last) exist only in :meth:`ExperimentReport.to_json_obj`.
 
 Correction rule.  On hardware the recipient's Z correction is classical:
 conjugating Z through the tomography rotation flips the X- and Y-basis
@@ -36,8 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,22 +108,35 @@ class NoiseModel:
         return cls(p1=float(p1), p2=float(p2), readout=np.stack([m] * _N_QUBITS))
 
 
-@dataclass(frozen=True)
+def _require_circuit(basis: str, party: str, alice_setting: str) -> None:
+    if basis not in _BASIS_ROTATION:
+        raise ValueError("basis must be one of X, Y, Z")
+    if party not in ("charlie", "bob"):
+        raise ValueError("party must be 'charlie' or 'bob'")
+    if alice_setting not in ("X", "Y"):
+        raise ValueError("alice_setting must be X or Y")
+
+
+@dataclass(frozen=True, eq=False)
 class CountsTable:
-    """Raw shot counts for one circuit, keyed by LSb-0 bitstrings."""
+    """Raw shot counts for one circuit, big-endian indexed like
+    :func:`circuit_probabilities`: counts[4*q0 + 2*q1 + q2]."""
 
     basis_label: str
-    counts: Mapping[str, int]  # a read-only view of a private copy
+    counts: np.ndarray  # a read-only copy: 8 nonnegative integers
     shots: int
     party: str = "charlie"
     alice_setting: str = "X"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
-        if sum(self.counts.values()) != self.shots:
+        _require_circuit(self.basis_label, self.party, self.alice_setting)
+        counts = np.array(self.counts)
+        if counts.shape != (2 ** _N_QUBITS,) or counts.dtype.kind not in "iu" or counts.min() < 0:
+            raise ValueError("counts must be 8 nonnegative integers")
+        if counts.sum() != self.shots:
             raise ValueError("counts do not sum to shots")
-        if any(len(k) != _N_QUBITS or set(k) - {"0", "1"} for k in self.counts):
-            raise ValueError("count keys must be 3-bit strings")
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
 
 
 def _gate1(t: np.ndarray, gate: np.ndarray, qubit: int, noise: NoiseModel) -> np.ndarray:
@@ -188,13 +201,7 @@ def circuit_probabilities(phi: float, basis: str, noise: NoiseModel,
     analysis then marginalises.  ``alice_setting`` chooses the dealer's
     steering measurement (X for the standard protocol).
     """
-    if basis not in _BASIS_ROTATION:
-        raise ValueError("basis must be one of X, Y, Z")
-    if party not in ("charlie", "bob"):
-        raise ValueError("party must be 'charlie' or 'bob'")
-    if alice_setting not in ("X", "Y"):
-        raise ValueError("alice_setting must be X or Y")
-
+    _require_circuit(basis, party, alice_setting)
     t = _dealt_state(phi, noise, alice_setting)
     if party == "charlie":
         t = _gate1(t, H, 1, noise)
@@ -214,16 +221,12 @@ def circuit_probabilities(phi: float, basis: str, noise: NoiseModel,
 def sample_run(phi: float, basis: str, shots: int, noise: NoiseModel, seed: int,
                party: str = "charlie", alice_setting: str = "X") -> CountsTable:
     """Sample one tomography circuit; deterministic for a fixed seed."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
+    if not 1 <= shots < 2 ** 63:  # the multinomial draws int64 counts
+        raise ValueError(f"shots must lie in [1, 2**63), got {shots}")
     probs = circuit_probabilities(phi, basis, noise, party, alice_setting)
     label = f"sample/{phi:.17g}/{party}/{alice_setting}/{basis}"
     draws = stream_rng(seed, label).multinomial(shots, probs)
-    counts = {}
-    for index, count in enumerate(draws):
-        if count > 0:
-            counts[format(index, "03b")[::-1]] = int(count)  # LSb-0 string
-    return CountsTable(basis_label=basis, counts=counts, shots=int(shots),
+    return CountsTable(basis_label=basis, counts=draws, shots=int(shots),
                        party=party, alice_setting=alice_setting)
 
 
@@ -254,25 +257,19 @@ def post_select_and_correct(table: CountsTable, alice_keep_bit: int = 0) -> Corr
     """Keep shots with the dealer's bit equal to ``alice_keep_bit`` and fold
     the middle party's broadcast into the reconstructed party's bit.
 
-    Strings arrive LSb-0 ("q2 q1 q0"); the dealer is the last character.
     For the recipient, an m_B = 1 shot flips the outcome in the X and Y
     tomography bases and is left alone in Z; the middle party's own
     tomography needs no correction.
     """
     if alice_keep_bit not in (0, 1):
         raise ValueError("alice_keep_bit must be 0 or 1")
-    flip = table.party == "charlie" and table.basis_label in ("X", "Y")
-    n = [0, 0]
-    for bits, count in table.counts.items():
-        if len(bits) != _N_QUBITS or set(bits) - {"0", "1"}:
-            raise ValueError(f"malformed bitstring {bits!r}")
-        charlie, bob, alice = bits[0], bits[1], bits[2]
-        if alice != str(alice_keep_bit):
-            continue
-        bit = int(charlie) if table.party == "charlie" else int(bob)
-        if flip and bob == "1":
-            bit ^= 1
-        n[bit] += count
+    kept = table.counts.reshape(2, 2, 2)[alice_keep_bit]  # [q1, q2]
+    if table.party == "bob":
+        n = kept.sum(axis=1)
+    elif table.basis_label == "Z":
+        n = kept.sum(axis=0)
+    else:
+        n = kept[0] + kept[1, ::-1]
     return CorrectedCounts(basis_label=table.basis_label, n0=float(n[0]), n1=float(n[1]))
 
 
@@ -385,16 +382,8 @@ class ExperimentReport:
     n_boot: int
     seed: int
     noise: NoiseModel
-    # One entry per phi: party -> basis -> counts, read-only views of private copies.
-    raw_counts: tuple[Mapping[str, Mapping[str, Mapping[str, int]]], ...]
-
-    def __post_init__(self) -> None:
-        frozen = tuple(
-            MappingProxyType({party: MappingProxyType({basis: MappingProxyType(dict(counts))
-                                                       for basis, counts in by_basis.items()})
-                              for party, by_basis in per_phi.items()})
-            for per_phi in self.raw_counts)
-        object.__setattr__(self, "raw_counts", frozen)
+    # One entry per phi: the recipient's X, Y, Z tables, then the middle party's.
+    raw_counts: tuple[tuple[CountsTable, ...], ...]
 
     CSV_HEADER = ("phi,c_theory,c_charlie,sigma_c,fidelity,sigma_f,c_bob,"
                   "n_eff,exceeds_distillation_threshold")
@@ -434,11 +423,12 @@ class ExperimentReport:
                 }
                 for r in self.rows
             ],
-            "raw_counts": [
-                {party: {basis: dict(sorted(counts.items()))
-                         for basis, counts in by_basis.items()}
-                 for party, by_basis in per_phi.items()}
-                for per_phi in self.raw_counts
+            "raw_counts": [  # LSb-0 bitstrings "q2 q1 q0" of the outcomes seen
+                {party: {t.basis_label: dict(sorted((format(i, "03b")[::-1], int(n))
+                                                    for i, n in enumerate(t.counts) if n))
+                         for t in tables if t.party == party}
+                 for party in ("charlie", "bob")}
+                for tables in self.raw_counts
             ],
         }
 
@@ -467,20 +457,12 @@ def experiment_table(phis: Sequence[float], shots: int, noise: NoiseModel,
     rows = []
     raw = []
     for phi in phis:
-        per_phi: dict[str, dict[str, Mapping[str, int]]] = {}
-        corrected: dict[str, dict[str, CorrectedCounts]] = {}
-        for party in ("charlie", "bob"):
-            tables = {b: sample_run(phi, b, shots, noise, seed, party=party)
-                      for b in ("X", "Y", "Z")}
-            per_phi[party] = {b: t.counts for b, t in tables.items()}
-            corrected[party] = {b: post_select_and_correct(t) for b, t in tables.items()}
-
-        charlie = reconstruct(corrected["charlie"]["X"], corrected["charlie"]["Y"],
-                              corrected["charlie"]["Z"], phi=phi)
-        sigma_c, sigma_f = bootstrap(corrected["charlie"]["X"], corrected["charlie"]["Y"],
-                                     corrected["charlie"]["Z"], n_boot, seed, phi=phi)
-        bob = reconstruct(corrected["bob"]["X"], corrected["bob"]["Y"],
-                          corrected["bob"]["Z"])
+        tables = tuple(sample_run(phi, b, shots, noise, seed, party=party)
+                       for party in ("charlie", "bob") for b in ("X", "Y", "Z"))
+        corrected = [post_select_and_correct(t) for t in tables]
+        charlie = reconstruct(*corrected[:3], phi=phi)
+        sigma_c, sigma_f = bootstrap(*corrected[:3], n_boot, seed, phi=phi)
+        bob = reconstruct(*corrected[3:])
         rows.append(ExperimentRow(
             phi=phi,
             c_theory=c_closed_form(phi),
@@ -492,6 +474,6 @@ def experiment_table(phis: Sequence[float], shots: int, noise: NoiseModel,
             n_eff=charlie.n_eff,
             exceeds_distillation_threshold=bool(charlie.fidelity > DISTILLATION_THRESHOLD),
         ))
-        raw.append(per_phi)
+        raw.append(tables)
     return ExperimentReport(rows=tuple(rows), shots=int(shots), n_boot=int(n_boot),
                             seed=int(seed), noise=noise, raw_counts=tuple(raw))

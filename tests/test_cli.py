@@ -258,6 +258,54 @@ class TestExperiment:
             assert float(text) == pytest.approx(json_row[key], rel=1e-12, abs=1e-300)
 
 
+    def test_schema_rejects_misnamed_or_missing_counts(self, capsys):
+        jsonschema = pytest.importorskip("jsonschema")
+        payload = run_json(capsys, "experiment", "--phis", PI_8, "--shots", "256",
+                           "--seed", "5", "--boot", "100")
+        validate("experiment", payload)
+        misnamed = json.loads(json.dumps(payload))
+        misnamed["raw_counts"][0]["Charlie"] = misnamed["raw_counts"][0].pop("charlie")
+        missing_z = json.loads(json.dumps(payload))
+        del missing_z["raw_counts"][0]["bob"]["Z"]
+        for bad in (misnamed, missing_z):
+            with pytest.raises(jsonschema.ValidationError):
+                validate("experiment", bad)
+
+    def test_raw_counts_recount_to_the_rows(self, capsys):
+        """Both parties' Bloch vectors recounted from the LSb-0 keys ("q2 q1 q0",
+        the dealer last) give the rows' C, fidelity and n_eff."""
+        phis = (0.3927, 1.3)
+        payload = run_json(capsys, "experiment", "--phis", ",".join(map(str, phis)),
+                           "--shots", "1024", "--seed", "42", "--boot", "100",
+                           "--noise", "0.003,0.015,0.01")
+
+        def recount(by_basis, party):
+            b, kept = [], []
+            for basis in ("X", "Y", "Z"):
+                n = [0, 0]
+                for key, count in by_basis[basis].items():
+                    q2, q1, q0 = (int(ch) for ch in key)
+                    if q0 == 0:  # the dealer's outcome 0 is kept
+                        bit = q2 ^ (q1 if basis != "Z" else 0) if party == "charlie" else q1
+                        n[bit] += count
+                b.append((n[0] - n[1]) / (n[0] + n[1]))
+                kept.append(n[0] + n[1])
+            norm = math.sqrt(sum(v * v for v in b))
+            return [v / max(1.0, norm) for v in b], min(kept)
+
+        for phi, row, raw in zip(phis, payload["rows"], payload["raw_counts"]):
+            b, n_eff = recount(raw["charlie"], "charlie")
+            c = max(0.0, (sum(abs(v) for v in b) - 1.0) / 2.0)
+            assert c > 0  # so the comparison is not 0 == 0
+            assert row["c_charlie"] == pytest.approx(c, abs=1e-12)
+            fid = (1.0 + b[0] * math.cos(phi) + b[1] * math.sin(phi)) / 2.0
+            assert row["fidelity"] == pytest.approx(fid, abs=1e-12)
+            assert row["n_eff"] == n_eff
+            b_bob, _ = recount(raw["bob"], "bob")
+            assert sum(abs(v) for v in b_bob) <= 1.0
+            assert row["c_bob"] == 0.0
+
+
 class TestDumpStabilizers:
     def test_n1_table(self, capsys):
         code, out, _ = run_cli(capsys, "dump-stabilizers", "--n", "1", "--format", "csv")
@@ -362,6 +410,20 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv, "--seed", seed)
         assert code == 2 and out == ""
         assert err.startswith("mss: --seed must be ") and err.endswith(f", got {seed}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("certify", "--phi", PI_8, "--seed", "1", "--boot", "100"),
+        ("experiment", "--phis", PI_8, "--seed", "1", "--boot", "100"),
+    ], ids=["certify", "experiment"])
+    def test_shots_beyond_int64_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--shots", str(2 ** 63))
+        assert code == 2 and out == ""
+        assert err == f"mss: shots must lie in [1, 2**63), got {2 ** 63}\n"
+
+    def test_largest_shots_is_accepted(self, capsys):
+        code, _, err = run_cli(capsys, "certify", "--phi", PI_8, "--seed", "1",
+                               "--boot", "100", "--shots", str(2 ** 63 - 1))
+        assert code == 0, err
 
     def test_largest_seed_is_accepted(self, capsys):
         code, _, err = run_cli(capsys, "run", "--phi", PI_4, "--seed", str(2 ** 64 - 1))

@@ -189,12 +189,12 @@ class TestSampling:
     def test_fixed_seed_reproduces_counts(self):
         a = sample_run(np.pi / 4, "X", 2048, ZERO_NOISE, seed=7)
         b = sample_run(np.pi / 4, "X", 2048, ZERO_NOISE, seed=7)
-        assert a.counts == b.counts
+        np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_distinct_bases_use_distinct_streams(self):
         a = sample_run(np.pi / 4, "X", 2048, ZERO_NOISE, seed=7)
         b = sample_run(np.pi / 4, "Y", 2048, ZERO_NOISE, seed=7)
-        assert a.counts != b.counts
+        assert not np.array_equal(a.counts, b.counts)
 
     def test_zero_noise_z_basis_is_balanced(self):
         table = sample_run(np.pi / 4, "Z", 2 ** 15, ZERO_NOISE, seed=3)
@@ -208,7 +208,21 @@ class TestSampling:
 
     def test_counts_table_invariant(self):
         with pytest.raises(ValueError, match="sum to shots"):
-            CountsTable(basis_label="X", counts={"000": 5}, shots=6)
+            CountsTable(basis_label="X", counts=[5, 0, 0, 0, 0, 0, 0, 0], shots=6)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("party", "Charlie", "party must be"),
+        ("basis_label", "x", "basis must be"),
+        ("alice_setting", "Z", "alice_setting must be"),
+        ("counts", [-1, 9, 0, 0, 0, 0, 0, 0], "nonnegative integers"),
+        ("counts", [0.5, 7.5, 0, 0, 0, 0, 0, 0], "nonnegative integers"),
+        ("counts", [8, 0, 0, 0], "8 nonnegative"),
+    ], ids=["party-case", "basis-case", "dealer-Z", "negative", "fractional", "length"])
+    def test_counts_table_rejects(self, field, value, match):
+        fields = dict(basis_label="X", counts=[8, 0, 0, 0, 0, 0, 0, 0], shots=8,
+                      party="charlie", alice_setting="X")
+        with pytest.raises(ValueError, match=match):
+            CountsTable(**{**fields, field: value})
 
 
 class TestCircuitProbabilities:
@@ -306,37 +320,52 @@ class TestDealtStateMemo:
         assert (info.hits, info.misses) == (4, 3)
 
 
+def big_endian_table(outcomes, basis, party="charlie"):
+    """A CountsTable of ``outcomes``, {(q0, q1, q2): count}, each count at
+    index 4*q0 + 2*q1 + q2."""
+    counts = [0] * 8
+    for (q0, q1, q2), n in outcomes.items():
+        counts[4 * q0 + 2 * q1 + q2] = n
+    return CountsTable(basis_label=basis, counts=counts, shots=sum(counts), party=party)
+
+
 class TestPostSelection:
     def test_all_zeros_kept(self):
-        table = CountsTable(basis_label="Z", counts={"000": 64}, shots=64)
-        cc = post_select_and_correct(table)
+        cc = post_select_and_correct(big_endian_table({(0, 0, 0): 64}, "Z"))
         assert (cc.n0, cc.n1, cc.n_eff) == (64.0, 0.0, 64.0)
 
     def test_alice_bit_is_last_character(self):
-        # "001" in LSb-0 reads q2=0, q1=0, q0=1: Alice measured 1, dropped.
-        table = CountsTable(basis_label="Z", counts={"001": 10, "100": 5}, shots=15)
+        # Alice is q0: the most significant index bit, the last LSb-0 character.
+        table = big_endian_table({(1, 0, 0): 10, (0, 0, 1): 5}, "Z")
         cc = post_select_and_correct(table)
-        assert cc.n_eff == 5.0
-        assert cc.n1 == 5.0  # Charlie's bit is the first character
+        assert cc.n_eff == 5.0  # Alice measured 1 in the first ten shots: dropped
+        assert cc.n1 == 5.0  # Charlie's bit is q2
+        cc = post_select_and_correct(table, alice_keep_bit=1)
+        assert (cc.n0, cc.n1) == (10.0, 0.0)
 
     def test_bob_flip_applies_in_x_and_y_only(self):
-        counts = {"010": 8}  # q2=0, q1=1 (m_B = minus), q0=0
+        outcomes = {(0, 1, 0): 8}  # q0=0, q1=1 (m_B = minus), q2=0
         for basis, expect_bit1 in (("X", True), ("Y", True), ("Z", False)):
-            cc = post_select_and_correct(
-                CountsTable(basis_label=basis, counts=dict(counts), shots=8))
+            cc = post_select_and_correct(big_endian_table(outcomes, basis))
             assert (cc.n1 == 8.0) is expect_bit1
 
     def test_bob_party_not_corrected(self):
-        counts = {"010": 8}
-        cc = post_select_and_correct(
-            CountsTable(basis_label="X", counts=dict(counts), shots=8, party="bob"))
+        cc = post_select_and_correct(big_endian_table({(0, 1, 0): 8}, "X", party="bob"))
         assert cc.n1 == 8.0  # Bob's own bit, no flip
 
-    def test_malformed_bitstring(self):
-        table = CountsTable(basis_label="Z", counts={"000": 1}, shots=1)
-        object.__setattr__(table, "counts", {"0a0": 1})
-        with pytest.raises(ValueError, match="malformed"):
-            post_select_and_correct(table)
+    @PROPERTY
+    @given(st.lists(st.integers(0, 10 ** 6), min_size=8, max_size=8),
+           st.sampled_from(["X", "Y", "Z"]), st.sampled_from(["charlie", "bob"]),
+           st.sampled_from([0, 1]))
+    def test_matches_shot_by_shot_loop(self, counts, basis, party, keep_bit):
+        n = [0, 0]
+        for index, count in enumerate(counts):
+            q0, q1, q2 = index >> 2, (index >> 1) & 1, index & 1
+            if q0 == keep_bit:
+                n[q1 if party == "bob" else q2 ^ (q1 if basis != "Z" else 0)] += count
+        table = CountsTable(basis_label=basis, counts=counts, shots=sum(counts), party=party)
+        cc = post_select_and_correct(table, alice_keep_bit=keep_bit)
+        assert (cc.n0, cc.n1) == (n[0], n[1])
 
     def test_correction_recovers_statistics(self):
         # With the flip rule, the two m_B branches pool into one estimate of
@@ -547,10 +576,13 @@ class TestExperimentTable:
         report = experiment_table([np.pi / 8], shots=64, noise=ACCEPTANCE_NOISE, seed=7,
                                   n_boot=100)
         before = report.to_json_obj()
+        tables = report.raw_counts[0]
+        assert [(t.party, t.basis_label) for t in tables] == [
+            (party, basis) for party in ("charlie", "bob") for basis in ("X", "Y", "Z")]
         with pytest.raises(TypeError):
-            report.raw_counts[0]["charlie"]["X"] = {"000": 10 ** 6}
-        with pytest.raises(TypeError):
-            report.raw_counts[0]["charlie"]["X"]["000"] = 10 ** 6
+            tables[0] = tables[1]
+        with pytest.raises(ValueError, match="read-only"):
+            tables[0].counts[0] = 10 ** 6
         assert report.to_json_obj() == before
 
     def test_noisy_fidelity_band(self):
