@@ -12,18 +12,24 @@ conjugating Z through the tomography rotation flips the X- and Y-basis
 outcome bit when the middle party reported minus (Z X Z = -X, Z Y Z = -Y)
 and leaves the Z basis alone.
 
-Simulation.  :func:`circuit_probabilities` evolves the 3-qubit density matrix
-as a tensor of shape (2,)*6 -- axes 0-2 are the ket of q0-q2, axes 3-5 the
+Simulation.  The GHZ preparation evolves the 3-qubit density matrix as a
+tensor of shape (2,)*6 -- axes 0-2 are the ket of q0-q2, axes 3-5 the
 bra -- with the same axis primitive as the statevector code: a gate U on
 qubit q acts with U on axis q and with U* on axis q+3.  The depolarizing
 channels need no Pauli sum: over the 4^k Paulis P on k qubits Q,
 sum_P P rho P = 2^k I_Q x Tr_Q rho (Nielsen & Chuang, Sec. 8.3.4), so a
 channel applying each non-identity Pauli with probability p/(4^k - 1) is
 (1 - lam) rho + lam (I/2^k x Tr_Q rho) with lam = 4^k p/(4^k - 1).
-The circuits of one angle and dealer setting differ only after the dealer's
-rotation, so that dealt state is simulated once per (phi, setting) and
-shared (:func:`_dealt_state` keeps the last one); each circuit runs only its
-tail, the measured party's rotations and the readout.
+The circuit is cut after the CX layer.  The noisy GHZ state rho_3 (H, both
+CX and their noise) depends on (p1, p2) alone and is simulated once.  Every
+later step -- P(phi), the basis rotations, their 1-qubit noise and the
+per-qubit readout -- acts on one qubit, so the measurement is a product of
+per-qubit effective POVMs, each readout row pulled back through its qubit's
+gates in the Heisenberg picture, E <- U^dagger D(E) U (the depolarizing D
+is self-adjoint).  P(phi) is diagonal and commutes with D, so phi enters as
+the phase mask [1, e^{-i phi}, e^{i phi}, 1] on the dealer's phi-free
+(ket, bra) table.  The q1 and q2 tables, contracted with rho_3, are cached
+per noise model, party and basis; a call is one (2, 4) x (4, 4) product.
 
 Randomness.  All sampling uses counter-based Philox generators keyed as
 (seed, fnv1a64(label)) where the label spells out phi, party, basis,
@@ -34,6 +40,7 @@ function of the seed.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -43,7 +50,7 @@ import numpy as np
 
 # wigner_distance is not called here; bench/test_bench.py reads it as mss.tomo.wigner_distance.
 from .magic import c_closed_form, octahedron_distance, wigner_distance  # noqa: F401
-from .qcore import H, S, DensityMatrix, apply_on_axes, dm_from_bloch, fidelity, phase_gate, phase_plus
+from .qcore import H, I2, S, DensityMatrix, apply_on_axes, dm_from_bloch, fidelity, phase_plus
 
 DISTILLATION_THRESHOLD = 0.856  # 15-to-1 magic state distillation entry fidelity
 DEFAULT_SHOTS = 4096
@@ -89,8 +96,8 @@ class NoiseModel:
         if not (0.0 <= self.p1 <= 0.5 and 0.0 <= self.p2 <= 0.5):
             raise ValueError("depolarizing probabilities must lie in [0, 0.5]")
         r = np.asarray(self.readout, dtype=float)
-        if r.shape != (_N_QUBITS, 2, 2) or np.min(r) < 0:
-            raise ValueError("readout must be three nonnegative 2x2 matrices")
+        if r.shape != (_N_QUBITS, 2, 2) or not np.all(np.isfinite(r)) or np.min(r) < 0:
+            raise ValueError("readout must be three finite, nonnegative 2x2 matrices")
         if np.max(np.abs(r.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("readout confusion columns must sum to 1")
         frozen = np.array(r, order="C")
@@ -133,24 +140,27 @@ class CountsTable:
         counts = np.array(self.counts)
         if counts.shape != (2 ** _N_QUBITS,) or counts.dtype.kind not in "iu" or counts.min() < 0:
             raise ValueError("counts must be 8 nonnegative integers")
-        if counts.sum() != self.shots:
+        total = sum(counts.tolist())  # Python ints: an int64 sum can wrap
+        if total != self.shots:
             raise ValueError("counts do not sum to shots")
+        if total >= 2 ** 63:
+            raise ValueError("shots must be below 2**63")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
 
-def _gate1(t: np.ndarray, gate: np.ndarray, qubit: int, noise: NoiseModel) -> np.ndarray:
+def _gate1(t: np.ndarray, gate: np.ndarray, qubit: int, p1: float) -> np.ndarray:
     """U rho U^dagger on ``qubit`` (U on its ket axis, U* on its bra axis),
     then the gate's depolarizing noise."""
     t = apply_on_axes(apply_on_axes(t, (qubit,), gate), (qubit + _N_QUBITS,), gate.conj())
-    return _depolarize(t, noise.p1, (qubit,))
+    return _depolarize(t, p1, (qubit,))
 
 
-def _cx_gate(t: np.ndarray, control: int, target: int, noise: NoiseModel) -> np.ndarray:
+def _cx_gate(t: np.ndarray, control: int, target: int, p2: float) -> np.ndarray:
     """CX rho CX on the ket and the bra axes, then its two-qubit depolarizing noise."""
     t = apply_on_axes(t, (control, target))
     t = apply_on_axes(t, (control + _N_QUBITS, target + _N_QUBITS))
-    return _depolarize(t, noise.p2, (control, target))
+    return _depolarize(t, p2, (control, target))
 
 
 def _depolarize(t: np.ndarray, p: float, qubits: tuple[int, ...]) -> np.ndarray:
@@ -171,25 +181,65 @@ def _depolarize(t: np.ndarray, p: float, qubits: tuple[int, ...]) -> np.ndarray:
     return (1 - lam) * t + lam * mixed
 
 
-@functools.lru_cache(maxsize=1)
-def _dealt_state(phi: float, noise: NoiseModel, alice_setting: str) -> np.ndarray:
-    """The noisy state every tomography circuit of one (phi, dealer setting)
-    shares: GHZ preparation, P(phi) and the dealer's basis rotation on q0, as
-    a read-only (2,)*6 density tensor.
+def _povm_table(confusion: np.ndarray, gates: Sequence[np.ndarray], p: float) -> np.ndarray:
+    """One qubit's effective readout POVM as a read-only (2, 4) table.
 
-    Only the last call is kept, so the circuits of one angle and setting,
-    run back to back, simulate these five gates once.  ``noise`` is keyed by
-    identity; it is frozen and the cache holds a reference to it.
-    """
+    The observed-x effect E_x = diag(confusion[x]) is pulled back through
+    ``gates`` (in circuit order, each followed by its depolarizing noise) in
+    the Heisenberg picture, E <- U^dagger D(E) U, last gate first:
+    D(E) = (1 - lam) E + lam Tr(E) I/2 is the channel's own adjoint.  Row x
+    is E_x transposed and flattened in (ket, bra) order, so
+    tr(rho E_x) = row . rho.flat."""
+    lam = 4 * p / 3
+    effects = confusion[:, :, None] * I2
+    for u in reversed(gates):
+        trace = (effects[:, 0, 0] + effects[:, 1, 1])[:, None, None]
+        effects = u.conj().T @ ((1 - lam) * effects + lam * trace * (0.5 * I2)) @ u
+    table = effects.transpose(0, 2, 1).reshape(2, 4)
+    table.setflags(write=False)
+    return table
+
+
+def _readout(key: bytes) -> np.ndarray:
+    return np.frombuffer(key).reshape(_N_QUBITS, 2, 2)
+
+
+# The caches below hold the tables of up to four noise models each.
+@functools.lru_cache(maxsize=4)
+def _entangled_state(p1: float, p2: float) -> np.ndarray:
+    """The noisy GHZ state after H, CX(0,1) and CX(0,2), as a read-only
+    (4, 4, 4) tensor whose axis q holds qubit q's (ket, bra) index pair."""
     t = np.zeros((2,) * (2 * _N_QUBITS), dtype=complex)  # |000><000|
     t[(0,) * (2 * _N_QUBITS)] = 1.0
-    t = _gate1(t, H, 0, noise)
-    t = _cx_gate(t, 0, 1, noise)
-    t = _cx_gate(t, 0, 2, noise)
-    t = _gate1(t, phase_gate(phi), 0, noise)
-    t = _gate1(t, _BASIS_ROTATION[alice_setting], 0, noise)
-    t.setflags(write=False)
-    return t
+    t = _gate1(t, H, 0, p1)
+    t = _cx_gate(t, 0, 1, p2)
+    t = _cx_gate(t, 0, 2, p2)
+    rho = np.ascontiguousarray(t.transpose(0, 3, 1, 4, 2, 5)).reshape(4, 4, 4)
+    rho.setflags(write=False)
+    return rho
+
+
+@functools.lru_cache(maxsize=8)
+def _dealer_povm(p1: float, readout: bytes, alice_setting: str) -> np.ndarray:
+    """The dealer's (2, 4) POVM table without the phase: pulled back through
+    its setting rotation and through the identity that stands in for P(phi),
+    whose noise it keeps."""
+    return _povm_table(_readout(readout)[0], (I2, _BASIS_ROTATION[alice_setting]), p1)
+
+
+@functools.lru_cache(maxsize=24)
+def _party_table(p1: float, p2: float, readout: bytes, party: str, basis: str) -> np.ndarray:
+    """The entangled state contracted with the q1 and q2 POVM tables: a
+    read-only (4, 4) table, rows by the dealer's (ket, bra) pair and columns
+    by the observed 2*x1 + x2."""
+    rotation = () if basis == "Z" else (_BASIS_ROTATION[basis],)
+    q1_gates, q2_gates = ((H,), rotation) if party == "charlie" else (rotation, ())
+    confusion = _readout(readout)
+    q1 = _povm_table(confusion[1], q1_gates, p1)
+    q2 = _povm_table(confusion[2], q2_gates, p1)
+    table = np.einsum("abc,xb,yc->axy", _entangled_state(p1, p2), q1, q2).reshape(4, 4)
+    table.setflags(write=False)
+    return table
 
 
 def circuit_probabilities(phi: float, basis: str, noise: NoiseModel,
@@ -202,19 +252,12 @@ def circuit_probabilities(phi: float, basis: str, noise: NoiseModel,
     steering measurement (X for the standard protocol).
     """
     _require_circuit(basis, party, alice_setting)
-    t = _dealt_state(phi, noise, alice_setting)
-    if party == "charlie":
-        t = _gate1(t, H, 1, noise)
-        if basis != "Z":
-            t = _gate1(t, _BASIS_ROTATION[basis], 2, noise)
-    elif basis != "Z":
-        t = _gate1(t, _BASIS_ROTATION[basis], 1, noise)
-
-    diagonal = t.reshape(2 ** _N_QUBITS, -1).diagonal().real
-    probs = np.clip(diagonal, 0.0, None).reshape((2,) * _N_QUBITS)
-    for q in range(_N_QUBITS):
-        probs = apply_on_axes(probs, (q,), noise.readout[q])
-    probs = probs.reshape(-1)
+    readout = noise.readout.tobytes()
+    w = cmath.exp(1j * phi)
+    phase = np.array([1.0, w.conjugate(), w, 1.0])  # P(phi)^dagger E P(phi) in (ket, bra) order
+    dealer = _dealer_povm(noise.p1, readout, alice_setting) * phase
+    probs = (dealer @ _party_table(noise.p1, noise.p2, readout, party, basis)).real.reshape(-1)
+    probs = np.maximum(probs, 0.0)
     return probs / probs.sum()
 
 
@@ -234,16 +277,18 @@ def sample_run(phi: float, basis: str, shots: int, noise: NoiseModel, seed: int,
 class CorrectedCounts:
     """Post-selected single-party outcome counts after software correction.
 
-    Counts may be non-integral when exact probabilities are injected for
-    infinite-shot consistency checks.
+    :func:`post_select_and_correct` keeps them as Python ints, so ``n_eff``
+    is the exact kept count at any shot number.  They are floats only where
+    exact probabilities are injected as pseudo-counts for infinite-shot
+    consistency checks.
     """
 
     basis_label: str
-    n0: float
-    n1: float
+    n0: int | float
+    n1: int | float
 
     @property
-    def n_eff(self) -> float:
+    def n_eff(self) -> int | float:
         return self.n0 + self.n1
 
     @property
@@ -270,7 +315,7 @@ def post_select_and_correct(table: CountsTable, alice_keep_bit: int = 0) -> Corr
         n = kept.sum(axis=0)
     else:
         n = kept[0] + kept[1, ::-1]
-    return CorrectedCounts(basis_label=table.basis_label, n0=float(n[0]), n1=float(n[1]))
+    return CorrectedCounts(basis_label=table.basis_label, n0=int(n[0]), n1=int(n[1]))
 
 
 @dataclass(frozen=True, eq=False)

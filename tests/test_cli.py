@@ -271,6 +271,22 @@ class TestExperiment:
             with pytest.raises(jsonschema.ValidationError):
                 validate("experiment", bad)
 
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_n_eff_is_exact_at_the_largest_shot_count(self, capsys, seed):
+        """n_eff is the dealer-0 count recounted from the raw counts, also above
+        2**53 kept shots (at seed 2 a float would round it; at seed 1 the
+        count happens to be a float)."""
+        args = ("experiment", "--phis", "0.4", "--shots", str(2 ** 63 - 1),
+                "--seed", seed, "--boot", "100")
+        payload = run_json(capsys, *args)
+        by_basis = payload["raw_counts"][0]["charlie"]
+        kept = min(sum(n for key, n in by_basis[basis].items() if key[-1] == "0")
+                   for basis in "XYZ")
+        assert payload["rows"][0]["n_eff"] == kept
+        code, out, err = run_cli(capsys, *args, "--format", "csv")
+        assert code == 0, err
+        assert out.split("\n")[1].split(",")[7] == str(kept)
+
     def test_raw_counts_recount_to_the_rows(self, capsys):
         """Both parties' Bloch vectors recounted from the LSb-0 keys ("q2 q1 q0",
         the dealer last) give the rows' C, fidelity and n_eff."""

@@ -184,6 +184,14 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="sum to 1"):
             NoiseModel(p1=0.0, p2=0.0, readout=bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_readout_rejected(self, value):
+        one = np.stack([np.eye(2)] * 3)
+        one[1, 0, 1] = value
+        for bad in (one, np.full((3, 2, 2), value)):
+            with pytest.raises(ValueError, match="readout must be .*finite"):
+                NoiseModel(p1=0.0, p2=0.0, readout=bad)
+
 
 class TestSampling:
     def test_fixed_seed_reproduces_counts(self):
@@ -209,6 +217,12 @@ class TestSampling:
     def test_counts_table_invariant(self):
         with pytest.raises(ValueError, match="sum to shots"):
             CountsTable(basis_label="X", counts=[5, 0, 0, 0, 0, 0, 0, 0], shots=6)
+
+    def test_counts_table_sums_exactly(self):
+        with pytest.raises(ValueError, match="sum to shots"):  # the int64 sum wraps to 0
+            CountsTable(basis_label="X", counts=[2 ** 62] * 4 + [0] * 4, shots=0)
+        with pytest.raises(ValueError, match=r"below 2\*\*63"):
+            CountsTable(basis_label="X", counts=[2 ** 62] * 2 + [0] * 6, shots=2 ** 63)
 
     @pytest.mark.parametrize("field, value, match", [
         ("party", "Charlie", "party must be"),
@@ -245,9 +259,9 @@ class TestCircuitProbabilities:
 
 
 class TestCircuitProbabilitiesOracle:
-    """The density-tensor simulator against the embedded-matrix one it replaced."""
+    """The CX-layer cut with per-qubit POVMs against the embedded-matrix simulator."""
 
-    ANGLES = [0.0, np.pi / 4, np.pi / 2, np.pi] + list(
+    ANGLES = [0.0, -0.0, np.pi / 4, np.pi / 2, np.pi, 1e3, -1e3] + list(
         np.random.default_rng(4).uniform(0.0, 2 * np.pi, size=15))
     ASYMMETRIC = NoiseModel(p1=0.01, p2=0.03, readout=np.array([
         [[0.97, 0.05], [0.03, 0.95]],
@@ -279,45 +293,84 @@ class TestDepolarizeOracle:
             assert got.tobytes() == want.tobytes(), p
 
 
-class TestDealtStateMemo:
-    """Circuits of one (phi, dealer setting) share one simulated dealt state."""
+_CACHES = (tomo._entangled_state, tomo._dealer_povm, tomo._party_table)
 
-    def test_cached_state_is_read_only(self):
-        t = tomo._dealt_state(0.3, ACCEPTANCE_NOISE, "X")
-        assert t.shape == (2,) * 6 and not t.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            t[(0,) * 6] = 0.0
+
+def _clear_caches():
+    for cache in _CACHES:
+        cache.cache_clear()
+
+
+def _hits_and_misses():
+    return [cache.cache_info()[:2] for cache in _CACHES]
+
+
+class TestCachedTables:
+    """Past the CX layer every gate acts on one qubit: one cached entangled
+    state per noise model, and cached per-qubit POVM tables."""
+
+    def test_cached_tables_are_read_only(self):
+        noise, readout = ACCEPTANCE_NOISE, ACCEPTANCE_NOISE.readout.tobytes()
+        tables = (tomo._entangled_state(noise.p1, noise.p2),
+                  tomo._dealer_povm(noise.p1, readout, "X"),
+                  tomo._party_table(noise.p1, noise.p2, readout, "charlie", "X"))
+        for t, shape in zip(tables, ((4, 4, 4), (2, 4), (4, 4))):
+            assert t.shape == shape and not t.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                t[(0,) * t.ndim] = 0.0
+
+    def test_equal_twin_hits_and_other_readout_misses(self):
+        twin = NoiseModel.symmetric(0.003, 0.015, 0.01)  # equal to ACCEPTANCE_NOISE, not the same
+        _clear_caches()
+        circuit_probabilities(0.3, "X", ACCEPTANCE_NOISE)
+        circuit_probabilities(0.7, "X", twin)
+        assert _hits_and_misses() == [(0, 1), (1, 1), (1, 1)]
+        circuit_probabilities(0.7, "X", NoiseModel.symmetric(0.003, 0.015, 0.02))
+        assert _hits_and_misses() == [(1, 1), (1, 2), (1, 2)]  # same p1, p2: one state
 
     def test_any_call_order_gives_the_uncached_bytes(self):
-        twin = NoiseModel.symmetric(0.003, 0.015, 0.01)  # equal to ACCEPTANCE_NOISE, not the same
+        twin = NoiseModel.symmetric(0.003, 0.015, 0.01)
         cases = list(product((0.0, -0.0, 0.7, np.pi / 4), (ACCEPTANCE_NOISE, twin, ZERO_NOISE),
                              "XY", ("charlie", "bob"), "XYZ"))
         fresh = []
         for phi, noise, setting, party, basis in cases:
-            tomo._dealt_state.cache_clear()
+            _clear_caches()
             fresh.append(circuit_probabilities(phi, basis, noise, party, setting).tobytes())
-        tomo._dealt_state.cache_clear()
+        _clear_caches()
         order = np.random.default_rng(13).permutation(len(cases))
-        assert tomo._dealt_state.cache_info().hits == 0
         for i in order:
             phi, noise, setting, party, basis = cases[i]
             assert circuit_probabilities(phi, basis, noise, party, setting).tobytes() == fresh[i]
-        assert tomo._dealt_state.cache_info().hits > 0
+        assert all(hits > 0 for hits, _ in _hits_and_misses())
 
     def test_hits_per_experiment_angle_and_certification(self):
-        tomo._dealt_state.cache_clear()
+        # [entangled state, dealer table, party table] as (hits, misses)
+        _clear_caches()
         experiment_table([0.3], shots=64, noise=ACCEPTANCE_NOISE, seed=1, n_boot=100)
-        info = tomo._dealt_state.cache_info()
-        assert (info.hits, info.misses) == (5, 1)  # six circuits, one dealer setting
+        assert _hits_and_misses() == [(5, 1), (5, 1), (0, 6)]  # one setting, six circuits
+        experiment_table([1.1], shots=64, noise=ACCEPTANCE_NOISE, seed=1, n_boot=100)
+        assert _hits_and_misses() == [(5, 1), (11, 1), (6, 6)]  # a new angle only hits
 
-        tomo._dealt_state.cache_clear()
+        _clear_caches()
         sampled_certification(0.3, shots=64, noise=ACCEPTANCE_NOISE, seed=1, n_boot=100)
-        info = tomo._dealt_state.cache_info()
-        assert (info.hits, info.misses) == (4, 2)  # three circuits per dealer setting
+        assert _hits_and_misses() == [(2, 1), (4, 2), (3, 3)]  # two settings, three bases
 
-        circuit_probabilities(0.4, "X", ACCEPTANCE_NOISE, "charlie", "Y")
-        info = tomo._dealt_state.cache_info()
-        assert (info.hits, info.misses) == (4, 3)
+    @pytest.mark.parametrize("noise", [
+        ZERO_NOISE, ACCEPTANCE_NOISE, TestCircuitProbabilitiesOracle.ASYMMETRIC,
+    ], ids=["none", "acceptance", "asymmetric-readout"])
+    def test_each_qubit_table_sums_to_the_identity(self, noise):
+        identity = I2.reshape(4)
+        for q, gates in product(range(3), [(), (H,), (H @ S.conj().T,), (I2, H), (I2, H @ S.conj().T)]):
+            table = tomo._povm_table(noise.readout[q], gates, noise.p1)
+            np.testing.assert_allclose(table.sum(axis=0), identity, rtol=0, atol=1e-15)
+        readout = noise.readout.tobytes()
+        for setting in "XY":
+            table = tomo._dealer_povm(noise.p1, readout, setting)
+            np.testing.assert_allclose(table.sum(axis=0), identity, rtol=0, atol=1e-15)
+        for party, basis in product(("charlie", "bob"), "XYZ"):
+            # summed over q1 and q2's outcomes: the dealer's marginal, I/2
+            table = tomo._party_table(noise.p1, noise.p2, readout, party, basis)
+            np.testing.assert_allclose(table.sum(axis=1), identity / 2, rtol=0, atol=1e-15)
 
 
 def big_endian_table(outcomes, basis, party="charlie"):
@@ -348,6 +401,16 @@ class TestPostSelection:
         for basis, expect_bit1 in (("X", True), ("Y", True), ("Z", False)):
             cc = post_select_and_correct(big_endian_table(outcomes, basis))
             assert (cc.n1 == 8.0) is expect_bit1
+
+    def test_counts_stay_exact_above_2_53(self):
+        big = 2 ** 62 + 1  # the nearest floats are 2**62 and 2**62 + 1024
+        cc = post_select_and_correct(big_endian_table(
+            {(0, 0, 0): big, (0, 1, 1): 3, (0, 0, 1): 2 ** 61 + 7, (1, 0, 0): 5}, "X"))
+        assert (cc.n0, cc.n1, cc.n_eff) == (big + 3, 2 ** 61 + 7, big + 2 ** 61 + 10)
+        assert all(type(v) is int for v in (cc.n0, cc.n1, cc.n_eff))
+        z = post_select_and_correct(big_endian_table({(0, 0, 0): big, (0, 1, 1): 1}, "Z"))
+        y = CorrectedCounts(basis_label="Y", n0=cc.n0, n1=cc.n1)
+        assert reconstruct(cc, y, z).n_eff == big + 1
 
     def test_bob_party_not_corrected(self):
         cc = post_select_and_correct(big_endian_table({(0, 1, 0): 8}, "X", party="bob"))
