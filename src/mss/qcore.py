@@ -159,36 +159,21 @@ def tensor(a, b):
     raise TypeError("tensor requires two PureStates or two DensityMatrices")
 
 
-def apply_on_axes(t: np.ndarray, axes: tuple[int, ...], op: np.ndarray | None = None) -> np.ndarray:
-    """Apply an operator to the qubit axes (0..m-1) of a tensor of shape (2,)*m.
-
-    With one axis, the 2x2 ``op`` (unitary or not) contracts with that axis
-    as one ``np.dot`` of ``op`` with the tensor viewed as (2, rest), the
-    target axis first: the call, and the operand layout, that
-    ``np.tensordot(op, t, ([1], [axis]))`` makes internally, so the result
-    is bit-identical to it without its axis bookkeeping.
-    With two axes and no ``op``, the operator is CX with control ``axes[0]``
-    and target ``axes[1]``: the target index flips where the control is 1.
-    Returns a new array; ``t`` is left unchanged.
-    """
-    if op is not None:
-        (axis,) = axes
-        lead = t.reshape(2 ** axis, 2, -1).swapaxes(0, 1)
-        out = np.dot(op, lead.reshape(2, -1)).reshape(lead.shape)
-        return out.swapaxes(0, 1).reshape(t.shape)
-    out = t.copy()
-    view = np.moveaxis(out, axes, (0, 1))
-    view[1] = view[1, ::-1]
-    return out
-
-
 def apply_1q(state: PureState, gate: np.ndarray, target: int) -> PureState:
-    """Apply a single-qubit unitary to ``target`` of a pure register."""
+    """Apply a single-qubit unitary to ``target`` of a pure register.
+
+    The gate contracts with the target axis as one ``np.dot`` with the
+    amplitudes viewed as (2, rest), the target axis first: the call, and the
+    operand layout, that ``np.tensordot(gate, psi, ([1], [target]))`` makes
+    internally, so the result is bit-identical to it without its axis
+    bookkeeping.
+    """
     n = state.n_qubits
     if not 0 <= target < n:
         raise ValueError(f"target {target} out of range for {n} qubits")
-    psi = apply_on_axes(state.amps.reshape((2,) * n), (target,), require_unitary(gate))
-    return PureState(psi.reshape(-1))
+    lead = state.amps.reshape(2 ** target, 2, -1).swapaxes(0, 1)
+    out = np.dot(require_unitary(gate), lead.reshape(2, -1)).reshape(lead.shape)
+    return PureState(out.swapaxes(0, 1).reshape(-1))
 
 
 def fidelity(rho: DensityMatrix, psi: PureState) -> float:

@@ -12,24 +12,26 @@ conjugating Z through the tomography rotation flips the X- and Y-basis
 outcome bit when the middle party reported minus (Z X Z = -X, Z Y Z = -Y)
 and leaves the Z basis alone.
 
-Simulation.  The GHZ preparation evolves the 3-qubit density matrix as a
-tensor of shape (2,)*6 -- axes 0-2 are the ket of q0-q2, axes 3-5 the
-bra -- with the same axis primitive as the statevector code: a gate U on
-qubit q acts with U on axis q and with U* on axis q+3.  The depolarizing
-channels need no Pauli sum: over the 4^k Paulis P on k qubits Q,
-sum_P P rho P = 2^k I_Q x Tr_Q rho (Nielsen & Chuang, Sec. 8.3.4), so a
-channel applying each non-identity Pauli with probability p/(4^k - 1) is
-(1 - lam) rho + lam (I/2^k x Tr_Q rho) with lam = 4^k p/(4^k - 1).
-The circuit is cut after the CX layer.  The noisy GHZ state rho_3 (H, both
-CX and their noise) depends on (p1, p2) alone and is simulated once.  Every
-later step -- P(phi), the basis rotations, their 1-qubit noise and the
-per-qubit readout -- acts on one qubit, so the measurement is a product of
-per-qubit effective POVMs, each readout row pulled back through its qubit's
-gates in the Heisenberg picture, E <- U^dagger D(E) U (the depolarizing D
-is self-adjoint).  P(phi) is diagonal and commutes with D, so phi enters as
-the phase mask [1, e^{-i phi}, e^{i phi}, 1] on the dealer's phi-free
-(ket, bra) table.  The q1 and q2 tables, contracted with rho_3, are cached
-per noise model, party and basis; a call is one (2, 4) x (4, 4) product.
+Simulation.  Every operator is written in the real Pauli basis P in
+(I, X, Y, Z): the 3-qubit state as rho = sum r[a,b,c] P_a x P_b x P_c / 8,
+and each readout effect E as its row tr(E P).  A gate U on k qubits acts
+through its Pauli transfer matrix R_U[a, b] = tr(P_a U P_b U^dagger)/2^k:
+forward on a state's coefficients, r <- R_U r, and backward on an effect's
+row, t <- t R_U, which is E <- U^dagger E U.  A depolarizing channel applying
+each non-identity Pauli on k qubits with probability p/(4^k - 1) keeps the
+identity term and damps every other term by 1 - lam, lam = 4^k p/(4^k - 1);
+it is its own adjoint.
+The circuit is cut after the CX layer.  The noisy GHZ state (H, both CX and
+their noise) depends on (p1, p2) alone and is built once.  Its nonzero
+coefficients are the eight signed, damped elements of the GHZ stabilizer
+group, none of weight 1, so each single party holds I/2 whatever the
+depolarizing noise.  Every later step -- P(phi), the basis rotations, their
+1-qubit noise and the per-qubit readout -- acts on one qubit, so the
+measurement is a product of per-qubit effective POVMs, each readout row
+pulled back through its qubit's gates into a (2, 4) table.  P(phi) commutes
+with the noise, so phi enters as a rotation of the dealer's X and Y columns.
+The q1 and q2 tables, contracted with r, are cached per noise model, party
+and basis; a call is one (2, 4) x (4, 4) x (4, 4) product.
 
 Randomness.  All sampling uses counter-based Philox generators keyed as
 (seed, fnv1a64(label)) where the label spells out phi, party, basis,
@@ -40,7 +42,6 @@ function of the seed.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -50,7 +51,7 @@ import numpy as np
 
 # wigner_distance is not called here; bench/test_bench.py reads it as mss.tomo.wigner_distance.
 from .magic import c_closed_form, octahedron_distance, wigner_distance  # noqa: F401
-from .qcore import H, I2, S, DensityMatrix, apply_on_axes, dm_from_bloch, fidelity, phase_plus
+from .qcore import H, I2, S, X, Y, Z, DensityMatrix, dm_from_bloch, fidelity, phase_plus
 
 DISTILLATION_THRESHOLD = 0.856  # 15-to-1 magic state distillation entry fidelity
 DEFAULT_SHOTS = 4096
@@ -61,6 +62,12 @@ _N_QUBITS = 3
 
 # Measurement-basis change: apply the gate, then read out in Z.
 _BASIS_ROTATION = {"Z": None, "X": H, "Y": H @ S.conj().T}
+
+# The Pauli basis (I, X, Y, Z) on one qubit, and on two at index 4a + b for P_a x P_b.
+_PAULIS = np.stack([I2, X, Y, Z])
+_PAULI_PAIRS = np.einsum("aij,bkl->abikjl", _PAULIS, _PAULIS).reshape(16, 4, 4)
+_CX = np.eye(4)[[0, 1, 3, 2]]  # control on the first of its two qubits
+_Z_PROJECTORS = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0]])  # tr(|t><t| P), t = 0, 1
 
 
 def _fnv1a64(text: str) -> int:
@@ -149,53 +156,33 @@ class CountsTable:
         object.__setattr__(self, "counts", counts)
 
 
-def _gate1(t: np.ndarray, gate: np.ndarray, qubit: int, p1: float) -> np.ndarray:
-    """U rho U^dagger on ``qubit`` (U on its ket axis, U* on its bra axis),
-    then the gate's depolarizing noise."""
-    t = apply_on_axes(apply_on_axes(t, (qubit,), gate), (qubit + _N_QUBITS,), gate.conj())
-    return _depolarize(t, p1, (qubit,))
+def _ptm(u: np.ndarray) -> np.ndarray:
+    """Pauli transfer matrix of a unitary on k = 1 or 2 qubits:
+    R[a, b] = tr(P_a U P_b U^dagger) / 2^k."""
+    basis = _PAULIS if len(u) == 2 else _PAULI_PAIRS
+    return np.einsum("aij,bji->ab", basis, u @ basis @ u.conj().T).real / len(u)
 
 
-def _cx_gate(t: np.ndarray, control: int, target: int, p2: float) -> np.ndarray:
-    """CX rho CX on the ket and the bra axes, then its two-qubit depolarizing noise."""
-    t = apply_on_axes(t, (control, target))
-    t = apply_on_axes(t, (control + _N_QUBITS, target + _N_QUBITS))
-    return _depolarize(t, p2, (control, target))
-
-
-def _depolarize(t: np.ndarray, p: float, qubits: tuple[int, ...]) -> np.ndarray:
-    """k-qubit depolarizing channel on ``qubits`` with error probability ``p``:
-    (1 - lam) rho + lam (I/2^k x Tr_Q rho), lam = 4^k p / (4^k - 1)."""
-    if p == 0.0:
-        return t
-    mixed = t
-    for q in qubits:
-        # axes: ket qubits before q, ket q, the two axes between, bra q, bra qubits after q
-        v = mixed.reshape(2 ** q, 2, 4, 2, 2 ** (_N_QUBITS - 1 - q))
-        half = (v[:, 0, :, 0] + v[:, 1, :, 1]) * 0.5  # Tr_q, times I/2
-        mixed = np.zeros_like(v)
-        mixed[:, 0, :, 0] = half
-        mixed[:, 1, :, 1] = half
-        mixed = mixed.reshape(t.shape)
-    lam = 4 ** len(qubits) * p / (4 ** len(qubits) - 1)
-    return (1 - lam) * t + lam * mixed
+def _damping(p: float, k: int) -> np.ndarray:
+    """The k-qubit depolarizing channel as its diagonal on the 4^k Pauli terms."""
+    lam = 4 ** k * p / (4 ** k - 1)
+    d = np.full(4 ** k, 1.0 - lam)
+    d[0] = 1.0
+    return d
 
 
 def _povm_table(confusion: np.ndarray, gates: Sequence[np.ndarray], p: float) -> np.ndarray:
-    """One qubit's effective readout POVM as a read-only (2, 4) table.
+    """One qubit's effective readout POVM as a read-only (2, 4) table whose
+    row x is tr(E_x P) for P in (I, X, Y, Z).
 
     The observed-x effect E_x = diag(confusion[x]) is pulled back through
     ``gates`` (in circuit order, each followed by its depolarizing noise) in
-    the Heisenberg picture, E <- U^dagger D(E) U, last gate first:
-    D(E) = (1 - lam) E + lam Tr(E) I/2 is the channel's own adjoint.  Row x
-    is E_x transposed and flattened in (ket, bra) order, so
-    tr(rho E_x) = row . rho.flat."""
-    lam = 4 * p / 3
-    effects = confusion[:, :, None] * I2
+    the Heisenberg picture, last gate first: the noise damps the row's
+    non-identity terms, and U^dagger E U multiplies it by U's transfer matrix."""
+    damping = _damping(p, 1)
+    table = confusion @ _Z_PROJECTORS
     for u in reversed(gates):
-        trace = (effects[:, 0, 0] + effects[:, 1, 1])[:, None, None]
-        effects = u.conj().T @ ((1 - lam) * effects + lam * trace * (0.5 * I2)) @ u
-    table = effects.transpose(0, 2, 1).reshape(2, 4)
+        table = (table * damping) @ _ptm(u)
     table.setflags(write=False)
     return table
 
@@ -207,22 +194,22 @@ def _readout(key: bytes) -> np.ndarray:
 # The caches below hold the tables of up to four noise models each.
 @functools.lru_cache(maxsize=4)
 def _entangled_state(p1: float, p2: float) -> np.ndarray:
-    """The noisy GHZ state after H, CX(0,1) and CX(0,2), as a read-only
-    (4, 4, 4) tensor whose axis q holds qubit q's (ket, bra) index pair."""
-    t = np.zeros((2,) * (2 * _N_QUBITS), dtype=complex)  # |000><000|
-    t[(0,) * (2 * _N_QUBITS)] = 1.0
-    t = _gate1(t, H, 0, p1)
-    t = _cx_gate(t, 0, 1, p2)
-    t = _cx_gate(t, 0, 2, p2)
-    rho = np.ascontiguousarray(t.transpose(0, 3, 1, 4, 2, 5)).reshape(4, 4, 4)
-    rho.setflags(write=False)
-    return rho
+    """The noisy GHZ state after H, CX(0,1) and CX(0,2) as its Pauli
+    coefficients: a read-only (4, 4, 4) tensor r with
+    rho_3 = sum r[a, b, c] P_a x P_b x P_c / 8."""
+    r = np.einsum("a,b,c->abc", *[_Z_PROJECTORS[0]] * _N_QUBITS)  # |000><000|
+    r = np.einsum("ad,dbc->abc", _damping(p1, 1)[:, None] * _ptm(H), r)
+    cx = (_damping(p2, 2)[:, None] * _ptm(_CX)).reshape((4,) * 4)
+    r = np.einsum("abde,dec->abc", cx, r)  # CX(0,1)
+    r = np.einsum("acde,dbe->abc", cx, r)  # CX(0,2)
+    r.setflags(write=False)
+    return r
 
 
 @functools.lru_cache(maxsize=8)
 def _dealer_povm(p1: float, readout: bytes, alice_setting: str) -> np.ndarray:
-    """The dealer's (2, 4) POVM table without the phase: pulled back through
-    its setting rotation and through the identity that stands in for P(phi),
+    """The dealer's (2, 4) POVM table without P(phi): pulled back through its
+    setting rotation and through the identity that stands in for P(phi),
     whose noise it keeps."""
     return _povm_table(_readout(readout)[0], (I2, _BASIS_ROTATION[alice_setting]), p1)
 
@@ -230,14 +217,14 @@ def _dealer_povm(p1: float, readout: bytes, alice_setting: str) -> np.ndarray:
 @functools.lru_cache(maxsize=24)
 def _party_table(p1: float, p2: float, readout: bytes, party: str, basis: str) -> np.ndarray:
     """The entangled state contracted with the q1 and q2 POVM tables: a
-    read-only (4, 4) table, rows by the dealer's (ket, bra) pair and columns
-    by the observed 2*x1 + x2."""
+    read-only (4, 4) table, rows by the dealer's Pauli term and columns by
+    the observed 2*x1 + x2."""
     rotation = () if basis == "Z" else (_BASIS_ROTATION[basis],)
     q1_gates, q2_gates = ((H,), rotation) if party == "charlie" else (rotation, ())
     confusion = _readout(readout)
     q1 = _povm_table(confusion[1], q1_gates, p1)
     q2 = _povm_table(confusion[2], q2_gates, p1)
-    table = np.einsum("abc,xb,yc->axy", _entangled_state(p1, p2), q1, q2).reshape(4, 4)
+    table = np.einsum("abc,xb,yc->axy", _entangled_state(p1, p2), q1, q2).reshape(4, 4) / 8
     table.setflags(write=False)
     return table
 
@@ -252,11 +239,14 @@ def circuit_probabilities(phi: float, basis: str, noise: NoiseModel,
     steering measurement (X for the standard protocol).
     """
     _require_circuit(basis, party, alice_setting)
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     readout = noise.readout.tobytes()
-    w = cmath.exp(1j * phi)
-    phase = np.array([1.0, w.conjugate(), w, 1.0])  # P(phi)^dagger E P(phi) in (ket, bra) order
-    dealer = _dealer_povm(noise.p1, readout, alice_setting) * phase
-    probs = (dealer @ _party_table(noise.p1, noise.p2, readout, party, basis)).real.reshape(-1)
+    c, s = math.cos(phi), math.sin(phi)
+    phase = np.array([1.0, 0.0, 0.0, 0.0, 0.0, c, -s, 0.0,
+                      0.0, s, c, 0.0, 0.0, 0.0, 0.0, 1.0]).reshape(4, 4)  # P(phi)'s transfer matrix
+    dealer = _dealer_povm(noise.p1, readout, alice_setting) @ phase
+    probs = (dealer @ _party_table(noise.p1, noise.p2, readout, party, basis)).reshape(-1)
     probs = np.maximum(probs, 0.0)
     return probs / probs.sum()
 

@@ -6,8 +6,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from mss.magic import c_closed_form, octahedron_distance
-from mss.qcore import (DensityMatrix, H, I2, PureState, Z, apply_1q, apply_on_axes, bloch, ghz,
-                       phase_gate, trace_distance)
+from mss.qcore import (DensityMatrix, H, PureState, Z, apply_1q, bloch, ghz, phase_gate,
+                       trace_distance)
 from mss.tomo import CorrectedCounts
 
 # Property tests draw the same examples on every run and keep no example database.
@@ -122,10 +122,10 @@ def reference_branch_tensor(phi: float, n: int) -> np.ndarray:
     """The deferred-measurement branch tensor built one party at a time: H
     contracted with each of the axes of parties 0..n-2 of P(phi)_0 |GHZ_n> in
     turn, shape (2,)*n."""
-    t = apply_1q(ghz(n), phase_gate(phi), 0).amps.reshape((2,) * n)
+    state = apply_1q(ghz(n), phase_gate(phi), 0)
     for axis in range(n - 1):
-        t = apply_on_axes(t, (axis,), H)
-    return t
+        state = apply_1q(state, H, axis)
+    return state.amps.reshape((2,) * n)
 
 
 def reference_magic_scan(phi_grid, n: int) -> list[tuple[float, float, float]]:
@@ -141,23 +141,9 @@ def reference_magic_scan(phi_grid, n: int) -> list[tuple[float, float, float]]:
 
 def reference_apply_on_axis(t: np.ndarray, axis: int, op: np.ndarray) -> np.ndarray:
     """A 2x2 operator on one axis of a (2,)*m tensor through ``np.tensordot``
-    and ``np.moveaxis``: the single-axis kernel ``apply_on_axes`` replaced,
+    and ``np.moveaxis``: the form ``apply_1q``'s one-``dot`` kernel replaced,
     kept as its bit-for-bit oracle."""
     return np.moveaxis(np.tensordot(op, t, axes=([1], [axis])), 0, axis)
-
-
-def reference_depolarize(t: np.ndarray, p: float, qubits: tuple[int, ...]) -> np.ndarray:
-    """The depolarizing channel on a (2,)*6 density tensor through ``np.trace``,
-    a broadcast against I/2 and ``np.moveaxis``: the form ``tomo._depolarize``
-    replaced, kept as its bit-for-bit oracle."""
-    if p == 0.0:
-        return t
-    mixed = t
-    for q in qubits:
-        reduced = np.trace(mixed, axis1=q, axis2=q + 3)
-        mixed = np.moveaxis(reduced[..., None, None] * (I2 / 2), (-2, -1), (q, q + 3))
-    lam = 4 ** len(qubits) * p / (4 ** len(qubits) - 1)
-    return (1 - lam) * t + lam * mixed
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> PureState:

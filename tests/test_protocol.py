@@ -25,7 +25,6 @@ from mss.qcore import (
     H,
     Z,
     apply_1q,
-    apply_on_axes,
     bloch,
     fidelity,
     ghz,
@@ -216,11 +215,11 @@ class TestThresholdInduction:
         # register shows whether the Bloch vectors are mapped back from that frame.
         for bits in ([0] * (n - 1), [k % 2 for k in range(1, n)]):
             psi = random_pure_state(n, rng)
-            t = psi.amps.reshape((2,) * n)
+            state = psi
             for axis in range(n - 1):
-                t = apply_on_axes(t, (axis,), H)
+                state = apply_1q(state, H, axis)
             outcomes = "".join("-" if b else "+" for b in bits)
-            assert_matches_reference(protocol._run(t, 0.0, bits),
+            assert_matches_reference(protocol._run(state.amps.reshape((2,) * n), 0.0, bits),
                                      reference_run_exact(0.0, n, outcomes, state=psi))
 
     def test_remaining_register_is_ghz_ladder(self):

@@ -2,7 +2,7 @@
 bootstrap calibration, and the experiment table."""
 
 import math
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ from mss.tomo import (
     stream_rng,
 )
 
-from conftest import PROPERTY, exact_corrected_counts, reference_depolarize
+from conftest import PROPERTY, exact_corrected_counts
 
 ZERO_NOISE = NoiseModel.none()
 ACCEPTANCE_NOISE = NoiseModel.symmetric(0.003, 0.015, 0.01)
@@ -252,6 +252,13 @@ class TestCircuitProbabilities:
             p = circuit_probabilities(1.3, basis, ZERO_NOISE)
             assert p[:4].sum() == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phi_rejected(self, phi):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            circuit_probabilities(phi, "X", ACCEPTANCE_NOISE)
+        with pytest.raises(ValueError, match="phi must be finite"):
+            sample_run(phi, "X", 64, ACCEPTANCE_NOISE, seed=1)
+
     def test_depolarizing_shrinks_contrast(self):
         clean = circuit_probabilities(np.pi / 4, "X", ZERO_NOISE)
         noisy = circuit_probabilities(np.pi / 4, "X", NoiseModel.symmetric(0.05, 0.05, 0.0))
@@ -280,17 +287,69 @@ class TestCircuitProbabilitiesOracle:
                                        err_msg=f"{phi} {party} {basis} {setting}")
 
 
-class TestDepolarizeOracle:
-    """The sliced partial trace is bit-identical to np.trace + moveaxis."""
+def closed_form_eta(p1: float, p2: float, readout_error: float) -> float:
+    """Length of the recipient's post-selected, corrected Bloch vector under
+    NoiseModel.symmetric: three readouts, the five 1-qubit gates on its path
+    (H, P(phi), the dealer's rotation, the middle party's H and the
+    recipient's basis rotation) and two CX, each shrinking it by its
+    channel's factor."""
+    return (1 - 2 * readout_error) ** 3 * (1 - 4 * p1 / 3) ** 5 * (1 - 16 * p2 / 15) ** 2
 
-    @pytest.mark.parametrize("qubits", [(0,), (1,), (2,)] + list(permutations(range(3), 2)))
-    def test_matches_trace_and_moveaxis_bytes(self, qubits, rng):
-        for p in (0.0, 0.003, 0.2, 0.5):
-            t = rng.normal(size=(2,) * 6) + 1j * rng.normal(size=(2,) * 6)
-            got = tomo._depolarize(t, p, qubits)
-            want = reference_depolarize(t, p, qubits)
-            assert (got.shape, got.dtype) == (want.shape, want.dtype)
-            assert got.tobytes() == want.tobytes(), p
+
+def exact_expectation(probs: np.ndarray, party: str, basis: str, keep_bit: int) -> float:
+    """One party's expectation from exact probabilities, kept where the
+    dealer read ``keep_bit`` and, for the recipient's X and Y bases, flipped
+    where the middle party read minus."""
+    kept = probs.reshape(2, 2, 2)[keep_bit]  # [q1, q2]
+    if party == "bob":
+        n = kept.sum(axis=1)
+    elif basis == "Z":
+        n = kept.sum(axis=0)
+    else:
+        n = kept[0] + kept[1, ::-1]
+    return (n[0] - n[1]) / (n[0] + n[1])
+
+
+class TestClosedFormEta:
+    """Symmetric noise shrinks the delivered Bloch vector by eta and leaves
+    the middle party with nothing: a closed form that shares no code with
+    any simulator."""
+
+    @PROPERTY
+    @given(st.floats(-7.0, 7.0), st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.floats(0.0, 0.5))
+    def test_post_selected_expectations(self, phi, p1, p2, readout_error):
+        noise = NoiseModel.symmetric(p1, p2, readout_error)
+        eta = closed_form_eta(p1, p2, readout_error)
+        delivered = {("X", 0): eta * np.array([math.cos(phi), math.sin(phi), 0.0]),
+                     ("Y", 1): eta * np.array([-math.sin(phi), math.cos(phi), 0.0])}
+        for (setting, keep_bit), want in delivered.items():
+            got = [exact_expectation(circuit_probabilities(phi, b, noise, "charlie", setting),
+                                     "charlie", b, keep_bit) for b in "XYZ"]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        for setting, keep_bit, b in product("XY", (0, 1), "XYZ"):
+            got = exact_expectation(circuit_probabilities(phi, b, noise, "bob", setting),
+                                    "bob", b, keep_bit)
+            assert abs(got) <= 1e-14, (setting, keep_bit, b)
+
+
+class TestEntangledState:
+    """The noisy GHZ state's Pauli coefficients are the GHZ stabilizer group,
+    each element damped by the channels that act on it."""
+
+    @pytest.mark.parametrize("p1, p2", [(0.0, 0.0), (0.003, 0.015), (0.2, 0.4), (0.5, 0.0),
+                                        (0.0, 0.5), (0.5, 0.5)])
+    def test_terms_are_the_damped_stabilizer_group(self, p1, p2):
+        d1, d2 = 1 - 4 * p1 / 3, 1 - 16 * p2 / 15
+        want = {"III": 1.0, "ZIZ": d2, "ZZI": d2 ** 2, "IZZ": d2 ** 2, "XXX": d1 * d2 ** 2,
+                "XYY": -d1 * d2 ** 2, "YXY": -d1 * d2 ** 2, "YYX": -d1 * d2 ** 2}
+        r = tomo._entangled_state(p1, p2)
+        got = {"".join("IXYZ"[i] for i in index): r[tuple(index)] for index in np.argwhere(r)}
+        assert got.keys() == want.keys()
+        for term, value in want.items():
+            assert got[term] == pytest.approx(value, rel=0, abs=1e-15), term
+        # No weight-1 term: each single party holds I/2 at any depolarizing strength.
+        for q in range(3):
+            assert not np.any(np.moveaxis(r, q, 0)[1:, 0, 0])
 
 
 _CACHES = (tomo._entangled_state, tomo._dealer_povm, tomo._party_table)
@@ -359,7 +418,7 @@ class TestCachedTables:
         ZERO_NOISE, ACCEPTANCE_NOISE, TestCircuitProbabilitiesOracle.ASYMMETRIC,
     ], ids=["none", "acceptance", "asymmetric-readout"])
     def test_each_qubit_table_sums_to_the_identity(self, noise):
-        identity = I2.reshape(4)
+        identity = np.array([2.0, 0.0, 0.0, 0.0])  # tr(P) for P in (I, X, Y, Z)
         for q, gates in product(range(3), [(), (H,), (H @ S.conj().T,), (I2, H), (I2, H @ S.conj().T)]):
             table = tomo._povm_table(noise.readout[q], gates, noise.p1)
             np.testing.assert_allclose(table.sum(axis=0), identity, rtol=0, atol=1e-15)
@@ -368,9 +427,9 @@ class TestCachedTables:
             table = tomo._dealer_povm(noise.p1, readout, setting)
             np.testing.assert_allclose(table.sum(axis=0), identity, rtol=0, atol=1e-15)
         for party, basis in product(("charlie", "bob"), "XYZ"):
-            # summed over q1 and q2's outcomes: the dealer's marginal, I/2
+            # summed over q1 and q2's outcomes: the dealer's marginal I/2 as its c in sum_P c_P P
             table = tomo._party_table(noise.p1, noise.p2, readout, party, basis)
-            np.testing.assert_allclose(table.sum(axis=1), identity / 2, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(table.sum(axis=1), identity / 4, rtol=0, atol=1e-15)
 
 
 def big_endian_table(outcomes, basis, party="charlie"):
