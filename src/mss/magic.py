@@ -92,10 +92,9 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
     When C is clamped to zero the state is free, and the zero witness (with
     F_LHS = 0) is reported: it is dual-optimal there, and unlike the LP's own
     dual it does not depend on the pivot path.  For one qubit with C > 0 the
-    dual optimum is not unique where a Bloch coordinate is 0, so the witness
-    with s = witness_signs(bloch(rho)) is reported, its identity part t the
-    one that keeps |y|_inf <= 1.  Both replace the LP's dual only after it
-    has passed the postcondition check.
+    dual optimum is not unique where a Bloch coordinate is 0, so
+    :func:`sign_witness` is reported.  Both replace the LP's dual only after
+    it has passed the postcondition check.
     """
     n = rho.n_qubits
     if n not in (1, 2):
@@ -126,17 +125,35 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
         zero.setflags(write=False)
         return MagicResult(c_value=0.0, f_star=f_star, mixture_weights=lam,
                            dual_witness=zero, f_lhs=0.0)
-    ops = _operator_stack(n)
     if n == 1:
-        s = witness_signs(bloch(rho))
-        y0 = np.einsum("aij,ji->a", ops, s[0] * X + s[1] * Y + s[2] * Z).real / 2
-        yvec = y0 - (y0.max() + y0.min()) / 2
-        f_lhs = float(np.max(yvec @ F))
-    witness = np.tensordot(yvec, ops, 1) / 2 ** n
-    witness = (witness + witness.conj().T) / 2
-    witness.setflags(write=False)
+        witness, f_lhs = sign_witness(rho)
+    else:
+        witness = _witness_matrix(yvec, n)
     return MagicResult(c_value=float(sol.fun), f_star=f_star, mixture_weights=lam,
                        dual_witness=witness, f_lhs=f_lhs)
+
+
+def _witness_matrix(yvec: np.ndarray, n: int) -> np.ndarray:
+    """The read-only Hermitian witness sum_alpha y_alpha A_alpha / 2**n."""
+    witness = np.tensordot(yvec, _operator_stack(n), 1) / 2 ** n
+    witness = (witness + witness.conj().T) / 2
+    witness.setflags(write=False)
+    return witness
+
+
+def sign_witness(rho: DensityMatrix) -> tuple[np.ndarray, float]:
+    """The 1-qubit witness H* = (s . sigma)/2 + t I and its F_LHS, with
+    s = witness_signs(bloch(rho)) and t the identity part that keeps the
+    witness coordinates y inside [-1, 1].
+
+    This is the dual witness :func:`wigner_distance` reports for a 1-qubit
+    state with C > 0, without solving the LP.  For such a state,
+    tr(H* rho) - F_LHS = C(rho).
+    """
+    s = witness_signs(bloch(rho))
+    y0 = np.einsum("aij,ji->a", _operator_stack(1), s[0] * X + s[1] * Y + s[2] * Z).real / 2
+    yvec = y0 - (y0.max() + y0.min()) / 2
+    return _witness_matrix(yvec, 1), float(np.max(yvec @ _lp_constants(1)[0]))
 
 
 def c_closed_form(phi: float) -> float:

@@ -19,8 +19,9 @@ That covariance is what lets one witness serve both settings: the
 functional evaluates the Y term against the S-conjugated witness (same
 stabilizer bound, because Clifford conjugation permutes the polytope
 vertices), and a single LP solve at sigma_{0|X} certifies the gap exactly.
-No angle ever enters the certification path except through the assemblage
-states themselves.
+For one qubit that LP's witness has a closed form, :func:`sign_witness`, so
+the finite-shot certification solves no LP.  No angle ever enters the
+certification path except through the assemblage states themselves.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from . import tomo
-from .magic import MagicResult, wigner_distance, witness_signs
+from .magic import MagicResult, octahedron_distance, sign_witness, wigner_distance, witness_signs
 from .protocol import _branch_tensor
 from .qcore import H, I2, DensityMatrix, S, phase_gate
 from .stabilizer import enumerate_stabilizer_states
@@ -126,9 +127,7 @@ def solve_witness(assemblage: Assemblage) -> MagicResult:
     return wigner_distance(assemblage.state("X", 0))
 
 
-def _functional_value(sigma_x: DensityMatrix, sigma_y: DensityMatrix,
-                      witness: MagicResult) -> float:
-    h = witness.dual_witness
+def _functional_value(sigma_x: DensityMatrix, sigma_y: DensityMatrix, h: np.ndarray) -> float:
     h_y = S @ h @ S.conj().T
     term_x = float(np.trace(h @ sigma_x.mat).real)
     term_y = float(np.trace(h_y @ sigma_y.mat).real)
@@ -142,7 +141,8 @@ def evaluate_functional(assemblage: Assemblage, witness: MagicResult) -> Certifi
     For the ideal assemblage the gap above F_LHS equals C(phi); any
     stabilizer local-hidden-state assemblage stays at or below zero gap.
     """
-    f_value = _functional_value(assemblage.state("X", 0), assemblage.state("Y", 0), witness)
+    f_value = _functional_value(assemblage.state("X", 0), assemblage.state("Y", 0),
+                                witness.dual_witness)
     return CertificationRecord(f_value=f_value, f_lhs=witness.f_lhs)
 
 
@@ -150,6 +150,11 @@ def certify_exact(phi: float) -> CertificationRecord:
     """Build the ideal assemblage at phi, solve its witness, and evaluate."""
     assemblage = build_assemblage(phi)
     return evaluate_functional(assemblage, solve_witness(assemblage))
+
+
+# The witness wigner_distance reports, with F_LHS = 0, for a state whose C is 0.
+_ZERO_WITNESS = np.zeros((2, 2), dtype=complex)
+_ZERO_WITNESS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -166,24 +171,31 @@ def sampled_certification(phi: float, shots: int, noise, seed: int,
 
     The dealer's Y-setting outcome 0 is the -1 eigenstate, which the
     hardware-style rotation maps to measured bit 1, hence the keep-bit flip.
-    The point estimate solves the witness LP at the reconstructed
-    sigma_{0|X}.  Every bootstrap replica re-derives the witness at its own
-    reconstructed sigma_{0|X}, in the closed form of :func:`_sign_witness_gaps`,
-    so sigma_gap includes the witness's own sampling wobble.
+    No LP is solved: the point estimate takes :func:`sign_witness` at the
+    reconstructed sigma_{0|X} when its C is positive, and the zero witness
+    (F = F_LHS = 0) otherwise, which is the witness wigner_distance reports
+    for that state.  Every bootstrap replica re-derives the witness at its
+    own reconstructed sigma_{0|X} by the same rule, in the closed form of
+    :func:`_sign_witness_gaps`, so sigma_gap includes the witness's own
+    sampling wobble.
+
+    Against the noisy closed form (Bloch vector eta (cos phi, sin phi, 0)),
+    the gap runs high by a few tenths of sigma_gap on average: the sign
+    witness also picks up the sampled |b_z|, whose true value is 0.
     """
     # sigma_{0|X}'s X, Y, Z counts, then sigma_{0|Y}'s
     base = [tomo.post_select_and_correct(tomo.sample_run(phi, basis, shots, noise, seed,
                                                          alice_setting=setting), keep_bit)
             for setting, keep_bit in (("X", 0), ("Y", 1)) for basis in ("X", "Y", "Z")]
     recon_x, recon_y = tomo.reconstruct(*base[:3]), tomo.reconstruct(*base[3:])
-    witness = wigner_distance(recon_x.rho)
+    h, f_lhs = sign_witness(recon_x.rho) if recon_x.c_value > 0 else (_ZERO_WITNESS, 0.0)
     record = CertificationRecord(
-        f_value=_functional_value(recon_x.rho, recon_y.rho, witness), f_lhs=witness.f_lhs)
+        f_value=_functional_value(recon_x.rho, recon_y.rho, h), f_lhs=f_lhs)
 
     rng = tomo.stream_rng(seed, f"certify-boot/{phi:.17g}")
     raw = tomo.resample_expectations(base, n_boot, rng)
-    gaps = _sign_witness_gaps(tomo.scale_onto_ball(raw[:, :3]),
-                              tomo.scale_onto_ball(raw[:, 3:]))
+    b = tomo.scale_onto_ball(raw.reshape(n_boot, 2, 3))
+    gaps = _sign_witness_gaps(b[:, 0], b[:, 1])
     return SampledCertification(
         record=record,
         sigma_gap=float(np.std(gaps, ddof=1)),
@@ -196,22 +208,22 @@ def _sign_witness_gaps(b_x: np.ndarray, b_y: np.ndarray) -> np.ndarray:
     of sigma_{0|Y}, with the witness solved at sigma_{0|X}: the LP's result
     in closed form.
 
-    For one qubit the free polytope is the octahedron |b|_1 <= 1.  Outside
-    it, wigner_distance reports the witness H* = (s . sigma)/2 plus a
-    multiple of the identity, with s = witness_signs(b_x); over the six
+    For one qubit the free polytope is the octahedron |b|_1 <= 1.  Where C
+    is positive, wigner_distance reports the witness H* = (s . sigma)/2 plus
+    a multiple of the identity, with s = witness_signs(b_x); over the six
     vertices +-e_i it peaks at F_LHS = 1/2 plus that multiple.  The identity
     part adds equally to F and F_LHS, so it cancels in the gap.  S
     conjugation maps s . sigma to s' . sigma with s' = (-s_y, s_x, s_z), so
     the gap is (s . b_x + s' . b_y)/4 - 1/2, which is C(b_x) when b_y is the
-    S-conjugate of b_x.  Strictly inside the octahedron the LP returns the
-    zero witness and the gap is 0.  On its surface C is 0 and every witness
-    that attains its bound at b_x is optimal; the zero witness is taken
-    there too, so the gap is 0 exactly when C is.
+    S-conjugate of b_x.  Where C is reported as 0 -- inside the octahedron,
+    on its surface, and within CLAMP_TOL outside it -- the zero witness is
+    taken and the gap is 0, as wigner_distance does.
     """
-    s = witness_signs(b_x)
-    s_y = np.stack([-s[..., 1], s[..., 0], s[..., 2]], axis=-1)
-    gap = ((s * b_x).sum(axis=-1) + (s_y * b_y).sum(axis=-1)) / 4.0 - 0.5
-    return np.where(np.abs(b_x).sum(axis=-1) > 1.0, gap, 0.0)
+    s0, s1, s2 = np.moveaxis(witness_signs(b_x), -1, 0)
+    x0, x1, x2 = np.moveaxis(b_x, -1, 0)
+    y0, y1, y2 = np.moveaxis(b_y, -1, 0)
+    gap = ((s0 * x0 + s1 * x1 + s2 * x2) + (-s1 * y0 + s0 * y1 + s2 * y2)) / 4.0 - 0.5
+    return np.where(octahedron_distance(b_x) > 0, gap, 0.0)
 
 
 def random_lhs_assemblage(rng: np.random.Generator) -> Assemblage:

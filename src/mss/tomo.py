@@ -37,7 +37,8 @@ Randomness.  All sampling uses counter-based Philox generators keyed as
 (seed, fnv1a64(label)) where the label spells out phi, party, basis,
 setting, and replica role.  Streams for different circuits or bootstrap
 replicas are therefore disjoint by construction and every output is a pure
-function of the seed.
+function of the seed.  Within a bootstrap stream the draws run count by
+count, each count's replicas in turn (:func:`resample_expectations`).
 """
 
 from __future__ import annotations
@@ -353,25 +354,29 @@ def resample_expectations(counts: Sequence[CorrectedCounts], n_boot: int,
     """Parametric bootstrap draw: ``n_boot`` replicas of every sample's
     expectation, each count redrawn binomially at its empirical rate.
 
-    Returns an (n_boot, len(counts)) array.  All draws come from one
-    ``rng.binomial`` call, replica by replica and, within a replica, in the
-    order of ``counts``.
+    Returns an (n_boot, len(counts)) array.  The draws are made count by
+    count, in the order of ``counts``, each count's ``n_boot`` replicas as one
+    ``rng.binomial`` run: numpy keeps its binomial set-up while (n, p)
+    repeats, and redoes it whenever they change.
     """
     if n_boot < MIN_N_BOOT:
         raise ValueError(f"n_boot must be at least {MIN_N_BOOT}")
     trials = np.array([int(round(c.n_eff)) for c in counts])
     if trials.min() < 1:
         raise ValueError("empty post-selected sample")
-    rates = np.array([c.n0 / c.n_eff for c in counts])
-    k = rng.binomial(trials, rates, size=(n_boot, len(counts)))
+    k = np.empty((n_boot, len(counts)), dtype=np.int64)
+    for j, c in enumerate(counts):
+        k[:, j] = rng.binomial(trials[j], c.n0 / c.n_eff, size=n_boot)
     return (2 * k - trials) / trials
 
 
 def scale_onto_ball(raw: np.ndarray) -> np.ndarray:
     """Bloch vectors along the last axis, those longer than 1 scaled onto the
     unit sphere: the projection :func:`reconstruct` applies, for arrays."""
-    b = raw / np.maximum(1.0, np.linalg.norm(raw, axis=-1, keepdims=True))
-    if not np.all(np.einsum("...i,...i->...", b, b) <= 1.0 + 1e-9):
+    x, y, z = np.moveaxis(raw, -1, 0)
+    b = raw / np.maximum(1.0, np.sqrt(x * x + y * y + z * z))[..., None]
+    x, y, z = np.moveaxis(b, -1, 0)
+    if not np.all(x * x + y * y + z * z <= 1.0 + 1e-9):
         raise RuntimeError("scaled Bloch vector left the unit ball")
     return b
 

@@ -21,6 +21,15 @@ def exact_corrected_counts(phi: float, basis: str, n_eff: float) -> CorrectedCou
     return CorrectedCounts(basis_label=basis, n0=(1 + e) / 2 * n_eff, n1=(1 - e) / 2 * n_eff)
 
 
+def closed_form_eta(p1: float, p2: float, readout_error: float) -> float:
+    """Length of the recipient's post-selected, corrected Bloch vector under
+    NoiseModel.symmetric: three readouts, the five 1-qubit gates on its path
+    (H, P(phi), the dealer's rotation, the middle party's H and the
+    recipient's basis rotation) and two CX, each shrinking it by its
+    channel's factor."""
+    return (1 - 2 * readout_error) ** 3 * (1 - 4 * p1 / 3) ** 5 * (1 - 16 * p2 / 15) ** 2
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every qubit not listed in ``keep`` (indices kept in order).
 

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
+import mss.magic
 from mss import steering, tomo
-from mss.magic import c_closed_form, wigner_distance
+from mss.magic import c_closed_form, octahedron_distance, wigner_distance
 from mss.qcore import X, Y, Z, bloch, dm_from_bloch, ket
 from mss.stabilizer import enumerate_stabilizer_states
 from mss.steering import (
@@ -21,10 +22,13 @@ from mss.steering import (
     z_setting_probe,
 )
 
-from conftest import PROPERTY, bloch_vectors, exact_corrected_counts, reference_build_assemblage
+from conftest import (PROPERTY, bloch_vectors, closed_form_eta, exact_corrected_counts,
+                      reference_build_assemblage)
 
 SQRT2 = np.sqrt(2.0)
 ACCEPTANCE_NOISE = tomo.NoiseModel.symmetric(0.003, 0.015, 0.01)
+# |b|_1 = 1 + 1e-10: outside the octahedron, but C = 5e-11 is below CLAMP_TOL.
+CLAMPED_OUTSIDE = np.array([0.5, 0.5 + 1e-10, 0.0])
 
 
 def lhs_bound_check(witness) -> float:
@@ -37,7 +41,7 @@ def lp_gap(b_x, b_y):
     """Gap of the LP witness solved at b_x, with the Y term S-conjugated."""
     sigma_x, sigma_y = dm_from_bloch(b_x), dm_from_bloch(b_y)
     w = wigner_distance(sigma_x)
-    return _functional_value(sigma_x, sigma_y, w) - w.f_lhs
+    return _functional_value(sigma_x, sigma_y, w.dual_witness) - w.f_lhs
 
 
 def lp_witness_paulis(b):
@@ -52,8 +56,9 @@ def s_conjugate(b):
 
 
 def reference_sampled_certification(phi, shots, noise, seed, n_boot):
-    """Slow oracle for :func:`sampled_certification`: scalar draws, and one
-    reconstruction and one witness LP per replica."""
+    """Slow oracle for :func:`sampled_certification`: scalar draws, count by
+    count and each count's replicas in turn, then one reconstruction and one
+    witness LP per replica and for the point estimate."""
     base = {}
     for setting, keep_bit in (("X", 0), ("Y", 1)):
         base[setting] = {
@@ -67,20 +72,23 @@ def reference_sampled_certification(phi, shots, noise, seed, n_boot):
         sig = {s: tomo.reconstruct(counts[s]["X"], counts[s]["Y"], counts[s]["Z"])
                for s in ("X", "Y")}
         w = wigner_distance(sig["X"].rho)
-        return _functional_value(sig["X"].rho, sig["Y"].rho, w), w, sig
+        return _functional_value(sig["X"].rho, sig["Y"].rho, w.dual_witness), w, sig
 
     f_value, witness, recon = evaluate(base)
     rng = tomo.stream_rng(seed, f"certify-boot/{phi:.17g}")
+    draws = {}
+    for s, per in base.items():
+        for b, cc in per.items():
+            n = int(round(cc.n_eff))
+            draws[s, b] = [int(rng.binomial(n, cc.n0 / cc.n_eff)) for _ in range(n_boot)]
 
-    def resample(cc):
-        n = int(round(cc.n_eff))
-        k = int(rng.binomial(n, cc.n0 / cc.n_eff))
-        return tomo.CorrectedCounts(cc.basis_label, n0=float(k), n1=float(n - k))
+    def resample(s, b, i):
+        n, k = int(round(base[s][b].n_eff)), draws[s, b][i]
+        return tomo.CorrectedCounts(b, n0=float(k), n1=float(n - k))
 
     gaps = np.empty(n_boot)
     for i in range(n_boot):
-        f, w, _ = evaluate({s: {b: resample(cc) for b, cc in per.items()}
-                            for s, per in base.items()})
+        f, w, _ = evaluate({s: {b: resample(s, b, i) for b in per} for s, per in base.items()})
         gaps[i] = f - w.f_lhs
     return (f_value, witness.f_lhs, float(np.std(gaps, ddof=1)),
             min(recon["X"].n_eff, recon["Y"].n_eff))
@@ -258,6 +266,17 @@ class TestSampledCertification:
         assert (sc.record.f_value, sc.record.f_lhs, sc.n_eff) == (f, f_lhs, n_eff)
         assert sc.sigma_gap == pytest.approx(sigma_gap, rel=0, abs=1e-12)
 
+    # The first point estimate has C > 0; the second lies inside the octahedron.
+    @pytest.mark.parametrize("phi,noise,certifies", [(np.pi / 8, tomo.NoiseModel.none(), True),
+                                                     (3.14159, ACCEPTANCE_NOISE, False)])
+    def test_solves_no_lp(self, phi, noise, certifies, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled certification solved an LP")
+
+        monkeypatch.setattr(mss.magic, "solve_lp", refuse)
+        sc = sampled_certification(phi, shots=4096, noise=noise, seed=3, n_boot=150)
+        assert (sc.record.gap > 0) == certifies
+
     def test_zero_gap_when_inside_the_octahedron(self):
         sc = sampled_certification(3.14159, shots=4096, noise=ACCEPTANCE_NOISE,
                                    seed=3, n_boot=150)
@@ -274,20 +293,59 @@ class TestSampledCertification:
         np.testing.assert_allclose(_sign_witness_gaps(b_x, b_y), want, rtol=0, atol=1e-12)
 
 
+class TestClosedFormCoverage:
+    """Sampled outputs against the noisy closed form at acceptance noise.
+
+    The recipient's Bloch vector is eta (cos phi, sin phi, 0), so
+    c_charlie and the certification gap both estimate
+    max(0, (eta (|cos phi| + |sin phi|) - 1)/2) and the fidelity estimates
+    (1 + eta)/2.  Over 100 seeds per angle, each estimate must lie within 3
+    of its bootstrap sigmas of the closed form in at least 95 runs, and
+    within 5 sigmas in all of them.  c_charlie and the gap run high, by
+    +0.5 to +0.8 and +0.4 to +0.5 sigma on average over these seeds:
+    |x| + |y| + |z| and the sign witness both pick up the sampled |b_z|,
+    whose true value is 0.
+    """
+
+    @pytest.mark.parametrize("phi", [np.pi / 8, np.pi / 4, 1.0])
+    def test_within_three_sigma_at_a_fixed_rate(self, phi):
+        eta = closed_form_eta(0.003, 0.015, 0.01)
+        c = max(0.0, (eta * (abs(np.cos(phi)) + abs(np.sin(phi))) - 1.0) / 2.0)
+        z = {"c_charlie": [], "fidelity": [], "gap": []}
+        for seed in range(1700, 1800):
+            row = tomo.experiment_table([phi], 4096, ACCEPTANCE_NOISE, seed, n_boot=500).rows[0]
+            sc = sampled_certification(phi, 4096, ACCEPTANCE_NOISE, seed, n_boot=500)
+            z["c_charlie"].append((row.c_charlie - c) / row.sigma_c)
+            z["fidelity"].append((row.fidelity - (1.0 + eta) / 2.0) / row.sigma_f)
+            z["gap"].append((sc.record.gap - c) / sc.sigma_gap)
+        for name, values in z.items():
+            values = np.abs(values)
+            assert np.sum(values <= 3.0) >= 95, (name, np.sort(values)[-6:])
+            assert np.max(values) <= 5.0, (name, np.max(values))
+
+
 class TestSignWitnessProperties:
     """The closed-form witness of sampled certification against the LP."""
 
     @PROPERTY
     @given(bloch_vectors())
+    @example(CLAMPED_OUTSIDE)
     def test_sign_vector_is_the_lp_witness(self, b):
-        l1 = np.abs(b).sum()
         paulis = lp_witness_paulis(b)
-        if l1 > 1.0:
+        if octahedron_distance(b) > 0:
             np.testing.assert_allclose(paulis, np.sign(b), rtol=0, atol=1e-9)
         else:
-            # Inside the octahedron and on its surface (C = 0) the witness is
-            # the canonical zero witness, whatever the LP's pivot path.
+            # Inside the octahedron, on its surface and within CLAMP_TOL
+            # outside it (C = 0) the witness is the canonical zero witness,
+            # whatever the LP's pivot path.
             assert np.all(paulis == 0.0)
+
+    def test_zero_gap_where_c_is_clamped(self):
+        b_y = s_conjugate(CLAMPED_OUTSIDE)
+        want = lp_gap(CLAMPED_OUTSIDE, b_y)
+        assert want == 0.0
+        np.testing.assert_allclose(_sign_witness_gaps(CLAMPED_OUTSIDE, b_y), want,
+                                   rtol=0, atol=1e-12)
 
     @PROPERTY
     @given(bloch_vectors())

@@ -29,20 +29,21 @@ from mss.tomo import (
     stream_rng,
 )
 
-from conftest import PROPERTY, exact_corrected_counts
+from conftest import PROPERTY, closed_form_eta, exact_corrected_counts
 
 ZERO_NOISE = NoiseModel.none()
 ACCEPTANCE_NOISE = NoiseModel.symmetric(0.003, 0.015, 0.01)
 
 
 def reference_bootstrap(x_counts, y_counts, z_counts, n_boot, seed, phi=None):
-    """Slow oracle for :func:`bootstrap`: every replica is rebuilt as counts,
+    """Slow oracle for :func:`bootstrap`: scalar draws, basis by basis and
+    each basis's replicas in turn; every replica is rebuilt as counts,
     reconstructed as a DensityMatrix and measured with the Wigner-distance LP."""
     rng = stream_rng(seed, f"bootstrap/{phi if phi is not None else 'none'}")
     bases = (x_counts, y_counts, z_counts)
     trials = [int(round(c.n_eff)) for c in bases]
-    rates = [c.n0 / c.n_eff for c in bases]
-    draws = rng.binomial(n=np.array(trials), p=np.array(rates), size=(n_boot, 3))
+    draws = np.array([[int(rng.binomial(t, c.n0 / c.n_eff)) for _ in range(n_boot)]
+                      for c, t in zip(bases, trials)]).T
     cs, fs = np.empty(n_boot), np.empty(n_boot)
     for i in range(n_boot):
         res = reconstruct(*[CorrectedCounts(c.basis_label, n0=float(k), n1=float(t - k))
@@ -285,15 +286,6 @@ class TestCircuitProbabilitiesOracle:
             want = reference_circuit_probabilities(phi, basis, noise, party, setting)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14,
                                        err_msg=f"{phi} {party} {basis} {setting}")
-
-
-def closed_form_eta(p1: float, p2: float, readout_error: float) -> float:
-    """Length of the recipient's post-selected, corrected Bloch vector under
-    NoiseModel.symmetric: three readouts, the five 1-qubit gates on its path
-    (H, P(phi), the dealer's rotation, the middle party's H and the
-    recipient's basis rotation) and two CX, each shrinking it by its
-    channel's factor."""
-    return (1 - 2 * readout_error) ** 3 * (1 - 4 * p1 / 3) ** 5 * (1 - 16 * p2 / 15) ** 2
 
 
 def exact_expectation(probs: np.ndarray, party: str, basis: str, keep_bit: int) -> float:
@@ -653,14 +645,14 @@ class TestResampling:
             resample_expectations(counts, 100, stream_rng(1, "r"))
 
     def test_one_array_draw_equals_scalar_draws_in_order(self):
-        # Replica by replica, and within a replica in the order of the counts.
+        # Count by count in the order of the counts, and each count's replicas in turn.
         counts = [CorrectedCounts("X", n0=1700, n1=348), CorrectedCounts("Y", n0=900, n1=1171),
                   CorrectedCounts("Z", n0=1020, n1=1011), CorrectedCounts("X", n0=3, n1=2040)]
         got = resample_expectations(counts, 150, stream_rng(3, "order"))
         rng = stream_rng(3, "order")
         want = np.empty_like(got)
-        for i in range(150):
-            for j, c in enumerate(counts):
+        for j, c in enumerate(counts):
+            for i in range(150):
                 n = int(round(c.n_eff))
                 k = int(rng.binomial(n, c.n0 / c.n_eff))
                 want[i, j] = CorrectedCounts(c.basis_label, float(k), float(n - k)).expectation
