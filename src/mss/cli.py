@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="finite-shot mode with tomographic reconstruction")
     p.add_argument("--seed", type=int, default=None, help="required with --shots")
     p.add_argument("--noise", default="0,0,0", help="p1,p2,readout (finite-shot mode)")
-    p.add_argument("--boot", type=int, default=500,
+    p.add_argument("--boot", type=int, default=steering.DEFAULT_N_BOOT,
                    help="bootstrap replicas (default %(default)s)")
     common(p)
     p.set_defaults(handler=cmd_certify)
@@ -490,7 +490,8 @@ def cmd_experiment(args):
         base = Path(args.out)
         _write_out(base.with_suffix(".csv"), csv_text)
         _write_out(base.with_suffix(".json"), json_text)
-        _write_out(Path(str(base) + "_curve.csv"), report.plot_data_csv())
+        stem = base.with_suffix("")
+        _write_out(stem.with_name(stem.name + "_curve.csv"), report.plot_data_csv())
         sys.stdout.write(pretty)
         return CommandOutput(payload, already_written=True)
     return CommandOutput(payload, csv=csv_text, pretty=pretty)

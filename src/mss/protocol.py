@@ -294,7 +294,7 @@ def check_gate_admissibility(gate, probe_phis: Sequence[float]) -> GateAdmissibi
     blochs = np.array([_deliver_with_gate(g) for g in gates])  # [probe, (delivered, bob), xyz]
     c_vals = tuple(octahedron_distance(blochs[:, 0]).tolist())
 
-    secure = all(abs(s - 1.0) <= 1e-10 for s in col0 + col1)
+    secure = all(satisfies_column_sum(g) for g in gates)
     faithful = max(c_vals) > 1e-6 and (max(c_vals) - min(c_vals)) > 1e-7
     return GateAdmissibility(
         probe_phis=tuple(probes),

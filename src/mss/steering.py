@@ -39,6 +39,7 @@ from .qcore import H, I2, DensityMatrix, S, phase_gate
 from .stabilizer import enumerate_stabilizer_states
 
 SETTINGS = ("X", "Y")
+DEFAULT_N_BOOT = 500  # bootstrap replicas of a sampled certification
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ class SampledCertification:
 
 
 def sampled_certification(phi: float, shots: int, noise, seed: int,
-                          n_boot: int = 500) -> SampledCertification:
+                          n_boot: int = DEFAULT_N_BOOT) -> SampledCertification:
     """Finite-shot certification via tomographic reconstruction of the
     conditional states, with a parametric bootstrap on the gap.
 

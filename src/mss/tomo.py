@@ -30,8 +30,9 @@ depolarizing noise.  Every later step -- P(phi), the basis rotations, their
 measurement is a product of per-qubit effective POVMs, each readout row
 pulled back through its qubit's gates into a (2, 4) table.  P(phi) commutes
 with the noise, so phi enters as a rotation of the dealer's X and Y columns.
-The q1 and q2 tables, contracted with r, are cached per noise model, party
-and basis; a call is one (2, 4) x (4, 4) x (4, 4) product.
+One cached builder makes every table of a noise model: the dealer's (2, 4)
+table per setting, and the q1 and q2 tables contracted with r per party and
+basis; a call is one (2, 4) x (4, 4) x (4, 4) product.
 
 Randomness.  All sampling uses counter-based Philox generators keyed as
 (seed, fnv1a64(label)) where the label spells out phi, party, basis,
@@ -46,13 +47,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
 # wigner_distance is not called here; bench/test_bench.py reads it as mss.tomo.wigner_distance.
 from .magic import c_closed_form, octahedron_distance, wigner_distance  # noqa: F401
-from .qcore import H, I2, S, X, Y, Z, DensityMatrix, dm_from_bloch, fidelity, phase_plus
+from .qcore import H, I2, S, X, Y, Z, DensityMatrix, dm_from_bloch
 
 DISTILLATION_THRESHOLD = 0.856  # 15-to-1 magic state distillation entry fidelity
 DEFAULT_SHOTS = 4096
@@ -188,12 +190,6 @@ def _povm_table(confusion: np.ndarray, gates: Sequence[np.ndarray], p: float) ->
     return table
 
 
-def _readout(key: bytes) -> np.ndarray:
-    return np.frombuffer(key).reshape(_N_QUBITS, 2, 2)
-
-
-# The caches below hold the tables of up to four noise models each.
-@functools.lru_cache(maxsize=4)
 def _entangled_state(p1: float, p2: float) -> np.ndarray:
     """The noisy GHZ state after H, CX(0,1) and CX(0,2) as its Pauli
     coefficients: a read-only (4, 4, 4) tensor r with
@@ -207,27 +203,32 @@ def _entangled_state(p1: float, p2: float) -> np.ndarray:
     return r
 
 
-@functools.lru_cache(maxsize=8)
-def _dealer_povm(p1: float, readout: bytes, alice_setting: str) -> np.ndarray:
-    """The dealer's (2, 4) POVM table without P(phi): pulled back through its
-    setting rotation and through the identity that stands in for P(phi),
-    whose noise it keeps."""
-    return _povm_table(_readout(readout)[0], (I2, _BASIS_ROTATION[alice_setting]), p1)
+# One entry: the CLI and every benchmark workload build one NoiseModel per
+# process, and a miss costs a few tenths of a millisecond.
+@functools.lru_cache(maxsize=1)
+def _tables(p1: float, p2: float, readout: bytes) -> Mapping:
+    """Every table of one noise model, read-only, keyed by what selects it.
 
-
-@functools.lru_cache(maxsize=24)
-def _party_table(p1: float, p2: float, readout: bytes, party: str, basis: str) -> np.ndarray:
-    """The entangled state contracted with the q1 and q2 POVM tables: a
-    read-only (4, 4) table, rows by the dealer's Pauli term and columns by
-    the observed 2*x1 + x2."""
-    rotation = () if basis == "Z" else (_BASIS_ROTATION[basis],)
-    q1_gates, q2_gates = ((H,), rotation) if party == "charlie" else (rotation, ())
-    confusion = _readout(readout)
-    q1 = _povm_table(confusion[1], q1_gates, p1)
-    q2 = _povm_table(confusion[2], q2_gates, p1)
-    table = np.einsum("abc,xb,yc->axy", _entangled_state(p1, p2), q1, q2).reshape(4, 4) / 8
-    table.setflags(write=False)
-    return table
+    ``"X"``/``"Y"`` map to the dealer's (2, 4) POVM table for that setting,
+    pulled back through the setting's rotation and through the identity that
+    stands in for P(phi), whose noise it keeps.  ``(party, basis)`` maps to
+    the entangled state contracted with the q1 and q2 POVM tables: a (4, 4)
+    table, rows by the dealer's Pauli term and columns by the observed
+    2*x1 + x2."""
+    confusion = np.frombuffer(readout).reshape(_N_QUBITS, 2, 2)
+    state = _entangled_state(p1, p2)
+    tables = {setting: _povm_table(confusion[0], (I2, _BASIS_ROTATION[setting]), p1)
+              for setting in ("X", "Y")}
+    for party in ("charlie", "bob"):
+        for basis in ("X", "Y", "Z"):
+            rotation = () if basis == "Z" else (_BASIS_ROTATION[basis],)
+            q1_gates, q2_gates = ((H,), rotation) if party == "charlie" else (rotation, ())
+            q1 = _povm_table(confusion[1], q1_gates, p1)
+            q2 = _povm_table(confusion[2], q2_gates, p1)
+            table = np.einsum("abc,xb,yc->axy", state, q1, q2).reshape(4, 4) / 8
+            table.setflags(write=False)
+            tables[party, basis] = table
+    return MappingProxyType(tables)
 
 
 def circuit_probabilities(phi: float, basis: str, noise: NoiseModel,
@@ -242,12 +243,11 @@ def circuit_probabilities(phi: float, basis: str, noise: NoiseModel,
     _require_circuit(basis, party, alice_setting)
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
-    readout = noise.readout.tobytes()
+    tables = _tables(noise.p1, noise.p2, noise.readout.tobytes())
     c, s = math.cos(phi), math.sin(phi)
     phase = np.array([1.0, 0.0, 0.0, 0.0, 0.0, c, -s, 0.0,
                       0.0, s, c, 0.0, 0.0, 0.0, 0.0, 1.0]).reshape(4, 4)  # P(phi)'s transfer matrix
-    dealer = _dealer_povm(noise.p1, readout, alice_setting) @ phase
-    probs = (dealer @ _party_table(noise.p1, noise.p2, readout, party, basis)).reshape(-1)
+    probs = (tables[alice_setting] @ phase @ tables[party, basis]).reshape(-1)
     probs = np.maximum(probs, 0.0)
     return probs / probs.sum()
 
@@ -332,20 +332,19 @@ def reconstruct(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
     """Linear-inversion single-qubit tomography with radial physicality projection.
 
     C is the octahedron distance of the projected Bloch vector, which equals
-    the Wigner-distance LP for one qubit.
+    the Wigner-distance LP for one qubit; the fidelity with P(phi)|+> is
+    :func:`_fidelity`'s closed form.
     """
     _require_bases(x_counts, y_counts, z_counts)
     raw = np.array([x_counts.expectation, y_counts.expectation, z_counts.expectation])
-    b = raw / max(1.0, float(np.linalg.norm(raw)))  # scale onto the Bloch ball
-    rho = dm_from_bloch(b)
-    fid = fidelity(rho, phase_plus(phi)) if phi is not None else math.nan
+    b = scale_onto_ball(raw)
     raw.setflags(write=False)
     return ReconstructionResult(
-        rho=rho,
+        rho=dm_from_bloch(b),
         bloch_raw=raw,
         n_eff=int(round(min(x_counts.n_eff, y_counts.n_eff, z_counts.n_eff))),
         c_value=octahedron_distance(b),
-        fidelity=fid,
+        fidelity=float(_fidelity(b, phi)) if phi is not None else math.nan,
     )
 
 
@@ -372,7 +371,7 @@ def resample_expectations(counts: Sequence[CorrectedCounts], n_boot: int,
 
 def scale_onto_ball(raw: np.ndarray) -> np.ndarray:
     """Bloch vectors along the last axis, those longer than 1 scaled onto the
-    unit sphere: the projection :func:`reconstruct` applies, for arrays."""
+    unit sphere: the projection of :func:`reconstruct` and :func:`bootstrap`."""
     x, y, z = np.moveaxis(raw, -1, 0)
     b = raw / np.maximum(1.0, np.sqrt(x * x + y * y + z * z))[..., None]
     x, y, z = np.moveaxis(b, -1, 0)
@@ -381,25 +380,23 @@ def scale_onto_ball(raw: np.ndarray) -> np.ndarray:
     return b
 
 
+def _fidelity(b: np.ndarray, phi: float) -> np.ndarray:
+    """Fidelity of the Bloch vectors along the last axis of ``b`` with
+    P(phi)|+>, whose Bloch vector is (cos phi, sin phi, 0)."""
+    return (1.0 + b[..., 0] * math.cos(phi) + b[..., 1] * math.sin(phi)) / 2.0
+
+
 def bootstrap(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
               z_counts: CorrectedCounts, n_boot: int, seed: int,
-              phi: float | None = None) -> tuple[float, float]:
+              phi: float) -> tuple[float, float]:
     """Parametric bootstrap of the recipient's (sigma_C, sigma_F): sample
-    standard deviations over ``n_boot`` replicas of :func:`resample_expectations`.
-
-    Each replica is reconstructed as :func:`reconstruct` does, in closed form:
-    C is the octahedron distance, which equals the Wigner-distance LP for one
-    qubit, and the fidelity with P(phi)|+> is (1 + x cos phi + y sin phi)/2.
-    sigma_F is NaN when no reference angle is given.
-    """
+    standard deviations over ``n_boot`` replicas of :func:`resample_expectations`,
+    each reconstructed as :func:`reconstruct` does."""
     _require_bases(x_counts, y_counts, z_counts)
-    rng = stream_rng(seed, f"bootstrap/{phi if phi is not None else 'none'}")
+    rng = stream_rng(seed, f"bootstrap/{phi}")
     b = scale_onto_ball(resample_expectations((x_counts, y_counts, z_counts), n_boot, rng))
-    sigma_c = float(np.std(octahedron_distance(b), ddof=1))
-    if phi is None:
-        return sigma_c, math.nan
-    fs = (1.0 + b[:, 0] * math.cos(phi) + b[:, 1] * math.sin(phi)) / 2.0
-    return sigma_c, float(np.std(fs, ddof=1))
+    return (float(np.std(octahedron_distance(b), ddof=1)),
+            float(np.std(_fidelity(b, phi), ddof=1)))
 
 
 @dataclass(frozen=True)

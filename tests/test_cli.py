@@ -235,6 +235,12 @@ class TestExperiment:
         payload = json.loads((tmp_path / "exp.json").read_text())
         validate("experiment", payload)
 
+    def test_out_path_with_a_suffix_names_all_three_files_from_its_stem(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "experiment", "--phis", PI_8, "--shots", "256",
+                             "--seed", "5", "--boot", "150", "--out", str(tmp_path / "exp.json"))
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.csv", "exp.json", "exp_curve.csv"]
+
     def test_deterministic_across_invocations(self, capsys, tmp_path):
         texts = []
         for tag in ("a", "b"):

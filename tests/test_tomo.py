@@ -35,11 +35,12 @@ ZERO_NOISE = NoiseModel.none()
 ACCEPTANCE_NOISE = NoiseModel.symmetric(0.003, 0.015, 0.01)
 
 
-def reference_bootstrap(x_counts, y_counts, z_counts, n_boot, seed, phi=None):
+def reference_bootstrap(x_counts, y_counts, z_counts, n_boot, seed, phi):
     """Slow oracle for :func:`bootstrap`: scalar draws, basis by basis and
     each basis's replicas in turn; every replica is rebuilt as counts,
-    reconstructed as a DensityMatrix and measured with the Wigner-distance LP."""
-    rng = stream_rng(seed, f"bootstrap/{phi if phi is not None else 'none'}")
+    reconstructed as a DensityMatrix, measured with the Wigner-distance LP
+    and compared with P(phi)|+> by the matrix fidelity."""
+    rng = stream_rng(seed, f"bootstrap/{phi}")
     bases = (x_counts, y_counts, z_counts)
     trials = [int(round(c.n_eff)) for c in bases]
     draws = np.array([[int(rng.binomial(t, c.n0 / c.n_eff)) for _ in range(n_boot)]
@@ -47,11 +48,10 @@ def reference_bootstrap(x_counts, y_counts, z_counts, n_boot, seed, phi=None):
     cs, fs = np.empty(n_boot), np.empty(n_boot)
     for i in range(n_boot):
         res = reconstruct(*[CorrectedCounts(c.basis_label, n0=float(k), n1=float(t - k))
-                            for c, k, t in zip(bases, draws[i], trials)], phi=phi)
+                            for c, k, t in zip(bases, draws[i], trials)])
         cs[i] = wigner_distance(res.rho).c_value
-        fs[i] = res.fidelity
-    sigma_f = float(np.std(fs, ddof=1)) if phi is not None else math.nan
-    return float(np.std(cs, ddof=1)), sigma_f
+        fs[i] = fidelity(res.rho, phase_plus(phi))
+    return float(np.std(cs, ddof=1)), float(np.std(fs, ddof=1))
 
 
 # The embedded-matrix simulator that circuit_probabilities replaced, kept as
@@ -344,40 +344,39 @@ class TestEntangledState:
             assert not np.any(np.moveaxis(r, q, 0)[1:, 0, 0])
 
 
-_CACHES = (tomo._entangled_state, tomo._dealer_povm, tomo._party_table)
-
-
-def _clear_caches():
-    for cache in _CACHES:
-        cache.cache_clear()
-
-
 def _hits_and_misses():
-    return [cache.cache_info()[:2] for cache in _CACHES]
+    return tomo._tables.cache_info()[:2]
+
+
+def _tables_of(noise):
+    return tomo._tables(noise.p1, noise.p2, noise.readout.tobytes())
 
 
 class TestCachedTables:
-    """Past the CX layer every gate acts on one qubit: one cached entangled
-    state per noise model, and cached per-qubit POVM tables."""
+    """Past the CX layer every gate acts on one qubit: one cached builder
+    makes every table of a noise model, the dealer's per setting and the
+    entangled state contracted with q1's and q2's per party and basis."""
 
     def test_cached_tables_are_read_only(self):
-        noise, readout = ACCEPTANCE_NOISE, ACCEPTANCE_NOISE.readout.tobytes()
-        tables = (tomo._entangled_state(noise.p1, noise.p2),
-                  tomo._dealer_povm(noise.p1, readout, "X"),
-                  tomo._party_table(noise.p1, noise.p2, readout, "charlie", "X"))
-        for t, shape in zip(tables, ((4, 4, 4), (2, 4), (4, 4))):
-            assert t.shape == shape and not t.flags.writeable
+        tables = _tables_of(ACCEPTANCE_NOISE)
+        keys = ["X", "Y"] + list(product(("charlie", "bob"), "XYZ"))
+        assert sorted(tables, key=str) == sorted(keys, key=str)
+        for key in keys:
+            t = tables[key]
+            assert t.shape == ((2, 4) if key in ("X", "Y") else (4, 4)) and not t.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                t[(0,) * t.ndim] = 0.0
+                t[0, 0] = 0.0
+        with pytest.raises(TypeError):
+            tables["X"] = np.zeros((2, 4))
 
     def test_equal_twin_hits_and_other_readout_misses(self):
         twin = NoiseModel.symmetric(0.003, 0.015, 0.01)  # equal to ACCEPTANCE_NOISE, not the same
-        _clear_caches()
+        tomo._tables.cache_clear()
         circuit_probabilities(0.3, "X", ACCEPTANCE_NOISE)
         circuit_probabilities(0.7, "X", twin)
-        assert _hits_and_misses() == [(0, 1), (1, 1), (1, 1)]
+        assert _hits_and_misses() == (1, 1)
         circuit_probabilities(0.7, "X", NoiseModel.symmetric(0.003, 0.015, 0.02))
-        assert _hits_and_misses() == [(1, 1), (1, 2), (1, 2)]  # same p1, p2: one state
+        assert _hits_and_misses() == (1, 2)
 
     def test_any_call_order_gives_the_uncached_bytes(self):
         twin = NoiseModel.symmetric(0.003, 0.015, 0.01)
@@ -385,26 +384,25 @@ class TestCachedTables:
                              "XY", ("charlie", "bob"), "XYZ"))
         fresh = []
         for phi, noise, setting, party, basis in cases:
-            _clear_caches()
+            tomo._tables.cache_clear()
             fresh.append(circuit_probabilities(phi, basis, noise, party, setting).tobytes())
-        _clear_caches()
+        tomo._tables.cache_clear()
         order = np.random.default_rng(13).permutation(len(cases))
         for i in order:
             phi, noise, setting, party, basis = cases[i]
             assert circuit_probabilities(phi, basis, noise, party, setting).tobytes() == fresh[i]
-        assert all(hits > 0 for hits, _ in _hits_and_misses())
+        assert _hits_and_misses()[0] > 0
 
     def test_hits_per_experiment_angle_and_certification(self):
-        # [entangled state, dealer table, party table] as (hits, misses)
-        _clear_caches()
+        tomo._tables.cache_clear()
         experiment_table([0.3], shots=64, noise=ACCEPTANCE_NOISE, seed=1, n_boot=100)
-        assert _hits_and_misses() == [(5, 1), (5, 1), (0, 6)]  # one setting, six circuits
+        assert _hits_and_misses() == (5, 1)  # six circuits, one noise model
         experiment_table([1.1], shots=64, noise=ACCEPTANCE_NOISE, seed=1, n_boot=100)
-        assert _hits_and_misses() == [(5, 1), (11, 1), (6, 6)]  # a new angle only hits
+        assert _hits_and_misses() == (11, 1)  # a new angle only hits
 
-        _clear_caches()
+        tomo._tables.cache_clear()
         sampled_certification(0.3, shots=64, noise=ACCEPTANCE_NOISE, seed=1, n_boot=100)
-        assert _hits_and_misses() == [(2, 1), (4, 2), (3, 3)]  # two settings, three bases
+        assert _hits_and_misses() == (5, 1)  # two settings, three bases
 
     @pytest.mark.parametrize("noise", [
         ZERO_NOISE, ACCEPTANCE_NOISE, TestCircuitProbabilitiesOracle.ASYMMETRIC,
@@ -414,14 +412,13 @@ class TestCachedTables:
         for q, gates in product(range(3), [(), (H,), (H @ S.conj().T,), (I2, H), (I2, H @ S.conj().T)]):
             table = tomo._povm_table(noise.readout[q], gates, noise.p1)
             np.testing.assert_allclose(table.sum(axis=0), identity, rtol=0, atol=1e-15)
-        readout = noise.readout.tobytes()
+        tables = _tables_of(noise)
         for setting in "XY":
-            table = tomo._dealer_povm(noise.p1, readout, setting)
-            np.testing.assert_allclose(table.sum(axis=0), identity, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(tables[setting].sum(axis=0), identity, rtol=0, atol=1e-15)
         for party, basis in product(("charlie", "bob"), "XYZ"):
             # summed over q1 and q2's outcomes: the dealer's marginal I/2 as its c in sum_P c_P P
-            table = tomo._party_table(noise.p1, noise.p2, readout, party, basis)
-            np.testing.assert_allclose(table.sum(axis=1), identity / 4, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(tables[party, basis].sum(axis=1), identity / 4,
+                                       rtol=0, atol=1e-15)
 
 
 def big_endian_table(outcomes, basis, party="charlie"):
@@ -544,13 +541,15 @@ class TestReconstruct:
 
     @PROPERTY
     @given(st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6))
-                    .filter(lambda n: n[0] + n[1] >= 1.0), min_size=3, max_size=3))
-    def test_physical_state_and_lp_c_for_any_counts(self, pairs):
+                    .filter(lambda n: n[0] + n[1] >= 1.0), min_size=3, max_size=3),
+           st.floats(-7.0, 7.0))
+    def test_physical_state_and_lp_c_for_any_counts(self, pairs, phi):
         res = reconstruct(*[CorrectedCounts(b, n0=n0, n1=n1)
-                            for b, (n0, n1) in zip("XYZ", pairs)])
+                            for b, (n0, n1) in zip("XYZ", pairs)], phi=phi)
         assert abs(np.trace(res.rho.mat) - 1.0) < 1e-12
         assert np.linalg.eigvalsh(res.rho.mat).min() >= -1e-10
         assert res.c_value == pytest.approx(wigner_distance(res.rho).c_value, abs=1e-9)
+        assert res.fidelity == pytest.approx(fidelity(res.rho, phase_plus(phi)), rel=0, abs=1e-15)
 
     def test_zero_noise_consistency_large_shots(self):
         shots = 2 ** 17
@@ -627,10 +626,9 @@ class TestBootstrapOracle:
     @pytest.mark.parametrize("phi", [np.pi / 8, np.pi / 4, np.pi, 3 * np.pi / 2 + 0.01])
     def test_exact_counts(self, phi):
         counts = [exact_corrected_counts(phi, b, 2048) for b in ("X", "Y", "Z")]
-        for angle in (phi, None):
-            got = bootstrap(*counts, n_boot=300, seed=11, phi=angle)
-            want = reference_bootstrap(*counts, n_boot=300, seed=11, phi=angle)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        got = bootstrap(*counts, n_boot=300, seed=11, phi=phi)
+        want = reference_bootstrap(*counts, n_boot=300, seed=11, phi=phi)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestResampling:
@@ -658,7 +656,7 @@ class TestResampling:
                 want[i, j] = CorrectedCounts(c.basis_label, float(k), float(n - k)).expectation
         np.testing.assert_array_equal(got, want)
 
-    def test_scale_onto_ball_matches_reconstruct(self, rng):
+    def test_scale_onto_ball_matches_the_norm_formula(self, rng):
         raw = rng.uniform(-1, 1, size=(200, 3))
         got = scale_onto_ball(raw)
         for row, b in zip(raw, got):
