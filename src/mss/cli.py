@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import magic, protocol, steering, tomo
-from .qcore import bloch, dm_from_bloch, fidelity, ket, maximally_mixed, phase_plus, require_unitary
+from .qcore import bloch, dm_from_bloch, ket, maximally_mixed, phase_plus, require_unitary
 from .stabilizer import enumerate_stabilizer_states
 from .wigner import wigner_of
 
@@ -318,7 +318,7 @@ def cmd_run(args):
     phi = _angle(args, args.phi, "--phi")
     transcript = protocol.run_exact(phi, args.n, outcomes=args.outcomes, seed=_seed(args))
     report = protocol.security_report(transcript)
-    final_c = magic.octahedron_distance(bloch(transcript.final_state))
+    final_bloch = bloch(transcript.final_state)
     payload = {
         "phi": transcript.phi,
         "n_parties": transcript.n_parties,
@@ -329,9 +329,9 @@ def cmd_run(args):
             {"sender": k, "outcome": outcome, "step": k}
             for k, outcome in enumerate(transcript.outcomes)
         ],
-        "final_c": final_c,
+        "final_c": magic.octahedron_distance(final_bloch),
         "c_theory": magic.c_closed_form(transcript.phi),
-        "final_fidelity_to_ideal": fidelity(transcript.final_state, phase_plus(transcript.phi)),
+        "final_fidelity_to_ideal": float(tomo._fidelity(final_bloch, transcript.phi)),
         "final_state": _dm_to_json(transcript.final_state),
         "security": {
             str(party): {

@@ -14,9 +14,9 @@ The X measurements act on distinct qubits, so by deferred measurement
 each branch is a slice of the result: the slice at (o_0, ..., o_{n-2}) is
 the recipient's unnormalised state, its squared norm the branch probability,
 and a prefix slice the register after that many broadcasts.  A party's
-marginal is the Gram matrix of its axis in a prefix slice, read for every
-axis of the slice at once, kept as a Bloch vector and mapped back by
-(x, y, z) -> (z, -y, x) where H is still applied on that axis.
+marginal is the Gram matrix of its axis on a prefix slice; one batched matmul
+forms all of them for a branch at once, each read as a Bloch vector, mapped
+back by (x, y, z) -> (z, -y, x) where H is still applied on that axis.
 
 Correction bookkeeping: every X measurement flips the sign of the e^{i phi}
 branch when it lands on "minus", the dealer's included.  The recipient
@@ -24,11 +24,12 @@ therefore applies Z raised to the parity of *all* minus outcomes it heard,
 which makes every one of the 2^{n-1} branches deliver exactly P(phi)|+>.
 The transcript keeps the raw broadcasts so either convention can be audited.
 
-Security is read from Bloch vectors b alone: a party's magic is the
-octahedron distance of b, which equals the Wigner-distance LP for one qubit,
-and its trace distance to I/2 is |b|/2.  Gate admissibility reads the same
-tensor with an arbitrary gate in place of P(phi), and so does the steering
-assemblage, with the dealer's setting rotation folded into that gate.
+Security is read from Bloch vectors b alone, at each party's first step of
+largest |b|: its magic is the octahedron distance of b, which equals the
+Wigner-distance LP for one qubit, and its trace distance to I/2 is |b|/2.
+Gate admissibility reads the same tensor with an arbitrary gate in place of
+P(phi), and so does the steering assemblage, with the dealer's setting
+rotation folded into that gate.
 """
 
 from __future__ import annotations
@@ -41,15 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .magic import c_closed_form, octahedron_distance
-from .qcore import (
-    DensityMatrix,
-    H,
-    apply_1q,
-    dm_from_bloch,
-    ghz,
-    phase_gate,
-    require_unitary,
-)
+from .qcore import DensityMatrix, H, I2, X, dm_from_bloch, ghz, phase_gate, require_unitary
 
 MIN_PARTIES = 3
 MAX_PARTIES = 6  # 2^6 amplitudes; enough to exercise the induction fully
@@ -66,7 +59,7 @@ class ProtocolTranscript:
     outcomes: str  # the n-1 broadcasts, "+" or "-", party k's at index k
     branch_probability: float
     final_state: DensityMatrix  # recipient's 1-qubit state
-    bloch_history: np.ndarray  # [j, k]: party k's Bloch vector after j measurements, k >= j
+    bloch_history: np.ndarray  # [j, k]: party k's Bloch vector after j measurements; 0 for k < j
     correction_parity: int
 
     @cached_property
@@ -77,22 +70,18 @@ class ProtocolTranscript:
                            for k in range(n)) for j in range(n))
 
 
-# Bloch vector from the Gram entries (g00, g01, g10, g11) of a qubit:
-# x = 2 Re g01, y = -2 Im g01 = Re(2i g01), z = g00 - g11, before normalising.
-_GRAM_TO_BLOCH = np.array([[0, 0, 1], [2, 2j, 0], [0, 0, 0], [0, 0, -1]])
+# (x, y, z, trace) of a qubit from its Gram entries (g00, g01, g10, g11): x = 2 Re g01,
+# y = -2 Im g01 = Re(2i g01), z = g00 - g11; _H_FRAME reads (z, -y, x) where H still acts.
+_GRAM_TO_BLOCH = np.array([[0, 0, 1, 1], [2, 2j, 0, 0], [0, 0, 0, 0], [0, 0, -1, 1]])
+_H_FRAME = _GRAM_TO_BLOCH[:, [2, 1, 0, 3]] * (1, -1, 1, 1)
 
 
-def _blochs(pairs: np.ndarray) -> np.ndarray:
+def _blochs(pairs: np.ndarray, to_bloch: np.ndarray = _GRAM_TO_BLOCH) -> np.ndarray:
     """Bloch vectors of unnormalised qubits: ``pairs[..., i, h]`` is the amplitude
     of the qubit's |i> next to basis state h of the rest; returns shape (..., 3)."""
     g = (pairs @ pairs.conj().swapaxes(-1, -2)).reshape(pairs.shape[:-2] + (4,))
-    return (g @ _GRAM_TO_BLOCH).real / (g[..., 0] + g[..., 3]).real[..., None]
-
-
-def _from_h_frame(b: np.ndarray) -> np.ndarray:
-    """Bloch vectors read on an axis that H is still applied on, mapped back
-    by (x, y, z) -> (z, -y, x); the last axis of ``b`` holds (x, y, z)."""
-    return b[..., ::-1] * (1, -1, 1)
+    b = (g @ to_bloch).real
+    return b[..., :3] / b[..., 3:]
 
 
 @lru_cache(maxsize=None)
@@ -120,25 +109,43 @@ def _require_parties(n: int) -> None:
         raise ValueError(f"n must be in [{MIN_PARTIES}, {MAX_PARTIES}]")
 
 
+@lru_cache(maxsize=None)
+def _history_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only tables for :func:`_run`, a row per (step j, party k >= j): j, k, axis
+    k's rows of :func:`_axis_pairs`, 2^{n-1-j}, and axis k's Gram-to-(x, y, z, trace) map."""
+    steps, axes = np.triu_indices(n)
+    maps = np.stack([_GRAM_TO_BLOCH if k == n - 1 else _H_FRAME for k in axes])
+    tables = (steps, axes, _axis_pairs(n)[axes], (1 << (n - 1 - steps))[:, None], maps)
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
 def _branch_tensor(gate: np.ndarray, n: int) -> np.ndarray:
     """H on the axes of parties 0..n-2 of gate_0 |GHZ_n>, shape (2,)*n; the
     protocol injects gate = P(phi)."""
     _require_parties(n)
-    psi = apply_1q(ghz(n), gate, 0).amps.reshape(2 ** (n - 1), 2)
+    psi = np.dot(require_unitary(gate), ghz(n).amps.reshape(2, -1)).reshape(2 ** (n - 1), 2)
     return (_hadamard_power(n - 1) @ psi).reshape((2,) * n)
 
 
 def _run(t: np.ndarray, phi: float, bits: Sequence[int]) -> ProtocolTranscript:
-    """The branch with outcomes ``bits`` (0 for "+") read from the branch tensor."""
+    """The branch with outcomes ``bits`` (0 for "+") read from the branch tensor.
+
+    One pass reads the whole history: after step j the register is the slice of
+    indices h of the other axes with (h XOR bits) < 2^{n-1-j}, and one batched
+    matmul forms every party's Gram matrix on every such slice."""
     n = t.ndim
+    steps, axes, pairs, spans, maps = _history_tables(n)
+    code = int("".join(map(str, bits)), 2)
+    q = t.reshape(-1)[pairs]
+    q_kept = q * ((np.arange(2 ** (n - 1)) ^ code) < spans)[:, None]
+    b = ((q_kept @ q.conj().swapaxes(1, 2)).reshape(-1, 1, 4) @ maps)[:, 0].real
     history = np.zeros((n, n, 3))
-    for step in range(n):
-        s = t[tuple(bits[:step])]
-        b = _blochs(s.reshape(-1)[_axis_pairs(n - step)])  # one row per remaining axis
-        b[:-1] = _from_h_frame(b[:-1])  # H is still applied on all but the recipient
-        history[step, step:] = b
+    history[steps, axes] = b[:, :3] / b[:, 3:]
     history.setflags(write=False)
 
+    s = t[tuple(bits)]
     probability = float(np.vdot(s, s).real)
     parity = sum(bits) % 2  # the recipient heard every broadcast
     final = s / np.sqrt(probability) * (1, -1 if parity else 1)
@@ -203,16 +210,14 @@ def security_report(transcript: ProtocolTranscript) -> dict[int, PartySecurity]:
     across every step the party was still holding its qubit, so the report
     covers the whole run rather than one snapshot.
     """
-    report = {}
-    for party in range(transcript.n_parties - 1):
-        held = transcript.bloch_history[:party + 1, party]  # steps before its own measurement
-        b = held[np.argmax(np.linalg.norm(held, axis=1))]
-        report[party] = PartySecurity(
-            bloch=b,
-            c_value=octahedron_distance(b),
-            trace_distance_to_i2=float(np.linalg.norm(b)) / 2,
-        )
-    return report
+    parties = np.arange(transcript.n_parties - 1)
+    norms = np.sqrt((transcript.bloch_history[:, :-1] ** 2).sum(axis=-1))
+    # rows after a party's own measurement are zero: the first maximum is over the steps it held
+    steps = np.argmax(norms, axis=0)
+    worst = transcript.bloch_history[steps, parties]
+    worst.setflags(write=False)
+    rows = zip(worst, octahedron_distance(worst).tolist(), (norms[steps, parties] / 2).tolist())
+    return {party: PartySecurity(*row) for party, row in enumerate(rows)}
 
 
 # --- Gate admissibility (which injected gates keep the protocol secure) ---
@@ -267,7 +272,7 @@ def _deliver_with_gate(gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     moment the column-sum condition speaks about.
     """
     t = _branch_tensor(gate, 3)
-    return _blochs(t[0, 0][:, None]), _from_h_frame(_blochs(t[0]))
+    return _blochs(t[0, 0][:, None]), _blochs(t[0], _H_FRAME)
 
 
 def bob_marginal_after_projection(gate: np.ndarray) -> DensityMatrix:
@@ -315,8 +320,7 @@ def phase_gate_family(phi: float) -> np.ndarray:
 def x_rotation_family(phi: float) -> np.ndarray:
     """e^{i (phi/2) X}: satisfies the column-sum condition yet delivers
     phi-independent states, so it is secure but never faithful."""
-    return np.cos(phi / 2) * np.eye(2, dtype=complex) + 1j * np.sin(phi / 2) * np.array(
-        [[0, 1], [1, 0]], dtype=complex)
+    return np.cos(phi / 2) * I2 + 1j * np.sin(phi / 2) * X
 
 
 def magic_scan(phi_grid: Sequence[float], n: int = 3) -> list[tuple[float, float, float]]:

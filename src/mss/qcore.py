@@ -6,7 +6,7 @@ Conventions used throughout the package:
   (big-endian), so ``|q0 q1 q2>`` reads left to right exactly like the
   basis label.  Hardware-style LSb-0 bitstrings are made only when the
   experiment report is rendered as JSON, nowhere else.
-* States are compared up to global phase only, via :func:`fidelity` or
+* States are compared up to global phase only, via fidelities or
   :func:`trace_distance`, never amplitude-wise.
 * All values are immutable after construction; every operation returns a
   fresh object and is safe to evaluate in parallel.
@@ -14,6 +14,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +40,14 @@ def require_unitary(gate: np.ndarray, atol: float = ATOL_CONSTRUCT) -> np.ndarra
     g = np.asarray(gate, dtype=complex)
     if g.shape != (2, 2):
         raise ValueError(f"expected a 2x2 gate, got shape {g.shape}")
-    if not np.all(np.isfinite(g.view(float))):
+    a, b, c, d = g.ravel().tolist()
+    if not all(map(cmath.isfinite, (a, b, c, d))):
         raise ValueError("gate contains non-finite entries")
-    if np.max(np.abs(g.conj().T @ g - I2)) > atol:
+    # g^dagger g - I in closed form: |column|^2 - 1 on the diagonal, conj(a) b + conj(c) d off it
+    col0 = math.hypot(a.real, a.imag, c.real, c.imag)
+    col1 = math.hypot(b.real, b.imag, d.real, d.imag)
+    off = a.conjugate() * b + c.conjugate() * d
+    if max(abs(col0 * col0 - 1), abs(col1 * col1 - 1), math.hypot(off.real, off.imag)) > atol:
         raise ValueError("gate is not unitary within tolerance")
     return g
 
@@ -62,9 +69,9 @@ class PureState:
         n = int(a.size).bit_length() - 1
         if a.size < 2 or a.size != 2 ** n:
             raise ValueError(f"amplitude vector length {a.size} is not a power of two")
-        if not np.all(np.isfinite(a.view(float))):
+        if not np.isfinite(a.view(float)).all():
             raise ValueError("amplitudes contain NaN/Inf")
-        if abs(np.linalg.norm(a) - 1.0) > ATOL_CONSTRUCT:
+        if abs(math.sqrt(np.vdot(a, a).real) - 1.0) > ATOL_CONSTRUCT:
             raise ValueError("state is not normalised within 1e-12")
         object.__setattr__(self, "amps", _frozen(a))
 
@@ -90,13 +97,27 @@ class DensityMatrix:
         n = int(d).bit_length() - 1
         if d < 2 or d != 2 ** n:
             raise ValueError(f"dimension {d} is not a power of two")
-        if not np.all(np.isfinite(m.view(float))):
+        if d == 2:  # the same checks in closed form; eigvalsh reads the lower triangle
+            r00, r01, r10, r11 = m.ravel().tolist()
+            finite = all(map(cmath.isfinite, (r00, r01, r10, r11)))
+            hermitian_error = lambda: max(2 * abs(r00.imag), 2 * abs(r11.imag),
+                                          math.hypot(r01.real - r10.real, r01.imag + r10.imag))
+            trace = lambda: r00 + r11
+            min_eigenvalue = lambda: ((r00.real + r11.real) / 2
+                                      - math.hypot((r00.real - r11.real) / 2, r10.real, r10.imag))
+        else:
+            finite = np.all(np.isfinite(m.view(float)))
+            hermitian_error = lambda: np.max(np.abs(m - m.conj().T))
+            trace = lambda: complex(np.trace(m))
+            min_eigenvalue = lambda: np.linalg.eigvalsh(m).min()
+        if not finite:
             raise ValueError("entries contain NaN/Inf")
-        if np.max(np.abs(m - m.conj().T)) > ATOL_CONSTRUCT:
+        if hermitian_error() > ATOL_CONSTRUCT:
             raise ValueError("matrix is not Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > ATOL_CONSTRUCT or abs(np.trace(m).imag) > ATOL_CONSTRUCT:
+        tr = trace()
+        if abs(tr.real - 1.0) > ATOL_CONSTRUCT or abs(tr.imag) > ATOL_CONSTRUCT:
             raise ValueError("trace is not 1 within 1e-12")
-        if np.linalg.eigvalsh(m).min() < -ATOL_PSD:
+        if min_eigenvalue() < -ATOL_PSD:
             raise ValueError("matrix has an eigenvalue below -1e-10")
         object.__setattr__(self, "mat", _frozen(m))
 
@@ -144,10 +165,12 @@ def bloch(rho: DensityMatrix) -> np.ndarray:
     """Bloch vector (tr(rho X), tr(rho Y), tr(rho Z)) of a 1-qubit state."""
     if rho.n_qubits != 1:
         raise ValueError("bloch requires a 1-qubit density matrix")
-    vals = np.array([np.trace(rho.mat @ P) for P in (X, Y, Z)])
-    if np.max(np.abs(vals.imag)) > ATOL_CONSTRUCT:
+    # tr(rho X) = r01 + r10, tr(rho Y) = i (r01 - r10), tr(rho Z) = r00 - r11
+    r00, r01, r10, r11 = rho.mat.ravel().tolist()
+    if max(abs(r01.imag + r10.imag), abs(r01.real - r10.real),
+           abs(r00.imag - r11.imag)) > ATOL_CONSTRUCT:
         raise ValueError("Bloch components have imaginary parts above 1e-12")
-    return vals.real
+    return np.array([r01.real + r10.real, r10.imag - r01.imag, r00.real - r11.real])
 
 
 def tensor(a, b):
@@ -157,33 +180,6 @@ def tensor(a, b):
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
         return DensityMatrix(np.kron(a.mat, b.mat))
     raise TypeError("tensor requires two PureStates or two DensityMatrices")
-
-
-def apply_1q(state: PureState, gate: np.ndarray, target: int) -> PureState:
-    """Apply a single-qubit unitary to ``target`` of a pure register.
-
-    The gate contracts with the target axis as one ``np.dot`` with the
-    amplitudes viewed as (2, rest), the target axis first: the call, and the
-    operand layout, that ``np.tensordot(gate, psi, ([1], [target]))`` makes
-    internally, so the result is bit-identical to it without its axis
-    bookkeeping.
-    """
-    n = state.n_qubits
-    if not 0 <= target < n:
-        raise ValueError(f"target {target} out of range for {n} qubits")
-    lead = state.amps.reshape(2 ** target, 2, -1).swapaxes(0, 1)
-    out = np.dot(require_unitary(gate), lead.reshape(2, -1)).reshape(lead.shape)
-    return PureState(out.swapaxes(0, 1).reshape(-1))
-
-
-def fidelity(rho: DensityMatrix, psi: PureState) -> float:
-    """<psi| rho |psi> for a mixed state against a pure reference."""
-    if rho.n_qubits != psi.n_qubits:
-        raise ValueError("qubit counts differ")
-    val = complex(psi.amps.conj() @ rho.mat @ psi.amps)
-    if abs(val.imag) > ATOL_CONSTRUCT:
-        raise ValueError("fidelity has imaginary part above 1e-12")
-    return float(val.real)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -6,8 +6,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from mss.magic import c_closed_form, octahedron_distance
-from mss.qcore import (DensityMatrix, H, PureState, Z, apply_1q, bloch, ghz, phase_gate,
-                       trace_distance)
+from mss import protocol
+from mss.qcore import (ATOL_CONSTRUCT, ATOL_PSD, I2, DensityMatrix, H, PureState, X, Y, Z, bloch,
+                       ghz, phase_gate, require_unitary, trace_distance)
 from mss.tomo import CorrectedCounts
 
 # Property tests draw the same examples on every run and keep no example database.
@@ -28,6 +29,95 @@ def closed_form_eta(p1: float, p2: float, readout_error: float) -> float:
     recipient's basis rotation) and two CX, each shrinking it by its
     channel's factor."""
     return (1 - 2 * readout_error) ** 3 * (1 - 4 * p1 / 3) ** 5 * (1 - 16 * p2 / 15) ** 2
+
+
+def apply_1q(state: PureState, gate: np.ndarray, target: int) -> PureState:
+    """Apply a single-qubit unitary to ``target`` of a pure register.
+
+    The gate contracts with the target axis as one ``np.dot`` with the
+    amplitudes viewed as (2, rest), the target axis first: the call, and the
+    operand layout, that ``np.tensordot(gate, psi, ([1], [target]))`` makes
+    internally, so the result is bit-identical to it without its axis
+    bookkeeping.
+    """
+    n = state.n_qubits
+    if not 0 <= target < n:
+        raise ValueError(f"target {target} out of range for {n} qubits")
+    lead = state.amps.reshape(2 ** target, 2, -1).swapaxes(0, 1)
+    out = np.dot(require_unitary(gate), lead.reshape(2, -1)).reshape(lead.shape)
+    return PureState(out.swapaxes(0, 1).reshape(-1))
+
+
+def fidelity(rho: DensityMatrix, psi: PureState) -> float:
+    """<psi| rho |psi> for a mixed state against a pure reference: the matrix
+    formula, the oracle for the Bloch-vector closed forms."""
+    if rho.n_qubits != psi.n_qubits:
+        raise ValueError("qubit counts differ")
+    val = complex(psi.amps.conj() @ rho.mat @ psi.amps)
+    if abs(val.imag) > ATOL_CONSTRUCT:
+        raise ValueError("fidelity has imaginary part above 1e-12")
+    return float(val.real)
+
+
+def reference_density_error(mat) -> str | None:
+    """The message DensityMatrix raises for a square power-of-two matrix, or
+    None: its checks in order through numpy's general path (eigvalsh and
+    np.trace), the oracle for the closed-form 2x2 path."""
+    m = np.asarray(mat, dtype=complex)
+    if not np.all(np.isfinite(m.view(float))):
+        return "entries contain NaN/Inf"
+    if np.max(np.abs(m - m.conj().T)) > ATOL_CONSTRUCT:
+        return "matrix is not Hermitian within 1e-12"
+    if abs(np.trace(m).real - 1.0) > ATOL_CONSTRUCT or abs(np.trace(m).imag) > ATOL_CONSTRUCT:
+        return "trace is not 1 within 1e-12"
+    if np.linalg.eigvalsh(m).min() < -ATOL_PSD:
+        return "matrix has an eigenvalue below -1e-10"
+    return None
+
+
+def reference_unitary_error(gate, atol: float = ATOL_CONSTRUCT) -> str | None:
+    """The message require_unitary raises for a 2x2 gate, or None, through the
+    matrix product g^dagger g - I; an entry that overflows to NaN fails."""
+    g = np.asarray(gate, dtype=complex)
+    if not np.all(np.isfinite(g.view(float))):
+        return "gate contains non-finite entries"
+    if not np.all(np.abs(g.conj().T @ g - I2) <= atol):
+        return "gate is not unitary within tolerance"
+    return None
+
+
+def reference_bloch(rho: DensityMatrix) -> np.ndarray:
+    """(tr(rho X), tr(rho Y), tr(rho Z)) by matrix products and traces."""
+    vals = np.array([np.trace(rho.mat @ P) for P in (X, Y, Z)])
+    assert np.max(np.abs(vals.imag)) <= ATOL_CONSTRUCT
+    return vals.real
+
+
+def reference_history(t: np.ndarray, bits) -> np.ndarray:
+    """The Bloch history read one step at a time from the branch tensor ``t``:
+    the register after step j is the slice ``t[bits[:j]]``, and every axis of
+    it is read with its own Gram matrix, mapped back from the H frame for all
+    but the recipient."""
+    n = t.ndim
+    history = np.zeros((n, n, 3))
+    for step in range(n):
+        s = t[tuple(bits[:step])]
+        b = protocol._blochs(s.reshape(-1)[protocol._axis_pairs(n - step)])
+        b[:-1] = b[:-1, ::-1] * (1, -1, 1)
+        history[step, step:] = b
+    return history
+
+
+def reference_security_report(transcript) -> dict:
+    """{party: (step, Bloch vector, C, trace distance to I/2)}, one party at a
+    time: the first step of largest |b| among those it held its qubit."""
+    report = {}
+    for party in range(transcript.n_parties - 1):
+        held = transcript.bloch_history[:party + 1, party]
+        step = int(np.argmax(np.linalg.norm(held, axis=1)))
+        b = held[step]
+        report[party] = (step, b, octahedron_distance(b), float(np.linalg.norm(b)) / 2)
+    return report
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

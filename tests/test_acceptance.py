@@ -24,7 +24,7 @@ from mss.protocol import (
     security_report,
     x_rotation_family,
 )
-from mss.qcore import fidelity, ket, maximally_mixed, phase_plus, trace_distance
+from mss.qcore import ket, maximally_mixed, phase_plus, trace_distance
 from mss.steering import (
     build_assemblage,
     certify_exact,
@@ -34,6 +34,8 @@ from mss.steering import (
     z_setting_probe,
 )
 from mss.tomo import NoiseModel, experiment_table, post_select_and_correct, reconstruct, sample_run
+
+from conftest import fidelity
 
 TABLE_PHIS = (np.pi / 8, np.pi / 4, np.pi / 3, 3 * np.pi / 4)
 TABLE_C_TH = (0.15328, 0.20711, 0.18301, 0.20711)

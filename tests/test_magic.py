@@ -16,7 +16,6 @@ from mss.magic import (
 )
 from mss.qcore import (
     DensityMatrix,
-    apply_1q,
     bloch,
     dm_from_bloch,
     maximally_mixed,
@@ -33,7 +32,7 @@ from mss.wigner import (
     wigner_of,
 )
 
-from conftest import PROPERTY, bloch_vectors, random_density, random_pure_state
+from conftest import PROPERTY, apply_1q, bloch_vectors, random_density, random_pure_state
 from test_simplex import reference_solve_lp
 
 SQRT2 = np.sqrt(2.0)

@@ -1,7 +1,9 @@
 """Protocol tests: faithfulness, security, the threshold induction, and the
 column-sum gate characterisation."""
 
+import dataclasses
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,9 +26,7 @@ from mss.protocol import (
 from mss.qcore import (
     H,
     Z,
-    apply_1q,
     bloch,
-    fidelity,
     ghz,
     maximally_mixed,
     phase_gate,
@@ -34,8 +34,9 @@ from mss.qcore import (
     trace_distance,
 )
 
-from conftest import (partial_trace, project_measure, random_pure_state, random_unitary,
-                      reference_branch_tensor, reference_deliver_with_gate, reference_magic_scan)
+from conftest import (apply_1q, fidelity, partial_trace, project_measure, random_pure_state, random_unitary,
+                      reference_branch_tensor, reference_deliver_with_gate, reference_history,
+                      reference_magic_scan, reference_security_report)
 
 
 def reference_run_exact(phi, n, outcomes=None, seed=None, state=None):
@@ -225,7 +226,7 @@ class TestThresholdInduction:
     def test_remaining_register_is_ghz_ladder(self):
         # After j measurements, the remaining parties share the (n-j)-party
         # ladder (|0..0> + e^{i phi}|1..1>)/sqrt(2) up to the pending parity.
-        from mss.qcore import PureState, Z, apply_1q, ghz, phase_gate
+        from mss.qcore import PureState, Z, ghz, phase_gate
 
         phi, n = 0.73, 5
         state = apply_1q(ghz(n), phase_gate(phi), 0)
@@ -280,6 +281,56 @@ class TestSecurityReport:
             first = entry.marginal
             assert entry.marginal is first and len(built) == party + 1
             np.testing.assert_allclose(first.mat, maximally_mixed(1).mat, atol=1e-12)
+
+
+class TestOnePassHistory:
+    """The batched history and security report against the per-step and
+    per-party loops they replace."""
+
+    @staticmethod
+    def transcripts(n, rng):
+        """Every branch at two angles, every branch of two generic registers
+        (whose marginals are not I/2), and seeded sampled runs."""
+        for phi in (0.83, float(rng.uniform(-7, 7))):
+            t = protocol._branch_tensor(phase_gate(phi), n)
+            for run in run_all_branches(phi, n):
+                yield t, run
+        for _ in range(2):
+            t = random_pure_state(n, rng).amps.reshape((2,) * n)
+            for bits in product((0, 1), repeat=n - 1):
+                yield t, protocol._run(t, 0.0, list(bits))
+        for seed, phi in enumerate(rng.uniform(-7, 7, size=6)):
+            run = run_exact(phi, n, seed=seed)
+            assert run.outcomes == reference_run_exact(phi, n, seed=seed)[0]
+            yield protocol._branch_tensor(phase_gate(phi), n), run
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_history_matches_the_stepwise_loop(self, n, rng):
+        for t, run in self.transcripts(n, rng):
+            want = reference_history(t, [int(o == "-") for o in run.outcomes])
+            assert np.max(np.abs(run.bloch_history - want)) <= 1e-15
+            assert not run.bloch_history[np.tril_indices(n, -1)].any()  # measured-out parties
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_report_matches_the_per_party_loop(self, n, rng):
+        for _, run in self.transcripts(n, rng):
+            report = security_report(run)
+            for party, (_, b, c, distance) in reference_security_report(run).items():
+                assert np.array_equal(report[party].bloch, b)
+                assert abs(report[party].c_value - c) <= 1e-16
+                assert abs(report[party].trace_distance_to_i2 - distance) <= 1e-16
+
+    def test_report_takes_the_first_step_of_largest_norm(self, rng):
+        # Rows of equal norm but different direction show which step was taken.
+        run = run_exact(0.83, 6, outcomes="+-+-+")
+        ties = np.array([[0.5, 0, 0], [0, 0.5, 0], [0, 0, -0.5], [0, -0.5, 0], [0.25, 0, 0]])
+        for _ in range(20):
+            history = ties[rng.integers(len(ties), size=(6, 6))] * np.triu(np.ones((6, 6)))[..., None]
+            tied = dataclasses.replace(run, bloch_history=history)
+            report = security_report(tied)
+            for party, (step, b, c, distance) in reference_security_report(tied).items():
+                assert np.array_equal(report[party].bloch, history[step, party])
+                assert (report[party].c_value, report[party].trace_distance_to_i2) == (c, distance)
 
 
 class TestGateAdmissibility:

@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mss import qcore
 from mss.qcore import (
     DensityMatrix,
     PureState,
-    apply_1q,
     bloch,
     dm_from_bloch,
-    fidelity,
     ghz,
     ket,
     maximally_mixed,
@@ -19,7 +19,8 @@ from mss.qcore import (
     trace_distance,
 )
 
-from conftest import (ImpossibleBranchError, overlap2, partial_trace, project_measure, random_density,
+from conftest import (PROPERTY, ImpossibleBranchError, apply_1q, bloch_vectors, fidelity, overlap2,
+                      reference_bloch, reference_density_error, reference_unitary_error, partial_trace, project_measure, random_density,
                       random_pure_state, random_unitary, reference_apply_on_axis)
 
 
@@ -238,3 +239,110 @@ def test_mixed_state_is_unitary_fixed_point(rng):
         u = random_unitary(1, rng)
         rotated = DensityMatrix(u @ half.mat @ u.conj().T)
         assert trace_distance(rotated, half) <= 1e-12
+
+
+# Perturbation sizes on either side of the construction tolerances (1e-12
+# for Hermiticity, the trace and unitarity, 1e-10 for eigenvalues).
+_SCALES = (0.0, 1e-13, 0.9e-12, 1.1e-12, 1e-11, 0.9e-10, 1.1e-10, 2e-10, 1e-6, 0.5)
+
+
+def _error(build, value):
+    try:
+        build(value)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _any_2x2(draw):
+    return np.array(draw(st.lists(st.floats(width=64), min_size=8, max_size=8))).view(complex).reshape(2, 2)
+
+
+def _nudge(draw):
+    """A 2x2 perturbation at one of the scales, on a small integer direction:
+    any direction, or a Hermitian traceless one that keeps a state's trace."""
+    d, re, im, *rest = draw(st.lists(st.integers(-2, 2), min_size=8, max_size=8))
+    direction = (np.array([[d, re + 1j * im], [re - 1j * im, -d]]) if draw(st.booleans())
+                 else np.array([d, re, im, *rest], dtype=float).view(complex).reshape(2, 2))
+    return draw(st.sampled_from(_SCALES)) * direction
+
+
+@st.composite
+def qubit_matrices(draw):
+    """Any eight doubles (NaN, infinities and overflow included), or a state
+    whose Bloch vector is scaled to near the ball's surface and perturbed."""
+    if draw(st.booleans()):
+        return _any_2x2(draw)
+    b = draw(bloch_vectors())
+    if draw(st.booleans()) and np.any(b):
+        b = b / np.linalg.norm(b) * (1 + 2 * draw(st.sampled_from((0.0, *_SCALES[:8], -0.9e-10))))
+    return (qcore.I2 + b[0] * qcore.X + b[1] * qcore.Y + b[2] * qcore.Z) / 2 + _nudge(draw)
+
+
+@st.composite
+def gates(draw):
+    """Any eight doubles, or a unitary on a 1/64 grid of Euler angles, perturbed."""
+    if draw(st.booleans()):
+        return _any_2x2(draw)
+    t, p, lam = (draw(st.integers(0, 127)) * np.pi / 64 for _ in range(3))
+    u = np.array([[np.cos(t / 2), -np.exp(1j * lam) * np.sin(t / 2)],
+                  [np.exp(1j * p) * np.sin(t / 2), np.exp(1j * (p + lam)) * np.cos(t / 2)]])
+    return u + _nudge(draw)
+
+
+class TestQubitClosedForms:
+    """The 2x2 checks and the Bloch vector are closed forms on the four
+    entries; numpy's general path is their oracle."""
+
+    @PROPERTY
+    @given(qubit_matrices())
+    def test_density_checks_match_the_general_path(self, m):
+        with np.errstate(all="ignore"):
+            want = reference_density_error(m)
+        assert _error(DensityMatrix, m) == want
+        if want is None:
+            rho = DensityMatrix(m)
+            assert np.max(np.abs(bloch(rho) - reference_bloch(rho))) <= 1e-15
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, -np.inf)])
+    @pytest.mark.parametrize("entry", range(4))
+    def test_non_finite_entries(self, bad, entry):
+        m = np.full(4, 0.5, dtype=complex)
+        m[entry] = bad
+        assert _error(DensityMatrix, m.reshape(2, 2)) == reference_density_error(m.reshape(2, 2))
+        assert "NaN/Inf" in _error(DensityMatrix, m.reshape(2, 2))
+
+    @pytest.mark.parametrize("size, accepted", [(0.9e-12, True), (1.1e-12, False)])
+    def test_hermitian_tolerance(self, size, accepted):
+        off = np.array([[0.5, 0.25], [0.25 + size, 0.5]], dtype=complex)
+        diagonal = np.array([[0.5 + 0.5j * size, 0.25], [0.25, 0.5]], dtype=complex)
+        for m in (off, diagonal):
+            assert _error(DensityMatrix, m) == reference_density_error(m)
+            assert (_error(DensityMatrix, m) is None) == accepted
+
+    @pytest.mark.parametrize("size, accepted", [(0.9e-12, True), (1.1e-12, False), (-1.1e-12, False)])
+    def test_trace_tolerance(self, size, accepted):
+        for m in (np.diag([0.5 + size, 0.5]), np.diag([0.5 + 0.5j * size, 0.5 + 0.5j * size])):
+            assert _error(DensityMatrix, m) == reference_density_error(m)
+            assert (_error(DensityMatrix, m) is None) == accepted
+
+    @pytest.mark.parametrize("lam, accepted", [(-0.9e-10, True), (-1.1e-10, False)])
+    def test_eigenvalue_tolerance(self, lam, accepted):
+        c = 0.5 - lam  # eigenvalues 1 - lam and lam
+        for m in (np.diag([1 - lam, lam]), np.array([[0.5, c], [c, 0.5]]),
+                  np.array([[0.5, 1j * c], [-1j * c, 0.5]])):
+            assert _error(DensityMatrix, m) == reference_density_error(m)
+            assert (_error(DensityMatrix, m) is None) == accepted
+
+    @PROPERTY
+    @given(gates(), st.sampled_from([qcore.ATOL_CONSTRUCT, 1e-10]))
+    def test_unitary_check_matches_the_matrix_product(self, g, atol):
+        with np.errstate(all="ignore"):
+            want = reference_unitary_error(g, atol)
+        assert _error(lambda x: qcore.require_unitary(x, atol), g) == want
+
+    def test_gate_whose_product_overflows_is_rejected(self):
+        # g^dagger g overflows to inf + NaN i here; a NaN-propagating maximum
+        # of |g^dagger g - I| compared with ">" would let it pass
+        g = np.array([[0, 0], [0, 4.6e61 + 3.9e246j]])
+        assert _error(qcore.require_unitary, g) == "gate is not unitary within tolerance"

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from mss import stabilizer
-from mss.qcore import DensityMatrix, I2, PureState, X, Y, Z, apply_1q, bloch, phase_gate
+from mss.qcore import DensityMatrix, I2, PureState, X, Y, Z, bloch, phase_gate
 from mss.stabilizer import StabilizerSet, enumerate_stabilizer_states, single_qubit_cliffords
 from mss.wigner import wigner_of
+
+from conftest import apply_1q
 
 _PAULI_LABELS_1Q = ("I", "X", "Y", "Z")
 _PAULI_MATS_1Q = (I2, X, Y, Z)

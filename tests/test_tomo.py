@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mss import tomo
 from mss.magic import c_closed_form, wigner_distance
-from mss.qcore import H, I2, S, X, Y, Z, fidelity, ket, phase_gate, phase_plus
+from mss.qcore import H, I2, S, X, Y, Z, ket, phase_gate, phase_plus
 from mss.steering import sampled_certification
 from mss.tomo import (
     DISTILLATION_THRESHOLD,
@@ -29,7 +29,7 @@ from mss.tomo import (
     stream_rng,
 )
 
-from conftest import PROPERTY, closed_form_eta, exact_corrected_counts
+from conftest import PROPERTY, closed_form_eta, exact_corrected_counts, fidelity
 
 ZERO_NOISE = NoiseModel.none()
 ACCEPTANCE_NOISE = NoiseModel.symmetric(0.003, 0.015, 0.01)

@@ -8,7 +8,7 @@ of the implementation's einsum path.
 import numpy as np
 import pytest
 
-from mss.qcore import DensityMatrix, PureState, apply_1q, dm_from_bloch, maximally_mixed, phase_gate
+from mss.qcore import DensityMatrix, PureState, dm_from_bloch, maximally_mixed, phase_gate
 from mss.wigner import (
     _operator_stack,
     as_wigner_vector,
@@ -17,7 +17,7 @@ from mss.wigner import (
     wigner_of,
 )
 
-from conftest import random_density
+from conftest import apply_1q, random_density
 
 PLUS = PureState(np.array([1, 1]) / np.sqrt(2))
 
