@@ -3,11 +3,17 @@
 Subcommands: run, scan, gate-check, magic-eval, certify, experiment,
 dump-stabilizers.  All angles are radians unless --degrees is given.  Output
 is JSON, CSV, or a human summary (--format pretty); JSON and CSV carry full
-double precision, pretty mode rounds to 6 significant digits.  Sampling
-commands require an explicit seed; nothing is ever seeded from the clock.
+double precision, pretty mode rounds to 6 significant digits.  JSON output is
+exactly ``json.dumps(payload, indent=2, allow_nan=False)`` plus a newline,
+written by a direct renderer that also checks finiteness as it goes.
+Sampling commands require an explicit seed; nothing is ever seeded from the
+clock.
 
-A ``--config`` file's ``key = value`` entries that name flags of the subcommand
-are parsed as flags placed before the command line's own, which win.
+``build_parser()`` is the one definition of the command line; an argv that
+starts with a subcommand is read by that subcommand's parser alone, with the
+result and messages the full parse gives.  A ``--config`` file's
+``key = value`` entries that name flags of the subcommand are parsed as flags
+placed before the command line's own, which win.
 
 Exit codes: 0 success, 2 usage error (bad flags, domain preconditions or an
 unwritable --out path), 1 internal invariant violation, with the violated
@@ -18,9 +24,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -43,22 +49,23 @@ NAMED_STATES = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         if args.config:
-            args = parser.parse_args(_with_config(args, argv))
+            args = _parse_args(_with_config(args, argv))
         output = args.handler(args)
         if output.already_written:
             return 0
-        _require_finite(output.payload)  # the CSV and pretty renderings carry the same values
         if args.format == "json":
             rendered = _json_text(output.payload)
-        elif args.format == "csv":
-            rendered = output.csv if output.csv is not None else _flatten_csv(output.payload)
         else:
-            rendered = output.pretty if output.pretty is not None else _flatten_pretty(output.payload)
+            _require_finite(output.payload)  # the CSV and pretty renderings carry the same values
+            if args.format == "csv":
+                rendered = output.csv if output.csv is not None else _flatten_csv(output.payload)
+            else:
+                rendered = (output.pretty if output.pretty is not None
+                            else _flatten_pretty(output.payload))
         if args.out:
             _write_out(Path(args.out), rendered)
             return 0
@@ -73,7 +80,8 @@ def main(argv=None) -> int:
 
 
 class CommandOutput:
-    """Handler result: the JSON payload plus optional CSV/pretty renderings."""
+    """Handler result: the JSON payload plus optional CSV/pretty renderings,
+    which a handler builds only when that format is asked for."""
 
     def __init__(self, payload, csv=None, pretty=None, already_written=False):
         self.payload = payload
@@ -164,7 +172,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, choices=[1, 2], default=1)
     common(p)
     p.set_defaults(handler=cmd_dump_stabilizers)
+    parser.subcommands = sub.choices  # name -> subparser, for _parse_args
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, one level down when ``argv`` starts
+    with a subcommand: its own parser reads the rest, as the nested parse
+    does, and what it leaves is the top level's usage error."""
+    parser = build_parser()
+    command = parser.subcommands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 # --- config files and rendering ------------------------------------------
@@ -304,8 +327,85 @@ def _require_finite(payload) -> None:
 
 
 def _json_text(payload) -> str:
-    """JSON rendering; allow_nan=False backs up :func:`_require_finite`."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(payload, indent=2, allow_nan=False) + "\\n"``, byte for byte,
+    written in one walk that is also the finiteness check: a NaN or infinity
+    raises :func:`_require_finite`'s RuntimeError, naming its path."""
+    parts = []
+    try:
+        _append_json(payload, parts.append, "\n")
+    except ValueError:
+        _require_finite(payload)  # a non-finite value
+        raise  # a non-finite float key, as json.dumps
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _append_json(value, append, newline: str, _str=encode_basestring_ascii,
+                 _float=float.__repr__, _finite=math.isfinite) -> None:
+    """Append ``value``'s JSON text in pieces; ``newline`` starts a line at its
+    depth.  Finite floats and containers are handled in the loops, the rest
+    by :func:`_json_scalar`."""
+    if isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            sep += (_str(key) if isinstance(key, str) else _str(_json_key(key))) + ": "
+            if isinstance(item, float) and _finite(item):
+                append(sep + _float(item))
+            elif isinstance(item, (dict, list, tuple)):
+                append(sep)
+                _append_json(item, append, inner)
+            else:
+                append(sep + _json_scalar(item))
+            sep = "," + inner
+        append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            if isinstance(item, float) and _finite(item):
+                append(sep + _float(item))
+            elif isinstance(item, (dict, list, tuple)):
+                append(sep)
+                _append_json(item, append, inner)
+            else:
+                append(sep + _json_scalar(item))
+            sep = "," + inner
+        append(newline + "]")
+    else:
+        append(_json_scalar(value))
+
+
+def _json_scalar(value) -> str:
+    """A JSON scalar's text by json's rules; ValueError and TypeError as json raises them."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A non-str key as json.dumps turns it into a string."""
+    if isinstance(key, (int, float)) or key is None:
+        return _json_scalar(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _dm_to_json(dm) -> dict:
@@ -354,6 +454,8 @@ def cmd_scan(args):
     payload = {"rows": [
         {"phi": phi, "c_theory": c_th, "c_protocol": c_pr} for phi, c_th, c_pr in rows
     ]}
+    if args.format == "json":
+        return CommandOutput(payload)
     csv_lines = ["phi,c_theory,c_protocol"]
     pretty = ["       phi   c_theory  c_protocol"]
     for phi, c_th, c_pr in rows:
@@ -475,6 +577,8 @@ def cmd_experiment(args):
         n_boot=args.boot,
     )
     payload = report.to_json_obj()
+    if args.format == "json" and not args.out:
+        return CommandOutput(payload)
     csv_text = report.to_csv()
     pretty_lines = ["   phi     C_th   C(rho_C)  sigma_C  Fidelity  sigma_F  C(rho_B)  distill>0.856"]
     for r in report.rows:
@@ -485,8 +589,7 @@ def cmd_experiment(args):
     pretty = "\n".join(pretty_lines) + "\n"
 
     if args.out:
-        _require_finite(payload)  # before any file is written
-        json_text = _json_text(payload)
+        json_text = _json_text(payload)  # checked before any file is written
         base = Path(args.out)
         _write_out(base.with_suffix(".csv"), csv_text)
         _write_out(base.with_suffix(".json"), json_text)
@@ -508,6 +611,8 @@ def cmd_dump_stabilizers(args):
             "wigner": [float(v) for v in w],
         })
     payload = {"n_qubits": args.n, "count": len(rows), "states": rows}
+    if args.format != "csv":
+        return CommandOutput(payload)
 
     header = (["label"]
               + [f"amp{k}_{part}" for k in range(dim) for part in ("re", "im")]

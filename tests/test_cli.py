@@ -7,6 +7,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -467,19 +468,11 @@ class TestExitCodes:
         assert code == 1
         assert "invariant" in err and "LP postcondition" in err
 
-    def test_non_finite_json_value_exits_1(self, capsys, monkeypatch):
-        import mss.cli as cli_mod
-
-        monkeypatch.setattr(cli_mod.magic, "c_closed_form", lambda phi: math.nan)
-        code, out, err = run_cli(capsys, "run", "--phi", PI_4, "--outcomes", "+-",
-                                 "--format", "json")
-        assert code == 1 and out == ""
-        assert "internal invariant violation" in err and "non-finite" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("fmt", ["csv", "pretty"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
     @pytest.mark.parametrize("command", ["run", "experiment"])
     def test_non_finite_value_exits_1_in_every_format(self, capsys, monkeypatch, command, fmt):
+        """The same message in every format: JSON finds the value while
+        rendering, CSV and pretty before, and both name its path."""
         import mss.cli as cli_mod
 
         monkeypatch.setattr(cli_mod.magic, "c_closed_form", lambda phi: math.nan)
@@ -487,8 +480,9 @@ class TestExitCodes:
         argv = (["run", "--phi", PI_4, "--outcomes", "+-"] if command == "run" else
                 ["experiment", "--phis", PI_8, "--shots", "256", "--seed", "5", "--boot", "100"])
         code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        path = "c_theory = nan" if command == "run" else "rows.0.c_theory = inf"
         assert code == 1 and out == ""
-        assert "internal invariant violation" in err and "non-finite" in err
+        assert err == f"mss: internal invariant violation: non-finite number in output ({path})\n"
 
     def test_non_finite_experiment_writes_no_file(self, capsys, monkeypatch, tmp_path):
         import mss.cli as cli_mod
@@ -509,6 +503,144 @@ class TestParser:
             assert run_cli(capsys, "magic-eval", "--state", "T")[0] == 0
         info = cli_mod.build_parser.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--phi", PI_4, "extra"], ["run", "--phi", PI_4, "--bogus=1", "x"],
+        ["run", "--n", "3"], ["experiment", "--phis", PI_8], ["dump-stabilizers", "--n", "3"],
+        ["magic-eval", "--state", "Q"], ["run", "--phi", "x"],
+        ["certify", "--phi=1", "--shots=1.5"],
+        ["-h"], ["--help"], ["run", "-h"], ["scan", "--grid=0:1:2", "--help"], [], ["frobnicate"],
+        ["--", "run", "--phi", PI_4], ["run", "--phi", PI_4, "--", "x"],
+        ["run", "--phi", PI_4, "--outcomes=--"], ["run", "--phi", PI_4, "--outcomes", "--"],
+        ["run", "--ph", PI_4], ["run", "--phi", "-0.5"],
+        ["dump-stabilizers"], ["run", "--phi", PI_4, "--config", "mss.conf"],
+    ])
+    def test_subcommand_parse_matches_the_full_parse(self, argv):
+        assert _parsed(cli_mod._parse_args, argv) == _parsed(_full_parse, argv)
+
+    def test_config_reparse_matches_the_full_parse(self, tmp_path):
+        cfg = tmp_path / "mss.conf"
+        cfg.write_text("n = 4\noutcomes = --\nformat = json\ndegrees = yes\nshots = 9\n")
+        argv = ["run", "--phi", PI_4, "--n", "5", "--config", str(cfg)]
+        expanded = cli_mod._with_config(_full_parse(argv), argv)
+        assert expanded[1:5] == ["--n=4", "--outcomes=--", "--format=json", "--degrees"]
+        assert _parsed(cli_mod._parse_args, expanded) == _parsed(_full_parse, expanded)
+        assert _full_parse(expanded).n == 5
+
+    @settings(PROPERTY, max_examples=200)
+    @given(st.data())
+    def test_drawn_argv_parses_as_the_full_parser_does(self, data):
+        """Flags in any order, a required one dropped, junk added: the same
+        Namespace, or the same exit with the same text."""
+        command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+        required, optional = _COMMANDS[command]
+        optional = {**optional, **_COMMON}
+        keys = data.draw(st.lists(st.sampled_from(sorted(optional)), unique=True))
+        tokens = [required[i:i + 2] for i in range(0, len(required), 2)]
+        tokens += [_as_flags({k: data.draw(optional[k])}) for k in keys]
+        tokens = data.draw(st.permutations(tokens))
+        if tokens and data.draw(st.booleans()):
+            tokens = tokens[:-1]
+        junk = data.draw(st.lists(st.sampled_from(
+            ["--bogus", "x", "--", "-1", "--n", "-h", "--format=xml", "--seed=abc", "run"]),
+            max_size=2))
+        argv = [command, *(t for token in tokens for t in token), *junk]
+        assert _parsed(cli_mod._parse_args, argv) == _parsed(_full_parse, argv)
+
+
+def _full_parse(argv):
+    return cli_mod.build_parser().parse_args(argv)
+
+
+def _parsed(parse, argv):
+    """``parse(argv)``'s Namespace or exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 0.1, 1e-7, 1.7976931348623157e308])
+_INTS = st.integers() | st.sampled_from([2 ** 63, -2 ** 63 - 1, 3 ** 90])
+_STRINGS = st.text() | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "é ü", "\u2028", "😀", "\ud800"])
+_KEYS = _STRINGS | _INTS | _FLOATS | st.booleans() | st.none()
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | _INTS | _FLOATS | _FLOATS.map(np.float64) | _STRINGS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_KEYS, inner),
+    max_leaves=40)
+
+
+# One real payload per schema in src/mss/schemas/.
+_SCHEMA_CASES = {
+    "run": ["run", "--phi", PI_4, "--n", "5", "--outcomes", "+--+"],
+    "scan": ["scan", "--grid", "0.1:1.2:3"],
+    "gate-check": ["gate-check", "--matrix", "1,0,0,0,0,0,0.9,0"],
+    "magic-eval": ["magic-eval", "--bloch", "0.5,0.5,0.5"],
+    "certify": ["certify", "--phi", PI_8, "--shots", "256", "--seed", "2", "--boot", "100"],
+    "experiment": ["experiment", "--phis", f"{PI_8},1.3", "--shots", "256", "--seed", "5",
+                   "--boot", "100"],
+    "dump-stabilizers": ["dump-stabilizers", "--n", "2"],
+}
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+class TestJsonText:
+    """``_json_text`` against its oracle, ``json.dumps(indent=2, allow_nan=False)``."""
+
+    @settings(PROPERTY)
+    @given(_PAYLOADS)
+    def test_drawn_payloads_render_as_json_dumps(self, payload):
+        assert cli_mod._json_text(payload) == _dumps(payload)
+
+    @pytest.mark.parametrize("command", sorted(
+        path.name.removesuffix(".schema.json") for path in SCHEMA_DIR.glob("*.schema.json")))
+    def test_every_command_payload_renders_as_json_dumps(self, command):
+        args = _full_parse(_SCHEMA_CASES[command])
+        payload = args.handler(args).payload
+        assert cli_mod._json_text(payload) == _dumps(payload)
+
+    @pytest.mark.parametrize("payload", [
+        object(), [1, {"a": {1, 2}}], {"a": [b"x"]}, (1j,), {"v": np.int64(3)}, [np.float32(0.5)],
+        [np.bool_(True)], {(1, 2): 0}, [{b"k": 1}], {"a": {frozenset(): 1}}, {np.float32(1.0): 2},
+    ], ids=["object", "set", "bytes", "complex", "int64", "float32", "bool_",
+            "tuple-key", "bytes-key", "frozenset-key", "float32-key"])
+    def test_unsupported_values_and_keys_raise_type_error_as_json_does(self, payload):
+        with pytest.raises(TypeError) as want:
+            _dumps(payload)
+        with pytest.raises(TypeError) as got:
+            cli_mod._json_text(payload)
+        assert str(got.value) == str(want.value)
+
+    @settings(PROPERTY)
+    @given(_PAYLOADS, st.lists(st.sampled_from(["list", "tuple", "dict"]), max_size=5),
+           st.sampled_from([math.nan, -math.nan, math.inf, -math.inf]))
+    def test_non_finite_value_at_any_depth_is_named_as_require_finite_does(self, payload,
+                                                                           nesting, bad):
+        value = bad
+        for kind in nesting:
+            value = {"before": payload, "bad": value} if kind == "dict" else (
+                [payload, value] if kind == "list" else (payload, value))
+        with pytest.raises(RuntimeError) as want:
+            cli_mod._require_finite(value)
+        with pytest.raises(RuntimeError) as got:
+            cli_mod._json_text(value)
+        assert str(got.value) == str(want.value)
+
+    def test_non_finite_key_is_rejected_as_json_does(self):
+        payload = {"a": 1.0, math.inf: 2.0}
+        with pytest.raises(ValueError) as want:
+            _dumps(payload)
+        with pytest.raises(ValueError) as got:
+            cli_mod._json_text(payload)
+        assert str(got.value) == str(want.value)
 
 
 # Per subcommand: the required argv and a strategy per optional flag (a switch
