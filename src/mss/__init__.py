@@ -2,9 +2,10 @@
 
 Simulates the GHZ-based protocol that distributes non-stabilizer
 ("magic") resource states with an (n-1, n) threshold, computes the
-Wigner-distance magic monotone by linear programming, certifies delivery
-through steering correlations, and reproduces the shot-sampled tomography
-analysis pipeline at desk scale.
+Wigner distance to the stabilizer polytope by linear programming (zero is
+Clifford-invariant; nonzero joint values depend on the frame), certifies
+delivery through steering correlations, and reproduces the shot-sampled
+tomography analysis pipeline at desk scale.
 
 ``__all__`` is the public API.
 """

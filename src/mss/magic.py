@@ -1,7 +1,7 @@
-"""The Wigner-distance magic monotone, its LP dual witness, and closed-form oracles.
+"""The Wigner distance C, its LP dual witness, and closed-form oracles.
 
-The monotone is the minimum L1 distance from a state's Wigner vector to the
-stabilizer polytope,
+C is the minimum L1 distance from a state's Wigner vector to the stabilizer
+polytope,
 
     C(rho) = min_{f in conv(vertices)} || W_rho - f ||_1,
 
@@ -17,6 +17,10 @@ H* = sum_alpha y_alpha A_alpha / 2**n with
 where F_LHS = max over pure stabilizer states of tr(H* sigma).  The witness
 is a per-solve certificate: away from the solved state it gives the lower
 bound exposed by :meth:`MagicResult.witness_value`, not an equality.
+
+C = 0 (a stabilizer mixture) is Clifford-invariant.  Nonzero joint values
+depend on the frame, so C is no monotone: a CX doubles the 2-qubit C of
+P(phi)|+> (x) |0>, which local Cliffords keep.
 """
 
 from __future__ import annotations
@@ -104,38 +108,36 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
     k, nv = F.shape
     residual = w[:, None] - F
     j = int(np.abs(residual).sum(axis=0).argmin())
-    rows = np.arange(k)
-    basis = [*np.where(residual[:, j] >= 0, nv + rows, nv + k + rows).tolist(), j]
+    basis = [nv + i if r >= 0 else nv + k + i for i, r in enumerate(residual[:, j].tolist())]
 
-    sol = solve_lp(c, A, np.append(w, 1.0), basis)
-    lam = np.clip(sol.x[:nv], 0.0, None)
+    sol = solve_lp(c, A, np.concatenate((w, (1.0,))), [*basis, j])
+    lam = np.maximum(sol.x[:nv], 0.0)
     lam /= lam.sum()
     lam.setflags(write=False)
     f_star = as_wigner_vector(F @ lam)
 
     yvec = sol.duals[:k]
-    f_lhs = float(np.max(yvec @ F))
+    f_lhs = float((yvec @ F).max())
     gap = float(yvec @ w) - f_lhs
     if abs(np.abs(w - f_star).sum() - sol.fun) > 1e-8 or abs(gap - sol.fun) > 1e-7:
         raise RuntimeError(
             "LP postcondition violated: primal/dual certificates disagree with the optimum")
 
-    if sol.fun < CLAMP_TOL:
-        zero = np.zeros((2 ** n, 2 ** n), dtype=complex)
-        zero.setflags(write=False)
-        return MagicResult(c_value=0.0, f_star=f_star, mixture_weights=lam,
-                           dual_witness=zero, f_lhs=0.0)
-    if n == 1:
+    c_value = 0.0 if sol.fun < CLAMP_TOL else float(sol.fun)
+    if c_value == 0.0:
+        witness, f_lhs = np.zeros((2 ** n, 2 ** n), dtype=complex), 0.0
+        witness.setflags(write=False)
+    elif n == 1:
         witness, f_lhs = sign_witness(rho)
     else:
         witness = _witness_matrix(yvec, n)
-    return MagicResult(c_value=float(sol.fun), f_star=f_star, mixture_weights=lam,
+    return MagicResult(c_value=c_value, f_star=f_star, mixture_weights=lam,
                        dual_witness=witness, f_lhs=f_lhs)
 
 
 def _witness_matrix(yvec: np.ndarray, n: int) -> np.ndarray:
     """The read-only Hermitian witness sum_alpha y_alpha A_alpha / 2**n."""
-    witness = np.tensordot(yvec, _operator_stack(n), 1) / 2 ** n
+    witness = (yvec @ _operator_stack(n).reshape(4 ** n, -1)).reshape(2 ** n, -1) / 2 ** n
     witness = (witness + witness.conj().T) / 2
     witness.setflags(write=False)
     return witness
@@ -153,7 +155,7 @@ def sign_witness(rho: DensityMatrix) -> tuple[np.ndarray, float]:
     s = witness_signs(bloch(rho))
     y0 = np.einsum("aij,ji->a", _operator_stack(1), s[0] * X + s[1] * Y + s[2] * Z).real / 2
     yvec = y0 - (y0.max() + y0.min()) / 2
-    return _witness_matrix(yvec, 1), float(np.max(yvec @ _lp_constants(1)[0]))
+    return _witness_matrix(yvec, 1), float((yvec @ _lp_constants(1)[0]).max())
 
 
 def c_closed_form(phi: float) -> float:
@@ -168,8 +170,7 @@ def octahedron_distance(bloch_vec) -> float | np.ndarray:
     last axis and returns an array.  Values below CLAMP_TOL are reported as
     exactly zero, as in wigner_distance.  Equals wigner_distance on
     single-qubit states (the polytope is the octahedron |x|+|y|+|z| <= 1 in
-    Bloch coordinates); the equivalence is verified against the LP on
-    randomised states in the test suite.
+    Bloch coordinates), as the tests check against the LP.
     """
     b = np.asarray(bloch_vec, dtype=float)
     if b.shape[-1:] != (3,):

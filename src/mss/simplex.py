@@ -34,14 +34,14 @@ it.  ZERO_OBJECTIVE sits far below tol, so a solve that stops there reports
 an objective no caller reads as nonzero (:mod:`mss.magic` reports C = 0
 below 1e-10).
 
-Built for problems with tens of rows and at most a few hundred columns;
-everything is dense numpy and a fresh tableau is allocated per call, so
-concurrent solves are independent.  The tableau carries B^-1 as an extra
-block, so the duals are read off the cost row with no second solve.  Each
-pivot is a few array operations: pricing over a non-basic mask, the ratios
-of the rows with a positive coefficient, and one rank-1 update of the whole
-tableau, cost row included.  ``tests/test_simplex.py`` keeps a scalar
-version of this rule, which must follow the same pivot path byte for byte.
+Built for tens of rows and a few hundred columns.  Each call builds a fresh
+dense tableau, so concurrent solves are independent; it carries B^-1 as an
+extra block, so the duals are read off the cost row.  A pivot prices in
+numpy, then reads the entering column and the right-hand side once as
+Python floats for the ratio test and the long step's slope.  A flip is two
+row operations; one rank-1 update of the tableau ends the pivot.
+``tests/test_simplex.py`` keeps a scalar version of this rule, which must
+follow the same pivot path byte for byte.
 """
 
 from __future__ import annotations
@@ -157,30 +157,30 @@ def _pivot_loop(tab, basis, mirror, costs, stop_at_zero: bool,
                 return iterations, flips, False
 
         column = tab[:, entering]
-        rows = (column[:m] > tol).nonzero()[0]
+        col, values = column.tolist(), rhs.tolist()
+        breakpoints = [(values[i] / coef, i) for i, coef in enumerate(col[:m]) if coef > tol]
         leaving_row = -1
         if bland:
             # Sequential ratio test.  Not an argmin: ratios within tol of the
             # running best tie, and a chain of ties can drift further than
             # tol from the minimum.
             step = np.inf
-            for i, coef, value in zip(rows.tolist(), column[rows].tolist(),
-                                      rhs[rows].tolist()):
-                ratio = value / coef
+            for ratio, i in breakpoints:
                 if ratio < step - tol or (
                         abs(ratio - step) <= tol
                         and (leaving_row < 0 or basis[i] < basis[leaving_row])):
                     leaving_row, step = i, ratio
         else:
-            # Long step: breakpoints in ratio order, ties in row order.
-            ratios = rhs[rows] / column[rows]
-            order = ratios.argsort(kind="stable")
-            for i, ratio in zip(rows[order].tolist(), ratios[order].tolist()):
+            # Long step: breakpoints in ratio order, ties in row order.  The
+            # slope is cost[entering].
+            slope = col[m]
+            for ratio, i in sorted(breakpoints):
                 j = basis[i]
                 partner = mirror[j]
                 if partner >= 0:
                     pair_cost = costs[j] + costs[partner]
-                    if cost[entering] + pair_cost * column[i] < -tol:
+                    if slope + pair_cost * col[i] < -tol:
+                        slope += pair_cost * col[i]
                         cost += pair_cost * work[i]
                         work[i] *= -1.0
                         nonbasic[j] = True
@@ -194,7 +194,7 @@ def _pivot_loop(tab, basis, mirror, costs, stop_at_zero: bool,
             raise SimplexError("unbounded: no leaving variable")
 
         # One rank-1 update of every row, the cost row included.
-        pivot = work[leaving_row] / column[leaving_row]
+        pivot = work[leaving_row] / col[leaving_row]
         tab -= np.multiply.outer(column, pivot)
         tab[leaving_row] = pivot
 

@@ -44,7 +44,7 @@ def as_wigner_vector(values) -> np.ndarray:
     v = np.array(values, dtype=float).reshape(-1)
     if abs(v.sum() - 1.0) > 1e-9:
         raise ValueError("Wigner vector does not sum to 1 within 1e-9")
-    if np.max(np.abs(v)) > 1.0:
+    if np.abs(v).max() > 1.0:
         raise ValueError("Wigner vector has an entry with |value| > 1")
     v.setflags(write=False)
     return v
@@ -66,6 +66,6 @@ def wigner_of(rho: DensityMatrix) -> np.ndarray:
         raise ValueError("Wigner vectors are only supported for n <= 2 qubits")
     ops = _operator_stack(n)
     vals = np.einsum("aij,ji->a", ops, rho.mat) / 2 ** n
-    if np.max(np.abs(vals.imag)) > 1e-12:
+    if np.abs(vals.imag).max() > 1e-12:
         raise ValueError("Wigner values have imaginary parts above 1e-12")
     return as_wigner_vector(vals.real)

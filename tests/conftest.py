@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from mss.magic import c_closed_form, octahedron_distance
 from mss import protocol
 from mss.qcore import (ATOL_CONSTRUCT, ATOL_PSD, I2, DensityMatrix, H, PureState, X, Y, Z, bloch,
-                       ghz, phase_gate, require_unitary, trace_distance)
+                       ghz, phase_gate, phase_plus, require_unitary, tensor, trace_distance)
+from mss.stabilizer import enumerate_stabilizer_states
 from mss.tomo import CorrectedCounts
+from mss.wigner import _operator_stack
 
 # Property tests draw the same examples on every run and keep no example database.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -266,6 +268,31 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def oracle_states(n, rng, per_class):
+    """Haar, Ginibre, P(a)|+> products (the T state or T x T first) and
+    stabilizer mixtures, ``per_class`` of each."""
+    stab = [s.density().mat for s in enumerate_stabilizer_states(n).states]
+    for i in range(per_class):
+        yield random_pure_state(n, rng).density()
+        yield random_density(n, rng)
+        angles = [np.pi / 4] * n if i == 0 else rng.uniform(0, 2 * np.pi, n)
+        psi = phase_plus(angles[0])
+        for a in angles[1:]:
+            psi = tensor(psi, phase_plus(a))
+        yield psi.density()
+        chosen = rng.choice(len(stab), size=int(rng.integers(2, 5)), replace=False)
+        yield DensityMatrix(sum(p * stab[j] for p, j in zip(rng.dirichlet(np.ones(len(chosen))),
+                                                             chosen)))
+
+
+def reference_witness_matrix(yvec, n: int) -> np.ndarray:
+    """sum_alpha y_alpha A_alpha / 2**n through ``np.tensordot``, made
+    Hermitian: the form the witness's one matmul replaced, kept as its
+    bit-for-bit oracle."""
+    witness = np.tensordot(yvec, _operator_stack(n), 1) / 2 ** n
+    return (witness + witness.conj().T) / 2
 
 
 @pytest.fixture

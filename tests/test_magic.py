@@ -15,12 +15,15 @@ from mss.magic import (
     wigner_distance,
 )
 from mss.qcore import (
+    I2,
     DensityMatrix,
+    H,
+    PureState,
+    S,
     bloch,
     dm_from_bloch,
     maximally_mixed,
     phase_plus,
-    tensor,
 )
 from mss.simplex import SimplexError, solve_lp
 from mss.stabilizer import enumerate_stabilizer_states, single_qubit_cliffords
@@ -32,8 +35,9 @@ from mss.wigner import (
     wigner_of,
 )
 
-from conftest import PROPERTY, apply_1q, bloch_vectors, random_density, random_pure_state
-from test_simplex import reference_solve_lp
+from conftest import (PROPERTY, apply_1q, bloch_vectors, oracle_states, random_density,
+                      random_pure_state, reference_witness_matrix)
+from test_simplex import l1_fit_form, reference_solve_lp
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -230,6 +234,31 @@ class TestWignerDistance:
             np.testing.assert_allclose(res.dual_witness, (old + old.conj().T) / 2,
                                        rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_witness_matmul_matches_the_tensordot_oracle(self, n, rng):
+        # Random duals, and duals on the box's faces with signed zeros.
+        ys = [rng.uniform(-1.0, 1.0, 4 ** n) for _ in range(200)]
+        ys += [rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], 4 ** n) for _ in range(50)]
+        for y in ys:
+            got = mss.magic._witness_matrix(y, n)
+            assert got.tobytes() == reference_witness_matrix(y, n).tobytes()
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize("phi", [0.3, np.pi / 8, 2.0])
+    def test_cx_doubles_the_joint_value_and_local_cliffords_keep_it(self, phi):
+        # "C = 0" is Clifford-invariant, nonzero values are not: a CX takes
+        # P(phi)|+> (x) |0>, with C(phi), to (|00> + e^{i phi}|11>)/sqrt(2),
+        # with 2 C(phi).
+        def c2(amps):
+            return wigner_distance(PureState(amps).density()).c_value
+
+        cx = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+        product = np.kron(phase_plus(phi).amps, [1.0, 0.0])
+        for psi, want in ((product, c_closed_form(phi)), (cx @ product, 2 * c_closed_form(phi))):
+            assert abs(c2(psi) - want) <= 1e-12
+            for local in (np.kron(H, I2), np.kron(I2, H), np.kron(S, S)):
+                assert abs(c2(local @ psi) - c2(psi)) <= 1e-12
+
 
 def reference_wigner_lp(rho):
     """C(rho) from the 2k+1-row LP, solved two-phase by the scalar reference.
@@ -266,23 +295,6 @@ def scipy_wigner_lp(rho):
     return res.fun
 
 
-def oracle_states(n, rng, per_class):
-    """Haar, Ginibre, P(a)|+> products (the T state or T x T first) and
-    stabilizer mixtures, ``per_class`` of each."""
-    stab = [s.density().mat for s in enumerate_stabilizer_states(n).states]
-    for i in range(per_class):
-        yield random_pure_state(n, rng).density()
-        yield random_density(n, rng)
-        angles = [np.pi / 4] * n if i == 0 else rng.uniform(0, 2 * np.pi, n)
-        psi = phase_plus(angles[0])
-        for a in angles[1:]:
-            psi = tensor(psi, phase_plus(a))
-        yield psi.density()
-        chosen = rng.choice(len(stab), size=int(rng.integers(2, 5)), replace=False)
-        yield DensityMatrix(sum(p * stab[j] for p, j in zip(rng.dirichlet(np.ones(len(chosen))),
-                                                             chosen)))
-
-
 class TestAgainstTheTwoPhaseLP:
     """The warm-started k+1-row LP against the 2k+1-row two-phase LP and HiGHS."""
 
@@ -309,6 +321,7 @@ class TestAgainstTheTwoPhaseLP:
             w, j = b[:-1], basis[-1]
             dist = np.abs(w[:, None] - F).sum(axis=0)
             assert dist[j] == dist.min() >= res.c_value - 1e-12
+            assert basis == l1_fit_form(F, w)[3]
             x_start = np.linalg.solve(A[:, basis], b)
             assert x_start.min() >= -1e-12
             assert x_start[-1] == pytest.approx(1.0, abs=1e-12)

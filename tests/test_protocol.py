@@ -3,7 +3,7 @@ column-sum gate characterisation."""
 
 import dataclasses
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from mss.protocol import (
 )
 from mss.qcore import (
     H,
+    PureState,
     Z,
     bloch,
     ghz,
@@ -242,6 +243,37 @@ class TestThresholdInduction:
             want[-1] = np.exp(1j * phi) / np.sqrt(2)
             got = abs(np.vdot(want, corrected.amps)) ** 2
             assert got >= 1 - 1e-12
+
+
+class TestCoalitions:
+    """The 2-qubit C of every pair of parties that have not measured yet, at
+    every step of every branch.  A pair inside a larger unmeasured register
+    holds a diagonal, hence free, marginal; the last pair holds the whole
+    register, (|00> +- e^{i phi}|11>)/sqrt(2), with 2 C(phi)."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_only_the_last_pair_holds_magic(self, n, rng):
+        for phi in rng.uniform(0, 2 * np.pi, size=2):
+            t = reference_branch_tensor(phi, n)
+            registers = {(): apply_1q(ghz(n), phase_gate(phi), 0)}
+            for size in range(n, 1, -1):
+                if size < n:
+                    registers = {bits + (b,): project_measure(state, 0, "X", b)[1]
+                                 for bits, state in registers.items() for b in (0, 1)}
+                for bits, state in registers.items():
+                    # The stepwise register is the branch tensor's slice, taken
+                    # back from the H frame of the parties still to broadcast.
+                    branch = PureState(t[bits].reshape(-1) / np.linalg.norm(t[bits]))
+                    for axis in range(size - 1):
+                        branch = apply_1q(branch, H, axis)
+                    np.testing.assert_allclose(branch.amps, state.amps, rtol=0, atol=1e-12)
+                    rho = state.density()
+                    for pair in combinations(range(size), 2):
+                        c2 = wigner_distance(partial_trace(rho, pair)).c_value
+                        if size > 2:
+                            assert c2 == 0.0
+                        else:
+                            assert abs(c2 - 2 * c_closed_form(phi)) <= 1e-12
 
 
 class TestSecurityReport:

@@ -16,7 +16,7 @@ from mss.simplex import (
     solve_lp,
 )
 
-from conftest import random_density, random_pure_state
+from conftest import oracle_states
 
 
 def reference_solve_lp(c, A, b, basis=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, *,
@@ -184,7 +184,7 @@ def l1_fit_form(F, w):
     return c, A, np.append(w, 1.0), basis
 
 
-def solve_with_final_basis(c, A, b, basis):
+def solve_with_final_basis(c, A, b, basis, tol=DEFAULT_TOL):
     """solve_lp plus the final basis, read off the pivot loop's basis list."""
     seen = []
     pivot_loop = mss.simplex._pivot_loop
@@ -195,23 +195,23 @@ def solve_with_final_basis(c, A, b, basis):
 
     mss.simplex._pivot_loop = spy
     try:
-        sol = solve_lp(c, A, b, basis)
+        sol = solve_lp(c, A, b, basis, tol)
     finally:
         mss.simplex._pivot_loop = pivot_loop
     return sol, list(seen[-1])
 
 
-def assert_same_pivot_path(c, A, b, basis):
+def assert_same_pivot_path(c, A, b, basis, tol=DEFAULT_TOL):
     """Same outcome as the reference from the same basis: the same error, or
     the same pivot and flip counts, final basis and byte-identical x, duals
     and objective."""
     try:
-        want, want_basis = reference_solve_lp(c, A, b, basis)
+        want, want_basis = reference_solve_lp(c, A, b, basis, tol)
     except SimplexError as exc:
         with pytest.raises(SimplexError, match=str(exc).split(":")[0]):
-            solve_lp(c, A, b, basis)
+            solve_lp(c, A, b, basis, tol)
         return
-    got, got_basis = solve_with_final_basis(c, A, b, basis)
+    got, got_basis = solve_with_final_basis(c, A, b, basis, tol)
     assert (got.iterations, got.flips) == (want.iterations, want.flips)
     assert got_basis == want_basis
     assert got.x.tobytes() == want.x.tobytes()
@@ -353,6 +353,31 @@ class TestSamePivotPathAsReference:
                 pass
         assert flips > 0
 
+    def test_coarse_tol_on_a_half_integer_grid(self, rng):
+        # With tol = 0.5 and every entry on a half-integer grid, coefficients
+        # and slopes land exactly on -tol or tol, most steps are degenerate,
+        # and chains of ratios within tol of each other decide Bland's
+        # leaving row.
+        for trial in range(300):
+            m = int(rng.integers(2, 7))
+            n = int(rng.integers(1, m + 5))
+            A = rng.integers(-4, 5, (m, n)) / 2.0
+            c_slack, c_surplus = rng.integers(0, 4, (2, m)) / 2.0
+            lp = mirrored_form(A, rng.integers(0, 9, m) / 2.0, rng.integers(-4, 5, n) / 2.0,
+                               c_slack, c_surplus)
+            assert_same_pivot_path(*lp, tol=0.5)
+
+    def test_bland_ratio_test_reads_rows_in_order(self):
+        # x0 enters first at a zero ratio, so x1 enters by Bland's rule.  Its
+        # ratios, 0.8, 0.4 and 0.0 in row order, chain within tol = 0.5: read
+        # in row order the test ends at the smallest, read in ratio order it
+        # would end at 0.8, where two slacks are negative.
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+        lp = slack_form(A, np.array([0.0, 0.8, 0.4, 0.0]), np.array([-2.0, -1.0]))
+        sol = solve_lp(*lp, tol=0.5)
+        assert (sol.iterations, sol.fun) == (2, 0.0) and sol.x.min() == 0.0
+        assert_same_pivot_path(*lp, tol=0.5)
+
     def test_random_l1_fits(self, rng):
         flips = 0
         for trial in range(200):
@@ -379,6 +404,9 @@ class TestSamePivotPathAsReference:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_wigner_distance_lps(self, n, rng, monkeypatch):
+        # Haar and Ginibre states, and the degenerate classes where flips and
+        # Bland pivots occur: phase products (T or T x T first) and
+        # stabilizer mixtures.
         lps = []
 
         def record(c, A, b, basis, *args, **kwargs):
@@ -386,13 +414,13 @@ class TestSamePivotPathAsReference:
             return solve_lp(c, A, b, basis, *args, **kwargs)
 
         monkeypatch.setattr(mss.magic, "solve_lp", record)
-        for i in range(30):
-            rho = random_density(n, rng) if i % 2 else random_pure_state(n, rng).density()
+        for rho in oracle_states(n, rng, 10):
             mss.magic.wigner_distance(rho)
         monkeypatch.undo()
-        assert len(lps) == 30 and len(lps[0][1]) == 4 ** n + 1  # 5 or 17 rows
+        assert len(lps) == 40 and len(lps[0][1]) == 4 ** n + 1  # 5 or 17 rows
         for lp in lps:
             assert_same_pivot_path(*lp)
+        assert sum(solve_lp(*lp).flips for lp in lps[3::4]) > 0
 
 
 class TestTermination:
