@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, formats, schema validation, determinism."""
 
+import argparse
 import io
 import json
 import math
@@ -422,6 +423,186 @@ class TestOutputFile:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestTextFormats:
+    """The CSV and pretty renderings, byte for byte."""
+
+    def text(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        return out
+
+    def test_run_csv_and_pretty(self, capsys):
+        argv = ("run", "--phi", PI_4, "--outcomes", "+-", "--format")
+        assert self.text(capsys, *argv, "csv") == """\
+key,value
+phi,0.7853981633974483
+n_parties,3
+outcomes,+-
+branch_probability,0.24999999999999986
+correction_parity,1
+messages.0.sender,0
+messages.0.outcome,+
+messages.0.step,0
+messages.1.sender,1
+messages.1.outcome,-
+messages.1.step,1
+final_c,0.20710678118654768
+c_theory,0.20710678118654746
+final_fidelity_to_ideal,1.0000000000000002
+final_state.re.0.0,0.5000000000000002
+final_state.re.0.1,0.3535533905932739
+final_state.re.1.0,0.3535533905932739
+final_state.re.1.1,0.5000000000000001
+final_state.im.0.0,0.0
+final_state.im.0.1,-0.35355339059327384
+final_state.im.1.0,0.35355339059327384
+final_state.im.1.1,0.0
+security.0.c_value,0.0
+security.0.trace_distance_to_i2,5.551115123125786e-17
+security.1.c_value,0.0
+security.1.trace_distance_to_i2,5.551115123125786e-17
+"""
+        assert self.text(capsys, *argv, "pretty") == """\
+phi                              0.785398
+n_parties                        3
+outcomes                         +-
+branch_probability               0.25
+correction_parity                1
+messages.0.sender                0
+messages.0.outcome               +
+messages.0.step                  0
+messages.1.sender                1
+messages.1.outcome               -
+messages.1.step                  1
+final_c                          0.207107
+c_theory                         0.207107
+final_fidelity_to_ideal          1
+final_state.re.0.0               0.5
+final_state.re.0.1               0.353553
+final_state.re.1.0               0.353553
+final_state.re.1.1               0.5
+final_state.im.0.0               0
+final_state.im.0.1               -0.353553
+final_state.im.1.0               0.353553
+final_state.im.1.1               0
+security.0.c_value               0
+security.0.trace_distance_to_i2  5.55112e-17
+security.1.c_value               0
+security.1.trace_distance_to_i2  5.55112e-17
+"""
+
+    def test_magic_eval_csv_and_pretty(self, capsys):
+        argv = ("magic-eval", "--state", "T", "--format")
+        assert self.text(capsys, *argv, "csv") == """\
+key,value
+state,named:T
+c,0.20710678118654763
+f_lhs,0.5
+witness_trace,0.7071067811865475
+bloch.0,0.7071067811865475
+bloch.1,0.7071067811865474
+bloch.2,0.0
+wigner.0,0.6035533905932737
+wigner.1,-0.10355339059327379
+wigner.2,0.24999999999999994
+wigner.3,0.24999999999999994
+mixture.0,0.0
+mixture.1,0.0
+mixture.2,0.0
+mixture.3,0.5000000000000001
+mixture.4,0.4999999999999999
+mixture.5,0.0
+"""
+        assert self.text(capsys, *argv, "pretty") == """\
+state          named:T
+c              0.207107
+f_lhs          0.5
+witness_trace  0.707107
+bloch.0        0.707107
+bloch.1        0.707107
+bloch.2        0
+wigner.0       0.603553
+wigner.1       -0.103553
+wigner.2       0.25
+wigner.3       0.25
+mixture.0      0
+mixture.1      0
+mixture.2      0
+mixture.3      0.5
+mixture.4      0.5
+mixture.5      0
+"""
+
+    def test_non_unitary_gate_check_drops_the_empty_probe_list(self, capsys):
+        argv = ("gate-check", "--matrix", "1,0,0,0,0,0,0.9,0", "--format")
+        matrix = [f"matrix.{i}.{j}" for i in range(4) for j in range(2)]
+        values = ["1.0"] + ["0.0"] * 5 + ["0.9", "0.0"]
+        assert self.text(capsys, *argv, "csv") == "".join(
+            ["key,value\n"] + [f"{k},{v}\n" for k, v in zip(matrix, values)]
+            + ["unitary,false\ncol0_sum_abs,1.0\ncol1_sum_abs,0.9\nsecure,false\nfaithful,false\n"])
+        assert self.text(capsys, *argv, "pretty") == "".join(
+            [f"{k}    {v.removesuffix('.0')}\n" for k, v in zip(matrix, values)]
+            + ["unitary       false\ncol0_sum_abs  1\ncol1_sum_abs  0.9\n"
+               "secure        false\nfaithful      false\n"])
+
+    def test_scan_table(self, capsys):
+        argv = ("scan", "--grid", "0:1.5:4", "--format")
+        assert self.text(capsys, *argv, "csv") == """\
+phi,c_theory,c_protocol
+0.0,0.0,0.0
+0.5,0.17850405024728788,0.17850405024728777
+1.0,0.19088664533801813,0.19088664533801802
+1.5,0.03411609413587868,0.03411609413587868
+"""
+        assert self.text(capsys, *argv, "pretty") == """\
+       phi   c_theory  c_protocol
+         0          0           0
+       0.5   0.178504    0.178504
+         1   0.190887    0.190887
+       1.5  0.0341161   0.0341161
+"""
+
+    def test_dump_stabilizers_csv_table_and_flat_pretty(self, capsys):
+        assert self.text(capsys, "dump-stabilizers", "--format", "csv") == """\
+label,amp0_re,amp0_im,amp1_re,amp1_im,w0,w1,w2,w3
+S1_00,0.0,0.0,1.0,0.0,0.0,0.0,0.5,0.5
+S1_01,0.7071067811865475,0.0,-0.7071067811865475,0.0,0.0,0.5,0.0,0.5
+S1_02,0.7071067811865475,0.0,0.0,-0.7071067811865475,0.0,0.5,0.5,0.0
+S1_03,0.7071067811865475,0.0,0.0,0.7071067811865475,0.5,0.0,0.0,0.5
+S1_04,0.7071067811865475,0.0,0.7071067811865475,0.0,0.5,0.0,0.5,0.0
+S1_05,1.0,0.0,0.0,0.0,0.5,0.5,0.0,0.0
+"""
+        pretty = self.text(capsys, "dump-stabilizers", "--format", "pretty").split("\n")
+        assert len(pretty) == 2 + 6 * 9 + 1 and pretty[-1] == ""
+        assert pretty[:3] == ["n_qubits                 1", "count                    6",
+                              "states.0.label           S1_00"]
+        assert pretty[-10:-1] == [
+            "states.5.label           S1_05",
+            "states.5.amplitudes.0.0  1", "states.5.amplitudes.0.1  0",
+            "states.5.amplitudes.1.0  0", "states.5.amplitudes.1.1  0",
+            "states.5.wigner.0        0.5", "states.5.wigner.1        0.5",
+            "states.5.wigner.2        0", "states.5.wigner.3        0"]
+
+    def test_experiment_out_prints_the_pretty_table_and_writes_each_format(self, capsys,
+                                                                           tmp_path):
+        argv = ("experiment", "--phis", f"{PI_8},1.3", "--shots", "256", "--seed", "5",
+                "--boot", "100")
+        texts = {fmt: self.text(capsys, *argv, "--format", fmt)
+                 for fmt in ("json", "csv", "pretty")}
+        header, *rows = texts["pretty"].split("\n")
+        assert header == ("   phi     C_th   C(rho_C)  sigma_C  Fidelity  sigma_F  C(rho_B)"
+                          "  distill>0.856")
+        assert len(rows) == 3 and rows[0].startswith(" 0.3927   0.1533 ") and rows[-1] == ""
+        assert rows[1].startswith("    1.3   0.1155 ") and rows[1].endswith(" 0  true")
+        for fmt in ("json", "csv", "pretty"):  # --out ignores --format
+            out = tmp_path / fmt / "exp"
+            out.parent.mkdir()
+            assert self.text(capsys, *argv, "--format", fmt, "--out", str(out)) == texts["pretty"]
+            assert (tmp_path / fmt / "exp.csv").read_text() == texts["csv"]
+            assert (tmp_path / fmt / "exp.json").read_text() == texts["json"]
+            assert (tmp_path / fmt / "exp_curve.csv").read_text().startswith("kind,phi,")
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     @pytest.mark.parametrize("argv", [
@@ -503,6 +684,48 @@ class TestParser:
             assert run_cli(capsys, "magic-eval", "--state", "T")[0] == 0
         info = cli_mod.build_parser.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    def test_flag_table(self):
+        """Per subcommand: its handler, then each option string with its
+        default, ``required``, ``choices`` and ``type``, in declaration order."""
+        shared = [("--format", "pretty", False, ["json", "csv", "pretty"], None),
+                  ("--out", None, False, None, None), ("--config", None, False, None, None),
+                  ("--degrees", False, False, None, None)]
+        boot, shots = cli_mod.steering.DEFAULT_N_BOOT, cli_mod.tomo.DEFAULT_SHOTS
+        expected = {
+            "run": ("cmd_run", [("--phi", None, True, None, float), ("--n", 3, False, None, int),
+                                ("--outcomes", None, False, None, None),
+                                ("--seed", None, False, None, int)]),
+            "scan": ("cmd_scan", [("--grid", None, True, None, None),
+                                  ("--n", 3, False, None, int)]),
+            "gate-check": ("cmd_gate_check", [
+                ("--matrix", None, True, None, None),
+                ("--probes", "0.39269908169872414,0.7853981633974483,1.0471975511965976,1.3",
+                 False, None, None)]),
+            "magic-eval": ("cmd_magic_eval", [
+                ("--phi", None, False, None, float), ("--bloch", None, False, None, None),
+                ("--state", None, False, sorted(cli_mod.NAMED_STATES), None)]),
+            "certify": ("cmd_certify", [
+                ("--phi", None, True, None, float), ("--shots", None, False, None, int),
+                ("--seed", None, False, None, int), ("--noise", "0,0,0", False, None, None),
+                ("--boot", boot, False, None, int)]),
+            "experiment": ("cmd_experiment", [
+                ("--phis", None, True, None, None), ("--shots", shots, False, None, int),
+                ("--noise", "0,0,0", False, None, None), ("--seed", None, True, None, int),
+                ("--boot", cli_mod.tomo.DEFAULT_N_BOOT, False, None, int)]),
+            "dump-stabilizers": ("cmd_dump_stabilizers", [("--n", 1, False, [1, 2], int)]),
+        }
+        subcommands = cli_mod.build_parser().subcommands
+        assert list(subcommands) == list(expected)
+        for name, parser in subcommands.items():
+            handler, flags = expected[name]
+            assert parser.get_default("handler") is getattr(cli_mod, handler)
+            assert [(*a.option_strings, a.default, a.required, a.choices, a.type)
+                    for a in parser._actions if "-h" not in a.option_strings] == flags + shared
+            switch, = (a for a in parser._actions if a.option_strings == ["--degrees"])
+            assert isinstance(switch, argparse._StoreTrueAction)
+        outcomes, = (a for a in subcommands["run"]._actions if a.option_strings == ["--outcomes"])
+        assert isinstance(outcomes, cli_mod._Outcomes)
 
     @pytest.mark.parametrize("argv", [
         ["run", "--phi", PI_4, "extra"], ["run", "--phi", PI_4, "--bogus=1", "x"],
