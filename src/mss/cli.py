@@ -9,6 +9,13 @@ written by a direct renderer that also checks finiteness as it goes.
 Sampling commands require an explicit seed; nothing is ever seeded from the
 clock.
 
+A handler returns its JSON payload in a :class:`CommandOutput`, with the
+zero-argument callables that render its own CSV or pretty table, if it has
+one; ``main`` alone reads --format and calls only the renderer asked for.
+A payload without its own table is written one leaf per line, by its
+dotted key path.  ``experiment --out`` writes its three files and prints its
+table itself.
+
 ``build_parser()`` is the one definition of the command line; an argv that
 starts with a subcommand is read by that subcommand's parser alone, with the
 result and messages the full parse gives.  A ``--config`` file's
@@ -55,17 +62,14 @@ def main(argv=None) -> int:
         if args.config:
             args = _parse_args(_with_config(args, argv))
         output = args.handler(args)
-        if output.already_written:
+        if output is None:  # the handler wrote its own output
             return 0
         if args.format == "json":
             rendered = _json_text(output.payload)
         else:
             _require_finite(output.payload)  # the CSV and pretty renderings carry the same values
-            if args.format == "csv":
-                rendered = output.csv if output.csv is not None else _flatten_csv(output.payload)
-            else:
-                rendered = (output.pretty if output.pretty is not None
-                            else _flatten_pretty(output.payload))
+            render = output.csv if args.format == "csv" else output.pretty
+            rendered = render() if render else _flat_text(output.payload, args.format)
         if args.out:
             _write_out(Path(args.out), rendered)
             return 0
@@ -80,14 +84,14 @@ def main(argv=None) -> int:
 
 
 class CommandOutput:
-    """Handler result: the JSON payload plus optional CSV/pretty renderings,
-    which a handler builds only when that format is asked for."""
+    """Handler result: the JSON payload plus optional zero-argument callables
+    that render the command's own CSV or pretty text; ``main`` calls at most
+    the one its --format asks for."""
 
-    def __init__(self, payload, csv=None, pretty=None, already_written=False):
+    def __init__(self, payload, csv=None, pretty=None):
         self.payload = payload
         self.csv = csv
         self.pretty = pretty
-        self.already_written = already_written
 
 
 class _Outcomes(argparse.Action):
@@ -104,74 +108,55 @@ def build_parser() -> argparse.ArgumentParser:
         description="Magic secret sharing: protocol runs, magic evaluation, "
                     "steering certification, and the experiment pipeline.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty",
-                       help="output format (default %(default)s)")
-        p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--config", default=None,
-                       help="key = value file supplying defaults for optional flags")
-        p.add_argument("--degrees", action="store_true",
-                       help="interpret all angle inputs as degrees")
-
-    p = sub.add_parser("run", help="run one protocol instance and report security")
-    p.add_argument("--phi", type=float, required=True, help="secret angle")
-    p.add_argument("--n", type=int, default=3, help="number of parties (3..6)")
-    p.add_argument("--outcomes", action=_Outcomes,
-                   help="force measurement outcomes, e.g. '++-' (omit to sample)")
-    p.add_argument("--seed", type=int, default=None, help="seed for sampled outcomes")
-    common(p)
-    p.set_defaults(handler=cmd_run)
-
-    p = sub.add_parser("scan", help="closed-form vs protocol magic over a phi grid")
-    p.add_argument("--grid", required=True, help="start:stop:steps (inclusive)")
-    p.add_argument("--n", type=int, default=3)
-    common(p)
-    p.set_defaults(handler=cmd_scan)
-
-    p = sub.add_parser("gate-check", help="column-sum security check of an injected gate")
-    p.add_argument("--matrix", required=True,
-                   help="8 comma-separated reals: re,im for G00,G01,G10,G11")
-    p.add_argument("--probes",
-                   default="0.39269908169872414,0.7853981633974483,1.0471975511965976,1.3",
-                   help="comma-separated probe angles (default pi/8,pi/4,pi/3,1.3)")
-    common(p)
-    p.set_defaults(handler=cmd_gate_check)
-
-    p = sub.add_parser("magic-eval", help="Wigner distance of a state")
-    p.add_argument("--phi", type=float, default=None, help="angle of P(phi)|+>")
-    p.add_argument("--bloch", default=None, help="Bloch vector x,y,z")
-    p.add_argument("--state", choices=sorted(NAMED_STATES), default=None,
-                   help="named single-qubit state")
-    common(p)
-    p.set_defaults(handler=cmd_magic_eval)
-
-    p = sub.add_parser("certify", help="1SDI steering certification of delivered magic")
-    p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--shots", type=int, default=None,
-                   help="finite-shot mode with tomographic reconstruction")
-    p.add_argument("--seed", type=int, default=None, help="required with --shots")
-    p.add_argument("--noise", default="0,0,0", help="p1,p2,readout (finite-shot mode)")
-    p.add_argument("--boot", type=int, default=steering.DEFAULT_N_BOOT,
-                   help="bootstrap replicas (default %(default)s)")
-    common(p)
-    p.set_defaults(handler=cmd_certify)
-
-    p = sub.add_parser("experiment", help="shot-sampled pipeline over a list of angles")
-    p.add_argument("--phis", required=True, help="comma-separated secret angles")
-    p.add_argument("--shots", type=int, default=tomo.DEFAULT_SHOTS,
-                   help="shots per circuit (default %(default)s)")
-    p.add_argument("--noise", default="0,0,0", help="p1,p2,readout (default %(default)s)")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--boot", type=int, default=tomo.DEFAULT_N_BOOT,
-                   help="bootstrap replicas (default %(default)s)")
-    common(p)
-    p.set_defaults(handler=cmd_experiment)
-
-    p = sub.add_parser("dump-stabilizers", help="stabilizer vertex table as CSV")
-    p.add_argument("--n", type=int, choices=[1, 2], default=1)
-    common(p)
-    p.set_defaults(handler=cmd_dump_stabilizers)
+    shared = (
+        ("--format", dict(choices=["json", "csv", "pretty"], default="pretty",
+                          help="output format (default %(default)s)")),
+        ("--out", dict(help="write output to this path")),
+        ("--config", dict(help="key = value file supplying defaults for optional flags")),
+        ("--degrees", dict(action="store_true", help="interpret all angle inputs as degrees")),
+    )
+    for name, help_text, handler, flags in (
+        ("run", "run one protocol instance and report security", cmd_run, (
+            ("--phi", dict(type=float, required=True, help="secret angle")),
+            ("--n", dict(type=int, default=3, help="number of parties (3..6)")),
+            ("--outcomes", dict(action=_Outcomes,
+                                help="force measurement outcomes, e.g. '++-' (omit to sample)")),
+            ("--seed", dict(type=int, help="seed for sampled outcomes")))),
+        ("scan", "closed-form vs protocol magic over a phi grid", cmd_scan, (
+            ("--grid", dict(required=True, help="start:stop:steps (inclusive)")),
+            ("--n", dict(type=int, default=3)))),
+        ("gate-check", "column-sum security check of an injected gate", cmd_gate_check, (
+            ("--matrix", dict(required=True,
+                              help="8 comma-separated reals: re,im for G00,G01,G10,G11")),
+            ("--probes", dict(
+                default="0.39269908169872414,0.7853981633974483,1.0471975511965976,1.3",
+                help="comma-separated probe angles (default pi/8,pi/4,pi/3,1.3)")))),
+        ("magic-eval", "Wigner distance of a state", cmd_magic_eval, (
+            ("--phi", dict(type=float, help="angle of P(phi)|+>")),
+            ("--bloch", dict(help="Bloch vector x,y,z")),
+            ("--state", dict(choices=sorted(NAMED_STATES), help="named single-qubit state")))),
+        ("certify", "1SDI steering certification of delivered magic", cmd_certify, (
+            ("--phi", dict(type=float, required=True)),
+            ("--shots", dict(type=int, help="finite-shot mode with tomographic reconstruction")),
+            ("--seed", dict(type=int, help="required with --shots")),
+            ("--noise", dict(default="0,0,0", help="p1,p2,readout (finite-shot mode)")),
+            ("--boot", dict(type=int, default=steering.DEFAULT_N_BOOT,
+                            help="bootstrap replicas (default %(default)s)")))),
+        ("experiment", "shot-sampled pipeline over a list of angles", cmd_experiment, (
+            ("--phis", dict(required=True, help="comma-separated secret angles")),
+            ("--shots", dict(type=int, default=tomo.DEFAULT_SHOTS,
+                             help="shots per circuit (default %(default)s)")),
+            ("--noise", dict(default="0,0,0", help="p1,p2,readout (default %(default)s)")),
+            ("--seed", dict(type=int, required=True)),
+            ("--boot", dict(type=int, default=tomo.DEFAULT_N_BOOT,
+                            help="bootstrap replicas (default %(default)s)")))),
+        ("dump-stabilizers", "stabilizer vertex table as CSV", cmd_dump_stabilizers, (
+            ("--n", dict(type=int, choices=[1, 2], default=1)),)),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in flags + shared:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     parser.subcommands = sub.choices  # name -> subparser, for _parse_args
     return parser
 
@@ -287,42 +272,24 @@ def _flatten(obj, prefix=""):
         yield prefix.rstrip("."), obj
 
 
-def _scalar(v, precision=None):
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, float):
-        return format(v, ".6g") if precision else repr(v)
-    return str(v)
-
-
-def _flatten_csv(payload) -> str:
-    lines = ["key,value"]
-    for path, value in _flatten(payload):
-        lines.append(f"{path},{_scalar(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def _flatten_pretty(payload) -> str:
-    pairs = [(path, _scalar(value, precision=6)) for path, value in _flatten(payload)]
-    width = max(len(p) for p, _ in pairs)
-    return "\n".join(f"{p.ljust(width)}  {v}" for p, v in pairs) + "\n"
+def _flat_text(payload, fmt: str) -> str:
+    """The payload's leaves by dotted path, one per line: ``key,value`` CSV
+    with floats in full, or pretty aligned columns with 6 significant digits."""
+    float_text = repr if fmt == "csv" else lambda v: format(v, ".6g")
+    pairs = [(path, str(v).lower() if isinstance(v, bool)
+              else float_text(v) if isinstance(v, float) else str(v))
+             for path, v in _flatten(payload)]
+    if fmt == "csv":
+        return "".join(f"{path},{text}\n" for path, text in [("key", "value"), *pairs])
+    width = max(len(path) for path, _ in pairs)
+    return "".join(f"{path.ljust(width)}  {text}\n" for path, text in pairs)
 
 
 def _require_finite(payload) -> None:
-    """A NaN or infinity anywhere in the payload is an invariant violation.
-
-    The walk builds no key paths; they are built only to name the culprit.
-    """
-    pending = [payload]
-    while pending:
-        value = pending.pop()
-        if isinstance(value, dict):
-            pending.extend(value.values())
-        elif isinstance(value, (list, tuple)):
-            pending.extend(value)
-        elif isinstance(value, float) and not math.isfinite(value):
-            path, value = next((path, v) for path, v in _flatten(payload)
-                               if isinstance(v, float) and not math.isfinite(v))
+    """A NaN or infinity anywhere in the payload is an invariant violation,
+    named by the path of the first one in document order."""
+    for path, value in _flatten(payload):
+        if isinstance(value, float) and not math.isfinite(value):
             raise RuntimeError(f"non-finite number in output ({path} = {value!r})")
 
 
@@ -454,15 +421,12 @@ def cmd_scan(args):
     payload = {"rows": [
         {"phi": phi, "c_theory": c_th, "c_protocol": c_pr} for phi, c_th, c_pr in rows
     ]}
-    if args.format == "json":
-        return CommandOutput(payload)
-    csv_lines = ["phi,c_theory,c_protocol"]
-    pretty = ["       phi   c_theory  c_protocol"]
-    for phi, c_th, c_pr in rows:
-        csv_lines.append(f"{phi!r},{c_th!r},{c_pr!r}")
-        pretty.append(f"{phi:10.6g} {c_th:10.6g} {c_pr:11.6g}")
-    return CommandOutput(payload, csv="\n".join(csv_lines) + "\n",
-                         pretty="\n".join(pretty) + "\n")
+    return CommandOutput(
+        payload,
+        csv=lambda: "".join(["phi,c_theory,c_protocol\n"] + [
+            f"{phi!r},{c_th!r},{c_pr!r}\n" for phi, c_th, c_pr in rows]),
+        pretty=lambda: "".join(["       phi   c_theory  c_protocol\n"] + [
+            f"{phi:10.6g} {c_th:10.6g} {c_pr:11.6g}\n" for phi, c_th, c_pr in rows]))
 
 
 def cmd_gate_check(args):
@@ -577,27 +541,25 @@ def cmd_experiment(args):
         n_boot=args.boot,
     )
     payload = report.to_json_obj()
-    if args.format == "json" and not args.out:
-        return CommandOutput(payload)
-    csv_text = report.to_csv()
-    pretty_lines = ["   phi     C_th   C(rho_C)  sigma_C  Fidelity  sigma_F  C(rho_B)  distill>0.856"]
-    for r in report.rows:
-        pretty_lines.append(
+
+    def pretty():
+        return "".join(["   phi     C_th   C(rho_C)  sigma_C  Fidelity  sigma_F  C(rho_B)"
+                        "  distill>0.856\n"] + [
             f"{r.phi:7.4g} {r.c_theory:8.4g} {r.c_charlie:9.4g} {r.sigma_c:8.4g} "
             f"{r.fidelity:9.4g} {r.sigma_f:8.4g} {r.c_bob:9.4g}  "
-            f"{str(r.exceeds_distillation_threshold).lower()}")
-    pretty = "\n".join(pretty_lines) + "\n"
+            f"{str(r.exceeds_distillation_threshold).lower()}\n" for r in report.rows])
 
-    if args.out:
-        json_text = _json_text(payload)  # checked before any file is written
-        base = Path(args.out)
-        _write_out(base.with_suffix(".csv"), csv_text)
-        _write_out(base.with_suffix(".json"), json_text)
-        stem = base.with_suffix("")
-        _write_out(stem.with_name(stem.name + "_curve.csv"), report.plot_data_csv())
-        sys.stdout.write(pretty)
-        return CommandOutput(payload, already_written=True)
-    return CommandOutput(payload, csv=csv_text, pretty=pretty)
+    if not args.out:
+        return CommandOutput(payload, csv=report.to_csv, pretty=pretty)
+    # --out names three files and the table goes to stdout, whatever --format says.
+    json_text = _json_text(payload)  # checked before any file is written
+    base = Path(args.out)
+    _write_out(base.with_suffix(".csv"), report.to_csv())
+    _write_out(base.with_suffix(".json"), json_text)
+    stem = base.with_suffix("")
+    _write_out(stem.with_name(stem.name + "_curve.csv"), report.plot_data_csv())
+    sys.stdout.write(pretty())
+    return None
 
 
 def cmd_dump_stabilizers(args):
@@ -611,20 +573,16 @@ def cmd_dump_stabilizers(args):
             "wigner": [float(v) for v in w],
         })
     payload = {"n_qubits": args.n, "count": len(rows), "states": rows}
-    if args.format != "csv":
-        return CommandOutput(payload)
 
-    header = (["label"]
-              + [f"amp{k}_{part}" for k in range(dim) for part in ("re", "im")]
-              + [f"w{k}" for k in range(4 ** args.n)])
-    csv_lines = [",".join(header)]
-    for row in rows:
-        flat = [row["label"]]
-        for re_im in row["amplitudes"]:
-            flat.extend(repr(v) for v in re_im)
-        flat.extend(repr(v) for v in row["wigner"])
-        csv_lines.append(",".join(flat))
-    return CommandOutput(payload, csv="\n".join(csv_lines) + "\n")
+    def csv():
+        header = (["label"]
+                  + [f"amp{k}_{part}" for k in range(dim) for part in ("re", "im")]
+                  + [f"w{k}" for k in range(4 ** args.n)])
+        return "".join([",".join(header) + "\n"] + [
+            ",".join([row["label"], *(repr(v) for re_im in row["amplitudes"] for v in re_im),
+                      *map(repr, row["wigner"])]) + "\n" for row in rows])
+
+    return CommandOutput(payload, csv=csv)
 
 
 if __name__ == "__main__":

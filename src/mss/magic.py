@@ -119,8 +119,8 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
     yvec = sol.duals[:k]
     f_lhs = float((yvec @ F).max())
     gap = float(yvec @ w) - f_lhs
-    if abs(np.abs(w - f_star).sum() - sol.fun) > 1e-8 or abs(gap - sol.fun) > 1e-7:
-        raise RuntimeError(
+    if not (abs(np.abs(w - f_star).sum() - sol.fun) <= 1e-8 and abs(gap - sol.fun) <= 1e-7):
+        raise RuntimeError(  # also for a NaN objective, which compares false
             "LP postcondition violated: primal/dual certificates disagree with the optimum")
 
     c_value = 0.0 if sol.fun < CLAMP_TOL else float(sol.fun)

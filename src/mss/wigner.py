@@ -42,9 +42,9 @@ def as_wigner_vector(values) -> np.ndarray:
     """A quasi-probability vector as a read-only float array, after its two
     checks: the entries sum to 1 within 1e-9 and none exceeds 1 in magnitude."""
     v = np.array(values, dtype=float).reshape(-1)
-    if abs(v.sum() - 1.0) > 1e-9:
+    if not abs(v.sum() - 1.0) <= 1e-9:  # written so that NaN fails too
         raise ValueError("Wigner vector does not sum to 1 within 1e-9")
-    if np.abs(v).max() > 1.0:
+    if not np.abs(v).max() <= 1.0:
         raise ValueError("Wigner vector has an entry with |value| > 1")
     v.setflags(write=False)
     return v

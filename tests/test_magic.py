@@ -1,5 +1,7 @@
 """Tests for the Wigner-distance LP against its closed-form and geometric oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -420,6 +422,14 @@ class TestPrimalDualAgreement:
         assert y @ w - np.max(y @ F) == pytest.approx(res.c_value, abs=1e-9)
         assert np.abs(y).max() <= 1.0 + 1e-9
         assert lam.min() >= 0.0 and lam.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_nan_objective_fails_the_postcondition(self, monkeypatch):
+        def nan_objective(*args, **kwargs):
+            return dataclasses.replace(solve_lp(*args, **kwargs), fun=np.nan)
+
+        monkeypatch.setattr(mss.magic, "solve_lp", nan_objective)
+        with pytest.raises(RuntimeError, match="LP postcondition violated"):
+            wigner_distance(phase_plus(np.pi / 4).density())
 
 
 class TestOptimalMixture:
