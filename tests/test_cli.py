@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, formats, schema validation, determinism."""
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mss.cli as cli_mod
+from mss import tomo
 from mss.cli import main
 
 from conftest import PROPERTY
@@ -601,6 +603,44 @@ S1_05,1.0,0.0,0.0,0.0,0.5,0.5,0.0,0.0
             assert (tmp_path / fmt / "exp.csv").read_text() == texts["csv"]
             assert (tmp_path / fmt / "exp.json").read_text() == texts["json"]
             assert (tmp_path / fmt / "exp_curve.csv").read_text().startswith("kind,phi,")
+
+
+    EXPERIMENT = ("experiment", "--phis", f"{PI_8},1.3", "--shots", "256", "--seed", "5",
+                  "--boot", "100", "--format")
+
+    def test_experiment_csv_and_json_rows_follow_the_row_fields(self, capsys):
+        fields = [f.name for f in dataclasses.fields(tomo.ExperimentRow)]
+        header, *lines = self.text(capsys, *self.EXPERIMENT, "csv").split("\n")
+        assert header.split(",") == fields
+        rows = json.loads(self.text(capsys, *self.EXPERIMENT, "json"))["rows"]
+        assert [list(row) for row in rows] == [fields, fields]
+        assert lines[-1] == "" and len(lines) == len(rows) + 1
+        for line, row in zip(lines, rows):
+            assert type(row["n_eff"]) is int
+            assert line.split(",") == [format(v, ".17g") if isinstance(v, float)
+                                       else str(v).lower() for v in row.values()]
+
+    def test_experiment_csv_text(self, capsys):
+        # Floats as .17g (so 0.0 is "0"), the bool in lowercase, n_eff as an int.
+        assert self.text(capsys, *self.EXPERIMENT, "csv") == """\
+phi,c_theory,c_charlie,sigma_c,fidelity,sigma_f,c_bob,n_eff,exceeds_distillation_threshold
+0.39269908169872414,0.15328148243818829,0.1572462534092639,0.036700846026073909,\
+0.99998639296442604,0.011949043237749628,0,127,true
+1.3,0.11552850702089013,0.058932434472002804,0.047077662689925158,\
+0.96282116931853468,0.01814407902611662,0,130,true
+"""
+
+    def test_experiment_curve_csv_text(self, capsys, tmp_path):
+        self.text(capsys, *self.EXPERIMENT, "csv", "--out", str(tmp_path / "exp"))
+        header, first, *_, last_curve, p0, p1, end = (
+            (tmp_path / "exp_curve.csv").read_text().split("\n"))
+        assert header == "kind,phi,c_theory,c_measured,sigma_c"
+        assert first == "curve,0,0,,"
+        assert last_curve == "curve,6.2831853071795862,1.1102230246251565e-16,,"
+        assert p0 == ("point,0.39269908169872414,0.15328148243818829,0.1572462534092639,"
+                      "0.036700846026073909")
+        assert p1 == "point,1.3,0.11552850702089013,0.058932434472002804,0.047077662689925158"
+        assert end == ""
 
 
 class TestExitCodes:

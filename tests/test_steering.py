@@ -189,6 +189,19 @@ class TestCertification:
             rec = certify_exact(phi)
             assert rec.gap == pytest.approx(c_closed_form(phi), abs=1e-7), f"phi={phi}"
 
+    def test_matches_the_lp_route_byte_for_byte(self):
+        # Multiples of pi/4, angles within 2e-10 of a stabilizer secret (C near
+        # the 1e-10 clamp), and negative and random angles.
+        phis = ([k * np.pi / 4 for k in range(-8, 9)]
+                + [2e-10, -2e-10, np.pi / 2 + 2e-10, np.pi / 2 - 2e-10, 1e-9, -1e-9]
+                + list(np.random.default_rng(23).uniform(-7.0, 7.0, size=177)))
+        for phi in phis:
+            a = build_assemblage(phi)
+            want = evaluate_functional(a, solve_witness(a))
+            got = certify_exact(phi)
+            assert ((got.f_value.hex(), got.f_lhs.hex())
+                    == (want.f_value.hex(), want.f_lhs.hex())), f"phi={phi!r}"
+
     def test_lhs_assemblages_never_certify(self, rng):
         for _ in range(100):
             a = random_lhs_assemblage(rng)
