@@ -33,6 +33,7 @@ from .steering import (
     evaluate_functional,
     random_lhs_assemblage,
     sampled_certification,
+    solve_witness,
     z_setting_probe,
 )
 from .tomo import NoiseModel, experiment_table, reconstruct, sample_run
@@ -71,6 +72,7 @@ __all__ = [
     "sample_run",
     "sampled_certification",
     "security_report",
+    "solve_witness",
     "tensor",
     "trace_distance",
     "wigner_distance",

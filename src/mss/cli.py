@@ -310,43 +310,34 @@ def _json_text(payload) -> str:
 def _append_json(value, append, newline: str, _str=encode_basestring_ascii,
                  _float=float.__repr__, _finite=math.isfinite) -> None:
     """Append ``value``'s JSON text in pieces; ``newline`` starts a line at its
-    depth.  Finite floats and containers are handled in the loops, the rest
-    by :func:`_json_scalar`."""
+    depth.  Finite floats and containers are handled in the loop over a
+    container's items, a dict's prefixed by their keys, the rest by
+    :func:`_json_scalar`."""
     if isinstance(value, dict):
-        if not value:
-            append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            sep += (_str(key) if isinstance(key, str) else _str(_json_key(key))) + ": "
-            if isinstance(item, float) and _finite(item):
-                append(sep + _float(item))
-            elif isinstance(item, (dict, list, tuple)):
-                append(sep)
-                _append_json(item, append, inner)
-            else:
-                append(sep + _json_scalar(item))
-            sep = "," + inner
-        append(newline + "}")
+        keyed, brackets, items = True, "{}", value.items()
     elif isinstance(value, (list, tuple)):
-        if not value:
-            append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            if isinstance(item, float) and _finite(item):
-                append(sep + _float(item))
-            elif isinstance(item, (dict, list, tuple)):
-                append(sep)
-                _append_json(item, append, inner)
-            else:
-                append(sep + _json_scalar(item))
-            sep = "," + inner
-        append(newline + "]")
+        keyed, brackets, items = False, "[]", value
     else:
         append(_json_scalar(value))
+        return
+    if not value:
+        append(brackets)
+        return
+    inner = newline + "  "
+    sep = brackets[0] + inner
+    for item in items:
+        if keyed:
+            key, item = item
+            sep += (_str(key) if isinstance(key, str) else _str(_json_key(key))) + ": "
+        if isinstance(item, float) and _finite(item):
+            append(sep + _float(item))
+        elif isinstance(item, (dict, list, tuple)):
+            append(sep)
+            _append_json(item, append, inner)
+        else:
+            append(sep + _json_scalar(item))
+        sep = "," + inner
+    append(newline + brackets[1])
 
 
 def _json_scalar(value) -> str:
@@ -436,28 +427,21 @@ def cmd_gate_check(args):
     g = np.array([[complex(vals[0], vals[1]), complex(vals[2], vals[3])],
                   [complex(vals[4], vals[5]), complex(vals[6], vals[7])]])
     probes = [_angle(args, p, "--probes") for p in _floats(args.probes, "--probes")]
-    payload = {
+    try:
+        require_unitary(g, protocol.GATE_ATOL)
+    except ValueError:
+        # Non-unitary input: the protocol runner rejects it, but the column-sum
+        # predicate is still well defined and worth reporting, with no probes.
+        s0, s1 = protocol.column_sums(g)
+        unitary, record = False, protocol.GateAdmissibility(
+            probe_phis=(), col0_sums=(s0,), col1_sums=(s1,), c_values=(), bob_i2_distances=(),
+            secure=protocol.satisfies_column_sum(g), faithful=False)
+    else:
+        unitary, record = True, protocol.check_gate_admissibility(g, probes)
+    return CommandOutput({
         "matrix": [[vals[0], vals[1]], [vals[2], vals[3]],
                    [vals[4], vals[5]], [vals[6], vals[7]]],
-    }
-    try:
-        require_unitary(g, atol=1e-10)
-    except ValueError:
-        # Non-unitary input: the protocol runner rejects it, but the
-        # column-sum predicate is still well defined and worth reporting.
-        s0, s1 = protocol.column_sums(g)
-        payload.update({
-            "unitary": False,
-            "col0_sum_abs": s0,
-            "col1_sum_abs": s1,
-            "secure": protocol.satisfies_column_sum(g),
-            "faithful": False,
-            "probes": [],
-        })
-        return CommandOutput(payload)
-    record = protocol.check_gate_admissibility(g, probes)
-    payload.update({
-        "unitary": True,
+        "unitary": unitary,
         "col0_sum_abs": record.col0_sum_abs,
         "col1_sum_abs": record.col1_sum_abs,
         "secure": record.secure,
@@ -469,7 +453,6 @@ def cmd_gate_check(args):
                                          record.bob_i2_distances)
         ],
     })
-    return CommandOutput(payload)
 
 
 def cmd_magic_eval(args):
@@ -506,29 +489,21 @@ def cmd_certify(args):
     phi = _angle(args, args.phi, "--phi")
     seed = _seed(args)
     if args.shots is None:
-        record = steering.certify_exact(phi)
-        payload = {
-            "mode": "exact",
-            "f": record.f_value,
-            "f_lhs": record.f_lhs,
-            "gap": record.gap,
-            "certified_c": record.certified_c,
-        }
-        return CommandOutput(payload)
-    if seed is None:
+        mode, record, spread = "exact", steering.certify_exact(phi), {}
+    elif seed is None:
         raise ValueError("--shots mode requires --seed")
-    sc = steering.sampled_certification(
-        phi, shots=args.shots, noise=_noise_from(args), seed=seed, n_boot=args.boot)
-    payload = {
-        "mode": "sampled",
-        "f": sc.record.f_value,
-        "f_lhs": sc.record.f_lhs,
-        "gap": sc.record.gap,
-        "certified_c": sc.record.certified_c,
-        "sigma_gap": sc.sigma_gap,
-        "n_eff": sc.n_eff,
-    }
-    return CommandOutput(payload)
+    else:
+        sc = steering.sampled_certification(
+            phi, shots=args.shots, noise=_noise_from(args), seed=seed, n_boot=args.boot)
+        mode, record, spread = "sampled", sc.record, {"sigma_gap": sc.sigma_gap, "n_eff": sc.n_eff}
+    return CommandOutput({
+        "mode": mode,
+        "f": record.f_value,
+        "f_lhs": record.f_lhs,
+        "gap": record.gap,
+        "certified_c": record.certified_c,
+        **spread,
+    })
 
 
 def cmd_experiment(args):

@@ -46,6 +46,7 @@ from .qcore import DensityMatrix, H, I2, X, dm_from_bloch, ghz, phase_gate, requ
 
 MIN_PARTIES = 3
 MAX_PARTIES = 6  # 2^6 amplitudes; enough to exercise the induction fully
+GATE_ATOL = 1e-10  # an injected gate's unitarity and column-sum tolerance, on every path
 
 PLUS, MINUS = "+", "-"
 
@@ -123,9 +124,10 @@ def _history_tables(n: int) -> tuple[np.ndarray, ...]:
 
 def _branch_tensor(gate: np.ndarray, n: int) -> np.ndarray:
     """H on the axes of parties 0..n-2 of gate_0 |GHZ_n>, shape (2,)*n; the
-    protocol injects gate = P(phi)."""
+    protocol injects gate = P(phi), and any gate must be unitary within GATE_ATOL."""
     _require_parties(n)
-    psi = np.dot(require_unitary(gate), ghz(n).amps.reshape(2, -1)).reshape(2 ** (n - 1), 2)
+    g = require_unitary(gate, GATE_ATOL)
+    psi = np.dot(g, ghz(n).amps.reshape(2, -1)).reshape(2 ** (n - 1), 2)
     return (_hadamard_power(n - 1) @ psi).reshape((2,) * n)
 
 
@@ -255,7 +257,7 @@ def column_sums(gate: np.ndarray) -> tuple[float, float]:
     return float(abs(g[0, 0] + g[1, 0])), float(abs(g[0, 1] + g[1, 1]))
 
 
-def satisfies_column_sum(gate: np.ndarray, atol: float = 1e-10) -> bool:
+def satisfies_column_sum(gate: np.ndarray, atol: float = GATE_ATOL) -> bool:
     """Both column sums have unit modulus: the unauthorised marginal is I/2."""
     s0, s1 = column_sums(gate)
     return abs(s0 - 1.0) <= atol and abs(s1 - 1.0) <= atol
@@ -277,7 +279,7 @@ def _deliver_with_gate(gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def bob_marginal_after_projection(gate: np.ndarray) -> DensityMatrix:
     """Coalition-member marginal after the dealer's |+> projection."""
-    _, bob = _deliver_with_gate(require_unitary(gate, atol=1e-10))
+    _, bob = _deliver_with_gate(gate)
     return dm_from_bloch(bob)
 
 
@@ -294,7 +296,7 @@ def check_gate_admissibility(gate, probe_phis: Sequence[float]) -> GateAdmissibi
         raise ValueError("probe_phis must be nonempty and finite")
     family: GateFamily = gate if callable(gate) else (lambda _phi, _g=np.asarray(gate, dtype=complex): _g)
 
-    gates = [require_unitary(family(phi), atol=1e-10) for phi in probes]
+    gates = [require_unitary(family(phi), GATE_ATOL) for phi in probes]
     col0, col1 = zip(*map(column_sums, gates))
     blochs = np.array([_deliver_with_gate(g) for g in gates])  # [probe, (delivered, bob), xyz]
     c_vals = tuple(octahedron_distance(blochs[:, 0]).tolist())

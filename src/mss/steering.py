@@ -18,10 +18,11 @@ eigenstate and readout bit 1, so that sigma_{0|Y} = S sigma_{0|X} S^dagger.
 That covariance is what lets one witness serve both settings: the
 functional evaluates the Y term against the S-conjugated witness (same
 stabilizer bound, because Clifford conjugation permutes the polytope
-vertices), and a single LP solve at sigma_{0|X} certifies the gap exactly.
-For one qubit that LP's witness has a closed form, :func:`sign_witness`, so
-the finite-shot certification solves no LP.  No angle ever enters the
-certification path except through the assemblage states themselves.
+vertices), and the witness at sigma_{0|X} certifies the gap exactly.
+For one qubit the LP's witness has a closed form, :func:`sign_witness`, so
+neither the exact nor the finite-shot certification solves an LP;
+:func:`solve_witness` is the LP route they agree with.  No angle ever enters
+the certification path except through the assemblage states themselves.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from . import tomo
 from .magic import MagicResult, octahedron_distance, sign_witness, wigner_distance, witness_signs
 from .protocol import _branch_tensor
-from .qcore import H, I2, DensityMatrix, S, phase_gate
+from .qcore import H, I2, DensityMatrix, S, bloch, phase_gate
 from .stabilizer import enumerate_stabilizer_states
 
 SETTINGS = ("X", "Y")
@@ -87,6 +88,8 @@ class CertificationRecord:
 
 # R_x per dealer setting: H R_x is the setting's readout rotation.
 _SETTING_ROTATION = {"X": I2, "Y": S.conj().T, "Z": H}
+# The dealer's readout bit of outcome 0 per setting: Y's is the -1 eigenstate, bit 1.
+_OUTCOME_0_BIT = {"X": 0, "Y": 1}
 
 
 def _conditional_states(setting: str, phi: float) -> list[tuple[float, DensityMatrix]]:
@@ -109,8 +112,7 @@ def build_assemblage(phi: float) -> Assemblage:
     for setting in SETTINGS:
         states = _conditional_states(setting, phi)
         for outcome in (0, 1):
-            # Y outcome 0 is the -1 eigenstate, readout bit 1 (see module docstring).
-            members[(setting, outcome)] = states[outcome if setting == "X" else 1 - outcome]
+            members[(setting, outcome)] = states[outcome ^ _OUTCOME_0_BIT[setting]]
     return Assemblage(members=members)
 
 
@@ -147,15 +149,25 @@ def evaluate_functional(assemblage: Assemblage, witness: MagicResult) -> Certifi
     return CertificationRecord(f_value=f_value, f_lhs=witness.f_lhs)
 
 
-def certify_exact(phi: float) -> CertificationRecord:
-    """Build the ideal assemblage at phi, solve its witness, and evaluate."""
-    assemblage = build_assemblage(phi)
-    return evaluate_functional(assemblage, solve_witness(assemblage))
-
-
 # The witness wigner_distance reports, with F_LHS = 0, for a state whose C is 0.
 _ZERO_WITNESS = np.zeros((2, 2), dtype=complex)
 _ZERO_WITNESS.setflags(write=False)
+
+
+def _certification(sigma_x: DensityMatrix, sigma_y: DensityMatrix,
+                   c_x: float) -> CertificationRecord:
+    """The functional at sigma_{0|X}, sigma_{0|Y} with the witness wigner_distance
+    reports at sigma_{0|X}, whose C is ``c_x``: :func:`sign_witness` where C is
+    positive, and the zero witness (F = F_LHS = 0) otherwise.  No LP is solved."""
+    h, f_lhs = sign_witness(sigma_x) if c_x > 0 else (_ZERO_WITNESS, 0.0)
+    return CertificationRecord(f_value=_functional_value(sigma_x, sigma_y, h), f_lhs=f_lhs)
+
+
+def certify_exact(phi: float) -> CertificationRecord:
+    """Build the ideal assemblage at phi and evaluate it against its witness."""
+    assemblage = build_assemblage(phi)
+    sigma_x = assemblage.state("X", 0)
+    return _certification(sigma_x, assemblage.state("Y", 0), octahedron_distance(bloch(sigma_x)))
 
 
 @dataclass(frozen=True)
@@ -170,13 +182,11 @@ def sampled_certification(phi: float, shots: int, noise, seed: int,
     """Finite-shot certification via tomographic reconstruction of the
     conditional states, with a parametric bootstrap on the gap.
 
-    The dealer's Y-setting outcome 0 is the -1 eigenstate, which the
-    hardware-style rotation maps to measured bit 1, hence the keep-bit flip.
-    No LP is solved: the point estimate takes :func:`sign_witness` at the
-    reconstructed sigma_{0|X} when its C is positive, and the zero witness
-    (F = F_LHS = 0) otherwise, which is the witness wigner_distance reports
-    for that state.  Every bootstrap replica re-derives the witness at its
-    own reconstructed sigma_{0|X} by the same rule, in the closed form of
+    Outcome 0 of each setting keeps the dealer's readout bit in
+    ``_OUTCOME_0_BIT``.  No LP is solved: the point estimate is
+    :func:`_certification` at the reconstructed states, as for
+    :func:`certify_exact`.  Every bootstrap replica re-derives the witness at
+    its own reconstructed sigma_{0|X} by the same rule, in the closed form of
     :func:`_sign_witness_gaps`, so sigma_gap includes the witness's own
     sampling wobble.
 
@@ -187,11 +197,9 @@ def sampled_certification(phi: float, shots: int, noise, seed: int,
     # sigma_{0|X}'s X, Y, Z counts, then sigma_{0|Y}'s
     base = [tomo.post_select_and_correct(tomo.sample_run(phi, basis, shots, noise, seed,
                                                          alice_setting=setting), keep_bit)
-            for setting, keep_bit in (("X", 0), ("Y", 1)) for basis in ("X", "Y", "Z")]
+            for setting, keep_bit in _OUTCOME_0_BIT.items() for basis in ("X", "Y", "Z")]
     recon_x, recon_y = tomo.reconstruct(*base[:3]), tomo.reconstruct(*base[3:])
-    h, f_lhs = sign_witness(recon_x.rho) if recon_x.c_value > 0 else (_ZERO_WITNESS, 0.0)
-    record = CertificationRecord(
-        f_value=_functional_value(recon_x.rho, recon_y.rho, h), f_lhs=f_lhs)
+    record = _certification(recon_x.rho, recon_y.rho, recon_x.c_value)
 
     rng = tomo.stream_rng(seed, f"certify-boot/{phi:.17g}")
     raw = tomo.resample_expectations(base, n_boot, rng)

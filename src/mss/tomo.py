@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -412,6 +412,10 @@ class ExperimentRow:
     exceeds_distillation_threshold: bool
 
 
+# An experiment row's JSON keys and CSV columns, in order.
+_ROW_FIELDS = tuple(f.name for f in fields(ExperimentRow))
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     rows: tuple[ExperimentRow, ...]
@@ -422,17 +426,9 @@ class ExperimentReport:
     # One entry per phi: the recipient's X, Y, Z tables, then the middle party's.
     raw_counts: tuple[tuple[CountsTable, ...], ...]
 
-    CSV_HEADER = ("phi,c_theory,c_charlie,sigma_c,fidelity,sigma_f,c_bob,"
-                  "n_eff,exceeds_distillation_threshold")
-
     def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(",".join([
-                _fmt(r.phi), _fmt(r.c_theory), _fmt(r.c_charlie), _fmt(r.sigma_c),
-                _fmt(r.fidelity), _fmt(r.sigma_f), _fmt(r.c_bob),
-                str(r.n_eff), str(r.exceeds_distillation_threshold).lower(),
-            ]))
+        lines = [",".join(_ROW_FIELDS)]
+        lines += [",".join([_fmt(getattr(r, name)) for name in _ROW_FIELDS]) for r in self.rows]
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
@@ -446,20 +442,7 @@ class ExperimentReport:
                 "readout": self.noise.readout.tolist(),
             },
             "distillation_threshold": DISTILLATION_THRESHOLD,
-            "rows": [
-                {
-                    "phi": r.phi,
-                    "c_theory": r.c_theory,
-                    "c_charlie": r.c_charlie,
-                    "sigma_c": r.sigma_c,
-                    "fidelity": r.fidelity,
-                    "sigma_f": r.sigma_f,
-                    "c_bob": r.c_bob,
-                    "n_eff": r.n_eff,
-                    "exceeds_distillation_threshold": r.exceeds_distillation_threshold,
-                }
-                for r in self.rows
-            ],
+            "rows": [{name: getattr(r, name) for name in _ROW_FIELDS} for r in self.rows],
             "raw_counts": [  # LSb-0 bitstrings "q2 q1 q0" of the outcomes seen
                 {party: {t.basis_label: dict(sorted((format(i, "03b")[::-1], int(n))
                                                     for i, n in enumerate(t.counts) if n))
@@ -480,8 +463,11 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt(x: bool | int | float) -> str:
+    """A CSV cell: a bool in lowercase, an int as is, a float to 17 significant digits."""
+    if isinstance(x, bool):
+        return str(x).lower()
+    return str(x) if isinstance(x, int) else format(float(x), ".17g")
 
 
 def experiment_table(phis: Sequence[float], shots: int, noise: NoiseModel,

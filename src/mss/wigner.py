@@ -40,12 +40,13 @@ def phase_point_operator(point: PhasePoint) -> np.ndarray:
 
 def as_wigner_vector(values) -> np.ndarray:
     """A quasi-probability vector as a read-only float array, after its two
-    checks: the entries sum to 1 within 1e-9 and none exceeds 1 in magnitude."""
+    checks: every entry is finite with magnitude at most 1, and the entries
+    sum to 1 within 1e-9."""
     v = np.array(values, dtype=float).reshape(-1)
-    if not abs(v.sum() - 1.0) <= 1e-9:  # written so that NaN fails too
+    if not np.abs(v).max() <= 1.0:  # NaN fails too; checked before the sum warns on inf - inf
+        raise ValueError("Wigner vector has a non-finite entry or one with |value| > 1")
+    if abs(v.sum() - 1.0) > 1e-9:
         raise ValueError("Wigner vector does not sum to 1 within 1e-9")
-    if not np.abs(v).max() <= 1.0:
-        raise ValueError("Wigner vector has an entry with |value| > 1")
     v.setflags(write=False)
     return v
 

@@ -157,6 +157,19 @@ class TestGateCheck:
         assert payload == {**payload, "unitary": False, "secure": False}
         assert payload["col1_sum_abs"] == pytest.approx(0.9)
 
+    def test_gate_just_outside_the_tolerance_is_non_unitary(self, capsys):
+        # |G00|^2 - 1 = 6e-10, outside the 1e-10 gate tolerance.
+        payload = run_json(capsys, "gate-check", "--matrix", "1.0000000003,0,0,0,0,0,1,0")
+        validate("gate-check", payload)
+        assert payload == {**payload, "unitary": False, "secure": False, "probes": []}
+
+    def test_gate_inside_the_tolerance_is_checked_as_unitary(self, capsys):
+        # |G00|^2 - 1 = 6e-11, inside the 1e-10 gate tolerance on every path.
+        payload = run_json(capsys, "gate-check", "--matrix", "1.00000000003,0,0,0,0,0,1,0")
+        validate("gate-check", payload)
+        assert payload["unitary"] and payload["secure"]
+        assert [probe["col0"] for probe in payload["probes"]] == [1.00000000003] * 4
+
     @pytest.mark.parametrize("probes", ["--probes=,", "--probes=nan"])
     def test_empty_or_non_finite_probes_are_usage_errors(self, capsys, probes):
         code, out, err = run_cli(capsys, "gate-check", "--matrix", "1,0,0,0,0,0,1,0", probes,

@@ -388,6 +388,19 @@ class TestGateAdmissibility:
         assert not satisfies_column_sum(bad)
         assert column_sums(bad) == (1.0, 0.9)
 
+    def test_one_unitarity_tolerance_on_every_path(self):
+        # |G00|^2 - 1 = 6e-11: inside the 1e-10 gate tolerance, outside 1e-12.
+        near = np.diag([1 + 3e-11, 1])
+        rec = check_gate_admissibility(near, [0.3])
+        assert rec.secure and rec.col0_sums == (1 + 3e-11,)
+        assert trace_distance(bob_marginal_after_projection(near), maximally_mixed(1)) <= 1e-10
+        # |G00|^2 - 1 = 6e-10: outside it, on every path.
+        far = np.diag([1 + 3e-10, 1])
+        for call in (lambda: check_gate_admissibility(far, [0.3]),
+                     lambda: bob_marginal_after_projection(far)):
+            with pytest.raises(ValueError, match="not unitary"):
+                call()
+
     @pytest.mark.parametrize("probes", [(), (0.3, float("nan")), (float("inf"),)])
     def test_empty_or_non_finite_probes_rejected(self, probes):
         with pytest.raises(ValueError, match="nonempty and finite"):

@@ -202,6 +202,15 @@ class TestCertification:
             assert ((got.f_value.hex(), got.f_lhs.hex())
                     == (want.f_value.hex(), want.f_lhs.hex())), f"phi={phi!r}"
 
+    def test_solves_no_lp(self, monkeypatch):
+        want = certify_exact(0.3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact certification solved an LP")
+
+        monkeypatch.setattr(mss.magic, "solve_lp", refuse)
+        assert certify_exact(0.3) == want
+
     def test_lhs_assemblages_never_certify(self, rng):
         for _ in range(100):
             a = random_lhs_assemblage(rng)

@@ -169,7 +169,8 @@ class TestRoundTrip:
             as_wigner_vector(np.array([1.5, -0.5, 0.0, 0.0]))
 
     @pytest.mark.parametrize("values", [[np.nan, 1.0, 0.0, 0.0], [0.5, 0.5, np.nan, np.nan],
-                                        [np.inf, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, -np.inf]])
+                                        [np.inf, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, -np.inf],
+                                        [np.inf, -np.inf, 1.0, 0.0]])
     def test_non_finite_entry_rejected(self, values):
         with pytest.raises(ValueError, match="Wigner vector"):
             as_wigner_vector(values)
