@@ -310,8 +310,8 @@ def _json_text(payload) -> str:
 def _append_json(value, append, newline: str, _str=encode_basestring_ascii,
                  _float=float.__repr__, _finite=math.isfinite) -> None:
     """Append ``value``'s JSON text in pieces; ``newline`` starts a line at its
-    depth.  Finite floats and containers are handled in the loop over a
-    container's items, a dict's prefixed by their keys, the rest by
+    depth.  One loop writes a dict's or a list's items, a dict's each after
+    its key: finite floats and containers there, any other value by
     :func:`_json_scalar`."""
     if isinstance(value, dict):
         keyed, brackets, items = True, "{}", value.items()
