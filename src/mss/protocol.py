@@ -8,15 +8,14 @@ k, so the transcript keeps the broadcasts as one "+"/"-" string in step
 order; every party hears all of them, so the recipient's correction is a
 function of the transcript alone.
 
-The X measurements act on distinct qubits, so by deferred measurement
-(Nielsen & Chuang section 4.4) H^{(x)(n-1)} on parties 0..n-2, one cached
-2^{n-1} x 2^{n-1} matrix, multiplies the phased GHZ amplitudes once, and
-each branch is a slice of the result: the slice at (o_0, ..., o_{n-2}) is
-the recipient's unnormalised state, its squared norm the branch probability,
-and a prefix slice the register after that many broadcasts.  A party's
-marginal is the Gram matrix of its axis on a prefix slice; one batched matmul
-forms all of them for a branch at once, each read as a Bloch vector, mapped
-back by (x, y, z) -> (z, -y, x) where H is still applied on that axis.
+The register is the (4,)*m tensor of its Pauli coefficients, as in ``tomo``:
+r[a_0, ..., a_{m-1}] = tr(rho P_{a_0} x ... x P_{a_{m-1}}), P in (I, X, Y, Z).
+Every step is a slice or a sign.  |GHZ_n> has 2^n nonzero terms, none of
+weight 1; the dealer's gate acts by its transfer matrix on axis 0; an X
+broadcast with outcome s = +-1 by the party on axis 0 leaves the rest
+(r[I] + s r[X]) / 2, whose identity term is the branch probability so far; a
+party's Bloch vector is its weight-1 terms over the identity term; and the
+recipient's Z correction flips the signs of its X and Y terms.
 
 Correction bookkeeping: every X measurement flips the sign of the e^{i phi}
 branch when it lands on "minus", the dealer's included.  The recipient
@@ -27,25 +26,26 @@ The transcript keeps the raw broadcasts so either convention can be audited.
 Security is read from Bloch vectors b alone, at each party's first step of
 largest |b|: its magic is the octahedron distance of b, which equals the
 Wigner-distance LP for one qubit, and its trace distance to I/2 is |b|/2.
-Gate admissibility reads the same tensor with an arbitrary gate in place of
-P(phi), and so does the steering assemblage, with the dealer's setting
+Gate admissibility runs the same register with an arbitrary gate in place
+of P(phi), and so does the steering assemblage, with the dealer's setting
 rotation folded into that gate.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .magic import c_closed_form, octahedron_distance
-from .qcore import DensityMatrix, H, I2, X, dm_from_bloch, ghz, phase_gate, require_unitary
+from .qcore import DensityMatrix, I2, X, dm_from_bloch, phase_gate, ptm, require_unitary
 
 MIN_PARTIES = 3
-MAX_PARTIES = 6  # 2^6 amplitudes; enough to exercise the induction fully
+MAX_PARTIES = 6  # 4^6 Pauli terms; enough to exercise the induction fully
 GATE_ATOL = 1e-10  # an injected gate's unitarity and column-sum tolerance, on every path
 
 PLUS, MINUS = "+", "-"
@@ -71,92 +71,78 @@ class ProtocolTranscript:
                            for k in range(n)) for j in range(n))
 
 
-# (x, y, z, trace) of a qubit from its Gram entries (g00, g01, g10, g11): x = 2 Re g01,
-# y = -2 Im g01 = Re(2i g01), z = g00 - g11; _H_FRAME reads (z, -y, x) where H still acts.
-_GRAM_TO_BLOCH = np.array([[0, 0, 1, 1], [2, 2j, 0, 0], [0, 0, 0, 0], [0, 0, -1, 1]])
-_H_FRAME = _GRAM_TO_BLOCH[:, [2, 1, 0, 3]] * (1, -1, 1, 1)
-
-
-def _blochs(pairs: np.ndarray, to_bloch: np.ndarray = _GRAM_TO_BLOCH) -> np.ndarray:
-    """Bloch vectors of unnormalised qubits: ``pairs[..., i, h]`` is the amplitude
-    of the qubit's |i> next to basis state h of the rest; returns shape (..., 3)."""
-    g = (pairs @ pairs.conj().swapaxes(-1, -2)).reshape(pairs.shape[:-2] + (4,))
-    b = (g @ to_bloch).real
-    return b[..., :3] / b[..., 3:]
-
-
-@lru_cache(maxsize=None)
-def _hadamard_power(m: int) -> np.ndarray:
-    """H^{(x)m} as a read-only 2^m x 2^m matrix, party 0 most significant."""
-    h = np.ones((1, 1), dtype=complex)
-    for _ in range(m):
-        h = np.kron(h, H)
-    h.setflags(write=False)
-    return h
-
-
-@lru_cache(maxsize=None)
-def _axis_pairs(m: int) -> np.ndarray:
-    """Read-only (m, 2, 2^{m-1}) flat indices of a (2,)*m tensor: row [a, i]
-    lists the entries with axis a equal to i, the other axes in order."""
-    flat = np.arange(2 ** m).reshape((2,) * m)
-    idx = np.stack([np.moveaxis(flat, a, 0).reshape(2, -1) for a in range(m)])
-    idx.setflags(write=False)
-    return idx
-
-
-def _require_parties(n: int) -> None:
+def _require_parties(n) -> int:
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
     if not MIN_PARTIES <= n <= MAX_PARTIES:
         raise ValueError(f"n must be in [{MIN_PARTIES}, {MAX_PARTIES}]")
+    return n
 
 
 @lru_cache(maxsize=None)
-def _history_tables(n: int) -> tuple[np.ndarray, ...]:
-    """Read-only tables for :func:`_run`, a row per (step j, party k >= j): j, k, axis
-    k's rows of :func:`_axis_pairs`, 2^{n-1-j}, and axis k's Gram-to-(x, y, z, trace) map."""
-    steps, axes = np.triu_indices(n)
-    maps = np.stack([_GRAM_TO_BLOCH if k == n - 1 else _H_FRAME for k in axes])
-    tables = (steps, axes, _axis_pairs(n)[axes], (1 << (n - 1 - steps))[:, None], maps)
-    for a in tables:
-        a.setflags(write=False)
-    return tables
+def _ghz(n: int) -> np.ndarray:
+    """|GHZ_n><GHZ_n| as its read-only (4,)*n Pauli tensor: half the sum over
+    i, j in {0, 1} of the n-fold products of tr(|i><j| P)."""
+    rows = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1j, 0], [0, 1, -1j, 0]])
+    r = sum(reduce(np.multiply.outer, [row] * n) for row in rows).real / 2
+    r.setflags(write=False)
+    return r
 
 
-def _branch_tensor(gate: np.ndarray, n: int) -> np.ndarray:
-    """H on the axes of parties 0..n-2 of gate_0 |GHZ_n>, shape (2,)*n; the
-    protocol injects gate = P(phi), and any gate must be unitary within GATE_ATOL."""
-    _require_parties(n)
-    g = require_unitary(gate, GATE_ATOL)
-    psi = np.dot(g, ghz(n).amps.reshape(2, -1)).reshape(2 ** (n - 1), 2)
-    return (_hadamard_power(n - 1) @ psi).reshape((2,) * n)
+def _dealt(gate: np.ndarray, n: int) -> np.ndarray:
+    """The Pauli tensor of gate_0 |GHZ_n>; the protocol injects gate = P(phi),
+    and any gate must be unitary within GATE_ATOL."""
+    n = _require_parties(n)
+    r = _ghz(n)
+    return (ptm(require_unitary(gate, GATE_ATOL)) @ r.reshape(4, -1)).reshape(r.shape)
 
 
-def _run(t: np.ndarray, phi: float, bits: Sequence[int]) -> ProtocolTranscript:
-    """The branch with outcomes ``bits`` (0 for "+") read from the branch tensor.
+def _broadcast(r: np.ndarray, bit: int) -> np.ndarray:
+    """What the party on axis 0 leaves the others when it broadcasts ``bit``
+    (0 for "+"): tr_0(|+-><+-| rho) = (r[I] +- r[X]) / 2, unnormalised."""
+    return (r[0] - r[1]) / 2 if bit else (r[0] + r[1]) / 2
 
-    One pass reads the whole history: after step j the register is the slice of
-    indices h of the other axes with (h XOR bits) < 2^{n-1-j}, and one batched
-    matmul forms every party's Gram matrix on every such slice."""
-    n = t.ndim
-    steps, axes, pairs, spans, maps = _history_tables(n)
-    code = int("".join(map(str, bits)), 2)
-    q = t.reshape(-1)[pairs]
-    q_kept = q * ((np.arange(2 ** (n - 1)) ^ code) < spans)[:, None]
-    b = ((q_kept @ q.conj().swapaxes(1, 2)).reshape(-1, 1, 4) @ maps)[:, 0].real
+
+# Flat indices of the weight-1 terms of a (4,)*m tensor: row a - m for axis a, one per X, Y, Z.
+_WEIGHT_ONE = 4 ** np.arange(MAX_PARTIES - 1, -1, -1)[:, None] * np.arange(1, 4)
+_WEIGHT_ONE.setflags(write=False)
+
+
+def _bloch_rows(r: np.ndarray) -> np.ndarray:
+    """Every axis's Bloch vector, shape (r.ndim, 3): its weight-1 terms over
+    the identity term."""
+    return r.reshape(-1)[_WEIGHT_ONE[-r.ndim:]] / r.flat[0]
+
+
+def _forced(bits: Sequence[int]) -> Callable[[int, float], int]:
+    return lambda step, _p_plus: bits[step]
+
+
+def _run(r: np.ndarray, phi: float, choose: Callable[[int, float], int]) -> ProtocolTranscript:
+    """One branch of the dealt register ``r``: at step k, ``choose(k, p)``
+    gives party k's broadcast bit (0 for "+") from its probability p of "+"
+    given the broadcasts before it."""
+    n = r.ndim
     history = np.zeros((n, n, 3))
-    history[steps, axes] = b[:, :3] / b[:, 3:]
+    bits = []
+    for step in range(n - 1):
+        history[step, step:] = _bloch_rows(r)
+        # r.flat[r.size // 4] is the X term of the party on axis 0
+        bits.append(choose(step, (r.flat[0] + r.flat[r.size // 4]) / (2 * r.flat[0])))
+        r = _broadcast(r, bits[-1])
+    history[-1, -1] = _bloch_rows(r)[0]
     history.setflags(write=False)
 
-    s = t[tuple(bits)]
-    probability = float(np.vdot(s, s).real)
     parity = sum(bits) % 2  # the recipient heard every broadcast
-    final = s / np.sqrt(probability) * (1, -1 if parity else 1)
+    flip = 1 - 2 * parity
     return ProtocolTranscript(
         phi=float(phi),
         n_parties=n,
         outcomes="".join(MINUS if o else PLUS for o in bits),
-        branch_probability=probability,
-        final_state=DensityMatrix(np.outer(final, final.conj())),
+        branch_probability=float(r[0]),
+        final_state=dm_from_bloch(history[-1, -1] * (flip, flip, 1)),
         bloch_history=history,
         correction_parity=parity,
     )
@@ -172,25 +158,21 @@ def run_exact(phi: float, n: int = 3,
     seeded generator.  Works at every phi: the excluded secret values
     {0, pi/2, pi, 3pi/2} simply deliver a stabilizer state with C = 0.
     """
-    t = _branch_tensor(phase_gate(phi), n)
+    r = _dealt(phase_gate(phi), n)
     if outcomes is not None:
-        if len(outcomes) != n - 1 or any(o not in (PLUS, MINUS) for o in outcomes):
-            raise ValueError(f"outcomes must be {n - 1} symbols drawn from '+-'")
-        return _run(t, phi, [int(o == MINUS) for o in outcomes])
+        if len(outcomes) != r.ndim - 1 or any(o not in (PLUS, MINUS) for o in outcomes):
+            raise ValueError(f"outcomes must be {r.ndim - 1} symbols drawn from '+-'")
+        return _run(r, phi, _forced([int(o == MINUS) for o in outcomes]))
     if seed is None:
         raise ValueError("sampled mode requires a seed")
-    rng = np.random.default_rng(seed)
-    bits: list[int] = []
-    for _ in range(n - 1):  # one draw per step, from the prefix probabilities
-        s = t[tuple(bits)]
-        bits.append(0 if rng.random() < np.vdot(s[0], s[0]).real / np.vdot(s, s).real else 1)
-    return _run(t, phi, bits)
+    rng = np.random.default_rng(seed)  # one draw per step
+    return _run(r, phi, lambda _step, p_plus: 0 if rng.random() < p_plus else 1)
 
 
 def run_all_branches(phi: float, n: int = 3) -> list[ProtocolTranscript]:
     """All 2^{n-1} forced-outcome branches of one protocol instance."""
-    t = _branch_tensor(phase_gate(phi), n)
-    return [_run(t, phi, bits) for bits in product((0, 1), repeat=n - 1)]
+    r = _dealt(phase_gate(phi), n)
+    return [_run(r, phi, _forced(bits)) for bits in product((0, 1), repeat=r.ndim - 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,17 +246,12 @@ def satisfies_column_sum(gate: np.ndarray, atol: float = GATE_ATOL) -> bool:
 
 
 def _deliver_with_gate(gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(2,3) run with an arbitrary injected gate on the dealer qubit.
-
-    Post-selects the dealer's |+> outcome (probability exactly 1/2 for any
-    unitary) and uses the plus branch of the other coalition member, whose
-    minus branch differs only by the Z correction.  Returns the Bloch vectors
-    of the recipient's delivered state and of the remaining coalition
-    member's marginal right after the dealer's projection, which is the
-    moment the column-sum condition speaks about.
-    """
-    t = _branch_tensor(gate, 3)
-    return _blochs(t[0, 0][:, None]), _blochs(t[0], _H_FRAME)
+    """(2,3) run with ``gate`` on the dealer, both broadcasts "+": the Bloch
+    vectors of the recipient's delivered state and of the middle party's
+    marginal right after the dealer's "+", which is the moment the column-sum
+    condition speaks about (its "-" branch differs only by the Z correction)."""
+    after_dealer = _broadcast(_dealt(gate, 3), 0)
+    return _bloch_rows(_broadcast(after_dealer, 0))[0], _bloch_rows(after_dealer)[0]
 
 
 def bob_marginal_after_projection(gate: np.ndarray) -> DensityMatrix:
@@ -329,16 +306,20 @@ def magic_scan(phi_grid: Sequence[float], n: int = 3) -> list[tuple[float, float
     """(phi, C from the closed form, C of the exact protocol output) per grid point.
 
     Every point reads the all-plus branch, which needs no correction.  Parties
-    1..n-2 enter it only through <+|, so they are contracted out of |GHZ_n>
-    once, leaving a 2x2 matrix M over (dealer, recipient); the dealer's
-    <+| P(phi) is the row (1, e^{i phi})/sqrt(2), so the whole grid's
-    delivered states are one (grid, 2) row stack times M.
+    1..n-2 broadcast "+" out of |GHZ_n> once, leaving a (4, 4) tensor M over
+    (dealer, recipient); the dealer's "+" after P(phi) is the row
+    (1, cos phi, -sin phi, 0)/2 of its transfer matrix, so the whole grid's
+    delivered states are one (grid, 4) row stack times M.
     """
     grid = np.array(phi_grid, dtype=float).reshape(-1)
     if grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("phi grid must be nonempty and finite")
-    _require_parties(n)
-    m = _hadamard_power(n - 2)[0] @ ghz(n).amps.reshape(2, 2 ** (n - 2), 2)
-    dealer = np.stack([np.ones(grid.size), np.exp(1j * grid)], axis=-1) / np.sqrt(2)
-    c_protocol = octahedron_distance(_blochs((dealer @ m)[..., None]))
+    n = _require_parties(n)
+    m = np.moveaxis(_ghz(n), 0, -2)  # (parties 1..n-2, dealer, recipient)
+    for _ in range(n - 2):
+        m = _broadcast(m, 0)
+    dealer = np.stack([np.ones(grid.size), np.cos(grid), -np.sin(grid), np.zeros(grid.size)],
+                      axis=-1) / 2
+    delivered = dealer @ m
+    c_protocol = octahedron_distance(delivered[:, 1:] / delivered[:, :1])
     return [(phi, c_closed_form(phi), c) for phi, c in zip(grid.tolist(), c_protocol.tolist())]

@@ -1,4 +1,5 @@
-"""Dense statevector and density-matrix mechanics for few-qubit registers.
+"""Dense statevector and density-matrix mechanics for few-qubit registers,
+and the Pauli transfer matrix through which the simulators apply gates.
 
 Conventions used throughout the package:
 
@@ -30,8 +31,23 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 S = np.array([[1, 0], [0, 1j]], dtype=complex)
 
+# The Pauli basis (I, X, Y, Z) on one qubit, and on two at index 4a + b for P_a x P_b.
+_PAULIS = np.stack([I2, X, Y, Z])
+_PAULI_PAIRS = np.einsum("aij,bkl->abikjl", _PAULIS, _PAULIS).reshape(16, 4, 4)
+
+
+def ptm(u: np.ndarray) -> np.ndarray:
+    """Pauli transfer matrix of a unitary on k = 1 or 2 qubits:
+    R[a, b] = tr(P_a U P_b U^dagger) / 2^k, so a state's Pauli coefficients
+    r[b] = tr(rho P_b) go to R r under U."""
+    basis = _PAULIS if len(u) == 2 else _PAULI_PAIRS
+    return np.einsum("aij,bji->ab", basis, u @ basis @ u.conj().T).real / len(u)
+
+
 def phase_gate(phi: float) -> np.ndarray:
     """P(phi) = diag(1, e^{i phi}); phi = pi/4 is the T gate."""
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     return np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=complex)
 
 
@@ -137,7 +153,7 @@ def ket(label: str) -> PureState:
 
 def phase_plus(phi: float) -> PureState:
     """P(phi)|+> = (|0> + e^{i phi}|1>)/sqrt(2), the protocol's resource state."""
-    return PureState(np.array([1.0, np.exp(1j * phi)]) / np.sqrt(2))
+    return PureState(phase_gate(phi).diagonal() / np.sqrt(2))
 
 
 def ghz(n: int) -> PureState:

@@ -8,9 +8,10 @@ then steer the recipient into conditional states whose magic equals the
 secret's C(phi), and the LP dual witness turns that into a linear
 functional a stabilizer local-hidden-state model can never satisfy.
 
-Each sigma_{b|x} is a slice of the protocol's branch tensor with R_x P(phi)
-injected, where H R_x is setting x's readout rotation: the recipient's state
-at the dealer's readout bit b and the middle party's "+".
+Each sigma_{b|x} is read off the protocol's Pauli tensor with R_x P(phi)
+injected, where H R_x is setting x's readout rotation: the dealer's readout
+bit b is its X broadcast after R_x, and sigma_{b|x} is the recipient's state
+after that and the middle party's "+".
 
 Outcome convention: outcome 0 of the X setting projects the dealer onto
 |+>; outcome 0 of the Y setting projects onto (|0> - i|1>)/sqrt(2), the -1
@@ -35,8 +36,8 @@ import numpy as np
 
 from . import tomo
 from .magic import MagicResult, octahedron_distance, sign_witness, wigner_distance, witness_signs
-from .protocol import _branch_tensor
-from .qcore import H, I2, DensityMatrix, S, bloch, phase_gate
+from .protocol import _broadcast, _dealt
+from .qcore import H, I2, DensityMatrix, S, bloch, dm_from_bloch, phase_gate
 from .stabilizer import enumerate_stabilizer_states
 
 SETTINGS = ("X", "Y")
@@ -95,15 +96,20 @@ _OUTCOME_0_BIT = {"X": 0, "Y": 1}
 def _conditional_states(setting: str, phi: float) -> list[tuple[float, DensityMatrix]]:
     """(p(b|x), sigma_{b|x}) for the dealer's readout bits b = 0, 1.
 
-    The middle party's "-" slice, Z-corrected, is compared against its "+"
-    slice on every call, which re-verifies the branch independence the
+    The recipient's state after the middle party's "-", Z-corrected (the
+    signs of its X and Y terms flipped), is compared against its state after
+    "+" on every call, which re-verifies the branch independence the
     correction is supposed to provide.
     """
-    t = _branch_tensor(_SETTING_ROTATION[setting] @ phase_gate(phi), 3)
-    if np.max(np.abs(t[:, 0] - t[:, 1] * (1, -1))) > 1e-10:
-        raise RuntimeError("branch independence violated in assemblage construction")
-    half_p = [float(np.vdot(s, s).real) for s in t[:, 0]]  # the middle party's "+" has p = 1/2
-    return [(2 * h, DensityMatrix(np.outer(s, s.conj()) / h)) for s, h in zip(t[:, 0], half_p)]
+    r = _dealt(_SETTING_ROTATION[setting] @ phase_gate(phi), 3)
+    states = []
+    for middle in (_broadcast(r, 0), _broadcast(r, 1)):  # the dealer's readout bit b
+        plus, minus = _broadcast(middle, 0), _broadcast(middle, 1)
+        if np.max(np.abs(plus - minus * (1, -1, -1, 1))) > 1e-10:
+            raise RuntimeError("branch independence violated in assemblage construction")
+        # the middle party's "+" has probability 1/2
+        states.append((float(2 * plus[0]), dm_from_bloch(plus[1:] / plus[0])))
+    return states
 
 
 def build_assemblage(phi: float) -> Assemblage:

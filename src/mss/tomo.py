@@ -17,10 +17,11 @@ Simulation.  Every operator is written in the real Pauli basis P in
 and each readout effect E as its row tr(E P).  A gate U on k qubits acts
 through its Pauli transfer matrix R_U[a, b] = tr(P_a U P_b U^dagger)/2^k:
 forward on a state's coefficients, r <- R_U r, and backward on an effect's
-row, t <- t R_U, which is E <- U^dagger E U.  A depolarizing channel applying
-each non-identity Pauli on k qubits with probability p/(4^k - 1) keeps the
-identity term and damps every other term by 1 - lam, lam = 4^k p/(4^k - 1);
-it is its own adjoint.
+row, t <- t R_U, which is E <- U^dagger E U; ``qcore.ptm`` gives R_U, here and
+for the ideal protocol.  A depolarizing channel applying each non-identity
+Pauli on k qubits with probability p/(4^k - 1) keeps the identity term and
+damps every other term by 1 - lam, lam = 4^k p/(4^k - 1); it is its own
+adjoint.
 The circuit is cut after the CX layer.  The noisy GHZ state (H, both CX and
 their noise) depends on (p1, p2) alone and is built once.  Its nonzero
 coefficients are the eight signed, damped elements of the GHZ stabilizer
@@ -54,7 +55,7 @@ import numpy as np
 
 # wigner_distance is not called here; bench/test_bench.py reads it as mss.tomo.wigner_distance.
 from .magic import c_closed_form, octahedron_distance, wigner_distance  # noqa: F401
-from .qcore import H, I2, S, X, Y, Z, DensityMatrix, dm_from_bloch
+from .qcore import H, I2, S, DensityMatrix, dm_from_bloch, ptm
 
 DISTILLATION_THRESHOLD = 0.856  # 15-to-1 magic state distillation entry fidelity
 DEFAULT_SHOTS = 4096
@@ -66,9 +67,6 @@ _N_QUBITS = 3
 # Measurement-basis change: apply the gate, then read out in Z.
 _BASIS_ROTATION = {"Z": None, "X": H, "Y": H @ S.conj().T}
 
-# The Pauli basis (I, X, Y, Z) on one qubit, and on two at index 4a + b for P_a x P_b.
-_PAULIS = np.stack([I2, X, Y, Z])
-_PAULI_PAIRS = np.einsum("aij,bkl->abikjl", _PAULIS, _PAULIS).reshape(16, 4, 4)
 _CX = np.eye(4)[[0, 1, 3, 2]]  # control on the first of its two qubits
 _Z_PROJECTORS = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0]])  # tr(|t><t| P), t = 0, 1
 
@@ -159,13 +157,6 @@ class CountsTable:
         object.__setattr__(self, "counts", counts)
 
 
-def _ptm(u: np.ndarray) -> np.ndarray:
-    """Pauli transfer matrix of a unitary on k = 1 or 2 qubits:
-    R[a, b] = tr(P_a U P_b U^dagger) / 2^k."""
-    basis = _PAULIS if len(u) == 2 else _PAULI_PAIRS
-    return np.einsum("aij,bji->ab", basis, u @ basis @ u.conj().T).real / len(u)
-
-
 def _damping(p: float, k: int) -> np.ndarray:
     """The k-qubit depolarizing channel as its diagonal on the 4^k Pauli terms."""
     lam = 4 ** k * p / (4 ** k - 1)
@@ -185,7 +176,7 @@ def _povm_table(confusion: np.ndarray, gates: Sequence[np.ndarray], p: float) ->
     damping = _damping(p, 1)
     table = confusion @ _Z_PROJECTORS
     for u in reversed(gates):
-        table = (table * damping) @ _ptm(u)
+        table = (table * damping) @ ptm(u)
     table.setflags(write=False)
     return table
 
@@ -195,8 +186,8 @@ def _entangled_state(p1: float, p2: float) -> np.ndarray:
     coefficients: a read-only (4, 4, 4) tensor r with
     rho_3 = sum r[a, b, c] P_a x P_b x P_c / 8."""
     r = np.einsum("a,b,c->abc", *[_Z_PROJECTORS[0]] * _N_QUBITS)  # |000><000|
-    r = np.einsum("ad,dbc->abc", _damping(p1, 1)[:, None] * _ptm(H), r)
-    cx = (_damping(p2, 2)[:, None] * _ptm(_CX)).reshape((4,) * 4)
+    r = np.einsum("ad,dbc->abc", _damping(p1, 1)[:, None] * ptm(H), r)
+    cx = (_damping(p2, 2)[:, None] * ptm(_CX)).reshape((4,) * 4)
     r = np.einsum("abde,dec->abc", cx, r)  # CX(0,1)
     r = np.einsum("acde,dbe->abc", cx, r)  # CX(0,2)
     r.setflags(write=False)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from mss.magic import c_closed_form, octahedron_distance
-from mss import protocol
 from mss.qcore import (ATOL_CONSTRUCT, ATOL_PSD, I2, DensityMatrix, H, PureState, X, Y, Z, bloch,
                        ghz, phase_gate, phase_plus, require_unitary, tensor, trace_distance)
 from mss.stabilizer import enumerate_stabilizer_states
@@ -96,18 +96,73 @@ def reference_bloch(rho: DensityMatrix) -> np.ndarray:
 
 
 def reference_history(t: np.ndarray, bits) -> np.ndarray:
-    """The Bloch history read one step at a time from the branch tensor ``t``:
-    the register after step j is the slice ``t[bits[:j]]``, and every axis of
-    it is read with its own Gram matrix, mapped back from the H frame for all
-    but the recipient."""
+    """The Bloch history read one step at a time from the statevector branch
+    tensor ``t`` (:func:`reference_branch_tensor`): the register after step j
+    is the slice ``t[bits[:j]]``, and every axis of it is read with its own
+    Gram matrix, mapped back from the H frame for all but the recipient."""
     n = t.ndim
     history = np.zeros((n, n, 3))
     for step in range(n):
         s = t[tuple(bits[:step])]
-        b = protocol._blochs(s.reshape(-1)[protocol._axis_pairs(n - step)])
-        b[:-1] = b[:-1, ::-1] * (1, -1, 1)
-        history[step, step:] = b
+        for axis in range(n - step):
+            pair = np.moveaxis(s, axis, 0).reshape(2, -1)
+            g = pair @ pair.conj().T
+            x, y, z = 2 * g[0, 1].real, -2 * g[0, 1].imag, (g[0, 0] - g[1, 1]).real
+            b = np.array([x, y, z] if axis == n - step - 1 else [z, -y, x])
+            history[step, step + axis] = b / np.trace(g).real
     return history
+
+
+def dyadic_register(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A (4,)*n Pauli tensor with no GHZ structure: multiples of 1/8 in
+    [-1, 1] and the identity term 2^(n+1).  It need not be a state, but
+    every run of broadcasts keeps a positive identity term and every Bloch
+    vector within 1/sqrt(3) of the origin, and every float step on it is
+    exact up to the final divisions."""
+    r = rng.integers(-8, 9, size=(4,) * n) / 8
+    r.flat[0] = 2 ** (n + 1)
+    return r
+
+
+def reference_exact_branches(r: np.ndarray) -> dict:
+    """{bits: (Bloch history, branch probability, Z-corrected final Bloch
+    vector)} for every branch (bits 1 for "-") of the Pauli tensor ``r``, in
+    exact fractions, one broadcast at a time: the party in front leaves
+    (r[I, ...] + s r[X, ...]) / 2 with s = +-1, and a party's Bloch vector is
+    its weight-1 terms over the identity term, each rounded once to a float."""
+    n = r.ndim
+
+    def walk(terms, bits, history):
+        step, m = len(bits), n - len(bits)
+        history = history.copy()
+        for axis in range(m):
+            for p in (1, 2, 3):
+                key = tuple(p if a == axis else 0 for a in range(m))
+                history[step, step + axis, p - 1] = float(terms[key] / terms[(0,) * m])
+        if m == 1:
+            flip = -1 if sum(bits) % 2 else 1
+            return {bits: (history, float(terms[(0,)]), history[-1, -1] * (flip, flip, 1))}
+        branches = {}
+        for bit, s in ((0, 1), (1, -1)):
+            after = {key[1:]: (v + s * terms[(1,) + key[1:]]) / 2
+                     for key, v in terms.items() if key[0] == 0}
+            branches.update(walk(after, bits + (bit,), history))
+        return branches
+
+    return walk({key: Fraction(float(v)) for key, v in np.ndenumerate(r)}, (), np.zeros((n, n, 3)))
+
+
+def reference_pauli_tensor(state: PureState) -> np.ndarray:
+    """tr(rho P_{a_0} x ... x P_{a_{n-1}}) for every Pauli string, from the
+    density matrix one qubit at a time: each qubit's (row, column) axis pair
+    is traced against the four Paulis into a new trailing axis."""
+    n = state.n_qubits
+    t = np.outer(state.amps, state.amps.conj()).reshape((2,) * (2 * n))
+    paulis = np.stack([I2, X, Y, Z])  # [a, j, i]: tr(rho P_a) = sum rho[i, j] P_a[j, i]
+    for k in range(n):
+        t = np.tensordot(t, paulis, axes=([0, n - k], [2, 1]))
+    assert np.max(np.abs(t.imag)) <= ATOL_CONSTRUCT
+    return t.real
 
 
 def reference_security_report(transcript) -> dict:

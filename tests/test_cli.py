@@ -453,7 +453,7 @@ key,value
 phi,0.7853981633974483
 n_parties,3
 outcomes,+-
-branch_probability,0.24999999999999986
+branch_probability,0.25
 correction_parity,1
 messages.0.sender,0
 messages.0.outcome,+
@@ -461,21 +461,21 @@ messages.0.step,0
 messages.1.sender,1
 messages.1.outcome,-
 messages.1.step,1
-final_c,0.20710678118654768
+final_c,0.20710678118654746
 c_theory,0.20710678118654746
-final_fidelity_to_ideal,1.0000000000000002
-final_state.re.0.0,0.5000000000000002
-final_state.re.0.1,0.3535533905932739
-final_state.re.1.0,0.3535533905932739
-final_state.re.1.1,0.5000000000000001
+final_fidelity_to_ideal,1.0
+final_state.re.0.0,0.5
+final_state.re.0.1,0.3535533905932738
+final_state.re.1.0,0.3535533905932738
+final_state.re.1.1,0.5
 final_state.im.0.0,0.0
-final_state.im.0.1,-0.35355339059327384
-final_state.im.1.0,0.35355339059327384
+final_state.im.0.1,-0.35355339059327373
+final_state.im.1.0,0.35355339059327373
 final_state.im.1.1,0.0
 security.0.c_value,0.0
-security.0.trace_distance_to_i2,5.551115123125786e-17
+security.0.trace_distance_to_i2,0.0
 security.1.c_value,0.0
-security.1.trace_distance_to_i2,5.551115123125786e-17
+security.1.trace_distance_to_i2,0.0
 """
         assert self.text(capsys, *argv, "pretty") == """\
 phi                              0.785398
@@ -501,9 +501,9 @@ final_state.im.0.1               -0.353553
 final_state.im.1.0               0.353553
 final_state.im.1.1               0
 security.0.c_value               0
-security.0.trace_distance_to_i2  5.55112e-17
+security.0.trace_distance_to_i2  0
 security.1.c_value               0
-security.1.trace_distance_to_i2  5.55112e-17
+security.1.trace_distance_to_i2  0
 """
 
     def test_magic_eval_csv_and_pretty(self, capsys):
@@ -565,8 +565,8 @@ mixture.5      0
         assert self.text(capsys, *argv, "csv") == """\
 phi,c_theory,c_protocol
 0.0,0.0,0.0
-0.5,0.17850405024728788,0.17850405024728777
-1.0,0.19088664533801813,0.19088664533801802
+0.5,0.17850405024728788,0.17850405024728788
+1.0,0.19088664533801813,0.19088664533801813
 1.5,0.03411609413587868,0.03411609413587868
 """
         assert self.text(capsys, *argv, "pretty") == """\

@@ -3,7 +3,7 @@ column-sum gate characterisation."""
 
 import dataclasses
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from mss.qcore import (
     PureState,
     Z,
     bloch,
+    dm_from_bloch,
     ghz,
     maximally_mixed,
     phase_gate,
@@ -35,23 +36,22 @@ from mss.qcore import (
     trace_distance,
 )
 
-from conftest import (apply_1q, fidelity, partial_trace, project_measure, random_pure_state, random_unitary,
-                      reference_branch_tensor, reference_deliver_with_gate, reference_history,
-                      reference_magic_scan, reference_security_report)
+from conftest import (apply_1q, dyadic_register, fidelity, partial_trace, project_measure,
+                      random_unitary, reference_branch_tensor, reference_deliver_with_gate,
+                      reference_exact_branches, reference_history, reference_magic_scan,
+                      reference_pauli_tensor, reference_security_report)
 
 
-def reference_run_exact(phi, n, outcomes=None, seed=None, state=None):
-    """The step-by-step runner the branch tensor replaces: project each
-    broadcaster out of the statevector in turn, and trace the whole register's
-    density matrix down to every remaining party after each step.  ``state``
-    replaces the phased GHZ register.
+def reference_run_exact(phi, n, outcomes=None, seed=None):
+    """The step-by-step oracle of the Pauli route: project each broadcaster
+    out of the statevector in turn, and trace the whole register's density
+    matrix down to every remaining party after each step.
 
     Returns (outcome string, branch probability, corrected final density
     matrix, parity, marginal history).
     """
     rng = None if outcomes is not None else np.random.default_rng(seed)
-    if state is None:
-        state = apply_1q(ghz(n), phase_gate(phi), 0)
+    state = apply_1q(ghz(n), phase_gate(phi), 0)
 
     def marginals(state):
         k = state.n_qubits
@@ -131,6 +131,16 @@ class TestRunExact:
         for n in (2, MAX_PARTIES + 1):
             with pytest.raises(ValueError, match="n must be"):
                 run_exact(0.7, n, outcomes="+" * (n - 1))
+
+    def test_party_count_must_be_an_integer(self):
+        for n in (3.0, 4.5):
+            for call in (lambda: run_exact(0.3, n, outcomes="+-"), lambda: run_exact(0.3, n, seed=1),
+                         lambda: run_all_branches(0.3, n), lambda: magic_scan([0.3], n)):
+                with pytest.raises(ValueError, match=f"n must be an integer, got {n}"):
+                    call()
+        assert run_exact(0.3, np.int64(4), outcomes="+-+").n_parties == 4
+        assert len(run_all_branches(0.3, np.int64(4))) == 8
+        assert len(magic_scan([0.3], np.int64(4))) == 1
 
     def test_excluded_phi_still_runs_with_zero_magic(self):
         for phi in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2):
@@ -212,17 +222,31 @@ class TestThresholdInduction:
                                      reference_run_exact(phi, n, seed=seed))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_each_draw_sees_its_conditional_probability(self, n, rng):
+        # On GHZ registers every step is 1/2; a dyadic register is not.
+        r = dyadic_register(n, rng)
+        probability = {bits: p for bits, (_, p, _) in reference_exact_branches(r).items()}
+        bits = tuple(k % 2 for k in range(1, n))
+        seen = []
+        protocol._run(r, 0.0, lambda step, p_plus: seen.append(p_plus) or bits[step])
+        for step, p_plus in enumerate(seen):
+            prefix = sum(p for b, p in probability.items() if b[:step] == bits[:step])
+            plus = sum(p for b, p in probability.items() if b[:step + 1] == bits[:step] + (0,))
+            assert p_plus == plus / prefix
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_any_register_matches_reference(self, n, rng):
-        # GHZ marginals are I/2 wherever H is still applied, so only a generic
-        # register shows whether the Bloch vectors are mapped back from that frame.
-        for bits in ([0] * (n - 1), [k % 2 for k in range(1, n)]):
-            psi = random_pure_state(n, rng)
-            state = psi
-            for axis in range(n - 1):
-                state = apply_1q(state, H, axis)
-            outcomes = "".join("-" if b else "+" for b in bits)
-            assert_matches_reference(protocol._run(state.amps.reshape((2,) * n), 0.0, bits),
-                                     reference_run_exact(0.0, n, outcomes, state=psi))
+        # GHZ marginals are I/2 until the last step, so only a register with
+        # no GHZ structure shows the axis order and the outcome signs.
+        for bits in ((0,) * (n - 1), tuple(k % 2 for k in range(1, n))):
+            r = dyadic_register(n, rng)
+            run = protocol._run(r, 0.0, protocol._forced(bits))
+            history, probability, final = reference_exact_branches(r)[bits]
+            assert run.outcomes == "".join("-" if b else "+" for b in bits)
+            assert run.correction_parity == sum(bits) % 2
+            assert np.array_equal(run.bloch_history, history)
+            assert run.branch_probability == probability
+            assert np.array_equal(run.final_state.mat, dm_from_bloch(final).mat)
 
     def test_remaining_register_is_ghz_ladder(self):
         # After j measurements, the remaining parties share the (n-j)-party
@@ -276,6 +300,32 @@ class TestCoalitions:
                             assert abs(c2 - 2 * c_closed_form(phi)) <= 1e-12
 
 
+class TestCoalitionSupport:
+    """Coalition security at any coalition size, without an LP: in every
+    branch prefix, every proper nonempty subset of the unmeasured register
+    holds a diagonal marginal (a mixture of computational-basis states, hence
+    free), while the whole register keeps its magic."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_proper_subsets_hold_diagonal_marginals(self, n, rng):
+        for phi in rng.uniform(-7, 7, size=4):
+            registers = [protocol._dealt(phase_gate(phi), n)]
+            while registers:
+                for r in registers:
+                    m = r.ndim
+                    paulis = np.indices(r.shape)  # [axis, *term]: the term's Pauli on that axis
+                    xy = (paulis == 1) | (paulis == 2)
+                    for size in range(1, m):
+                        for subset in combinations(range(m), size):
+                            outside = [a for a in range(m) if a not in subset]
+                            # identity outside the subset, an X or Y on it: the subset's off-diagonal terms
+                            off_diagonal = (paulis[outside] == 0).all(axis=0) & xy[list(subset)].any(axis=0)
+                            assert np.all(r[off_diagonal] == 0.0)
+                    assert np.abs(r[xy.any(axis=0)]).max() >= r.flat[0] / np.sqrt(2)
+                registers = [protocol._broadcast(r, bit) for r in registers if r.ndim > 1
+                             for bit in (0, 1)]
+
+
 class TestSecurityReport:
     def test_all_non_recipients_hold_nothing(self):
         t = run_exact(np.pi / 8, 3, outcomes="++")
@@ -305,6 +355,7 @@ class TestSecurityReport:
         built, real = [], protocol.dm_from_bloch
         monkeypatch.setattr(protocol, "dm_from_bloch", lambda b: built.append(b) or real(b))
         t = run_exact(0.44, 5, outcomes="++-+")
+        built.clear()  # the final state is built from its Bloch vector
         report = security_report(t)
         assert built == []
         for party, entry in report.items():
@@ -316,32 +367,47 @@ class TestSecurityReport:
 
 
 class TestOnePassHistory:
-    """The batched history and security report against the per-step and
-    per-party loops they replace."""
+    """The history and the security report against the closed form, an exact
+    oracle and the per-party loop."""
 
     @staticmethod
     def transcripts(n, rng):
-        """Every branch at two angles, every branch of two generic registers
-        (whose marginals are not I/2), and seeded sampled runs."""
+        """(the history it must have, a transcript): every branch at two
+        angles and seeded sampled runs against the closed form, and every
+        branch of two dyadic registers (whose marginals are not I/2) against
+        the exact oracle."""
+        def closed_form(run):
+            want = np.zeros((n, n, 3))
+            sign = -1 if run.correction_parity else 1  # the recipient's row is uncorrected
+            want[-1, -1] = sign * np.cos(run.phi), sign * np.sin(run.phi), 0.0
+            return want
+
         for phi in (0.83, float(rng.uniform(-7, 7))):
-            t = protocol._branch_tensor(phase_gate(phi), n)
             for run in run_all_branches(phi, n):
-                yield t, run
+                yield closed_form(run), run
         for _ in range(2):
-            t = random_pure_state(n, rng).amps.reshape((2,) * n)
-            for bits in product((0, 1), repeat=n - 1):
-                yield t, protocol._run(t, 0.0, list(bits))
+            r = dyadic_register(n, rng)
+            for bits, (history, _, _) in reference_exact_branches(r).items():
+                yield history, protocol._run(r, 0.0, protocol._forced(bits))
         for seed, phi in enumerate(rng.uniform(-7, 7, size=6)):
             run = run_exact(phi, n, seed=seed)
             assert run.outcomes == reference_run_exact(phi, n, seed=seed)[0]
-            yield protocol._branch_tensor(phase_gate(phi), n), run
+            yield closed_form(run), run
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_history_matches_the_stepwise_loop(self, n, rng):
-        for t, run in self.transcripts(n, rng):
-            want = reference_history(t, [int(o == "-") for o in run.outcomes])
+        for want, run in self.transcripts(n, rng):
             assert np.max(np.abs(run.bloch_history - want)) <= 1e-15
             assert not run.bloch_history[np.tril_indices(n, -1)].any()  # measured-out parties
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_statevector_gram_reader_agrees(self, n, rng):
+        # The statevector oracle rounds on its own, up to about 1.1e-15 here.
+        for phi in rng.uniform(-7, 7, size=3):
+            t = reference_branch_tensor(phi, n)
+            for run in run_all_branches(phi, n):
+                want = reference_history(t, [int(o == "-") for o in run.outcomes])
+                assert np.max(np.abs(run.bloch_history - want)) <= 1e-14
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_report_matches_the_per_party_loop(self, n, rng):
@@ -427,8 +493,9 @@ class TestGateAdmissibility:
 
 
 class TestGateCheckMatchesStepwiseOracle:
-    """Gate admissibility reads two slices of the branch tensor; the oracle
-    projects the dealer and the middle party out of the statevector in turn."""
+    """Gate admissibility broadcasts the dealer's and the middle party's "+"
+    out of the Pauli tensor; the oracle projects them out of the statevector
+    in turn."""
 
     def gates(self, rng):
         phis = [*rng.uniform(0, 2 * np.pi, size=20), 0.0, np.pi / 2, np.pi, 3 * np.pi / 2]
@@ -465,6 +532,12 @@ class TestMagicScan:
     def test_non_finite_grid_point_rejected(self, grid):
         with pytest.raises(ValueError, match="finite"):
             magic_scan(grid)
+        # The runners reject the same angles before numpy can warn on e^{i inf}.
+        for phi in [p for p in grid if not np.isfinite(p)]:
+            for call in (lambda: run_exact(phi, 3, outcomes="++"), lambda: run_exact(phi, 4, seed=1),
+                         lambda: run_all_branches(phi, 5)):
+                with pytest.raises(ValueError, match=f"phi must be finite, got {phi}"):
+                    call()
 
     def test_party_count_bounds(self):
         for n in (2, MAX_PARTIES + 1):
@@ -478,15 +551,17 @@ def _oracle_phis(rng):
 
 
 class TestOneContraction:
-    """The cached H^{(x)(n-1)} product and the batched scan against the
-    per-axis contractions and per-point slices they replace."""
+    """The dealt Pauli tensor and the batched scan against the statevector
+    and the per-point slices they replace."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_branch_tensor_matches_reference(self, n, rng):
+        # Every branch is read from the dealt Pauli tensor.
         for phi in _oracle_phis(rng):
-            t = protocol._branch_tensor(phase_gate(phi), n)
-            assert t.shape == (2,) * n
-            assert np.max(np.abs(t - reference_branch_tensor(phi, n))) <= 1e-15
+            r = protocol._dealt(phase_gate(phi), n)
+            assert r.shape == (4,) * n
+            want = reference_pauli_tensor(apply_1q(ghz(n), phase_gate(phi), 0))
+            assert np.max(np.abs(r - want)) <= 1e-15
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_magic_scan_matches_reference(self, n, rng):
@@ -494,6 +569,14 @@ class TestOneContraction:
         for got, want in zip(magic_scan(phis, n), reference_magic_scan(phis, n), strict=True):
             assert got[:2] == want[:2]
             assert abs(got[2] - want[2]) <= 1e-15
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_scan_is_exact(self, n):
+        # The delivered Bloch vector is (cos phi, sin phi, 0) to the bit.  The
+        # closed form is not clamped at 1e-10, so the grid holds no multiple of
+        # pi/2.
+        for phi, c_theory, c_protocol in magic_scan(np.linspace(-7.0, 7.0, 4001), n):
+            assert c_protocol.hex() == c_theory.hex(), phi
 
     def test_large_scan_matches_closed_form(self):
         grid = np.linspace(-2 * np.pi, 4 * np.pi, 10_000)
@@ -511,23 +594,14 @@ class TestOneContraction:
 
     def test_scan_reads_no_branch_tensor(self, monkeypatch):
         def refuse(gate, n):
-            raise AssertionError("magic_scan built a branch tensor")
-        monkeypatch.setattr(protocol, "_branch_tensor", refuse)
+            raise AssertionError("magic_scan dealt a register")
+        monkeypatch.setattr(protocol, "_dealt", refuse)
         assert len(magic_scan([0.1, 0.2, 0.3], 5)) == 3
 
     def test_cached_tables_are_read_only(self):
-        for m in range(1, MAX_PARTIES):
-            h = protocol._hadamard_power(m)
-            assert h is protocol._hadamard_power(m) and not h.flags.writeable
-            want = np.ones((1, 1))
-            for _ in range(m):
-                want = np.kron(want, H)
-            assert np.array_equal(h, want)
-    def test_axis_pairs_gather_each_axis(self, rng):
-        for m in range(1, MAX_PARTIES + 1):
-            idx = protocol._axis_pairs(m)
-            assert idx is protocol._axis_pairs(m) and not idx.flags.writeable
-            t = rng.normal(size=(2,) * m)
-            for a in range(m):
-                for i in (0, 1):
-                    assert np.array_equal(t.reshape(-1)[idx[a, i]], np.take(t, i, axis=a).reshape(-1))
+        # The one cached table is the GHZ_n Pauli tensor.
+        for n in range(1, MAX_PARTIES + 1):
+            r = protocol._ghz(n)
+            assert r is protocol._ghz(n) and not r.flags.writeable
+            assert np.max(np.abs(r - reference_pauli_tensor(ghz(n)))) <= 1e-15
+            assert not np.signbit(r[r == 0]).any()  # no -0.0 to reach an output

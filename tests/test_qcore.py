@@ -15,6 +15,7 @@ from mss.qcore import (
     ket,
     maximally_mixed,
     phase_gate,
+    phase_plus,
     tensor,
     trace_distance,
 )
@@ -36,6 +37,10 @@ class TestConstruction:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
             PureState(np.array([np.nan, 0.0]))
+        for phi in (np.inf, -np.inf, np.nan):  # rejected before numpy warns on e^{i inf}
+            for make in (phase_gate, phase_plus):
+                with pytest.raises(ValueError, match=f"phi must be finite, got {phi}"):
+                    make(phi)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):

@@ -132,6 +132,12 @@ class TestBuildAssemblage:
 
 
 class TestZProbe:
+    @pytest.mark.parametrize("phi", [float("inf"), -float("inf"), float("nan")])
+    def test_non_finite_phi_rejected(self, phi):
+        for call in (build_assemblage, z_setting_probe, certify_exact):
+            with pytest.raises(ValueError, match="phi must be finite"):
+                call(phi)
+
     def test_always_ground_state(self, rng):
         for phi in list(rng.uniform(0, 2 * np.pi, size=20)) + [np.pi / 4]:
             sigma = z_setting_probe(phi)
@@ -140,7 +146,7 @@ class TestZProbe:
 
 
 class TestStepwiseOracle:
-    """The assemblage and the Z probe are slices of the protocol's branch
+    """The assemblage and the Z probe are read off the protocol's Pauli
     tensor; the oracle projects the middle party, then the dealer, out of the
     statevector."""
 
@@ -158,12 +164,14 @@ class TestStepwiseOracle:
 
     def test_branch_independence_is_checked(self, monkeypatch):
         def corrupted(gate, n):
-            t = branch_tensor(gate, n).copy()
-            t[1, 1, 0] += 1e-6  # the middle party's "-" slice no longer matches its "+"
-            return t
+            r = dealt(gate, n).copy()
+            # The recipient's X term next to the middle party's identity: after
+            # the Z correction it moves the "-" branch against the "+" branch.
+            r[0, 0, 1] += 1e-6
+            return r
 
-        branch_tensor = steering._branch_tensor
-        monkeypatch.setattr(steering, "_branch_tensor", corrupted)
+        dealt = steering._dealt
+        monkeypatch.setattr(steering, "_dealt", corrupted)
         for call in (build_assemblage, z_setting_probe, certify_exact):
             with pytest.raises(RuntimeError, match="branch independence"):
                 call(0.3)

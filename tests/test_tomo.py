@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mss import tomo
+from mss import protocol, tomo
 from mss.magic import c_closed_form, wigner_distance
 from mss.qcore import H, I2, S, X, Y, Z, ket, phase_gate, phase_plus
 from mss.steering import sampled_certification
@@ -342,6 +342,11 @@ class TestEntangledState:
         # No weight-1 term: each single party holds I/2 at any depolarizing strength.
         for q in range(3):
             assert not np.any(np.moveaxis(r, q, 0)[1:, 0, 0])
+
+    def test_noiseless_state_is_the_protocol_ghz_tensor(self):
+        # One state format.  They differ only by the rounding of ptm(H), whose
+        # [I, I] entry is 0.9999999999999998.
+        assert np.max(np.abs(tomo._entangled_state(0.0, 0.0) - protocol._ghz(3))) <= 1e-15
 
 
 def _hits_and_misses():
