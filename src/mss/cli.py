@@ -127,7 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
             ("--n", dict(type=int, default=3)))),
         ("gate-check", "column-sum security check of an injected gate", cmd_gate_check, (
             ("--matrix", dict(required=True,
-                              help="8 comma-separated reals: re,im for G00,G01,G10,G11")),
+                              help="8 comma-separated reals: re,im for G00,G01,G10,G11; a "
+                                   "fixed matrix is a constant family, so every probe row "
+                                   "is the same gate and faithful is false")),
             ("--probes", dict(
                 default="0.39269908169872414,0.7853981633974483,1.0471975511965976,1.3",
                 help="comma-separated probe angles (default pi/8,pi/4,pi/3,1.3)")))),
@@ -519,7 +521,7 @@ def cmd_experiment(args):
 
     def pretty():
         return "".join(["   phi     C_th   C(rho_C)  sigma_C  Fidelity  sigma_F  C(rho_B)"
-                        "  distill>0.856\n"] + [
+                        f"  distill>{tomo.DISTILLATION_THRESHOLD}\n"] + [
             f"{r.phi:7.4g} {r.c_theory:8.4g} {r.c_charlie:9.4g} {r.sigma_c:8.4g} "
             f"{r.fidelity:9.4g} {r.sigma_f:8.4g} {r.c_bob:9.4g}  "
             f"{str(r.exceeds_distillation_threshold).lower()}\n" for r in report.rows])

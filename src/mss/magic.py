@@ -17,6 +17,8 @@ H* = sum_alpha y_alpha A_alpha / 2**n with
 where F_LHS = max over pure stabilizer states of tr(H* sigma).  The witness
 is a per-solve certificate: away from the solved state it gives the lower
 bound exposed by :meth:`MagicResult.witness_value`, not an equality.
+For one qubit with C > 0 the reported witness is in closed form,
+(s . sigma)/2 + t I with s the signs of the Bloch vector (:func:`sign_witness`).
 
 C = 0 (a stabilizer mixture) is Clifford-invariant.  Nonzero joint values
 depend on the frame, so C is no monotone: a CX doubles the 2-qubit C of
@@ -30,13 +32,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import DensityMatrix, X, Y, Z, bloch
+from .qcore import _PAULIS, I2, DensityMatrix, X, Y, Z, bloch
 from .simplex import solve_lp
 from .stabilizer import enumerate_stabilizer_states
 from .wigner import _operator_stack, as_wigner_vector, wigner_of
 
 CLAMP_TOL = 1e-10  # report exactly zero instead of leaking negative round-off
-SIGN_TOL = 1e-12   # Bloch coordinates this small count as 0 in witness_signs
+SIGN_TOL = 1e-12   # Bloch coordinates this small count as 0 in sign_witness
+
+# Bloch vectors g_a of the four 1-qubit phase-point operators A_a = (I + g_a . sigma)/2.
+_PHASE_POINT_BLOCH = np.einsum("aij,kji->ak", _operator_stack(1), _PAULIS[1:]).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,13 +82,6 @@ def _lp_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     A.setflags(write=False)
     c.setflags(write=False)
     return F, A, c
-
-
-def witness_signs(b) -> np.ndarray:
-    """sign(b) with 0 where |b_i| <= SIGN_TOL: the Pauli coefficients s of the
-    1-qubit witness (s . sigma)/2 + t I that :func:`wigner_distance` reports."""
-    b = np.asarray(b, dtype=float)
-    return np.where(np.abs(b) <= SIGN_TOL, 0.0, np.sign(b))
 
 
 def wigner_distance(rho: DensityMatrix) -> MagicResult:
@@ -128,7 +126,10 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
         witness, f_lhs = np.zeros((2 ** n, 2 ** n), dtype=complex), 0.0
         witness.setflags(write=False)
     elif n == 1:
-        witness, f_lhs = sign_witness(rho)
+        s, t = sign_witness(bloch(rho))
+        witness = (s[0] * X + s[1] * Y + s[2] * Z) / 2 + t * I2
+        witness.setflags(write=False)
+        f_lhs = float(np.abs(s).max() / 2 + t)
     else:
         witness = _witness_matrix(yvec, n)
     return MagicResult(c_value=c_value, f_star=f_star, mixture_weights=lam,
@@ -143,24 +144,25 @@ def _witness_matrix(yvec: np.ndarray, n: int) -> np.ndarray:
     return witness
 
 
-def sign_witness(rho: DensityMatrix) -> tuple[np.ndarray, float]:
-    """The 1-qubit witness H* = (s . sigma)/2 + t I and its F_LHS, with
-    s = witness_signs(bloch(rho)) and t the identity part that keeps the
-    witness coordinates y inside [-1, 1].
-
-    This is the dual witness :func:`wigner_distance` reports for a 1-qubit
-    state with C > 0, without solving the LP.  For such a state,
-    tr(H* rho) - F_LHS = C(rho).
-    """
-    s = witness_signs(bloch(rho))
-    y0 = np.einsum("aij,ji->a", _operator_stack(1), s[0] * X + s[1] * Y + s[2] * Z).real / 2
-    yvec = y0 - (y0.max() + y0.min()) / 2
-    return _witness_matrix(yvec, 1), float((yvec @ _lp_constants(1)[0]).max())
+def sign_witness(b) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli terms (s, t) of the witness H* = (s . sigma)/2 + t I that
+    :func:`wigner_distance` reports where C > 0, per Bloch vector along the
+    last axis of ``b``.  s = sign(b), 0 where |b_i| <= SIGN_TOL, and
+    t = -(max_a s . g_a + min_a s . g_a)/4 centres the witness coordinates
+    y_a = tr(H* A_a) = s . g_a/2 + t in [-1, 1].  H* peaks over the
+    stabilizer states at F_LHS = max|s_i|/2 + t, and tr(H* rho) - F_LHS = C
+    at b."""
+    b = np.asarray(b, dtype=float)
+    s = np.where(np.abs(b) <= SIGN_TOL, 0.0, np.sign(b))
+    sg = s @ _PHASE_POINT_BLOCH.T
+    return s, -(sg.max(axis=-1) + sg.min(axis=-1)) / 4
 
 
 def c_closed_form(phi: float) -> float:
-    """C of P(phi)|+>: (|sin phi| + |cos phi| - 1)/2, pi/2-periodic."""
-    return float(abs(np.sin(phi)) + abs(np.cos(phi)) - 1.0) / 2.0
+    """C of P(phi)|+>: (|sin phi| + |cos phi| - 1)/2, pi/2-periodic.  Values
+    below CLAMP_TOL are reported as exactly zero, as in octahedron_distance."""
+    c = float(abs(np.sin(phi)) + abs(np.cos(phi)) - 1.0) / 2.0
+    return 0.0 if c < CLAMP_TOL else c
 
 
 def octahedron_distance(bloch_vec) -> float | np.ndarray:

@@ -20,10 +20,12 @@ That covariance is what lets one witness serve both settings: the
 functional evaluates the Y term against the S-conjugated witness (same
 stabilizer bound, because Clifford conjugation permutes the polytope
 vertices), and the witness at sigma_{0|X} certifies the gap exactly.
-For one qubit the LP's witness has a closed form, :func:`sign_witness`, so
-neither the exact nor the finite-shot certification solves an LP;
-:func:`solve_witness` is the LP route they agree with.  No angle ever enters
-the certification path except through the assemblage states themselves.
+Every certification value is :func:`_functional_value` of Bloch vectors and
+the witness's Pauli terms: read off the LP's witness on the LP route
+(:func:`solve_witness`), and in the closed form of :func:`magic.sign_witness`
+for the exact assemblage, the sampled point and every bootstrap replica,
+which solve no LP.  No angle enters the certification path except through
+the assemblage states themselves.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from typing import Mapping
 import numpy as np
 
 from . import tomo
-from .magic import MagicResult, octahedron_distance, sign_witness, wigner_distance, witness_signs
+from .magic import MagicResult, octahedron_distance, sign_witness, wigner_distance
 from .protocol import _broadcast, _dealt
-from .qcore import H, I2, DensityMatrix, S, bloch, dm_from_bloch, phase_gate
+from .qcore import _PAULIS, H, I2, DensityMatrix, S, bloch, dm_from_bloch, phase_gate
 from .stabilizer import enumerate_stabilizer_states
 
 SETTINGS = ("X", "Y")
@@ -136,11 +138,14 @@ def solve_witness(assemblage: Assemblage) -> MagicResult:
     return wigner_distance(assemblage.state("X", 0))
 
 
-def _functional_value(sigma_x: DensityMatrix, sigma_y: DensityMatrix, h: np.ndarray) -> float:
-    h_y = S @ h @ S.conj().T
-    term_x = float(np.trace(h @ sigma_x.mat).real)
-    term_y = float(np.trace(h_y @ sigma_y.mat).real)
-    return 0.5 * (term_x + term_y)
+def _functional_value(b_x, b_y, h0, h):
+    """F = ((h . b_x) + (h' . b_y))/4 + h0/2: the functional at members with
+    Bloch vectors b_x, b_y for the witness H = (h0 I + h . sigma)/2, where
+    h' = (-h_y, h_x, h_z) is h under S conjugation.  Leading axes broadcast."""
+    hx, hy, hz = np.moveaxis(h, -1, 0)
+    x0, x1, x2 = np.moveaxis(b_x, -1, 0)
+    y0, y1, y2 = np.moveaxis(b_y, -1, 0)
+    return ((hx * x0 + hy * x1 + hz * x2) + (-hy * y0 + hx * y1 + hz * y2)) / 4 + h0 / 2
 
 
 def evaluate_functional(assemblage: Assemblage, witness: MagicResult) -> CertificationRecord:
@@ -150,30 +155,28 @@ def evaluate_functional(assemblage: Assemblage, witness: MagicResult) -> Certifi
     For the ideal assemblage the gap above F_LHS equals C(phi); any
     stabilizer local-hidden-state assemblage stays at or below zero gap.
     """
-    f_value = _functional_value(assemblage.state("X", 0), assemblage.state("Y", 0),
-                                witness.dual_witness)
-    return CertificationRecord(f_value=f_value, f_lhs=witness.f_lhs)
+    h = np.einsum("aij,ji->a", _PAULIS, witness.dual_witness).real  # tr(H* P), P = I, X, Y, Z
+    f_value = _functional_value(bloch(assemblage.state("X", 0)), bloch(assemblage.state("Y", 0)),
+                                h[0], h[1:])
+    return CertificationRecord(f_value=float(f_value), f_lhs=witness.f_lhs)
 
 
-# The witness wigner_distance reports, with F_LHS = 0, for a state whose C is 0.
-_ZERO_WITNESS = np.zeros((2, 2), dtype=complex)
-_ZERO_WITNESS.setflags(write=False)
-
-
-def _certification(sigma_x: DensityMatrix, sigma_y: DensityMatrix,
-                   c_x: float) -> CertificationRecord:
-    """The functional at sigma_{0|X}, sigma_{0|Y} with the witness wigner_distance
-    reports at sigma_{0|X}, whose C is ``c_x``: :func:`sign_witness` where C is
-    positive, and the zero witness (F = F_LHS = 0) otherwise.  No LP is solved."""
-    h, f_lhs = sign_witness(sigma_x) if c_x > 0 else (_ZERO_WITNESS, 0.0)
-    return CertificationRecord(f_value=_functional_value(sigma_x, sigma_y, h), f_lhs=f_lhs)
+def _certification(b_x, b_y) -> tuple[np.ndarray, np.ndarray]:
+    """(F, F_LHS) at Bloch vectors b_x of sigma_{0|X} and b_y of sigma_{0|Y},
+    with the witness wigner_distance reports at sigma_{0|X}: the sign witness
+    (s . sigma)/2 + t I where C is positive, with F_LHS = 1/2 + t, and the zero
+    witness, F = F_LHS = 0, where C is reported as 0."""
+    s, t = sign_witness(b_x)
+    certifies = octahedron_distance(b_x) > 0
+    return (np.where(certifies, _functional_value(b_x, b_y, 2 * t, s), 0.0),
+            np.where(certifies, 0.5 + t, 0.0))
 
 
 def certify_exact(phi: float) -> CertificationRecord:
     """Build the ideal assemblage at phi and evaluate it against its witness."""
     assemblage = build_assemblage(phi)
-    sigma_x = assemblage.state("X", 0)
-    return _certification(sigma_x, assemblage.state("Y", 0), octahedron_distance(bloch(sigma_x)))
+    f, f_lhs = _certification(bloch(assemblage.state("X", 0)), bloch(assemblage.state("Y", 0)))
+    return CertificationRecord(f_value=float(f), f_lhs=float(f_lhs))
 
 
 @dataclass(frozen=True)
@@ -189,12 +192,11 @@ def sampled_certification(phi: float, shots: int, noise, seed: int,
     conditional states, with a parametric bootstrap on the gap.
 
     Outcome 0 of each setting keeps the dealer's readout bit in
-    ``_OUTCOME_0_BIT``.  No LP is solved: the point estimate is
-    :func:`_certification` at the reconstructed states, as for
-    :func:`certify_exact`.  Every bootstrap replica re-derives the witness at
-    its own reconstructed sigma_{0|X} by the same rule, in the closed form of
-    :func:`_sign_witness_gaps`, so sigma_gap includes the witness's own
-    sampling wobble.
+    ``_OUTCOME_0_BIT``.  No LP is solved: the point estimate and every
+    bootstrap replica are :func:`_certification` of their reconstructed Bloch
+    vectors, so a replica with the observed counts gives the point estimate
+    bit for bit.  Each replica re-derives the witness at its own sigma_{0|X},
+    so sigma_gap includes the witness's own sampling wobble.
 
     Against the noisy closed form (Bloch vector eta (cos phi, sin phi, 0)),
     the gap runs high by a few tenths of sigma_gap on average: the sign
@@ -205,40 +207,18 @@ def sampled_certification(phi: float, shots: int, noise, seed: int,
                                                          alice_setting=setting), keep_bit)
             for setting, keep_bit in _OUTCOME_0_BIT.items() for basis in ("X", "Y", "Z")]
     recon_x, recon_y = tomo.reconstruct(*base[:3]), tomo.reconstruct(*base[3:])
-    record = _certification(recon_x.rho, recon_y.rho, recon_x.c_value)
+    f, f_lhs = _certification(recon_x.bloch, recon_y.bloch)
 
     rng = tomo.stream_rng(seed, f"certify-boot/{phi:.17g}")
     raw = tomo.resample_expectations(base, n_boot, rng)
     b = tomo.scale_onto_ball(raw.reshape(n_boot, 2, 3))
-    gaps = _sign_witness_gaps(b[:, 0], b[:, 1])
+    f_boot, f_lhs_boot = _certification(b[:, 0], b[:, 1])
+    gaps = f_boot - f_lhs_boot
     return SampledCertification(
-        record=record,
+        record=CertificationRecord(f_value=float(f), f_lhs=float(f_lhs)),
         sigma_gap=float(np.std(gaps, ddof=1)),
         n_eff=min(recon_x.n_eff, recon_y.n_eff),
     )
-
-
-def _sign_witness_gaps(b_x: np.ndarray, b_y: np.ndarray) -> np.ndarray:
-    """Certification gap per row of Bloch vectors b_x of sigma_{0|X} and b_y
-    of sigma_{0|Y}, with the witness solved at sigma_{0|X}: the LP's result
-    in closed form.
-
-    For one qubit the free polytope is the octahedron |b|_1 <= 1.  Where C
-    is positive, wigner_distance reports the witness H* = (s . sigma)/2 plus
-    a multiple of the identity, with s = witness_signs(b_x); over the six
-    vertices +-e_i it peaks at F_LHS = 1/2 plus that multiple.  The identity
-    part adds equally to F and F_LHS, so it cancels in the gap.  S
-    conjugation maps s . sigma to s' . sigma with s' = (-s_y, s_x, s_z), so
-    the gap is (s . b_x + s' . b_y)/4 - 1/2, which is C(b_x) when b_y is the
-    S-conjugate of b_x.  Where C is reported as 0 -- inside the octahedron,
-    on its surface, and within CLAMP_TOL outside it -- the zero witness is
-    taken and the gap is 0, as wigner_distance does.
-    """
-    s0, s1, s2 = np.moveaxis(witness_signs(b_x), -1, 0)
-    x0, x1, x2 = np.moveaxis(b_x, -1, 0)
-    y0, y1, y2 = np.moveaxis(b_y, -1, 0)
-    gap = ((s0 * x0 + s1 * x1 + s2 * x2) + (-s1 * y0 + s0 * y1 + s2 * y2)) / 4.0 - 0.5
-    return np.where(octahedron_distance(b_x) > 0, gap, 0.0)
 
 
 def random_lhs_assemblage(rng: np.random.Generator) -> Assemblage:

@@ -303,6 +303,7 @@ def post_select_and_correct(table: CountsTable, alice_keep_bit: int = 0) -> Corr
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
     rho: DensityMatrix
+    bloch: np.ndarray         # the projected Bloch vector rho, c_value and fidelity are built from
     bloch_raw: np.ndarray     # linear-inversion vector before any projection
     n_eff: int                # smallest post-selected sample across bases
     c_value: float
@@ -330,8 +331,10 @@ def reconstruct(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
     raw = np.array([x_counts.expectation, y_counts.expectation, z_counts.expectation])
     b = scale_onto_ball(raw)
     raw.setflags(write=False)
+    b.setflags(write=False)
     return ReconstructionResult(
         rho=dm_from_bloch(b),
+        bloch=b,
         bloch_raw=raw,
         n_eff=int(round(min(x_counts.n_eff, y_counts.n_eff, z_counts.n_eff))),
         c_value=octahedron_distance(b),

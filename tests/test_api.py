@@ -11,6 +11,7 @@ Every record type is frozen and holds only read-only data.
 import ast
 import dataclasses
 import math
+import re
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 import mss
-from mss import magic, protocol, qcore, simplex, stabilizer, steering, tomo
+from mss import magic, protocol, qcore, simplex, stabilizer, steering, tomo, wigner
 
 SRC = Path(mss.__file__).resolve().parent
 
@@ -146,3 +147,55 @@ def test_records_with_arrays_compare_by_identity():
     m = qcore.maximally_mixed(1).mat
     a, b = qcore.DensityMatrix(m), qcore.DensityMatrix(m.copy())
     assert a == a and a != b
+
+
+def _assemblage_with(key, member):
+    members = dict(steering.build_assemblage(0.3).members)
+    members[key] = member
+    return steering.Assemblage(members=members)
+
+
+def _lopsided_assemblage():
+    """The X setting's outcome probabilities raised to sum to 1.1."""
+    p, sigma = steering.build_assemblage(0.3).members[("X", 0)]
+    return _assemblage_with(("X", 0), (p + 0.1, sigma))
+
+
+_ZERO_STATE = qcore.ket("0")
+BAD_INPUTS = {
+    "keep bit 2": (lambda: tomo.post_select_and_correct(
+        tomo.sample_run(0.3, "X", 16, tomo.NoiseModel.none(), seed=1), 2),
+        ValueError, "alice_keep_bit must be 0 or 1"),
+    "no angles": (lambda: tomo.experiment_table([], 16, tomo.NoiseModel.none(), seed=1),
+                  ValueError, "phi list must be nonempty"),
+    "empty counts": (lambda: tomo.CorrectedCounts("X", 0, 0).expectation,
+                     ValueError, "empty post-selected sample"),
+    "probabilities sum to 1.1": (_lopsided_assemblage, ValueError,
+                                 "outcome probabilities for X sum to 1.1"),
+    "setting averages differ": (lambda: _assemblage_with(("X", 0), (0.5, _ZERO_STATE.density())),
+                                ValueError, "no-signalling violated"),
+    "3x3 column sums": (lambda: protocol.column_sums(np.eye(3)), ValueError,
+                        "expected a 2x2 matrix"),
+    "3x3 gate": (lambda: qcore.require_unitary(np.eye(3)), ValueError, "expected a 2x2 gate"),
+    "2x3 density": (lambda: qcore.DensityMatrix(np.ones((2, 3))), ValueError,
+                    "expected a square matrix"),
+    "3x3 density": (lambda: qcore.DensityMatrix(np.eye(3) / 3), ValueError,
+                    "dimension 3 is not a power of two"),
+    "3 amplitudes": (lambda: qcore.PureState(np.ones(3) / math.sqrt(3)), ValueError,
+                     "length 3 is not a power of two"),
+    "empty ket": (lambda: qcore.ket(""), ValueError, "bit label must be nonempty"),
+    "ghz(0)": (lambda: qcore.ghz(0), ValueError, "n must be positive"),
+    "mixed tensor": (lambda: qcore.tensor(_ZERO_STATE, _ZERO_STATE.density()), TypeError,
+                     "two PureStates or two DensityMatrices"),
+    "LP dimensions": (lambda: simplex.solve_lp([1.0, 1.0, 1.0], [[1.0, 1.0]], [1.0], [0]),
+                      ValueError, "inconsistent LP dimensions"),
+    "phase point (2, 0)": (lambda: wigner.phase_point_operator(((2, 0),)), ValueError,
+                           "invalid phase point"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_raises_with_a_message(name):
+    call, error, message = BAD_INPUTS[name]
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -151,6 +151,18 @@ class TestGateCheck:
         assert payload["unitary"] and payload["secure"]
         assert not payload["faithful"]  # a fixed matrix cannot vary with phi
 
+    def test_a_fixed_matrix_is_a_constant_family(self, capsys):
+        # Even P(pi/4) gives the same gate at every probe angle, so the four
+        # probe rows agree and faithful is false; the help says so.
+        payload = run_json(capsys, "gate-check", "--matrix",
+                           "1,0,0,0,0,0,0.7071067811865476,0.7071067811865476")
+        rows = [{k: v for k, v in probe.items() if k != "phi"} for probe in payload["probes"]]
+        assert len(rows) == 4 and all(row == rows[0] for row in rows)
+        assert payload["faithful"] is False
+        with pytest.raises(SystemExit):
+            main(["gate-check", "-h"])
+        assert "a fixed matrix is a constant family" in " ".join(capsys.readouterr().out.split())
+
     def test_non_unitary_diagonal(self, capsys):
         payload = run_json(capsys, "gate-check", "--matrix", "1,0,0,0,0,0,0.9,0")
         validate("gate-check", payload)
@@ -649,7 +661,8 @@ phi,c_theory,c_charlie,sigma_c,fidelity,sigma_f,c_bob,n_eff,exceeds_distillation
             (tmp_path / "exp_curve.csv").read_text().split("\n"))
         assert header == "kind,phi,c_theory,c_measured,sigma_c"
         assert first == "curve,0,0,,"
-        assert last_curve == "curve,6.2831853071795862,1.1102230246251565e-16,,"
+        # fl(2 pi) leaves 1.1e-16 unclamped; the closed form reports 0 below 1e-10.
+        assert last_curve == "curve,6.2831853071795862,0,,"
         assert p0 == ("point,0.39269908169872414,0.15328148243818829,0.1572462534092639,"
                       "0.036700846026073909")
         assert p1 == "point,1.3,0.11552850702089013,0.058932434472002804,0.047077662689925158"
@@ -676,6 +689,18 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv, "--shots", str(2 ** 63))
         assert code == 2 and out == ""
         assert err == f"mss: shots must lie in [1, 2**63), got {2 ** 63}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (("experiment", "--phis", "0.3,abc", "--seed", "1"),
+         "--phis: could not parse float list '0.3,abc': could not convert string to float: 'abc'"),
+        (("experiment", "--phis", "0.3", "--seed", "1", "--noise", "0,0"),
+         "--noise expects p1,p2,readout"),
+        (("magic-eval", "--bloch", "1,1"), "--bloch expects x,y,z"),
+        (("magic-eval", "--bloch", "1,1,1"), "Bloch vector lies outside the unit ball"),
+    ], ids=["phis", "noise", "bloch-length", "bloch-outside-ball"])
+    def test_malformed_or_unphysical_values_are_usage_errors(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, out, err) == (2, "", f"mss: {message}\n")
 
     def test_largest_shots_is_accepted(self, capsys):
         code, _, err = run_cli(capsys, "certify", "--phi", PI_8, "--seed", "1",

@@ -11,6 +11,7 @@ import mss.magic
 import mss.simplex
 from mss.magic import (
     CLAMP_TOL,
+    SIGN_TOL,
     _lp_constants,
     c_closed_form,
     octahedron_distance,
@@ -22,6 +23,9 @@ from mss.qcore import (
     H,
     PureState,
     S,
+    X,
+    Y,
+    Z,
     bloch,
     dm_from_bloch,
     maximally_mixed,
@@ -69,8 +73,9 @@ class TestClosedForm:
         assert c_closed_form(np.pi / 4) == pytest.approx((SQRT2 - 1) / 2, abs=1e-15)
 
     def test_zeros(self):
-        for phi in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2, 2 * np.pi):
-            assert c_closed_form(phi) == pytest.approx(0.0, abs=1e-12)
+        # Clamped at CLAMP_TOL: fl(pi), fl(3 pi/2) and fl(2 pi) leave 1.1e-16 unclamped.
+        for phi in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2, 2 * np.pi, -np.pi, np.pi + 1e-11):
+            assert c_closed_form(phi) == 0.0
 
     def test_pi_third(self):
         assert c_closed_form(np.pi / 3) == pytest.approx((SQRT3 - 1) / 4, abs=1e-15)
@@ -245,6 +250,31 @@ class TestWignerDistance:
             got = mss.magic._witness_matrix(y, n)
             assert got.tobytes() == reference_witness_matrix(y, n).tobytes()
             assert not got.flags.writeable
+
+    def test_one_qubit_witness_is_the_lp_vertex_construction(self, rng):
+        # The oracle builds the sign witness from its phase-point coordinates:
+        # y_a = tr(A_a (s . sigma))/2, centred in [-1, 1], summed as
+        # sum_a y_a A_a / 2, with F_LHS the largest vertex value of y.
+        ops = _operator_stack(1)
+        checked = 0
+        for i in range(3000):
+            b = rng.normal(size=3)
+            b *= rng.uniform(0.75, 1.0) / np.linalg.norm(b)
+            if i % 3 == 0:
+                b[rng.integers(3)] = (0.0, -0.0, SIGN_TOL / 2)[i % 9 // 3]
+            res = wigner_distance(dm_from_bloch(b))
+            if res.c_value == 0.0:
+                continue
+            checked += 1
+            s = np.where(np.abs(b) <= SIGN_TOL, 0.0, np.sign(b))
+            y0 = np.einsum("aij,ji->a", ops, s[0] * X + s[1] * Y + s[2] * Z).real / 2
+            y = y0 - (y0.max() + y0.min()) / 2
+            want = (y @ ops.reshape(4, -1)).reshape(2, -1) / 2
+            want = (want + want.conj().T) / 2
+            assert res.dual_witness.tobytes() == want.tobytes()
+            assert res.f_lhs.hex() == float((y @ _lp_constants(1)[0]).max()).hex()
+            assert not res.dual_witness.flags.writeable
+        assert checked > 1500
 
     @pytest.mark.parametrize("phi", [0.3, np.pi / 8, 2.0])
     def test_cx_doubles_the_joint_value_and_local_cliffords_keep_it(self, phi):

@@ -572,10 +572,13 @@ class TestOneContraction:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_scan_is_exact(self, n):
-        # The delivered Bloch vector is (cos phi, sin phi, 0) to the bit.  The
-        # closed form is not clamped at 1e-10, so the grid holds no multiple of
-        # pi/2.
-        for phi, c_theory, c_protocol in magic_scan(np.linspace(-7.0, 7.0, 4001), n):
+        # The delivered Bloch vector is (cos phi, sin phi, 0) to the bit, and
+        # both values are clamped at 1e-10: the grid holds the multiples of
+        # pi/2 and angles 1e-11 and 3e-10 off them, either side of the clamp.
+        stabilizer = np.arange(-4, 5) * np.pi / 2
+        grid = [*np.linspace(-7.0, 7.0, 4001),
+                *(stabilizer + offset for offset in (0.0, 1e-11, -1e-11, -3e-10))]
+        for phi, c_theory, c_protocol in magic_scan(np.concatenate(grid, axis=None), n):
             assert c_protocol.hex() == c_theory.hex(), phi
 
     def test_large_scan_matches_closed_form(self):

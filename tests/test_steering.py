@@ -7,12 +7,12 @@ from hypothesis import example, given
 import mss.magic
 from mss import steering, tomo
 from mss.magic import c_closed_form, octahedron_distance, wigner_distance
-from mss.qcore import X, Y, Z, bloch, dm_from_bloch, ket
+from mss.qcore import I2, S, X, Y, Z, bloch, dm_from_bloch, ket
 from mss.stabilizer import enumerate_stabilizer_states
 from mss.steering import (
     Assemblage,
+    _certification,
     _functional_value,
-    _sign_witness_gaps,
     build_assemblage,
     certify_exact,
     evaluate_functional,
@@ -37,17 +37,34 @@ def lhs_bound_check(witness) -> float:
     return max(float(np.trace(witness.dual_witness @ s.density().mat).real) for s in states)
 
 
+def matrix_functional(sigma_x, sigma_y, h):
+    """F = (tr(H sigma_x) + tr(S H S^dagger sigma_y))/2 in 2x2 matrices."""
+    h_y = S @ h @ S.conj().T
+    return 0.5 * (float(np.trace(h @ sigma_x.mat).real) + float(np.trace(h_y @ sigma_y.mat).real))
+
+
 def lp_gap(b_x, b_y):
     """Gap of the LP witness solved at b_x, with the Y term S-conjugated."""
     sigma_x, sigma_y = dm_from_bloch(b_x), dm_from_bloch(b_y)
     w = wigner_distance(sigma_x)
-    return _functional_value(sigma_x, sigma_y, w.dual_witness) - w.f_lhs
+    return matrix_functional(sigma_x, sigma_y, w.dual_witness) - w.f_lhs
+
+
+def certification_gap(b_x, b_y):
+    """F - F_LHS of :func:`_certification`."""
+    f, f_lhs = _certification(b_x, b_y)
+    return f - f_lhs
+
+
+def pauli_terms(h):
+    """(tr H, (tr H X, tr H Y, tr H Z)) of a 2x2 witness matrix."""
+    terms = [np.trace(h @ p).real for p in (I2, X, Y, Z)]
+    return terms[0], np.array(terms[1:])
 
 
 def lp_witness_paulis(b):
     """(tr H* X, tr H* Y, tr H* Z) of the LP witness solved at Bloch vector b."""
-    h = wigner_distance(dm_from_bloch(b)).dual_witness
-    return np.array([np.trace(h @ p).real for p in (X, Y, Z)])
+    return pauli_terms(wigner_distance(dm_from_bloch(b)).dual_witness)[1]
 
 
 def s_conjugate(b):
@@ -72,7 +89,8 @@ def reference_sampled_certification(phi, shots, noise, seed, n_boot):
         sig = {s: tomo.reconstruct(counts[s]["X"], counts[s]["Y"], counts[s]["Z"])
                for s in ("X", "Y")}
         w = wigner_distance(sig["X"].rho)
-        return _functional_value(sig["X"].rho, sig["Y"].rho, w.dual_witness), w, sig
+        f = _functional_value(sig["X"].bloch, sig["Y"].bloch, *pauli_terms(w.dual_witness))
+        return float(f), w, sig
 
     f_value, witness, recon = evaluate(base)
     rng = tomo.stream_rng(seed, f"certify-boot/{phi:.17g}")
@@ -320,7 +338,47 @@ class TestSampledCertification:
         raw = tomo.resample_expectations(counts, 100, tomo.stream_rng(2, "exact"))
         b_x, b_y = tomo.scale_onto_ball(raw[:, :3]), tomo.scale_onto_ball(raw[:, 3:])
         want = [lp_gap(x, y) for x, y in zip(b_x, b_y)]
-        np.testing.assert_allclose(_sign_witness_gaps(b_x, b_y), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(certification_gap(b_x, b_y), want, rtol=0, atol=1e-12)
+
+
+class TestOneFunctional:
+    """Every certification value goes through :func:`_functional_value`."""
+
+    def test_functional_matches_the_matrix_functional(self, rng):
+        for _ in range(500):
+            b_x, b_y = (v / max(1.0, np.linalg.norm(v)) for v in rng.uniform(-1, 1, (2, 3)))
+            h0, h = rng.uniform(-2, 2), rng.uniform(-1, 1, 3)
+            witness = (h0 * I2 + h[0] * X + h[1] * Y + h[2] * Z) / 2
+            want = matrix_functional(dm_from_bloch(b_x), dm_from_bloch(b_y), witness)
+            assert abs(_functional_value(b_x, b_y, h0, h) - want) <= 1e-15
+
+    # The last point estimate lies inside the octahedron: zero witness.
+    @pytest.mark.parametrize("phi,seed", [(np.pi / 8, 1), (1.0472, 7), (3.14159, 3)])
+    def test_record_and_replicas_are_the_certification_of_their_reconstructions(self, phi, seed):
+        # The point estimate is _certification at the reconstructions' Bloch
+        # vectors, and each replica row's gap is what a reconstruction of the
+        # replica's counts gives: the batched rows and the point estimate are
+        # one piece of arithmetic.
+        shots, n_boot, noise = 2048, 120, ACCEPTANCE_NOISE
+        sc = sampled_certification(phi, shots, noise, seed, n_boot=n_boot)
+        base = [tomo.post_select_and_correct(tomo.sample_run(phi, basis, shots, noise, seed,
+                                                             alice_setting=setting), keep_bit)
+                for setting, keep_bit in (("X", 0), ("Y", 1)) for basis in ("X", "Y", "Z")]
+        f, f_lhs = _certification(tomo.reconstruct(*base[:3]).bloch,
+                                  tomo.reconstruct(*base[3:]).bloch)
+        assert (sc.record.f_value.hex(), sc.record.f_lhs.hex()) == (float(f).hex(),
+                                                                    float(f_lhs).hex())
+
+        rng = tomo.stream_rng(seed, f"certify-boot/{phi:.17g}")
+        k = [rng.binomial(c.n_eff, c.n0 / c.n_eff, size=n_boot) for c in base]
+        gaps = []
+        for row in range(n_boot):
+            counts = [tomo.CorrectedCounts(c.basis_label, int(kk[row]), c.n_eff - int(kk[row]))
+                      for c, kk in zip(base, k)]
+            f, f_lhs = _certification(tomo.reconstruct(*counts[:3]).bloch,
+                                      tomo.reconstruct(*counts[3:]).bloch)
+            gaps.append(f - f_lhs)
+        assert sc.sigma_gap.hex() == float(np.std(gaps, ddof=1)).hex()
 
 
 class TestClosedFormCoverage:
@@ -374,19 +432,19 @@ class TestSignWitnessProperties:
         b_y = s_conjugate(CLAMPED_OUTSIDE)
         want = lp_gap(CLAMPED_OUTSIDE, b_y)
         assert want == 0.0
-        np.testing.assert_allclose(_sign_witness_gaps(CLAMPED_OUTSIDE, b_y), want,
+        np.testing.assert_allclose(certification_gap(CLAMPED_OUTSIDE, b_y), want,
                                    rtol=0, atol=1e-12)
 
     @PROPERTY
     @given(bloch_vectors())
     def test_gap_at_the_solved_state_is_c(self, b):
         # The ideal assemblage has sigma_{0|Y} = S sigma_{0|X} S^dagger.
-        gap = float(_sign_witness_gaps(b, s_conjugate(b)))
+        gap = float(certification_gap(b, s_conjugate(b)))
         assert gap == pytest.approx(wigner_distance(dm_from_bloch(b)).c_value, abs=1e-9)
         assert gap == pytest.approx(lp_gap(b, s_conjugate(b)), abs=1e-9)
 
     @PROPERTY
     @given(bloch_vectors(), bloch_vectors())
     def test_gap_matches_lp_for_any_second_member(self, b_x, b_y):
-        gap = float(_sign_witness_gaps(b_x, b_y))
+        gap = float(certification_gap(b_x, b_y))
         assert gap == pytest.approx(lp_gap(b_x, b_y), abs=1e-9)

@@ -37,8 +37,11 @@ COMMANDS = [
     ["run", "--phi", PI_4, "--outcomes", "+-"],
     ["run", "--phi", "1.3", "--n", "5", "--seed", "7"],
     ["run", "--phi", "45", "--degrees", "--outcomes=--"],
+    # fl(pi): the closed form is clamped at 1e-10 like the protocol's C
+    ["run", "--phi", "3.141592653589793", "--outcomes", "++"],
     ["scan", "--grid", "0:1.5:4"],
     ["scan", "--grid=-3.2:3.2:9", "--n", "6"],
+    ["scan", "--grid", "0:6.283185307179586:5"],
     ["gate-check", "--matrix", "1,0,0,0,0,0,0.7071067811865476,0.7071067811865476"],
     ["gate-check", "--matrix", "1,0,0,0,0,0,0.9,0"],
     ["gate-check", "--matrix", "0.7071067811865476,0,0,0.7071067811865476,"
