@@ -15,8 +15,8 @@ H* = sum_alpha y_alpha A_alpha / 2**n with
     tr(H* v)   <= F_LHS                (every polytope vertex v)
 
 where F_LHS = max over pure stabilizer states of tr(H* sigma).  The witness
-is a per-solve certificate: away from the solved state it gives the lower
-bound exposed by :meth:`MagicResult.witness_value`, not an equality.
+is a per-solve certificate: away from the solved state tr(H* rho) - F_LHS
+is a lower bound on C, not an equality.
 For one qubit with C > 0 the reported witness is in closed form,
 (s . sigma)/2 + t I with s the signs of the Bloch vector (:func:`sign_witness`).
 
@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import _PAULIS, I2, DensityMatrix, X, Y, Z, bloch
+from .qcore import _PAULIS, I2, DensityMatrix, Record, X, Y, Z, bloch
 from .simplex import solve_lp
 from .stabilizer import enumerate_stabilizer_states
 from .wigner import _operator_stack, as_wigner_vector, wigner_of
@@ -44,8 +44,8 @@ SIGN_TOL = 1e-12   # Bloch coordinates this small count as 0 in sign_witness
 _PHASE_POINT_BLOCH = np.einsum("aij,kji->ak", _operator_stack(1), _PAULIS[1:]).real
 
 
-@dataclass(frozen=True, eq=False)
-class MagicResult:
+@dataclass(init=False, repr=False, eq=False)
+class MagicResult(Record):
     """Optimal value and certificates of one Wigner-distance solve; arrays read-only."""
 
     c_value: float
@@ -54,9 +54,9 @@ class MagicResult:
     dual_witness: np.ndarray      # Hermitian H*
     f_lhs: float                  # max_sigma tr(H* sigma) over stabilizer states
 
-    def witness_value(self, rho: DensityMatrix) -> float:
-        """tr(H* rho) - F_LHS: equals C at the solved state, a lower bound elsewhere."""
-        return float(np.trace(self.dual_witness @ rho.mat).real) - self.f_lhs
+    def __init__(self, c_value, f_star, mixture_weights, dual_witness, f_lhs) -> None:
+        self.__dict__.update(c_value=c_value, f_star=f_star, mixture_weights=mixture_weights,
+                             dual_witness=dual_witness, f_lhs=f_lhs)
 
 
 @lru_cache(maxsize=None)

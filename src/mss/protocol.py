@@ -42,7 +42,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .magic import c_closed_form, octahedron_distance
-from .qcore import DensityMatrix, I2, X, dm_from_bloch, phase_gate, ptm, require_unitary
+from .qcore import (DensityMatrix, I2, Record, ValueRecord, X, dm_from_bloch, phase_gate, ptm,
+                    require_unitary)
 
 MIN_PARTIES = 3
 MAX_PARTIES = 6  # 4^6 Pauli terms; enough to exercise the induction fully
@@ -51,8 +52,8 @@ GATE_ATOL = 1e-10  # an injected gate's unitarity and column-sum tolerance, on e
 PLUS, MINUS = "+", "-"
 
 
-@dataclass(frozen=True, eq=False)
-class ProtocolTranscript:
+@dataclass(init=False, repr=False, eq=False)
+class ProtocolTranscript(Record):
     """Everything one protocol run produced, for auditing and security checks."""
 
     phi: float
@@ -62,6 +63,12 @@ class ProtocolTranscript:
     final_state: DensityMatrix  # recipient's 1-qubit state
     bloch_history: np.ndarray  # [j, k]: party k's Bloch vector after j measurements; 0 for k < j
     correction_parity: int
+
+    def __init__(self, phi, n_parties, outcomes, branch_probability, final_state, bloch_history,
+                 correction_parity) -> None:
+        self.__dict__.update(phi=phi, n_parties=n_parties, outcomes=outcomes,
+                             branch_probability=branch_probability, final_state=final_state,
+                             bloch_history=bloch_history, correction_parity=correction_parity)
 
     @cached_property
     def marginal_history(self) -> tuple[tuple[DensityMatrix | None, ...], ...]:
@@ -175,11 +182,16 @@ def run_all_branches(phi: float, n: int = 3) -> list[ProtocolTranscript]:
     return [_run(r, phi, _forced(bits)) for bits in product((0, 1), repeat=r.ndim - 1)]
 
 
-@dataclass(frozen=True, eq=False)
-class PartySecurity:
+@dataclass(init=False, repr=False, eq=False)
+class PartySecurity(Record):
+    """One non-recipient party's worst-case marginal over the run."""
+
     bloch: np.ndarray  # the worst-case marginal's Bloch vector, read-only
     c_value: float
     trace_distance_to_i2: float
+
+    def __init__(self, bloch, c_value, trace_distance_to_i2) -> None:
+        self.__dict__.update(bloch=bloch, c_value=c_value, trace_distance_to_i2=trace_distance_to_i2)
 
     @cached_property
     def marginal(self) -> DensityMatrix:
@@ -209,8 +221,8 @@ def security_report(transcript: ProtocolTranscript) -> dict[int, PartySecurity]:
 GateFamily = Callable[[float], np.ndarray]
 
 
-@dataclass(frozen=True)
-class GateAdmissibility:
+@dataclass(init=False, repr=False, eq=False)
+class GateAdmissibility(ValueRecord):
     """Column-sum security condition and phi-faithfulness of an injected gate."""
 
     probe_phis: tuple[float, ...]
@@ -220,6 +232,12 @@ class GateAdmissibility:
     bob_i2_distances: tuple[float, ...]
     secure: bool
     faithful: bool
+
+    def __init__(self, probe_phis, col0_sums, col1_sums, c_values, bob_i2_distances, secure,
+                 faithful) -> None:
+        self.__dict__.update(probe_phis=probe_phis, col0_sums=col0_sums, col1_sums=col1_sums,
+                             c_values=c_values, bob_i2_distances=bob_i2_distances, secure=secure,
+                             faithful=faithful)
 
     @property
     def col0_sum_abs(self) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 import numpy as np
 
@@ -74,14 +74,52 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class Record:
+    """Base of the package's record types: frozen, with a repr of every field.
+
+    Each record is a ``@dataclass(init=False, repr=False, eq=False)`` whose
+    ``__init__``, written in its own source, fills the instance ``__dict__``,
+    so ``dataclasses`` generates and ``exec``s no method at import (a plain
+    frozen dataclass gets four to six).  Records keep ``fields``, ``replace``
+    and ``__match_args__``, and an instance ``__dict__`` for
+    ``cached_property``.  A record compares by identity, a
+    :class:`ValueRecord` by value.
+    """
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        return f"{type(self).__qualname__}({values})"
+
+
+class ValueRecord(Record):
+    """A record that compares and hashes by the tuple of its field values."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+@dataclass(init=False, repr=False, eq=False)
+class PureState(Record):
     """Normalised amplitude vector over 2**n_qubits basis states."""
 
     amps: np.ndarray
 
-    def __post_init__(self) -> None:
-        a = np.asarray(self.amps, dtype=complex).reshape(-1)
+    def __init__(self, amps) -> None:
+        a = np.asarray(amps, dtype=complex).reshape(-1)
         n = int(a.size).bit_length() - 1
         if a.size < 2 or a.size != 2 ** n:
             raise ValueError(f"amplitude vector length {a.size} is not a power of two")
@@ -89,7 +127,7 @@ class PureState:
             raise ValueError("amplitudes contain NaN/Inf")
         if abs(math.sqrt(np.vdot(a, a).real) - 1.0) > ATOL_CONSTRUCT:
             raise ValueError("state is not normalised within 1e-12")
-        object.__setattr__(self, "amps", _frozen(a))
+        self.__dict__["amps"] = _frozen(a)
 
     @property
     def n_qubits(self) -> int:
@@ -99,13 +137,18 @@ class PureState:
         return DensityMatrix(np.outer(self.amps, self.amps.conj()))
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+@dataclass(init=False, repr=False, eq=False)
+class DensityMatrix(Record):
     """Hermitian, trace-1, positive-semidefinite matrix on 2**n_qubits dims."""
 
     mat: np.ndarray
 
+    def __init__(self, mat) -> None:
+        self.__dict__["mat"] = mat
+        self.__post_init__()
+
     def __post_init__(self) -> None:
+        # A method of its own: bench/tracer.py wraps it to count constructions.
         m = np.asarray(self.mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -135,7 +178,7 @@ class DensityMatrix:
             raise ValueError("trace is not 1 within 1e-12")
         if min_eigenvalue() < -ATOL_PSD:
             raise ValueError("matrix has an eigenvalue below -1e-10")
-        object.__setattr__(self, "mat", _frozen(m))
+        self.__dict__["mat"] = _frozen(m)
 
     @property
     def n_qubits(self) -> int:

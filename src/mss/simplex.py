@@ -51,6 +51,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .qcore import Record
+
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10_000
 ZERO_OBJECTIVE = 1e-12  # with c >= 0, an objective this small ends the solve
@@ -60,13 +62,18 @@ class SimplexError(RuntimeError):
     """Infeasible starting basis, unbounded objective or iteration cap exceeded."""
 
 
-@dataclass(frozen=True, eq=False)
-class LPSolution:
+@dataclass(init=False, repr=False, eq=False)
+class LPSolution(Record):
+    """Optimum of one :func:`solve_lp` call, with its duals and pivot counts."""
+
     x: np.ndarray          # primal optimum, length n, read-only
     fun: float             # optimal objective value
     duals: np.ndarray      # dual vector y for the equality rows, length m, read-only
     iterations: int        # entering pivots
     flips: int             # rows that swapped a variable for its mirror mid-step
+
+    def __init__(self, x, fun, duals, iterations, flips) -> None:
+        self.__dict__.update(x=x, fun=fun, duals=duals, iterations=iterations, flips=flips)
 
 
 def solve_lp(c, A, b, basis, tol: float = DEFAULT_TOL,

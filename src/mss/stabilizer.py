@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import H, I2, PureState, S
+from .qcore import H, I2, PureState, Record, S
 from .wigner import _operator_stack
 
 _PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -35,8 +35,8 @@ _BASIS_VECTORS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class StabilizerSet:
+@dataclass(init=False, repr=False, eq=False)
+class StabilizerSet(Record):
     """All pure n-qubit stabilizer states with their Wigner vectors.
 
     States carry a canonical phase (first nonzero amplitude real positive)
@@ -47,17 +47,21 @@ class StabilizerSet:
     states: tuple[PureState, ...]
     vertex_matrix: np.ndarray  # (4**n, n_states), read-only: column s is states[s]'s Wigner vector
 
+    def __init__(self, states, vertex_matrix) -> None:
+        self.__dict__.update(states=states, vertex_matrix=vertex_matrix)
+
 
 @lru_cache(maxsize=None)
 def enumerate_stabilizer_states(n: int) -> StabilizerSet:
     """Complete duplicate-free stabilizer set for n in {1, 2}."""
     if n not in (1, 2):
         raise ValueError("stabilizer enumeration is implemented for n in {1, 2}")
-    vecs = [v for pair in _BASIS_VECTORS.values() for v in pair]
-    if n == 2:
-        vecs = ([np.kron(a, b) for a in vecs for b in vecs]
-                + [np.kron(I2, c) @ _PHI_PLUS for c in single_qubit_cliffords()])
-    amps = np.array(vecs)
+    amps = np.array([v for pair in _BASIS_VECTORS.values() for v in pair])
+    if n == 2:  # Kronecker products as broadcast multiplies
+        products = (amps[:, None, :, None] * amps[:, None, :]).reshape(-1, 4)  # a (x) b
+        cliffords = np.array(single_qubit_cliffords())
+        entangled = (I2[:, None, :, None] * cliffords[:, None, :, None, :]).reshape(-1, 4, 4)
+        amps = np.concatenate([products, entangled @ _PHI_PLUS])  # (I (x) C)|Phi+>
     lead = amps[np.arange(len(amps)), np.argmax(np.abs(amps) > 1e-8, axis=1)]
     amps *= (np.abs(lead) / lead)[:, None]  # first nonzero amplitude real positive
 

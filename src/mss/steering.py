@@ -39,21 +39,22 @@ import numpy as np
 from . import tomo
 from .magic import MagicResult, octahedron_distance, sign_witness, wigner_distance
 from .protocol import _broadcast, _dealt
-from .qcore import _PAULIS, H, I2, DensityMatrix, S, bloch, dm_from_bloch, phase_gate
+from .qcore import (_PAULIS, H, I2, DensityMatrix, S, ValueRecord, bloch, dm_from_bloch,
+                    phase_gate)
 from .stabilizer import enumerate_stabilizer_states
 
 SETTINGS = ("X", "Y")
 DEFAULT_N_BOOT = 500  # bootstrap replicas of a sampled certification
 
 
-@dataclass(frozen=True)
-class Assemblage:
+@dataclass(init=False, repr=False, eq=False)
+class Assemblage(ValueRecord):
     """Conditional recipient states sigma_{a|x} with their outcome probabilities."""
 
     members: Mapping[tuple[str, int], tuple[float, DensityMatrix]]  # a read-only view of a copy
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", MappingProxyType(dict(self.members)))
+    def __init__(self, members) -> None:
+        self.__dict__["members"] = MappingProxyType(dict(members))
         for x in SETTINGS:
             if (x, 0) not in self.members or (x, 1) not in self.members:
                 raise ValueError(f"assemblage is missing outcomes for setting {x}")
@@ -74,10 +75,15 @@ class Assemblage:
         return self.members[(setting, outcome)][1]
 
 
-@dataclass(frozen=True)
-class CertificationRecord:
+@dataclass(init=False, repr=False, eq=False)
+class CertificationRecord(ValueRecord):
+    """The steering functional on an assemblage and its local-hidden-state bound."""
+
     f_value: float  # the functional F on the assemblage
     f_lhs: float    # its bound over stabilizer local-hidden-state assemblages
+
+    def __init__(self, f_value, f_lhs) -> None:
+        self.__dict__.update(f_value=f_value, f_lhs=f_lhs)
 
     @property
     def gap(self) -> float:
@@ -179,11 +185,16 @@ def certify_exact(phi: float) -> CertificationRecord:
     return CertificationRecord(f_value=float(f), f_lhs=float(f_lhs))
 
 
-@dataclass(frozen=True)
-class SampledCertification:
+@dataclass(init=False, repr=False, eq=False)
+class SampledCertification(ValueRecord):
+    """A finite-shot certification with the bootstrap spread of its gap."""
+
     record: CertificationRecord
     sigma_gap: float
     n_eff: int
+
+    def __init__(self, record, sigma_gap, n_eff) -> None:
+        self.__dict__.update(record=record, sigma_gap=sigma_gap, n_eff=n_eff)
 
 
 def sampled_certification(phi: float, shots: int, noise, seed: int,

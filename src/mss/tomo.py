@@ -55,7 +55,7 @@ import numpy as np
 
 # wigner_distance is not called here; bench/test_bench.py reads it as mss.tomo.wigner_distance.
 from .magic import c_closed_form, octahedron_distance, wigner_distance  # noqa: F401
-from .qcore import H, I2, S, DensityMatrix, dm_from_bloch, ptm
+from .qcore import H, I2, S, DensityMatrix, Record, ValueRecord, dm_from_bloch, ptm
 
 DISTILLATION_THRESHOLD = 0.856  # 15-to-1 magic state distillation entry fidelity
 DEFAULT_SHOTS = 4096
@@ -87,8 +87,8 @@ def stream_rng(seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True, eq=False)
-class NoiseModel:
+@dataclass(init=False, repr=False, eq=False)
+class NoiseModel(Record):
     """Depolarizing-plus-readout device model.
 
     ``p1``/``p2`` are depolarizing probabilities applied after every one- and
@@ -100,17 +100,17 @@ class NoiseModel:
     p2: float
     readout: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.p1 <= 0.5 and 0.0 <= self.p2 <= 0.5):
+    def __init__(self, p1, p2, readout) -> None:
+        if not (0.0 <= p1 <= 0.5 and 0.0 <= p2 <= 0.5):
             raise ValueError("depolarizing probabilities must lie in [0, 0.5]")
-        r = np.asarray(self.readout, dtype=float)
+        r = np.asarray(readout, dtype=float)
         if r.shape != (_N_QUBITS, 2, 2) or not np.all(np.isfinite(r)) or np.min(r) < 0:
             raise ValueError("readout must be three finite, nonnegative 2x2 matrices")
         if np.max(np.abs(r.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("readout confusion columns must sum to 1")
         frozen = np.array(r, order="C")
         frozen.setflags(write=False)
-        object.__setattr__(self, "readout", frozen)
+        self.__dict__.update(p1=p1, p2=p2, readout=frozen)
 
     @classmethod
     def none(cls) -> "NoiseModel":
@@ -132,8 +132,8 @@ def _require_circuit(basis: str, party: str, alice_setting: str) -> None:
         raise ValueError("alice_setting must be X or Y")
 
 
-@dataclass(frozen=True, eq=False)
-class CountsTable:
+@dataclass(init=False, repr=False, eq=False)
+class CountsTable(Record):
     """Raw shot counts for one circuit, big-endian indexed like
     :func:`circuit_probabilities`: counts[4*q0 + 2*q1 + q2]."""
 
@@ -143,18 +143,19 @@ class CountsTable:
     party: str = "charlie"
     alice_setting: str = "X"
 
-    def __post_init__(self) -> None:
-        _require_circuit(self.basis_label, self.party, self.alice_setting)
-        counts = np.array(self.counts)
+    def __init__(self, basis_label, counts, shots, party="charlie", alice_setting="X") -> None:
+        _require_circuit(basis_label, party, alice_setting)
+        counts = np.array(counts)
         if counts.shape != (2 ** _N_QUBITS,) or counts.dtype.kind not in "iu" or counts.min() < 0:
             raise ValueError("counts must be 8 nonnegative integers")
         total = sum(counts.tolist())  # Python ints: an int64 sum can wrap
-        if total != self.shots:
+        if total != shots:
             raise ValueError("counts do not sum to shots")
         if total >= 2 ** 63:
             raise ValueError("shots must be below 2**63")
         counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        self.__dict__.update(basis_label=basis_label, counts=counts, shots=shots, party=party,
+                             alice_setting=alice_setting)
 
 
 def _damping(p: float, k: int) -> np.ndarray:
@@ -255,8 +256,8 @@ def sample_run(phi: float, basis: str, shots: int, noise: NoiseModel, seed: int,
                        party=party, alice_setting=alice_setting)
 
 
-@dataclass(frozen=True)
-class CorrectedCounts:
+@dataclass(init=False, repr=False, eq=False)
+class CorrectedCounts(ValueRecord):
     """Post-selected single-party outcome counts after software correction.
 
     :func:`post_select_and_correct` keeps them as Python ints, so ``n_eff``
@@ -268,6 +269,9 @@ class CorrectedCounts:
     basis_label: str
     n0: int | float
     n1: int | float
+
+    def __init__(self, basis_label, n0, n1) -> None:
+        self.__dict__.update(basis_label=basis_label, n0=n0, n1=n1)
 
     @property
     def n_eff(self) -> int | float:
@@ -300,14 +304,20 @@ def post_select_and_correct(table: CountsTable, alice_keep_bit: int = 0) -> Corr
     return CorrectedCounts(basis_label=table.basis_label, n0=int(n[0]), n1=int(n[1]))
 
 
-@dataclass(frozen=True, eq=False)
-class ReconstructionResult:
+@dataclass(init=False, repr=False, eq=False)
+class ReconstructionResult(Record):
+    """One party's tomographic estimate from its X, Y and Z counts."""
+
     rho: DensityMatrix
     bloch: np.ndarray         # the projected Bloch vector rho, c_value and fidelity are built from
     bloch_raw: np.ndarray     # linear-inversion vector before any projection
     n_eff: int                # smallest post-selected sample across bases
     c_value: float
     fidelity: float           # NaN when no reference angle was supplied
+
+    def __init__(self, rho, bloch, bloch_raw, n_eff, c_value, fidelity) -> None:
+        self.__dict__.update(rho=rho, bloch=bloch, bloch_raw=bloch_raw, n_eff=n_eff,
+                             c_value=c_value, fidelity=fidelity)
 
 
 def _require_bases(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
@@ -393,8 +403,10 @@ def bootstrap(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
             float(np.std(_fidelity(b, phi), ddof=1)))
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
+@dataclass(init=False, repr=False, eq=False)
+class ExperimentRow(ValueRecord):
+    """One angle's row of the experiment table."""
+
     phi: float
     c_theory: float
     c_charlie: float
@@ -405,13 +417,21 @@ class ExperimentRow:
     n_eff: int
     exceeds_distillation_threshold: bool
 
+    def __init__(self, phi, c_theory, c_charlie, sigma_c, fidelity, sigma_f, c_bob, n_eff,
+                 exceeds_distillation_threshold) -> None:
+        self.__dict__.update(phi=phi, c_theory=c_theory, c_charlie=c_charlie, sigma_c=sigma_c,
+                             fidelity=fidelity, sigma_f=sigma_f, c_bob=c_bob, n_eff=n_eff,
+                             exceeds_distillation_threshold=exceeds_distillation_threshold)
+
 
 # An experiment row's JSON keys and CSV columns, in order.
 _ROW_FIELDS = tuple(f.name for f in fields(ExperimentRow))
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+@dataclass(init=False, repr=False, eq=False)
+class ExperimentReport(ValueRecord):
+    """The experiment table with its settings and the raw counts behind it."""
+
     rows: tuple[ExperimentRow, ...]
     shots: int
     n_boot: int
@@ -419,6 +439,10 @@ class ExperimentReport:
     noise: NoiseModel
     # One entry per phi: the recipient's X, Y, Z tables, then the middle party's.
     raw_counts: tuple[tuple[CountsTable, ...], ...]
+
+    def __init__(self, rows, shots, n_boot, seed, noise, raw_counts) -> None:
+        self.__dict__.update(rows=rows, shots=shots, n_boot=n_boot, seed=seed, noise=noise,
+                             raw_counts=raw_counts)
 
     def to_csv(self) -> str:
         lines = [",".join(_ROW_FIELDS)]

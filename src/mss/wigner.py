@@ -33,8 +33,9 @@ def phase_point_operator(point: PhasePoint) -> np.ndarray:
     if not point or any(q not in (0, 1) or p not in (0, 1) for q, p in point):
         raise ValueError(f"invalid phase point {point!r}")
     out = _A1[point[0]]
-    for qp in point[1:]:
-        out = np.kron(out, _A1[qp])
+    for qp in point[1:]:  # the Kronecker product out (x) A_qp as one broadcast multiply
+        d = 2 * len(out)
+        out = (out[:, None, :, None] * _A1[qp][:, None, :]).reshape(d, d)
     return out
 
 

@@ -10,8 +10,11 @@ Every record type is frozen and holds only read-only data.
 
 import ast
 import dataclasses
+import functools
+import inspect
 import math
 import re
+import types
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -109,11 +112,48 @@ def _held(value):
             yield from _held(v)
 
 
+RECORD_TYPES = {value for module in (magic, protocol, qcore, simplex, stabilizer, steering, tomo)
+                for value in vars(module).values()
+                if isinstance(value, type) and dataclasses.is_dataclass(value)}
+
+
 def test_every_record_type_is_covered():
-    modules = (magic, protocol, qcore, simplex, stabilizer, steering, tomo)
-    record_types = {value for module in modules for value in vars(module).values()
-                    if isinstance(value, type) and dataclasses.is_dataclass(value)}
-    assert {type(r) for r in RECORDS} == record_types
+    assert {type(r) for r in RECORDS} == RECORD_TYPES
+
+
+def _functions(record_type):
+    """Every function a record type defines or inherits, unwrapped from its descriptor."""
+    for klass in record_type.__mro__[:-1]:  # not object
+        for name, value in vars(klass).items():
+            if isinstance(value, (classmethod, staticmethod)):
+                value = value.__func__
+            if isinstance(value, property):
+                yield from ((name, f) for f in (value.fget, value.fset, value.fdel) if f)
+            elif isinstance(value, functools.cached_property):
+                yield name, value.func
+            elif isinstance(value, types.FunctionType):
+                yield name, value
+
+
+@pytest.mark.parametrize("record_type", sorted(RECORD_TYPES, key=lambda t: t.__name__),
+                         ids=lambda t: t.__name__)
+def test_record_methods_are_written_in_the_package_source(record_type):
+    """No record method is generated from a string, as a plain frozen
+    dataclass's are: every process would write and exec them at import."""
+    generated = [name for name, func in _functions(record_type)
+                 if not Path(func.__code__.co_filename).resolve().is_relative_to(SRC)]
+    assert generated == []
+
+
+@pytest.mark.parametrize("record_type", sorted(RECORD_TYPES, key=lambda t: t.__name__),
+                         ids=lambda t: t.__name__)
+def test_record_init_takes_the_fields_in_order(record_type):
+    params = list(inspect.signature(record_type.__init__).parameters.values())[1:]
+    fields = dataclasses.fields(record_type)
+    assert [p.name for p in params] == [f.name for f in fields]
+    for p, f in zip(params, fields):
+        assert p.kind is p.POSITIONAL_OR_KEYWORD
+        assert p.default == (p.empty if f.default is dataclasses.MISSING else f.default)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -126,6 +166,66 @@ def test_records_are_frozen_and_hold_read_only_arrays(record):
             assert not value.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 value.flat[0] = value.flat[0]
+
+
+# Records that compare and hash by their field values; every other record
+# compares by identity.  An Assemblage holds a mapping, so it is unhashable.
+VALUE_RECORDS = {steering.Assemblage, steering.CertificationRecord, tomo.CorrectedCounts,
+                 tomo.ExperimentReport, tomo.ExperimentRow, protocol.GateAdmissibility,
+                 steering.SampledCertification}
+# The one field each validating record copies on construction.
+COPIED_FIELD = {qcore.PureState: "amps", qcore.DensityMatrix: "mat", tomo.NoiseModel: "readout",
+                tomo.CountsTable: "counts", steering.Assemblage: "members"}
+
+
+def _field_values(record):
+    return [getattr(record, f.name) for f in dataclasses.fields(record)]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_replace_rebuilds_from_the_same_field_objects(record):
+    copy = dataclasses.replace(record)
+    assert type(copy) is type(record) and copy is not record
+    copied = COPIED_FIELD.get(type(record))
+    for f in dataclasses.fields(record):
+        old, new = getattr(record, f.name), getattr(copy, f.name)
+        if f.name != copied:
+            assert new is old, f.name
+        elif isinstance(old, np.ndarray):
+            assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+        else:
+            assert new == old
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_record_fields_cannot_be_deleted(record):
+    for f in dataclasses.fields(record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, f.name)
+        assert hasattr(record, f.name)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_record_repr_names_every_field(record):
+    fields = ", ".join(f"{f.name}={getattr(record, f.name)!r}" for f in dataclasses.fields(record))
+    assert repr(record) == f"{type(record).__qualname__}({fields})"
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_record_equality_and_hash(record):
+    copy = dataclasses.replace(record)
+    assert record == record
+    assert record != tuple(_field_values(record))
+    if type(record) not in VALUE_RECORDS:
+        assert copy != record
+        assert hash(record) == object.__hash__(record)
+    elif isinstance(record, steering.Assemblage):
+        assert copy == record
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    else:
+        assert copy == record
+        assert hash(copy) == hash(record) == hash(tuple(_field_values(record)))
 
 
 @pytest.mark.parametrize("record_type, name", [

@@ -49,6 +49,11 @@ SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
 
 
+def witness_value(res, rho: DensityMatrix) -> float:
+    """tr(H* rho) - F_LHS of a solve's witness: C at the solved state, a lower bound elsewhere."""
+    return float(np.trace(res.dual_witness @ rho.mat).real) - res.f_lhs
+
+
 def optimal_mixture(phi: float) -> np.ndarray:
     """The nearest polytope point for P(phi)|+> with phi strictly in (0, pi/2).
 
@@ -136,7 +141,7 @@ class TestWignerDistance:
                 assert res.c_value == 0.0
             else:
                 assert res.c_value == pytest.approx(closed, abs=1e-15)
-                assert res.witness_value(phase_plus(phi).density()) == pytest.approx(
+                assert witness_value(res, phase_plus(phi).density()) == pytest.approx(
                     res.c_value, abs=1e-15)
 
     def test_agrees_with_closed_form_on_dense_grid(self):
@@ -158,7 +163,7 @@ class TestWignerDistance:
         for _ in range(20):
             rho = random_density(1, rng)
             res = wigner_distance(rho)
-            assert res.witness_value(rho) == pytest.approx(res.c_value, abs=1e-7)
+            assert witness_value(res, rho) == pytest.approx(res.c_value, abs=1e-7)
             for sigma in enumerate_stabilizer_states(1).states:
                 val = np.trace(res.dual_witness @ sigma.density().mat).real
                 assert val <= res.f_lhs + 1e-9
@@ -167,7 +172,7 @@ class TestWignerDistance:
         for _ in range(5):
             rho = random_density(2, rng)
             res = wigner_distance(rho)
-            assert res.witness_value(rho) == pytest.approx(res.c_value, abs=1e-7)
+            assert witness_value(res, rho) == pytest.approx(res.c_value, abs=1e-7)
             for sigma in enumerate_stabilizer_states(2).states:
                 val = np.trace(res.dual_witness @ sigma.density().mat).real
                 assert val <= res.f_lhs + 1e-9
