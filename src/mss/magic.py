@@ -32,16 +32,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import _PAULIS, I2, DensityMatrix, Record, X, Y, Z, bloch
+from .qcore import I2, DensityMatrix, Record, X, Y, Z, bloch
 from .simplex import solve_lp
 from .stabilizer import enumerate_stabilizer_states
-from .wigner import _operator_stack, as_wigner_vector, wigner_of
+from .wigner import _PHASE_POINT_BLOCH, _operator_stack, as_wigner_vector, wigner_of
 
 CLAMP_TOL = 1e-10  # report exactly zero instead of leaking negative round-off
 SIGN_TOL = 1e-12   # Bloch coordinates this small count as 0 in sign_witness
-
-# Bloch vectors g_a of the four 1-qubit phase-point operators A_a = (I + g_a . sigma)/2.
-_PHASE_POINT_BLOCH = np.einsum("aij,kji->ak", _operator_stack(1), _PAULIS[1:]).real
 
 
 @dataclass(init=False, repr=False, eq=False)

@@ -24,16 +24,23 @@ import numpy as np
 ATOL_CONSTRUCT = 1e-12   # construction-time validity checks
 ATOL_PSD = 1e-10         # eigenvalue positivity (looser: reconstruction headroom)
 
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-S = np.array([[1, 0], [0, 1j]], dtype=complex)
+
+def _frozen(a) -> np.ndarray:
+    out = np.array(a, dtype=complex, order="C")
+    out.setflags(write=False)
+    return out
+
+
+I2 = _frozen(np.eye(2))
+X = _frozen([[0, 1], [1, 0]])
+Y = _frozen([[0, -1j], [1j, 0]])
+Z = _frozen([[1, 0], [0, -1]])
+H = _frozen(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
+S = _frozen([[1, 0], [0, 1j]])
 
 # The Pauli basis (I, X, Y, Z) on one qubit, and on two at index 4a + b for P_a x P_b.
-_PAULIS = np.stack([I2, X, Y, Z])
-_PAULI_PAIRS = np.einsum("aij,bkl->abikjl", _PAULIS, _PAULIS).reshape(16, 4, 4)
+_PAULIS = _frozen(np.stack([I2, X, Y, Z]))
+_PAULI_PAIRS = _frozen(np.einsum("aij,bkl->abikjl", _PAULIS, _PAULIS).reshape(16, 4, 4))
 
 
 def ptm(u: np.ndarray) -> np.ndarray:
@@ -66,12 +73,6 @@ def require_unitary(gate: np.ndarray, atol: float = ATOL_CONSTRUCT) -> np.ndarra
     if max(abs(col0 * col0 - 1), abs(col1 * col1 - 1), math.hypot(off.real, off.imag)) > atol:
         raise ValueError("gate is not unitary within tolerance")
     return g
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex, order="C")
-    out.setflags(write=False)
-    return out
 
 
 class Record:

@@ -1,16 +1,17 @@
-"""Pure stabilizer states for 1 and 2 qubits, built in closed form.
+"""Pure stabilizer states for 1 and 2 qubits, written down in closed form.
 
 The Wigner vectors of these states are the vertex set of the free polytope
 used by the magic linear program.  Counts follow 2**n * prod_{k=1..n}(2**k + 1)
 (Aaronson & Gottesman, PRA 70, 052328, 2004): 6 states for one qubit, 60 for
 two.
 
-One qubit: the six Pauli eigenstates.  Two qubits: the 36 products of those,
-plus the 24 maximally entangled states (I (x) C)|Phi+>, one per single-qubit
-Clifford C.  Every Wigner entry is a multiple of 1/2 (n = 1) or 1/8 (n = 2),
-so the vectors are snapped to that grid and the vertex matrix is exact.  The
-build fails if an entry moved by more than 1e-12 in the snap, or if the
-distinct vectors do not number exactly the count above.
+One qubit: the six Pauli eigenstates, one table.  Two qubits: the 36 products
+of those, plus the 24 maximally entangled states (I (x) C)|Phi+>, one per
+single-qubit Clifford C, read off C's entries.  Every Wigner entry is a
+multiple of 1/2 (n = 1) or 1/8 (n = 2), so the vectors are snapped to that
+grid and the vertex matrix is exact.  The build fails if a Wigner value has
+an imaginary part above 1e-12, if an entry moved by more than 1e-12 in the
+snap, or if the distinct vectors do not number exactly the count above.
 """
 
 from __future__ import annotations
@@ -20,19 +21,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import H, I2, PureState, Record, S
+from .qcore import PureState, Record
 from .wigner import _operator_stack
 
-_PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+_R = 1 / np.sqrt(2)
 
-# +1 / -1 eigenvectors of Z, X and Y: the six 1-qubit stabilizer states.
-_BASIS_VECTORS = {
-    "Z": (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
-    "X": (np.array([1, 1], dtype=complex) / np.sqrt(2),
-          np.array([1, -1], dtype=complex) / np.sqrt(2)),
-    "Y": (np.array([1, 1j], dtype=complex) / np.sqrt(2),
-          np.array([1, -1j], dtype=complex) / np.sqrt(2)),
-}
+# The +1 and -1 eigenstates of Z, X and Y.  Row k ^ 1 is row k's orthogonal
+# partner, each row's first nonzero amplitude is real positive, and every zero
+# part is +0.0 (the literal -1j has real part -0.0, hence complex(0, -_R)).
+_STATES = np.array([[1, 0], [0, 1],
+                    [_R, _R], [_R, -_R],
+                    [_R, complex(0, _R)], [_R, complex(0, -_R)]])
+_STATES.setflags(write=False)
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -56,20 +56,17 @@ def enumerate_stabilizer_states(n: int) -> StabilizerSet:
     """Complete duplicate-free stabilizer set for n in {1, 2}."""
     if n not in (1, 2):
         raise ValueError("stabilizer enumeration is implemented for n in {1, 2}")
-    amps = np.array([v for pair in _BASIS_VECTORS.values() for v in pair])
-    if n == 2:  # Kronecker products as broadcast multiplies
-        products = (amps[:, None, :, None] * amps[:, None, :]).reshape(-1, 4)  # a (x) b
-        cliffords = np.array(single_qubit_cliffords())
-        entangled = (I2[:, None, :, None] * cliffords[:, None, :, None, :]).reshape(-1, 4, 4)
-        amps = np.concatenate([products, entangled @ _PHI_PLUS])  # (I (x) C)|Phi+>
-    lead = amps[np.arange(len(amps)), np.argmax(np.abs(amps) > 1e-8, axis=1)]
-    amps *= (np.abs(lead) / lead)[:, None]  # first nonzero amplitude real positive
+    amps = _STATES
+    if n == 2:  # a (x) b as a broadcast multiply; (I (x) C)|Phi+> has C[j, i]/sqrt(2) at 2i + j
+        products = (_STATES[:, None, :, None] * _STATES[:, None, :]).reshape(-1, 4)
+        entangled = np.array(single_qubit_cliffords()).transpose(0, 2, 1).reshape(-1, 4) * _R
+        amps = np.concatenate([products, entangled]) + 0.0  # +0.0 kills -0.0 parts
 
     w = np.einsum("si,aij,sj->sa", amps.conj(), _operator_stack(n), amps) / 2 ** n
     if np.max(np.abs(w.imag)) > 1e-12:
         raise RuntimeError("stabilizer Wigner values have imaginary parts above 1e-12")
     step = 2.0 ** (1 - 2 * n)  # the grid: 1/2 at n = 1, 1/8 at n = 2
-    snapped = np.round(w.real / step) * step + 0.0  # +0.0 kills -0.0 bytes
+    snapped = np.rint(w.real / step) * step + 0.0  # +0.0 kills -0.0 bytes
     moved = float(np.max(np.abs(snapped - w.real)))
     if moved > 1e-12:
         raise RuntimeError(f"stabilizer Wigner entry is {moved:.3g} off the 1/{1 / step:g} grid")
@@ -88,26 +85,10 @@ def enumerate_stabilizer_states(n: int) -> StabilizerSet:
 
 @lru_cache(maxsize=None)
 def single_qubit_cliffords() -> tuple[np.ndarray, ...]:
-    """The 24 single-qubit Clifford unitaries (up to global phase), from <H, S>."""
-
-    def canon(u: np.ndarray) -> bytes:
-        flat = u.reshape(-1)
-        k = int(np.flatnonzero(np.abs(flat) > 1e-8)[0])
-        fixed = np.round(u * (abs(flat[k]) / flat[k]), 9) + 0.0  # kill -0.0 bytes
-        return fixed.tobytes()
-
-    found = {canon(I2): I2}
-    frontier = [I2]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in (H, S):
-                v = g @ u
-                key = canon(v)
-                if key not in found:
-                    found[key] = v
-                    nxt.append(v)
-        frontier = nxt
-    if len(found) != 24:
-        raise RuntimeError(f"Clifford closure produced {len(found)} elements, expected 24")
-    return tuple(found.values())
+    """The 24 single-qubit Clifford unitaries up to global phase, read-only:
+    [s | w s'] takes |0> to a Pauli eigenstate s and |1> to its orthogonal
+    partner s' times w in (1, i, -1, -i)."""
+    table = np.array([np.column_stack([s, w * _STATES[k ^ 1]])
+                      for k, s in enumerate(_STATES) for w in (1, 1j, -1, -1j)])
+    table.setflags(write=False)
+    return tuple(table)

@@ -97,6 +97,7 @@ class CertificationRecord(ValueRecord):
 
 # R_x per dealer setting: H R_x is the setting's readout rotation.
 _SETTING_ROTATION = {"X": I2, "Y": S.conj().T, "Z": H}
+_SETTING_ROTATION["Y"].setflags(write=False)
 # The dealer's readout bit of outcome 0 per setting: Y's is the -1 eigenstate, bit 1.
 _OUTCOME_0_BIT = {"X": 0, "Y": 1}
 

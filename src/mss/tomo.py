@@ -66,9 +66,12 @@ _N_QUBITS = 3
 
 # Measurement-basis change: apply the gate, then read out in Z.
 _BASIS_ROTATION = {"Z": None, "X": H, "Y": H @ S.conj().T}
+_BASIS_ROTATION["Y"].setflags(write=False)
 
 _CX = np.eye(4)[[0, 1, 3, 2]]  # control on the first of its two qubits
+_CX.setflags(write=False)
 _Z_PROJECTORS = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0]])  # tr(|t><t| P), t = 0, 1
+_Z_PROJECTORS.setflags(write=False)
 
 
 def _fnv1a64(text: str) -> int:

@@ -12,14 +12,18 @@ from itertools import product
 
 import numpy as np
 
-from .qcore import DensityMatrix, I2, X, Y, Z
+from .qcore import DensityMatrix, I2, X, Y, Z, _frozen
 
 PhasePoint = tuple[tuple[int, int], ...]
 
-_A1 = {
-    (q, p): 0.5 * (I2 + (-1) ** p * X + (-1) ** (q + p) * Y + (-1) ** q * Z)
-    for q in (0, 1) for p in (0, 1)
-}
+# Bloch vectors g of the 1-qubit phase-point operators A_qp = (I + g . sigma)/2,
+# one row per (q, p) in flat-index order: ((-1)^p, (-1)^(q+p), (-1)^q).
+_PHASE_POINT_BLOCH = np.array([[(-1) ** p, (-1) ** (q + p), (-1) ** q]
+                               for q in (0, 1) for p in (0, 1)], dtype=float)
+_PHASE_POINT_BLOCH.setflags(write=False)
+
+_A1 = {qp: _frozen(0.5 * (I2 + gx * X + gy * Y + gz * Z))
+       for qp, (gx, gy, gz) in zip(product((0, 1), repeat=2), _PHASE_POINT_BLOCH)}
 
 
 def phase_points(n_qubits: int) -> list[PhasePoint]:
@@ -28,7 +32,8 @@ def phase_points(n_qubits: int) -> list[PhasePoint]:
 
 
 def phase_point_operator(point: PhasePoint) -> np.ndarray:
-    """Hermitian trace-1 operator A_point (not PSD: 1-qubit eigenvalues (1 +- sqrt(3))/2)."""
+    """Hermitian trace-1 operator A_point (not PSD: 1-qubit eigenvalues (1 +- sqrt(3))/2);
+    read-only for one qubit, a fresh array for more."""
     point = tuple((int(q), int(p)) for q, p in point)
     if not point or any(q not in (0, 1) or p not in (0, 1) for q, p in point):
         raise ValueError(f"invalid phase point {point!r}")

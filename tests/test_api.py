@@ -5,14 +5,17 @@ inside ``src/`` or named in ``mss.__all__``: a public name that nothing in
 the package calls and that the public API does not list is a test-only
 helper or dead code, and oracles the tests need live under ``tests/``.
 
-Every record type is frozen and holds only read-only data.
+Every record type is frozen and holds only read-only data, and so does
+every module-level table.
 """
 
 import ast
 import dataclasses
 import functools
+import importlib
 import inspect
 import math
+import pkgutil
 import re
 import types
 from collections.abc import Mapping
@@ -166,6 +169,18 @@ def test_records_are_frozen_and_hold_read_only_arrays(record):
             assert not value.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 value.flat[0] = value.flat[0]
+
+
+def test_module_tables_are_read_only():
+    modules = [mss] + [importlib.import_module(f"mss.{m.name}")
+                       for m in pkgutil.iter_modules(mss.__path__)]
+    writable = []
+    for module in modules:
+        for name, value in vars(module).items():
+            items = value.items() if isinstance(value, dict) else [(None, value)]
+            writable += [f"{module.__name__}.{name}" + ("" if key is None else f"[{key!r}]")
+                         for key, v in items if isinstance(v, np.ndarray) and v.flags.writeable]
+    assert writable == []
 
 
 # Records that compare and hash by their field values; every other record

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mss import stabilizer
-from mss.qcore import DensityMatrix, I2, PureState, X, Y, Z, bloch, phase_gate
+from mss.qcore import DensityMatrix, H, I2, PureState, S, X, Y, Z, bloch, phase_gate
 from mss.stabilizer import StabilizerSet, enumerate_stabilizer_states, single_qubit_cliffords
 from mss.wigner import wigner_of
 
@@ -29,11 +29,16 @@ def _pauli_strings(n: int):
     return out
 
 
+def _canonical_phase(u: np.ndarray) -> np.ndarray:
+    """u times the global phase that makes its first nonzero entry real positive."""
+    flat = u.reshape(-1)
+    lead = flat[np.flatnonzero(np.abs(flat) > 1e-8)[0]]
+    return u * (abs(lead) / lead)
+
+
 def _canonical_state(projector: np.ndarray) -> PureState:
     evals, evecs = np.linalg.eigh(projector)
-    vec = evecs[:, int(np.argmax(evals))]
-    k = int(np.flatnonzero(np.abs(vec) > 1e-8)[0])
-    vec = vec * (abs(vec[k]) / vec[k])
+    vec = _canonical_phase(evecs[:, int(np.argmax(evals))])
     return PureState(vec / np.linalg.norm(vec))
 
 
@@ -79,6 +84,30 @@ def reference_enumerate(n: int) -> StabilizerSet:
     entries.sort(key=lambda e: e[0])
     return StabilizerSet(states=tuple(e[1] for e in entries),
                          vertex_matrix=np.column_stack([e[2] for e in entries]))
+
+
+def clifford_closure() -> list[np.ndarray]:
+    """Oracle: breadth-first closure of <H, S> from I, one matrix per global-phase class.
+
+    Each product is keyed by its entries after the first nonzero one is made
+    real positive, rounded to 9 digits.
+    """
+    def canon(u: np.ndarray) -> bytes:
+        return (np.round(_canonical_phase(u), 9) + 0.0).tobytes()  # +0.0 kills -0.0 bytes
+
+    found = {canon(I2): I2}
+    frontier = [I2]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for g in (H, S):
+                v = g @ u
+                key = canon(v)
+                if key not in found:
+                    found[key] = v
+                    nxt.append(v)
+        frontier = nxt
+    return list(found.values())
 
 
 def is_stabilizer(psi: PureState) -> bool:
@@ -140,6 +169,20 @@ class TestEnumeration:
             for s in enumerate_stabilizer_states(n).states:
                 first = s.amps[np.flatnonzero(np.abs(s.amps) > 1e-8)[0]]
                 assert first.real > 0 and abs(first.imag) < 1e-12
+
+    def test_eigenstate_table(self):
+        # row k ^ 1 is row k's orthogonal partner; the three bases are mutually unbiased
+        table = stabilizer._STATES
+        assert not table.flags.writeable
+        for k, j in product(range(6), repeat=2):
+            want = 1.0 if j == k else 0.0 if j == k ^ 1 else 0.5
+            assert abs(np.vdot(table[j], table[k])) ** 2 == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_no_amplitude_has_a_negative_zero_part(self, n):
+        amps = np.array([s.amps for s in enumerate_stabilizer_states(n).states])
+        for part in (amps.real, amps.imag):
+            assert not np.any(np.signbit(part) & (part == 0))
 
     def test_order_is_deterministic(self):
         a = enumerate_stabilizer_states.__wrapped__(2)
@@ -219,6 +262,30 @@ class TestMembership:
 class TestCliffords:
     def test_count(self):
         assert len(single_qubit_cliffords()) == 24
+
+    def test_closed_form_gives_the_rays_of_the_h_s_closure(self):
+        closure = clifford_closure()
+        assert len(closure) == 24
+        built = single_qubit_cliffords()
+        for u in closure:  # each closure element is one built matrix times a phase
+            hits = [c for c in built
+                    if np.max(np.abs(_canonical_phase(c) - _canonical_phase(u))) < 1e-12]
+            assert len(hits) == 1
+
+    def test_each_maps_the_paulis_to_signed_paulis(self):
+        for u in single_qubit_cliffords():
+            for p in (X, Y, Z):
+                image = u @ p @ u.conj().T
+                hits = [(sign, q) for sign in (1, -1) for q in (X, Y, Z)
+                        if np.max(np.abs(image - sign * q)) < 1e-12]
+                assert len(hits) == 1
+
+    def test_built_once_and_read_only(self):
+        built = single_qubit_cliffords()
+        assert built is single_qubit_cliffords()
+        for u in built:
+            with pytest.raises(ValueError, match="read-only"):
+                u[0, 0] = 99
 
     def test_all_unitary(self):
         for u in single_qubit_cliffords():

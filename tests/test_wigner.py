@@ -8,8 +8,10 @@ of the implementation's einsum path.
 import numpy as np
 import pytest
 
-from mss.qcore import DensityMatrix, PureState, dm_from_bloch, maximally_mixed, phase_gate
+from mss.qcore import (DensityMatrix, PureState, X, Y, Z, dm_from_bloch, maximally_mixed,
+                       phase_gate)
 from mss.wigner import (
+    _PHASE_POINT_BLOCH,
     _operator_stack,
     as_wigner_vector,
     phase_point_operator,
@@ -75,6 +77,20 @@ class TestPhasePointOperators:
             assert op.tobytes() == phase_point_operator(pt).tobytes()
         with pytest.raises(ValueError):
             ops[0, 0, 0] = 0.0
+
+    def test_single_qubit_operators_are_read_only(self):
+        a = phase_point_operator(((0, 0),))
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 99
+        assert phase_point_operator(((0, 0),))[0, 0] == 1.0
+
+    def test_sign_table_rows_are_the_operators_bloch_vectors(self):
+        # g_k = tr(A sigma_k), read back from the operators
+        assert not _PHASE_POINT_BLOCH.flags.writeable
+        for g, pt in zip(_PHASE_POINT_BLOCH, phase_points(1), strict=True):
+            traces = np.einsum("kij,ji->k", np.array([X, Y, Z]), phase_point_operator(pt))
+            assert traces.real.tolist() == g.tolist()
+            assert not traces.imag.any()
 
     def test_point_index_layout(self):
         assert [point_index(pt) for pt in phase_points(2)] == list(range(16))

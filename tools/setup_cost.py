@@ -9,8 +9,8 @@ imports'.
 
 A second table, after a blank line, times the caches that the benchmark's
 set-up (``bench/worker.py:set_up``) fills on a fresh import, step by step:
-the 1-qubit stabilizer set, the Clifford closure, the 2-qubit stabilizer set
-(without the closure), and the first 1- and 2-qubit Wigner-distance LPs.
+the 1-qubit stabilizer set, the Clifford table, the 2-qubit stabilizer set
+(without the Clifford table), and the first 1- and 2-qubit Wigner-distance LPs.
 Each repeat imports a fresh copy of the package first, untimed.  The two
 tables together cover the parts of the benchmark's ``setup_s``: compiling,
 running the module bodies, and the fills.  Nothing is cached on disk, and
@@ -34,7 +34,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mss"
 
 # The steps of bench/worker.py:set_up, each given a fresh package; the
-# closure comes before the 2-qubit set, which would otherwise fill it.
+# Cliffords come before the 2-qubit set, which would otherwise fill them.
 FILLS = (
     ("stabilizer_states(1)", lambda mss: mss.stabilizer.enumerate_stabilizer_states(1)),
     ("single_qubit_cliffords", lambda mss: mss.stabilizer.single_qubit_cliffords()),
