@@ -88,12 +88,14 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
     and, per row i, u_i = (w - F_j)_i if that is nonnegative, else
     v_i = -(w - F_j)_i.
 
-    When C is clamped to zero the state is free, and the zero witness (with
-    F_LHS = 0) is reported: it is dual-optimal there, and unlike the LP's own
-    dual it does not depend on the pivot path.  For one qubit with C > 0 the
-    dual optimum is not unique where a Bloch coordinate is 0, so
-    :func:`sign_witness` is reported.  Both replace the LP's dual only after
-    it has passed the postcondition check.
+    For one qubit C is :func:`octahedron_distance` of the Bloch vector, so
+    both clamp alike, and the LP's objective must agree with it within 1e-8;
+    the LP gives the mixture.  When C is clamped to zero the state is free,
+    and the zero witness (with F_LHS = 0) is reported: it is dual-optimal
+    there, and unlike the LP's own dual it does not depend on the pivot
+    path.  For one qubit with C > 0 the dual optimum is not unique where a
+    Bloch coordinate is 0, so :func:`sign_witness` is reported.  Both replace
+    the LP's dual only after it has passed the postcondition check.
     """
     n = rho.n_qubits
     if n not in (1, 2):
@@ -114,16 +116,21 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
     yvec = sol.duals[:k]
     f_lhs = float((yvec @ F).max())
     gap = float(yvec @ w) - f_lhs
-    if not (abs(np.abs(w - f_star).sum() - sol.fun) <= 1e-8 and abs(gap - sol.fun) <= 1e-7):
+    if n == 1:
+        b = bloch(rho)
+        c_value = octahedron_distance(b)
+    else:
+        c_value = 0.0 if sol.fun < CLAMP_TOL else float(sol.fun)
+    if not (abs(np.abs(w - f_star).sum() - sol.fun) <= 1e-8 and abs(gap - sol.fun) <= 1e-7
+            and abs(c_value - sol.fun) <= 1e-8):
         raise RuntimeError(  # also for a NaN objective, which compares false
             "LP postcondition violated: primal/dual certificates disagree with the optimum")
 
-    c_value = 0.0 if sol.fun < CLAMP_TOL else float(sol.fun)
     if c_value == 0.0:
         witness, f_lhs = np.zeros((2 ** n, 2 ** n), dtype=complex), 0.0
         witness.setflags(write=False)
     elif n == 1:
-        s, t = sign_witness(bloch(rho))
+        s, t = sign_witness(b)
         witness = (s[0] * X + s[1] * Y + s[2] * Z) / 2 + t * I2
         witness.setflags(write=False)
         f_lhs = float(np.abs(s).max() / 2 + t)

@@ -36,10 +36,14 @@ below 1e-10).
 
 Built for tens of rows and a few hundred columns.  Each call builds a fresh
 dense tableau, so concurrent solves are independent; it carries B^-1 as an
-extra block, so the duals are read off the cost row.  A pivot prices in
-numpy, then reads the entering column and the right-hand side once as
-Python floats for the ratio test and the long step's slope.  A flip is two
-row operations; one rank-1 update of the tableau ends the pivot.
+extra block, so the duals are read off the cost row.  The start is
+Gauss-Jordan on a cached [A | I | b], with no inverse: a basis column that
+is +-e_i at its own position i costs row i's sign, any other one a rank-1
+pivot (one for the L1 fit's start).  A pivot prices in numpy over every
+column, with no mask for the basic ones, then reads the entering column
+and the right-hand side once as Python floats for the ratio test and the
+long step's slope.  A flip is two row operations; one rank-1 update of the
+tableau ends the pivot.
 ``tests/test_simplex.py`` keeps a scalar version of this rule, which must
 follow the same pivot path byte for byte.
 """
@@ -92,24 +96,36 @@ def solve_lp(c, A, b, basis, tol: float = DEFAULT_TOL,
     basis = [int(j) for j in basis]
     if b.size != m or c.size != n or len(basis) != m:
         raise ValueError("inconsistent LP dimensions")
-    mirror = _mirror_columns(A.tobytes(), m, n)
+    mirror, unit_row, unit_sign, template = _columns(A.tobytes(), m, n)
 
     # The tableau: rows B^-1 [A | I | b], row i holding basic variable
     # basis[i], over the cost row [c | 0 | 0] - c_B B^-1 [A | I | b], which
-    # carries the reduced costs, -y and -c.x.
-    try:
-        binv = np.linalg.inv(A[:, basis])
-    except np.linalg.LinAlgError:
-        raise SimplexError("infeasible starting basis: singular basis matrix") from None
+    # carries the reduced costs, -y and -c.x.  A column pivots on the unused
+    # row with its largest entry; the rows are then put in basis order.
+    sign = np.array([unit_sign[j] if unit_row[j] == i else 1.0 for i, j in enumerate(basis)])
+    unused = [i for i, j in enumerate(basis) if unit_row[j] != i]
     tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = binv @ A
-    tab[:m, n:n + m] = binv
-    tab[:m, -1] = binv @ b
+    work = tab[:m]
+    np.multiply(template, sign[:, None], out=work)
+    work[:, -1] = b * sign
+    rows = list(range(m))
+    for i in unused[:]:
+        column = work[:, basis[i]]
+        p = max(unused, key=lambda r: abs(column[r]))
+        if column[p] == 0.0:
+            raise SimplexError("infeasible starting basis: singular basis matrix")
+        pivot = work[p] / column[p]
+        work -= np.multiply.outer(column, pivot)
+        work[p] = pivot
+        rows[i] = p
+        unused.remove(p)
+    if rows != sorted(rows):
+        work[:] = work[rows]
     if tab[:m, -1].min() < -tol:
         raise SimplexError(
             f"infeasible starting basis: basic value {tab[:m, -1].min():.3e}")
     tab[m, :n] = c
-    tab[m] -= c[basis] @ tab[:m]
+    tab[m] -= c[basis] @ work
 
     iterations, flips, at_zero = _pivot_loop(
         tab, basis, mirror, c.tolist(), stop_at_zero=bool(c.min() >= 0.0),
@@ -126,16 +142,24 @@ def solve_lp(c, A, b, basis, tol: float = DEFAULT_TOL,
 
 
 @lru_cache(maxsize=16)
-def _mirror_columns(matrix: bytes, m: int, n: int) -> tuple[int, ...]:
-    """For each column j of the m x n matrix A, given as its bytes, the first
-    column j' with A[:, j'] == -A[:, j], or -1 where there is none.  Cached
-    by content: a caller solves many LPs over one A."""
+def _columns(matrix: bytes, m: int, n: int):
+    """(mirror, unit_row, unit_sign, template) of the m x n matrix A, given as
+    its bytes: for each column j the first column j' with A[:, j'] == -A[:, j]
+    or -1, the i with A[:, j] == +-e_i or -1, and A[i, j]; and the read-only
+    [A | I | 0].  Cached by content: a caller solves many LPs over one A."""
+    A = np.frombuffer(matrix).reshape(m, n)
     # -0.0 + 0.0 is 0.0, so signed zeros compare equal as bytes.
-    cols = np.frombuffer(matrix).reshape(m, n).T + 0.0
+    cols = A.T + 0.0
     first: dict[bytes, int] = {}
     for j, col in enumerate(cols):
         first.setdefault(col.tobytes(), j)
-    return tuple(first.get((0.0 - col).tobytes(), -1) for col in cols)
+    mirror = tuple(first.get((0.0 - col).tobytes(), -1) for col in cols)
+    row = np.abs(A).argmax(axis=0)
+    sign = A[row, np.arange(n)]
+    unit = (np.count_nonzero(A, axis=0) == 1) & (np.abs(sign) == 1.0)
+    template = np.hstack([A, np.eye(m), np.zeros((m, 1))])
+    template.setflags(write=False)
+    return mirror, np.where(unit, row, -1).tolist(), sign.tolist(), template
 
 
 def _pivot_loop(tab, basis, mirror, costs, stop_at_zero: bool,
@@ -146,21 +170,21 @@ def _pivot_loop(tab, basis, mirror, costs, stop_at_zero: bool,
     m, n = len(basis), len(mirror)
     work, cost = tab[:m], tab[m]
     rhs, reduced = work[:, -1], cost[:n]
-    nonbasic = np.ones(n, dtype=bool)
-    nonbasic[basis] = False
+    # Pricing needs no mask for the basic columns: they stay unit columns,
+    # so their reduced costs stay within round-off of 0 (the tests hold them
+    # to 1e-12), far above -tol, and neither rule can pick one.
     bland = False
     while True:
         if stop_at_zero and -cost[-1] <= ZERO_OBJECTIVE:
             return iterations, flips, True
         if bland:
-            eligible = nonbasic & (reduced < -tol)
+            eligible = reduced < -tol
             entering = int(eligible.argmax())
             if not eligible[entering]:
                 return iterations, flips, False
         else:
-            priced = np.where(nonbasic, reduced, 0.0)
-            entering = int(priced.argmin())
-            if not priced[entering] < -tol:
+            entering = int(reduced.argmin())
+            if not reduced[entering] < -tol:
                 return iterations, flips, False
 
         column = tab[:, entering]
@@ -190,8 +214,6 @@ def _pivot_loop(tab, basis, mirror, costs, stop_at_zero: bool,
                         slope += pair_cost * col[i]
                         cost += pair_cost * work[i]
                         work[i] *= -1.0
-                        nonbasic[j] = True
-                        nonbasic[partner] = False
                         basis[i] = partner
                         flips += 1
                         continue
@@ -205,9 +227,7 @@ def _pivot_loop(tab, basis, mirror, costs, stop_at_zero: bool,
         tab -= np.multiply.outer(column, pivot)
         tab[leaving_row] = pivot
 
-        nonbasic[basis[leaving_row]] = True
         basis[leaving_row] = entering
-        nonbasic[entering] = False
         bland = step <= tol
 
         iterations += 1

@@ -523,7 +523,7 @@ security.1.trace_distance_to_i2  0
         assert self.text(capsys, *argv, "csv") == """\
 key,value
 state,named:T
-c,0.20710678118654763
+c,0.20710678118654746
 f_lhs,0.5
 witness_trace,0.7071067811865475
 bloch.0,0.7071067811865475

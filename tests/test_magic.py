@@ -133,16 +133,21 @@ class TestWignerDistance:
 
     def test_tiny_magic_matches_the_closed_form(self):
         # C of |+_phi> is about phi / 2 here, from under CLAMP_TOL (reported
-        # as 0) to a few times it, all under the simplex tol.
+        # as 0) to a few times it, all under the simplex tol.  The closed form
+        # is (sin phi - 2 sin^2(phi/2))/2, free of the cancellation in
+        # c_closed_form, which at phi = 2e-10 reads 1.0000000827e-10 where C
+        # is 0.9999999999e-10, under the clamp.
         for phi in np.linspace(1e-10, 1e-9, 10):
-            closed = c_closed_form(phi)
-            res = wigner_distance(phase_plus(phi).density())
+            closed = (np.sin(phi) - 2 * np.sin(phi / 2) ** 2) / 2
+            rho = phase_plus(phi).density()
+            res = wigner_distance(rho)
+            # The LP still solves out to the nearest point.
+            assert np.abs(wigner_of(rho) - res.f_star).sum() == pytest.approx(closed, abs=1e-15)
             if closed < CLAMP_TOL:
                 assert res.c_value == 0.0
             else:
                 assert res.c_value == pytest.approx(closed, abs=1e-15)
-                assert witness_value(res, phase_plus(phi).density()) == pytest.approx(
-                    res.c_value, abs=1e-15)
+                assert witness_value(res, rho) == pytest.approx(res.c_value, abs=1e-15)
 
     def test_agrees_with_closed_form_on_dense_grid(self):
         for phi in np.linspace(1e-4, np.pi / 2 - 1e-4, 100):
@@ -385,20 +390,21 @@ class TestAgainstTheBlandPath:
 
     @staticmethod
     def solve_both(n, states, monkeypatch):
-        lps = []
+        lps, sols = [], []
 
         def record(c, A, b, basis, *args, **kwargs):
             lps.append((c, A, b, list(basis)))
-            return solve_lp(c, A, b, basis, *args, **kwargs)
+            sols.append(solve_lp(c, A, b, basis, *args, **kwargs))
+            return sols[-1]
 
         monkeypatch.setattr(mss.magic, "solve_lp", record)
         results = [wigner_distance(rho) for rho in states]
         monkeypatch.undo()
         nv = _lp_constants(n)[0].shape[1]
-        for res, lp in zip(results, lps):
+        for res, lp, sol in zip(results, lps, sols):
             ref, _ = reference_solve_lp(*lp, bland=True)
             lam = np.clip(ref.x[:nv], 0.0, None)
-            yield res, ref, lam / lam.sum(), lp[2][:-1]
+            yield res, sol, ref, lam / lam.sum(), lp[2][:-1]
 
     def test_two_qubit_optima_both_certified_where_the_mixture_moves(self, rng, monkeypatch):
         # The L1-nearest polytope point is not unique for most 2-qubit states
@@ -407,7 +413,7 @@ class TestAgainstTheBlandPath:
         states = [random_density(2, rng) if i % 2 else random_pure_state(2, rng).density()
                   for i in range(40)]
         moved = 0
-        for res, ref, lam, w in self.solve_both(2, states, monkeypatch):
+        for res, _, ref, lam, w in self.solve_both(2, states, monkeypatch):
             assert res.c_value > 0.0
             assert res.c_value == pytest.approx(ref.fun, abs=1e-12)
             for weights in (res.mixture_weights, lam):
@@ -418,15 +424,17 @@ class TestAgainstTheBlandPath:
 
     def test_one_qubit_results_are_pinned(self, rng, monkeypatch):
         # For one qubit with C > 0 the long step ends where Bland's rule
-        # does: the same C and mixture, byte for byte.
+        # does: the same objective and mixture, byte for byte.  The reported
+        # C is the closed form, within round-off of both.
         states = [random_density(1, rng) if i % 2 else random_pure_state(1, rng).density()
                   for i in range(200)]
         solved = 0
-        for res, ref, lam, _ in self.solve_both(1, states, monkeypatch):
+        for res, sol, ref, lam, _ in self.solve_both(1, states, monkeypatch):
             if res.c_value == 0.0:
                 continue
             solved += 1
-            assert np.float64(res.c_value).tobytes() == np.float64(ref.fun).tobytes()
+            assert np.float64(sol.fun).tobytes() == np.float64(ref.fun).tobytes()
+            assert res.c_value == pytest.approx(ref.fun, abs=1e-15)
             assert res.mixture_weights.tobytes() == lam.tobytes()
         assert solved > 100
 
@@ -463,6 +471,13 @@ class TestPrimalDualAgreement:
             return dataclasses.replace(solve_lp(*args, **kwargs), fun=np.nan)
 
         monkeypatch.setattr(mss.magic, "solve_lp", nan_objective)
+        with pytest.raises(RuntimeError, match="LP postcondition violated"):
+            wigner_distance(phase_plus(np.pi / 4).density())
+
+    def test_one_qubit_c_must_match_the_lp(self, monkeypatch):
+        assert wigner_distance(phase_plus(np.pi / 4).density()).c_value == pytest.approx(
+            (SQRT2 - 1) / 2, abs=1e-15)
+        monkeypatch.setattr(mss.magic, "octahedron_distance", lambda b: 0.25)
         with pytest.raises(RuntimeError, match="LP postcondition violated"):
             wigner_distance(phase_plus(np.pi / 4).density())
 

@@ -12,7 +12,7 @@ from mss.simplex import (
     ZERO_OBJECTIVE,
     LPSolution,
     SimplexError,
-    _mirror_columns,
+    _columns,
     solve_lp,
 )
 
@@ -185,13 +185,17 @@ def l1_fit_form(F, w):
 
 
 def solve_with_final_basis(c, A, b, basis, tol=DEFAULT_TOL):
-    """solve_lp plus the final basis, read off the pivot loop's basis list."""
+    """solve_lp plus the final basis, read off the pivot loop's basis list.
+    Also checks that the final basic columns' reduced costs are within 1e-12
+    of 0, which lets the loop price without a nonbasic mask."""
     seen = []
     pivot_loop = mss.simplex._pivot_loop
 
     def spy(tab, basis, *args, **kwargs):
         seen.append(basis)
-        return pivot_loop(tab, basis, *args, **kwargs)
+        out = pivot_loop(tab, basis, *args, **kwargs)
+        assert np.abs(tab[-1, basis]).max() <= 1e-12
+        return out
 
     mss.simplex._pivot_loop = spy
     try:
@@ -255,6 +259,81 @@ def test_infeasible_detected():
         solve_lp(np.zeros(4), A, b, [2, 3])
     with pytest.raises(SimplexError, match="infeasible starting basis: singular basis matrix"):
         solve_lp(np.zeros(4), A, b, [0, 0])
+
+
+def assert_same_optimum(c, A, b, basis):
+    """Same outcome as the reference, which inverts the basis matrix: the
+    same error, or the same optimum and duals within 1e-9."""
+    try:
+        want, _ = reference_solve_lp(c, A, b, basis)
+    except SimplexError as exc:
+        with pytest.raises(SimplexError, match=f"^{exc}$"):
+            solve_lp(c, A, b, basis)
+        return
+    got = solve_lp(c, A, b, basis)
+    assert got.fun == pytest.approx(want.fun, abs=1e-9)
+    np.testing.assert_allclose(got.x, want.x, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(got.duals, want.duals, rtol=0, atol=1e-9)
+
+
+class TestStartBasis:
+    """The start tableau, built without an inverse, against the reference."""
+
+    def test_permuted_slack_basis(self):
+        # Slack 3 is e_1 at position 0 and slack 2 is e_0 at position 1.
+        A = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+        lp = np.array([-1.0, -1.0, 0.0, 0.0]), A, np.array([1.0, 2.0]), [3, 2]
+        assert solve_lp(*lp).fun == -3.0
+        assert_same_optimum(*lp)
+
+    def test_dense_columns_that_exchange_rows(self, monkeypatch):
+        # Column 0's largest entry is in row 1, so its pivot takes row 1 and
+        # column 1 takes row 0; the rows are then swapped into basis order.
+        A = np.array([[1.0, 2.0, 1.0, 0.0], [3.0, 4.0, 0.0, 1.0]])
+        lp = np.array([1.0, 1.0, -1.0, -1.0]), A, A[:, :2] @ [1.0, 1.0], [0, 1]
+        starts = []
+        pivot_loop = mss.simplex._pivot_loop
+
+        def spy(tab, *args, **kwargs):
+            starts.append(tab.copy())
+            return pivot_loop(tab, *args, **kwargs)
+
+        monkeypatch.setattr(mss.simplex, "_pivot_loop", spy)
+        assert solve_lp(*lp).fun == pytest.approx(-10.0, abs=1e-12)
+        binv = np.linalg.inv(A[:, :2])
+        np.testing.assert_allclose(starts[0][:2], np.hstack([binv @ A, binv, binv @ lp[2][:, None]]),
+                                   rtol=0, atol=1e-12)
+        assert_same_optimum(*lp)
+
+    def test_singular_basis(self):
+        A = np.array([[1.0, 2.0, 1.0, 0.0], [2.0, 4.0, 0.0, 1.0]])
+        for basis in ([0, 1], [2, 2], [3, 3]):
+            assert_same_optimum(np.zeros(4), A, np.array([1.0, 2.0]), basis)
+        with pytest.raises(SimplexError, match="^infeasible starting basis: singular basis matrix$"):
+            solve_lp(np.zeros(4), A, np.array([1.0, 2.0]), [0, 1])
+
+    def test_random_bases(self, rng):
+        # Dense, unit and signed unit columns in random positions, from a
+        # point that makes the basis feasible, and bases with repeats.
+        singular = 0
+        for trial in range(300):
+            m = int(rng.integers(1, 6))
+            n = int(rng.integers(m, m + 6))
+            A = rng.integers(-2, 3, (m, n)).astype(float) if trial % 2 else rng.normal(size=(m, n))
+            A = np.hstack([A, np.eye(m), -np.eye(m)])
+            basis = rng.choice(A.shape[1], size=m, replace=trial % 5 == 0).tolist()
+            b = A[:, basis] @ rng.random(m)
+            c = rng.normal(size=A.shape[1])
+            if np.linalg.matrix_rank(A[:, basis]) < m:
+                # Refused.  The reference is no oracle here: where round-off
+                # leaves its LU a nonzero pivot, it starts from a garbage
+                # inverse.
+                singular += 1
+                with pytest.raises(SimplexError, match="infeasible starting basis"):
+                    solve_lp(c, A, b, basis)
+            else:
+                assert_same_optimum(c, A, b, basis)
+        assert singular > 0
 
 
 def test_degenerate_problem_terminates():
@@ -468,11 +547,17 @@ class TestTermination:
 class TestMirror:
     def test_mirror_columns_are_found_in_A(self):
         # Columns 1 and 4 negate column 0 (4 by a signed zero), column 2 has
-        # no negation, and the zero column 3 is its own.
+        # no negation, and the zero column 3 is its own.  Columns 0, 1 and 4
+        # are +-e_0.
         A = np.array([[1.0, -1.0, 2.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0, -0.0]])
-        assert _mirror_columns(A.tobytes(), 2, 5) == (1, 0, -1, 3, 0)
+        mirror, unit_row, unit_sign, template = _columns(A.tobytes(), 2, 5)
+        assert mirror == (1, 0, -1, 3, 0)
+        assert unit_row == [0, 0, -1, -1, 0]
+        assert [unit_sign[j] for j in (0, 1, 4)] == [1.0, -1.0, -1.0]
+        assert template.tobytes() == np.hstack([A, np.eye(2), np.zeros((2, 1))]).tobytes()
+        assert not template.flags.writeable
         A, n = mss.magic._lp_constants(2)[1], 60
-        mirror = _mirror_columns(A.tobytes(), *A.shape)
+        mirror = _columns(A.tobytes(), *A.shape)[0]
         assert mirror == (*[-1] * n, *range(n + 16, n + 32), *range(n, n + 16))
 
     def test_flip_walks_past_a_residual_sign_change(self):

@@ -228,6 +228,28 @@ class TestCertification:
             assert ((got.f_value.hex(), got.f_lhs.hex())
                     == (want.f_value.hex(), want.f_lhs.hex())), f"phi={phi!r}"
 
+    def test_lp_route_matches_on_the_clamp_sweep(self):
+        # 400 random angles, the multiples of pi/4 in [-2pi, 2pi], and the
+        # multiples of pi/2 there offset by +-1e-11, +-2e-10 and +-3e-10.
+        phis = (list(np.random.default_rng(25).uniform(-7.0, 7.0, size=400))
+                + [k * np.pi / 4 for k in range(-8, 9)]
+                + [k * np.pi / 2 + d for k in range(-4, 5)
+                   for d in (1e-11, -1e-11, 2e-10, -2e-10, 3e-10, -3e-10)])
+        assert len(phis) == 471
+        for phi in phis:
+            a = build_assemblage(phi)
+            want = evaluate_functional(a, solve_witness(a))
+            got = certify_exact(phi)
+            assert (got.f_value, got.f_lhs) == (want.f_value, want.f_lhs), f"phi={phi!r}"
+
+    def test_lp_reads_the_clamp_as_the_closed_form_does(self):
+        # At 3pi/2 + 2e-10 the LP objective is 1.0000000827e-10, over the
+        # clamp; C is 0.99999992e-10, and octahedron_distance reads 0.
+        sigma = build_assemblage(3 * np.pi / 2 + 2e-10).state("X", 0)
+        assert octahedron_distance(bloch(sigma)) == 0.0
+        res = wigner_distance(sigma)
+        assert (res.c_value, res.f_lhs) == (0.0, 0.0) and not res.dual_witness.any()
+
     def test_solves_no_lp(self, monkeypatch):
         want = certify_exact(0.3)
 
