@@ -2,8 +2,9 @@
 
 Simulates the GHZ-based protocol that distributes non-stabilizer
 ("magic") resource states with an (n-1, n) threshold, computes the
-Wigner distance to the stabilizer polytope by linear programming (zero is
-Clifford-invariant; nonzero joint values depend on the frame), certifies
+Wigner distance to the stabilizer polytope (in closed form for one qubit,
+by linear programming for two; zero is Clifford-invariant, nonzero joint
+values depend on the frame), certifies
 delivery through steering correlations, and reproduces the shot-sampled
 tomography analysis pipeline at desk scale.
 
@@ -23,7 +24,7 @@ from .protocol import (
     security_report,
     x_rotation_family,
 )
-from .qcore import DensityMatrix, PureState, ghz, phase_gate, phase_plus, tensor, trace_distance
+from .qcore import DensityMatrix, PureState, phase_gate, phase_plus, tensor, trace_distance
 from .stabilizer import enumerate_stabilizer_states
 from .steering import (
     Assemblage,
@@ -58,7 +59,6 @@ __all__ = [
     "enumerate_stabilizer_states",
     "evaluate_functional",
     "experiment_table",
-    "ghz",
     "magic_scan",
     "octahedron_distance",
     "phase_gate",

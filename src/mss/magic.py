@@ -1,14 +1,15 @@
-"""The Wigner distance C, its LP dual witness, and closed-form oracles.
+"""The Wigner distance C, its dual witness, and closed forms.
 
 C is the minimum L1 distance from a state's Wigner vector to the stabilizer
 polytope,
 
-    C(rho) = min_{f in conv(vertices)} || W_rho - f ||_1,
+    C(rho) = min_{f in conv(vertices)} || W_rho - f ||_1.
 
-written as the L1-fitting linear program of Barrodale and Roberts (SIAM J.
-Numer. Anal. 10, 839, 1973) and solved by the in-house dense simplex from
-the nearest vertex, taking their long step across each residual's u/v pair.
-The dual solution yields a Hermitian witness
+One qubit is in closed form: the polytope is the octahedron |b|_1 <= 1 in
+Bloch coordinates.  Two qubits solve the L1-fitting linear program of
+Barrodale and Roberts (SIAM J. Numer. Anal. 10, 839, 1973) by the in-house
+dense simplex from the nearest vertex, taking their long step across each
+residual's u/v pair.  The dual solution yields a Hermitian witness
 H* = sum_alpha y_alpha A_alpha / 2**n with
 
     tr(H* rho) - F_LHS = C(rho)        (exact at the solved state)
@@ -16,9 +17,8 @@ H* = sum_alpha y_alpha A_alpha / 2**n with
 
 where F_LHS = max over pure stabilizer states of tr(H* sigma).  The witness
 is a per-solve certificate: away from the solved state tr(H* rho) - F_LHS
-is a lower bound on C, not an equality.
-For one qubit with C > 0 the reported witness is in closed form,
-(s . sigma)/2 + t I with s the signs of the Bloch vector (:func:`sign_witness`).
+is a lower bound on C, not an equality.  For one qubit with C > 0 the
+witness is (s . sigma)/2 + t I with s the signs of the Bloch vector.
 
 C = 0 (a stabilizer mixture) is Clifford-invariant.  Nonzero joint values
 depend on the frame, so C is no monotone: a CX doubles the 2-qubit C of
@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import I2, DensityMatrix, Record, X, Y, Z, bloch
+from .qcore import I2, DensityMatrix, Record, X, Y, Z, _frozen, bloch
 from .simplex import solve_lp
 from .stabilizer import enumerate_stabilizer_states
 from .wigner import _PHASE_POINT_BLOCH, _operator_stack, as_wigner_vector, wigner_of
@@ -84,21 +84,18 @@ def _lp_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def wigner_distance(rho: DensityMatrix) -> MagicResult:
     """Wigner distance of a 1- or 2-qubit state with primal and dual certificates.
 
-    The simplex starts at the vertex F_j nearest to w in L1: lambda_j = 1
-    and, per row i, u_i = (w - F_j)_i if that is nonnegative, else
-    v_i = -(w - F_j)_i.
-
-    For one qubit C is :func:`octahedron_distance` of the Bloch vector, so
-    both clamp alike, and the LP's objective must agree with it within 1e-8;
-    the LP gives the mixture.  When C is clamped to zero the state is free,
-    and the zero witness (with F_LHS = 0) is reported: it is dual-optimal
-    there, and unlike the LP's own dual it does not depend on the pivot
-    path.  For one qubit with C > 0 the dual optimum is not unique where a
-    Bloch coordinate is 0, so :func:`sign_witness` is reported.  Both replace
-    the LP's dual only after it has passed the postcondition check.
+    One qubit has a closed form (:func:`_octahedron_result`).  For two, the
+    simplex starts at the vertex F_j nearest to w in L1: lambda_j = 1 and,
+    per row i, u_i = (w - F_j)_i if that is nonnegative, else
+    v_i = -(w - F_j)_i.  When C is clamped to zero the state is free, and
+    the zero witness (with F_LHS = 0) is reported: it is dual-optimal there,
+    and unlike the LP's own dual it does not depend on the pivot path.  It
+    replaces the LP's dual only after that has passed the postcondition check.
     """
     n = rho.n_qubits
-    if n not in (1, 2):
+    if n == 1:
+        return _octahedron_result(rho)
+    if n != 2:
         raise ValueError("wigner_distance supports n in {1, 2}")
     w = wigner_of(rho)
     F, A, c = _lp_constants(n)
@@ -116,26 +113,52 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
     yvec = sol.duals[:k]
     f_lhs = float((yvec @ F).max())
     gap = float(yvec @ w) - f_lhs
-    if n == 1:
-        b = bloch(rho)
-        c_value = octahedron_distance(b)
-    else:
-        c_value = 0.0 if sol.fun < CLAMP_TOL else float(sol.fun)
-    if not (abs(np.abs(w - f_star).sum() - sol.fun) <= 1e-8 and abs(gap - sol.fun) <= 1e-7
-            and abs(c_value - sol.fun) <= 1e-8):
+    if not (abs(np.abs(w - f_star).sum() - sol.fun) <= 1e-8 and abs(gap - sol.fun) <= 1e-7):
         raise RuntimeError(  # also for a NaN objective, which compares false
             "LP postcondition violated: primal/dual certificates disagree with the optimum")
 
-    if c_value == 0.0:
-        witness, f_lhs = np.zeros((2 ** n, 2 ** n), dtype=complex), 0.0
-        witness.setflags(write=False)
-    elif n == 1:
-        s, t = sign_witness(b)
-        witness = (s[0] * X + s[1] * Y + s[2] * Z) / 2 + t * I2
-        witness.setflags(write=False)
-        f_lhs = float(np.abs(s).max() / 2 + t)
+    if sol.fun < CLAMP_TOL:
+        c_value, witness, f_lhs = 0.0, _frozen(np.zeros((4, 4))), 0.0
     else:
-        witness = _witness_matrix(yvec, n)
+        c_value, witness = float(sol.fun), _witness_matrix(yvec, n)
+    return MagicResult(c_value=c_value, f_star=f_star, mixture_weights=lam,
+                       dual_witness=witness, f_lhs=f_lhs)
+
+
+# The octahedron's vertices -e_i and +e_i per Bloch axis i, as indices into
+# enumerate_stabilizer_states(1): |1>, |->, |-i>, |+i>, |+>, |0>.
+_AXIS_VERTICES = ((1, 4), (2, 3), (0, 5))
+
+
+def _octahedron_result(rho: DensityMatrix) -> MagicResult:
+    """The 1-qubit Wigner distance in closed form.  C is
+    :func:`octahedron_distance` of the Bloch vector b.  The nearest point
+    lowers each a_i = |b_i| by min(a_i, t), at the level t >= 0 where
+    sum_i min(a_i, t) = |b|_1 - 1 (0 inside the octahedron).  Its mixture
+    holds the lowered a_i at the vertices sign(b_i) e_i, and
+    max(0, 1 - |b|_1)/6 at each of the six.  The witness is zero where C
+    is, else :func:`sign_witness`.  ||w - f*||_1 must match C within 1e-8."""
+    b, w = bloch(rho), wigner_of(rho)
+    c_value = octahedron_distance(b)
+    a = np.abs(b)
+    excess = float(a.sum()) - 1.0
+    low = np.sort(a).tolist()
+    t = max(0.0, excess / 3, (excess - low[0]) / 2, excess - low[0] - low[1])
+    kept = np.maximum(a - t, 0.0)
+    lam = np.full(6, max(0.0, -excess) / 6)
+    for i, (minus, plus) in enumerate(_AXIS_VERTICES):
+        lam[plus if b[i] > 0 else minus] += kept[i]
+    lam.setflags(write=False)
+    # The Wigner vector of a Bloch vector v is (1 + g_a . v)/4 at phase point a.
+    f_star = as_wigner_vector((1.0 + _PHASE_POINT_BLOCH @ np.copysign(kept, b)) / 4)
+    if not abs(np.abs(w - f_star).sum() - c_value) <= 1e-8:
+        raise RuntimeError("closed-form postcondition violated: ||w - f*||_1 disagrees with C")
+    if c_value == 0.0:
+        witness, f_lhs = _frozen(np.zeros((2, 2))), 0.0
+    else:
+        s, centre = sign_witness(b)
+        witness = _frozen((s[0] * X + s[1] * Y + s[2] * Z) / 2 + centre * I2)
+        f_lhs = float(np.abs(s).max() / 2 + centre)
     return MagicResult(c_value=c_value, f_star=f_star, mixture_weights=lam,
                        dual_witness=witness, f_lhs=f_lhs)
 
@@ -150,12 +173,12 @@ def _witness_matrix(yvec: np.ndarray, n: int) -> np.ndarray:
 
 def sign_witness(b) -> tuple[np.ndarray, np.ndarray]:
     """Pauli terms (s, t) of the witness H* = (s . sigma)/2 + t I that
-    :func:`wigner_distance` reports where C > 0, per Bloch vector along the
-    last axis of ``b``.  s = sign(b), 0 where |b_i| <= SIGN_TOL, and
-    t = -(max_a s . g_a + min_a s . g_a)/4 centres the witness coordinates
-    y_a = tr(H* A_a) = s . g_a/2 + t in [-1, 1].  H* peaks over the
-    stabilizer states at F_LHS = max|s_i|/2 + t, and tr(H* rho) - F_LHS = C
-    at b."""
+    :func:`wigner_distance` reports for one qubit where C > 0, per Bloch
+    vector along the last axis of ``b``.  s = sign(b), 0 where
+    |b_i| <= SIGN_TOL, and t = -(max_a s . g_a + min_a s . g_a)/4 centres
+    the witness coordinates y_a = tr(H* A_a) = s . g_a/2 + t in [-1, 1].
+    H* peaks over the stabilizer states at F_LHS = max|s_i|/2 + t, and
+    tr(H* rho) - F_LHS = C at b."""
     b = np.asarray(b, dtype=float)
     s = np.where(np.abs(b) <= SIGN_TOL, 0.0, np.sign(b))
     sg = s @ _PHASE_POINT_BLOCH.T
@@ -170,13 +193,13 @@ def c_closed_form(phi: float) -> float:
 
 
 def octahedron_distance(bloch_vec) -> float | np.ndarray:
-    """Independent 1-qubit oracle: max(0, (|x| + |y| + |z| - 1)/2).
+    """The 1-qubit C: max(0, (|x| + |y| + |z| - 1)/2).
 
     Takes one Bloch vector and returns a float, or an array of them along the
     last axis and returns an array.  Values below CLAMP_TOL are reported as
-    exactly zero, as in wigner_distance.  Equals wigner_distance on
-    single-qubit states (the polytope is the octahedron |x|+|y|+|z| <= 1 in
-    Bloch coordinates), as the tests check against the LP.
+    exactly zero.  It is wigner_distance's C on single-qubit states (the
+    polytope is the octahedron |x|+|y|+|z| <= 1 in Bloch coordinates), and
+    the tests check it against the 1-qubit LP.
     """
     b = np.asarray(bloch_vec, dtype=float)
     if b.shape[-1:] != (3,):

@@ -24,8 +24,8 @@ which makes every one of the 2^{n-1} branches deliver exactly P(phi)|+>.
 The transcript keeps the raw broadcasts so either convention can be audited.
 
 Security is read from Bloch vectors b alone, at each party's first step of
-largest |b|: its magic is the octahedron distance of b, which equals the
-Wigner-distance LP for one qubit, and its trace distance to I/2 is |b|/2.
+largest |b|: its magic is the octahedron distance of b, the 1-qubit
+Wigner distance, and its trace distance to I/2 is |b|/2.
 Gate admissibility runs the same register with an arbitrary gate in place
 of P(phi), and so does the steering assemblage, with the dealer's setting
 rotation folded into that gate.

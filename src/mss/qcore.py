@@ -200,15 +200,6 @@ def phase_plus(phi: float) -> PureState:
     return PureState(phase_gate(phi).diagonal() / np.sqrt(2))
 
 
-def ghz(n: int) -> PureState:
-    """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    amps = np.zeros(2 ** n, dtype=complex)
-    amps[0] = amps[-1] = 1 / np.sqrt(2)
-    return PureState(amps)
-
-
 def maximally_mixed(n: int = 1) -> DensityMatrix:
     return DensityMatrix(np.eye(2 ** n, dtype=complex) / 2 ** n)
 

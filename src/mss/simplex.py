@@ -84,10 +84,11 @@ def solve_lp(c, A, b, basis, tol: float = DEFAULT_TOL,
              max_iter: int = DEFAULT_MAX_ITER) -> LPSolution:
     """Simplex on min c.x, A x = b, x >= 0 from the starting ``basis``.
 
-    ``basis`` lists one column index per row.  Raises SimplexError if those
-    columns are singular or their basic solution has an entry below
-    ``-tol``, if the objective is unbounded, or if the pivot count exceeds
-    ``max_iter``.
+    ``basis`` lists one column index in [0, n) per row.  Raises ValueError
+    for an index outside that range or inconsistent dimensions, and
+    SimplexError if those columns are singular or their basic solution has an
+    entry below ``-tol``, if the objective is unbounded, or if the pivot count
+    exceeds ``max_iter``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -96,6 +97,8 @@ def solve_lp(c, A, b, basis, tol: float = DEFAULT_TOL,
     basis = [int(j) for j in basis]
     if b.size != m or c.size != n or len(basis) != m:
         raise ValueError("inconsistent LP dimensions")
+    if not all(0 <= j < n for j in basis):
+        raise ValueError(f"basis column indices must lie in [0, {n})")
     mirror, unit_row, unit_sign, template = _columns(A.tobytes(), m, n)
 
     # The tableau: rows B^-1 [A | I | b], row i holding basic variable

@@ -5,8 +5,8 @@ After the middle party's X measurement and the recipient's Z correction,
 dealer and recipient share rho_AC = |psi><psi| with
 |psi> = (|00> + e^{i phi}|11>)/sqrt(2).  The dealer's X and Y measurements
 then steer the recipient into conditional states whose magic equals the
-secret's C(phi), and the LP dual witness turns that into a linear
-functional a stabilizer local-hidden-state model can never satisfy.
+secret's C(phi), and the dual witness of the Wigner distance turns that into
+a linear functional a stabilizer local-hidden-state model can never satisfy.
 
 Each sigma_{b|x} is read off the protocol's Pauli tensor with R_x P(phi)
 injected, where H R_x is setting x's readout rotation: the dealer's readout
@@ -21,11 +21,12 @@ functional evaluates the Y term against the S-conjugated witness (same
 stabilizer bound, because Clifford conjugation permutes the polytope
 vertices), and the witness at sigma_{0|X} certifies the gap exactly.
 Every certification value is :func:`_functional_value` of Bloch vectors and
-the witness's Pauli terms: read off the LP's witness on the LP route
-(:func:`solve_witness`), and in the closed form of :func:`magic.sign_witness`
-for the exact assemblage, the sampled point and every bootstrap replica,
-which solve no LP.  No angle enters the certification path except through
-the assemblage states themselves.
+the witness's Pauli terms: read off the witness matrix of
+:func:`solve_witness` by :func:`evaluate_functional`, and taken straight
+from :func:`magic.sign_witness` for the exact assemblage, the sampled point
+and every bootstrap replica.  No path solves an LP: the 1-qubit witness is
+in closed form.  No angle enters the certification path except through the
+assemblage states themselves.
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ def z_setting_probe(phi: float) -> DensityMatrix:
 
 
 def solve_witness(assemblage: Assemblage) -> MagicResult:
-    """LP solve at the assemblage's own sigma_{0|X}; phi is never consulted."""
+    """The Wigner distance, in closed form, at the assemblage's own
+    sigma_{0|X}; phi is never consulted."""
     return wigner_distance(assemblage.state("X", 0))
 
 
@@ -158,6 +160,8 @@ def _functional_value(b_x, b_y, h0, h):
 def evaluate_functional(assemblage: Assemblage, witness: MagicResult) -> CertificationRecord:
     """Certification functional: the average witness value over the X and Y
     outcome-0 members, with the Y term taken against the S-conjugated witness.
+    The witness's Pauli terms are read off its matrix, so any Hermitian
+    witness, such as :func:`solve_witness`'s closed form, can be evaluated.
 
     For the ideal assemblage the gap above F_LHS equals C(phi); any
     stabilizer local-hidden-state assemblage stays at or below zero gap.

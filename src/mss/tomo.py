@@ -336,8 +336,8 @@ def reconstruct(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
                 z_counts: CorrectedCounts, phi: float | None = None) -> ReconstructionResult:
     """Linear-inversion single-qubit tomography with radial physicality projection.
 
-    C is the octahedron distance of the projected Bloch vector, which equals
-    the Wigner-distance LP for one qubit; the fidelity with P(phi)|+> is
+    C is the octahedron distance of the projected Bloch vector, the 1-qubit
+    Wigner distance; the fidelity with P(phi)|+> is
     :func:`_fidelity`'s closed form.
     """
     _require_bases(x_counts, y_counts, z_counts)

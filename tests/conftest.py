@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mss.magic import c_closed_form, octahedron_distance
 from mss.qcore import (ATOL_CONSTRUCT, ATOL_PSD, I2, DensityMatrix, H, PureState, X, Y, Z, bloch,
-                       ghz, phase_gate, phase_plus, require_unitary, tensor, trace_distance)
+                       phase_gate, phase_plus, require_unitary, tensor, trace_distance)
 from mss.stabilizer import enumerate_stabilizer_states
 from mss.tomo import CorrectedCounts
 from mss.wigner import _operator_stack
@@ -31,6 +31,16 @@ def closed_form_eta(p1: float, p2: float, readout_error: float) -> float:
     recipient's basis rotation) and two CX, each shrinking it by its
     channel's factor."""
     return (1 - 2 * readout_error) ** 3 * (1 - 4 * p1 / 3) ** 5 * (1 - 16 * p2 / 15) ** 2
+
+
+def ghz(n: int) -> PureState:
+    """(|0...0> + |1...1>)/sqrt(2) on n qubits: the statevector oracle for
+    the protocol's Pauli-coefficient register."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    amps = np.zeros(2 ** n, dtype=complex)
+    amps[0] = amps[-1] = 1 / np.sqrt(2)
+    return PureState(amps)
 
 
 def apply_1q(state: PureState, gate: np.ndarray, target: int) -> PureState:

@@ -299,11 +299,14 @@ BAD_INPUTS = {
     "3 amplitudes": (lambda: qcore.PureState(np.ones(3) / math.sqrt(3)), ValueError,
                      "length 3 is not a power of two"),
     "empty ket": (lambda: qcore.ket(""), ValueError, "bit label must be nonempty"),
-    "ghz(0)": (lambda: qcore.ghz(0), ValueError, "n must be positive"),
     "mixed tensor": (lambda: qcore.tensor(_ZERO_STATE, _ZERO_STATE.density()), TypeError,
                      "two PureStates or two DensityMatrices"),
     "LP dimensions": (lambda: simplex.solve_lp([1.0, 1.0, 1.0], [[1.0, 1.0]], [1.0], [0]),
                       ValueError, "inconsistent LP dimensions"),
+    "LP basis index -1": (lambda: simplex.solve_lp([1.0, 1.0, 0.0], [[1.0, 0.0, 1.0]], [2.0], [-1]),
+                          ValueError, "basis column indices must lie in [0, 3)"),
+    "LP basis index 3": (lambda: simplex.solve_lp([1.0, 1.0, 0.0], [[1.0, 0.0, 1.0]], [2.0], [3]),
+                         ValueError, "basis column indices must lie in [0, 3)"),
     "phase point (2, 0)": (lambda: wigner.phase_point_operator(((2, 0),)), ValueError,
                            "invalid phase point"),
 }

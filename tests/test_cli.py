@@ -536,8 +536,8 @@ wigner.3,0.24999999999999994
 mixture.0,0.0
 mixture.1,0.0
 mixture.2,0.0
-mixture.3,0.5000000000000001
-mixture.4,0.4999999999999999
+mixture.3,0.4999999999999999
+mixture.4,0.5
 mixture.5,0.0
 """
         assert self.text(capsys, *argv, "pretty") == """\

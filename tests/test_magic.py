@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import mss.magic
 import mss.simplex
+from mss.cli import main
 from mss.magic import (
     CLAMP_TOL,
     SIGN_TOL,
@@ -30,10 +31,13 @@ from mss.qcore import (
     dm_from_bloch,
     maximally_mixed,
     phase_plus,
+    tensor,
 )
 from mss.simplex import SimplexError, solve_lp
 from mss.stabilizer import enumerate_stabilizer_states, single_qubit_cliffords
+from mss.steering import build_assemblage, solve_witness
 from mss.wigner import (
+    _PHASE_POINT_BLOCH,
     _operator_stack,
     as_wigner_vector,
     phase_point_operator,
@@ -43,7 +47,7 @@ from mss.wigner import (
 
 from conftest import (PROPERTY, apply_1q, bloch_vectors, oracle_states, random_density,
                       random_pure_state, reference_witness_matrix)
-from test_simplex import l1_fit_form, reference_solve_lp
+from test_simplex import reference_solve_lp, wigner_lp
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -102,14 +106,7 @@ class TestWignerDistance:
         res = wigner_distance(phase_plus(np.pi / 8).density())
         assert res.c_value == pytest.approx(0.15328148243818825, abs=1e-9)
 
-    def test_stabilizer_states_are_free(self, monkeypatch):
-        sols = []
-
-        def record(*args, **kwargs):
-            sols.append(solve_lp(*args, **kwargs))
-            return sols[-1]
-
-        monkeypatch.setattr(mss.magic, "solve_lp", record)
+    def test_stabilizer_states_are_free(self):
         for n, count in ((1, 6), (2, 60)):
             states = enumerate_stabilizer_states(n).states
             assert len(states) == count
@@ -117,9 +114,10 @@ class TestWignerDistance:
                 res = wigner_distance(s.density())
                 assert res.c_value == 0.0 and res.f_lhs == 0.0
                 assert not res.dual_witness.any()
-                # The start is the state's own vertex: the zero-objective
+                # The LP's start is the state's own vertex: the zero-objective
                 # stop ends the solve before any pivot.
-                assert sols[-1].iterations == 0 and not sols[-1].duals.any()
+                sol = solve_lp(*wigner_lp(s.density()))
+                assert sol.iterations == 0 and not sol.duals.any()
 
     def test_near_free_mixtures_are_free(self):
         # (1-p)|00><00| + p|01><01| mixes two stabilizer states, so C = 0.
@@ -352,18 +350,25 @@ class TestAgainstTheTwoPhaseLP:
         lps = []
 
         def record(c, A, b, basis, *args, **kwargs):
-            lps.append((A, b, list(basis)))
+            lps.append((c, A, b, list(basis)))
             return solve_lp(c, A, b, basis, *args, **kwargs)
 
         monkeypatch.setattr(mss.magic, "solve_lp", record)
-        results = [wigner_distance(rho) for rho in oracle_states(n, rng, 6)]
+        states = list(oracle_states(n, rng, 6))
+        results = [wigner_distance(rho) for rho in states]
         monkeypatch.undo()
+        # Two qubits solve wigner_lp's LP; one qubit solves none.
+        assert len(lps) == (len(states) if n == 2 else 0)
+        for got, rho in zip(lps, states):
+            want = wigner_lp(rho)
+            assert got[0] is want[0] and got[1] is want[1] and got[3] == want[3]
+            assert got[2].tobytes() == want[2].tobytes()
         F = enumerate_stabilizer_states(n).vertex_matrix
-        for (A, b, basis), res in zip(lps, results):
+        for rho, res in zip(states, results):
+            _, A, b, basis = wigner_lp(rho)
             w, j = b[:-1], basis[-1]
             dist = np.abs(w[:, None] - F).sum(axis=0)
             assert dist[j] == dist.min() >= res.c_value - 1e-12
-            assert basis == l1_fit_form(F, w)[3]
             x_start = np.linalg.solve(A[:, basis], b)
             assert x_start.min() >= -1e-12
             assert x_start[-1] == pytest.approx(1.0, abs=1e-12)
@@ -382,6 +387,13 @@ class TestAgainstTheTwoPhaseLP:
         basis = [*np.where(w - F[:, j] < 0, nv + rows, nv + k + rows).tolist(), j]
         with pytest.raises(SimplexError, match="infeasible starting basis"):
             solve_lp(c, A, np.append(w, 1.0), basis)
+
+
+def normalised_weights(x):
+    """An LP's vertex weights clipped at 0 and scaled to sum 1, as
+    wigner_distance reads them."""
+    lam = np.clip(x, 0.0, None)
+    return lam / lam.sum()
 
 
 class TestAgainstTheBlandPath:
@@ -403,8 +415,7 @@ class TestAgainstTheBlandPath:
         nv = _lp_constants(n)[0].shape[1]
         for res, lp, sol in zip(results, lps, sols):
             ref, _ = reference_solve_lp(*lp, bland=True)
-            lam = np.clip(ref.x[:nv], 0.0, None)
-            yield res, sol, ref, lam / lam.sum(), lp[2][:-1]
+            yield res, sol, ref, normalised_weights(ref.x[:nv]), lp[2][:-1]
 
     def test_two_qubit_optima_both_certified_where_the_mixture_moves(self, rng, monkeypatch):
         # The L1-nearest polytope point is not unique for most 2-qubit states
@@ -422,20 +433,25 @@ class TestAgainstTheBlandPath:
             moved += not np.allclose(res.mixture_weights, lam, rtol=0, atol=1e-12)
         assert moved > 0
 
-    def test_one_qubit_results_are_pinned(self, rng, monkeypatch):
+    def test_one_qubit_results_are_pinned(self, rng):
         # For one qubit with C > 0 the long step ends where Bland's rule
         # does: the same objective and mixture, byte for byte.  The reported
         # C is the closed form, within round-off of both.
         states = [random_density(1, rng) if i % 2 else random_pure_state(1, rng).density()
                   for i in range(200)]
         solved = 0
-        for res, sol, ref, lam, _ in self.solve_both(1, states, monkeypatch):
+        for rho in states:
+            res = wigner_distance(rho)
             if res.c_value == 0.0:
                 continue
             solved += 1
+            lp = wigner_lp(rho)
+            sol = solve_lp(*lp)
+            ref, _ = reference_solve_lp(*lp, bland=True)
             assert np.float64(sol.fun).tobytes() == np.float64(ref.fun).tobytes()
             assert res.c_value == pytest.approx(ref.fun, abs=1e-15)
-            assert res.mixture_weights.tobytes() == lam.tobytes()
+            got, want = normalised_weights(sol.x[:6]), normalised_weights(ref.x[:6])
+            assert got.tobytes() == want.tobytes()
         assert solved > 100
 
 
@@ -471,14 +487,15 @@ class TestPrimalDualAgreement:
             return dataclasses.replace(solve_lp(*args, **kwargs), fun=np.nan)
 
         monkeypatch.setattr(mss.magic, "solve_lp", nan_objective)
+        t = phase_plus(np.pi / 4)
         with pytest.raises(RuntimeError, match="LP postcondition violated"):
-            wigner_distance(phase_plus(np.pi / 4).density())
+            wigner_distance(tensor(t, t).density())
 
-    def test_one_qubit_c_must_match_the_lp(self, monkeypatch):
+    def test_one_qubit_c_must_match_the_nearest_point(self, monkeypatch):
         assert wigner_distance(phase_plus(np.pi / 4).density()).c_value == pytest.approx(
             (SQRT2 - 1) / 2, abs=1e-15)
         monkeypatch.setattr(mss.magic, "octahedron_distance", lambda b: 0.25)
-        with pytest.raises(RuntimeError, match="LP postcondition violated"):
+        with pytest.raises(RuntimeError, match="closed-form postcondition violated"):
             wigner_distance(phase_plus(np.pi / 4).density())
 
 
@@ -503,6 +520,91 @@ class TestOptimalMixture:
         for phi in (0.0, np.pi / 2, -0.3, 2.0):
             with pytest.raises(ValueError, match="strictly inside"):
                 optimal_mixture(phi)
+
+
+def octahedron_edge_cases():
+    """Bloch vectors where the closed form's cases meet: the centre, the
+    axes, a zero coordinate, a coordinate under the level t, the facet
+    |b|_1 = 1 and the clamp window |b|_1 - 1 within a few 1e-10 of 0."""
+    cases = [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)]
+    for i in range(3):
+        for r in (1.0, -1.0, 0.5, -1e-9):
+            cases.append(tuple(r if j == i else 0.0 for j in range(3)))
+    cases += [(0.0, 0.8, 0.6), (0.6, -0.0, -0.8), (SQRT2 / 2, -SQRT2 / 2, 0.0),
+              (0.9, 0.4, 0.05), (0.05, -0.9, 0.4), (-0.4, 0.05, 0.9), (0.98, 0.15, 1e-6),
+              (0.5, 0.25, 0.25), (-0.5, 0.5, 0.0), (0.375, -0.375, 0.25), (0.0, 0.0, -1.0)]
+    for direction in ((1.0, 1.0, 1.0), (0.6, -0.3, 0.1), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0)):
+        d = np.array(direction) / np.abs(direction).sum()
+        for delta in (-3e-10, -2e-10, -1e-10, -1e-11, 0.0, 1e-11, 1e-10, 2e-10, 3e-10):
+            cases.append(tuple(d * (1.0 + delta)))
+    return [np.array(b) for b in cases if np.dot(b, b) <= 1.0]
+
+
+class TestOneQubitClosedForm:
+    """The closed form of the 1-qubit Wigner distance against the 1-qubit LP."""
+
+    def test_matches_the_lp_on_20k_states(self):
+        rng = np.random.default_rng(2929)
+        d = rng.normal(size=(20_000, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        ball = d[:15_000] * rng.random((15_000, 1)) ** (1 / 3)
+        # Near the facet: |b|_1 = 1 + delta for |delta| up to 1e-3, then 1e-9.
+        near = d[15_000:] / np.abs(d[15_000:]).sum(axis=1, keepdims=True)
+        near *= 1.0 + np.concatenate([rng.uniform(-1e-3, 1e-3, 2_500),
+                                      rng.uniform(-1e-9, 1e-9, 2_500)])[:, None]
+        vectors = [*octahedron_edge_cases(), *ball, *near]
+        assert len(vectors) > 20_000
+        rows = []
+        for rho in map(dm_from_bloch, vectors):
+            res = wigner_distance(rho)
+            lp = wigner_lp(rho)
+            rows.append((bloch(rho), lp[2][:-1], res.f_star, res.mixture_weights, res.c_value,
+                         solve_lp(*lp).fun))
+        b, w, f_star, lam, c, fun = map(np.array, zip(*rows))
+        assert (c == octahedron_distance(b)).all()
+        # C is the LP's objective; the clamp sets both under CLAMP_TOL to 0.
+        assert np.abs(c - fun)[c > 0.0].max() <= 1e-12
+        assert fun[c == 0.0].max() < CLAMP_TOL + 1e-12
+        clamped = np.count_nonzero((0.0 < fun) & (fun < CLAMP_TOL))
+        # The nearest point is at the unclamped distance, as F @ lam.
+        distance = np.maximum(0.0, (np.abs(b).sum(axis=1) - 1.0) / 2)
+        F = _lp_constants(1)[0]
+        assert np.abs(np.abs(w - lam @ F.T).sum(axis=1) - distance).max() <= 1e-15
+        assert lam.min() >= 0.0 and np.abs(lam.sum(axis=1) - 1.0).max() <= 1e-15
+        assert np.abs(lam @ F.T - f_star).max() <= 1e-15
+        assert clamped > 20
+
+    def test_axis_vertices_are_the_stabilizer_states_on_each_axis(self):
+        # The Wigner vector (1 + g_a . b)/4 of a vertex maps back to its Bloch vector.
+        vertex_bloch = _PHASE_POINT_BLOCH.T @ enumerate_stabilizer_states(1).vertex_matrix
+        axes = mss.magic._AXIS_VERTICES
+        assert sorted(sum(axes, ())) == list(range(6))
+        for i, (minus, plus) in enumerate(axes):
+            assert (vertex_bloch[:, minus] == -np.eye(3)[i]).all()
+            assert (vertex_bloch[:, plus] == np.eye(3)[i]).all()
+
+    def test_phase_states_reach_the_optimal_mixture(self, rng):
+        for phi in (np.pi / 4, np.pi / 8, *rng.uniform(1e-3, np.pi / 2 - 1e-3, 100)):
+            res = wigner_distance(phase_plus(phi).density())
+            np.testing.assert_allclose(res.f_star, optimal_mixture(phi), rtol=0, atol=1e-15)
+            c, s = np.cos(phi), np.sin(phi)
+            want = np.zeros(6)
+            want[4], want[3] = (1.0 + c - s) / 2, (1.0 + s - c) / 2  # |+> and |+i>
+            np.testing.assert_allclose(res.mixture_weights, want, rtol=0, atol=1e-15)
+
+    def test_one_qubit_paths_solve_no_lp(self, rng, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 1-qubit path reached the LP")
+
+        monkeypatch.setattr(mss.magic, "solve_lp", refuse)
+        monkeypatch.setattr(mss.magic, "_lp_constants", refuse)
+        for rho in oracle_states(1, rng, 5):
+            wigner_distance(rho)
+        for phi in (0.3, np.pi / 4, 3 * np.pi / 2 + 2e-10):
+            solve_witness(build_assemblage(phi))
+        for argv in (["--phi", "0.3"], ["--state", "mixed"], ["--bloch", "0.9,0.4,0.05"]):
+            assert main(["magic-eval", *argv]) == 0
+        capsys.readouterr()
 
 
 class TestOctahedronDistance:

@@ -29,14 +29,13 @@ from mss.qcore import (
     Z,
     bloch,
     dm_from_bloch,
-    ghz,
     maximally_mixed,
     phase_gate,
     phase_plus,
     trace_distance,
 )
 
-from conftest import (apply_1q, dyadic_register, fidelity, partial_trace, project_measure,
+from conftest import (apply_1q, dyadic_register, fidelity, ghz, partial_trace, project_measure,
                       random_unitary, reference_branch_tensor, reference_deliver_with_gate,
                       reference_exact_branches, reference_history, reference_magic_scan,
                       reference_pauli_tensor, reference_security_report)
@@ -251,7 +250,7 @@ class TestThresholdInduction:
     def test_remaining_register_is_ghz_ladder(self):
         # After j measurements, the remaining parties share the (n-j)-party
         # ladder (|0..0> + e^{i phi}|1..1>)/sqrt(2) up to the pending parity.
-        from mss.qcore import PureState, Z, ghz, phase_gate
+        from mss.qcore import PureState, Z, phase_gate
 
         phi, n = 0.73, 5
         state = apply_1q(ghz(n), phase_gate(phi), 0)

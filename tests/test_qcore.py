@@ -11,7 +11,6 @@ from mss.qcore import (
     PureState,
     bloch,
     dm_from_bloch,
-    ghz,
     ket,
     maximally_mixed,
     phase_gate,
@@ -20,9 +19,10 @@ from mss.qcore import (
     trace_distance,
 )
 
-from conftest import (PROPERTY, ImpossibleBranchError, apply_1q, bloch_vectors, fidelity, overlap2,
-                      reference_bloch, reference_density_error, reference_unitary_error, partial_trace, project_measure, random_density,
-                      random_pure_state, random_unitary, reference_apply_on_axis)
+from conftest import (PROPERTY, ImpossibleBranchError, apply_1q, bloch_vectors, fidelity, ghz,
+                      overlap2, reference_bloch, reference_density_error, reference_unitary_error,
+                      partial_trace, project_measure, random_density, random_pure_state,
+                      random_unitary, reference_apply_on_axis)
 
 
 PLUS = PureState(np.array([1, 1]) / np.sqrt(2))

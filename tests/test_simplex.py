@@ -15,6 +15,7 @@ from mss.simplex import (
     _columns,
     solve_lp,
 )
+from mss.wigner import wigner_of
 
 from conftest import oracle_states
 
@@ -170,6 +171,16 @@ def mirrored_form(A, b, c, c_slack, c_surplus):
             b, list(range(n, n + m)))
 
 
+def nearest_vertex_basis(F, w):
+    """The L1 fit's start at the column F_j nearest to w in L1: u_i or v_i
+    per residual row, by the sign of (w - F_j)_i, then lambda_j."""
+    k, nv = F.shape
+    residual = w[:, None] - F
+    j = int(np.abs(residual).sum(axis=0).argmin())
+    rows = np.arange(k)
+    return [*np.where(residual[:, j] >= 0, nv + rows, nv + k + rows).tolist(), j]
+
+
 def l1_fit_form(F, w):
     """min ||w - F lam||_1 over the simplex in the LP form of mss.magic,
     started, as there, at the column nearest to w in L1.  Returns
@@ -177,11 +188,17 @@ def l1_fit_form(F, w):
     k, nv = F.shape
     A = np.block([[F, np.eye(k), -np.eye(k)], [np.ones((1, nv)), np.zeros((1, 2 * k))]])
     c = np.concatenate([np.zeros(nv), np.ones(2 * k)])
-    residual = w[:, None] - F
-    j = int(np.abs(residual).sum(axis=0).argmin())
-    rows = np.arange(k)
-    basis = [*np.where(residual[:, j] >= 0, nv + rows, nv + k + rows).tolist(), j]
-    return c, A, np.append(w, 1.0), basis
+    return c, A, np.append(w, 1.0), nearest_vertex_basis(F, w)
+
+
+def wigner_lp(rho):
+    """The Wigner-distance LP of a 1- or 2-qubit state on mss.magic's tables,
+    started at the nearest vertex: (c, A, b, basis), the call
+    wigner_distance makes for two qubits.  One qubit has a closed form, and
+    its LP is kept here as that form's oracle."""
+    w = wigner_of(rho)
+    F, A, c = mss.magic._lp_constants(rho.n_qubits)
+    return c, A, np.append(w, 1.0), nearest_vertex_basis(F, w)
 
 
 def solve_with_final_basis(c, A, b, basis, tol=DEFAULT_TOL):
@@ -482,20 +499,11 @@ class TestSamePivotPathAsReference:
                                               np.array([0.5])))
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_wigner_distance_lps(self, n, rng, monkeypatch):
+    def test_wigner_distance_lps(self, n, rng):
         # Haar and Ginibre states, and the degenerate classes where flips and
         # Bland pivots occur: phase products (T or T x T first) and
         # stabilizer mixtures.
-        lps = []
-
-        def record(c, A, b, basis, *args, **kwargs):
-            lps.append((c, A, b, list(basis)))
-            return solve_lp(c, A, b, basis, *args, **kwargs)
-
-        monkeypatch.setattr(mss.magic, "solve_lp", record)
-        for rho in oracle_states(n, rng, 10):
-            mss.magic.wigner_distance(rho)
-        monkeypatch.undo()
+        lps = [wigner_lp(rho) for rho in oracle_states(n, rng, 10)]
         assert len(lps) == 40 and len(lps[0][1]) == 4 ** n + 1  # 5 or 17 rows
         for lp in lps:
             assert_same_pivot_path(*lp)

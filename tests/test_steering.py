@@ -44,7 +44,8 @@ def matrix_functional(sigma_x, sigma_y, h):
 
 
 def lp_gap(b_x, b_y):
-    """Gap of the LP witness solved at b_x, with the Y term S-conjugated."""
+    """Gap of wigner_distance's witness matrix at b_x, with the Y term
+    S-conjugated, in 2x2 matrices."""
     sigma_x, sigma_y = dm_from_bloch(b_x), dm_from_bloch(b_y)
     w = wigner_distance(sigma_x)
     return matrix_functional(sigma_x, sigma_y, w.dual_witness) - w.f_lhs
@@ -63,7 +64,7 @@ def pauli_terms(h):
 
 
 def lp_witness_paulis(b):
-    """(tr H* X, tr H* Y, tr H* Z) of the LP witness solved at Bloch vector b."""
+    """(tr H* X, tr H* Y, tr H* Z) of wigner_distance's witness at Bloch vector b."""
     return pauli_terms(wigner_distance(dm_from_bloch(b)).dual_witness)[1]
 
 
@@ -75,7 +76,7 @@ def s_conjugate(b):
 def reference_sampled_certification(phi, shots, noise, seed, n_boot):
     """Slow oracle for :func:`sampled_certification`: scalar draws, count by
     count and each count's replicas in turn, then one reconstruction and one
-    witness LP per replica and for the point estimate."""
+    wigner_distance per replica and for the point estimate."""
     base = {}
     for setting, keep_bit in (("X", 0), ("Y", 1)):
         base[setting] = {
@@ -243,8 +244,8 @@ class TestCertification:
             assert (got.f_value, got.f_lhs) == (want.f_value, want.f_lhs), f"phi={phi!r}"
 
     def test_lp_reads_the_clamp_as_the_closed_form_does(self):
-        # At 3pi/2 + 2e-10 the LP objective is 1.0000000827e-10, over the
-        # clamp; C is 0.99999992e-10, and octahedron_distance reads 0.
+        # At 3pi/2 + 2e-10 the 1-qubit LP's objective is 1.0000000827e-10,
+        # over the clamp; C is 0.99999992e-10, and the closed form reads 0.
         sigma = build_assemblage(3 * np.pi / 2 + 2e-10).state("X", 0)
         assert octahedron_distance(bloch(sigma)) == 0.0
         res = wigner_distance(sigma)
@@ -435,7 +436,8 @@ class TestClosedFormCoverage:
 
 
 class TestSignWitnessProperties:
-    """The closed-form witness of sampled certification against the LP."""
+    """The Bloch-vector witness of sampled certification against
+    wigner_distance's witness matrix."""
 
     @PROPERTY
     @given(bloch_vectors())
@@ -446,8 +448,7 @@ class TestSignWitnessProperties:
             np.testing.assert_allclose(paulis, np.sign(b), rtol=0, atol=1e-9)
         else:
             # Inside the octahedron, on its surface and within CLAMP_TOL
-            # outside it (C = 0) the witness is the canonical zero witness,
-            # whatever the LP's pivot path.
+            # outside it (C = 0) the witness is the canonical zero witness.
             assert np.all(paulis == 0.0)
 
     def test_zero_gap_where_c_is_clamped(self):

@@ -51,6 +51,11 @@ COMMANDS = [
     ["gate-check", "--matrix", "1.0000000003,0,0,0,0,0,1,0"],
     ["magic-eval", "--phi", PI_8],
     ["magic-eval", "--bloch", "0.3,0.4,0.5"],
+    # outside the octahedron with one coordinate under the level t, inside
+    # it, and on a great circle with a zero coordinate
+    ["magic-eval", "--bloch", "0.9,0.4,0.05"],
+    ["magic-eval", "--bloch", "0.2,-0.3,0.1"],
+    ["magic-eval", "--bloch", "0,0.8,0.6"],
     ["magic-eval", "--state", "T"],
     ["magic-eval", "--state", "mixed"],
     *(["certify", "--phi", phi] for phi in (PI_8, PI_4, "1.3", "2e-10", "1e-9",

@@ -10,7 +10,8 @@ imports'.
 A second table, after a blank line, times the caches that the benchmark's
 set-up (``bench/worker.py:set_up``) fills on a fresh import, step by step:
 the 1-qubit stabilizer set, the Clifford table, the 2-qubit stabilizer set
-(without the Clifford table), and the first 1- and 2-qubit Wigner-distance LPs.
+(without the Clifford table), the first 1-qubit Wigner distance (closed form)
+and the first 2-qubit one (the LP).
 Each repeat imports a fresh copy of the package first, untimed.  The two
 tables together cover the parts of the benchmark's ``setup_s``: compiling,
 running the module bodies, and the fills.  Nothing is cached on disk, and
