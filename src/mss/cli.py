@@ -430,11 +430,15 @@ def cmd_gate_check(args):
                   [complex(vals[4], vals[5]), complex(vals[6], vals[7])]])
     probes = [_angle(args, p, "--probes") for p in _floats(args.probes, "--probes")]
     try:
-        require_unitary(g, protocol.GATE_ATOL)
+        require_unitary(g)
     except ValueError:
         # Non-unitary input: the protocol runner rejects it, but the column-sum
         # predicate is still well defined and worth reporting, with no probes.
-        s0, s1 = protocol.column_sums(g)
+        with np.errstate(over="ignore"):  # a sum past the float range is refused below
+            s0, s1 = protocol.column_sums(g)
+        if not (math.isfinite(s0) and math.isfinite(s1)):
+            raise ValueError(
+                f"--matrix column sums overflow a float, got {args.matrix!r}") from None
         unitary, record = False, protocol.GateAdmissibility(
             probe_phis=(), col0_sums=(s0,), col1_sums=(s1,), c_values=(), bob_i2_distances=(),
             secure=protocol.satisfies_column_sum(g), faithful=False)

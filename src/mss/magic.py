@@ -27,7 +27,6 @@ P(phi)|+> (x) |0>, which local Cliffords keep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,7 +40,6 @@ CLAMP_TOL = 1e-10  # report exactly zero instead of leaking negative round-off
 SIGN_TOL = 1e-12   # Bloch coordinates this small count as 0 in sign_witness
 
 
-@dataclass(init=False, repr=False, eq=False)
 class MagicResult(Record):
     """Optimal value and certificates of one Wigner-distance solve; arrays read-only."""
 

@@ -34,7 +34,6 @@ rotation folded into that gate.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import product
 from typing import Callable, Sequence
@@ -42,17 +41,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .magic import c_closed_form, octahedron_distance
-from .qcore import (DensityMatrix, I2, Record, ValueRecord, X, dm_from_bloch, phase_gate, ptm,
-                    require_unitary)
+from .qcore import (GATE_ATOL, DensityMatrix, I2, Record, ValueRecord, X, dm_from_bloch,
+                    phase_gate, ptm, require_unitary)
 
 MIN_PARTIES = 3
 MAX_PARTIES = 6  # 4^6 Pauli terms; enough to exercise the induction fully
-GATE_ATOL = 1e-10  # an injected gate's unitarity and column-sum tolerance, on every path
 
 PLUS, MINUS = "+", "-"
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ProtocolTranscript(Record):
     """Everything one protocol run produced, for auditing and security checks."""
 
@@ -103,7 +100,7 @@ def _dealt(gate: np.ndarray, n: int) -> np.ndarray:
     and any gate must be unitary within GATE_ATOL."""
     n = _require_parties(n)
     r = _ghz(n)
-    return (ptm(require_unitary(gate, GATE_ATOL)) @ r.reshape(4, -1)).reshape(r.shape)
+    return (ptm(require_unitary(gate)) @ r.reshape(4, -1)).reshape(r.shape)
 
 
 def _broadcast(r: np.ndarray, bit: int) -> np.ndarray:
@@ -182,7 +179,6 @@ def run_all_branches(phi: float, n: int = 3) -> list[ProtocolTranscript]:
     return [_run(r, phi, _forced(bits)) for bits in product((0, 1), repeat=r.ndim - 1)]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class PartySecurity(Record):
     """One non-recipient party's worst-case marginal over the run."""
 
@@ -221,7 +217,6 @@ def security_report(transcript: ProtocolTranscript) -> dict[int, PartySecurity]:
 GateFamily = Callable[[float], np.ndarray]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class GateAdmissibility(ValueRecord):
     """Column-sum security condition and phi-faithfulness of an injected gate."""
 
@@ -257,10 +252,11 @@ def column_sums(gate: np.ndarray) -> tuple[float, float]:
     return float(abs(g[0, 0] + g[1, 0])), float(abs(g[0, 1] + g[1, 1]))
 
 
-def satisfies_column_sum(gate: np.ndarray, atol: float = GATE_ATOL) -> bool:
-    """Both column sums have unit modulus: the unauthorised marginal is I/2."""
+def satisfies_column_sum(gate: np.ndarray) -> bool:
+    """Both column sums have unit modulus within GATE_ATOL: the unauthorised
+    marginal is I/2."""
     s0, s1 = column_sums(gate)
-    return abs(s0 - 1.0) <= atol and abs(s1 - 1.0) <= atol
+    return abs(s0 - 1.0) <= GATE_ATOL and abs(s1 - 1.0) <= GATE_ATOL
 
 
 def _deliver_with_gate(gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +287,7 @@ def check_gate_admissibility(gate, probe_phis: Sequence[float]) -> GateAdmissibi
         raise ValueError("probe_phis must be nonempty and finite")
     family: GateFamily = gate if callable(gate) else (lambda _phi, _g=np.asarray(gate, dtype=complex): _g)
 
-    gates = [require_unitary(family(phi), GATE_ATOL) for phi in probes]
+    gates = [require_unitary(family(phi)) for phi in probes]
     col0, col1 = zip(*map(column_sums, gates))
     blochs = np.array([_deliver_with_gate(g) for g in gates])  # [probe, (delivered, bob), xyz]
     c_vals = tuple(octahedron_distance(blochs[:, 0]).tolist())

@@ -1,5 +1,5 @@
-"""Dense statevector and density-matrix mechanics for few-qubit registers,
-and the Pauli transfer matrix through which the simulators apply gates.
+"""Few-qubit states, the Pauli transfer matrix through which the
+simulators apply gates, the one gate tolerance, and the package's record base.
 
 Conventions used throughout the package:
 
@@ -23,6 +23,7 @@ import numpy as np
 
 ATOL_CONSTRUCT = 1e-12   # construction-time validity checks
 ATOL_PSD = 1e-10         # eigenvalue positivity (looser: reconstruction headroom)
+GATE_ATOL = 1e-10        # a gate's unitarity and column-sum tolerance, on every path
 
 
 def _frozen(a) -> np.ndarray:
@@ -58,8 +59,9 @@ def phase_gate(phi: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=complex)
 
 
-def require_unitary(gate: np.ndarray, atol: float = ATOL_CONSTRUCT) -> np.ndarray:
-    """Return ``gate`` as a complex 2x2 array, raising if it is not unitary."""
+def require_unitary(gate: np.ndarray) -> np.ndarray:
+    """Return ``gate`` as a complex 2x2 array, raising if it is not unitary
+    within GATE_ATOL."""
     g = np.asarray(gate, dtype=complex)
     if g.shape != (2, 2):
         raise ValueError(f"expected a 2x2 gate, got shape {g.shape}")
@@ -70,7 +72,8 @@ def require_unitary(gate: np.ndarray, atol: float = ATOL_CONSTRUCT) -> np.ndarra
     col0 = math.hypot(a.real, a.imag, c.real, c.imag)
     col1 = math.hypot(b.real, b.imag, d.real, d.imag)
     off = a.conjugate() * b + c.conjugate() * d
-    if max(abs(col0 * col0 - 1), abs(col1 * col1 - 1), math.hypot(off.real, off.imag)) > atol:
+    if max(abs(col0 * col0 - 1), abs(col1 * col1 - 1),
+           math.hypot(off.real, off.imag)) > GATE_ATOL:
         raise ValueError("gate is not unitary within tolerance")
     return g
 
@@ -78,14 +81,21 @@ def require_unitary(gate: np.ndarray, atol: float = ATOL_CONSTRUCT) -> np.ndarra
 class Record:
     """Base of the package's record types: frozen, with a repr of every field.
 
-    Each record is a ``@dataclass(init=False, repr=False, eq=False)`` whose
+    A subclass that annotates fields becomes a
+    ``dataclass(init=False, repr=False, eq=False)`` as it is defined.  Its
     ``__init__``, written in its own source, fills the instance ``__dict__``,
     so ``dataclasses`` generates and ``exec``s no method at import (a plain
     frozen dataclass gets four to six).  Records keep ``fields``, ``replace``
     and ``__match_args__``, and an instance ``__dict__`` for
-    ``cached_property``.  A record compares by identity, a
-    :class:`ValueRecord` by value.
+    ``cached_property``.  ``Record`` and :class:`ValueRecord` themselves are
+    no dataclasses.  A record compares by identity, a :class:`ValueRecord`
+    by value.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__dict__.get("__annotations__"):
+            dataclass(init=False, repr=False, eq=False)(cls)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -113,7 +123,6 @@ class ValueRecord(Record):
         return hash(self._values())
 
 
-@dataclass(init=False, repr=False, eq=False)
 class PureState(Record):
     """Normalised amplitude vector over 2**n_qubits basis states."""
 
@@ -138,7 +147,6 @@ class PureState(Record):
         return DensityMatrix(np.outer(self.amps, self.amps.conj()))
 
 
-@dataclass(init=False, repr=False, eq=False)
 class DensityMatrix(Record):
     """Hermitian, trace-1, positive-semidefinite matrix on 2**n_qubits dims."""
 
@@ -207,7 +215,8 @@ def maximally_mixed(n: int = 1) -> DensityMatrix:
 def dm_from_bloch(bloch_vec) -> DensityMatrix:
     """1-qubit density matrix (I + x X + y Y + z Z)/2; requires |b|_2 <= 1 + 1e-9."""
     b = np.asarray(bloch_vec, dtype=float).reshape(3)
-    if float(b @ b) > 1.0 + 1e-9:
+    # A coordinate beyond 2 is outside the ball, and b @ b cannot overflow after it.
+    if max(map(abs, b.tolist())) > 2.0 or float(b @ b) > 1.0 + 1e-9:
         raise ValueError("Bloch vector lies outside the unit ball")
     return DensityMatrix((I2 + b[0] * X + b[1] * Y + b[2] * Z) / 2)
 

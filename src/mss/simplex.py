@@ -14,23 +14,23 @@ v_i halves of a residual; the solver finds them in A itself.  The ratio test
 walks the breakpoints in ratio order.  At a breakpoint whose basic variable
 has a mirror, the variable can cross zero and live on as its mirror instead
 of leaving: the slope of the objective rises by (c_j + c_j') alpha_r, and
-while it is still below -tol the row flips (it is negated, the cost row
+while it is still below -TOL the row flips (it is negated, the cost row
 gains (c_j + c_j') times it, and the mirror takes the basis entry) and the
 step goes on.  The first breakpoint without a mirror, or the one where the
 slope would turn non-negative, leaves by the usual rank-1 pivot.
 
-Termination: a step of length t > tol lowers the objective by more than
-tol * t, since the slope stays below -tol all along it, so a basis can recur
-only across degenerate steps (t <= tol).  After a degenerate step the next
+Termination: a step of length t > TOL lowers the objective by more than
+TOL * t, since the slope stays below -TOL all along it, so a basis can recur
+only across degenerate steps (t <= TOL).  After a degenerate step the next
 pivot follows Bland's rule (smallest eligible index enters, the first
 breakpoint leaves with ties broken by smallest basic variable, no flips).
 A cycle would consist of degenerate steps alone, hence of Bland pivots alone,
-and Bland's rule does not cycle.  ``max_iter`` guards against round-off.
+and Bland's rule does not cycle.  MAX_ITER pivots guard against round-off.
 
 When every cost is nonnegative, a basis whose objective is at most
 ZERO_OBJECTIVE is optimal to within that, and y = 0 is a dual for it: the
 loop stops there without the degenerate pivots that would otherwise prove
-it.  ZERO_OBJECTIVE sits far below tol, so a solve that stops there reports
+it.  ZERO_OBJECTIVE sits far below TOL, so a solve that stops there reports
 an objective no caller reads as nonzero (:mod:`mss.magic` reports C = 0
 below 1e-10).
 
@@ -44,21 +44,21 @@ column, with no mask for the basic ones, then reads the entering column
 and the right-hand side once as Python floats for the ratio test and the
 long step's slope.  A flip is two row operations; one rank-1 update of the
 tableau ends the pivot.
-``tests/test_simplex.py`` keeps a scalar version of this rule, which must
-follow the same pivot path byte for byte.
+TOL and MAX_ITER are module constants, read once per solve; no caller
+passes a tolerance or a cap.  ``tests/test_simplex.py`` keeps a scalar
+version of this rule, which must follow the same pivot path byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .qcore import Record
 
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITER = 10_000
+TOL = 1e-9
+MAX_ITER = 10_000
 ZERO_OBJECTIVE = 1e-12  # with c >= 0, an objective this small ends the solve
 
 
@@ -66,7 +66,6 @@ class SimplexError(RuntimeError):
     """Infeasible starting basis, unbounded objective or iteration cap exceeded."""
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LPSolution(Record):
     """Optimum of one :func:`solve_lp` call, with its duals and pivot counts."""
 
@@ -80,15 +79,14 @@ class LPSolution(Record):
         self.__dict__.update(x=x, fun=fun, duals=duals, iterations=iterations, flips=flips)
 
 
-def solve_lp(c, A, b, basis, tol: float = DEFAULT_TOL,
-             max_iter: int = DEFAULT_MAX_ITER) -> LPSolution:
+def solve_lp(c, A, b, basis) -> LPSolution:
     """Simplex on min c.x, A x = b, x >= 0 from the starting ``basis``.
 
     ``basis`` lists one column index in [0, n) per row.  Raises ValueError
     for an index outside that range or inconsistent dimensions, and
     SimplexError if those columns are singular or their basic solution has an
-    entry below ``-tol``, if the objective is unbounded, or if the pivot count
-    exceeds ``max_iter``.
+    entry below ``-TOL``, if the objective is unbounded, or if the pivot count
+    exceeds ``MAX_ITER``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -124,15 +122,14 @@ def solve_lp(c, A, b, basis, tol: float = DEFAULT_TOL,
         unused.remove(p)
     if rows != sorted(rows):
         work[:] = work[rows]
-    if tab[:m, -1].min() < -tol:
+    if tab[:m, -1].min() < -TOL:
         raise SimplexError(
             f"infeasible starting basis: basic value {tab[:m, -1].min():.3e}")
     tab[m, :n] = c
     tab[m] -= c[basis] @ work
 
     iterations, flips, at_zero = _pivot_loop(
-        tab, basis, mirror, c.tolist(), stop_at_zero=bool(c.min() >= 0.0),
-        tol=tol, max_iter=max_iter)
+        tab, basis, mirror, c.tolist(), stop_at_zero=bool(c.min() >= 0.0))
 
     x = np.zeros(n)
     x[basis] = tab[:m, -1]
@@ -165,10 +162,10 @@ def _columns(matrix: bytes, m: int, n: int):
     return mirror, np.where(unit, row, -1).tolist(), sign.tolist(), template
 
 
-def _pivot_loop(tab, basis, mirror, costs, stop_at_zero: bool,
-                tol: float, max_iter: int) -> tuple[int, int, bool]:
+def _pivot_loop(tab, basis, mirror, costs, stop_at_zero: bool) -> tuple[int, int, bool]:
     """Pivot ``tab`` and ``basis`` to optimality in place; returns (pivots,
     flips, whether it stopped at an objective of at most ZERO_OBJECTIVE)."""
+    tol, max_iter = TOL, MAX_ITER
     iterations = flips = 0
     m, n = len(basis), len(mirror)
     work, cost = tab[:m], tab[m]

@@ -16,7 +16,6 @@ snap, or if the distinct vectors do not number exactly the count above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,7 +34,6 @@ _STATES = np.array([[1, 0], [0, 1],
 _STATES.setflags(write=False)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class StabilizerSet(Record):
     """All pure n-qubit stabilizer states with their Wigner vectors.
 

@@ -31,7 +31,6 @@ assemblage states themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -48,7 +47,6 @@ SETTINGS = ("X", "Y")
 DEFAULT_N_BOOT = 500  # bootstrap replicas of a sampled certification
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Assemblage(ValueRecord):
     """Conditional recipient states sigma_{a|x} with their outcome probabilities."""
 
@@ -76,7 +74,6 @@ class Assemblage(ValueRecord):
         return self.members[(setting, outcome)][1]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class CertificationRecord(ValueRecord):
     """The steering functional on an assemblage and its local-hidden-state bound."""
 
@@ -190,7 +187,6 @@ def certify_exact(phi: float) -> CertificationRecord:
     return CertificationRecord(f_value=float(f), f_lhs=float(f_lhs))
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SampledCertification(ValueRecord):
     """A finite-shot certification with the bootstrap spread of its gap."""
 

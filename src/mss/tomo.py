@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -61,6 +61,7 @@ DISTILLATION_THRESHOLD = 0.856  # 15-to-1 magic state distillation entry fidelit
 DEFAULT_SHOTS = 4096
 DEFAULT_N_BOOT = 2000
 MIN_N_BOOT = 100
+CURVE_POINTS = 200  # theory-curve rows in ExperimentReport.plot_data_csv
 
 _N_QUBITS = 3
 
@@ -90,7 +91,6 @@ def stream_rng(seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(init=False, repr=False, eq=False)
 class NoiseModel(Record):
     """Depolarizing-plus-readout device model.
 
@@ -135,7 +135,6 @@ def _require_circuit(basis: str, party: str, alice_setting: str) -> None:
         raise ValueError("alice_setting must be X or Y")
 
 
-@dataclass(init=False, repr=False, eq=False)
 class CountsTable(Record):
     """Raw shot counts for one circuit, big-endian indexed like
     :func:`circuit_probabilities`: counts[4*q0 + 2*q1 + q2]."""
@@ -259,7 +258,6 @@ def sample_run(phi: float, basis: str, shots: int, noise: NoiseModel, seed: int,
                        party=party, alice_setting=alice_setting)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class CorrectedCounts(ValueRecord):
     """Post-selected single-party outcome counts after software correction.
 
@@ -307,7 +305,6 @@ def post_select_and_correct(table: CountsTable, alice_keep_bit: int = 0) -> Corr
     return CorrectedCounts(basis_label=table.basis_label, n0=int(n[0]), n1=int(n[1]))
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ReconstructionResult(Record):
     """One party's tomographic estimate from its X, Y and Z counts."""
 
@@ -406,7 +403,6 @@ def bootstrap(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
             float(np.std(_fidelity(b, phi), ddof=1)))
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ExperimentRow(ValueRecord):
     """One angle's row of the experiment table."""
 
@@ -431,7 +427,6 @@ class ExperimentRow(ValueRecord):
 _ROW_FIELDS = tuple(f.name for f in fields(ExperimentRow))
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ExperimentReport(ValueRecord):
     """The experiment table with its settings and the raw counts behind it."""
 
@@ -473,10 +468,11 @@ class ExperimentReport(ValueRecord):
             ],
         }
 
-    def plot_data_csv(self, n_curve: int = 200) -> str:
-        """Theory curve plus measured points with error bars, one CSV."""
+    def plot_data_csv(self) -> str:
+        """Theory curve at CURVE_POINTS angles over [0, 2 pi] plus measured
+        points with error bars, one CSV."""
         lines = ["kind,phi,c_theory,c_measured,sigma_c"]
-        for phi in np.linspace(0.0, 2 * np.pi, n_curve):
+        for phi in np.linspace(0.0, 2 * np.pi, CURVE_POINTS):
             lines.append(f"curve,{_fmt(float(phi))},{_fmt(c_closed_form(phi))},,")
         for r in self.rows:
             lines.append(f"point,{_fmt(r.phi)},{_fmt(r.c_theory)},"

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import mss.magic
 from mss.magic import c_closed_form, octahedron_distance
-from mss.qcore import (ATOL_CONSTRUCT, ATOL_PSD, I2, DensityMatrix, H, PureState, X, Y, Z, bloch,
-                       phase_gate, phase_plus, require_unitary, tensor, trace_distance)
+from mss.qcore import (ATOL_CONSTRUCT, ATOL_PSD, GATE_ATOL, I2, DensityMatrix, H, PureState, X, Y,
+                       Z, bloch, phase_gate, phase_plus, require_unitary, tensor, trace_distance)
 from mss.stabilizer import enumerate_stabilizer_states
 from mss.tomo import CorrectedCounts
-from mss.wigner import _operator_stack
+from mss.wigner import _operator_stack, wigner_of
 
 # Property tests draw the same examples on every run and keep no example database.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -87,13 +88,14 @@ def reference_density_error(mat) -> str | None:
     return None
 
 
-def reference_unitary_error(gate, atol: float = ATOL_CONSTRUCT) -> str | None:
+def reference_unitary_error(gate) -> str | None:
     """The message require_unitary raises for a 2x2 gate, or None, through the
-    matrix product g^dagger g - I; an entry that overflows to NaN fails."""
+    matrix product g^dagger g - I at GATE_ATOL; an entry that overflows to
+    NaN fails."""
     g = np.asarray(gate, dtype=complex)
     if not np.all(np.isfinite(g.view(float))):
         return "gate contains non-finite entries"
-    if not np.all(np.abs(g.conj().T @ g - I2) <= atol):
+    if not np.all(np.abs(g.conj().T @ g - I2) <= GATE_ATOL):
         return "gate is not unitary within tolerance"
     return None
 
@@ -350,6 +352,26 @@ def oracle_states(n, rng, per_class):
         chosen = rng.choice(len(stab), size=int(rng.integers(2, 5)), replace=False)
         yield DensityMatrix(sum(p * stab[j] for p, j in zip(rng.dirichlet(np.ones(len(chosen))),
                                                              chosen)))
+
+
+def nearest_vertex_basis(F, w):
+    """The L1 fit's start at the column F_j nearest to w in L1: u_i or v_i
+    per residual row, by the sign of (w - F_j)_i, then lambda_j."""
+    k, nv = F.shape
+    residual = w[:, None] - F
+    j = int(np.abs(residual).sum(axis=0).argmin())
+    rows = np.arange(k)
+    return [*np.where(residual[:, j] >= 0, nv + rows, nv + k + rows).tolist(), j]
+
+
+def wigner_lp(rho):
+    """The Wigner-distance LP of a 1- or 2-qubit state on mss.magic's tables,
+    started at the nearest vertex: (c, A, b, basis), the call
+    wigner_distance makes for two qubits.  One qubit has a closed form, and
+    its LP is kept here as that form's oracle."""
+    w = wigner_of(rho)
+    F, A, c = mss.magic._lp_constants(rho.n_qubits)
+    return c, A, np.append(w, 1.0), nearest_vertex_basis(F, w)
 
 
 def reference_witness_matrix(yvec, n: int) -> np.ndarray:

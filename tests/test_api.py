@@ -138,14 +138,51 @@ def _functions(record_type):
                 yield name, value
 
 
+def _generated(record_type, *sources: Path) -> list[str]:
+    """The functions of a record type written outside ``sources`` (by
+    default the package source): generated from a string."""
+    return [name for name, func in _functions(record_type)
+            if not any(Path(func.__code__.co_filename).resolve().is_relative_to(source)
+                       for source in sources or (SRC,))]
+
+
 @pytest.mark.parametrize("record_type", sorted(RECORD_TYPES, key=lambda t: t.__name__),
                          ids=lambda t: t.__name__)
 def test_record_methods_are_written_in_the_package_source(record_type):
     """No record method is generated from a string, as a plain frozen
     dataclass's are: every process would write and exec them at import."""
-    generated = [name for name, func in _functions(record_type)
-                 if not Path(func.__code__.co_filename).resolve().is_relative_to(SRC)]
-    assert generated == []
+    assert _generated(record_type) == []
+
+
+def test_record_bases_are_no_dataclasses():
+    assert not dataclasses.is_dataclass(qcore.Record)
+    assert not dataclasses.is_dataclass(qcore.ValueRecord)
+
+
+def test_a_record_subclass_with_fields_becomes_a_dataclass():
+    class Pair(qcore.ValueRecord):
+        """Two fields and an __init__ of its own, like every package record."""
+
+        left: int
+        right: tuple
+
+        def __init__(self, left, right) -> None:
+            self.__dict__.update(left=left, right=right)
+
+    assert dataclasses.is_dataclass(Pair)
+    assert [f.name for f in dataclasses.fields(Pair)] == ["left", "right"]
+    assert Pair.__match_args__ == ("left", "right")
+    pair = Pair(1, (2,))
+    match pair:
+        case Pair(left, right):
+            assert (left, right) == (1, (2,))
+    copy = dataclasses.replace(pair, left=3)
+    assert type(copy) is Pair and copy.left == 3 and copy.right is pair.right
+    assert dataclasses.replace(pair) == pair
+    assert repr(pair) == f"{Pair.__qualname__}(left=1, right=(2,))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.left = 3
+    assert _generated(Pair, SRC, Path(__file__).resolve()) == []
 
 
 @pytest.mark.parametrize("record_type", sorted(RECORD_TYPES, key=lambda t: t.__name__),
@@ -317,3 +354,63 @@ def test_bad_input_raises_with_a_message(name):
     call, error, message = BAD_INPUTS[name]
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+# Every parameter with a default, of every function, method and lambda in
+# src/mss, as written there.  A new option fails here until it is listed on
+# purpose; a tolerance or a limit is a module constant, never a parameter.
+OPTIONS = {
+    "cli.main": ["argv=None"],
+    "cli.CommandOutput.__init__": ["csv=None", "pretty=None"],
+    "cli._Outcomes.__call__": ["option_string=None"],
+    "cli._flatten": ["prefix=''"],
+    "cli._append_json": ["_str=encode_basestring_ascii", "_float=float.__repr__",
+                         "_finite=math.isfinite"],
+    "protocol.run_exact": ["n=3", "outcomes=None", "seed=None"],
+    "protocol.run_all_branches": ["n=3"],
+    "protocol.check_gate_admissibility.<lambda>": ["_g=np.asarray(gate, dtype=complex)"],
+    "protocol.magic_scan": ["n=3"],
+    "qcore.maximally_mixed": ["n=1"],
+    "steering.sampled_certification": ["n_boot=DEFAULT_N_BOOT"],
+    "tomo.CountsTable.__init__": ["party='charlie'", "alice_setting='X'"],
+    "tomo.circuit_probabilities": ["party='charlie'", "alice_setting='X'"],
+    "tomo.sample_run": ["party='charlie'", "alice_setting='X'"],
+    "tomo.post_select_and_correct": ["alice_keep_bit=0"],
+    "tomo.reconstruct": ["phi=None"],
+    "tomo.experiment_table": ["n_boot=DEFAULT_N_BOOT"],
+}
+NO_PARAMETER = {"tol", "atol", "max_iter", "n_curve"}
+
+
+def _signatures():
+    """(qualified name, ast.arguments) of every function, method and lambda in src/mss."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                yield name, child.args
+                yield from walk(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, f"{prefix}{child.name}.")
+            else:
+                yield from walk(child, prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        yield from walk(ast.parse(path.read_text(), filename=str(path)), path.stem + ".")
+
+
+def test_every_option_is_listed():
+    options = {}
+    for name, args in _signatures():
+        positional = args.posonlyargs + args.args
+        pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                 *((a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)]
+        if pairs:
+            options.setdefault(name, []).extend(f"{a.arg}={ast.unparse(d)}" for a, d in pairs)
+    assert options == OPTIONS
+
+
+def test_no_function_takes_a_tolerance_or_a_limit():
+    taken = [f"{name}({a.arg})" for name, args in _signatures()
+             for a in [*args.posonlyargs, *args.args, *args.kwonlyargs] if a.arg in NO_PARAMETER]
+    assert taken == []

@@ -195,6 +195,14 @@ class TestGateCheck:
         assert code == 2 and out == ""
         assert err == f"mss: --matrix must be nonempty and finite, got {matrix!r}\n"
 
+    @pytest.mark.parametrize("matrix", ["1e308,0,0,0,1e308,0,1,0", "1.5e308,0,0,0,0,1.5e308,1,0"])
+    def test_column_sum_past_the_float_range_is_usage_error(self, capsys, matrix):
+        # Finite entries whose first column sum, or its modulus, overflows a
+        # float; no numpy warning reaches stderr.
+        code, out, err = run_cli(capsys, "gate-check", "--matrix", matrix, "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == f"mss: --matrix column sums overflow a float, got {matrix!r}\n"
+
     def test_malformed_matrix(self, capsys):
         code, _, err = run_cli(capsys, "gate-check", "--matrix", "1,0,0")
         assert code == 2 and "8 reals" in err
@@ -697,7 +705,9 @@ class TestExitCodes:
          "--noise expects p1,p2,readout"),
         (("magic-eval", "--bloch", "1,1"), "--bloch expects x,y,z"),
         (("magic-eval", "--bloch", "1,1,1"), "Bloch vector lies outside the unit ball"),
-    ], ids=["phis", "noise", "bloch-length", "bloch-outside-ball"])
+        # |b|^2 overflows a float; no numpy warning reaches stderr
+        (("magic-eval", "--bloch", "1e200,0,0"), "Bloch vector lies outside the unit ball"),
+    ], ids=["phis", "noise", "bloch-length", "bloch-outside-ball", "bloch-overflowing"])
     def test_malformed_or_unphysical_values_are_usage_errors(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert (code, out, err) == (2, "", f"mss: {message}\n")

@@ -46,8 +46,8 @@ from mss.wigner import (
 )
 
 from conftest import (PROPERTY, apply_1q, bloch_vectors, oracle_states, random_density,
-                      random_pure_state, reference_witness_matrix)
-from test_simplex import reference_solve_lp, wigner_lp
+                      random_pure_state, reference_witness_matrix, wigner_lp)
+from test_simplex import reference_solve_lp
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)

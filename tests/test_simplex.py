@@ -6,22 +6,12 @@ import pytest
 
 import mss.magic
 import mss.simplex
-from mss.simplex import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    ZERO_OBJECTIVE,
-    LPSolution,
-    SimplexError,
-    _columns,
-    solve_lp,
-)
-from mss.wigner import wigner_of
+from mss.simplex import TOL, ZERO_OBJECTIVE, LPSolution, SimplexError, _columns, solve_lp
 
-from conftest import oracle_states
+from conftest import nearest_vertex_basis, oracle_states, wigner_lp
 
 
-def reference_solve_lp(c, A, b, basis=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, *,
-                       bland=False):
+def reference_solve_lp(c, A, b, basis=None, *, bland=False):
     """Slow oracle for :func:`solve_lp`: the same pivot rule with scalar loops.
 
     A column scan prices Dantzig's rule, a sorted list of breakpoints drives
@@ -37,7 +27,9 @@ def reference_solve_lp(c, A, b, basis=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MA
     Started from ``basis`` it runs the one phase :func:`solve_lp` runs.
     Without one it is the textbook two-phase method, always with Bland's
     rule: artificial columns on sign-flipped rows, phase 1 minimising their
-    sum, then phase 2.  Returns the solution and the final basis."""
+    sum, then phase 2.  Like :func:`solve_lp` it reads the solver's TOL and
+    MAX_ITER when called.  Returns the solution and the final basis."""
+    tol, max_iter = mss.simplex.TOL, mss.simplex.MAX_ITER
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)
@@ -171,16 +163,6 @@ def mirrored_form(A, b, c, c_slack, c_surplus):
             b, list(range(n, n + m)))
 
 
-def nearest_vertex_basis(F, w):
-    """The L1 fit's start at the column F_j nearest to w in L1: u_i or v_i
-    per residual row, by the sign of (w - F_j)_i, then lambda_j."""
-    k, nv = F.shape
-    residual = w[:, None] - F
-    j = int(np.abs(residual).sum(axis=0).argmin())
-    rows = np.arange(k)
-    return [*np.where(residual[:, j] >= 0, nv + rows, nv + k + rows).tolist(), j]
-
-
 def l1_fit_form(F, w):
     """min ||w - F lam||_1 over the simplex in the LP form of mss.magic,
     started, as there, at the column nearest to w in L1.  Returns
@@ -191,17 +173,7 @@ def l1_fit_form(F, w):
     return c, A, np.append(w, 1.0), nearest_vertex_basis(F, w)
 
 
-def wigner_lp(rho):
-    """The Wigner-distance LP of a 1- or 2-qubit state on mss.magic's tables,
-    started at the nearest vertex: (c, A, b, basis), the call
-    wigner_distance makes for two qubits.  One qubit has a closed form, and
-    its LP is kept here as that form's oracle."""
-    w = wigner_of(rho)
-    F, A, c = mss.magic._lp_constants(rho.n_qubits)
-    return c, A, np.append(w, 1.0), nearest_vertex_basis(F, w)
-
-
-def solve_with_final_basis(c, A, b, basis, tol=DEFAULT_TOL):
+def solve_with_final_basis(c, A, b, basis):
     """solve_lp plus the final basis, read off the pivot loop's basis list.
     Also checks that the final basic columns' reduced costs are within 1e-12
     of 0, which lets the loop price without a nonbasic mask."""
@@ -216,23 +188,23 @@ def solve_with_final_basis(c, A, b, basis, tol=DEFAULT_TOL):
 
     mss.simplex._pivot_loop = spy
     try:
-        sol = solve_lp(c, A, b, basis, tol)
+        sol = solve_lp(c, A, b, basis)
     finally:
         mss.simplex._pivot_loop = pivot_loop
     return sol, list(seen[-1])
 
 
-def assert_same_pivot_path(c, A, b, basis, tol=DEFAULT_TOL):
+def assert_same_pivot_path(c, A, b, basis):
     """Same outcome as the reference from the same basis: the same error, or
     the same pivot and flip counts, final basis and byte-identical x, duals
     and objective."""
     try:
-        want, want_basis = reference_solve_lp(c, A, b, basis, tol)
+        want, want_basis = reference_solve_lp(c, A, b, basis)
     except SimplexError as exc:
         with pytest.raises(SimplexError, match=str(exc).split(":")[0]):
-            solve_lp(c, A, b, basis, tol)
+            solve_lp(c, A, b, basis)
         return
-    got, got_basis = solve_with_final_basis(c, A, b, basis, tol)
+    got, got_basis = solve_with_final_basis(c, A, b, basis)
     assert (got.iterations, got.flips) == (want.iterations, want.flips)
     assert got_basis == want_basis
     assert got.x.tobytes() == want.x.tobytes()
@@ -361,7 +333,7 @@ def test_degenerate_problem_terminates():
     assert sol.fun == pytest.approx(-2.0, abs=1e-9)
 
 
-def test_random_problems_against_scipy(rng):
+def test_random_problems_against_scipy(rng, monkeypatch):
     linprog = pytest.importorskip("scipy.optimize").linprog
     for trial in range(60):
         m = int(rng.integers(2, 6))
@@ -374,8 +346,9 @@ def test_random_problems_against_scipy(rng):
         c, A, b, basis = slack_form(A_ub, b, c_x)
         ref = linprog(c_x, A_ub=A_ub, b_ub=b, bounds=[(0, None)] * n, method="highs")
         if not ref.success:  # scipy deems unbounded
-            with pytest.raises(SimplexError):
-                solve_lp(c, A, b, basis, max_iter=2000)
+            with monkeypatch.context() as patch, pytest.raises(SimplexError):
+                patch.setattr(mss.simplex, "MAX_ITER", 2000)
+                solve_lp(c, A, b, basis)
             continue
         sol = solve_lp(c, A, b, basis)
         assert sol.fun == pytest.approx(ref.fun, abs=1e-7), f"trial {trial}"
@@ -449,11 +422,12 @@ class TestSamePivotPathAsReference:
                 pass
         assert flips > 0
 
-    def test_coarse_tol_on_a_half_integer_grid(self, rng):
-        # With tol = 0.5 and every entry on a half-integer grid, coefficients
-        # and slopes land exactly on -tol or tol, most steps are degenerate,
-        # and chains of ratios within tol of each other decide Bland's
+    def test_coarse_tol_on_a_half_integer_grid(self, rng, monkeypatch):
+        # With TOL = 0.5 and every entry on a half-integer grid, coefficients
+        # and slopes land exactly on -TOL or TOL, most steps are degenerate,
+        # and chains of ratios within TOL of each other decide Bland's
         # leaving row.
+        monkeypatch.setattr(mss.simplex, "TOL", 0.5)
         for trial in range(300):
             m = int(rng.integers(2, 7))
             n = int(rng.integers(1, m + 5))
@@ -461,18 +435,19 @@ class TestSamePivotPathAsReference:
             c_slack, c_surplus = rng.integers(0, 4, (2, m)) / 2.0
             lp = mirrored_form(A, rng.integers(0, 9, m) / 2.0, rng.integers(-4, 5, n) / 2.0,
                                c_slack, c_surplus)
-            assert_same_pivot_path(*lp, tol=0.5)
+            assert_same_pivot_path(*lp)
 
-    def test_bland_ratio_test_reads_rows_in_order(self):
+    def test_bland_ratio_test_reads_rows_in_order(self, monkeypatch):
         # x0 enters first at a zero ratio, so x1 enters by Bland's rule.  Its
-        # ratios, 0.8, 0.4 and 0.0 in row order, chain within tol = 0.5: read
+        # ratios, 0.8, 0.4 and 0.0 in row order, chain within TOL = 0.5: read
         # in row order the test ends at the smallest, read in ratio order it
         # would end at 0.8, where two slacks are negative.
+        monkeypatch.setattr(mss.simplex, "TOL", 0.5)
         A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
         lp = slack_form(A, np.array([0.0, 0.8, 0.4, 0.0]), np.array([-2.0, -1.0]))
-        sol = solve_lp(*lp, tol=0.5)
+        sol = solve_lp(*lp)
         assert (sol.iterations, sol.fun) == (2, 0.0) and sol.x.min() == 0.0
-        assert_same_pivot_path(*lp, tol=0.5)
+        assert_same_pivot_path(*lp)
 
     def test_random_l1_fits(self, rng):
         flips = 0
@@ -523,13 +498,15 @@ class TestTermination:
         assert (sol.iterations, sol.flips) == (6, 0)
         assert_same_pivot_path(*lp)
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
         c, A, b, basis = slack_form(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]]),
                                     np.array([4.0, 12.0, 18.0]), np.array([-3.0, -5.0]))
         assert solve_lp(c, A, b, basis).iterations == 2
+        monkeypatch.setattr(mss.simplex, "MAX_ITER", 1)
         with pytest.raises(SimplexError, match="iteration cap 1 exceeded"):
-            solve_lp(c, A, b, basis, max_iter=1)
-        assert solve_lp(c, A, b, basis, max_iter=2).fun == pytest.approx(-36.0, abs=1e-9)
+            solve_lp(c, A, b, basis)
+        monkeypatch.setattr(mss.simplex, "MAX_ITER", 2)
+        assert solve_lp(c, A, b, basis).fun == pytest.approx(-36.0, abs=1e-9)
 
     def test_zero_objective_stop_reports_the_zero_dual(self):
         # min x1 + x2, x0 + x1 - x2 = 0 from the basis {x1}: the objective is
@@ -542,10 +519,10 @@ class TestTermination:
         assert (bland.iterations, bland.fun) == (1, 0.0)
 
     def test_small_nonzero_objective_is_solved_out(self):
-        # The same LP with b = 5e-10, under tol but over ZERO_OBJECTIVE: the
+        # The same LP with b = 5e-10, under TOL but over ZERO_OBJECTIVE: the
         # start x1 = 5e-10 is not optimal, and x0 must still pivot in.
         lp = np.array([0.0, 1.0, 1.0]), np.array([[1.0, 1.0, -1.0]]), np.array([5e-10]), [1]
-        assert ZERO_OBJECTIVE < 5e-10 < DEFAULT_TOL
+        assert ZERO_OBJECTIVE < 5e-10 < TOL
         sol = solve_lp(*lp)
         assert (sol.iterations, sol.fun) == (1, 0.0) and not sol.duals.any()
         np.testing.assert_array_equal(sol.x, [5e-10, 0.0, 0.0])

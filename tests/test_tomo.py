@@ -714,10 +714,10 @@ class TestExperimentTable:
     def test_plot_data_has_curve_and_points(self):
         report = experiment_table([np.pi / 4], shots=512, noise=ZERO_NOISE,
                                   seed=3, n_boot=150)
-        lines = report.plot_data_csv(n_curve=50).strip().split("\n")
+        lines = report.plot_data_csv().strip().split("\n")
         assert lines[0] == "kind,phi,c_theory,c_measured,sigma_c"
         kinds = [l.split(",")[0] for l in lines[1:]]
-        assert kinds.count("curve") == 50
+        assert kinds.count("curve") == 200
         assert kinds.count("point") == 1
 
 

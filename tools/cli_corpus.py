@@ -82,8 +82,10 @@ OTHER = [
     ["scan", "--grid", "0:1:0"], ["scan", "--grid", "0:nan:3"],
     ["gate-check", "--matrix", "1,0,0"], ["gate-check", "--matrix", "nan,0,0,0,0,0,1,0"],
     ["gate-check", "--matrix", "1,0,0,0,0,0,1,0", "--probes=,"],
+    ["gate-check", "--matrix", "1e308,0,0,0,1e308,0,1,0"],
     ["magic-eval"], ["magic-eval", "--phi", "0.3", "--state", "T"],
-    ["magic-eval", "--bloch", "1,1"], ["magic-eval", "--phi", "inf"],
+    ["magic-eval", "--bloch", "1,1"], ["magic-eval", "--bloch", "1e200,0,0"],
+    ["magic-eval", "--phi", "inf"],
     ["certify", "--phi", "nan"], ["certify", "--phi", "0.3", "--shots", "100"],
     ["certify", "--phi", "0.3", "--shots", "50", "--seed", "1", "--boot", "1"],
     ["experiment", "--phis", "0.3", "--seed", "1", "--boot", "1"],
