@@ -11,11 +11,13 @@ function of the transcript alone.
 The register is the (4,)*m tensor of its Pauli coefficients, as in ``tomo``:
 r[a_0, ..., a_{m-1}] = tr(rho P_{a_0} x ... x P_{a_{m-1}}), P in (I, X, Y, Z).
 Every step is a slice or a sign.  |GHZ_n> has 2^n nonzero terms, none of
-weight 1; the dealer's gate acts by its transfer matrix on axis 0; an X
-broadcast with outcome s = +-1 by the party on axis 0 leaves the rest
-(r[I] + s r[X]) / 2, whose identity term is the branch probability so far; a
-party's Bloch vector is its weight-1 terms over the identity term; and the
-recipient's Z correction flips the signs of its X and Y terms.
+weight 1; P(phi) acts on axis 0 by its closed-form transfer matrix
+``qcore.phase_ptm(phi)``, so every nonzero entry of a branch is 1, cos phi or
+sin phi times +-2^-k, and a run carries no round-off; an X broadcast with
+outcome s = +-1 by the party on axis 0 leaves the rest (r[I] + s r[X]) / 2,
+whose identity term is the branch probability so far; a party's Bloch vector
+is its weight-1 terms over the identity term; and the recipient's Z
+correction flips the signs of its X and Y terms.
 
 Correction bookkeeping: every X measurement flips the sign of the e^{i phi}
 branch when it lands on "minus", the dealer's included.  The recipient
@@ -26,13 +28,15 @@ The transcript keeps the raw broadcasts so either convention can be audited.
 Security is read from Bloch vectors b alone, at each party's first step of
 largest |b|: its magic is the octahedron distance of b, the 1-qubit
 Wigner distance, and its trace distance to I/2 is |b|/2.
-Gate admissibility runs the same register with an arbitrary gate in place
-of P(phi), and so does the steering assemblage, with the dealer's setting
-rotation folded into that gate.
+Gate admissibility runs the same register with an arbitrary unitary U in
+place of P(phi), through ``ptm(U)`` after one unitarity check; the steering
+assemblage runs it with P(phi)'s transfer matrix times its setting
+rotation's.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import cached_property, lru_cache, reduce
 from itertools import product
@@ -40,9 +44,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import qcore
 from .magic import c_closed_form, octahedron_distance
-from .qcore import (GATE_ATOL, DensityMatrix, I2, Record, ValueRecord, X, dm_from_bloch,
-                    phase_gate, ptm, require_unitary)
+from .qcore import (DensityMatrix, I2, Record, ValueRecord, X, dm_from_bloch, phase_gate,
+                    phase_ptm, ptm, require_unitary)
 
 MIN_PARTIES = 3
 MAX_PARTIES = 6  # 4^6 Pauli terms; enough to exercise the induction fully
@@ -95,12 +100,12 @@ def _ghz(n: int) -> np.ndarray:
     return r
 
 
-def _dealt(gate: np.ndarray, n: int) -> np.ndarray:
-    """The Pauli tensor of gate_0 |GHZ_n>; the protocol injects gate = P(phi),
-    and any gate must be unitary within GATE_ATOL."""
+def _dealt(transfer: np.ndarray, n: int) -> np.ndarray:
+    """The Pauli tensor of U_0 |GHZ_n>, given the 4x4 transfer matrix of the
+    dealer's gate U; the protocol injects ``phase_ptm(phi)``."""
     n = _require_parties(n)
     r = _ghz(n)
-    return (ptm(require_unitary(gate)) @ r.reshape(4, -1)).reshape(r.shape)
+    return (transfer @ r.reshape(4, -1)).reshape(r.shape)
 
 
 def _broadcast(r: np.ndarray, bit: int) -> np.ndarray:
@@ -162,7 +167,7 @@ def run_exact(phi: float, n: int = 3,
     seeded generator.  Works at every phi: the excluded secret values
     {0, pi/2, pi, 3pi/2} simply deliver a stabilizer state with C = 0.
     """
-    r = _dealt(phase_gate(phi), n)
+    r = _dealt(phase_ptm(phi), n)
     if outcomes is not None:
         if len(outcomes) != r.ndim - 1 or any(o not in (PLUS, MINUS) for o in outcomes):
             raise ValueError(f"outcomes must be {r.ndim - 1} symbols drawn from '+-'")
@@ -175,7 +180,7 @@ def run_exact(phi: float, n: int = 3,
 
 def run_all_branches(phi: float, n: int = 3) -> list[ProtocolTranscript]:
     """All 2^{n-1} forced-outcome branches of one protocol instance."""
-    r = _dealt(phase_gate(phi), n)
+    r = _dealt(phase_ptm(phi), n)
     return [_run(r, phi, _forced(bits)) for bits in product((0, 1), repeat=r.ndim - 1)]
 
 
@@ -245,32 +250,38 @@ class GateAdmissibility(ValueRecord):
 
 
 def column_sums(gate: np.ndarray) -> tuple[float, float]:
-    """(|G00 + G10|, |G01 + G11|) for any 2x2 matrix, unitary or not."""
+    """(|G00 + G10|, |G01 + G11|) for any 2x2 matrix, unitary or not; a sum
+    that is not a finite float raises ValueError."""
     g = np.asarray(gate, dtype=complex)
     if g.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    return float(abs(g[0, 0] + g[1, 0])), float(abs(g[0, 1] + g[1, 1]))
+    with np.errstate(over="ignore"):  # a sum past the float range is refused below
+        s0, s1 = float(abs(g[0, 0] + g[1, 0])), float(abs(g[0, 1] + g[1, 1]))
+    if not (math.isfinite(s0) and math.isfinite(s1)):
+        raise ValueError(f"column sums must be finite, got {s0}, {s1}")
+    return s0, s1
 
 
 def satisfies_column_sum(gate: np.ndarray) -> bool:
     """Both column sums have unit modulus within GATE_ATOL: the unauthorised
     marginal is I/2."""
     s0, s1 = column_sums(gate)
-    return abs(s0 - 1.0) <= GATE_ATOL and abs(s1 - 1.0) <= GATE_ATOL
+    return abs(s0 - 1.0) <= qcore.GATE_ATOL and abs(s1 - 1.0) <= qcore.GATE_ATOL
 
 
-def _deliver_with_gate(gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(2,3) run with ``gate`` on the dealer, both broadcasts "+": the Bloch
+def _deliver(transfer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(2,3) run with ``transfer`` dealt, both broadcasts "+": the Bloch
     vectors of the recipient's delivered state and of the middle party's
     marginal right after the dealer's "+", which is the moment the column-sum
     condition speaks about (its "-" branch differs only by the Z correction)."""
-    after_dealer = _broadcast(_dealt(gate, 3), 0)
+    after_dealer = _broadcast(_dealt(transfer, 3), 0)
     return _bloch_rows(_broadcast(after_dealer, 0))[0], _bloch_rows(after_dealer)[0]
 
 
 def bob_marginal_after_projection(gate: np.ndarray) -> DensityMatrix:
-    """Coalition-member marginal after the dealer's |+> projection."""
-    _, bob = _deliver_with_gate(gate)
+    """Coalition-member marginal after the dealer's |+> projection; the gate
+    must be unitary within GATE_ATOL."""
+    _, bob = _deliver(ptm(require_unitary(gate)))
     return dm_from_bloch(bob)
 
 
@@ -289,7 +300,7 @@ def check_gate_admissibility(gate, probe_phis: Sequence[float]) -> GateAdmissibi
 
     gates = [require_unitary(family(phi)) for phi in probes]
     col0, col1 = zip(*map(column_sums, gates))
-    blochs = np.array([_deliver_with_gate(g) for g in gates])  # [probe, (delivered, bob), xyz]
+    blochs = np.array([_deliver(ptm(g)) for g in gates])  # [probe, (delivered, bob), xyz]
     c_vals = tuple(octahedron_distance(blochs[:, 0]).tolist())
 
     secure = all(satisfies_column_sum(g) for g in gates)
@@ -316,14 +327,19 @@ def x_rotation_family(phi: float) -> np.ndarray:
     return np.cos(phi / 2) * I2 + 1j * np.sin(phi / 2) * X
 
 
+def _plus_rows(grid: np.ndarray) -> np.ndarray:
+    """Per grid angle, the dealer's "+" row after P(phi), (1, cos phi, -sin phi, 0) / 2."""
+    return np.stack([np.ones(grid.size), np.cos(grid), -np.sin(grid), np.zeros(grid.size)],
+                    axis=-1) / 2
+
+
 def magic_scan(phi_grid: Sequence[float], n: int = 3) -> list[tuple[float, float, float]]:
     """(phi, C from the closed form, C of the exact protocol output) per grid point.
 
     Every point reads the all-plus branch, which needs no correction.  Parties
     1..n-2 broadcast "+" out of |GHZ_n> once, leaving a (4, 4) tensor M over
-    (dealer, recipient); the dealer's "+" after P(phi) is the row
-    (1, cos phi, -sin phi, 0)/2 of its transfer matrix, so the whole grid's
-    delivered states are one (grid, 4) row stack times M.
+    (dealer, recipient), so the whole grid's delivered states are
+    :func:`_plus_rows` times M.
     """
     grid = np.array(phi_grid, dtype=float).reshape(-1)
     if grid.size == 0 or not np.all(np.isfinite(grid)):
@@ -332,8 +348,6 @@ def magic_scan(phi_grid: Sequence[float], n: int = 3) -> list[tuple[float, float
     m = np.moveaxis(_ghz(n), 0, -2)  # (parties 1..n-2, dealer, recipient)
     for _ in range(n - 2):
         m = _broadcast(m, 0)
-    dealer = np.stack([np.ones(grid.size), np.cos(grid), -np.sin(grid), np.zeros(grid.size)],
-                      axis=-1) / 2
-    delivered = dealer @ m
+    delivered = _plus_rows(grid) @ m
     c_protocol = octahedron_distance(delivered[:, 1:] / delivered[:, :1])
     return [(phi, c_closed_form(phi), c) for phi, c in zip(grid.tolist(), c_protocol.tolist())]

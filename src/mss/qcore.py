@@ -1,5 +1,7 @@
-"""Few-qubit states, the Pauli transfer matrix through which the
-simulators apply gates, the one gate tolerance, and the package's record base.
+"""Few-qubit states, the Pauli transfer matrices through which the
+simulators apply gates (P(phi)'s in closed form, by :func:`phase_ptm`; any
+other gate's by :func:`ptm`), the one gate tolerance, and the package's
+record base.
 
 Conventions used throughout the package:
 
@@ -52,11 +54,25 @@ def ptm(u: np.ndarray) -> np.ndarray:
     return np.einsum("aij,bji->ab", basis, u @ basis @ u.conj().T).real / len(u)
 
 
-def phase_gate(phi: float) -> np.ndarray:
-    """P(phi) = diag(1, e^{i phi}); phi = pi/4 is the T gate."""
+def _require_finite(phi: float) -> None:
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
+
+
+def phase_gate(phi: float) -> np.ndarray:
+    """P(phi) = diag(1, e^{i phi}); phi = pi/4 is the T gate."""
+    _require_finite(phi)
     return np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=complex)
+
+
+def phase_ptm(phi: float) -> np.ndarray:
+    """P(phi)'s Pauli transfer matrix in closed form, ``ptm(phase_gate(phi))``
+    without its round-off: P(phi) turns the X and Y terms by phi and keeps
+    I and Z."""
+    _require_finite(phi)
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, c, -s, 0.0],
+                     [0.0, s, c, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
 
 def require_unitary(gate: np.ndarray) -> np.ndarray:

@@ -11,7 +11,10 @@ a linear functional a stabilizer local-hidden-state model can never satisfy.
 Each sigma_{b|x} is read off the protocol's Pauli tensor with R_x P(phi)
 injected, where H R_x is setting x's readout rotation: the dealer's readout
 bit b is its X broadcast after R_x, and sigma_{b|x} is the recipient's state
-after that and the middle party's "+".
+after that and the middle party's "+".  R_x P(phi) enters as the product of
+two transfer matrices, a read-only R_x (the identity, ptm(S^dagger) or
+ptm(H)) and ``phase_ptm(phi)``; the first two R_x are exact, so the X and Y
+members, and the exact certificate, carry no round-off.
 
 Outcome convention: outcome 0 of the X setting projects the dealer onto
 |+>; outcome 0 of the Y setting projects onto (|0> - i|1>)/sqrt(2), the -1
@@ -39,8 +42,8 @@ import numpy as np
 from . import tomo
 from .magic import MagicResult, octahedron_distance, sign_witness, wigner_distance
 from .protocol import _broadcast, _dealt
-from .qcore import (_PAULIS, H, I2, DensityMatrix, S, ValueRecord, bloch, dm_from_bloch,
-                    phase_gate)
+from .qcore import (_PAULIS, H, DensityMatrix, S, ValueRecord, bloch, dm_from_bloch, phase_ptm,
+                    ptm)
 from .stabilizer import enumerate_stabilizer_states
 
 SETTINGS = ("X", "Y")
@@ -93,9 +96,11 @@ class CertificationRecord(ValueRecord):
         return max(0.0, self.gap)
 
 
-# R_x per dealer setting: H R_x is the setting's readout rotation.
-_SETTING_ROTATION = {"X": I2, "Y": S.conj().T, "Z": H}
-_SETTING_ROTATION["Y"].setflags(write=False)
+# R_x's transfer matrix per dealer setting, read-only: H R_x is the setting's
+# readout rotation.  ptm(S^dagger) is an exact signed permutation.
+_SETTING_ROTATIONS = np.stack([np.eye(4), ptm(S.conj().T), ptm(H)])
+_SETTING_ROTATIONS.setflags(write=False)
+_SETTING_ROTATION = dict(zip("XYZ", _SETTING_ROTATIONS))
 # The dealer's readout bit of outcome 0 per setting: Y's is the -1 eigenstate, bit 1.
 _OUTCOME_0_BIT = {"X": 0, "Y": 1}
 
@@ -108,7 +113,7 @@ def _conditional_states(setting: str, phi: float) -> list[tuple[float, DensityMa
     "+" on every call, which re-verifies the branch independence the
     correction is supposed to provide.
     """
-    r = _dealt(_SETTING_ROTATION[setting] @ phase_gate(phi), 3)
+    r = _dealt(_SETTING_ROTATION[setting] @ phase_ptm(phi), 3)
     states = []
     for middle in (_broadcast(r, 0), _broadcast(r, 1)):  # the dealer's readout bit b
         plus, minus = _broadcast(middle, 0), _broadcast(middle, 1)

@@ -17,11 +17,12 @@ Simulation.  Every operator is written in the real Pauli basis P in
 and each readout effect E as its row tr(E P).  A gate U on k qubits acts
 through its Pauli transfer matrix R_U[a, b] = tr(P_a U P_b U^dagger)/2^k:
 forward on a state's coefficients, r <- R_U r, and backward on an effect's
-row, t <- t R_U, which is E <- U^dagger E U; ``qcore.ptm`` gives R_U, here and
-for the ideal protocol.  A depolarizing channel applying each non-identity
-Pauli on k qubits with probability p/(4^k - 1) keeps the identity term and
-damps every other term by 1 - lam, lam = 4^k p/(4^k - 1); it is its own
-adjoint.
+row, t <- t R_U, which is E <- U^dagger E U; ``qcore.ptm`` gives R_U for
+every gate but P(phi), whose R_U ``qcore.phase_ptm`` writes in closed form,
+here, for the ideal protocol and for the steering assemblage.  A
+depolarizing channel applying each non-identity Pauli on k qubits with
+probability p/(4^k - 1) keeps the identity term and damps every other term
+by 1 - lam, lam = 4^k p/(4^k - 1); it is its own adjoint.
 The circuit is cut after the CX layer.  The noisy GHZ state (H, both CX and
 their noise) depends on (p1, p2) alone and is built once.  Its nonzero
 coefficients are the eight signed, damped elements of the GHZ stabilizer
@@ -55,7 +56,7 @@ import numpy as np
 
 # wigner_distance is not called here; bench/test_bench.py reads it as mss.tomo.wigner_distance.
 from .magic import c_closed_form, octahedron_distance, wigner_distance  # noqa: F401
-from .qcore import H, I2, S, DensityMatrix, Record, ValueRecord, dm_from_bloch, ptm
+from .qcore import H, I2, S, DensityMatrix, Record, ValueRecord, dm_from_bloch, phase_ptm, ptm
 
 DISTILLATION_THRESHOLD = 0.856  # 15-to-1 magic state distillation entry fidelity
 DEFAULT_SHOTS = 4096
@@ -235,12 +236,8 @@ def circuit_probabilities(phi: float, basis: str, noise: NoiseModel,
     steering measurement (X for the standard protocol).
     """
     _require_circuit(basis, party, alice_setting)
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
+    phase = phase_ptm(phi)
     tables = _tables(noise.p1, noise.p2, noise.readout.tobytes())
-    c, s = math.cos(phi), math.sin(phi)
-    phase = np.array([1.0, 0.0, 0.0, 0.0, 0.0, c, -s, 0.0,
-                      0.0, s, c, 0.0, 0.0, 0.0, 0.0, 1.0]).reshape(4, 4)  # P(phi)'s transfer matrix
     probs = (tables[alice_setting] @ phase @ tables[party, basis]).reshape(-1)
     probs = np.maximum(probs, 0.0)
     return probs / probs.sum()

@@ -2,13 +2,14 @@
 column-sum gate characterisation."""
 
 import dataclasses
+import math
 import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from mss import protocol
+from mss import protocol, qcore
 from mss.magic import c_closed_form, octahedron_distance, wigner_distance
 from mss.protocol import (
     MAX_PARTIES,
@@ -32,6 +33,7 @@ from mss.qcore import (
     maximally_mixed,
     phase_gate,
     phase_plus,
+    phase_ptm,
     trace_distance,
 )
 
@@ -308,7 +310,7 @@ class TestCoalitionSupport:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_proper_subsets_hold_diagonal_marginals(self, n, rng):
         for phi in rng.uniform(-7, 7, size=4):
-            registers = [protocol._dealt(phase_gate(phi), n)]
+            registers = [protocol._dealt(phase_ptm(phi), n)]
             while registers:
                 for r in registers:
                     m = r.ndim
@@ -363,6 +365,35 @@ class TestSecurityReport:
             first = entry.marginal
             assert entry.marginal is first and len(built) == party + 1
             np.testing.assert_allclose(first.mat, maximally_mixed(1).mat, atol=1e-12)
+
+
+class TestBitExact:
+    """P(phi) enters through its closed-form transfer matrix, so the ideal run
+    carries no round-off: every branch delivers (cos phi, sin phi, 0) to the
+    bit, from the math.cos and math.sin that phase_ptm calls, and every
+    non-recipient holds exactly I/2 at every step."""
+
+    ANGLES = [*np.random.default_rng(11).uniform(-7, 7, size=400).tolist(),
+              *(k * math.pi / 2 for k in range(-4, 5))]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_every_branch_is_exact(self, n):
+        for phi in self.ANGLES:
+            want = [math.cos(phi), math.sin(phi), 0.0]
+            for t in run_all_branches(phi, n):
+                assert bloch(t.final_state).tolist() == want, (phi, t.outcomes)
+                assert not t.bloch_history[:, :-1].any(), (phi, t.outcomes)
+                for entry in security_report(t).values():
+                    assert (entry.c_value, entry.trace_distance_to_i2) == (0.0, 0.0)
+
+    def test_runs_apply_no_generic_gate(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("the run path built a transfer matrix from a gate")
+        monkeypatch.setattr(protocol, "ptm", refuse)
+        monkeypatch.setattr(protocol, "require_unitary", refuse)
+        run_exact(0.3, 4, outcomes="+-+")
+        run_exact(0.3, 5, seed=2)
+        assert len(run_all_branches(0.3, 6)) == 32
 
 
 class TestOnePassHistory:
@@ -452,6 +483,31 @@ class TestGateAdmissibility:
             check_gate_admissibility(bad, self.PROBES)
         assert not satisfies_column_sum(bad)
         assert column_sums(bad) == (1.0, 0.9)
+
+    def test_column_sum_overflow_is_refused_without_a_warning(self):
+        # Finite entries whose sum passes the float range.
+        huge = np.array([[1e308, 0], [1e308, 1]])
+        for call in (column_sums, satisfies_column_sum):
+            with pytest.raises(ValueError, match="column sums must be finite"):
+                call(huge)
+
+    def test_one_tolerance_moves_both_halves_of_the_rule(self, monkeypatch):
+        # |G00|^2 - 1 = 6e-7 and |G00 + G10| - 1 = 3e-7: outside 1e-10, inside 1e-6.
+        gate = np.diag([1 + 3e-7, 1])
+        assert not satisfies_column_sum(gate)
+        with pytest.raises(ValueError, match="not unitary"):
+            check_gate_admissibility(gate, [0.3])
+        monkeypatch.setattr(qcore, "GATE_ATOL", 1e-6)
+        assert satisfies_column_sum(gate)
+        assert check_gate_admissibility(gate, [0.3]).secure
+
+    def test_each_probe_is_checked_for_unitarity_once(self, monkeypatch):
+        calls, real = [], protocol.require_unitary
+        monkeypatch.setattr(protocol, "require_unitary", lambda g: calls.append(g) or real(g))
+        check_gate_admissibility(phase_gate_family, self.PROBES)
+        assert len(calls) == len(self.PROBES)
+        bob_marginal_after_projection(phase_gate(0.3))
+        assert len(calls) == len(self.PROBES) + 1
 
     def test_one_unitarity_tolerance_on_every_path(self):
         # |G00|^2 - 1 = 6e-11: inside the 1e-10 gate tolerance, outside 1e-12.
@@ -557,10 +613,17 @@ class TestOneContraction:
     def test_branch_tensor_matches_reference(self, n, rng):
         # Every branch is read from the dealt Pauli tensor.
         for phi in _oracle_phis(rng):
-            r = protocol._dealt(phase_gate(phi), n)
+            r = protocol._dealt(phase_ptm(phi), n)
             assert r.shape == (4,) * n
             want = reference_pauli_tensor(apply_1q(ghz(n), phase_gate(phi), 0))
             assert np.max(np.abs(r - want)) <= 1e-15
+
+    def test_scan_rows_are_the_transfer_matrix_rows(self, rng):
+        # The one place P(phi)'s transfer matrix is written outside phase_ptm.
+        grid = np.array([*_oracle_phis(rng), *rng.uniform(-7, 7, size=200)])
+        for phi, row in zip(grid.tolist(), protocol._plus_rows(grid)):
+            t = phase_ptm(phi)
+            assert row.tolist() == ((t[0] + t[1]) / 2).tolist(), phi
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_magic_scan_matches_reference(self, n, rng):
@@ -595,7 +658,7 @@ class TestOneContraction:
         assert peak < grid.size * 2 ** n * 16 // 2  # no (grid, 2^n) complex array
 
     def test_scan_reads_no_branch_tensor(self, monkeypatch):
-        def refuse(gate, n):
+        def refuse(transfer, n):
             raise AssertionError("magic_scan dealt a register")
         monkeypatch.setattr(protocol, "_dealt", refuse)
         assert len(magic_scan([0.1, 0.2, 0.3], 5)) == 3

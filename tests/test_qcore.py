@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mss import qcore
+from mss import protocol, qcore, steering, tomo
 from mss.qcore import (
     DensityMatrix,
     PureState,
@@ -54,6 +54,27 @@ class TestConstruction:
         psi = ket("0")
         with pytest.raises(ValueError):
             psi.amps[0] = 0.0
+
+
+class TestPhaseTransferMatrix:
+    """phase_ptm writes P(phi)'s transfer matrix in closed form; the generic
+    ptm of the gate is its oracle."""
+
+    def test_matches_the_generic_transfer_matrix(self, rng):
+        for phi in [*rng.uniform(-7, 7, size=500), *(np.arange(-8, 9) * np.pi / 4)]:
+            got = qcore.phase_ptm(phi)
+            assert got.shape == (4, 4)
+            assert np.max(np.abs(got - qcore.ptm(phase_gate(phi)))) <= 1e-15
+
+    @pytest.mark.parametrize("phi", [np.inf, -np.inf, np.nan])
+    def test_every_reader_refuses_a_non_finite_phi_alike(self, phi):
+        for call in (lambda: qcore.phase_ptm(phi), lambda: phase_gate(phi),
+                     lambda: protocol.run_exact(phi, 3, outcomes="++"),
+                     lambda: protocol.run_all_branches(phi, 4),
+                     lambda: tomo.circuit_probabilities(phi, "X", tomo.NoiseModel.none()),
+                     lambda: steering.certify_exact(phi)):
+            with pytest.raises(ValueError, match=f"^phi must be finite, got {phi}$"):
+                call()
 
 
 class TestTensor:

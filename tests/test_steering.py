@@ -7,7 +7,7 @@ from hypothesis import example, given
 import mss.magic
 from mss import steering, tomo
 from mss.magic import c_closed_form, octahedron_distance, wigner_distance
-from mss.qcore import I2, S, X, Y, Z, bloch, dm_from_bloch, ket
+from mss.qcore import H, I2, S, X, Y, Z, bloch, dm_from_bloch, ket, ptm
 from mss.stabilizer import enumerate_stabilizer_states
 from mss.steering import (
     Assemblage,
@@ -182,8 +182,8 @@ class TestStepwiseOracle:
             assert np.max(np.abs(z_setting_probe(phi).mat - want[("Z", 0)][1].mat)) <= 1e-12
 
     def test_branch_independence_is_checked(self, monkeypatch):
-        def corrupted(gate, n):
-            r = dealt(gate, n).copy()
+        def corrupted(transfer, n):
+            r = dealt(transfer, n).copy()
             # The recipient's X term next to the middle party's identity: after
             # the Z correction it moves the "-" branch against the "+" branch.
             r[0, 0, 1] += 1e-6
@@ -215,6 +215,17 @@ class TestCertification:
         for phi in rng.uniform(0, 2 * np.pi, size=50):
             rec = certify_exact(phi)
             assert rec.gap == pytest.approx(c_closed_form(phi), abs=1e-7), f"phi={phi}"
+
+    def test_gap_is_the_closed_form_to_the_bit(self):
+        # P(phi) and the setting rotations enter as transfer matrices without round-off.
+        for phi in np.random.default_rng(29).uniform(-7.0, 7.0, size=2000).tolist():
+            assert certify_exact(phi).gap.hex() == c_closed_form(phi).hex(), f"phi={phi!r}"
+
+    def test_setting_rotations_are_read_only_transfer_matrices(self):
+        for setting, gate in (("X", I2), ("Y", S.conj().T), ("Z", H)):
+            transfer = steering._SETTING_ROTATION[setting]
+            assert not transfer.flags.writeable
+            assert np.array_equal(transfer, ptm(gate))
 
     def test_matches_the_lp_route_byte_for_byte(self):
         # Multiples of pi/4, angles within 2e-10 of a stabilizer secret (C near

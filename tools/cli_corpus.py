@@ -39,6 +39,9 @@ COMMANDS = [
     ["run", "--phi", "45", "--degrees", "--outcomes=--"],
     # fl(pi): the closed form is clamped at 1e-10 like the protocol's C
     ["run", "--phi", "3.141592653589793", "--outcomes", "++"],
+    # every non-recipient holds I/2 to the bit: trace_distance_to_i2 is 0.0
+    ["run", "--phi", "0.3", "--n", "3", "--outcomes", "++"],
+    ["run", "--phi", "0.3", "--n", "4", "--outcomes", "+-+"],
     ["scan", "--grid", "0:1.5:4"],
     ["scan", "--grid=-3.2:3.2:9", "--n", "6"],
     ["scan", "--grid", "0:6.283185307179586:5"],
