@@ -42,8 +42,9 @@ is +-e_i at its own position i costs row i's sign, any other one a rank-1
 pivot (one for the L1 fit's start).  A pivot prices in numpy over every
 column, with no mask for the basic ones, then reads the entering column
 and the right-hand side once as Python floats for the ratio test and the
-long step's slope.  A flip is two row operations; one rank-1 update of the
-tableau ends the pivot.
+long step's slope.  A flip is two row operations, the negation in place;
+one rank-1 update of the tableau, written into a buffer allocated once per
+solve, ends the pivot.
 TOL and MAX_ITER are module constants, read once per solve; no caller
 passes a tolerance or a cap.  ``tests/test_simplex.py`` keeps a scalar
 version of this rule, which must follow the same pivot path byte for byte.
@@ -170,6 +171,7 @@ def _pivot_loop(tab, basis, mirror, costs, stop_at_zero: bool) -> tuple[int, int
     m, n = len(basis), len(mirror)
     work, cost = tab[:m], tab[m]
     rhs, reduced = work[:, -1], cost[:n]
+    update = np.empty_like(tab)  # the rank-1 update, written in place
     # Pricing needs no mask for the basic columns: they stay unit columns,
     # so their reduced costs stay within round-off of 0 (the tests hold them
     # to 1e-12), far above -tol, and neither rule can pick one.
@@ -189,7 +191,7 @@ def _pivot_loop(tab, basis, mirror, costs, stop_at_zero: bool) -> tuple[int, int
 
         column = tab[:, entering]
         col, values = column.tolist(), rhs.tolist()
-        breakpoints = [(values[i] / coef, i) for i, coef in enumerate(col[:m]) if coef > tol]
+        breakpoints = [(values[i] / col[i], i) for i in range(m) if col[i] > tol]
         leaving_row = -1
         if bland:
             # Sequential ratio test.  Not an argmin: ratios within tol of the
@@ -212,8 +214,9 @@ def _pivot_loop(tab, basis, mirror, costs, stop_at_zero: bool) -> tuple[int, int
                     pair_cost = costs[j] + costs[partner]
                     if slope + pair_cost * col[i] < -tol:
                         slope += pair_cost * col[i]
-                        cost += pair_cost * work[i]
-                        work[i] *= -1.0
+                        row = work[i]
+                        cost += pair_cost * row
+                        np.negative(row, out=row)
                         basis[i] = partner
                         flips += 1
                         continue
@@ -224,7 +227,7 @@ def _pivot_loop(tab, basis, mirror, costs, stop_at_zero: bool) -> tuple[int, int
 
         # One rank-1 update of every row, the cost row included.
         pivot = work[leaving_row] / col[leaving_row]
-        tab -= np.multiply.outer(column, pivot)
+        tab -= np.multiply.outer(column, pivot, out=update)
         tab[leaving_row] = pivot
 
         basis[leaving_row] = entering
