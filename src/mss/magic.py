@@ -8,8 +8,8 @@ polytope,
 One qubit is in closed form: the polytope is the octahedron |b|_1 <= 1 in
 Bloch coordinates.  Two qubits solve the L1-fitting linear program of
 Barrodale and Roberts (SIAM J. Numer. Anal. 10, 839, 1973) by the in-house
-dense simplex from the nearest vertex, taking their long step across each
-residual's u/v pair.  The dual solution yields a Hermitian witness
+dense simplex from the nearest vertex, pricing the vertex weights before
+the residuals and taking their long step across each residual's u/v pair.  The dual solution yields a Hermitian witness
 H* = sum_alpha y_alpha A_alpha / 2**n with
 
     tr(H* rho) - F_LHS = C(rho)        (exact at the solved state)
@@ -85,7 +85,12 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
     One qubit has a closed form (:func:`_octahedron_result`).  For two, the
     simplex starts at the vertex F_j nearest to w in L1: lambda_j = 1 and,
     per row i, u_i = (w - F_j)_i if that is nonnegative, else
-    v_i = -(w - F_j)_i.  When C is clamped to zero the state is free, and
+    v_i = -(w - F_j)_i.  The lambda columns lead A and have no mirror, so
+    the simplex prices them before the u/v residual pairs, which enter only
+    when no lambda column can.  Where the nearest point or the optimal dual
+    is not unique, ``mixture_weights``, ``f_star``, ``dual_witness`` and
+    ``f_lhs`` depend on that pivot path; C does not beyond round-off.
+    When C is clamped to zero the state is free, and
     the zero witness (with F_LHS = 0) is reported: it is dual-optimal there,
     and unlike the LP's own dual it does not depend on the pivot path.  It
     replaces the LP's dual only after that has passed the postcondition check.

@@ -7,11 +7,17 @@ phase 1: the caller names m columns whose basic solution B^-1 b is
 nonnegative, as the L1-fitting LP of :mod:`mss.magic` can write one down
 directly.
 
-Each pivot prices by Dantzig's rule (the most negative reduced cost enters)
-and takes the long step of Barrodale and Roberts (SIAM J. Numer. Anal. 10,
-839, 1973).  Columns j, j' with a_j' = -a_j are mirrors, such as the u_i and
-v_i halves of a residual; the solver finds them in A itself.  The ratio test
-walks the breakpoints in ratio order.  At a breakpoint whose basic variable
+Each pivot follows Barrodale and Roberts (SIAM J. Numer. Anal. 10, 839,
+1973) in its pricing and its long step.  Columns j, j' with a_j' = -a_j are
+mirrors, such as the u_i and v_i halves of a residual; the solver finds them
+in A itself, and a column without one is structural, such as the lambda
+columns of the L1 fit.  Pricing is Dantzig's rule (the most negative reduced
+cost enters) in two stages: first over the structural columns alone, and
+only if none of them has a reduced cost below -TOL over every column.  A
+residual column thus enters only when no structural column can, and every
+pivot starts at stage one again.  An LP without mirrors prices every column
+in stage one, so its pivot path is plain Dantzig's.  The ratio test walks
+the breakpoints in ratio order.  At a breakpoint whose basic variable
 has a mirror, the variable can cross zero and live on as its mirror instead
 of leaving: the slope of the objective rises by (c_j + c_j') alpha_r, and
 while it is still below -TOL the row flips (it is negated, the cost row
@@ -19,9 +25,10 @@ gains (c_j + c_j') times it, and the mirror takes the basis entry) and the
 step goes on.  The first breakpoint without a mirror, or the one where the
 slope would turn non-negative, leaves by the usual rank-1 pivot.
 
-Termination: a step of length t > TOL lowers the objective by more than
-TOL * t, since the slope stays below -TOL all along it, so a basis can recur
-only across degenerate steps (t <= TOL).  After a degenerate step the next
+Termination: either stage enters a column whose reduced cost, the slope at
+the start of the step, is below -TOL.  A step of length t > TOL therefore
+lowers the objective by more than TOL * t, since the slope stays below -TOL
+all along it, so a basis can recur only across degenerate steps (t <= TOL).  After a degenerate step the next
 pivot follows Bland's rule (smallest eligible index enters, the first
 breakpoint leaves with ties broken by smallest basic variable, no flips).
 A cycle would consist of degenerate steps alone, hence of Bland pivots alone,
@@ -39,10 +46,12 @@ dense tableau, so concurrent solves are independent; it carries B^-1 as an
 extra block, so the duals are read off the cost row.  The start is
 Gauss-Jordan on a cached [A | I | b], with no inverse: a basis column that
 is +-e_i at its own position i costs row i's sign, any other one a rank-1
-pivot (one for the L1 fit's start).  A pivot prices in numpy over every
-column, with no mask for the basic ones, then reads the entering column
-and the right-hand side once as Python floats for the ratio test and the
-long step's slope.  A flip is two row operations, the negation in place;
+pivot (one for the L1 fit's start).  A pivot prices in numpy, with no mask
+for the basic ones: stage one reads the structural columns' reduced costs
+through a slice where they lead the columns, as in every LP this package
+builds, and through an index array elsewhere.  It then reads the entering
+column and the right-hand side once as Python floats for the ratio test and
+the long step's slope.  A flip is two row operations, the negation in place;
 one rank-1 update of the tableau, written into a buffer allocated once per
 solve, ends the pivot.
 TOL and MAX_ITER are module constants, read once per solve; no caller
@@ -52,6 +61,7 @@ version of this rule, which must follow the same pivot path byte for byte.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -83,22 +93,29 @@ class LPSolution(Record):
 def solve_lp(c, A, b, basis) -> LPSolution:
     """Simplex on min c.x, A x = b, x >= 0 from the starting ``basis``.
 
-    ``basis`` lists one column index in [0, n) per row.  Raises ValueError
-    for an index outside that range or inconsistent dimensions, and
-    SimplexError if those columns are singular or their basic solution has an
-    entry below ``-TOL``, if the objective is unbounded, or if the pivot count
-    exceeds ``MAX_ITER``.
+    ``basis`` lists one column index in [0, n) per row.  Raises ValueError,
+    before any arithmetic, for inconsistent dimensions, a basis entry that is
+    no integer or lies outside that range, or a NaN or infinity in ``A``,
+    ``b`` or ``c``.  Raises SimplexError if those columns are singular or
+    their basic solution has an entry below ``-TOL``, if the objective is
+    unbounded, or if the pivot count exceeds ``MAX_ITER``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)
     m, n = A.shape
-    basis = [int(j) for j in basis]
+    try:
+        basis = [operator.index(j) for j in basis]
+    except TypeError:
+        raise ValueError("basis entries must be integers") from None
     if b.size != m or c.size != n or len(basis) != m:
         raise ValueError("inconsistent LP dimensions")
     if not all(0 <= j < n for j in basis):
         raise ValueError(f"basis column indices must lie in [0, {n})")
-    mirror, unit_row, unit_sign, template = _columns(A.tobytes(), m, n)
+    mirror, structural, priced, unit_row, unit_sign, template = _columns(A.tobytes(), m, n)
+    for name, vector in (("b", b), ("c", c)):
+        if not np.isfinite(vector).all():
+            raise ValueError(f"{name} must be finite")
 
     # The tableau: rows B^-1 [A | I | b], row i holding basic variable
     # basis[i], over the cost row [c | 0 | 0] - c_B B^-1 [A | I | b], which
@@ -130,7 +147,7 @@ def solve_lp(c, A, b, basis) -> LPSolution:
     tab[m] -= c[basis] @ work
 
     iterations, flips, at_zero = _pivot_loop(
-        tab, basis, mirror, c.tolist(), stop_at_zero=bool(c.min() >= 0.0))
+        tab, basis, mirror, structural, priced, c.tolist(), stop_at_zero=bool(c.min() >= 0.0))
 
     x = np.zeros(n)
     x[basis] = tab[:m, -1]
@@ -144,26 +161,36 @@ def solve_lp(c, A, b, basis) -> LPSolution:
 
 @lru_cache(maxsize=16)
 def _columns(matrix: bytes, m: int, n: int):
-    """(mirror, unit_row, unit_sign, template) of the m x n matrix A, given as
-    its bytes: for each column j the first column j' with A[:, j'] == -A[:, j]
-    or -1, the i with A[:, j] == +-e_i or -1, and A[i, j]; and the read-only
-    [A | I | 0].  Cached by content: a caller solves many LPs over one A."""
+    """(mirror, structural, priced, unit_row, unit_sign, template) of the
+    m x n matrix A, given as its bytes: for each column j the first column j'
+    with A[:, j'] == -A[:, j] or -1; the columns without a mirror, as a tuple
+    and as the index that reads their reduced costs (a slice when they lead,
+    as in every LP this package builds, else an index array); the i with
+    A[:, j] == +-e_i or -1, and A[i, j]; and the read-only [A | I | 0].
+    Raises ValueError if A holds a NaN or an infinity.  Cached by content: a
+    caller solves many LPs over one A."""
     A = np.frombuffer(matrix).reshape(m, n)
+    if not np.isfinite(A).all():
+        raise ValueError("A must be finite")
     # -0.0 + 0.0 is 0.0, so signed zeros compare equal as bytes.
     cols = A.T + 0.0
     first: dict[bytes, int] = {}
     for j, col in enumerate(cols):
         first.setdefault(col.tobytes(), j)
     mirror = tuple(first.get((0.0 - col).tobytes(), -1) for col in cols)
+    structural = tuple(j for j in range(n) if mirror[j] < 0)
+    leading = structural == tuple(range(len(structural)))
+    priced = slice(0, len(structural)) if leading else np.array(structural)
     row = np.abs(A).argmax(axis=0)
     sign = A[row, np.arange(n)]
     unit = (np.count_nonzero(A, axis=0) == 1) & (np.abs(sign) == 1.0)
     template = np.hstack([A, np.eye(m), np.zeros((m, 1))])
     template.setflags(write=False)
-    return mirror, np.where(unit, row, -1).tolist(), sign.tolist(), template
+    return mirror, structural, priced, np.where(unit, row, -1).tolist(), sign.tolist(), template
 
 
-def _pivot_loop(tab, basis, mirror, costs, stop_at_zero: bool) -> tuple[int, int, bool]:
+def _pivot_loop(tab, basis, mirror, structural, priced, costs,
+                stop_at_zero: bool) -> tuple[int, int, bool]:
     """Pivot ``tab`` and ``basis`` to optimality in place; returns (pivots,
     flips, whether it stopped at an objective of at most ZERO_OBJECTIVE)."""
     tol, max_iter = TOL, MAX_ITER
@@ -185,9 +212,12 @@ def _pivot_loop(tab, basis, mirror, costs, stop_at_zero: bool) -> tuple[int, int
             if not eligible[entering]:
                 return iterations, flips, False
         else:
-            entering = int(reduced.argmin())
-            if not reduced[entering] < -tol:
-                return iterations, flips, False
+            # Stage one prices the structural columns, stage two every column.
+            entering = structural[int(reduced[priced].argmin())] if structural else -1
+            if entering < 0 or not reduced[entering] < -tol:
+                entering = int(reduced.argmin())
+                if not reduced[entering] < -tol:
+                    return iterations, flips, False
 
         column = tab[:, entering]
         col, values = column.tolist(), rhs.tolist()

@@ -1,6 +1,9 @@
 """Solver tests, cross-checked against scipy.optimize.linprog where available
 and, pivot by pivot, against a scalar reference implementation."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,9 +17,11 @@ from conftest import nearest_vertex_basis, oracle_states, wigner_lp
 def reference_solve_lp(c, A, b, basis=None, *, bland=False):
     """Slow oracle for :func:`solve_lp`: the same pivot rule with scalar loops.
 
-    A column scan prices Dantzig's rule, a sorted list of breakpoints drives
-    the long step across mirror columns (each column's first exact negation,
-    found by comparing entries), and flips and elimination go row by row;
+    A column scan prices Dantzig's rule in two stages: over the nonbasic
+    columns without a mirror (each column's first exact negation, found by
+    comparing entries), then, if none has a reduced cost below -TOL, over
+    every nonbasic column.  A sorted list of breakpoints drives the long step
+    across mirror columns, and flips and elimination go row by row;
     after a degenerate step the next pivot follows Bland's rule, and with
     nonnegative costs the loop stops at an objective of at most
     ``ZERO_OBJECTIVE``.  The tableau carries an identity block that becomes
@@ -57,6 +62,7 @@ def reference_solve_lp(c, A, b, basis=None, *, bland=False):
     mirror = [next((jj for jj in range(ncols)
                     if all(full[i, jj] == -full[i, j] for i in range(m))), -1)
               for j in range(ncols)]
+    structural = [j for j in range(ncols) if mirror[j] < 0]
     flips = 0
 
     def reduce_cost_row(cost):
@@ -70,13 +76,19 @@ def reference_solve_lp(c, A, b, basis=None, *, bland=False):
         while True:
             if stop_at_zero and -cost[-1] <= ZERO_OBJECTIVE:
                 return iterations, True
-            entering, best = -1, -tol
-            for j in range(allowed):
-                if j not in basis and cost[j] < best:
-                    entering = j
-                    if degenerate:
-                        break
-                    best = cost[j]
+            entering = -1
+            stages = [range(allowed)] if degenerate else [
+                [j for j in structural if j < allowed], range(allowed)]
+            for stage in stages:
+                best = -tol
+                for j in stage:
+                    if j not in basis and cost[j] < best:
+                        entering = j
+                        if degenerate:
+                            break
+                        best = cost[j]
+                if entering >= 0:
+                    break
             if entering < 0:
                 return iterations, False
             leaving_row, step = -1, np.inf
@@ -535,15 +547,19 @@ class TestMirror:
         # no negation, and the zero column 3 is its own.  Columns 0, 1 and 4
         # are +-e_0.
         A = np.array([[1.0, -1.0, 2.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0, -0.0]])
-        mirror, unit_row, unit_sign, template = _columns(A.tobytes(), 2, 5)
+        mirror, structural, priced, unit_row, unit_sign, template = _columns(A.tobytes(), 2, 5)
         assert mirror == (1, 0, -1, 3, 0)
+        # Column 2 alone has no mirror; it does not lead, so an index array
+        # reads its reduced cost.
+        assert structural == (2,) and priced.tolist() == [2]
         assert unit_row == [0, 0, -1, -1, 0]
         assert [unit_sign[j] for j in (0, 1, 4)] == [1.0, -1.0, -1.0]
         assert template.tobytes() == np.hstack([A, np.eye(2), np.zeros((2, 1))]).tobytes()
         assert not template.flags.writeable
         A, n = mss.magic._lp_constants(2)[1], 60
-        mirror = _columns(A.tobytes(), *A.shape)[0]
+        mirror, structural, priced = _columns(A.tobytes(), *A.shape)[:3]
         assert mirror == (*[-1] * n, *range(n + 16, n + 32), *range(n, n + 16))
+        assert structural == tuple(range(n)) and priced == slice(0, n)
 
     def test_flip_walks_past_a_residual_sign_change(self):
         # min |2 - x| + |3 - x| + |4 - x|  as  x + s_i - t_i = b_i from x = 0.
@@ -557,3 +573,54 @@ class TestMirror:
         assert sol.x[0] == pytest.approx(3.0, abs=1e-12)
         bland, _ = reference_solve_lp(c, A, b, basis, bland=True)
         assert bland.fun == pytest.approx(2.0, abs=1e-12) and bland.iterations > 1
+
+
+class TestTwoStagePricing:
+    def test_structural_column_enters_before_a_residual(self):
+        # An L1 fit over 3 vertices and 3 residual rows (lambda in columns
+        # 0-2, u in 3-5, v in 6-8), started from lambda_0, lambda_1, u_2 and
+        # v_1.  There u_0 has reduced cost -3 and lambda_2 -1: Dantzig's rule
+        # would enter u_0, stage one enters lambda_2, and one degenerate
+        # pivot ends the solve.
+        F = np.array([[-1.0, 0.0, 0.0], [1.0, 2.0, 2.0], [1.0, -2.0, -1.0]])
+        c, A, _, _ = l1_fit_form(F, np.array([0.0, -3.0, -2.0]))
+        b, basis = np.array([0.0, -3.0, -2.0, 1.0]), [0, 1, 5, 7]
+        y = np.linalg.solve(A[:, basis].T, c[basis])
+        reduced = c - y @ A
+        assert reduced.argmin() == 3 and reduced[2] == pytest.approx(-1.0, abs=1e-12)
+        sol, final_basis = solve_with_final_basis(c, A, b, basis)
+        assert (sol.iterations, sol.flips, sol.fun) == (1, 0, 5.0)
+        assert final_basis == [0, 1, 2, 7]
+        assert reference_solve_lp(c, A, b, basis)[1] == final_basis
+
+    def test_magic2q_pivots_per_solve(self, monkeypatch):
+        # The benchmark's 2-qubit states of seeds 1-5 (1000 solves).  Pricing
+        # every column each time takes 12.15 pivots per solve here.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        from bench.workloads import build_items
+
+        pivots = [solve_lp(*wigner_lp(item.rho)).iterations
+                  for seed in range(1, 6) for item in build_items("magic2q", seed)]
+        assert len(pivots) == 1000 and np.mean(pivots) <= 10.5
+
+
+class TestBadInput:
+    """Refused with a ValueError naming the argument, before any arithmetic."""
+
+    @staticmethod
+    def lp():
+        return slack_form(np.array([[1.0, 1.0]]), np.array([4.0]), np.array([-1.0, -2.0]))
+
+    @pytest.mark.parametrize("name, index, value", [
+        ("b", 0, np.nan), ("c", 1, np.nan), ("A", (0, 0), np.nan), ("b", 0, np.inf)])
+    def test_non_finite_entry(self, name, index, value):
+        c, A, b, basis = self.lp()
+        {"c": c, "A": A, "b": b}[name][index] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            solve_lp(c, A, b, basis)
+
+    def test_fractional_basis_entry(self):
+        c, A, b, _ = self.lp()
+        with pytest.raises(ValueError, match="^basis entries must be integers$"):
+            solve_lp(c, A, b, [2.7])

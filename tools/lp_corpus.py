@@ -5,8 +5,9 @@ For each seed 1..30 it builds the ``magic2q`` benchmark item list with
 every state, with ``mss.magic.solve_lp`` wrapped to record each
 ``LPSolution``.  It prints one line per seed: the first 16 hex digits of a
 sha256 over every ``MagicResult`` field and every solve's ``iterations``,
-``flips``, ``fun``, ``x`` and ``duals``, then the seed.  Running it in two
-trees and diffing the outputs lists the seeds whose LP outcome differs:
+``flips``, ``fun``, ``x`` and ``duals``, then the seed, then the seed's
+total pivots and flips over its 200 solves.  Running it in two trees and
+diffing the outputs lists the seeds whose LP outcome differs:
 
     python tools/lp_corpus.py > after.txt
     diff before.txt after.txt
@@ -36,8 +37,9 @@ def _encode(value) -> bytes:
     return repr(value).encode()
 
 
-def seed_digest(seed: int) -> str:
-    """The digest of one seed's ``magic2q`` item list, solved in this process."""
+def seed_digest(seed: int) -> tuple[str, int, int]:
+    """The digest of one seed's ``magic2q`` item list, solved in this
+    process, with the total pivots and flips of its solves."""
     import mss.magic
     from bench.workloads import build_items
 
@@ -50,18 +52,21 @@ def seed_digest(seed: int) -> str:
         return solves[-1]
 
     digest = hashlib.sha256()
+    pivots = flips = 0
     mss.magic.solve_lp = recorded
     try:
         for item in items:
             result = mss.magic.wigner_distance(item.rho)
             parts = [_encode(getattr(result, f.name)) for f in dataclasses.fields(result)]
             parts += [_encode(getattr(sol, name)) for sol in solves for name in SOLVE_FIELDS]
+            pivots += sum(sol.iterations for sol in solves)
+            flips += sum(sol.flips for sol in solves)
             solves.clear()
             for part in parts:
                 digest.update(len(part).to_bytes(8, "big") + part)
     finally:
         mss.magic.solve_lp = solve_lp
-    return digest.hexdigest()[:16]
+    return digest.hexdigest()[:16], pivots, flips
 
 
 def main() -> int:
@@ -71,7 +76,8 @@ def main() -> int:
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     for seed in SEEDS:
-        print(f"{seed_digest(seed)}  {seed}")
+        digest, pivots, flips = seed_digest(seed)
+        print(f"{digest}  {seed}  {pivots} pivots  {flips} flips")
     return 0
 
 
