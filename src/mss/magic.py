@@ -9,7 +9,8 @@ One qubit is in closed form: the polytope is the octahedron |b|_1 <= 1 in
 Bloch coordinates.  Two qubits solve the L1-fitting linear program of
 Barrodale and Roberts (SIAM J. Numer. Anal. 10, 839, 1973) by the in-house
 dense simplex from the nearest vertex, pricing the vertex weights before
-the residuals and taking their long step across each residual's u/v pair.  The dual solution yields a Hermitian witness
+the residuals and taking their long step across each residual's u/v pair.
+The dual solution yields a Hermitian witness
 H* = sum_alpha y_alpha A_alpha / 2**n with
 
     tr(H* rho) - F_LHS = C(rho)        (exact at the solved state)

@@ -28,9 +28,10 @@ slope would turn non-negative, leaves by the usual rank-1 pivot.
 Termination: either stage enters a column whose reduced cost, the slope at
 the start of the step, is below -TOL.  A step of length t > TOL therefore
 lowers the objective by more than TOL * t, since the slope stays below -TOL
-all along it, so a basis can recur only across degenerate steps (t <= TOL).  After a degenerate step the next
-pivot follows Bland's rule (smallest eligible index enters, the first
-breakpoint leaves with ties broken by smallest basic variable, no flips).
+all along it, so a basis can recur only across degenerate steps (t <= TOL).
+After a degenerate step the next pivot follows Bland's rule (smallest
+eligible index enters, the first breakpoint leaves with ties broken by
+smallest basic variable, no flips).
 A cycle would consist of degenerate steps alone, hence of Bland pivots alone,
 and Bland's rule does not cycle.  MAX_ITER pivots guard against round-off.
 
@@ -198,7 +199,7 @@ def _pivot_loop(tab, basis, mirror, structural, priced, costs,
     m, n = len(basis), len(mirror)
     work, cost = tab[:m], tab[m]
     rhs, reduced = work[:, -1], cost[:n]
-    update = np.empty_like(tab)  # the rank-1 update, written in place
+    update = np.empty_like(tab)  # each pivot's rank-1 update, reused
     # Pricing needs no mask for the basic columns: they stay unit columns,
     # so their reduced costs stay within round-off of 0 (the tests hold them
     # to 1e-12), far above -tol, and neither rule can pick one.
