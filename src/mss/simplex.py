@@ -55,11 +55,11 @@ column and the right-hand side once as Python floats for the ratio test and
 the long step's slope.  A flip is two row operations, the negation in place;
 one rank-1 update of the tableau, written into a buffer allocated once per
 solve, ends the pivot.  The update's outer product is np.dot of the column
-as an (m+1) x 1 matrix and the pivot row as a 1 x (n+m+1) one, which takes
-about half the time of np.multiply.outer.  Each entry is one product, so
-the two agree to the bit except that BLAS drops the sign of a zero product;
-the sign of a zero means nothing here, and x and y report every zero as
-+0.0.
+as an (m+1) x 1 matrix and the pivot row as a 1 x (n+m+1) one: one BLAS
+call, cheaper at these sizes than np.multiply.outer's broadcast.  Each
+entry is one product, so the two agree to the bit except that BLAS drops
+the sign of a zero product; the sign of a zero means nothing here, and x
+and y report every zero as +0.0.
 TOL and MAX_ITER are module constants, read once per solve; no caller
 passes a tolerance or a cap.  ``tests/test_simplex.py`` keeps a scalar
 version of this rule, which must follow the same pivot path byte for byte.
@@ -155,7 +155,8 @@ def solve_lp(c, A, b, basis) -> LPSolution:
     iterations, flips, at_zero = _pivot_loop(
         tab, basis, mirror, structural, priced, c.tolist(), stop_at_zero=bool(c.min() >= 0.0))
 
-    # + 0.0 and 0.0 - turn -0.0 into +0.0.
+    # The sign of a zero depends on the BLAS update, so every zero is
+    # reported as +0.0: + 0.0 and 0.0 - map -0.0 to +0.0.
     x = np.zeros(n)
     x[basis] = tab[:m, -1] + 0.0
     # At an objective of at most ZERO_OBJECTIVE with c >= 0, y = 0 is dual
