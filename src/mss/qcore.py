@@ -1,7 +1,7 @@
-"""Few-qubit states, the Pauli transfer matrices through which the
-simulators apply gates (P(phi)'s in closed form, by :func:`phase_ptm`; any
-other gate's by :func:`ptm`), the one gate tolerance, and the package's
-record base.
+"""Few-qubit states, the 1-qubit Pauli transfer matrices through which the
+simulators apply gates (P(phi)'s in closed form, by :func:`phase_ptm`; an
+arbitrary gate's by :func:`ptm`; :mod:`mss.tomo`'s Cliffords need none),
+the one gate tolerance, and the package's record base.
 
 Conventions used throughout the package:
 
@@ -41,17 +41,19 @@ Z = _frozen([[1, 0], [0, -1]])
 H = _frozen(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
 S = _frozen([[1, 0], [0, 1j]])
 
-# The Pauli basis (I, X, Y, Z) on one qubit, and on two at index 4a + b for P_a x P_b.
+# The Pauli basis (I, X, Y, Z) on one qubit.
 _PAULIS = _frozen(np.stack([I2, X, Y, Z]))
-_PAULI_PAIRS = _frozen(np.einsum("aij,bkl->abikjl", _PAULIS, _PAULIS).reshape(16, 4, 4))
 
 
 def ptm(u: np.ndarray) -> np.ndarray:
-    """Pauli transfer matrix of a unitary on k = 1 or 2 qubits:
-    R[a, b] = tr(P_a U P_b U^dagger) / 2^k, so a state's Pauli coefficients
-    r[b] = tr(rho P_b) go to R r under U."""
-    basis = _PAULIS if len(u) == 2 else _PAULI_PAIRS
-    return np.einsum("aij,bji->ab", basis, u @ basis @ u.conj().T).real / len(u)
+    """Pauli transfer matrix of an arbitrary 1-qubit unitary:
+    R[a, b] = tr(P_a U P_b U^dagger) / 2, so a state's Pauli coefficients
+    r[b] = tr(rho P_b) go to R r under U.  It serves gate admissibility and
+    the steering setting table; any shape but 2x2 raises ValueError."""
+    u = np.asarray(u)
+    if u.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 gate, got shape {u.shape}")
+    return np.einsum("aij,bji->ab", _PAULIS, u @ _PAULIS @ u.conj().T).real / 2
 
 
 def _require_finite(phi: float) -> None:

@@ -80,7 +80,7 @@ ZERO_OBJECTIVE = 1e-12  # with c >= 0, an objective this small ends the solve
 
 
 class SimplexError(RuntimeError):
-    """Infeasible starting basis, unbounded objective or iteration cap exceeded."""
+    """Infeasible or overflowing start, unbounded objective or iteration cap exceeded."""
 
 
 class LPSolution(Record):
@@ -100,12 +100,19 @@ def solve_lp(c, A, b, basis) -> LPSolution:
     """Simplex on min c.x, A x = b, x >= 0 from the starting ``basis``.
 
     ``basis`` lists one column index in [0, n) per row.  Raises ValueError,
-    before any arithmetic, for inconsistent dimensions, a basis entry that is
-    no integer or lies outside that range, or a NaN or infinity in ``A``,
-    ``b`` or ``c``.  Raises SimplexError if those columns are singular or
-    their basic solution has an entry below ``-TOL``, if the objective is
-    unbounded, or if the pivot count exceeds ``MAX_ITER``.
+    before any arithmetic, for an ``A`` that is not 2-D, inconsistent
+    dimensions, a basis entry that is no integer or lies outside that range,
+    or a complex, NaN or infinite entry in ``A``, ``b`` or ``c``.
+    Raises SimplexError if those columns are singular, if the start tableau
+    overflows or its basic solution has an entry below ``-TOL``, if the
+    objective is unbounded, or if the pivot count exceeds ``MAX_ITER``.
     """
+    A, b, c = np.asarray(A), np.asarray(b), np.asarray(c)
+    for name, v in zip("Abc", (A, b, c)):
+        if v.dtype.kind == "c":
+            raise ValueError(f"{name} must be real")
+    if A.ndim != 2:
+        raise ValueError(f"A must be 2-D, got {A.ndim} dimensions")
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)
@@ -134,23 +141,27 @@ def solve_lp(c, A, b, basis) -> LPSolution:
     np.multiply(template, sign[:, None], out=work)
     work[:, -1] = b * sign
     rows = list(range(m))
-    for i in unused[:]:
-        column = work[:, basis[i]]
-        p = max(unused, key=lambda r: abs(column[r]))
-        if column[p] == 0.0:
-            raise SimplexError("infeasible starting basis: singular basis matrix")
-        pivot = work[p] / column[p]
-        work -= np.dot(column[:, None], pivot[None, :])
-        work[p] = pivot
-        rows[i] = p
-        unused.remove(p)
-    if rows != sorted(rows):
-        work[:] = work[rows]
+    # Badly scaled input can overflow here; checked once, not per pivot.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in unused[:]:
+            column = work[:, basis[i]]
+            p = max(unused, key=lambda r: abs(column[r]))
+            if column[p] == 0.0:
+                raise SimplexError("infeasible starting basis: singular basis matrix")
+            pivot = work[p] / column[p]
+            work -= np.dot(column[:, None], pivot[None, :])
+            work[p] = pivot
+            rows[i] = p
+            unused.remove(p)
+        if rows != sorted(rows):
+            work[:] = work[rows]
+        tab[m, :n] = c
+        tab[m] -= c[basis] @ work
+    if not np.isfinite(tab).all():
+        raise SimplexError("start tableau overflows: A, b or c is badly scaled")
     if tab[:m, -1].min() < -TOL:
         raise SimplexError(
             f"infeasible starting basis: basic value {tab[:m, -1].min():.3e}")
-    tab[m, :n] = c
-    tab[m] -= c[basis] @ work
 
     iterations, flips, at_zero = _pivot_loop(
         tab, basis, mirror, structural, priced, c.tolist(), stop_at_zero=bool(c.min() >= 0.0))

@@ -14,27 +14,25 @@ and leaves the Z basis alone.
 
 Simulation.  Every operator is written in the real Pauli basis P in
 (I, X, Y, Z): the 3-qubit state as rho = sum r[a,b,c] P_a x P_b x P_c / 8,
-and each readout effect E as its row tr(E P).  A gate U on k qubits acts
-through its Pauli transfer matrix R_U[a, b] = tr(P_a U P_b U^dagger)/2^k:
-forward on a state's coefficients, r <- R_U r, and backward on an effect's
-row, t <- t R_U, which is E <- U^dagger E U; ``qcore.ptm`` gives R_U for
-every gate but P(phi), whose R_U ``qcore.phase_ptm`` writes in closed form,
-here, for the ideal protocol and for the steering assemblage.  A
-depolarizing channel applying each non-identity Pauli on k qubits with
-probability p/(4^k - 1) keeps the identity term and damps every other term
-by 1 - lam, lam = 4^k p/(4^k - 1); it is its own adjoint.
-The circuit is cut after the CX layer.  The noisy GHZ state (H, both CX and
-their noise) depends on (p1, p2) alone and is built once.  Its nonzero
-coefficients are the eight signed, damped elements of the GHZ stabilizer
-group, none of weight 1, so each single party holds I/2 whatever the
-depolarizing noise.  Every later step -- P(phi), the basis rotations, their
-1-qubit noise and the per-qubit readout -- acts on one qubit, so the
-measurement is a product of per-qubit effective POVMs, each readout row
-pulled back through its qubit's gates into a (2, 4) table.  P(phi) commutes
-with the noise, so phi enters as a rotation of the dealer's X and Y columns.
-One cached builder makes every table of a noise model: the dealer's (2, 4)
-table per setting, and the q1 and q2 tables contracted with r per party and
-basis; a call is one (2, 4) x (4, 4) x (4, 4) product.
+and each readout effect E as its row tr(E P).  A depolarizing channel
+applying each non-identity Pauli on k qubits with probability p/(4^k - 1)
+keeps the identity term and damps every other one by 1 - 4^k p/(4^k - 1):
+d1 = 1 - 4 p1/3 after a 1-qubit gate, d2 = 1 - 16 p2/15 after a CX.  Every
+gate but P(phi) is a Clifford that moves each Pauli term onto another, so
+the engine is in closed form and simulates no gate.  The circuit is cut
+after the CX layer.  The noisy GHZ state depends on (p1, p2) alone: it is
+``protocol._ghz(3)``, the eight signed elements of the GHZ stabilizer
+group, each damped by the channels that act on it.  None has weight 1, so
+each single party holds I/2 whatever the depolarizing noise.  Every later
+step -- P(phi), the basis rotations, their noise and the readout -- acts on
+one qubit, so the measurement is a product of per-qubit effective POVMs.
+Pulled back to the cut, a qubit's readout row keeps its identity term, and
+its Z term moves onto the measured Pauli and is damped by d1 per gate.
+P(phi) commutes with the noise, so phi enters as ``qcore.phase_ptm``'s
+rotation of the dealer's X and Y columns.  One cached builder makes every
+table of a noise model: the dealer's (2, 4) table per setting, and the q1
+and q2 tables contracted with r per party and basis; a call is one
+(2, 4) x (4, 4) x (4, 4) product.
 
 Randomness.  All sampling uses counter-based Philox generators keyed as
 (seed, fnv1a64(label)) where the label spells out phi, party, basis,
@@ -56,7 +54,8 @@ import numpy as np
 
 # wigner_distance is not called here; bench/test_bench.py reads it as mss.tomo.wigner_distance.
 from .magic import c_closed_form, octahedron_distance, wigner_distance  # noqa: F401
-from .qcore import H, I2, S, DensityMatrix, Record, ValueRecord, dm_from_bloch, phase_ptm, ptm
+from .protocol import _ghz
+from .qcore import DensityMatrix, Record, ValueRecord, dm_from_bloch, phase_ptm
 
 DISTILLATION_THRESHOLD = 0.856  # 15-to-1 magic state distillation entry fidelity
 DEFAULT_SHOTS = 4096
@@ -65,15 +64,6 @@ MIN_N_BOOT = 100
 CURVE_POINTS = 200  # theory-curve rows in ExperimentReport.plot_data_csv
 
 _N_QUBITS = 3
-
-# Measurement-basis change: apply the gate, then read out in Z.
-_BASIS_ROTATION = {"Z": None, "X": H, "Y": H @ S.conj().T}
-_BASIS_ROTATION["Y"].setflags(write=False)
-
-_CX = np.eye(4)[[0, 1, 3, 2]]  # control on the first of its two qubits
-_CX.setflags(write=False)
-_Z_PROJECTORS = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0]])  # tr(|t><t| P), t = 0, 1
-_Z_PROJECTORS.setflags(write=False)
 
 
 def _fnv1a64(text: str) -> int:
@@ -128,7 +118,7 @@ class NoiseModel(Record):
 
 
 def _require_circuit(basis: str, party: str, alice_setting: str) -> None:
-    if basis not in _BASIS_ROTATION:
+    if basis not in ("X", "Y", "Z"):
         raise ValueError("basis must be one of X, Y, Z")
     if party not in ("charlie", "bob"):
         raise ValueError("party must be 'charlie' or 'bob'")
@@ -161,26 +151,17 @@ class CountsTable(Record):
                              alice_setting=alice_setting)
 
 
-def _damping(p: float, k: int) -> np.ndarray:
-    """The k-qubit depolarizing channel as its diagonal on the 4^k Pauli terms."""
-    lam = 4 ** k * p / (4 ** k - 1)
-    d = np.full(4 ** k, 1.0 - lam)
-    d[0] = 1.0
-    return d
-
-
-def _povm_table(confusion: np.ndarray, gates: Sequence[np.ndarray], p: float) -> np.ndarray:
+def _povm_table(confusion: np.ndarray, pauli: str, gates: int, p: float) -> np.ndarray:
     """One qubit's effective readout POVM as a read-only (2, 4) table whose
     row x is tr(E_x P) for P in (I, X, Y, Z).
 
-    The observed-x effect E_x = diag(confusion[x]) is pulled back through
-    ``gates`` (in circuit order, each followed by its depolarizing noise) in
-    the Heisenberg picture, last gate first: the noise damps the row's
-    non-identity terms, and U^dagger E U multiplies it by U's transfer matrix."""
-    damping = _damping(p, 1)
-    table = confusion @ _Z_PROJECTORS
-    for u in reversed(gates):
-        table = (table * damping) @ ptm(u)
+    The observed-x effect E_x = diag(c[x]), c = ``confusion``, has
+    c[x,0] + c[x,1] on I and c[x,0] - c[x,1] on Z.  Pulled back through
+    ``gates`` 1-qubit gates that turn ``pauli`` onto Z, the Z term moves onto
+    ``pauli``, damped by 1 - 4p/3 per gate's depolarizing noise."""
+    table = np.zeros((2, 4))
+    table[:, 0] = confusion[:, 0] + confusion[:, 1]
+    table[:, "IXYZ".index(pauli)] = (confusion[:, 0] - confusion[:, 1]) * (1 - 4 * p / 3) ** gates
     table.setflags(write=False)
     return table
 
@@ -188,39 +169,40 @@ def _povm_table(confusion: np.ndarray, gates: Sequence[np.ndarray], p: float) ->
 def _entangled_state(p1: float, p2: float) -> np.ndarray:
     """The noisy GHZ state after H, CX(0,1) and CX(0,2) as its Pauli
     coefficients: a read-only (4, 4, 4) tensor r with
-    rho_3 = sum r[a, b, c] P_a x P_b x P_c / 8."""
-    r = np.einsum("a,b,c->abc", *[_Z_PROJECTORS[0]] * _N_QUBITS)  # |000><000|
-    r = np.einsum("ad,dbc->abc", _damping(p1, 1)[:, None] * ptm(H), r)
-    cx = (_damping(p2, 2)[:, None] * ptm(_CX)).reshape((4,) * 4)
-    r = np.einsum("abde,dec->abc", cx, r)  # CX(0,1)
-    r = np.einsum("acde,dbe->abc", cx, r)  # CX(0,2)
+    rho_3 = sum r[a, b, c] P_a x P_b x P_c / 8.  It is ``protocol._ghz(3)``,
+    each term damped by the channels acting on it: d1 = 1 - 4p1/3 after H,
+    d2 = 1 - 16p2/15 after each CX."""
+    d1, d2 = 1 - 4 * p1 / 3, 1 - 16 * p2 / 15
+    damping = np.full((4, 4, 4), d1 * d2 * d2)  # XXX, XYY, YXY, YYX; r is 0 elsewhere
+    damping[0, 0, 0] = 1.0
+    damping[3, 0, 3] = d2
+    damping[3, 3, 0] = damping[0, 3, 3] = d2 * d2
+    r = _ghz(_N_QUBITS) * damping
     r.setflags(write=False)
     return r
 
 
 # One entry: the CLI and every benchmark workload build one NoiseModel per
-# process, and a miss costs a few tenths of a millisecond.
+# process, and a miss costs about 0.2 ms.
 @functools.lru_cache(maxsize=1)
 def _tables(p1: float, p2: float, readout: bytes) -> Mapping:
     """Every table of one noise model, read-only, keyed by what selects it.
 
     ``"X"``/``"Y"`` map to the dealer's (2, 4) POVM table for that setting,
-    pulled back through the setting's rotation and through the identity that
-    stands in for P(phi), whose noise it keeps.  ``(party, basis)`` maps to
-    the entangled state contracted with the q1 and q2 POVM tables: a (4, 4)
-    table, rows by the dealer's Pauli term and columns by the observed
-    2*x1 + x2."""
+    read after 2 gates: the setting's rotation and P(phi), whose noise the
+    table keeps and whose rotation :func:`circuit_probabilities` applies.
+    ``(party, basis)`` maps to the entangled state contracted with the q1
+    and q2 POVM tables: a (4, 4) table, rows by the dealer's Pauli term and
+    columns by the observed 2*x1 + x2."""
     confusion = np.frombuffer(readout).reshape(_N_QUBITS, 2, 2)
     state = _entangled_state(p1, p2)
-    tables = {setting: _povm_table(confusion[0], (I2, _BASIS_ROTATION[setting]), p1)
-              for setting in ("X", "Y")}
+    tables = {setting: _povm_table(confusion[0], setting, 2, p1) for setting in ("X", "Y")}
     for party in ("charlie", "bob"):
         for basis in ("X", "Y", "Z"):
-            rotation = () if basis == "Z" else (_BASIS_ROTATION[basis],)
-            q1_gates, q2_gates = ((H,), rotation) if party == "charlie" else (rotation, ())
-            q1 = _povm_table(confusion[1], q1_gates, p1)
-            q2 = _povm_table(confusion[2], q2_gates, p1)
-            table = np.einsum("abc,xb,yc->axy", state, q1, q2).reshape(4, 4) / 8
+            rotated = (basis, 0 if basis == "Z" else 1)
+            q1, q2 = (("X", 1), rotated) if party == "charlie" else (rotated, ("Z", 0))
+            table = np.einsum("abc,xb,yc->axy", state, _povm_table(confusion[1], *q1, p1),
+                              _povm_table(confusion[2], *q2, p1)).reshape(4, 4) / 8
             table.setflags(write=False)
             tables[party, basis] = table
     return MappingProxyType(tables)

@@ -329,6 +329,8 @@ BAD_INPUTS = {
     "3x3 column sums": (lambda: protocol.column_sums(np.eye(3)), ValueError,
                         "expected a 2x2 matrix"),
     "3x3 gate": (lambda: qcore.require_unitary(np.eye(3)), ValueError, "expected a 2x2 gate"),
+    "4x4 transfer matrix": (lambda: qcore.ptm(np.eye(4)), ValueError,
+                            "expected a 2x2 gate, got shape (4, 4)"),
     "2x3 density": (lambda: qcore.DensityMatrix(np.ones((2, 3))), ValueError,
                     "expected a square matrix"),
     "3x3 density": (lambda: qcore.DensityMatrix(np.eye(3) / 3), ValueError,

@@ -617,7 +617,9 @@ class TestTwoStagePricing:
 
 
 class TestBadInput:
-    """Refused with a ValueError naming the argument, before any arithmetic."""
+    """Refused with a ValueError naming the argument, before any arithmetic,
+    or with a SimplexError once the start tableau overflows; never with a
+    numpy warning, which the suite turns into an error."""
 
     @staticmethod
     def lp():
@@ -635,3 +637,21 @@ class TestBadInput:
         c, A, b, _ = self.lp()
         with pytest.raises(ValueError, match="^basis entries must be integers$"):
             solve_lp(c, A, b, [2.7])
+
+    @pytest.mark.parametrize("name", ["A", "b", "c"])
+    def test_complex_entry(self, name):
+        c, A, b, basis = self.lp()
+        args = {"c": c, "A": A, "b": b}
+        args[name] = args[name] + 0j
+        with pytest.raises(ValueError, match=f"^{name} must be real$"):
+            solve_lp(args["c"], args["A"], args["b"], basis)
+
+    @pytest.mark.parametrize("A", [[1.0, 1.0], [[[1.0, 1.0]]]], ids=["1-D", "3-D"])
+    def test_a_that_is_not_a_matrix(self, A):
+        with pytest.raises(ValueError, match=f"^A must be 2-D, got {np.ndim(A)} dimensions$"):
+            solve_lp([1.0, 1.0], A, [1.0], [0])
+
+    def test_start_tableau_overflow(self):
+        # Finite input whose start pivot divides 1e300 by 1e-300.
+        with pytest.raises(SimplexError, match="^start tableau overflows"):
+            solve_lp([1.0, 1.0], [[1e-300, 1e300]], [1.0], [0])

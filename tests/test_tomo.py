@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mss import protocol, tomo
+from mss import protocol, qcore, tomo
 from mss.magic import c_closed_form, wigner_distance
 from mss.qcore import H, I2, S, X, Y, Z, ket, phase_gate, phase_plus
 from mss.steering import sampled_certification
@@ -344,9 +344,8 @@ class TestEntangledState:
             assert not np.any(np.moveaxis(r, q, 0)[1:, 0, 0])
 
     def test_noiseless_state_is_the_protocol_ghz_tensor(self):
-        # One state format.  They differ only by the rounding of ptm(H), whose
-        # [I, I] entry is 0.9999999999999998.
-        assert np.max(np.abs(tomo._entangled_state(0.0, 0.0) - protocol._ghz(3))) <= 1e-15
+        # One state format, bit for bit: the noisy state is the GHZ tensor damped.
+        assert tomo._entangled_state(0.0, 0.0).tobytes() == protocol._ghz(3).tobytes()
 
 
 def _hits_and_misses():
@@ -414,8 +413,11 @@ class TestCachedTables:
     ], ids=["none", "acceptance", "asymmetric-readout"])
     def test_each_qubit_table_sums_to_the_identity(self, noise):
         identity = np.array([2.0, 0.0, 0.0, 0.0])  # tr(P) for P in (I, X, Y, Z)
-        for q, gates in product(range(3), [(), (H,), (H @ S.conj().T,), (I2, H), (I2, H @ S.conj().T)]):
-            table = tomo._povm_table(noise.readout[q], gates, noise.p1)
+        # (pauli, gates) of every table the engine builds: the dealer's, the
+        # middle party's X, a rotated qubit's basis and an unrotated Z.
+        inputs = [("X", 2), ("Y", 2), ("X", 1), ("Y", 1), ("Z", 0)]
+        for q, (pauli, gates) in product(range(3), inputs):
+            table = tomo._povm_table(noise.readout[q], pauli, gates, noise.p1)
             np.testing.assert_allclose(table.sum(axis=0), identity, rtol=0, atol=1e-15)
         tables = _tables_of(noise)
         for setting in "XY":
@@ -424,6 +426,16 @@ class TestCachedTables:
             # summed over q1 and q2's outcomes: the dealer's marginal I/2 as its c in sum_P c_P P
             np.testing.assert_allclose(tables[party, basis].sum(axis=1), identity / 4,
                                        rtol=0, atol=1e-15)
+
+    def test_tables_build_no_gate(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("the tables were built from a gate's transfer matrix")
+        monkeypatch.setattr(qcore, "ptm", refuse)
+        monkeypatch.setattr(tomo, "ptm", refuse, raising=False)  # a name tomo may have imported
+        tomo._tables.cache_clear()
+        for noise in (ZERO_NOISE, ACCEPTANCE_NOISE):
+            assert len(_tables_of(noise)) == 8
+        assert _hits_and_misses() == (0, 2)
 
 
 def big_endian_table(outcomes, basis, party="charlie"):

@@ -30,6 +30,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 FORMATS = ("json", "csv", "pretty")
 PI_8, PI_4 = "0.39269908169872414", "0.7853981633974483"
+PI_2, PI = "1.5707963267948966", "3.141592653589793"
 NOISE = "0.003,0.015,0.01"
 
 # Each runs once per format, and once per format with --out {out}/result.
@@ -70,6 +71,12 @@ COMMANDS = [
     ["experiment", "--phis", f"{PI_8},1.3", "--shots", "256", "--seed", "5", "--boot", "100"],
     ["experiment", "--phis", "0.2,3.0,-1", "--shots", "512", "--seed", "9", "--boot", "100",
      "--noise", NOISE],
+    # Sampled at pi/2 and fl(pi), where the recipient's conditional rates sit
+    # at or within an ulp of 1/2 and a last-bit change swaps counts.
+    *(["experiment", "--phis", f"{PI_2},{PI}", "--shots", "512", "--seed", "7", "--boot", "100",
+       *noise] for noise in ((), ("--noise", NOISE))),
+    *(["certify", "--phi", phi, "--shots", "512", "--seed", "7", "--boot", "100", *noise]
+      for phi in (PI_2, PI) for noise in ((), ("--noise", NOISE))),
     ["dump-stabilizers"],
     ["dump-stabilizers", "--n", "2"],
 ]
