@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import magic, protocol, steering, tomo
-from .qcore import bloch, dm_from_bloch, ket, maximally_mixed, phase_plus, require_unitary
+from .qcore import _PAULIS, bloch, dm_from_bloch, ket, maximally_mixed, phase_plus, require_unitary
 from .stabilizer import enumerate_stabilizer_states
 from .wigner import wigner_of
 
@@ -479,14 +479,16 @@ def cmd_magic_eval(args):
         rho = NAMED_STATES[args.state]()
         label = f"named:{args.state}"
     result = magic.wigner_distance(rho)
+    b = bloch(rho)
+    h = np.einsum("aij,ji->a", _PAULIS, result.dual_witness).real  # tr(H* P), P = I, X, Y, Z
     payload = {
         "state": label,
         "c": result.c_value,
         "f_lhs": result.f_lhs,
-        "witness_trace": float(np.trace(result.dual_witness @ rho.mat).real),
-        "bloch": [float(v) for v in bloch(rho)],
-        "wigner": [float(v) for v in wigner_of(rho)],
-        "mixture": [float(v) for v in result.mixture_weights],
+        "witness_trace": float((h[0] + h[1:] @ b) / 2),  # tr(H* rho)
+        "bloch": b.tolist(),
+        "wigner": wigner_of(rho).tolist(),
+        "mixture": result.mixture_weights.tolist(),
     }
     return CommandOutput(payload)
 

@@ -30,8 +30,7 @@ largest |b|: its magic is the octahedron distance of b, the 1-qubit
 Wigner distance, and its trace distance to I/2 is |b|/2.
 Gate admissibility runs the same register with an arbitrary unitary U in
 place of P(phi), through ``ptm(U)`` after one unitarity check; the steering
-assemblage runs it with P(phi)'s transfer matrix times its setting
-rotation's.
+assemblage runs it with P(phi), reading the dealer's setting as a Pauli term.
 """
 
 from __future__ import annotations
@@ -219,9 +218,6 @@ def security_report(transcript: ProtocolTranscript) -> dict[int, PartySecurity]:
 
 # --- Gate admissibility (which injected gates keep the protocol secure) ---
 
-GateFamily = Callable[[float], np.ndarray]
-
-
 class GateAdmissibility(ValueRecord):
     """Column-sum security condition and phi-faithfulness of an injected gate."""
 
@@ -296,9 +292,7 @@ def check_gate_admissibility(gate, probe_phis: Sequence[float]) -> GateAdmissibi
     probes = [float(p) for p in probe_phis]
     if not probes or not np.all(np.isfinite(probes)):
         raise ValueError("probe_phis must be nonempty and finite")
-    family: GateFamily = gate if callable(gate) else (lambda _phi, _g=np.asarray(gate, dtype=complex): _g)
-
-    gates = [require_unitary(family(phi)) for phi in probes]
+    gates = [require_unitary(gate(phi) if callable(gate) else gate) for phi in probes]
     col0, col1 = zip(*map(column_sums, gates))
     blochs = np.array([_deliver(ptm(g)) for g in gates])  # [probe, (delivered, bob), xyz]
     c_vals = tuple(octahedron_distance(blochs[:, 0]).tolist())

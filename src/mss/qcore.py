@@ -1,7 +1,7 @@
 """Few-qubit states, the 1-qubit Pauli transfer matrices through which the
 simulators apply gates (P(phi)'s in closed form, by :func:`phase_ptm`; an
-arbitrary gate's by :func:`ptm`; :mod:`mss.tomo`'s Cliffords need none),
-the one gate tolerance, and the package's record base.
+arbitrary gate's, for gate admissibility alone, by :func:`ptm`), the one
+gate tolerance, and the package's record base.
 
 Conventions used throughout the package:
 
@@ -48,8 +48,8 @@ _PAULIS = _frozen(np.stack([I2, X, Y, Z]))
 def ptm(u: np.ndarray) -> np.ndarray:
     """Pauli transfer matrix of an arbitrary 1-qubit unitary:
     R[a, b] = tr(P_a U P_b U^dagger) / 2, so a state's Pauli coefficients
-    r[b] = tr(rho P_b) go to R r under U.  It serves gate admissibility and
-    the steering setting table; any shape but 2x2 raises ValueError."""
+    r[b] = tr(rho P_b) go to R r under U.  It serves gate admissibility
+    alone; any shape but 2x2 raises ValueError."""
     u = np.asarray(u)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 gate, got shape {u.shape}")

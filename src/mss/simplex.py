@@ -80,7 +80,7 @@ ZERO_OBJECTIVE = 1e-12  # with c >= 0, an objective this small ends the solve
 
 
 class SimplexError(RuntimeError):
-    """Infeasible or overflowing start, unbounded objective or iteration cap exceeded."""
+    """Infeasible start, overflowing tableau, unbounded objective or iteration cap exceeded."""
 
 
 class LPSolution(Record):
@@ -103,9 +103,9 @@ def solve_lp(c, A, b, basis) -> LPSolution:
     before any arithmetic, for an ``A`` that is not 2-D, inconsistent
     dimensions, a basis entry that is no integer or lies outside that range,
     or a complex, NaN or infinite entry in ``A``, ``b`` or ``c``.
-    Raises SimplexError if those columns are singular, if the start tableau
-    overflows or its basic solution has an entry below ``-TOL``, if the
-    objective is unbounded, or if the pivot count exceeds ``MAX_ITER``.
+    Raises SimplexError if those columns are singular, if the tableau
+    overflows, if the start's basic solution has an entry below ``-TOL``, if
+    the objective is unbounded, or if the pivot count exceeds ``MAX_ITER``.
     """
     A, b, c = np.asarray(A), np.asarray(b), np.asarray(c)
     for name, v in zip("Abc", (A, b, c)):
@@ -141,7 +141,7 @@ def solve_lp(c, A, b, basis) -> LPSolution:
     np.multiply(template, sign[:, None], out=work)
     work[:, -1] = b * sign
     rows = list(range(m))
-    # Badly scaled input can overflow here; checked once, not per pivot.
+    # Badly scaled input can overflow; checked after the start and the pivots.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in unused[:]:
             column = work[:, basis[i]]
@@ -157,14 +157,16 @@ def solve_lp(c, A, b, basis) -> LPSolution:
             work[:] = work[rows]
         tab[m, :n] = c
         tab[m] -= c[basis] @ work
-    if not np.isfinite(tab).all():
-        raise SimplexError("start tableau overflows: A, b or c is badly scaled")
-    if tab[:m, -1].min() < -TOL:
-        raise SimplexError(
-            f"infeasible starting basis: basic value {tab[:m, -1].min():.3e}")
+        if not np.isfinite(tab).all():
+            raise SimplexError("start tableau overflows: A, b or c is badly scaled")
+        if tab[:m, -1].min() < -TOL:
+            raise SimplexError(
+                f"infeasible starting basis: basic value {tab[:m, -1].min():.3e}")
 
-    iterations, flips, at_zero = _pivot_loop(
-        tab, basis, mirror, structural, priced, c.tolist(), stop_at_zero=bool(c.min() >= 0.0))
+        iterations, flips, at_zero = _pivot_loop(
+            tab, basis, mirror, structural, priced, c.tolist(), stop_at_zero=bool(c.min() >= 0.0))
+    if not np.isfinite(tab).all():
+        raise SimplexError("tableau overflows in a pivot: A, b or c is badly scaled")
 
     # The sign of a zero depends on the BLAS update, so every zero is
     # reported as +0.0: + 0.0 and 0.0 - map -0.0 to +0.0.

@@ -8,12 +8,10 @@ then steer the recipient into conditional states whose magic equals the
 secret's C(phi), and the dual witness of the Wigner distance turns that into
 a linear functional a stabilizer local-hidden-state model can never satisfy.
 
-Each sigma_{b|x} is read off the protocol's Pauli tensor with R_x P(phi)
-injected, where H R_x is setting x's readout rotation: the dealer's readout
-bit b is its X broadcast after R_x, and sigma_{b|x} is the recipient's state
-after that and the middle party's "+".  R_x P(phi) enters as the product of
-two transfer matrices, a read-only R_x (the identity, ptm(S^dagger) or
-ptm(H)) and ``phase_ptm(phi)``; the first two R_x are exact, so the X and Y
+Each sigma_{b|x} is read off one register r, the protocol's Pauli tensor
+with ``phase_ptm(phi)`` dealt: the dealer's readout bit b of its Pauli P_x
+leaves (r[I] +- r[P_x]) / 2, and sigma_{b|x} is the recipient's state after
+that and the middle party's "+".  P(phi) is in closed form, so the X and Y
 members, and the exact certificate, carry no round-off.
 
 Outcome convention: outcome 0 of the X setting projects the dealer onto
@@ -42,8 +40,7 @@ import numpy as np
 from . import tomo
 from .magic import MagicResult, octahedron_distance, sign_witness, wigner_distance
 from .protocol import _broadcast, _dealt
-from .qcore import (_PAULIS, H, DensityMatrix, S, ValueRecord, bloch, dm_from_bloch, phase_ptm,
-                    ptm)
+from .qcore import _PAULIS, DensityMatrix, ValueRecord, bloch, dm_from_bloch, phase_ptm
 from .stabilizer import enumerate_stabilizer_states
 
 SETTINGS = ("X", "Y")
@@ -96,41 +93,39 @@ class CertificationRecord(ValueRecord):
         return max(0.0, self.gap)
 
 
-# R_x's transfer matrix per dealer setting, read-only: H R_x is the setting's
-# readout rotation.  ptm(S^dagger) is an exact signed permutation.
-_SETTING_ROTATIONS = np.stack([np.eye(4), ptm(S.conj().T), ptm(H)])
-_SETTING_ROTATIONS.setflags(write=False)
-_SETTING_ROTATION = dict(zip("XYZ", _SETTING_ROTATIONS))
 # The dealer's readout bit of outcome 0 per setting: Y's is the -1 eigenstate, bit 1.
 _OUTCOME_0_BIT = {"X": 0, "Y": 1}
 
 
-def _conditional_states(setting: str, phi: float) -> list[tuple[float, DensityMatrix]]:
-    """(p(b|x), sigma_{b|x}) for the dealer's readout bits b = 0, 1.
+def _conditional_states(r: np.ndarray, setting: str) -> list[tuple[float, np.ndarray]]:
+    """(p(b|x), Bloch vector of sigma_{b|x}) for the dealer's readout bits
+    b = 0, 1 of setting x, read off the dealt register r.
 
     The recipient's state after the middle party's "-", Z-corrected (the
     signs of its X and Y terms flipped), is compared against its state after
     "+" on every call, which re-verifies the branch independence the
     correction is supposed to provide.
     """
-    r = _dealt(_SETTING_ROTATION[setting] @ phase_ptm(phi), 3)
+    readout = r[[0, "IXYZ".index(setting)]]  # the dealer's I and P_x terms
     states = []
-    for middle in (_broadcast(r, 0), _broadcast(r, 1)):  # the dealer's readout bit b
+    for middle in (_broadcast(readout, 0), _broadcast(readout, 1)):  # the readout bit b
         plus, minus = _broadcast(middle, 0), _broadcast(middle, 1)
         if np.max(np.abs(plus - minus * (1, -1, -1, 1))) > 1e-10:
             raise RuntimeError("branch independence violated in assemblage construction")
         # the middle party's "+" has probability 1/2
-        states.append((float(2 * plus[0]), dm_from_bloch(plus[1:] / plus[0])))
+        states.append((float(2 * plus[0]), plus[1:] / plus[0]))
     return states
 
 
 def build_assemblage(phi: float) -> Assemblage:
     """The ideal protocol assemblage for secret angle phi."""
+    r = _dealt(phase_ptm(phi), 3)
     members = {}
     for setting in SETTINGS:
-        states = _conditional_states(setting, phi)
+        states = _conditional_states(r, setting)
         for outcome in (0, 1):
-            members[(setting, outcome)] = states[outcome ^ _OUTCOME_0_BIT[setting]]
+            p, b = states[outcome ^ _OUTCOME_0_BIT[setting]]
+            members[(setting, outcome)] = (p, dm_from_bloch(b))
     return Assemblage(members=members)
 
 
@@ -140,7 +135,7 @@ def z_setting_probe(phi: float) -> DensityMatrix:
     Always |0><0| regardless of phi: the computational-basis setting leaks
     no magic, which is why the functional uses X and Y only.
     """
-    return _conditional_states("Z", phi)[0][1]
+    return dm_from_bloch(_conditional_states(_dealt(phase_ptm(phi), 3), "Z")[0][1])
 
 
 def solve_witness(assemblage: Assemblage) -> MagicResult:
@@ -153,9 +148,9 @@ def _functional_value(b_x, b_y, h0, h):
     """F = ((h . b_x) + (h' . b_y))/4 + h0/2: the functional at members with
     Bloch vectors b_x, b_y for the witness H = (h0 I + h . sigma)/2, where
     h' = (-h_y, h_x, h_z) is h under S conjugation.  Leading axes broadcast."""
-    hx, hy, hz = np.moveaxis(h, -1, 0)
-    x0, x1, x2 = np.moveaxis(b_x, -1, 0)
-    y0, y1, y2 = np.moveaxis(b_y, -1, 0)
+    hx, hy, hz = h[..., 0], h[..., 1], h[..., 2]
+    x0, x1, x2 = b_x[..., 0], b_x[..., 1], b_x[..., 2]
+    y0, y1, y2 = b_y[..., 0], b_y[..., 1], b_y[..., 2]
     return ((hx * x0 + hy * x1 + hz * x2) + (-hy * y0 + hx * y1 + hz * y2)) / 4 + h0 / 2
 
 
@@ -186,9 +181,10 @@ def _certification(b_x, b_y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def certify_exact(phi: float) -> CertificationRecord:
-    """Build the ideal assemblage at phi and evaluate it against its witness."""
-    assemblage = build_assemblage(phi)
-    f, f_lhs = _certification(bloch(assemblage.state("X", 0)), bloch(assemblage.state("Y", 0)))
+    """Certify the ideal assemblage at phi from its outcome-0 Bloch vectors."""
+    r = _dealt(phase_ptm(phi), 3)
+    f, f_lhs = _certification(*(_conditional_states(r, x)[_OUTCOME_0_BIT[x]][1]
+                                for x in SETTINGS))
     return CertificationRecord(f_value=float(f), f_lhs=float(f_lhs))
 
 

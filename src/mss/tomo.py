@@ -287,16 +287,20 @@ def post_select_and_correct(table: CountsTable, alice_keep_bit: int = 0) -> Corr
 class ReconstructionResult(Record):
     """One party's tomographic estimate from its X, Y and Z counts."""
 
-    rho: DensityMatrix
     bloch: np.ndarray         # the projected Bloch vector rho, c_value and fidelity are built from
     bloch_raw: np.ndarray     # linear-inversion vector before any projection
     n_eff: int                # smallest post-selected sample across bases
     c_value: float
     fidelity: float           # NaN when no reference angle was supplied
 
-    def __init__(self, rho, bloch, bloch_raw, n_eff, c_value, fidelity) -> None:
-        self.__dict__.update(rho=rho, bloch=bloch, bloch_raw=bloch_raw, n_eff=n_eff,
-                             c_value=c_value, fidelity=fidelity)
+    def __init__(self, bloch, bloch_raw, n_eff, c_value, fidelity) -> None:
+        self.__dict__.update(bloch=bloch, bloch_raw=bloch_raw, n_eff=n_eff, c_value=c_value,
+                             fidelity=fidelity)
+
+    @functools.cached_property
+    def rho(self) -> DensityMatrix:
+        """The projected state as a density matrix, built on first read."""
+        return dm_from_bloch(self.bloch)
 
 
 def _require_bases(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
@@ -322,7 +326,6 @@ def reconstruct(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
     raw.setflags(write=False)
     b.setflags(write=False)
     return ReconstructionResult(
-        rho=dm_from_bloch(b),
         bloch=b,
         bloch_raw=raw,
         n_eff=int(round(min(x_counts.n_eff, y_counts.n_eff, z_counts.n_eff))),
@@ -355,9 +358,9 @@ def resample_expectations(counts: Sequence[CorrectedCounts], n_boot: int,
 def scale_onto_ball(raw: np.ndarray) -> np.ndarray:
     """Bloch vectors along the last axis, those longer than 1 scaled onto the
     unit sphere: the projection of :func:`reconstruct` and :func:`bootstrap`."""
-    x, y, z = np.moveaxis(raw, -1, 0)
+    x, y, z = raw[..., 0], raw[..., 1], raw[..., 2]
     b = raw / np.maximum(1.0, np.sqrt(x * x + y * y + z * z))[..., None]
-    x, y, z = np.moveaxis(b, -1, 0)
+    x, y, z = b[..., 0], b[..., 1], b[..., 2]
     if not np.all(x * x + y * y + z * z <= 1.0 + 1e-9):
         raise RuntimeError("scaled Bloch vector left the unit ball")
     return b

@@ -370,7 +370,6 @@ OPTIONS = {
                          "_finite=math.isfinite"],
     "protocol.run_exact": ["n=3", "outcomes=None", "seed=None"],
     "protocol.run_all_branches": ["n=3"],
-    "protocol.check_gate_admissibility.<lambda>": ["_g=np.asarray(gate, dtype=complex)"],
     "protocol.magic_scan": ["n=3"],
     "qcore.maximally_mixed": ["n=1"],
     "steering.sampled_certification": ["n_boot=DEFAULT_N_BOOT"],

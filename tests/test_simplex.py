@@ -618,8 +618,8 @@ class TestTwoStagePricing:
 
 class TestBadInput:
     """Refused with a ValueError naming the argument, before any arithmetic,
-    or with a SimplexError once the start tableau overflows; never with a
-    numpy warning, which the suite turns into an error."""
+    or with a SimplexError once the start tableau or a pivot overflows; never
+    with a numpy warning, which the suite turns into an error."""
 
     @staticmethod
     def lp():
@@ -655,3 +655,8 @@ class TestBadInput:
         # Finite input whose start pivot divides 1e300 by 1e-300.
         with pytest.raises(SimplexError, match="^start tableau overflows"):
             solve_lp([1.0, 1.0], [[1e-300, 1e300]], [1.0], [0])
+
+    def test_pivot_overflow(self):
+        # A finite unit start whose first pivot divides 1e302 by 1e-8.
+        with pytest.raises(SimplexError, match="^tableau overflows in a pivot"):
+            solve_lp([-1.0, 0.0], [[1e-8, 1.0]], [1e302], [1])

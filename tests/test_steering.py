@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given
 
 import mss.magic
+import mss.qcore
 from mss import steering, tomo
 from mss.magic import c_closed_form, octahedron_distance, wigner_distance
-from mss.qcore import H, I2, S, X, Y, Z, bloch, dm_from_bloch, ket, ptm
+from mss.protocol import _broadcast
+from mss.qcore import H, I2, S, X, Y, Z, bloch, dm_from_bloch, ket, phase_ptm, ptm
 from mss.stabilizer import enumerate_stabilizer_states
 from mss.steering import (
     Assemblage,
@@ -157,6 +159,11 @@ class TestZProbe:
             with pytest.raises(ValueError, match="phi must be finite"):
                 call(phi)
 
+    def test_outcome_probabilities_are_one_half(self, rng):
+        for phi in [*rng.uniform(-7.0, 7.0, size=50), np.pi / 4, np.pi / 2]:
+            states = steering._conditional_states(steering._dealt(phase_ptm(phi), 3), "Z")
+            assert [p for p, _ in states] == [0.5, 0.5], f"phi={phi!r}"
+
     def test_always_ground_state(self, rng):
         for phi in list(rng.uniform(0, 2 * np.pi, size=20)) + [np.pi / 4]:
             sigma = z_setting_probe(phi)
@@ -180,6 +187,29 @@ class TestStepwiseOracle:
                 assert abs(p - want[key][0]) <= 1e-12
                 assert np.max(np.abs(sigma.mat - want[key][1].mat)) <= 1e-12
             assert np.max(np.abs(z_setting_probe(phi).mat - want[("Z", 0)][1].mat)) <= 1e-12
+
+    def test_matches_the_setting_rotation_route(self, rng):
+        # The route before the dealer's Pauli readout: rotate the dealer by
+        # R_x (the identity, S^dagger or H), then read it out in X.
+        def rotated(phi, gate):
+            r = steering._dealt(ptm(gate) @ phase_ptm(phi), 3)
+            states = []
+            for middle in (_broadcast(r, 0), _broadcast(r, 1)):
+                plus = _broadcast(middle, 0)
+                states.append((float(2 * plus[0]), dm_from_bloch(plus[1:] / plus[0])))
+            return states
+
+        for phi in [*rng.uniform(-7.0, 7.0, size=200), *(k * np.pi / 4 for k in range(-8, 9))]:
+            got = build_assemblage(phi)
+            for setting, gate in (("X", I2), ("Y", S.conj().T)):
+                want = rotated(phi, gate)
+                for outcome in (0, 1):
+                    p, sigma = got.members[(setting, outcome)]
+                    want_p, want_sigma = want[outcome ^ steering._OUTCOME_0_BIT[setting]]
+                    assert p.hex() == want_p.hex(), f"phi={phi!r}"
+                    assert sigma.mat.tobytes() == want_sigma.mat.tobytes(), f"phi={phi!r}"
+            want_z = rotated(phi, H)[0][1].mat
+            assert np.max(np.abs(z_setting_probe(phi).mat - want_z)) <= 1e-15
 
     def test_branch_independence_is_checked(self, monkeypatch):
         def corrupted(transfer, n):
@@ -217,15 +247,9 @@ class TestCertification:
             assert rec.gap == pytest.approx(c_closed_form(phi), abs=1e-7), f"phi={phi}"
 
     def test_gap_is_the_closed_form_to_the_bit(self):
-        # P(phi) and the setting rotations enter as transfer matrices without round-off.
+        # P(phi) enters in closed form and the dealer reads a Pauli term: no round-off.
         for phi in np.random.default_rng(29).uniform(-7.0, 7.0, size=2000).tolist():
             assert certify_exact(phi).gap.hex() == c_closed_form(phi).hex(), f"phi={phi!r}"
-
-    def test_setting_rotations_are_read_only_transfer_matrices(self):
-        for setting, gate in (("X", I2), ("Y", S.conj().T), ("Z", H)):
-            transfer = steering._SETTING_ROTATION[setting]
-            assert not transfer.flags.writeable
-            assert np.array_equal(transfer, ptm(gate))
 
     def test_matches_the_lp_route_byte_for_byte(self):
         # Multiples of pi/4, angles within 2e-10 of a stabilizer secret (C near
@@ -261,6 +285,18 @@ class TestCertification:
         assert octahedron_distance(bloch(sigma)) == 0.0
         res = wigner_distance(sigma)
         assert (res.c_value, res.f_lhs) == (0.0, 0.0) and not res.dual_witness.any()
+
+    def test_builds_no_density_matrix(self, monkeypatch):
+        phis = [0.3, np.pi / 4, 2.0, -1.1]
+        want = [certify_exact(phi) for phi in phis]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact certification built a density matrix")
+
+        monkeypatch.setattr(steering, "dm_from_bloch", refuse)
+        monkeypatch.setattr(steering, "Assemblage", refuse)
+        monkeypatch.setattr(mss.qcore.DensityMatrix, "__post_init__", refuse)
+        assert [certify_exact(phi) for phi in phis] == want
 
     def test_solves_no_lp(self, monkeypatch):
         want = certify_exact(0.3)

@@ -2,6 +2,7 @@
 bootstrap calibration, and the experiment table."""
 
 import math
+from dataclasses import fields
 from itertools import product
 
 import numpy as np
@@ -547,6 +548,20 @@ class TestReconstruct:
         )
         assert np.linalg.norm(res.bloch_raw) > 1  # raw kept as measured
         assert min(np.linalg.eigvalsh(res.rho.mat)) >= -1e-10
+
+    def test_rho_is_built_on_first_read(self, monkeypatch):
+        counts = [CorrectedCounts(b, n0=n0, n1=100 - n0) for b, n0 in zip("XYZ", (90, 30, 55))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reconstruct built a density matrix")
+
+        monkeypatch.setattr(tomo, "dm_from_bloch", refuse)
+        monkeypatch.setattr(qcore.DensityMatrix, "__post_init__", refuse)
+        res = reconstruct(*counts, phi=0.3)
+        monkeypatch.undo()
+        assert "rho" not in {f.name for f in fields(res)}
+        assert res.rho.mat.tobytes() == qcore.dm_from_bloch(res.bloch).mat.tobytes()
+        assert res.rho is res.rho
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -9,8 +9,9 @@ the outputs lists the cases whose output differs:
     diff before.txt after.txt
 
 The corpus runs every subcommand in each of the json, csv and pretty
-formats, each once more with ``--out``, plus ``-h``, usage errors and a
-``--config`` file.  ``COLUMNS`` is fixed at 80 for argparse's help layout.
+formats, each once more with ``--out``, every named ``magic-eval`` state,
+plus ``-h``, usage errors and a ``--config`` file.  ``COLUMNS`` is fixed at
+80 for argparse's help layout.
 Each case writes into a fresh temporary directory, whose path appears as
 ``{out}`` in the printed argv and in the hashed output; ``{cfg}`` is the
 config file.  The tool takes no options.
@@ -60,8 +61,8 @@ COMMANDS = [
     ["magic-eval", "--bloch", "0.9,0.4,0.05"],
     ["magic-eval", "--bloch", "0.2,-0.3,0.1"],
     ["magic-eval", "--bloch", "0,0.8,0.6"],
-    ["magic-eval", "--state", "T"],
-    ["magic-eval", "--state", "mixed"],
+    *(["magic-eval", "--state", name]
+      for name in ("zero", "one", "plus", "minus", "plus_i", "minus_i", "T", "mixed")),
     *(["certify", "--phi", phi] for phi in (PI_8, PI_4, "1.3", "2e-10", "1e-9",
                                             "3.141592653589793", "-2.2", "1.5707963267948966")),
     *(["certify", "--phi", PI_8, "--shots", "1024", "--seed", seed, "--boot", "100",
