@@ -38,7 +38,7 @@ from .steering import (
     z_setting_probe,
 )
 from .tomo import NoiseModel, experiment_table, reconstruct, sample_run
-from .wigner import phase_point_operator, wigner_of
+from .wigner import wigner_of
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "phase_gate",
     "phase_gate_family",
     "phase_plus",
-    "phase_point_operator",
     "random_lhs_assemblage",
     "reconstruct",
     "run_all_branches",

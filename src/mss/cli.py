@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import magic, protocol, steering, tomo
-from .qcore import _PAULIS, bloch, dm_from_bloch, ket, maximally_mixed, phase_plus, require_unitary
+from .qcore import bloch, dm_from_bloch, ket, maximally_mixed, phase_plus, require_unitary
 from .stabilizer import enumerate_stabilizer_states
 from .wigner import wigner_of
 
@@ -480,7 +480,7 @@ def cmd_magic_eval(args):
         label = f"named:{args.state}"
     result = magic.wigner_distance(rho)
     b = bloch(rho)
-    h = np.einsum("aij,ji->a", _PAULIS, result.dual_witness).real  # tr(H* P), P = I, X, Y, Z
+    h = result.witness_terms  # tr(H* P), P = I, X, Y, Z
     payload = {
         "state": label,
         "c": result.c_value,

@@ -10,8 +10,9 @@ Bloch coordinates.  Two qubits solve the L1-fitting linear program of
 Barrodale and Roberts (SIAM J. Numer. Anal. 10, 839, 1973) by the in-house
 dense simplex from the nearest vertex, pricing the vertex weights before
 the residuals and taking their long step across each residual's u/v pair.
-The dual solution yields a Hermitian witness
-H* = sum_alpha y_alpha A_alpha / 2**n with
+The dual solution y yields the Hermitian witness
+H* = sum_alpha y_alpha A_alpha / 2**n = sum_P h_P P / 2**n, whose Pauli
+terms h_P = tr(H* P) are h = G_n^T y / 2**n in :mod:`mss.wigner`'s table, with
 
     tr(H* rho) - F_LHS = C(rho)        (exact at the solved state)
     tr(H* v)   <= F_LHS                (every polytope vertex v)
@@ -19,7 +20,8 @@ H* = sum_alpha y_alpha A_alpha / 2**n with
 where F_LHS = max over pure stabilizer states of tr(H* sigma).  The witness
 is a per-solve certificate: away from the solved state tr(H* rho) - F_LHS
 is a lower bound on C, not an equality.  For one qubit with C > 0 the
-witness is (s . sigma)/2 + t I with s the signs of the Bloch vector.
+witness is (s . sigma)/2 + t I with s the signs of the Bloch vector, so
+h = (2t, s).
 
 C = 0 (a stabilizer mixture) is Clifford-invariant.  Nonzero joint values
 depend on the frame, so C is no monotone: a CX doubles the 2-qubit C of
@@ -32,10 +34,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import I2, DensityMatrix, Record, X, Y, Z, _frozen, bloch
+from .qcore import DensityMatrix, Record, _require_finite, bloch
 from .simplex import solve_lp
 from .stabilizer import enumerate_stabilizer_states
-from .wigner import _PHASE_POINT_BLOCH, _operator_stack, as_wigner_vector, wigner_of
+from .wigner import _PHASE_POINT_BLOCH, _tables, as_wigner_vector, wigner_of
 
 CLAMP_TOL = 1e-10  # report exactly zero instead of leaking negative round-off
 SIGN_TOL = 1e-12   # Bloch coordinates this small count as 0 in sign_witness
@@ -47,12 +49,14 @@ class MagicResult(Record):
     c_value: float
     f_star: np.ndarray            # nearest polytope point, F @ mixture_weights
     mixture_weights: np.ndarray   # convex weights over the sorted vertex list
-    dual_witness: np.ndarray      # Hermitian H*
+    dual_witness: np.ndarray      # Hermitian H* = sum_P h_P P / 2**n
     f_lhs: float                  # max_sigma tr(H* sigma) over stabilizer states
+    witness_terms: np.ndarray     # h_P = tr(H* P), real, over the 4**n Pauli strings
 
-    def __init__(self, c_value, f_star, mixture_weights, dual_witness, f_lhs) -> None:
+    def __init__(self, c_value, f_star, mixture_weights, dual_witness, f_lhs,
+                 witness_terms) -> None:
         self.__dict__.update(c_value=c_value, f_star=f_star, mixture_weights=mixture_weights,
-                             dual_witness=dual_witness, f_lhs=f_lhs)
+                             dual_witness=dual_witness, f_lhs=f_lhs, witness_terms=witness_terms)
 
 
 @lru_cache(maxsize=None)
@@ -89,7 +93,7 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
     v_i = -(w - F_j)_i.  The lambda columns lead A and have no mirror, so
     the simplex prices them before the u/v residual pairs, which enter only
     when no lambda column can.  Where the nearest point or the optimal dual
-    is not unique, ``mixture_weights``, ``f_star``, ``dual_witness`` and
+    is not unique, ``mixture_weights``, ``f_star``, the witness and
     ``f_lhs`` depend on that pivot path; C does not beyond round-off.
     When C is clamped to zero the state is free, and
     the zero witness (with F_LHS = 0) is reported: it is dual-optimal there,
@@ -122,11 +126,8 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
             "LP postcondition violated: primal/dual certificates disagree with the optimum")
 
     if sol.fun < CLAMP_TOL:
-        c_value, witness, f_lhs = 0.0, _frozen(np.zeros((4, 4))), 0.0
-    else:
-        c_value, witness = float(sol.fun), _witness_matrix(yvec, n)
-    return MagicResult(c_value=c_value, f_star=f_star, mixture_weights=lam,
-                       dual_witness=witness, f_lhs=f_lhs)
+        return _result(0.0, f_star, lam, np.zeros(k), 0.0)
+    return _result(float(sol.fun), f_star, lam, yvec @ _tables(n)[0] / 2 ** n, f_lhs)
 
 
 # The octahedron's vertices -e_i and +e_i per Bloch axis i, as indices into
@@ -158,21 +159,21 @@ def _octahedron_result(rho: DensityMatrix) -> MagicResult:
     if not abs(np.abs(w - f_star).sum() - c_value) <= 1e-8:
         raise RuntimeError("closed-form postcondition violated: ||w - f*||_1 disagrees with C")
     if c_value == 0.0:
-        witness, f_lhs = _frozen(np.zeros((2, 2))), 0.0
-    else:
-        s, centre = sign_witness(b)
-        witness = _frozen((s[0] * X + s[1] * Y + s[2] * Z) / 2 + centre * I2)
-        f_lhs = float(np.abs(s).max() / 2 + centre)
+        return _result(0.0, f_star, lam, np.zeros(4), 0.0)
+    s, centre = sign_witness(b)
+    return _result(c_value, f_star, lam, np.concatenate(([2 * centre], s)),
+                   float(np.abs(s).max() / 2 + centre))
+
+
+def _result(c_value, f_star, lam, terms, f_lhs) -> MagicResult:
+    """The MagicResult whose witness has the real Pauli terms h, and so the
+    Hermitian matrix sum_P h_P P / 2**n; arrays read-only."""
+    n = (len(terms).bit_length() - 1) // 2
+    witness = (terms @ _tables(n)[1]).reshape(2 ** n, -1) / 2 ** n + 0.0  # +0.0 kills -0.0
+    for a in (terms, witness):
+        a.setflags(write=False)
     return MagicResult(c_value=c_value, f_star=f_star, mixture_weights=lam,
-                       dual_witness=witness, f_lhs=f_lhs)
-
-
-def _witness_matrix(yvec: np.ndarray, n: int) -> np.ndarray:
-    """The read-only Hermitian witness sum_alpha y_alpha A_alpha / 2**n."""
-    witness = (yvec @ _operator_stack(n).reshape(4 ** n, -1)).reshape(2 ** n, -1) / 2 ** n
-    witness = (witness + witness.conj().T) / 2
-    witness.setflags(write=False)
-    return witness
+                       dual_witness=witness, f_lhs=f_lhs, witness_terms=terms)
 
 
 def sign_witness(b) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +192,9 @@ def sign_witness(b) -> tuple[np.ndarray, np.ndarray]:
 
 def c_closed_form(phi: float) -> float:
     """C of P(phi)|+>: (|sin phi| + |cos phi| - 1)/2, pi/2-periodic.  Values
-    below CLAMP_TOL are reported as exactly zero, as in octahedron_distance."""
+    below CLAMP_TOL are reported as exactly zero, as in octahedron_distance.
+    A non-finite phi raises ValueError."""
+    _require_finite(phi)
     c = float(abs(np.sin(phi)) + abs(np.cos(phi)) - 1.0) / 2.0
     return 0.0 if c < CLAMP_TOL else c
 
@@ -201,13 +204,16 @@ def octahedron_distance(bloch_vec) -> float | np.ndarray:
 
     Takes one Bloch vector and returns a float, or an array of them along the
     last axis and returns an array.  Values below CLAMP_TOL are reported as
-    exactly zero.  It is wigner_distance's C on single-qubit states (the
-    polytope is the octahedron |x|+|y|+|z| <= 1 in Bloch coordinates), and
-    the tests check it against the 1-qubit LP.
+    exactly zero; a NaN or infinite coordinate raises ValueError.  It is
+    wigner_distance's C on single-qubit states (the polytope is the
+    octahedron |x|+|y|+|z| <= 1 in Bloch coordinates), and the tests check
+    it against the 1-qubit LP.
     """
     b = np.asarray(bloch_vec, dtype=float)
     if b.shape[-1:] != (3,):
         raise ValueError("Bloch vectors need 3 components along the last axis")
+    if not np.isfinite(b).all():
+        raise ValueError(f"Bloch vectors must be finite, got {b[~np.isfinite(b)][0]}")
     c = (np.abs(b).sum(axis=-1) - 1.0) / 2.0
     c = np.where(c < CLAMP_TOL, 0.0, c)
     return float(c) if c.ndim == 0 else c

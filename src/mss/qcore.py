@@ -38,8 +38,6 @@ I2 = _frozen(np.eye(2))
 X = _frozen([[0, 1], [1, 0]])
 Y = _frozen([[0, -1j], [1j, 0]])
 Z = _frozen([[1, 0], [0, -1]])
-H = _frozen(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
-S = _frozen([[1, 0], [0, 1j]])
 
 # The Pauli basis (I, X, Y, Z) on one qubit.
 _PAULIS = _frozen(np.stack([I2, X, Y, Z]))

@@ -7,11 +7,12 @@ two.
 
 One qubit: the six Pauli eigenstates, one table.  Two qubits: the 36 products
 of those, plus the 24 maximally entangled states (I (x) C)|Phi+>, one per
-single-qubit Clifford C, read off C's entries.  Every Wigner entry is a
-multiple of 1/2 (n = 1) or 1/8 (n = 2), so the vectors are snapped to that
-grid and the vertex matrix is exact.  The build fails if a Wigner value has
-an imaginary part above 1e-12, if an entry moved by more than 1e-12 in the
-snap, or if the distinct vectors do not number exactly the count above.
+single-qubit Clifford C, read off C's entries.  A pure stabilizer state's
+Pauli terms s_P = <psi|P|psi> are 0 or +-1, so they are snapped to those and
+the vertex matrix, G_n s / 4**n in :mod:`mss.wigner`'s table, is exact.  The
+build fails if a term has an imaginary part above 1e-12, if a term moved by
+more than 1e-12 in the snap, or if the distinct vectors do not number
+exactly the count above.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .qcore import PureState, Record
-from .wigner import _operator_stack
+from .wigner import _tables
 
 _R = 1 / np.sqrt(2)
 
@@ -60,23 +61,25 @@ def enumerate_stabilizer_states(n: int) -> StabilizerSet:
         entangled = np.array(single_qubit_cliffords()).transpose(0, 2, 1).reshape(-1, 4) * _R
         amps = np.concatenate([products, entangled]) + 0.0  # +0.0 kills -0.0 parts
 
-    w = np.einsum("si,aij,sj->sa", amps.conj(), _operator_stack(n), amps) / 2 ** n
-    if np.max(np.abs(w.imag)) > 1e-12:
-        raise RuntimeError("stabilizer Wigner values have imaginary parts above 1e-12")
-    step = 2.0 ** (1 - 2 * n)  # the grid: 1/2 at n = 1, 1/8 at n = 2
-    snapped = np.rint(w.real / step) * step + 0.0  # +0.0 kills -0.0 bytes
-    moved = float(np.max(np.abs(snapped - w.real)))
+    g, strings = _tables(n)
+    paulis = strings.reshape(len(strings), len(amps[0]), -1)
+    terms = np.einsum("si,kij,sj->sk", amps.conj(), paulis, amps)  # <psi|P|psi>
+    if np.max(np.abs(terms.imag)) > 1e-12:
+        raise RuntimeError("stabilizer Pauli terms have imaginary parts above 1e-12")
+    signs = np.rint(terms.real)
+    moved = float(np.max(np.abs(signs - terms.real)))
     if moved > 1e-12:
-        raise RuntimeError(f"stabilizer Wigner entry is {moved:.3g} off the 1/{1 / step:g} grid")
+        raise RuntimeError(f"stabilizer Pauli term is {moved:.3g} off the integers")
+    w = signs @ g.T / 4 ** n + 0.0  # one Wigner vector per row; +0.0 kills -0.0 bytes
 
     expected = 2 ** n * int(np.prod([2 ** k + 1 for k in range(1, n + 1)]))
-    distinct = len({row.tobytes() for row in snapped})
-    if len(snapped) != expected or distinct != expected:
-        raise RuntimeError(f"stabilizer construction gave {len(snapped)} states, "
+    distinct = len({row.tobytes() for row in w})
+    if len(w) != expected or distinct != expected:
+        raise RuntimeError(f"stabilizer construction gave {len(w)} states, "
                            f"{distinct} distinct, expected {expected}")
 
-    order = sorted(range(expected), key=lambda s: tuple(snapped[s]))
-    vertices = np.ascontiguousarray(snapped[order].T)
+    order = sorted(range(expected), key=lambda s: tuple(w[s]))
+    vertices = np.ascontiguousarray(w[order].T)
     vertices.setflags(write=False)
     return StabilizerSet(states=tuple(PureState(amps[s]) for s in order), vertex_matrix=vertices)
 

@@ -22,10 +22,10 @@ functional evaluates the Y term against the S-conjugated witness (same
 stabilizer bound, because Clifford conjugation permutes the polytope
 vertices), and the witness at sigma_{0|X} certifies the gap exactly.
 Every certification value is :func:`_functional_value` of Bloch vectors and
-the witness's Pauli terms: read off the witness matrix of
-:func:`solve_witness` by :func:`evaluate_functional`, and taken straight
-from :func:`magic.sign_witness` for the exact assemblage, the sampled point
-and every bootstrap replica.  No path solves an LP: the 1-qubit witness is
+the witness's Pauli terms: ``MagicResult.witness_terms`` in
+:func:`evaluate_functional`, and taken straight from
+:func:`magic.sign_witness` for the exact assemblage, the sampled point and
+every bootstrap replica.  No path solves an LP: the 1-qubit witness is
 in closed form.  No angle enters the certification path except through the
 assemblage states themselves.
 """
@@ -40,7 +40,7 @@ import numpy as np
 from . import tomo
 from .magic import MagicResult, octahedron_distance, sign_witness, wigner_distance
 from .protocol import _broadcast, _dealt
-from .qcore import _PAULIS, DensityMatrix, ValueRecord, bloch, dm_from_bloch, phase_ptm
+from .qcore import DensityMatrix, ValueRecord, bloch, dm_from_bloch, phase_ptm
 from .stabilizer import enumerate_stabilizer_states
 
 SETTINGS = ("X", "Y")
@@ -157,13 +157,13 @@ def _functional_value(b_x, b_y, h0, h):
 def evaluate_functional(assemblage: Assemblage, witness: MagicResult) -> CertificationRecord:
     """Certification functional: the average witness value over the X and Y
     outcome-0 members, with the Y term taken against the S-conjugated witness.
-    The witness's Pauli terms are read off its matrix, so any Hermitian
-    witness, such as :func:`solve_witness`'s closed form, can be evaluated.
+    The witness enters through its Pauli terms ``witness.witness_terms``,
+    such as those of :func:`solve_witness`'s closed form.
 
     For the ideal assemblage the gap above F_LHS equals C(phi); any
     stabilizer local-hidden-state assemblage stays at or below zero gap.
     """
-    h = np.einsum("aij,ji->a", _PAULIS, witness.dual_witness).real  # tr(H* P), P = I, X, Y, Z
+    h = witness.witness_terms  # tr(H* P), P = I, X, Y, Z
     f_value = _functional_value(bloch(assemblage.state("X", 0)), bloch(assemblage.state("Y", 0)),
                                 h[0], h[1:])
     return CertificationRecord(f_value=float(f_value), f_lhs=witness.f_lhs)

@@ -1,5 +1,7 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,14 +10,51 @@ from hypothesis import strategies as st
 
 import mss.magic
 from mss.magic import c_closed_form, octahedron_distance
-from mss.qcore import (ATOL_CONSTRUCT, ATOL_PSD, GATE_ATOL, I2, DensityMatrix, H, PureState, X, Y,
-                       Z, bloch, phase_gate, phase_plus, require_unitary, tensor, trace_distance)
+from mss.qcore import (ATOL_CONSTRUCT, ATOL_PSD, GATE_ATOL, I2, DensityMatrix, PureState, X, Y, Z,
+                       _frozen, bloch, phase_gate, phase_plus, require_unitary, tensor,
+                       trace_distance)
 from mss.stabilizer import enumerate_stabilizer_states
 from mss.tomo import CorrectedCounts
-from mss.wigner import _operator_stack, wigner_of
+from mss.wigner import wigner_of
 
 # Property tests draw the same examples on every run and keep no example database.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+# Clifford gates that only the tests' oracles apply.
+H = _frozen(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
+S = _frozen([[1, 0], [0, 1j]])
+
+# The 1-qubit phase-point operators A_qp = (I + (-1)^p X + (-1)^(q+p) Y + (-1)^q Z)/2,
+# written out from the formula: the oracle for mss.wigner's Pauli-coordinate table.
+_A1 = {(q, p): _frozen(0.5 * (I2 + (-1) ** p * X + (-1) ** (q + p) * Y + (-1) ** q * Z))
+       for q in (0, 1) for p in (0, 1)}
+
+
+def phase_points(n_qubits: int) -> list:
+    """All 4**n phase-space points, tuples of (q, p) pairs, in flat-index order."""
+    return list(product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=n_qubits))
+
+
+def phase_point_operator(point) -> np.ndarray:
+    """Hermitian trace-1 operator A_point, the Kronecker product of the
+    1-qubit ones (not PSD: 1-qubit eigenvalues (1 +- sqrt(3))/2); read-only
+    for one qubit, a fresh array for more."""
+    point = tuple((int(q), int(p)) for q, p in point)
+    if not point or any(q not in (0, 1) or p not in (0, 1) for q, p in point):
+        raise ValueError(f"invalid phase point {point!r}")
+    out = _A1[point[0]]
+    for qp in point[1:]:  # the Kronecker product out (x) A_qp as one broadcast multiply
+        d = 2 * len(out)
+        out = (out[:, None, :, None] * _A1[qp][:, None, :]).reshape(d, d)
+    return out
+
+
+@lru_cache(maxsize=None)
+def operator_stack(n_qubits: int) -> np.ndarray:
+    """All 4**n phase-point operators in flat-index order, built once per n, read-only."""
+    ops = np.stack([phase_point_operator(pt) for pt in phase_points(n_qubits)])
+    ops.setflags(write=False)
+    return ops
 
 
 def exact_corrected_counts(phi: float, basis: str, n_eff: float) -> CorrectedCounts:
@@ -375,10 +414,10 @@ def wigner_lp(rho):
 
 
 def reference_witness_matrix(yvec, n: int) -> np.ndarray:
-    """sum_alpha y_alpha A_alpha / 2**n through ``np.tensordot``, made
-    Hermitian: the form the witness's one matmul replaced, kept as its
-    bit-for-bit oracle."""
-    witness = np.tensordot(yvec, _operator_stack(n), 1) / 2 ** n
+    """sum_alpha y_alpha A_alpha / 2**n through ``np.tensordot`` over the
+    phase-point operators, made Hermitian: the oracle for the witness that
+    mss.magic builds from its Pauli terms."""
+    witness = np.tensordot(yvec, operator_stack(n), 1) / 2 ** n
     return (witness + witness.conj().T) / 2
 
 

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import mss
-from mss import magic, protocol, qcore, simplex, stabilizer, steering, tomo, wigner
+from mss import magic, protocol, qcore, simplex, stabilizer, steering, tomo
 
 SRC = Path(mss.__file__).resolve().parent
 
@@ -346,8 +346,15 @@ BAD_INPUTS = {
                           ValueError, "basis column indices must lie in [0, 3)"),
     "LP basis index 3": (lambda: simplex.solve_lp([1.0, 1.0, 0.0], [[1.0, 0.0, 1.0]], [2.0], [3]),
                          ValueError, "basis column indices must lie in [0, 3)"),
-    "phase point (2, 0)": (lambda: wigner.phase_point_operator(((2, 0),)), ValueError,
-                           "invalid phase point"),
+    "C at phi NaN": (lambda: magic.c_closed_form(math.nan), ValueError,
+                     "phi must be finite, got nan"),
+    "C at phi inf": (lambda: magic.c_closed_form(math.inf), ValueError,
+                     "phi must be finite, got inf"),
+    "NaN Bloch vector": (lambda: magic.octahedron_distance([math.nan, 0.0, 0.0]), ValueError,
+                         "Bloch vectors must be finite, got nan"),
+    "infinite Bloch vector": (lambda: magic.octahedron_distance([[0.5, 0.0, 0.0],
+                                                                [math.inf, 0.0, 0.0]]),
+                              ValueError, "Bloch vectors must be finite, got inf"),
 }
 
 

@@ -537,10 +537,10 @@ witness_trace,0.7071067811865475
 bloch.0,0.7071067811865475
 bloch.1,0.7071067811865474
 bloch.2,0.0
-wigner.0,0.6035533905932737
-wigner.1,-0.10355339059327379
-wigner.2,0.24999999999999994
-wigner.3,0.24999999999999994
+wigner.0,0.6035533905932736
+wigner.1,-0.10355339059327376
+wigner.2,0.24999999999999997
+wigner.3,0.2499999999999999
 mixture.0,0.0
 mixture.1,0.0
 mixture.2,0.0

@@ -19,11 +19,10 @@ from mss.magic import (
     wigner_distance,
 )
 from mss.qcore import (
+    _PAULIS,
     I2,
     DensityMatrix,
-    H,
     PureState,
-    S,
     X,
     Y,
     Z,
@@ -36,17 +35,11 @@ from mss.qcore import (
 from mss.simplex import SimplexError, solve_lp
 from mss.stabilizer import enumerate_stabilizer_states, single_qubit_cliffords
 from mss.steering import build_assemblage, solve_witness
-from mss.wigner import (
-    _PHASE_POINT_BLOCH,
-    _operator_stack,
-    as_wigner_vector,
-    phase_point_operator,
-    phase_points,
-    wigner_of,
-)
+from mss.wigner import _PHASE_POINT_BLOCH, _tables, as_wigner_vector, wigner_of
 
-from conftest import (PROPERTY, apply_1q, bloch_vectors, oracle_states, random_density,
-                      random_pure_state, reference_witness_matrix, wigner_lp)
+from conftest import (PROPERTY, H, S, apply_1q, bloch_vectors, operator_stack, oracle_states,
+                      phase_point_operator, phase_points, random_density, random_pure_state,
+                      reference_witness_matrix, wigner_lp)
 from test_simplex import reference_solve_lp
 
 SQRT2 = np.sqrt(2.0)
@@ -184,6 +177,24 @@ class TestWignerDistance:
         res = wigner_distance(random_density(1, rng))
         np.testing.assert_allclose(res.dual_witness, res.dual_witness.conj().T, atol=1e-12)
 
+    def test_two_qubit_witness_is_exactly_hermitian(self, rng):
+        # Byte-equal to its conjugate transpose once that has its -0.0 parts made +0.0.
+        checked = 0
+        for rho in oracle_states(2, rng, 25):
+            w = wigner_distance(rho).dual_witness
+            checked += bool(w.any())
+            assert (w.conj().T + 0.0).tobytes() == w.tobytes()
+        assert checked > 40
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_witness_terms_are_the_traces_against_each_pauli(self, n, rng):
+        paulis = _PAULIS if n == 1 else np.array([np.kron(a, b) for a in _PAULIS for b in _PAULIS])
+        for rho in oracle_states(n, rng, 10):
+            res = wigner_distance(rho)
+            h = np.einsum("aij,ji->a", paulis, res.dual_witness)
+            assert np.abs(h - res.witness_terms).max() <= 1e-15
+            assert res.witness_terms.dtype == float and not res.witness_terms.flags.writeable
+
     def test_clifford_invariance(self, rng):
         for u in single_qubit_cliffords():
             for _ in range(3):
@@ -237,7 +248,7 @@ class TestWignerDistance:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_witness_contraction_matches_the_generator_sum(self, n, rng):
-        ops = _operator_stack(n)
+        ops = operator_stack(n)
         for i in range(20):
             y = rng.uniform(-1.0, 1.0, 4 ** n)
             old = sum(coef * op for coef, op in zip(y, ops))
@@ -250,20 +261,22 @@ class TestWignerDistance:
                                        rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_witness_matmul_matches_the_tensordot_oracle(self, n, rng):
-        # Random duals, and duals on the box's faces with signed zeros.
+    def test_witness_from_terms_matches_the_phase_point_sum(self, n, rng):
+        # Random duals y, and duals on the box's faces with signed zeros, as
+        # Pauli terms G_n^T y / 2**n.
         ys = [rng.uniform(-1.0, 1.0, 4 ** n) for _ in range(200)]
         ys += [rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], 4 ** n) for _ in range(50)]
+        g = _tables(n)[0]
         for y in ys:
-            got = mss.magic._witness_matrix(y, n)
-            assert got.tobytes() == reference_witness_matrix(y, n).tobytes()
+            got = mss.magic._result(0.0, None, None, y @ g / 2 ** n, 0.0).dual_witness
+            assert np.abs(got - reference_witness_matrix(y, n)).max() <= 1e-15
             assert not got.flags.writeable
 
     def test_one_qubit_witness_is_the_lp_vertex_construction(self, rng):
         # The oracle builds the sign witness from its phase-point coordinates:
         # y_a = tr(A_a (s . sigma))/2, centred in [-1, 1], summed as
         # sum_a y_a A_a / 2, with F_LHS the largest vertex value of y.
-        ops = _operator_stack(1)
+        ops = operator_stack(1)
         checked = 0
         for i in range(3000):
             b = rng.normal(size=3)
@@ -280,6 +293,7 @@ class TestWignerDistance:
             want = (y @ ops.reshape(4, -1)).reshape(2, -1) / 2
             want = (want + want.conj().T) / 2
             assert res.dual_witness.tobytes() == want.tobytes()
+            assert res.witness_terms.tobytes() == np.array([-(y0.max() + y0.min()), *s]).tobytes()
             assert res.f_lhs.hex() == float((y @ _lp_constants(1)[0]).max()).hex()
             assert not res.dual_witness.flags.writeable
         assert checked > 1500

@@ -25,7 +25,6 @@ from mss.protocol import (
     x_rotation_family,
 )
 from mss.qcore import (
-    H,
     PureState,
     Z,
     bloch,
@@ -37,10 +36,10 @@ from mss.qcore import (
     trace_distance,
 )
 
-from conftest import (apply_1q, dyadic_register, fidelity, ghz, partial_trace, project_measure,
-                      random_unitary, reference_branch_tensor, reference_deliver_with_gate,
-                      reference_exact_branches, reference_history, reference_magic_scan,
-                      reference_pauli_tensor, reference_security_report)
+from conftest import (H, apply_1q, dyadic_register, fidelity, ghz, partial_trace,
+                      project_measure, random_unitary, reference_branch_tensor,
+                      reference_deliver_with_gate, reference_exact_branches, reference_history,
+                      reference_magic_scan, reference_pauli_tensor, reference_security_report)
 
 
 def reference_run_exact(phi, n, outcomes=None, seed=None):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from mss import stabilizer
-from mss.qcore import DensityMatrix, H, I2, PureState, S, X, Y, Z, bloch, phase_gate
+from mss.qcore import DensityMatrix, I2, PureState, X, Y, Z, bloch, phase_gate
 from mss.stabilizer import StabilizerSet, enumerate_stabilizer_states, single_qubit_cliffords
 from mss.wigner import wigner_of
 
-from conftest import apply_1q
+from conftest import H, S, apply_1q
 
 _PAULI_LABELS_1Q = ("I", "X", "Y", "Z")
 _PAULI_MATS_1Q = (I2, X, Y, Z)

@@ -1,5 +1,7 @@
 """Steering assemblage and 1SDI certification tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -9,7 +11,7 @@ import mss.qcore
 from mss import steering, tomo
 from mss.magic import c_closed_form, octahedron_distance, wigner_distance
 from mss.protocol import _broadcast
-from mss.qcore import H, I2, S, X, Y, Z, bloch, dm_from_bloch, ket, phase_ptm, ptm
+from mss.qcore import I2, X, Y, Z, bloch, dm_from_bloch, ket, phase_ptm, ptm
 from mss.stabilizer import enumerate_stabilizer_states
 from mss.steering import (
     Assemblage,
@@ -24,7 +26,7 @@ from mss.steering import (
     z_setting_probe,
 )
 
-from conftest import (PROPERTY, bloch_vectors, closed_form_eta, exact_corrected_counts,
+from conftest import (PROPERTY, H, S, bloch_vectors, closed_form_eta, exact_corrected_counts,
                       reference_build_assemblage)
 
 SQRT2 = np.sqrt(2.0)
@@ -263,6 +265,15 @@ class TestCertification:
             got = certify_exact(phi)
             assert ((got.f_value.hex(), got.f_lhs.hex())
                     == (want.f_value.hex(), want.f_lhs.hex())), f"phi={phi!r}"
+
+    def test_functional_reads_the_witness_terms(self):
+        # Only witness_terms enter: a witness whose matrix alone is corrupted
+        # gives the same record.
+        for phi in (0.3, np.pi / 4, 2.0, -1.1):
+            a = build_assemblage(phi)
+            w = solve_witness(a)
+            corrupted = dataclasses.replace(w, dual_witness=1.001 * w.dual_witness + 0.5)
+            assert evaluate_functional(a, corrupted) == evaluate_functional(a, w)
 
     def test_lp_route_matches_on_the_clamp_sweep(self):
         # 400 random angles, the multiples of pi/4 in [-2pi, 2pi], and the

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mss import protocol, qcore, tomo
 from mss.magic import c_closed_form, wigner_distance
-from mss.qcore import H, I2, S, X, Y, Z, ket, phase_gate, phase_plus
+from mss.qcore import I2, X, Y, Z, ket, phase_gate, phase_plus
 from mss.steering import sampled_certification
 from mss.tomo import (
     DISTILLATION_THRESHOLD,
@@ -30,7 +30,7 @@ from mss.tomo import (
     stream_rng,
 )
 
-from conftest import PROPERTY, closed_form_eta, exact_corrected_counts, fidelity
+from conftest import PROPERTY, H, S, closed_form_eta, exact_corrected_counts, fidelity
 
 ZERO_NOISE = NoiseModel.none()
 ACCEPTANCE_NOISE = NoiseModel.symmetric(0.003, 0.015, 0.01)

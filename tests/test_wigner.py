@@ -2,24 +2,24 @@
 
 Expected vectors tagged as derived below were computed from the defining
 formula W(q,p) = tr(rho A_{(q,p)})/2 with Bloch decompositions, independent
-of the implementation's einsum path.
+of the implementation's Pauli-coordinate table.  The phase-point operators
+live in ``conftest`` as the oracle, and their own tests are here.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mss.qcore import (DensityMatrix, PureState, X, Y, Z, dm_from_bloch, maximally_mixed,
-                       phase_gate)
-from mss.wigner import (
-    _PHASE_POINT_BLOCH,
-    _operator_stack,
-    as_wigner_vector,
-    phase_point_operator,
-    phase_points,
-    wigner_of,
-)
+from mss.qcore import (_PAULIS, DensityMatrix, PureState, X, Y, Z, dm_from_bloch,
+                       maximally_mixed, phase_gate)
+from mss.wigner import _G1, _PHASE_POINT_BLOCH, _tables, as_wigner_vector, wigner_of
 
-from conftest import apply_1q, random_density
+from conftest import (apply_1q, operator_stack, phase_point_operator, phase_points,
+                      random_density)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PLUS = PureState(np.array([1, 1]) / np.sqrt(2))
 
@@ -33,7 +33,7 @@ def point_index(point) -> int:
 def state_from_wigner(w: np.ndarray) -> DensityMatrix:
     """Inverse map rho = sum_alpha w(alpha) A_alpha (round-trip partner of wigner_of)."""
     n = (len(w).bit_length() - 1) // 2
-    return DensityMatrix(np.tensordot(w, _operator_stack(n), axes=([0], [0])))
+    return DensityMatrix(np.tensordot(w, operator_stack(n), axes=([0], [0])))
 
 
 def brute_force_wigner(rho_mat: np.ndarray) -> np.ndarray:
@@ -71,8 +71,8 @@ class TestPhasePointOperators:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_cached_stack_matches_operators_and_is_read_only(self, n):
-        ops = _operator_stack(n)
-        assert ops is _operator_stack(n)
+        ops = operator_stack(n)
+        assert ops is operator_stack(n)
         for op, pt in zip(ops, phase_points(n)):
             assert op.tobytes() == phase_point_operator(pt).tobytes()
         with pytest.raises(ValueError):
@@ -94,6 +94,39 @@ class TestPhasePointOperators:
 
     def test_point_index_layout(self):
         assert [point_index(pt) for pt in phase_points(2)] == list(range(16))
+
+    @pytest.mark.parametrize("point", [((2, 0),), (), ((0, 0), (1, -1))],
+                             ids=["(2, 0)", "empty", "(1, -1) second"])
+    def test_invalid_point_is_refused(self, point):
+        with pytest.raises(ValueError, match="invalid phase point"):
+            phase_point_operator(point)
+
+
+class TestPauliTable:
+    def test_g1_rows_are_orthogonal_exactly(self):
+        assert not _G1.flags.writeable
+        assert (_G1 @ _G1.T == 4 * np.eye(4)).all()
+        assert (_G1[:, 0] == 1.0).all() and (_G1[:, 1:] == _PHASE_POINT_BLOCH).all()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tables_are_built_once_and_read_only(self, n):
+        g, strings = _tables(n)
+        assert _tables(n)[0] is g and _tables(n)[1] is strings
+        assert g.shape == (4 ** n, 4 ** n) and strings.shape == (4 ** n, 4 ** n)
+        assert not g.flags.writeable and not strings.flags.writeable
+
+    def test_two_qubit_tables_are_the_kronecker_products(self):
+        g, strings = _tables(2)
+        assert g.tobytes() == np.kron(_G1, _G1).tobytes()
+        want = np.array([np.kron(a, b) for a in _PAULIS for b in _PAULIS])
+        assert strings.tobytes() == want.reshape(16, 16).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_operators_are_the_table_rows_over_the_paulis(self, n):
+        # A_alpha = sum_P G_n[alpha, P] P / 2**n, exactly
+        g, strings = _tables(n)
+        ops = (g @ strings).reshape(operator_stack(n).shape) / 2 ** n
+        assert (ops == operator_stack(n)).all()
 
 
 class TestWignerOf:
@@ -120,6 +153,26 @@ class TestWignerOf:
             neg = np.where(got < 0)[0]
             assert list(neg) == [point_index(((0, 1),))]
             assert got[neg[0]] == pytest.approx((1 - np.cos(phi) - np.sin(phi)) / 4, abs=1e-12)
+
+    def test_matches_the_operator_stack_on_the_bench_states(self, monkeypatch):
+        # The magic2q benchmark items of seed 1: W from the Pauli terms agrees
+        # with tr(rho A_alpha) / 4 through the operator stack within 2.5e-16.
+        monkeypatch.syspath_prepend(str(ROOT))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        from bench.workloads import build_items
+
+        items = build_items("magic2q", 1)
+        assert len(items) == 200
+        for item in items:
+            want = np.einsum("aij,ji->a", operator_stack(2), item.rho.mat).real / 4
+            assert np.abs(wigner_of(item.rho) - want).max() <= 2.5e-16
+
+    def test_identity_term_is_the_trace(self):
+        # |+><+| has entries 0.4999999999999999, so tr rho = tr(rho X) = 1 - 2**-52:
+        # W's zeros are exact only when the I term is tr rho, not the constant 1.
+        plus = PureState(np.array([1, 1]) / np.sqrt(2)).density()
+        w = wigner_of(plus)
+        assert (w[1], w[3]) == (0.0, 0.0) and w[0] == w[2] == (1 - 2 ** -52) / 2
 
     def test_matches_brute_force_oracle(self, rng):
         for n in (1, 2):

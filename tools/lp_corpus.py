@@ -1,19 +1,21 @@
-"""Byte-identity corpus for the 2-qubit Wigner-distance LP.
+"""Byte-identity corpus for the 2-qubit Wigner-distance LP, field by field.
 
 For each seed 1..30 it builds the ``magic2q`` benchmark item list with
 ``bench.workloads.build_items`` and runs ``mss.magic.wigner_distance`` on
 every state, with ``mss.magic.solve_lp`` wrapped to record each
-``LPSolution``.  It prints one line per seed: the first 16 hex digits of a
-sha256 over every ``MagicResult`` field and every solve's ``iterations``,
-``flips``, ``fun``, ``x`` and ``duals``, then the seed, then the seed's
-total pivots and flips over its 200 solves.  Running it in two trees and
-diffing the outputs lists the seeds whose LP outcome differs:
+``LPSolution``.  Per seed it prints one line per ``MagicResult`` field and
+one per ``LPSolution`` field: the seed, the field, and the first 16 hex
+digits of a sha256 over that field's bytes in every result (or every solve)
+of the seed.  A last line per seed gives its solves and their total pivots
+and flips.  Running it in two trees and diffing the outputs lists the
+seeds, and the fields, whose LP outcome differs:
 
     python tools/lp_corpus.py > after.txt
     diff before.txt after.txt
 
-The benchmark's files are imported, never written: no bytecode is cached.
-The tool takes no options.
+A field that only one tree has shows as a line only that side prints.  The
+benchmark's files are imported, never written: no bytecode is cached.  The
+tool takes no options.
 """
 
 from __future__ import annotations
@@ -27,19 +29,21 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1, 31)
-SOLVE_FIELDS = ("iterations", "flips", "fun", "x", "duals")
 
 
 def _encode(value) -> bytes:
-    """A field's exact bytes: an array's dtype, shape and data, a number's repr."""
+    """A field's exact bytes, length-prefixed: an array's dtype, shape and
+    data, a number's repr."""
     if isinstance(value, np.ndarray):
-        return f"{value.dtype.str}{value.shape}".encode() + value.tobytes()
-    return repr(value).encode()
+        data = f"{value.dtype.str}{value.shape}".encode() + value.tobytes()
+    else:
+        data = repr(value).encode()
+    return len(data).to_bytes(8, "big") + data
 
 
-def seed_digest(seed: int) -> tuple[str, int, int]:
-    """The digest of one seed's ``magic2q`` item list, solved in this
-    process, with the total pivots and flips of its solves."""
+def seed_digests(seed: int) -> tuple[dict[str, str], int, int, int]:
+    """({"Type.field": digest}, solves, pivots, flips) of one seed's
+    ``magic2q`` item list, solved in this process."""
     import mss.magic
     from bench.workloads import build_items
 
@@ -51,22 +55,27 @@ def seed_digest(seed: int) -> tuple[str, int, int]:
         solves.append(solve_lp(*args, **kwargs))
         return solves[-1]
 
-    digest = hashlib.sha256()
-    pivots = flips = 0
+    digests = {}
     mss.magic.solve_lp = recorded
     try:
-        for item in items:
-            result = mss.magic.wigner_distance(item.rho)
-            parts = [_encode(getattr(result, f.name)) for f in dataclasses.fields(result)]
-            parts += [_encode(getattr(sol, name)) for sol in solves for name in SOLVE_FIELDS]
-            pivots += sum(sol.iterations for sol in solves)
-            flips += sum(sol.flips for sol in solves)
-            solves.clear()
-            for part in parts:
-                digest.update(len(part).to_bytes(8, "big") + part)
+        results = [mss.magic.wigner_distance(item.rho) for item in items]
     finally:
         mss.magic.solve_lp = solve_lp
-    return digest.hexdigest()[:16], pivots, flips
+    for records in (results, solves):
+        for f in dataclasses.fields(records[0]):
+            digest = hashlib.sha256()
+            for record in records:
+                digest.update(_encode(getattr(record, f.name)))
+            digests[f"{type(records[0]).__name__}.{f.name}"] = digest.hexdigest()[:16]
+    return (digests, len(solves), sum(sol.iterations for sol in solves),
+            sum(sol.flips for sol in solves))
+
+
+def seed_lines(seed: int) -> list[str]:
+    """The lines the tool prints for one seed."""
+    digests, solves, pivots, flips = seed_digests(seed)
+    lines = [f"{seed}  {name}  {digest}" for name, digest in digests.items()]
+    return lines + [f"{seed}  {solves} solves  {pivots} pivots  {flips} flips"]
 
 
 def main() -> int:
@@ -76,8 +85,7 @@ def main() -> int:
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     for seed in SEEDS:
-        digest, pivots, flips = seed_digest(seed)
-        print(f"{digest}  {seed}  {pivots} pivots  {flips} flips")
+        print("\n".join(seed_lines(seed)))
     return 0
 
 
