@@ -60,11 +60,11 @@ class MagicResult(Record):
 
 
 @lru_cache(maxsize=None)
-def _lp_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n-qubit vertex matrix F, constraint matrix A and cost c, read-only.
+def _lp_constants(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-qubit vertex matrix F and constraint matrix A, read-only.
 
     Variables [lambda (nv), u (k), v (k)], all nonnegative, minimising
-    sum u + sum v:
+    sum u + sum v (:mod:`mss.simplex` holds these costs):
       F lam + u - v = w       (u - v is the residual w - F lam)
       sum lam       = 1
     In the dual, the u and v columns box the first k entries, the witness
@@ -77,22 +77,21 @@ def _lp_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     A[:k, nv:nv + k] = np.eye(k)
     A[:k, nv + k:] = -np.eye(k)
     A[k, :nv] = 1.0
-    c = np.zeros(nv + 2 * k)
-    c[nv:] = 1.0
     A.setflags(write=False)
-    c.setflags(write=False)
-    return F, A, c
+    return F, A
 
 
 def wigner_distance(rho: DensityMatrix) -> MagicResult:
     """Wigner distance of a 1- or 2-qubit state with primal and dual certificates.
 
-    One qubit has a closed form (:func:`_octahedron_result`).  For two, the
-    simplex starts at the vertex F_j nearest to w in L1: lambda_j = 1 and,
+    One qubit has a closed form (:func:`_octahedron_result`).  For two, it
+    names the vertex F_j nearest to w in L1 and calls
+    ``solve_lp(A, w, j)`` on the read-only A of :func:`_lp_constants`, which
+    the simplex checks once.  The simplex starts there: lambda_j = 1 and,
     per row i, u_i = (w - F_j)_i if that is nonnegative, else
-    v_i = -(w - F_j)_i.  The lambda columns lead A and have no mirror, so
-    the simplex prices them before the u/v residual pairs, which enter only
-    when no lambda column can.  Where the nearest point or the optimal dual
+    v_i = -(w - F_j)_i.  The lambda columns have no mirror, so the simplex
+    prices them before the u/v residual pairs, which enter only when no
+    lambda column can.  Where the nearest point or the optimal dual
     is not unique, ``mixture_weights``, ``f_star``, the witness and
     ``f_lhs`` depend on that pivot path; C does not beyond round-off.
     When C is clamped to zero the state is free, and
@@ -106,13 +105,9 @@ def wigner_distance(rho: DensityMatrix) -> MagicResult:
     if n != 2:
         raise ValueError("wigner_distance supports n in {1, 2}")
     w = wigner_of(rho)
-    F, A, c = _lp_constants(n)
+    F, A = _lp_constants(n)
     k, nv = F.shape
-    residual = w[:, None] - F
-    j = int(np.abs(residual).sum(axis=0).argmin())
-    basis = [nv + i if r >= 0 else nv + k + i for i, r in enumerate(residual[:, j].tolist())]
-
-    sol = solve_lp(c, A, np.concatenate((w, (1.0,))), [*basis, j])
+    sol = solve_lp(A, w, int(np.abs(w[:, None] - F).sum(axis=0).argmin()))
     lam = np.maximum(sol.x[:nv], 0.0)
     lam /= lam.sum()
     lam.setflags(write=False)

@@ -1,29 +1,45 @@
-"""Dense simplex for small equality-form linear programs, started from a
-feasible basis the caller supplies.
+"""Dense simplex for the one linear program this package solves: the L1 fit
+of a Wigner vector w by a point of the stabilizer polytope conv(F).
 
-Solves  min c.x  subject to  A x = b,  x >= 0,  and returns both the primal
-optimum and the dual vector for the equality constraints.  There is no
-phase 1: the caller names m columns whose basic solution B^-1 b is
-nonnegative, as the L1-fitting LP of :mod:`mss.magic` can write one down
-directly.
+    min  sum u + sum v   over  lambda (nv), u (k), v (k) >= 0
+    s.t. F lambda + u - v = w     (u - v is the residual w - F lambda)
+         sum lambda       = 1
+
+The constraint matrix is A = [F | I | -I ; 1...1 | 0 | 0], with k + 1 rows
+and nv + 2k columns; the costs are 0 on lambda and 1 on u and v.
+:func:`solve_lp` returns the primal optimum and the dual vector for the
+k + 1 equality rows, started at a vertex F_j that the caller names.
+
+Once per matrix.  The first call with an A object checks that it is a
+read-only float array of that form with finite entries, and builds from it
+the read-only [A | I | e_k] template, the u/v mirror map, the costs and the
+start basis's costs c_B = (1, ..., 1, 0).  A memo keyed on the object, which
+holds a reference to it, serves every later call; no call reads A's bytes.
+Read-only is what makes the memo sound: A cannot change after its check.
+
+Per call.  w must be a finite float64 vector of length k and the vertex
+an integer in [0, nv).  The start basis holds u_i where w_i >= F_ij and v_i where
+w_i < F_ij, and lambda_j in the convexity row, so every basic value is
+|w_i - F_ij| or 1 (a check that none is below -TOL stays as a guard).
+Its tableau B^-1 [A | I | b] is written in closed form: the template with
+row i < k signed by that choice, then one rank-1 pivot on the convexity
+row, whose lambda_j entry is 1.  The cost row is [c | 0 | 0] - c_B times
+it, and carries the reduced costs, -y and -c.x.
 
 Each pivot follows Barrodale and Roberts (SIAM J. Numer. Anal. 10, 839,
-1973) in its pricing and its long step.  Columns j, j' with a_j' = -a_j are
-mirrors, such as the u_i and v_i halves of a residual; the solver finds them
-in A itself, and a column without one is structural, such as the lambda
-columns of the L1 fit.  Pricing is Dantzig's rule (the most negative reduced
-cost enters) in two stages: first over the structural columns alone, and
-only if none of them has a reduced cost below -TOL over every column.  A
-residual column thus enters only when no structural column can, and every
-pivot starts at stage one again.  An LP without mirrors prices every column
-in stage one, so its pivot path is plain Dantzig's.  The ratio test walks
-the breakpoints in ratio order.  At a breakpoint whose basic variable
-has a mirror, the variable can cross zero and live on as its mirror instead
-of leaving: the slope of the objective rises by (c_j + c_j') alpha_r, and
-while it is still below -TOL the row flips (it is negated, the cost row
-gains (c_j + c_j') times it, and the mirror takes the basis entry) and the
-step goes on.  The first breakpoint without a mirror, or the one where the
-slope would turn non-negative, leaves by the usual rank-1 pivot.
+1973) in its pricing and its long step.  u_i and v_i are mirrors (their
+columns negate each other); the lambda columns have none.  Pricing is
+Dantzig's rule (the most negative reduced cost enters) in two stages:
+first over the lambda columns alone, and only if none of them has a reduced
+cost below -TOL over every column.  A residual column thus enters only when
+no lambda column can, and every pivot starts at stage one again.  The ratio
+test walks the breakpoints in ratio order.  At a breakpoint whose basic
+variable is a residual, the variable can cross zero and live on as its
+mirror instead of leaving: the slope of the objective rises by 2 alpha_r,
+and while it is still below -TOL the row flips (it is negated, the cost row
+gains 2 times it, and the mirror takes the basis entry) and the step goes
+on.  The first lambda breakpoint, or the one where the slope would turn
+non-negative, leaves by the usual rank-1 pivot.
 
 Termination: either stage enters a column whose reduced cost, the slope at
 the start of the step, is below -TOL.  A step of length t > TOL therefore
@@ -35,31 +51,27 @@ smallest basic variable, no flips).
 A cycle would consist of degenerate steps alone, hence of Bland pivots alone,
 and Bland's rule does not cycle.  MAX_ITER pivots guard against round-off.
 
-When every cost is nonnegative, a basis whose objective is at most
+Every cost is nonnegative, so a basis whose objective is at most
 ZERO_OBJECTIVE is optimal to within that, and y = 0 is a dual for it: the
 loop stops there without the degenerate pivots that would otherwise prove
 it.  ZERO_OBJECTIVE sits far below TOL, so a solve that stops there reports
 an objective no caller reads as nonzero (:mod:`mss.magic` reports C = 0
 below 1e-10).
 
-Built for tens of rows and a few hundred columns.  Each call builds a fresh
-dense tableau, so concurrent solves are independent; it carries B^-1 as an
-extra block, so the duals are read off the cost row.  The start is
-Gauss-Jordan on a cached [A | I | b], with no inverse: a basis column that
-is +-e_i at its own position i costs row i's sign, any other one a rank-1
-pivot (one for the L1 fit's start).  A pivot prices in numpy, with no mask
-for the basic ones: stage one reads the structural columns' reduced costs
-through a slice where they lead the columns, as in every LP this package
-builds, and through an index array elsewhere.  It then reads the entering
-column and the right-hand side once as Python floats for the ratio test and
-the long step's slope.  A flip is two row operations, the negation in place;
-one rank-1 update of the tableau, written into a buffer allocated once per
-solve, ends the pivot.  The update's outer product is np.dot of the column
-as an (m+1) x 1 matrix and the pivot row as a 1 x (n+m+1) one: one BLAS
-call, cheaper at these sizes than np.multiply.outer's broadcast.  Each
-entry is one product, so the two agree to the bit except that BLAS drops
-the sign of a zero product; the sign of a zero means nothing here, and x
-and y report every zero as +0.0.
+Each call builds a fresh dense tableau, so concurrent solves are
+independent; it carries B^-1 as an extra block, so the duals are read off
+the cost row.  A pivot prices in numpy, with no mask for the basic columns,
+reading the lambda columns' reduced costs through a slice.  It then reads
+the entering column and the right-hand side once as Python floats for the
+ratio test and the long step's slope.  A flip is two row operations, the
+negation in place; one rank-1 update of the tableau, written into a buffer
+allocated once per solve, ends the pivot.  The update's outer product is
+np.dot of the column as an (m+1) x 1 matrix and the pivot row as a
+1 x (n+m+1) one: one BLAS call, cheaper at these sizes than
+np.multiply.outer's broadcast.  Each entry is one product, so the two agree
+to the bit except that BLAS drops the sign of a zero product; the sign of a
+zero means nothing here, and x and y report every zero as +0.0.  A w large
+enough to overflow the tableau is caught once, after the loop.
 TOL and MAX_ITER are module constants, read once per solve; no caller
 passes a tolerance or a cap.  ``tests/test_simplex.py`` keeps a scalar
 version of this rule, which must follow the same pivot path byte for byte.
@@ -67,28 +79,30 @@ version of this rule, which must follow the same pivot path byte for byte.
 
 from __future__ import annotations
 
-import operator
-from functools import lru_cache
-
 import numpy as np
 
 from .qcore import Record
 
 TOL = 1e-9
 MAX_ITER = 10_000
-ZERO_OBJECTIVE = 1e-12  # with c >= 0, an objective this small ends the solve
+ZERO_OBJECTIVE = 1e-12  # an objective this small ends the solve
+
+# id(A) -> (A, its layout).  Holding A keeps its id from being reused.  A
+# caller keeps one A per problem size, so the memo stays small; it is
+# emptied when full.
+_LAYOUTS: dict[int, tuple] = {}
 
 
 class SimplexError(RuntimeError):
-    """Infeasible start, overflowing tableau, unbounded objective or iteration cap exceeded."""
+    """Infeasible start, overflowing tableau, unbounded step or iteration cap exceeded."""
 
 
 class LPSolution(Record):
     """Optimum of one :func:`solve_lp` call, with its duals and pivot counts."""
 
-    x: np.ndarray          # primal optimum, length n, read-only
+    x: np.ndarray          # primal optimum [lambda, u, v], read-only
     fun: float             # optimal objective value
-    duals: np.ndarray      # dual vector y for the equality rows, length m, read-only
+    duals: np.ndarray      # dual vector y for the k + 1 equality rows, read-only
     iterations: int        # entering pivots
     flips: int             # rows that swapped a variable for its mirror mid-step
 
@@ -96,124 +110,104 @@ class LPSolution(Record):
         self.__dict__.update(x=x, fun=fun, duals=duals, iterations=iterations, flips=flips)
 
 
-def solve_lp(c, A, b, basis) -> LPSolution:
-    """Simplex on min c.x, A x = b, x >= 0 from the starting ``basis``.
+def solve_lp(A, w, vertex) -> LPSolution:
+    """The L1 fit min ||w - F lambda||_1 over the simplex, from the vertex F_vertex.
 
-    ``basis`` lists one column index in [0, n) per row.  Raises ValueError,
-    before any arithmetic, for an ``A`` that is not 2-D, inconsistent
-    dimensions, a basis entry that is no integer or lies outside that range,
-    or a complex, NaN or infinite entry in ``A``, ``b`` or ``c``.
-    Raises SimplexError if those columns are singular, if the tableau
-    overflows, if the start's basic solution has an entry below ``-TOL``, if
-    the objective is unbounded, or if the pivot count exceeds ``MAX_ITER``.
+    ``A`` is the read-only [F | I | -I ; 1...1 | 0 | 0] of the module
+    docstring, ``w`` has one entry per row of F and ``vertex`` indexes a
+    column of F.  Raises ValueError, before any arithmetic, for an ``A`` not
+    of that form, writable or not finite (checked once per object), for a
+    ``w`` that is not a float64 vector of length k or holds a NaN or an
+    infinity, or for a ``vertex`` that is no integer in [0, nv).  Raises
+    SimplexError if the start's basic solution has an entry below ``-TOL``,
+    if the tableau overflows, if a step is unbounded, or if the pivot count
+    exceeds ``MAX_ITER``.
     """
-    A, b, c = np.asarray(A), np.asarray(b), np.asarray(c)
-    for name, v in zip("Abc", (A, b, c)):
-        if v.dtype.kind == "c":
-            raise ValueError(f"{name} must be real")
-    if A.ndim != 2:
-        raise ValueError(f"A must be 2-D, got {A.ndim} dimensions")
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    c = np.asarray(c, dtype=float).reshape(-1)
-    m, n = A.shape
-    try:
-        basis = [operator.index(j) for j in basis]
-    except TypeError:
-        raise ValueError("basis entries must be integers") from None
-    if b.size != m or c.size != n or len(basis) != m:
-        raise ValueError("inconsistent LP dimensions")
-    if not all(0 <= j < n for j in basis):
-        raise ValueError(f"basis column indices must lie in [0, {n})")
-    mirror, structural, priced, unit_row, unit_sign, template = _columns(A.tobytes(), m, n)
-    for name, vector in (("b", b), ("c", c)):
-        if not np.isfinite(vector).all():
-            raise ValueError(f"{name} must be finite")
+    template, mirror, costs, cost_list, c_B = _layout(A)
+    m, n = len(c_B), len(costs)
+    k, nv = m - 1, n - 2 * (m - 1)
+    w = np.asarray(w)
+    if w.dtype != float or w.shape != (k,) or not np.isfinite(w).all():
+        raise ValueError(f"w must be a finite float64 vector of length {k}")
+    if not (isinstance(vertex, (int, np.integer)) and 0 <= vertex < nv):
+        raise ValueError(f"vertex must be an integer in [0, {nv})")
 
-    # The tableau: rows B^-1 [A | I | b], row i holding basic variable
-    # basis[i], over the cost row [c | 0 | 0] - c_B B^-1 [A | I | b], which
-    # carries the reduced costs, -y and -c.x.  A column pivots on the unused
-    # row with its largest entry; the rows are then put in basis order.
-    sign = np.array([unit_sign[j] if unit_row[j] == i else 1.0 for i, j in enumerate(basis)])
-    unused = [i for i, j in enumerate(basis) if unit_row[j] != i]
-    tab = np.zeros((m + 1, n + m + 1))
+    negative = w < template[:k, vertex]
+    basis = [*(np.arange(nv, nv + k) + k * negative).tolist(), vertex]
+    sign = np.where(negative, -1.0, 1.0)
+    tab = np.empty((m + 1, n + m + 1))
     work = tab[:m]
-    np.multiply(template, sign[:, None], out=work)
-    work[:, -1] = b * sign
-    rows = list(range(m))
-    # Badly scaled input can overflow; checked after the start and the pivots.
+    # Badly scaled input can overflow; checked once, after the pivots.  The
+    # start is B^-1 [A | I | b]: the rows i < k signed by the u/v choice, then
+    # one rank-1 pivot on the convexity row, whose lambda_vertex entry is 1.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in unused[:]:
-            column = work[:, basis[i]]
-            p = max(unused, key=lambda r: abs(column[r]))
-            if column[p] == 0.0:
-                raise SimplexError("infeasible starting basis: singular basis matrix")
-            pivot = work[p] / column[p]
-            work -= np.dot(column[:, None], pivot[None, :])
-            work[p] = pivot
-            rows[i] = p
-            unused.remove(p)
-        if rows != sorted(rows):
-            work[:] = work[rows]
-        tab[m, :n] = c
-        tab[m] -= c[basis] @ work
-        if not np.isfinite(tab).all():
-            raise SimplexError("start tableau overflows: A, b or c is badly scaled")
+        np.multiply(template[:k], sign[:, None], out=work[:k])
+        np.multiply(w, sign, out=work[:k, -1])
+        work[k] = template[k]
+        work[:k] -= np.dot(work[:k, vertex, None], template[k, None])
+        tab[m, :n] = costs
+        tab[m, n:] = 0.0
+        tab[m] -= c_B @ work
         if tab[:m, -1].min() < -TOL:
             raise SimplexError(
                 f"infeasible starting basis: basic value {tab[:m, -1].min():.3e}")
-
-        iterations, flips, at_zero = _pivot_loop(
-            tab, basis, mirror, structural, priced, c.tolist(), stop_at_zero=bool(c.min() >= 0.0))
+        iterations, flips, at_zero = _pivot_loop(tab, basis, mirror, nv, cost_list)
     if not np.isfinite(tab).all():
-        raise SimplexError("tableau overflows in a pivot: A, b or c is badly scaled")
+        raise SimplexError("tableau overflows: w is badly scaled")
 
     # The sign of a zero depends on the BLAS update, so every zero is
     # reported as +0.0: + 0.0 and 0.0 - map -0.0 to +0.0.
     x = np.zeros(n)
     x[basis] = tab[:m, -1] + 0.0
-    # At an objective of at most ZERO_OBJECTIVE with c >= 0, y = 0 is dual
-    # optimal to within that.
+    # At an objective of at most ZERO_OBJECTIVE, y = 0 is dual optimal to
+    # within that.
     y = np.zeros(m) if at_zero else 0.0 - tab[m, n:n + m]
     x.setflags(write=False)
     y.setflags(write=False)
-    return LPSolution(x=x, fun=float(c @ x), duals=y, iterations=iterations, flips=flips)
+    return LPSolution(x=x, fun=float(costs @ x), duals=y, iterations=iterations, flips=flips)
 
 
-@lru_cache(maxsize=16)
-def _columns(matrix: bytes, m: int, n: int):
-    """(mirror, structural, priced, unit_row, unit_sign, template) of the
-    m x n matrix A, given as its bytes: for each column j the first column j'
-    with A[:, j'] == -A[:, j] or -1; the columns without a mirror, as a tuple
-    and as the index that reads their reduced costs (a slice when they lead,
-    as in every LP this package builds, else an index array); the i with
-    A[:, j] == +-e_i or -1, and A[i, j]; and the read-only [A | I | 0].
-    Raises ValueError if A holds a NaN or an infinity.  Cached by content: a
-    caller solves many LPs over one A."""
-    A = np.frombuffer(matrix).reshape(m, n)
-    if not np.isfinite(A).all():
-        raise ValueError("A must be finite")
-    # -0.0 + 0.0 is 0.0, so signed zeros compare equal as bytes.
-    cols = A.T + 0.0
-    first: dict[bytes, int] = {}
-    for j, col in enumerate(cols):
-        first.setdefault(col.tobytes(), j)
-    mirror = tuple(first.get((0.0 - col).tobytes(), -1) for col in cols)
-    structural = tuple(j for j in range(n) if mirror[j] < 0)
-    leading = structural == tuple(range(len(structural)))
-    priced = slice(0, len(structural)) if leading else np.array(structural)
-    row = np.abs(A).argmax(axis=0)
-    sign = A[row, np.arange(n)]
-    unit = (np.count_nonzero(A, axis=0) == 1) & (np.abs(sign) == 1.0)
-    template = np.hstack([A, np.eye(m), np.zeros((m, 1))])
-    template.setflags(write=False)
-    return mirror, structural, priced, np.where(unit, row, -1).tolist(), sign.tolist(), template
+def _layout(A) -> tuple:
+    """(template, mirror, costs, cost_list, c_B) of the L1 fit's matrix
+    ``A``, checked and built on the first call with that object: the
+    read-only [A | I | e_k], each column's mirror (u_i and v_i; -1 for
+    lambda), the costs as an array and as floats, and the start basis's
+    costs.  Raises ValueError for an ``A`` that is not a read-only float64
+    [F | I | -I ; 1...1 | 0 | 0] with F finite, or that views a writable
+    array."""
+    entry = _LAYOUTS.get(id(A))
+    if entry is not None:
+        return entry[1]
+    if not isinstance(A, np.ndarray) or A.dtype != float or A.ndim != 2:
+        raise ValueError("A must be a 2-D float64 array")
+    base = A
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            raise ValueError("A must be read-only, and so must every array it views")
+        base = base.base
+    m, n = A.shape
+    k, nv = m - 1, n - 2 * (m - 1)
+    eye = np.eye(k)
+    if not (k > 0 and nv > 0 and np.isfinite(A).all() and (A[:k, nv:nv + k] == eye).all()
+            and (A[:k, nv + k:] == -eye).all() and (A[k, :nv] == 1.0).all()
+            and not A[k, nv:].any()):
+        raise ValueError("A must be [F | I | -I ; 1...1 | 0 | 0] with F finite")
+    template = np.hstack([A, np.eye(m), np.eye(m)[:, -1:]])
+    costs = np.repeat([0.0, 1.0], [nv, 2 * k])
+    c_B = np.repeat([1.0, 0.0], [k, 1])
+    for array in (template, costs, c_B):
+        array.setflags(write=False)
+    mirror = (*[-1] * nv, *range(nv + k, n), *range(nv, nv + k))
+    if len(_LAYOUTS) >= 16:
+        _LAYOUTS.clear()
+    _LAYOUTS[id(A)] = A, (template, mirror, costs, costs.tolist(), c_B)
+    return _LAYOUTS[id(A)][1]
 
 
-def _pivot_loop(tab, basis, mirror, structural, priced, costs,
-                stop_at_zero: bool) -> tuple[int, int, bool]:
+def _pivot_loop(tab, basis, mirror, nv, costs) -> tuple[int, int, bool]:
     """Pivot ``tab`` and ``basis`` to optimality in place; returns (pivots,
-    flips, whether it stopped at an objective of at most ZERO_OBJECTIVE)."""
+    flips, whether it stopped at an objective of at most ZERO_OBJECTIVE).
+    The first ``nv`` columns are the lambda columns."""
     tol, max_iter = TOL, MAX_ITER
     iterations = flips = 0
     m, n = len(basis), len(mirror)
@@ -225,7 +219,7 @@ def _pivot_loop(tab, basis, mirror, structural, priced, costs,
     # to 1e-12), far above -tol, and neither rule can pick one.
     bland = False
     while True:
-        if stop_at_zero and -cost[-1] <= ZERO_OBJECTIVE:
+        if -cost[-1] <= ZERO_OBJECTIVE:
             return iterations, flips, True
         if bland:
             eligible = reduced < -tol
@@ -233,9 +227,9 @@ def _pivot_loop(tab, basis, mirror, structural, priced, costs,
             if not eligible[entering]:
                 return iterations, flips, False
         else:
-            # Stage one prices the structural columns, stage two every column.
-            entering = structural[int(reduced[priced].argmin())] if structural else -1
-            if entering < 0 or not reduced[entering] < -tol:
+            # Stage one prices the lambda columns, stage two every column.
+            entering = int(reduced[:nv].argmin())
+            if not reduced[entering] < -tol:
                 entering = int(reduced.argmin())
                 if not reduced[entering] < -tol:
                     return iterations, flips, False

@@ -393,24 +393,19 @@ def oracle_states(n, rng, per_class):
                                                              chosen)))
 
 
-def nearest_vertex_basis(F, w):
-    """The L1 fit's start at the column F_j nearest to w in L1: u_i or v_i
-    per residual row, by the sign of (w - F_j)_i, then lambda_j."""
-    k, nv = F.shape
-    residual = w[:, None] - F
-    j = int(np.abs(residual).sum(axis=0).argmin())
-    rows = np.arange(k)
-    return [*np.where(residual[:, j] >= 0, nv + rows, nv + k + rows).tolist(), j]
+def nearest_vertex(F, w):
+    """The column of F nearest to w in L1, where the L1 fit starts."""
+    return int(np.abs(w[:, None] - F).sum(axis=0).argmin())
 
 
 def wigner_lp(rho):
     """The Wigner-distance LP of a 1- or 2-qubit state on mss.magic's tables,
-    started at the nearest vertex: (c, A, b, basis), the call
-    wigner_distance makes for two qubits.  One qubit has a closed form, and
-    its LP is kept here as that form's oracle."""
+    started at the nearest vertex: (A, w, vertex), the call wigner_distance
+    makes for two qubits.  One qubit has a closed form, and its LP is kept
+    here as that form's oracle."""
     w = wigner_of(rho)
-    F, A, c = mss.magic._lp_constants(rho.n_qubits)
-    return c, A, np.append(w, 1.0), nearest_vertex_basis(F, w)
+    F, A = mss.magic._lp_constants(rho.n_qubits)
+    return A, w, nearest_vertex(F, w)
 
 
 def reference_witness_matrix(yvec, n: int) -> np.ndarray:

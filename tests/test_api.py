@@ -84,7 +84,7 @@ def _records():
         protocol.check_gate_admissibility(protocol.phase_gate_family, [0.3, 0.7]),
         qcore.phase_plus(0.3),
         qcore.phase_plus(0.3).density(),
-        simplex.solve_lp([1.0, 1.0], [[1.0, 1.0]], [1.0], [0]),
+        simplex.solve_lp(magic._lp_constants(2)[1], np.full(16, 1 / 16), 0),
         stabilizer.enumerate_stabilizer_states(2),
         steering.build_assemblage(0.3),
         steering.certify_exact(0.3),
@@ -314,6 +314,9 @@ def _lopsided_assemblage():
 
 
 _ZERO_STATE = qcore.ket("0")
+# The L1 fit of one number over the vertices 0, 1 and 2.
+_L1_FIT = np.array([[0.0, 1.0, 2.0, 1.0, -1.0], [1.0, 1.0, 1.0, 0.0, 0.0]])
+_L1_FIT.setflags(write=False)
 BAD_INPUTS = {
     "keep bit 2": (lambda: tomo.post_select_and_correct(
         tomo.sample_run(0.3, "X", 16, tomo.NoiseModel.none(), seed=1), 2),
@@ -340,12 +343,20 @@ BAD_INPUTS = {
     "empty ket": (lambda: qcore.ket(""), ValueError, "bit label must be nonempty"),
     "mixed tensor": (lambda: qcore.tensor(_ZERO_STATE, _ZERO_STATE.density()), TypeError,
                      "two PureStates or two DensityMatrices"),
-    "LP dimensions": (lambda: simplex.solve_lp([1.0, 1.0, 1.0], [[1.0, 1.0]], [1.0], [0]),
-                      ValueError, "inconsistent LP dimensions"),
-    "LP basis index -1": (lambda: simplex.solve_lp([1.0, 1.0, 0.0], [[1.0, 0.0, 1.0]], [2.0], [-1]),
-                          ValueError, "basis column indices must lie in [0, 3)"),
-    "LP basis index 3": (lambda: simplex.solve_lp([1.0, 1.0, 0.0], [[1.0, 0.0, 1.0]], [2.0], [3]),
-                         ValueError, "basis column indices must lie in [0, 3)"),
+    "LP dimensions": (lambda: simplex.solve_lp(_L1_FIT, [0.5, 0.5], 0), ValueError,
+                      "w must be a finite float64 vector of length 1"),
+    "LP basis index -1": (lambda: simplex.solve_lp(_L1_FIT, [0.5], -1), ValueError,
+                          "vertex must be an integer in [0, 3)"),
+    "LP basis index 3": (lambda: simplex.solve_lp(_L1_FIT, [0.5], 3), ValueError,
+                         "vertex must be an integer in [0, 3)"),
+    "LP w NaN": (lambda: simplex.solve_lp(_L1_FIT, [math.nan], 0), ValueError,
+                 "w must be a finite float64 vector of length 1"),
+    "LP w inf": (lambda: simplex.solve_lp(_L1_FIT, [math.inf], 0), ValueError,
+                 "w must be a finite float64 vector of length 1"),
+    "LP writable A": (lambda: simplex.solve_lp(_L1_FIT.copy(), [0.5], 0), ValueError,
+                      "A must be read-only"),
+    "LP non-L1 A": (lambda: simplex.solve_lp(_L1_FIT[:, :-1], [0.5], 0), ValueError,
+                    "A must be [F | I | -I ; 1...1 | 0 | 0] with F finite"),
     "C at phi NaN": (lambda: magic.c_closed_form(math.nan), ValueError,
                      "phi must be finite, got nan"),
     "C at phi inf": (lambda: magic.c_closed_form(math.inf), ValueError,

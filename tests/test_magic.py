@@ -32,7 +32,7 @@ from mss.qcore import (
     phase_plus,
     tensor,
 )
-from mss.simplex import SimplexError, solve_lp
+from mss.simplex import solve_lp
 from mss.stabilizer import enumerate_stabilizer_states, single_qubit_cliffords
 from mss.steering import build_assemblage, solve_witness
 from mss.wigner import _PHASE_POINT_BLOCH, _tables, as_wigner_vector, wigner_of
@@ -40,7 +40,7 @@ from mss.wigner import _PHASE_POINT_BLOCH, _tables, as_wigner_vector, wigner_of
 from conftest import (PROPERTY, H, S, apply_1q, bloch_vectors, operator_stack, oracle_states,
                       phase_point_operator, phase_points, random_density, random_pure_state,
                       reference_witness_matrix, wigner_lp)
-from test_simplex import reference_solve_lp
+from test_simplex import general_form, highs_l1_fit, reference_solve_lp
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -243,8 +243,8 @@ class TestWignerDistance:
         for arr in _lp_constants(n):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
-        F, A, c = _lp_constants(n)
-        assert A.shape == (4 ** n + 1, F.shape[1] + 2 * 4 ** n) and c.sum() == 2 * 4 ** n
+        F, A = _lp_constants(n)
+        assert A.shape == (4 ** n + 1, F.shape[1] + 2 * 4 ** n)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_witness_contraction_matches_the_generator_sum(self, n, rng):
@@ -336,17 +336,7 @@ def reference_wigner_lp(rho):
 
 def scipy_wigner_lp(rho):
     """C(rho) from scipy's HiGHS on min ||w - F lam||_1 over the simplex."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    w = wigner_of(rho)
-    F = enumerate_stabilizer_states(rho.n_qubits).vertex_matrix
-    k, nv = F.shape
-    eye = np.eye(k)
-    res = linprog(np.concatenate([np.zeros(nv), np.ones(k)]),
-                  A_ub=np.block([[F, -eye], [-F, -eye]]), b_ub=np.concatenate([w, -w]),
-                  A_eq=np.concatenate([np.ones(nv), np.zeros(k)])[None], b_eq=[1.0],
-                  bounds=[(0, None)] * (nv + k), method="highs")
-    assert res.success
-    return res.fun
+    return highs_l1_fit(enumerate_stabilizer_states(rho.n_qubits).vertex_matrix, wigner_of(rho))
 
 
 class TestAgainstTheTwoPhaseLP:
@@ -363,9 +353,9 @@ class TestAgainstTheTwoPhaseLP:
     def test_nearest_vertex_basis_is_feasible(self, n, rng, monkeypatch):
         lps = []
 
-        def record(c, A, b, basis, *args, **kwargs):
-            lps.append((c, A, b, list(basis)))
-            return solve_lp(c, A, b, basis, *args, **kwargs)
+        def record(A, w, vertex):
+            lps.append((A, w, vertex))
+            return solve_lp(A, w, vertex)
 
         monkeypatch.setattr(mss.magic, "solve_lp", record)
         states = list(oracle_states(n, rng, 6))
@@ -375,12 +365,12 @@ class TestAgainstTheTwoPhaseLP:
         assert len(lps) == (len(states) if n == 2 else 0)
         for got, rho in zip(lps, states):
             want = wigner_lp(rho)
-            assert got[0] is want[0] and got[1] is want[1] and got[3] == want[3]
-            assert got[2].tobytes() == want[2].tobytes()
+            assert got[0] is want[0] and type(got[2]) is int and got[2] == want[2]
+            assert got[1].tobytes() == want[1].tobytes()
         F = enumerate_stabilizer_states(n).vertex_matrix
         for rho, res in zip(states, results):
-            _, A, b, basis = wigner_lp(rho)
-            w, j = b[:-1], basis[-1]
+            A, w, j = wigner_lp(rho)
+            _, _, b, basis = general_form(A, w, j)
             dist = np.abs(w[:, None] - F).sum(axis=0)
             assert dist[j] == dist.min() >= res.c_value - 1e-12
             x_start = np.linalg.solve(A[:, basis], b)
@@ -388,19 +378,6 @@ class TestAgainstTheTwoPhaseLP:
             assert x_start[-1] == pytest.approx(1.0, abs=1e-12)
             assert res.mixture_weights.min() >= 0.0
             assert res.mixture_weights.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_infeasible_starting_basis_is_refused(self):
-        rho = phase_plus(np.pi / 4).density()
-        w = wigner_of(rho)
-        F, A, c = _lp_constants(1)
-        k, nv = F.shape
-        j = int(np.abs(w[:, None] - F).sum(axis=0).argmin())
-        rows = np.arange(k)
-        # u_i where w - F_j is negative and v_i where it is positive: every
-        # nonzero residual row gets a negative basic value.
-        basis = [*np.where(w - F[:, j] < 0, nv + rows, nv + k + rows).tolist(), j]
-        with pytest.raises(SimplexError, match="infeasible starting basis"):
-            solve_lp(c, A, np.append(w, 1.0), basis)
 
 
 def normalised_weights(x):
@@ -418,9 +395,9 @@ class TestAgainstTheBlandPath:
     def solve_both(n, states, monkeypatch):
         lps, sols = [], []
 
-        def record(c, A, b, basis, *args, **kwargs):
-            lps.append((c, A, b, list(basis)))
-            sols.append(solve_lp(c, A, b, basis, *args, **kwargs))
+        def record(A, w, vertex):
+            lps.append(general_form(A, w, vertex))
+            sols.append(solve_lp(A, w, vertex))
             return sols[-1]
 
         monkeypatch.setattr(mss.magic, "solve_lp", record)
@@ -461,7 +438,7 @@ class TestAgainstTheBlandPath:
             solved += 1
             lp = wigner_lp(rho)
             sol = solve_lp(*lp)
-            ref, _ = reference_solve_lp(*lp, bland=True)
+            ref, _ = reference_solve_lp(*general_form(*lp), bland=True)
             assert np.float64(sol.fun).tobytes() == np.float64(ref.fun).tobytes()
             assert res.c_value == pytest.approx(ref.fun, abs=1e-15)
             got, want = normalised_weights(sol.x[:6]), normalised_weights(ref.x[:6])
@@ -572,7 +549,7 @@ class TestOneQubitClosedForm:
         for rho in map(dm_from_bloch, vectors):
             res = wigner_distance(rho)
             lp = wigner_lp(rho)
-            rows.append((bloch(rho), lp[2][:-1], res.f_star, res.mixture_weights, res.c_value,
+            rows.append((bloch(rho), lp[1], res.f_star, res.mixture_weights, res.c_value,
                          solve_lp(*lp).fun))
         b, w, f_star, lam, c, fun = map(np.array, zip(*rows))
         assert (c == octahedron_distance(b)).all()

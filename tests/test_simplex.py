@@ -1,17 +1,21 @@
-"""Solver tests, cross-checked against scipy.optimize.linprog where available
-and, pivot by pivot, against a scalar reference implementation."""
+"""Solver tests on the one LP it solves, the L1 fit of a Wigner vector over
+the stabilizer polytope, cross-checked against scipy.optimize.linprog where
+available and, pivot by pivot, against a scalar reference implementation."""
 
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import mss.magic
 import mss.simplex
-from mss.simplex import TOL, ZERO_OBJECTIVE, LPSolution, SimplexError, _columns, solve_lp
+from mss.magic import _lp_constants, wigner_distance
+from mss.simplex import TOL, ZERO_OBJECTIVE, LPSolution, SimplexError, _layout, solve_lp
+from mss.qcore import phase_plus
+from mss.wigner import wigner_of
 
-from conftest import nearest_vertex_basis, oracle_states, wigner_lp
+from conftest import nearest_vertex, oracle_states, wigner_lp
 
 
 def reference_solve_lp(c, A, b, basis=None, *, bland=False):
@@ -161,64 +165,76 @@ def reference_solve_lp(c, A, b, basis=None, *, bland=False):
                       flips=flips), basis
 
 
-def slack_form(A, b, c):
-    """min c.x, A x <= b, x >= 0 with b >= 0 as (c, [A | I], b) and the
-    slack basis, which is feasible there."""
-    m, n = A.shape
-    return np.concatenate([c, np.zeros(m)]), np.hstack([A, np.eye(m)]), b, list(range(n, n + m))
-
-
-def mirrored_form(A, b, c, c_slack, c_surplus):
-    """A x + s - t = b, x, s, t >= 0 with b >= 0: the slack form plus a
-    mirror column -e_i for each slack.  Returns (c, A, b, basis) with the
-    slack basis."""
-    m, n = A.shape
-    return (np.concatenate([c, c_slack, c_surplus]), np.hstack([A, np.eye(m), -np.eye(m)]),
-            b, list(range(n, n + m)))
-
-
-def l1_fit_form(F, w):
-    """min ||w - F lam||_1 over the simplex in the LP form of mss.magic,
-    started, as there, at the column nearest to w in L1.  Returns
-    (c, A, b, basis)."""
+def l1_matrix(F):
+    """The read-only A = [F | I | -I ; 1...1 | 0 | 0] of the L1 fit over F's columns."""
     k, nv = F.shape
     A = np.block([[F, np.eye(k), -np.eye(k)], [np.ones((1, nv)), np.zeros((1, 2 * k))]])
-    c = np.concatenate([np.zeros(nv), np.ones(2 * k)])
-    return c, A, np.append(w, 1.0), nearest_vertex_basis(F, w)
+    A.setflags(write=False)
+    return A
 
 
-def solve_with_final_basis(c, A, b, basis):
+def l1_fit(F, w):
+    """(A, w, vertex): min ||w - F lam||_1 over the simplex, started, as in
+    mss.magic, at the column nearest to w in L1."""
+    F, w = np.asarray(F, dtype=float), np.asarray(w, dtype=float)
+    return l1_matrix(F), w, nearest_vertex(F, w)
+
+
+def general_form(A, w, vertex):
+    """The reference's (c, A, b, basis) for solve_lp(A, w, vertex): costs 0
+    on lambda and 1 on u and v, b = (w, 1), and the start basis, u_i where
+    w_i >= F_i,vertex and v_i elsewhere, then lambda_vertex."""
+    k = len(w)
+    nv = A.shape[1] - 2 * k
+    basis = [nv + i + k * bool(w[i] < A[i, vertex]) for i in range(k)]
+    return np.repeat([0.0, 1.0], [nv, 2 * k]), A, np.append(w, 1.0), [*basis, vertex]
+
+
+def highs_l1_fit(F, w):
+    """min ||w - F lam||_1 over the simplex, from scipy's HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    k, nv = F.shape
+    eye = np.eye(k)
+    res = linprog(np.concatenate([np.zeros(nv), np.ones(k)]),
+                  A_ub=np.block([[F, -eye], [-F, -eye]]), b_ub=np.concatenate([w, -w]),
+                  A_eq=np.concatenate([np.ones(nv), np.zeros(k)])[None], b_eq=[1.0],
+                  bounds=[(0, None)] * (nv + k), method="highs")
+    assert res.success
+    return res.fun
+
+
+def solve_with_final_basis(A, w, vertex):
     """solve_lp plus the final basis, read off the pivot loop's basis list.
     Also checks that the final basic columns' reduced costs are within 1e-12
     of 0, which lets the loop price without a nonbasic mask."""
     seen = []
     pivot_loop = mss.simplex._pivot_loop
 
-    def spy(tab, basis, *args, **kwargs):
+    def spy(tab, basis, *args):
         seen.append(basis)
-        out = pivot_loop(tab, basis, *args, **kwargs)
+        out = pivot_loop(tab, basis, *args)
         assert np.abs(tab[-1, basis]).max() <= 1e-12
         return out
 
     mss.simplex._pivot_loop = spy
     try:
-        sol = solve_lp(c, A, b, basis)
+        sol = solve_lp(A, w, vertex)
     finally:
         mss.simplex._pivot_loop = pivot_loop
     return sol, list(seen[-1])
 
 
-def assert_same_pivot_path(c, A, b, basis):
-    """Same outcome as the reference from the same basis: the same error, or
+def assert_same_pivot_path(A, w, vertex):
+    """Same outcome as the reference from the same start: the same error, or
     the same pivot and flip counts, final basis and byte-identical x, duals
     and objective."""
     try:
-        want, want_basis = reference_solve_lp(c, A, b, basis)
+        want, want_basis = reference_solve_lp(*general_form(A, w, vertex))
     except SimplexError as exc:
         with pytest.raises(SimplexError, match=str(exc).split(":")[0]):
-            solve_lp(c, A, b, basis)
+            solve_lp(A, w, vertex)
         return
-    got, got_basis = solve_with_final_basis(c, A, b, basis)
+    got, got_basis = solve_with_final_basis(A, w, vertex)
     assert (got.iterations, got.flips) == (want.iterations, want.flips)
     assert got_basis == want_basis
     assert got.x.tobytes() == want.x.tobytes()
@@ -226,151 +242,399 @@ def assert_same_pivot_path(c, A, b, basis):
     assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
 
 
+def face_points(n, rng, per_class):
+    """Wigner vectors on faces of the n-qubit stabilizer polytope, where the
+    L1 fit is degenerate: for each oracle state with C > 0, its nearest
+    point f*, and a random mixture of the vertices on the face that its dual
+    witness exposes (those where y . F_j is largest)."""
+    F = _lp_constants(n)[0]
+    for rho in oracle_states(n, rng, per_class):
+        if wigner_distance(rho).c_value == 0.0:
+            continue
+        yield wigner_distance(rho).f_star
+        scores = solve_lp(*wigner_lp(rho)).duals[:-1] @ F
+        face = np.flatnonzero(scores >= scores.max() - 1e-12)
+        yield F[:, face] @ rng.dirichlet(np.ones(len(face)))
+
+
+def grid_points(n, rng, count):
+    """Vectors on the 1/8 grid that sum to 1: a vertex of the n-qubit
+    polytope with one to four transfers of 1/8 between random entries,
+    where ratios and reduced costs tie."""
+    F = _lp_constants(n)[0]
+    for _ in range(count):
+        w = F[:, rng.integers(F.shape[1])].copy()
+        for _ in range(rng.integers(1, 5)):
+            a, b = rng.choice(len(w), size=2, replace=False)
+            w[a] += 0.125
+            w[b] -= 0.125
+        yield w
+
+
+def wigner_family(n, rng):
+    """(A, w, vertex) of the n-qubit L1 fit at the four magic2q classes
+    (Haar, Ginibre, phase products with T or T x T first, stabilizer
+    mixtures), at points on the polytope's faces and at w on the 1/8 grid."""
+    F, A = _lp_constants(n)
+    ws = [wigner_of(rho) for rho in oracle_states(n, rng, 5)]
+    ws += [*face_points(n, rng, 3), *grid_points(n, rng, 12)]
+    return [(A, w, nearest_vertex(F, w)) for w in ws]
+
+
 def test_textbook_problem():
-    # min -3x - 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18
-    A = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]])
-    sol = solve_lp(*slack_form(A, np.array([4.0, 12.0, 18.0]), np.array([-3.0, -5.0])))
-    assert sol.fun == pytest.approx(-36.0, abs=1e-9)
-    np.testing.assert_allclose(sol.x[:2], [2.0, 6.0], atol=1e-9)
+    # The T state's fit: C = (sqrt(2) - 1)/2, the closed form's value.
+    sol = solve_lp(*wigner_lp(phase_plus(np.pi / 4).density()))
+    assert sol.fun == pytest.approx((np.sqrt(2.0) - 1.0) / 2.0, abs=1e-12)
+    assert sol.x[:6].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_equality_with_negative_rhs():
-    # x - y = -1, x + y = 3 with x, y >= 0 -> x=1, y=2; min x + 2y = 5.
-    A = np.array([[1.0, -1.0], [1.0, 1.0]])
-    b = np.array([-1.0, 3.0])
-    c = np.array([1.0, 2.0])
-    sol = solve_lp(c, A, b, [0, 1])
-    np.testing.assert_allclose(sol.x, [1.0, 2.0], atol=1e-9)
-    assert sol.fun == pytest.approx(5.0, abs=1e-9)
+    # w below every vertex in both rows: the start holds v_0 and v_1, with
+    # values F_0 - w, and the fit ends at the vertex (1, 2), 1 + 1.5 away.
+    lp = l1_fit([[1.0, 3.0], [2.0, 4.0]], [0.0, 0.5])
+    assert lp[2] == 0 and general_form(*lp)[3] == [4, 5, 0]
+    sol = solve_lp(*lp)
+    assert sol.fun == 2.5 and sol.iterations == 0
+    np.testing.assert_array_equal(sol.x, [1.0, 0.0, 0.0, 0.0, 1.0, 1.5])
 
 
-def test_dual_satisfies_strong_duality():
-    c, A, b, basis = slack_form(np.array([[1.0, 1.0], [1.0, 3.0]]), np.array([4.0, 6.0]),
-                                np.array([-2.0, -3.0]))
-    sol = solve_lp(c, A, b, basis)
-    assert sol.duals @ b == pytest.approx(sol.fun, abs=1e-9)
-    # dual feasibility: A^T y <= c
-    assert np.all(A.T @ sol.duals <= c + 1e-9)
-
-
-def test_infeasible_detected():
-    # x0 + x1 - x2 = 1, x1 + x3 = 1: the basis {x2, x3} gives x2 = -1, and a
-    # repeated column gives a singular basis matrix.
-    A = np.array([[1.0, 1.0, -1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
-    b = np.array([1.0, 1.0])
-    with pytest.raises(SimplexError, match="infeasible starting basis: basic value -1"):
-        solve_lp(np.zeros(4), A, b, [2, 3])
-    with pytest.raises(SimplexError, match="infeasible starting basis: singular basis matrix"):
-        solve_lp(np.zeros(4), A, b, [0, 0])
-
-
-def assert_same_optimum(c, A, b, basis):
-    """Same outcome as the reference, which inverts the basis matrix: the
-    same error, or the same optimum and duals within 1e-9."""
-    try:
-        want, _ = reference_solve_lp(c, A, b, basis)
-    except SimplexError as exc:
-        with pytest.raises(SimplexError, match=f"^{exc}$"):
-            solve_lp(c, A, b, basis)
-        return
-    got = solve_lp(c, A, b, basis)
-    assert got.fun == pytest.approx(want.fun, abs=1e-9)
-    np.testing.assert_allclose(got.x, want.x, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(got.duals, want.duals, rtol=0, atol=1e-9)
+def test_dual_satisfies_strong_duality(rng):
+    # y . b = c . x, and dual feasibility A^T y <= c, on the Wigner LPs.
+    for n in (1, 2):
+        for A, w, vertex in wigner_family(n, rng):
+            c, _, b, _ = general_form(A, w, vertex)
+            sol = solve_lp(A, w, vertex)
+            assert sol.duals @ b == pytest.approx(sol.fun, abs=1e-9)
+            assert np.all(A.T @ sol.duals <= c + 1e-9)
 
 
 class TestStartBasis:
-    """The start tableau, built without an inverse, against the reference."""
+    """The closed-form start against the basis inverse."""
 
-    def test_permuted_slack_basis(self):
-        # Slack 3 is e_1 at position 0 and slack 2 is e_0 at position 1.
-        A = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
-        lp = np.array([-1.0, -1.0, 0.0, 0.0]), A, np.array([1.0, 2.0]), [3, 2]
-        assert solve_lp(*lp).fun == -3.0
-        assert_same_optimum(*lp)
-
-    def test_dense_columns_that_exchange_rows(self, monkeypatch):
-        # Column 0's largest entry is in row 1, so its pivot takes row 1 and
-        # column 1 takes row 0; the rows are then swapped into basis order.
-        A = np.array([[1.0, 2.0, 1.0, 0.0], [3.0, 4.0, 0.0, 1.0]])
-        lp = np.array([1.0, 1.0, -1.0, -1.0]), A, A[:, :2] @ [1.0, 1.0], [0, 1]
+    def test_random_bases(self, rng, monkeypatch):
+        # The tableau the pivot loop starts from is B^-1 [A | I | b] over
+        # the cost row [c | 0 | 0] - c_B B^-1 [A | I | b], within 1e-12.
         starts = []
         pivot_loop = mss.simplex._pivot_loop
 
-        def spy(tab, *args, **kwargs):
+        def spy(tab, *args):
             starts.append(tab.copy())
-            return pivot_loop(tab, *args, **kwargs)
+            return pivot_loop(tab, *args)
 
         monkeypatch.setattr(mss.simplex, "_pivot_loop", spy)
-        assert solve_lp(*lp).fun == pytest.approx(-10.0, abs=1e-12)
-        binv = np.linalg.inv(A[:, :2])
-        np.testing.assert_allclose(starts[0][:2], np.hstack([binv @ A, binv, binv @ lp[2][:, None]]),
-                                   rtol=0, atol=1e-12)
-        assert_same_optimum(*lp)
-
-    def test_singular_basis(self):
-        A = np.array([[1.0, 2.0, 1.0, 0.0], [2.0, 4.0, 0.0, 1.0]])
-        for basis in ([0, 1], [2, 2], [3, 3]):
-            assert_same_optimum(np.zeros(4), A, np.array([1.0, 2.0]), basis)
-        with pytest.raises(SimplexError, match="^infeasible starting basis: singular basis matrix$"):
-            solve_lp(np.zeros(4), A, np.array([1.0, 2.0]), [0, 1])
-
-    def test_random_bases(self, rng):
-        # Dense, unit and signed unit columns in random positions, from a
-        # point that makes the basis feasible, and bases with repeats.
-        singular = 0
-        for trial in range(300):
-            m = int(rng.integers(1, 6))
-            n = int(rng.integers(m, m + 6))
-            A = rng.integers(-2, 3, (m, n)).astype(float) if trial % 2 else rng.normal(size=(m, n))
-            A = np.hstack([A, np.eye(m), -np.eye(m)])
-            basis = rng.choice(A.shape[1], size=m, replace=trial % 5 == 0).tolist()
-            b = A[:, basis] @ rng.random(m)
-            c = rng.normal(size=A.shape[1])
-            if np.linalg.matrix_rank(A[:, basis]) < m:
-                # Refused.  The reference is no oracle here: where round-off
-                # leaves its LU a nonzero pivot, it starts from a garbage
-                # inverse.
-                singular += 1
-                with pytest.raises(SimplexError, match="infeasible starting basis"):
-                    solve_lp(c, A, b, basis)
-            else:
-                assert_same_optimum(c, A, b, basis)
-        assert singular > 0
+        lps = [*wigner_family(2, rng)[::4], *(l1_fit(rng.integers(-2, 3, (k, 2 * k)) / 2.0,
+                                                     rng.normal(size=k)) for k in range(1, 9))]
+        for A, w, vertex in lps:
+            c, _, b, basis = general_form(A, w, vertex)
+            solve_lp(A, w, vertex)
+            binv = np.linalg.inv(A[:, basis])
+            want = np.hstack([binv @ A, binv, binv @ b[:, None]])
+            want = np.vstack([want, np.concatenate([c, np.zeros(len(b) + 1)]) - c[basis] @ want])
+            np.testing.assert_allclose(starts.pop(), want, rtol=0, atol=1e-12)
 
 
 def test_degenerate_problem_terminates():
-    # A redundant constraint makes the optimal vertex degenerate; the solver
-    # must terminate.
-    A = np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]])
-    sol = solve_lp(*slack_form(A, np.array([2.0, 4.0, 1.0]), np.array([-1.0, -1.0])))
-    assert sol.fun == pytest.approx(-2.0, abs=1e-9)
+    # A degenerate step here hands the next pivot to Bland's rule, on the
+    # reference's path: four pivots, where Dantzig's rule throughout takes
+    # three to the same optimum.  A search of 600,000 random L1 fits on
+    # small grids found none that cycles under Dantzig's rule alone; the
+    # fallback is what proves that none can.
+    lp = l1_fit([[-2.0, 0.0, 2.0, -1.0], [0.0, -2.0, -2.0, -2.0]], [-2.0, -1.5])
+    sol = solve_lp(*lp)
+    assert (sol.iterations, sol.flips, sol.fun) == (4, 0, 0.75)
+    assert_same_pivot_path(*lp)
 
 
-def test_random_problems_against_scipy(rng, monkeypatch):
-    linprog = pytest.importorskip("scipy.optimize").linprog
+def test_random_problems_against_scipy(rng):
     for trial in range(60):
-        m = int(rng.integers(2, 6))
-        n = int(rng.integers(m, m + 8))
-        A_ub = rng.normal(size=(m, n))
-        if trial % 4:
-            A_ub[0] = np.abs(A_ub[0]) + 0.5  # bounded; the rest may be unbounded
-        b = rng.random(m)  # the slack basis is feasible
-        c_x = rng.normal(size=n)
-        c, A, b, basis = slack_form(A_ub, b, c_x)
-        ref = linprog(c_x, A_ub=A_ub, b_ub=b, bounds=[(0, None)] * n, method="highs")
-        if not ref.success:  # scipy deems unbounded
-            with monkeypatch.context() as patch, pytest.raises(SimplexError):
-                patch.setattr(mss.simplex, "MAX_ITER", 2000)
-                solve_lp(c, A, b, basis)
-            continue
-        sol = solve_lp(c, A, b, basis)
-        assert sol.fun == pytest.approx(ref.fun, abs=1e-7), f"trial {trial}"
-        np.testing.assert_allclose(A @ sol.x, b, atol=1e-8)
-        assert np.min(sol.x) > -1e-9
-        # duals: strong duality and feasibility
-        assert sol.duals @ b == pytest.approx(sol.fun, abs=1e-7)
-        assert np.all(A.T @ sol.duals <= c + 1e-7)
+        k = int(rng.integers(1, 9))
+        F = rng.normal(size=(k, int(rng.integers(2, 3 * k + 2))))
+        if trial % 2:
+            F = np.round(F * 2) / 2  # ties on a grid
+        A, w, vertex = l1_fit(F, rng.normal(size=k) * 2)
+        sol = solve_lp(A, w, vertex)
+        assert sol.fun == pytest.approx(highs_l1_fit(F, w), abs=1e-8), f"trial {trial}"
+        np.testing.assert_allclose(A @ sol.x, np.append(w, 1.0), rtol=0, atol=1e-9)
+        assert sol.x.min() >= 0.0
+
+
+def test_solution_is_dataclass():
+    sol = solve_lp(*l1_fit([[1.0, 2.0]], [1.5]))
+    assert isinstance(sol, LPSolution)
+    assert sol.fun == 0.0 and sol.x[:2].tolist() == [0.5, 0.5]
+    assert not sol.x.flags.writeable and not sol.duals.flags.writeable
+
+
+class TestSamePivotPathAsReference:
+    """The vectorised pivot loop against the scalar reference, byte for byte."""
+
+    def test_random_lps_with_mirror_pairs(self, rng):
+        # Generic L1 fits: Gaussian vertices and targets, no ties.
+        flips = 0
+        for trial in range(200):
+            k = int(rng.integers(1, 9))
+            lp = l1_fit(rng.normal(size=(k, int(rng.integers(2, 3 * k + 2)))),
+                        rng.normal(size=k))
+            assert_same_pivot_path(*lp)
+            flips += solve_lp(*lp).flips
+        assert flips > 0
+
+    def test_coarse_tol_on_a_half_integer_grid(self, rng, monkeypatch):
+        # With TOL = 0.5 and every entry on a half-integer grid, coefficients
+        # and slopes land exactly on -TOL or TOL, most steps are degenerate,
+        # and chains of ratios within TOL of each other decide Bland's
+        # leaving row.
+        monkeypatch.setattr(mss.simplex, "TOL", 0.5)
+        for trial in range(300):
+            k = int(rng.integers(1, 6))
+            F = rng.integers(-4, 5, (k, int(rng.integers(2, k + 5)))) / 2.0
+            assert_same_pivot_path(*l1_fit(F, rng.integers(-8, 9, k) / 4.0))
+
+    def test_bland_ratio_test_reads_rows_in_order(self, monkeypatch):
+        # At TOL = 0.5 a degenerate step hands the second pivot to Bland's
+        # rule, whose ratios chain within TOL.  Read in row order the test
+        # ends at a feasible basis; read in ratio order it would end at one
+        # with basic values down to -0.83 and report C = 0.75.
+        monkeypatch.setattr(mss.simplex, "TOL", 0.5)
+        lp = l1_fit([[1.5, 2.0, 1.0, -2.0, -1.5], [-2.0, -2.0, -1.5, 1.5, -2.0],
+                     [1.0, -1.5, -2.0, 2.0, 1.0], [1.0, 0.0, -2.0, -1.5, 0.5]],
+                    [0.0, 1.5, -0.25, -1.0])
+        sol = solve_lp(*lp)
+        assert (sol.iterations, sol.flips) == (2, 1) and sol.x.min() == 0.0
+        assert sol.fun == pytest.approx(2.0961538461538463, abs=1e-15)
+        assert_same_pivot_path(*lp)
+
+    def test_random_l1_fits(self, rng):
+        flips = 0
+        for trial in range(200):
+            k = int(rng.integers(2, 9))
+            nv = int(rng.integers(2, 3 * k))
+            # Integer vertices and a grid target make ties and degeneracy.
+            F = rng.integers(-2, 3, (k, nv)).astype(float)
+            w = rng.integers(-4, 5, k) / 2.0 if trial % 2 else rng.normal(size=k)
+            lp = l1_fit(F, w)
+            assert_same_pivot_path(*lp)
+            flips += solve_lp(*lp).flips
+        assert flips > 0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_wigner_distance_lps(self, n, rng):
+        # The four magic2q classes, points on the polytope's faces and w on
+        # the 1/8 grid; flips occur, and Bland pivots among the degenerate
+        # ones.  HiGHS agrees on the objective.
+        lps = wigner_family(n, rng)
+        assert len(lps) >= 40 and len(lps[0][1]) == 4 ** n
+        F = _lp_constants(n)[0]
+        for lp in lps:
+            assert_same_pivot_path(*lp)
+            assert solve_lp(*lp).fun == pytest.approx(highs_l1_fit(F, lp[1]), abs=1e-8)
+        assert sum(solve_lp(*lp).flips for lp in lps) > 0
+
+    def test_zeros_are_reported_as_positive(self, rng):
+        # The BLAS rank-1 update drops the sign of a zero product, so a zero
+        # of x or of the duals could carry either sign; both are +0.0.
+        for A, w, vertex in wigner_family(2, rng):
+            sol = solve_lp(A, w, vertex)
+            assert not np.signbit(sol.x[sol.x == 0.0]).any()
+            assert not np.signbit(sol.duals[sol.duals == 0.0]).any()
+
+
+class TestTermination:
+    def test_beale_cycling_example(self):
+        # Beale (1955): from the slack basis, Dantzig's rule with the lowest
+        # index breaking ties cycles through six degenerate bases.  The
+        # Bland fallback after a degenerate step breaks the cycle.  This LP
+        # is no L1 fit, so the rule runs here through the scalar reference,
+        # the path solve_lp must follow.
+        A = np.array([[0.25, -8.0, -1.0, 9.0, 1.0, 0.0, 0.0],
+                      [0.5, -12.0, -0.5, 3.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
+        c = np.array([-0.75, 20.0, -0.5, 6.0, 0.0, 0.0, 0.0])
+        sol, _ = reference_solve_lp(c, A, np.array([0.0, 0.0, 1.0]), [4, 5, 6])
+        assert sol.fun == pytest.approx(-1.25, abs=1e-12)
+        np.testing.assert_allclose(sol.x[:4], [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+        assert (sol.iterations, sol.flips) == (6, 0)
+
+    def test_iteration_cap(self, monkeypatch):
+        lp = l1_fit([[-2.0, 0.0, 2.0, -1.0], [0.0, -2.0, -2.0, -2.0]], [-2.0, -1.5])
+        monkeypatch.setattr(mss.simplex, "MAX_ITER", 3)
+        with pytest.raises(SimplexError, match="^iteration cap 3 exceeded$"):
+            solve_lp(*lp)
+        monkeypatch.setattr(mss.simplex, "MAX_ITER", 4)
+        assert solve_lp(*lp).fun == 0.75
+
+    def test_zero_objective_stop_reports_the_zero_dual(self):
+        # w = F_0, so the start's objective is already 0, and lambda_1 has
+        # reduced cost -1.  Bland pivots lambda_1 in, for nothing; the stop
+        # ends the solve first, with y = 0.
+        lp = l1_fit([[1.0, 2.0]], [1.0])
+        sol = solve_lp(*lp)
+        assert (sol.iterations, sol.fun) == (0, 0.0) and not sol.duals.any()
+        bland, _ = reference_solve_lp(*general_form(*lp), bland=True)
+        assert (bland.iterations, bland.fun) == (1, 0.0)
+
+    def test_small_nonzero_objective_is_solved_out(self):
+        # The same fit with w = 1 + 5e-10, whose start objective lies under
+        # TOL but over ZERO_OBJECTIVE: it is not optimal, and lambda_1 must
+        # still pivot in.
+        lp = l1_fit([[1.0, 2.0]], [1.0 + 5e-10])
+        assert ZERO_OBJECTIVE < lp[1][0] - 1.0 < TOL
+        sol = solve_lp(*lp)
+        assert (sol.iterations, sol.fun) == (1, 0.0) and not sol.duals.any()
+        assert sol.x[:2] @ [1.0, 2.0] == lp[1][0]
+        assert_same_pivot_path(*lp)
+
+
+class TestMirror:
+    def test_mirror_columns_are_found_in_A(self):
+        # u_i and v_i mirror each other and lambda has none, by A's checked
+        # form.  The layout is built once per A object and holds A; an equal
+        # matrix is another object with its own entry, since nothing hashes
+        # A's contents.
+        A = _lp_constants(2)[1]
+        template, mirror, costs, cost_list, c_B = layout = _layout(A)
+        assert _layout(A) is layout and mss.simplex._LAYOUTS[id(A)][0] is A
+        n = 60
+        assert mirror == (*[-1] * n, *range(n + 16, n + 32), *range(n, n + 16))
+        assert template.tobytes() == np.hstack([A, np.eye(17), np.eye(17)[:, -1:]]).tobytes()
+        assert cost_list == costs.tolist() == [0.0] * n + [1.0] * 32
+        assert c_B.tolist() == [1.0] * 16 + [0.0]
+        assert not any(a.flags.writeable for a in (template, costs, c_B))
+        copy = A.copy()
+        copy.setflags(write=False)
+        assert _layout(copy) is not layout
+        assert _layout(copy)[0].tobytes() == template.tobytes()
+
+    def test_flip_walks_past_a_residual_sign_change(self):
+        # min |2 - 6t| + |3 - 6t| + |4 - 6t| over lambda = (1 - t, t): from
+        # the vertex 0 the slope starts at -18 and each residual's zero raises
+        # it by 12, so one long step flips u_0 for v_0 and stops at the
+        # median 6t = 3.
+        lp = l1_fit([[0.0, 6.0], [0.0, 6.0], [0.0, 6.0]], [2.0, 3.0, 4.0])
+        assert lp[2] == 0
+        sol = solve_lp(*lp)
+        assert (sol.iterations, sol.flips) == (1, 1)
+        assert sol.fun == pytest.approx(2.0, abs=1e-12)
+        np.testing.assert_allclose(sol.x[:2], [0.5, 0.5], rtol=0, atol=1e-12)
+        bland, _ = reference_solve_lp(*general_form(*lp), bland=True)
+        assert bland.fun == pytest.approx(2.0, abs=1e-12) and bland.iterations > 1
+        assert_same_pivot_path(*lp)
+
+
+class TestTwoStagePricing:
+    def test_structural_column_enters_before_a_residual(self):
+        # Pricing every column takes three pivots here; pricing the lambda
+        # columns first takes four, on the reference's path.
+        lp = l1_fit([[-0.5, 1.5, 2.0, 1.5], [0.5, -2.0, 1.5, 2.0], [0.0, 0.0, -0.5, -1.5]],
+                    [1.0, 1.25, 2.0])
+        sol = solve_lp(*lp)
+        assert (sol.iterations, sol.flips) == (4, 0)
+        assert sol.fun == pytest.approx(2.45, abs=1e-12)
+        assert_same_pivot_path(*lp)
+
+    def test_magic2q_pivots_per_solve(self, monkeypatch):
+        # The benchmark's 2-qubit states of seeds 1-5 (1000 solves).  Pricing
+        # every column each time takes 12.15 pivots per solve here.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        from bench.workloads import build_items
+
+        pivots = [solve_lp(*wigner_lp(item.rho)).iterations
+                  for seed in range(1, 6) for item in build_items("magic2q", seed)]
+        assert len(pivots) == 1000 and np.mean(pivots) <= 10.5
+
+
+def _read_only(array, view=False):
+    """A read-only copy of ``array``; with ``view``, a read-only view of a
+    writable copy."""
+    array = np.array(array)
+    if view:
+        array = array[:, :]
+    array.setflags(write=False)
+    return array
+
+
+def _edited(index, value):
+    """The 2-qubit A, read-only, with one entry set."""
+    A = _lp_constants(2)[1].copy()
+    A[index] = value
+    return _read_only(A)
+
+
+class TestBadInput:
+    """Refused with a ValueError naming the argument, before any arithmetic,
+    or with a SimplexError once the tableau overflows; never with a numpy
+    warning, which the suite turns into an error."""
+
+    A = _lp_constants(2)[1]
+    W = np.full(16, 1 / 16)
+    FORM = "A must be [F | I | -I ; 1...1 | 0 | 0] with F finite"
+
+    @pytest.mark.parametrize("name, index, value", [
+        ("b", 0, np.nan), ("A", (3, 5), np.inf), ("A", (0, 0), np.nan), ("b", 0, np.inf)])
+    def test_non_finite_entry(self, name, index, value):
+        # b = (w, 1) is the LP's right-hand side.
+        A, b = self.A.copy(), np.append(self.W, 1.0)
+        {"A": A, "b": b}[name][index] = value
+        message = self.FORM if name == "A" else "w must be a finite float64 vector of length 16"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_lp(_read_only(A), b[:-1], 0)
+
+    def test_fractional_basis_entry(self):
+        for vertex in (2.7, 3.0, "3", None):
+            with pytest.raises(ValueError, match=r"^vertex must be an integer in \[0, 60\)$"):
+                solve_lp(self.A, self.W, vertex)
+        assert solve_lp(self.A, self.W, np.int64(3)).fun == solve_lp(self.A, self.W, 3).fun
+
+    @pytest.mark.parametrize("name", ["A", "b"])
+    def test_complex_entry(self, name):
+        args = {"A": self.A, "b": self.W}
+        args[name] = _read_only(args[name] + 0j)
+        message = "A must be a 2-D float64 array" if name == "A" else "w must be a finite float64"
+        with pytest.raises(ValueError, match=f"^{message}"):
+            solve_lp(args["A"], args["b"], 0)
+
+    @pytest.mark.parametrize("A", [[1.0, 1.0], [[[1.0, 1.0]]]], ids=["1-D", "3-D"])
+    def test_a_that_is_not_a_matrix(self, A):
+        with pytest.raises(ValueError, match="^A must be a 2-D float64 array$"):
+            solve_lp(_read_only(A), [1.0], 0)
+
+    @pytest.mark.parametrize("A, message", [
+        (A.copy(), "A must be read-only"),
+        (_read_only(A, view=True), "A must be read-only"),
+        (A.tolist(), "A must be a 2-D float64 array"),
+        (_read_only(A.astype(np.float32)), "A must be a 2-D float64 array"),
+        # A general LP can no longer be posed: this one was once reported
+        # unbounded, by a ratio test that skipped entries under TOL.
+        (_read_only([[1e-10, 1.0]]), FORM),
+        (_read_only(A[:, :-1]), FORM),
+        (_read_only(A[1:]), FORM),
+        (_edited((0, -16), 0.0), FORM),
+        (_edited((16, 0), 0.5), FORM),
+        (_edited((16, -1), 1.0), FORM),
+    ], ids=["writable", "view of writable", "list", "float32", "general LP",
+            "column missing", "row missing", "-I entry", "convexity entry",
+            "residual in the convexity row"])
+    def test_malformed_A(self, A, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            solve_lp(A, self.W, 0)
+
+    @pytest.mark.parametrize("w", [np.full(15, 1 / 15), np.full(17, 1 / 17), [[0.0] * 16],
+                                   [0] * 16, [-np.inf] + [0.0] * 15])
+    def test_malformed_w(self, w):
+        with pytest.raises(ValueError, match="^w must be a finite float64 vector of length 16$"):
+            solve_lp(self.A, w, 0)
+
+    @pytest.mark.parametrize("vertex", [-1, 60, 10 ** 20])
+    def test_vertex_out_of_range(self, vertex):
+        with pytest.raises(ValueError, match=r"^vertex must be an integer in \[0, 60\)$"):
+            solve_lp(self.A, self.W, vertex)
+
+    def test_start_tableau_overflow(self):
+        # Finite, but the cost row sums sixteen residuals of about 1e308.
+        # The overflow is caught once, after the pivot loop.
+        with pytest.raises(SimplexError, match="^tableau overflows: w is badly scaled$"):
+            solve_lp(self.A, np.full(16, 1e308), 0)
 
 
 def test_reference_two_phase_raises_on_a_lifted_artificial():
@@ -385,278 +649,3 @@ def test_reference_two_phase_raises_on_a_lifted_artificial():
     assert sol.fun == 0.0
 
 
-def test_solution_is_dataclass():
-    sol = solve_lp(np.array([1.0]), np.array([[1.0]]), np.array([2.0]), [0])
-    assert isinstance(sol, LPSolution)
-    assert sol.x[0] == pytest.approx(2.0)
-
-
-class TestSamePivotPathAsReference:
-    """The vectorised pivot loop against the scalar reference, byte for byte."""
-
-    def test_random_lps(self, rng):
-        for trial in range(400):
-            m = int(rng.integers(2, 8))
-            n = int(rng.integers(m, m + 10))
-            kind = trial % 4
-            # Small integer entries make ratio ties and degenerate vertices.
-            A = rng.normal(size=(m, n)) if kind == 0 else rng.integers(-2, 3, (m, n)).astype(float)
-            if trial % 8:
-                A[0] = np.abs(A[0]) + 1.0  # bounded; the rest may be unbounded
-            b = rng.random(m)
-            if kind != 0:
-                b[rng.random(m) < 0.5] = 0.0  # degenerate starting vertex
-            if kind == 2:
-                A[-1], b[-1] = 2.0 * A[0], 2.0 * b[0]  # redundant row
-            c = rng.normal(size=n) if kind != 3 else rng.integers(-2, 3, n).astype(float)
-            assert_same_pivot_path(*slack_form(A, b, c))
-
-    def test_random_lps_with_mirror_pairs(self, rng):
-        flips = 0
-        for trial in range(400):
-            m = int(rng.integers(2, 8))
-            n = int(rng.integers(1, m + 6))
-            kind = trial % 4
-            A = rng.normal(size=(m, n)) if kind == 0 else rng.integers(-2, 3, (m, n)).astype(float)
-            b = rng.random(m)
-            if kind != 0:
-                b[rng.random(m) < 0.5] = 0.0
-            if kind == 2:
-                A[-1], b[-1] = 2.0 * A[0], 2.0 * b[0]
-            c = rng.normal(size=n) if kind != 3 else rng.integers(-2, 3, n).astype(float)
-            # Pair costs mostly positive (a bounded L1 term), sometimes zero
-            # or negative (unbounded unless another row stops the step).
-            c_slack = rng.integers(0, 3, m).astype(float) if kind != 1 else rng.normal(size=m)
-            c_surplus = rng.integers(0, 3, m).astype(float)
-            lp = mirrored_form(A, b, c, c_slack, c_surplus)
-            assert_same_pivot_path(*lp)
-            try:
-                flips += solve_lp(*lp).flips
-            except SimplexError:
-                pass
-        assert flips > 0
-
-    def test_coarse_tol_on_a_half_integer_grid(self, rng, monkeypatch):
-        # With TOL = 0.5 and every entry on a half-integer grid, coefficients
-        # and slopes land exactly on -TOL or TOL, most steps are degenerate,
-        # and chains of ratios within TOL of each other decide Bland's
-        # leaving row.
-        monkeypatch.setattr(mss.simplex, "TOL", 0.5)
-        for trial in range(300):
-            m = int(rng.integers(2, 7))
-            n = int(rng.integers(1, m + 5))
-            A = rng.integers(-4, 5, (m, n)) / 2.0
-            c_slack, c_surplus = rng.integers(0, 4, (2, m)) / 2.0
-            lp = mirrored_form(A, rng.integers(0, 9, m) / 2.0, rng.integers(-4, 5, n) / 2.0,
-                               c_slack, c_surplus)
-            assert_same_pivot_path(*lp)
-
-    def test_bland_ratio_test_reads_rows_in_order(self, monkeypatch):
-        # x0 enters first at a zero ratio, so x1 enters by Bland's rule.  Its
-        # ratios, 0.8, 0.4 and 0.0 in row order, chain within TOL = 0.5: read
-        # in row order the test ends at the smallest, read in ratio order it
-        # would end at 0.8, where two slacks are negative.
-        monkeypatch.setattr(mss.simplex, "TOL", 0.5)
-        A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
-        lp = slack_form(A, np.array([0.0, 0.8, 0.4, 0.0]), np.array([-2.0, -1.0]))
-        sol = solve_lp(*lp)
-        assert (sol.iterations, sol.fun) == (2, 0.0) and sol.x.min() == 0.0
-        assert_same_pivot_path(*lp)
-
-    def test_random_l1_fits(self, rng):
-        flips = 0
-        for trial in range(200):
-            k = int(rng.integers(2, 9))
-            nv = int(rng.integers(2, 3 * k))
-            # Integer vertices and a grid target make ties and degeneracy.
-            F = rng.integers(-2, 3, (k, nv)).astype(float)
-            w = rng.integers(-4, 5, k) / 2.0 if trial % 2 else rng.normal(size=k)
-            lp = l1_fit_form(F, w)
-            assert_same_pivot_path(*lp)
-            flips += solve_lp(*lp).flips
-        assert flips > 0
-
-    def test_infeasible_and_unbounded(self):
-        A, b = np.array([[1.0, -1.0]]), np.array([1.0])
-        assert_same_pivot_path(np.zeros(2), A, b, [1])
-        assert_same_pivot_path(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]),
-                               np.array([1.0, 1.0]), [0, 1])
-        assert_same_pivot_path(np.array([-1.0, 0.0]), A, b, [0])
-        # Every breakpoint flips: the pair cost never lifts the slope to 0.
-        assert_same_pivot_path(*mirrored_form(np.array([[1.0]]), np.array([1.0]),
-                                              np.array([-2.0]), np.array([0.5]),
-                                              np.array([0.5])))
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_wigner_distance_lps(self, n, rng):
-        # Haar and Ginibre states, and the degenerate classes where flips and
-        # Bland pivots occur: phase products (T or T x T first) and
-        # stabilizer mixtures.
-        lps = [wigner_lp(rho) for rho in oracle_states(n, rng, 10)]
-        assert len(lps) == 40 and len(lps[0][1]) == 4 ** n + 1  # 5 or 17 rows
-        for lp in lps:
-            assert_same_pivot_path(*lp)
-        assert sum(solve_lp(*lp).flips for lp in lps[3::4]) > 0
-
-    def test_zeros_are_reported_as_positive(self, rng):
-        # The BLAS rank-1 update drops the sign of a zero product, so a zero
-        # of x or of the duals could carry either sign; both are +0.0.  Six
-        # of these 40 LPs reported a -0.0 dual before.
-        sols = [solve_lp(*wigner_lp(rho)) for rho in oracle_states(2, rng, 10)]
-        for sol in sols:
-            assert not np.signbit(sol.x[sol.x == 0.0]).any()
-            assert not np.signbit(sol.duals[sol.duals == 0.0]).any()
-
-
-class TestTermination:
-    def test_beale_cycling_example(self):
-        # Beale (1955): from the slack basis, Dantzig's rule with the lowest
-        # index breaking ties cycles through six degenerate bases.  The
-        # Bland fallback after a degenerate step breaks the cycle.
-        A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
-        lp = slack_form(A, np.array([0.0, 0.0, 1.0]), np.array([-0.75, 20.0, -0.5, 6.0]))
-        sol = solve_lp(*lp)
-        assert sol.fun == pytest.approx(-1.25, abs=1e-12)
-        np.testing.assert_allclose(sol.x[:4], [1.0, 0.0, 1.0, 0.0], atol=1e-12)
-        assert (sol.iterations, sol.flips) == (6, 0)
-        assert_same_pivot_path(*lp)
-
-    def test_iteration_cap(self, monkeypatch):
-        c, A, b, basis = slack_form(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]]),
-                                    np.array([4.0, 12.0, 18.0]), np.array([-3.0, -5.0]))
-        assert solve_lp(c, A, b, basis).iterations == 2
-        monkeypatch.setattr(mss.simplex, "MAX_ITER", 1)
-        with pytest.raises(SimplexError, match="iteration cap 1 exceeded"):
-            solve_lp(c, A, b, basis)
-        monkeypatch.setattr(mss.simplex, "MAX_ITER", 2)
-        assert solve_lp(c, A, b, basis).fun == pytest.approx(-36.0, abs=1e-9)
-
-    def test_zero_objective_stop_reports_the_zero_dual(self):
-        # min x1 + x2, x0 + x1 - x2 = 0 from the basis {x1}: the objective is
-        # already 0 and x0 has reduced cost -1.  Bland pivots x0 in, for
-        # nothing; the stop ends the solve first, with y = 0.
-        lp = np.array([0.0, 1.0, 1.0]), np.array([[1.0, 1.0, -1.0]]), np.array([0.0]), [1]
-        sol = solve_lp(*lp)
-        assert (sol.iterations, sol.fun) == (0, 0.0) and not sol.duals.any()
-        bland, _ = reference_solve_lp(*lp, bland=True)
-        assert (bland.iterations, bland.fun) == (1, 0.0)
-
-    def test_small_nonzero_objective_is_solved_out(self):
-        # The same LP with b = 5e-10, under TOL but over ZERO_OBJECTIVE: the
-        # start x1 = 5e-10 is not optimal, and x0 must still pivot in.
-        lp = np.array([0.0, 1.0, 1.0]), np.array([[1.0, 1.0, -1.0]]), np.array([5e-10]), [1]
-        assert ZERO_OBJECTIVE < 5e-10 < TOL
-        sol = solve_lp(*lp)
-        assert (sol.iterations, sol.fun) == (1, 0.0) and not sol.duals.any()
-        np.testing.assert_array_equal(sol.x, [5e-10, 0.0, 0.0])
-        assert_same_pivot_path(*lp)
-
-
-class TestMirror:
-    def test_mirror_columns_are_found_in_A(self):
-        # Columns 1 and 4 negate column 0 (4 by a signed zero), column 2 has
-        # no negation, and the zero column 3 is its own.  Columns 0, 1 and 4
-        # are +-e_0.
-        A = np.array([[1.0, -1.0, 2.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0, -0.0]])
-        mirror, structural, priced, unit_row, unit_sign, template = _columns(A.tobytes(), 2, 5)
-        assert mirror == (1, 0, -1, 3, 0)
-        # Column 2 alone has no mirror; it does not lead, so an index array
-        # reads its reduced cost.
-        assert structural == (2,) and priced.tolist() == [2]
-        assert unit_row == [0, 0, -1, -1, 0]
-        assert [unit_sign[j] for j in (0, 1, 4)] == [1.0, -1.0, -1.0]
-        assert template.tobytes() == np.hstack([A, np.eye(2), np.zeros((2, 1))]).tobytes()
-        assert not template.flags.writeable
-        A, n = mss.magic._lp_constants(2)[1], 60
-        mirror, structural, priced = _columns(A.tobytes(), *A.shape)[:3]
-        assert mirror == (*[-1] * n, *range(n + 16, n + 32), *range(n, n + 16))
-        assert structural == tuple(range(n)) and priced == slice(0, n)
-
-    def test_flip_walks_past_a_residual_sign_change(self):
-        # min |2 - x| + |3 - x| + |4 - x|  as  x + s_i - t_i = b_i from x = 0.
-        # The slope starts at -3 and each residual's zero raises it by 2: one
-        # long step flips s_1 for t_1 and stops at the median, x = 3.
-        c, A, b, basis = mirrored_form(np.ones((3, 1)), np.array([2.0, 3.0, 4.0]),
-                                       np.zeros(1), np.ones(3), np.ones(3))
-        sol = solve_lp(c, A, b, basis)
-        assert (sol.iterations, sol.flips) == (1, 1)
-        assert sol.fun == pytest.approx(2.0, abs=1e-12)
-        assert sol.x[0] == pytest.approx(3.0, abs=1e-12)
-        bland, _ = reference_solve_lp(c, A, b, basis, bland=True)
-        assert bland.fun == pytest.approx(2.0, abs=1e-12) and bland.iterations > 1
-
-
-class TestTwoStagePricing:
-    def test_structural_column_enters_before_a_residual(self):
-        # An L1 fit over 3 vertices and 3 residual rows (lambda in columns
-        # 0-2, u in 3-5, v in 6-8), started from lambda_0, lambda_1, u_2 and
-        # v_1.  There u_0 has reduced cost -3 and lambda_2 -1: Dantzig's rule
-        # would enter u_0, stage one enters lambda_2, and one degenerate
-        # pivot ends the solve.
-        F = np.array([[-1.0, 0.0, 0.0], [1.0, 2.0, 2.0], [1.0, -2.0, -1.0]])
-        c, A, _, _ = l1_fit_form(F, np.array([0.0, -3.0, -2.0]))
-        b, basis = np.array([0.0, -3.0, -2.0, 1.0]), [0, 1, 5, 7]
-        y = np.linalg.solve(A[:, basis].T, c[basis])
-        reduced = c - y @ A
-        assert reduced.argmin() == 3 and reduced[2] == pytest.approx(-1.0, abs=1e-12)
-        sol, final_basis = solve_with_final_basis(c, A, b, basis)
-        assert (sol.iterations, sol.flips, sol.fun) == (1, 0, 5.0)
-        assert final_basis == [0, 1, 2, 7]
-        assert reference_solve_lp(c, A, b, basis)[1] == final_basis
-
-    def test_magic2q_pivots_per_solve(self, monkeypatch):
-        # The benchmark's 2-qubit states of seeds 1-5 (1000 solves).  Pricing
-        # every column each time takes 12.15 pivots per solve here.
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)
-        from bench.workloads import build_items
-
-        pivots = [solve_lp(*wigner_lp(item.rho)).iterations
-                  for seed in range(1, 6) for item in build_items("magic2q", seed)]
-        assert len(pivots) == 1000 and np.mean(pivots) <= 10.5
-
-
-class TestBadInput:
-    """Refused with a ValueError naming the argument, before any arithmetic,
-    or with a SimplexError once the start tableau or a pivot overflows; never
-    with a numpy warning, which the suite turns into an error."""
-
-    @staticmethod
-    def lp():
-        return slack_form(np.array([[1.0, 1.0]]), np.array([4.0]), np.array([-1.0, -2.0]))
-
-    @pytest.mark.parametrize("name, index, value", [
-        ("b", 0, np.nan), ("c", 1, np.nan), ("A", (0, 0), np.nan), ("b", 0, np.inf)])
-    def test_non_finite_entry(self, name, index, value):
-        c, A, b, basis = self.lp()
-        {"c": c, "A": A, "b": b}[name][index] = value
-        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-            solve_lp(c, A, b, basis)
-
-    def test_fractional_basis_entry(self):
-        c, A, b, _ = self.lp()
-        with pytest.raises(ValueError, match="^basis entries must be integers$"):
-            solve_lp(c, A, b, [2.7])
-
-    @pytest.mark.parametrize("name", ["A", "b", "c"])
-    def test_complex_entry(self, name):
-        c, A, b, basis = self.lp()
-        args = {"c": c, "A": A, "b": b}
-        args[name] = args[name] + 0j
-        with pytest.raises(ValueError, match=f"^{name} must be real$"):
-            solve_lp(args["c"], args["A"], args["b"], basis)
-
-    @pytest.mark.parametrize("A", [[1.0, 1.0], [[[1.0, 1.0]]]], ids=["1-D", "3-D"])
-    def test_a_that_is_not_a_matrix(self, A):
-        with pytest.raises(ValueError, match=f"^A must be 2-D, got {np.ndim(A)} dimensions$"):
-            solve_lp([1.0, 1.0], A, [1.0], [0])
-
-    def test_start_tableau_overflow(self):
-        # Finite input whose start pivot divides 1e300 by 1e-300.
-        with pytest.raises(SimplexError, match="^start tableau overflows"):
-            solve_lp([1.0, 1.0], [[1e-300, 1e300]], [1.0], [0])
-
-    def test_pivot_overflow(self):
-        # A finite unit start whose first pivot divides 1e302 by 1e-8.
-        with pytest.raises(SimplexError, match="^tableau overflows in a pivot"):
-            solve_lp([-1.0, 0.0], [[1e-8, 1.0]], [1e302], [1])
