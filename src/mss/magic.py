@@ -40,7 +40,7 @@ from .stabilizer import enumerate_stabilizer_states
 from .wigner import _PHASE_POINT_BLOCH, _tables, as_wigner_vector, wigner_of
 
 CLAMP_TOL = 1e-10  # report exactly zero instead of leaking negative round-off
-SIGN_TOL = 1e-12   # Bloch coordinates this small count as 0 in sign_witness
+SIGN_TOL = 1e-12   # Bloch coordinates this small count as 0 in octahedron_witness
 
 
 class MagicResult(Record):
@@ -136,8 +136,8 @@ def _octahedron_result(rho: DensityMatrix) -> MagicResult:
     lowers each a_i = |b_i| by min(a_i, t), at the level t >= 0 where
     sum_i min(a_i, t) = |b|_1 - 1 (0 inside the octahedron).  Its mixture
     holds the lowered a_i at the vertices sign(b_i) e_i, and
-    max(0, 1 - |b|_1)/6 at each of the six.  The witness is zero where C
-    is, else :func:`sign_witness`.  ||w - f*||_1 must match C within 1e-8."""
+    max(0, 1 - |b|_1)/6 at each of the six.  The witness is
+    :func:`octahedron_witness`'s.  ||w - f*||_1 must match C within 1e-8."""
     b, w = bloch(rho), wigner_of(rho)
     c_value = octahedron_distance(b)
     a = np.abs(b)
@@ -153,11 +153,8 @@ def _octahedron_result(rho: DensityMatrix) -> MagicResult:
     f_star = as_wigner_vector((1.0 + _PHASE_POINT_BLOCH @ np.copysign(kept, b)) / 4)
     if not abs(np.abs(w - f_star).sum() - c_value) <= 1e-8:
         raise RuntimeError("closed-form postcondition violated: ||w - f*||_1 disagrees with C")
-    if c_value == 0.0:
-        return _result(0.0, f_star, lam, np.zeros(4), 0.0)
-    s, centre = sign_witness(b)
-    return _result(c_value, f_star, lam, np.concatenate(([2 * centre], s)),
-                   float(np.abs(s).max() / 2 + centre))
+    terms, f_lhs = octahedron_witness(b)
+    return _result(c_value, f_star, lam, terms, float(f_lhs))
 
 
 def _result(c_value, f_star, lam, terms, f_lhs) -> MagicResult:
@@ -171,18 +168,22 @@ def _result(c_value, f_star, lam, terms, f_lhs) -> MagicResult:
                        dual_witness=witness, f_lhs=f_lhs, witness_terms=terms)
 
 
-def sign_witness(b) -> tuple[np.ndarray, np.ndarray]:
-    """Pauli terms (s, t) of the witness H* = (s . sigma)/2 + t I that
-    :func:`wigner_distance` reports for one qubit where C > 0, per Bloch
-    vector along the last axis of ``b``.  s = sign(b), 0 where
+def octahedron_witness(b) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-qubit witness H* that :func:`wigner_distance` reports, per Bloch
+    vector along the last axis of ``b``: its Pauli terms h = tr(H* P) over
+    (I, X, Y, Z) on a new last axis, and F_LHS.  Both are 0 where C is.
+    Elsewhere H* = (s . sigma)/2 + t I, so h = (2t, s): s = sign(b), 0 where
     |b_i| <= SIGN_TOL, and t = -(max_a s . g_a + min_a s . g_a)/4 centres
     the witness coordinates y_a = tr(H* A_a) = s . g_a/2 + t in [-1, 1].
-    H* peaks over the stabilizer states at F_LHS = max|s_i|/2 + t, and
-    tr(H* rho) - F_LHS = C at b."""
+    Some |b_i| > 1/3 there, so max|s_i| = 1 and H* peaks over the
+    stabilizer states at F_LHS = 1/2 + t; tr(H* rho) - F_LHS = C at b."""
     b = np.asarray(b, dtype=float)
+    certifies = np.asarray(octahedron_distance(b)) > 0
     s = np.where(np.abs(b) <= SIGN_TOL, 0.0, np.sign(b))
     sg = s @ _PHASE_POINT_BLOCH.T
-    return s, -(sg.max(axis=-1) + sg.min(axis=-1)) / 4
+    t = -(sg.max(axis=-1) + sg.min(axis=-1)) / 4
+    h = np.concatenate((2 * t[..., None], s), axis=-1)
+    return np.where(certifies[..., None], h, 0.0), np.where(certifies, 0.5 + t, 0.0)
 
 
 def c_closed_form(phi: float) -> float:

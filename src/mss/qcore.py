@@ -241,11 +241,9 @@ def bloch(rho: DensityMatrix) -> np.ndarray:
     """Bloch vector (tr(rho X), tr(rho Y), tr(rho Z)) of a 1-qubit state."""
     if rho.n_qubits != 1:
         raise ValueError("bloch requires a 1-qubit density matrix")
-    # tr(rho X) = r01 + r10, tr(rho Y) = i (r01 - r10), tr(rho Z) = r00 - r11
+    # tr(rho X) = r01 + r10, tr(rho Y) = i (r01 - r10), tr(rho Z) = r00 - r11,
+    # real within DensityMatrix's Hermiticity check
     r00, r01, r10, r11 = rho.mat.ravel().tolist()
-    if max(abs(r01.imag + r10.imag), abs(r01.real - r10.real),
-           abs(r00.imag - r11.imag)) > ATOL_CONSTRUCT:
-        raise ValueError("Bloch components have imaginary parts above 1e-12")
     return np.array([r01.real + r10.real, r10.imag - r01.imag, r00.real - r11.real])
 
 

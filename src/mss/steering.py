@@ -23,11 +23,11 @@ stabilizer bound, because Clifford conjugation permutes the polytope
 vertices), and the witness at sigma_{0|X} certifies the gap exactly.
 Every certification value is :func:`_functional_value` of Bloch vectors and
 the witness's Pauli terms: ``MagicResult.witness_terms`` in
-:func:`evaluate_functional`, and taken straight from
-:func:`magic.sign_witness` for the exact assemblage, the sampled point and
-every bootstrap replica.  No path solves an LP: the 1-qubit witness is
-in closed form.  No angle enters the certification path except through the
-assemblage states themselves.
+:func:`evaluate_functional`, and :func:`magic.octahedron_witness` for the
+exact assemblage and every bootstrap replica, the sampled point being
+replica zero.  No path solves an LP: the 1-qubit witness is in closed form.
+No angle enters the certification path except through the assemblage
+states themselves.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Mapping
 import numpy as np
 
 from . import tomo
-from .magic import MagicResult, octahedron_distance, sign_witness, wigner_distance
+from .magic import MagicResult, octahedron_witness, wigner_distance
 from .protocol import _broadcast, _dealt
 from .qcore import DensityMatrix, ValueRecord, bloch, dm_from_bloch, phase_ptm
 from .stabilizer import enumerate_stabilizer_states
@@ -171,13 +171,10 @@ def evaluate_functional(assemblage: Assemblage, witness: MagicResult) -> Certifi
 
 def _certification(b_x, b_y) -> tuple[np.ndarray, np.ndarray]:
     """(F, F_LHS) at Bloch vectors b_x of sigma_{0|X} and b_y of sigma_{0|Y},
-    with the witness wigner_distance reports at sigma_{0|X}: the sign witness
-    (s . sigma)/2 + t I where C is positive, with F_LHS = 1/2 + t, and the zero
-    witness, F = F_LHS = 0, where C is reported as 0."""
-    s, t = sign_witness(b_x)
-    certifies = octahedron_distance(b_x) > 0
-    return (np.where(certifies, _functional_value(b_x, b_y, 2 * t, s), 0.0),
-            np.where(certifies, 0.5 + t, 0.0))
+    with the witness wigner_distance reports at sigma_{0|X}, read from
+    :func:`magic.octahedron_witness`: F = F_LHS = 0 where C is reported as 0."""
+    h, f_lhs = octahedron_witness(b_x)
+    return _functional_value(b_x, b_y, h[..., 0], h[..., 1:]), f_lhs
 
 
 def certify_exact(phi: float) -> CertificationRecord:
@@ -205,11 +202,11 @@ def sampled_certification(phi: float, shots: int, noise, seed: int,
     conditional states, with a parametric bootstrap on the gap.
 
     Outcome 0 of each setting keeps the dealer's readout bit in
-    ``_OUTCOME_0_BIT``.  No LP is solved: the point estimate and every
-    bootstrap replica are :func:`_certification` of their reconstructed Bloch
-    vectors, so a replica with the observed counts gives the point estimate
-    bit for bit.  Each replica re-derives the witness at its own sigma_{0|X},
-    so sigma_gap includes the witness's own sampling wobble.
+    ``_OUTCOME_0_BIT``.  No LP is solved: one :func:`tomo.bootstrap` array
+    holds the Bloch vectors of sigma_{0|X} and sigma_{0|Y}, the point
+    estimate as replica zero, and one :func:`_certification` call reads them
+    all.  Each replica re-derives the witness at its own sigma_{0|X}, so
+    sigma_gap includes the witness's own sampling wobble.
 
     Against the noisy closed form (Bloch vector eta (cos phi, sin phi, 0)),
     the gap runs high by a few tenths of sigma_gap on average: the sign
@@ -219,18 +216,12 @@ def sampled_certification(phi: float, shots: int, noise, seed: int,
     base = [tomo.post_select_and_correct(tomo.sample_run(phi, basis, shots, noise, seed,
                                                          alice_setting=setting), keep_bit)
             for setting, keep_bit in _OUTCOME_0_BIT.items() for basis in ("X", "Y", "Z")]
-    recon_x, recon_y = tomo.reconstruct(*base[:3]), tomo.reconstruct(*base[3:])
-    f, f_lhs = _certification(recon_x.bloch, recon_y.bloch)
-
-    rng = tomo.stream_rng(seed, f"certify-boot/{phi:.17g}")
-    raw = tomo.resample_expectations(base, n_boot, rng)
-    b = tomo.scale_onto_ball(raw.reshape(n_boot, 2, 3))
-    f_boot, f_lhs_boot = _certification(b[:, 0], b[:, 1])
-    gaps = f_boot - f_lhs_boot
+    b = tomo.bootstrap(base, n_boot, tomo.stream_rng(seed, f"certify-boot/{phi:.17g}"))
+    f, f_lhs = _certification(b[:, 0], b[:, 1])
     return SampledCertification(
-        record=CertificationRecord(f_value=float(f), f_lhs=float(f_lhs)),
-        sigma_gap=float(np.std(gaps, ddof=1)),
-        n_eff=min(recon_x.n_eff, recon_y.n_eff),
+        record=CertificationRecord(f_value=float(f[0]), f_lhs=float(f_lhs[0])),
+        sigma_gap=float(np.std(f[1:] - f_lhs[1:], ddof=1)),
+        n_eff=min(c.n_eff for c in base),
     )
 
 

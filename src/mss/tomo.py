@@ -40,6 +40,8 @@ setting, and replica role.  Streams for different circuits or bootstrap
 replicas are therefore disjoint by construction and every output is a pure
 function of the seed.  Within a bootstrap stream the draws run count by
 count, each count's replicas in turn (:func:`resample_expectations`).
+:func:`bootstrap` is the one estimator: its array holds the point estimate
+as replica zero, so an estimate and its error bar read one array.
 """
 
 from __future__ import annotations
@@ -287,15 +289,13 @@ def post_select_and_correct(table: CountsTable, alice_keep_bit: int = 0) -> Corr
 class ReconstructionResult(Record):
     """One party's tomographic estimate from its X, Y and Z counts."""
 
-    bloch: np.ndarray         # the projected Bloch vector rho, c_value and fidelity are built from
+    bloch: np.ndarray         # the projected Bloch vector rho and c_value are built from
     bloch_raw: np.ndarray     # linear-inversion vector before any projection
     n_eff: int                # smallest post-selected sample across bases
     c_value: float
-    fidelity: float           # NaN when no reference angle was supplied
 
-    def __init__(self, bloch, bloch_raw, n_eff, c_value, fidelity) -> None:
-        self.__dict__.update(bloch=bloch, bloch_raw=bloch_raw, n_eff=n_eff, c_value=c_value,
-                             fidelity=fidelity)
+    def __init__(self, bloch, bloch_raw, n_eff, c_value) -> None:
+        self.__dict__.update(bloch=bloch, bloch_raw=bloch_raw, n_eff=n_eff, c_value=c_value)
 
     @functools.cached_property
     def rho(self) -> DensityMatrix:
@@ -303,9 +303,12 @@ class ReconstructionResult(Record):
         return dm_from_bloch(self.bloch)
 
 
-def _require_bases(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
-                   z_counts: CorrectedCounts) -> None:
-    for c, want in ((x_counts, "X"), (y_counts, "Y"), (z_counts, "Z")):
+def _require_bases(counts: Sequence[CorrectedCounts]) -> None:
+    """Refuse counts that are not X, Y, Z triples, or an empty sample."""
+    if not counts or len(counts) % 3:
+        raise ValueError(f"expected X, Y, Z triples, got {len(counts)} counts")
+    for i, c in enumerate(counts):
+        want = "XYZ"[i % 3]
         if c.basis_label != want:
             raise ValueError(f"expected {want} counts, got {c.basis_label}")
         if c.n_eff < 1:
@@ -313,14 +316,14 @@ def _require_bases(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
 
 
 def reconstruct(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
-                z_counts: CorrectedCounts, phi: float | None = None) -> ReconstructionResult:
+                z_counts: CorrectedCounts) -> ReconstructionResult:
     """Linear-inversion single-qubit tomography with radial physicality projection.
 
     C is the octahedron distance of the projected Bloch vector, the 1-qubit
-    Wigner distance; the fidelity with P(phi)|+> is
-    :func:`_fidelity`'s closed form.
+    Wigner distance.  ``bloch`` is row 0 of :func:`bootstrap` on the same
+    counts, bit for bit.
     """
-    _require_bases(x_counts, y_counts, z_counts)
+    _require_bases((x_counts, y_counts, z_counts))
     raw = np.array([x_counts.expectation, y_counts.expectation, z_counts.expectation])
     b = scale_onto_ball(raw)
     raw.setflags(write=False)
@@ -330,7 +333,6 @@ def reconstruct(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
         bloch_raw=raw,
         n_eff=int(round(min(x_counts.n_eff, y_counts.n_eff, z_counts.n_eff))),
         c_value=octahedron_distance(b),
-        fidelity=float(_fidelity(b, phi)) if phi is not None else math.nan,
     )
 
 
@@ -372,17 +374,17 @@ def _fidelity(b: np.ndarray, phi: float) -> np.ndarray:
     return (1.0 + b[..., 0] * math.cos(phi) + b[..., 1] * math.sin(phi)) / 2.0
 
 
-def bootstrap(x_counts: CorrectedCounts, y_counts: CorrectedCounts,
-              z_counts: CorrectedCounts, n_boot: int, seed: int,
-              phi: float) -> tuple[float, float]:
-    """Parametric bootstrap of the recipient's (sigma_C, sigma_F): sample
-    standard deviations over ``n_boot`` replicas of :func:`resample_expectations`,
-    each reconstructed as :func:`reconstruct` does."""
-    _require_bases(x_counts, y_counts, z_counts)
-    rng = stream_rng(seed, f"bootstrap/{phi}")
-    b = scale_onto_ball(resample_expectations((x_counts, y_counts, z_counts), n_boot, rng))
-    return (float(np.std(octahedron_distance(b), ddof=1)),
-            float(np.std(_fidelity(b, phi), ddof=1)))
+def bootstrap(counts: Sequence[CorrectedCounts], n_boot: int,
+              rng: np.random.Generator) -> np.ndarray:
+    """The point estimate and its parametric bootstrap replicas as one
+    (1 + n_boot, len(counts) // 3, 3) array: the projected Bloch vector of
+    each X, Y, Z triple in ``counts``, as :func:`reconstruct` makes it, from
+    the observed counts in row 0 and from the :func:`resample_expectations`
+    replicas drawn on ``rng`` in rows 1 to n_boot."""
+    _require_bases(counts)
+    point = [c.expectation for c in counts]
+    raw = np.vstack((point, resample_expectations(counts, n_boot, rng)))
+    return scale_onto_ball(raw.reshape(1 + n_boot, -1, 3))
 
 
 class ExperimentRow(ValueRecord):
@@ -482,19 +484,19 @@ def experiment_table(phis: Sequence[float], shots: int, noise: NoiseModel,
         tables = tuple(sample_run(phi, b, shots, noise, seed, party=party)
                        for party in ("charlie", "bob") for b in ("X", "Y", "Z"))
         corrected = [post_select_and_correct(t) for t in tables]
-        charlie = reconstruct(*corrected[:3], phi=phi)
-        sigma_c, sigma_f = bootstrap(*corrected[:3], n_boot, seed, phi=phi)
+        charlie = bootstrap(corrected[:3], n_boot, stream_rng(seed, f"bootstrap/{phi}"))[:, 0]
+        c_charlie, f_charlie = octahedron_distance(charlie), _fidelity(charlie, phi)
         bob = reconstruct(*corrected[3:])
         rows.append(ExperimentRow(
             phi=phi,
             c_theory=c_closed_form(phi),
-            c_charlie=charlie.c_value,
-            sigma_c=sigma_c,
-            fidelity=charlie.fidelity,
-            sigma_f=sigma_f,
+            c_charlie=float(c_charlie[0]),
+            sigma_c=float(np.std(c_charlie[1:], ddof=1)),
+            fidelity=float(f_charlie[0]),
+            sigma_f=float(np.std(f_charlie[1:], ddof=1)),
             c_bob=bob.c_value,
-            n_eff=charlie.n_eff,
-            exceeds_distillation_threshold=bool(charlie.fidelity > DISTILLATION_THRESHOLD),
+            n_eff=min(c.n_eff for c in corrected[:3]),
+            exceeds_distillation_threshold=bool(f_charlie[0] > DISTILLATION_THRESHOLD),
         ))
         raw.append(tables)
     return ExperimentReport(rows=tuple(rows), shots=int(shots), n_boot=int(n_boot),

@@ -92,7 +92,7 @@ def _records():
         noise,
         table,
         corrected[0],
-        tomo.reconstruct(*corrected, phi=0.3),
+        tomo.reconstruct(*corrected),
         report.rows[0],
         report,
     ]
@@ -395,7 +395,6 @@ OPTIONS = {
     "tomo.circuit_probabilities": ["party='charlie'", "alice_setting='X'"],
     "tomo.sample_run": ["party='charlie'", "alice_setting='X'"],
     "tomo.post_select_and_correct": ["alice_keep_bit=0"],
-    "tomo.reconstruct": ["phi=None"],
     "tomo.experiment_table": ["n_boot=DEFAULT_N_BOOT"],
 }
 NO_PARAMETER = {"tol", "atol", "max_iter", "n_curve"}

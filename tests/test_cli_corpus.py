@@ -1,4 +1,5 @@
-"""Smoke test of tools/cli_corpus.py, the CLI byte-identity corpus."""
+"""tools/cli_corpus.py, the CLI byte-identity corpus: its format, and its
+output against the golden copy in tests/cli_corpus.txt."""
 
 import re
 import shlex
@@ -6,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "cli_corpus.txt"
 SUBCOMMANDS = {"run", "scan", "gate-check", "magic-eval", "certify", "experiment",
                "dump-stabilizers"}
 
@@ -38,3 +41,23 @@ def test_every_subcommand_runs_in_every_format(corpus_runs):
                for argv in argvs if "--format" in argv}
     assert covered == {(name, fmt, out) for name in SUBCOMMANDS
                        for fmt in ("json", "csv", "pretty") for out in (False, True)}
+
+
+def build() -> str:
+    """This process's numpy version and BLAS, as the golden file's header names them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
+
+
+def test_matches_the_golden_corpus(corpus_runs):
+    # A change that moves a CLI output updates tests/cli_corpus.txt, so the
+    # moved cases show in its diff.  Float output can also differ across
+    # numpy and BLAS builds, so a mismatch names both builds.
+    text = GOLDEN.read_text().splitlines()
+    made_with = [line for line in text if line.startswith("#")][-1].removeprefix("# ")
+    golden = [line for line in text if not line.startswith("#")]
+    lines = corpus_runs[0].splitlines()
+    moved = [f"{want!r} -> {got!r}" for want, got in zip(golden, lines) if want != got]
+    assert len(lines) == len(golden) and not moved, (
+        f"{len(moved)} of {len(golden)} lines differ from {GOLDEN.name} "
+        f"(made with {made_with}; this run: {build()}): " + "; ".join(moved[:5]))

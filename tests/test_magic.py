@@ -16,6 +16,7 @@ from mss.magic import (
     _lp_constants,
     c_closed_form,
     octahedron_distance,
+    octahedron_witness,
     wigner_distance,
 )
 from mss.qcore import (
@@ -657,3 +658,57 @@ class TestOctahedronDistance:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="3 components"):
             octahedron_distance((0.1, 0.2))
+
+
+class TestOctahedronWitness:
+    """The one rule for the reported 1-qubit witness, which wigner_distance
+    and the steering certificate both read."""
+
+    @staticmethod
+    def clamp_window() -> list[np.ndarray]:
+        """The edge cases, and Bloch vectors at |b|_1 = 1 + 2e-10, where C
+        meets CLAMP_TOL, with each coordinate also moved by -1 and +1 ulp."""
+        vectors = octahedron_edge_cases()
+        for direction in ((1.0, 1.0, 1.0), (0.6, -0.3, 0.1), (0.5, 0.5, 0.0), (-0.2, 0.7, -0.1)):
+            d = np.array(direction) / np.abs(direction).sum() * (1.0 + 2 * CLAMP_TOL)
+            vectors.append(d)
+            for i in range(3):
+                for toward in (-np.inf, np.inf):
+                    b = d.copy()
+                    b[i] = np.nextafter(b[i], toward)
+                    vectors.append(b)
+        return vectors
+
+    def test_zero_exactly_where_c_is_zero(self):
+        vectors = self.clamp_window()
+        c = octahedron_distance(np.array(vectors))
+        window = c[len(octahedron_edge_cases()):]
+        assert 0 < np.count_nonzero(window) < len(window)  # both sides of the clamp
+        for b, c_b in zip(vectors, c):
+            h, f_lhs = octahedron_witness(b)
+            assert h.shape == (4,) and f_lhs.shape == ()
+            if c_b == 0.0:
+                assert h.tobytes() == np.zeros(4).tobytes()
+                assert f_lhs.tobytes() == np.float64(0.0).tobytes()
+                continue
+            s = np.where(np.abs(b) <= SIGN_TOL, 0.0, np.sign(b))
+            sg = s @ _PHASE_POINT_BLOCH.T
+            t = -(sg.max() + sg.min()) / 4
+            assert h.tobytes() == np.array([2 * t, *s]).tobytes()
+            # max|s_i| = 1 wherever C > 0, so F_LHS = 1/2 + t is max|s|/2 + t.
+            assert f_lhs == 0.5 + t == np.abs(s).max() / 2 + t
+
+    def test_stacks_match_single_vectors(self):
+        vectors = self.clamp_window()[:60]
+        h, f_lhs = octahedron_witness(np.array(vectors).reshape(3, 20, 3))
+        assert h.shape == (3, 20, 4) and f_lhs.shape == (3, 20)
+        for b, h_b, f_b in zip(vectors, h.reshape(-1, 4), f_lhs.reshape(-1)):
+            one_h, one_f = octahedron_witness(b)
+            assert h_b.tobytes() == one_h.tobytes() and f_b.tobytes() == one_f.tobytes()
+
+    def test_wigner_distance_reports_it(self):
+        for b in self.clamp_window():
+            res = wigner_distance(dm_from_bloch(b))
+            h, f_lhs = octahedron_witness(bloch(dm_from_bloch(b)))
+            assert res.witness_terms.tobytes() == h.tobytes()
+            assert res.f_lhs.hex() == float(f_lhs).hex()

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mss import protocol, qcore, tomo
-from mss.magic import c_closed_form, wigner_distance
+from mss.magic import c_closed_form, octahedron_distance, wigner_distance
 from mss.qcore import I2, X, Y, Z, ket, phase_gate, phase_plus
 from mss.steering import sampled_certification
 from mss.tomo import (
@@ -36,9 +36,19 @@ ZERO_NOISE = NoiseModel.none()
 ACCEPTANCE_NOISE = NoiseModel.symmetric(0.003, 0.015, 0.01)
 
 
+def bootstrap_sigmas(x_counts, y_counts, z_counts, n_boot, seed, phi):
+    """The recipient's (sigma_C, sigma_F) as the experiment table reads them:
+    sample standard deviations over rows 1.. of :func:`bootstrap` on the
+    ``bootstrap/{phi}`` stream."""
+    b = bootstrap((x_counts, y_counts, z_counts), n_boot,
+                  stream_rng(seed, f"bootstrap/{phi}"))[1:, 0]
+    return (float(np.std(octahedron_distance(b), ddof=1)),
+            float(np.std(tomo._fidelity(b, phi), ddof=1)))
+
+
 def reference_bootstrap(x_counts, y_counts, z_counts, n_boot, seed, phi):
-    """Slow oracle for :func:`bootstrap`: scalar draws, basis by basis and
-    each basis's replicas in turn; every replica is rebuilt as counts,
+    """Slow oracle for :func:`bootstrap_sigmas`: scalar draws, basis by basis
+    and each basis's replicas in turn; every replica is rebuilt as counts,
     reconstructed as a DensityMatrix, measured with the Wigner-distance LP
     and compared with P(phi)|+> by the matrix fidelity."""
     rng = stream_rng(seed, f"bootstrap/{phi}")
@@ -167,8 +177,7 @@ def pipeline_c(phi, shots, noise, seed, party="charlie"):
         b: post_select_and_correct(sample_run(phi, b, shots, noise, seed, party=party))
         for b in ("X", "Y", "Z")
     }
-    return reconstruct(corrected["X"], corrected["Y"], corrected["Z"],
-                       phi=phi if party == "charlie" else None)
+    return reconstruct(corrected["X"], corrected["Y"], corrected["Z"])
 
 
 class TestNoiseModel:
@@ -512,10 +521,9 @@ class TestReconstruct:
             exact_corrected_counts(phi, "X", 2048),
             exact_corrected_counts(phi, "Y", 2048),
             exact_corrected_counts(phi, "Z", 2048),
-            phi=phi,
         )
         assert res.c_value == pytest.approx(0.15328148243818825, abs=1e-9)
-        assert res.fidelity == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(res.rho, phase_plus(phi)) == pytest.approx(1.0, abs=1e-12)
         assert res.n_eff == 2048
 
     def test_maximally_mixed_counts(self):
@@ -527,7 +535,6 @@ class TestReconstruct:
         )
         assert res.c_value == 0.0
         np.testing.assert_allclose(res.bloch_raw, [0, 0, 0], atol=1e-15)
-        assert math.isnan(res.fidelity)
 
     def test_three_sigma_perturbations_stay_free(self, rng):
         n = 2048
@@ -557,7 +564,7 @@ class TestReconstruct:
 
         monkeypatch.setattr(tomo, "dm_from_bloch", refuse)
         monkeypatch.setattr(qcore.DensityMatrix, "__post_init__", refuse)
-        res = reconstruct(*counts, phi=0.3)
+        res = reconstruct(*counts)
         monkeypatch.undo()
         assert "rho" not in {f.name for f in fields(res)}
         assert res.rho.mat.tobytes() == qcore.dm_from_bloch(res.bloch).mat.tobytes()
@@ -577,11 +584,12 @@ class TestReconstruct:
            st.floats(-7.0, 7.0))
     def test_physical_state_and_lp_c_for_any_counts(self, pairs, phi):
         res = reconstruct(*[CorrectedCounts(b, n0=n0, n1=n1)
-                            for b, (n0, n1) in zip("XYZ", pairs)], phi=phi)
+                            for b, (n0, n1) in zip("XYZ", pairs)])
         assert abs(np.trace(res.rho.mat) - 1.0) < 1e-12
         assert np.linalg.eigvalsh(res.rho.mat).min() >= -1e-10
         assert res.c_value == pytest.approx(wigner_distance(res.rho).c_value, abs=1e-9)
-        assert res.fidelity == pytest.approx(fidelity(res.rho, phase_plus(phi)), rel=0, abs=1e-15)
+        assert tomo._fidelity(res.bloch, phi) == pytest.approx(fidelity(res.rho, phase_plus(phi)),
+                                                               rel=0, abs=1e-15)
 
     def test_zero_noise_consistency_large_shots(self):
         shots = 2 ** 17
@@ -595,7 +603,7 @@ class TestBootstrap:
     def test_shot_noise_scale(self):
         phi = np.pi / 4
         counts = [exact_corrected_counts(phi, b, 2048) for b in ("X", "Y", "Z")]
-        sigma_c, sigma_f = bootstrap(*counts, n_boot=800, seed=1, phi=phi)
+        sigma_c, sigma_f = bootstrap_sigmas(*counts, n_boot=800, seed=1, phi=phi)
         # per-Pauli shot noise is 1/sqrt(2048) ~ 0.022; C inherits a
         # comparable scale through the octahedron facet gradient
         assert 0.005 < sigma_c < 0.03
@@ -606,25 +614,53 @@ class TestBootstrap:
         sigmas = []
         for n_eff in (512, 2048, 8192):
             counts = [exact_corrected_counts(phi, b, n_eff) for b in ("X", "Y", "Z")]
-            sigma_c, _ = bootstrap(*counts, n_boot=600, seed=2, phi=phi)
+            sigma_c, _ = bootstrap_sigmas(*counts, n_boot=600, seed=2, phi=phi)
             sigmas.append(sigma_c)
         assert sigmas[0] > sigmas[1] > sigmas[2]
 
     def test_deterministic(self):
-        phi = 0.6
-        counts = [exact_corrected_counts(phi, b, 1024) for b in ("X", "Y", "Z")]
-        assert bootstrap(*counts, n_boot=200, seed=9, phi=phi) == \
-            bootstrap(*counts, n_boot=200, seed=9, phi=phi)
+        counts = [exact_corrected_counts(0.6, b, 1024) for b in ("X", "Y", "Z")]
+        assert (bootstrap(counts, 200, stream_rng(9, "b")).tobytes()
+                == bootstrap(counts, 200, stream_rng(9, "b")).tobytes())
 
     def test_minimum_replicas(self):
         counts = [exact_corrected_counts(0.6, b, 1024) for b in ("X", "Y", "Z")]
         with pytest.raises(ValueError, match="at least 100"):
-            bootstrap(*counts, n_boot=50, seed=9, phi=0.6)
+            bootstrap(counts, 50, stream_rng(9, "b"))
 
     def test_basis_order_enforced(self):
         counts = [exact_corrected_counts(0.6, b, 1024) for b in ("Y", "X", "Z")]
         with pytest.raises(ValueError, match="expected X counts"):
-            bootstrap(*counts, n_boot=100, seed=9, phi=0.6)
+            bootstrap(counts, 100, stream_rng(9, "b"))
+        counts = [exact_corrected_counts(0.6, b, 1024) for b in ("X", "Y", "Z", "X", "Z", "Y")]
+        with pytest.raises(ValueError, match="expected Y counts, got Z"):
+            bootstrap(counts, 100, stream_rng(9, "b"))
+
+    @pytest.mark.parametrize("size", [0, 2, 4])
+    def test_whole_triples_required(self, size):
+        counts = [exact_corrected_counts(0.6, b, 1024) for b in "XYZXYZ"[:size]]
+        with pytest.raises(ValueError, match=f"expected X, Y, Z triples, got {size} counts"):
+            bootstrap(counts, 100, stream_rng(9, "b"))
+
+    def test_empty_sample_rejected(self):
+        counts = [CorrectedCounts(b, n0=n, n1=0) for b, n in zip("XYZXYZ", (9, 9, 9, 9, 0, 9))]
+        with pytest.raises(ValueError, match="empty"):
+            bootstrap(counts, 100, stream_rng(9, "b"))
+
+    @pytest.mark.parametrize("triples", [1, 2])
+    def test_row_zero_is_the_reconstruction(self, triples):
+        # The point estimate is replica zero, bit for bit; rows 1.. are the
+        # replicas of resample_expectations on the same stream.
+        counts = [post_select_and_correct(sample_run(0.7, b, 1024, ACCEPTANCE_NOISE, seed=3,
+                                                     alice_setting=setting), keep)
+                  for setting, keep in (("X", 0), ("Y", 1))[:triples] for b in ("X", "Y", "Z")]
+        got = bootstrap(counts, 150, stream_rng(3, "rows"))
+        assert got.shape == (151, triples, 3)
+        for k in range(triples):
+            assert got[0, k].tobytes() == reconstruct(*counts[3 * k:3 * k + 3]).bloch.tobytes()
+        replicas = resample_expectations(counts, 150, stream_rng(3, "rows"))
+        want = scale_onto_ball(replicas.reshape(150, triples, 3))
+        assert got[1:].tobytes() == want.tobytes()
 
     def test_matches_run_to_run_scatter(self):
         # sigma_C from one bootstrap should sit within a factor of two of the
@@ -638,8 +674,8 @@ class TestBootstrap:
             b: post_select_and_correct(sample_run(phi, b, shots, ZERO_NOISE, seed=100))
             for b in ("X", "Y", "Z")
         }
-        sigma_c, _ = bootstrap(corrected["X"], corrected["Y"], corrected["Z"],
-                               n_boot=800, seed=100, phi=phi)
+        sigma_c, _ = bootstrap_sigmas(corrected["X"], corrected["Y"], corrected["Z"],
+                                      n_boot=800, seed=100, phi=phi)
         assert scatter / 2 < sigma_c < scatter * 2
 
 
@@ -651,14 +687,14 @@ class TestBootstrapOracle:
     def test_sampled_counts(self, phi, noise):
         counts = [post_select_and_correct(sample_run(phi, b, 4096, noise, seed=5))
                   for b in ("X", "Y", "Z")]
-        got = bootstrap(*counts, n_boot=300, seed=5, phi=phi)
+        got = bootstrap_sigmas(*counts, n_boot=300, seed=5, phi=phi)
         want = reference_bootstrap(*counts, n_boot=300, seed=5, phi=phi)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("phi", [np.pi / 8, np.pi / 4, np.pi, 3 * np.pi / 2 + 0.01])
     def test_exact_counts(self, phi):
         counts = [exact_corrected_counts(phi, b, 2048) for b in ("X", "Y", "Z")]
-        got = bootstrap(*counts, n_boot=300, seed=11, phi=phi)
+        got = bootstrap_sigmas(*counts, n_boot=300, seed=11, phi=phi)
         want = reference_bootstrap(*counts, n_boot=300, seed=11, phi=phi)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 

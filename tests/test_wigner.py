@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mss.magic import wigner_distance
 from mss.qcore import (_PAULIS, DensityMatrix, PureState, X, Y, Z, dm_from_bloch,
                        maximally_mixed, phase_gate)
 from mss.wigner import _G1, _PHASE_POINT_BLOCH, _tables, as_wigner_vector, wigner_of
@@ -115,6 +116,19 @@ class TestPauliTable:
         assert g.shape == (4 ** n, 4 ** n) and strings.shape == (4 ** n, 4 ** n)
         assert not g.flags.writeable and not strings.flags.writeable
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_real_view_of_the_strings_reads_the_hermitian_part(self, n, rng):
+        # wigner_of's product: the strings' (Re, Im) pairs against a matrix's
+        # give Re tr(m P) = tr(m_H P), for any complex m, Hermitian or not.
+        d = 2 ** n
+        strings = _tables(n)[1]
+        for _ in range(20):
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            want = np.einsum("pij,ji->p", strings.reshape(-1, d, d), (m + m.conj().T) / 2)
+            assert np.abs(want.imag).max() <= 1e-14
+            got = strings.view(float) @ m.view(float).reshape(-1)
+            assert np.abs(got - want.real).max() <= 1e-14
+
     def test_two_qubit_tables_are_the_kronecker_products(self):
         g, strings = _tables(2)
         assert g.tobytes() == np.kron(_G1, _G1).tobytes()
@@ -193,6 +207,17 @@ class TestWignerOf:
             got = wigner_of(DensityMatrix(lam * a.mat + (1 - lam) * b.mat))
             want = lam * wigner_of(a) + (1 - lam) * wigner_of(b)
             np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_reads_the_hermitian_part_of_an_accepted_state(self):
+        # Hermitian within 1e-12 (its error is 9.8e-13), so DensityMatrix
+        # accepts it, but the four imaginary entries add up to 1.96e-12 in
+        # tr(rho I(x)X).  W reads the Hermitian part, which is I/4 exactly.
+        m = np.eye(4, dtype=complex) / 4
+        for i, j in ((0, 1), (1, 0), (2, 3), (3, 2)):
+            m[i, j] = 4.9e-13j
+        rho = DensityMatrix(m)
+        assert wigner_of(rho).tobytes() == wigner_of(maximally_mixed(2)).tobytes()
+        assert wigner_distance(rho).c_value == 0.0
 
     def test_three_qubits_rejected(self):
         with pytest.raises(ValueError, match="n <= 2"):
